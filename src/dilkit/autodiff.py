@@ -15,20 +15,13 @@ class ContractError(ValueError):
     """A documented pre/postcondition was violated."""
 
 
-def _as_f64(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "stop_gradient", "_prev", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, stop_gradient: bool = False,
-                 _prev: tuple = ()):
-        self.data = _as_f64(data)
+    def __init__(self, data, requires_grad: bool = False, _prev: tuple = ()):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.stop_gradient = bool(stop_gradient)
         self._prev = _prev
         self._backward = None
 
@@ -40,7 +33,7 @@ class Tensor:
         return float(self.data)
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.stop_gradient or not self.requires_grad:
+        if not self.requires_grad:
             return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -62,7 +55,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._prev:
-                if p.requires_grad and not p.stop_gradient and id(p) not in seen:
+                if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
@@ -100,10 +93,6 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _live(t: Tensor) -> bool:
-    return t.requires_grad and not t.stop_gradient
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce gradient g back to `shape` after numpy broadcasting."""
     while g.ndim > len(shape):
@@ -115,7 +104,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
-    req = any(_live(p) for p in parents)
+    req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, _prev=tuple(parents) if req else ())
 
 
@@ -169,27 +158,6 @@ def relu(a: Tensor) -> Tensor:
         mask = a.data > 0.0
         def _back():
             a._accum(out.grad * mask)
-        out._backward = _back
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    val = np.exp(a.data)
-    out = _make(val, (a,))
-    if out.requires_grad:
-        def _back():
-            a._accum(out.grad * val)
-        out._backward = _back
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = _make(np.log(a.data), (a,))
-    if out.requires_grad:
-        def _back():
-            a._accum(out.grad / a.data)
         out._backward = _back
     return out
 
@@ -260,19 +228,6 @@ def rows(a: Tensor, idx) -> Tensor:
         def _back():
             g = np.zeros_like(a.data)
             np.add.at(g, idx, out.grad)
-            a._accum(g)
-        out._backward = _back
-    return out
-
-
-def element(a: Tensor, i: int, j: int) -> Tensor:
-    """[r, c] -> scalar a[i, j]."""
-    a = _wrap(a)
-    out = _make(np.asarray(a.data[i, j]), (a,))
-    if out.requires_grad:
-        def _back():
-            g = np.zeros_like(a.data)
-            g[i, j] = float(out.grad)
             a._accum(g)
         out._backward = _back
     return out
@@ -350,16 +305,6 @@ def lse(a: Tensor) -> Tensor:
 def log_softmax(a: Tensor) -> Tensor:
     n = a.data.shape[0]
     return add(a, mul(reshape(lse(a), (n, 1)), -1.0))
-
-
-def stop_grad(x: Tensor) -> Tensor:
-    """Value-equal tensor that cuts the graph (the overcircle operation)."""
-    x = _wrap(x)
-    return Tensor(x.data, requires_grad=False, stop_gradient=True)
-
-
-def constant(x) -> Tensor:
-    return Tensor(x)
 
 
 # -- finite-difference oracle -----------------------------------------

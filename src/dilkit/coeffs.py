@@ -21,12 +21,11 @@ ESM_ER_RATIO = 1.0 - math.exp(-1.0)  # replay-stream retention rate r
 
 class CoeffSimplex:
     def __init__(self, n_past: int, mode: str, logits: Tensor | None = None,
-                 fixed: np.ndarray | None = None, method: str = "UDIL"):
+                 fixed: np.ndarray | None = None):
         if mode not in ("adaptive", "fixed"):
             raise ContractError("mode must be adaptive or fixed")
         self.n_past = n_past
         self.mode = mode
-        self.method = method
         self.logits = logits
         self._fixed = fixed
 
@@ -97,4 +96,4 @@ def from_preset(method: str, t: int) -> CoeffSimplex:
         fixed = np.zeros((t - 1, 3))
     else:
         fixed = np.array([preset_triple(method, t)] * (t - 1))
-    return CoeffSimplex(t - 1, "fixed", fixed=fixed, method=method)
+    return CoeffSimplex(t - 1, "fixed", fixed=fixed)

@@ -65,10 +65,10 @@ KEY_TABLE = {
     "baseline_models": ("int", "5", "fresh models averaged for the transfer baseline"),
     # bound verification
     "instances": ("int", "100", "random bound instances to audit"),
-    "bound_domains": ("int", "3", "past domains per bound instance"),
-    "points_per_domain": ("int", "6", "ground-set points per domain"),
-    "class_size": ("int", "64", "hypotheses per sampled finite class"),
-    "grid_resolution": ("int", "10", "barycentric grid density for the argmin"),
+    "bound_domains": ("int", "3", "domains per bound instance, the last one current (>= 2)"),
+    "points_per_domain": ("int", "6", "ground-set points per domain (1..8)"),
+    "class_size": ("int", "64", "hypotheses per sampled finite class (2..256)"),
+    "grid_resolution": ("int", "10", "barycentric grid density for the argmin (>= 2)"),
     "bounds_seed": ("int", "0", "seed for the bound-instance sampler"),
 }
 
@@ -191,13 +191,18 @@ def _check_ranges(c: RunConfig) -> None:
     positives = {"n_domains": c.n_domains, "n_per_domain": c.n_per_domain,
                  "buffer_capacity": c.buffer_capacity,
                  "baseline_models": c.baseline_models,
-                 "instances": c.instances, "bound_domains": c.bound_domains,
-                 "points_per_domain": c.points_per_domain,
-                 "class_size": c.class_size,
-                 "grid_resolution": c.grid_resolution}
+                 "instances": c.instances}
     for key, value in positives.items():
         if value < 1:
             raise ConfigError(f"key {key!r}: must be >= 1, got {value}")
+    # the ranges random_instance and barycentric_grid accept
+    for key, value, lo, hi in (("bound_domains", c.bound_domains, 2, None),
+                               ("points_per_domain", c.points_per_domain, 1, 8),
+                               ("class_size", c.class_size, 2, 256),
+                               ("grid_resolution", c.grid_resolution, 2, None)):
+        if value < lo or (hi is not None and value > hi):
+            span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise ConfigError(f"key {key!r}: must be {span}, got {value}")
     if c.data_seed < 0 or c.bounds_seed < 0:
         raise ConfigError("seeds must be >= 0")
     if any(s < 0 for s in c.seeds):

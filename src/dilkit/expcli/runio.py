@@ -49,9 +49,18 @@ def dump_json(payload: dict) -> str:
 
 
 def write_text(path: str, text: str) -> None:
+    """Write via a temporary file in the same directory and os.replace, so
+    `path` holds either its old content or all of `text`, never a part."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,6 @@ class HistorySnapshot:
     classifier: Classifier
     cached_consts: dict[int, float] = field(default_factory=dict)
 
-    def probs(self, x) -> Tensor:
-        return self.classifier.probs(x)
-
-    def embed(self, x) -> Tensor:
-        return self.classifier.embed(x)
-
-    def predict(self, x) -> np.ndarray:
-        return self.classifier.predict(x)
-
 
 def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
     """Mean cross-entropy -log p(true class)."""

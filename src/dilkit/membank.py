@@ -6,7 +6,6 @@ domain ids, so any two bucket sizes differ by at most one.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -76,32 +75,3 @@ class MemoryBank:
             idx = rng.choice(len(bucket), size=k, replace=False)
             out[i] = bucket.subset(idx)
         return out
-
-    # -- optional persistence ------------------------------------------
-    def to_json(self) -> str:
-        payload = {
-            "capacity": self.capacity,
-            "t_seen": self.t_seen,
-            "shortfalls": {str(k): v for k, v in self.shortfalls.items()},
-            "buckets": {
-                str(i): {"x": b.x.tolist(), "y": b.y.tolist(),
-                         "dim": b.x.shape[1]}
-                for i, b in self.buckets.items()
-            },
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MemoryBank":
-        payload = json.loads(text)
-        bank = cls(capacity=payload["capacity"])
-        bank.t_seen = payload["t_seen"]
-        bank.shortfalls = {int(k): v for k, v in payload["shortfalls"].items()}
-        bank.buckets = {
-            int(i): LabeledSet(np.array(d["x"], dtype=np.float64).reshape(
-                                   len(d["y"]), d["dim"]),
-                               np.array(d["y"], dtype=np.int64),
-                               domain_id=int(i))
-            for i, d in payload["buckets"].items()
-        }
-        return bank

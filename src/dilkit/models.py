@@ -87,15 +87,8 @@ class Mlp:
 
     def stopped(self) -> "Mlp":
         """View of this net whose parameters cut the gradient graph."""
-        layers = [(Tensor(w.data, stop_gradient=True),
-                   Tensor(b.data, stop_gradient=True))
-                  for w, b in self.layers]
+        layers = [(Tensor(w.data), Tensor(b.data)) for w, b in self.layers]
         return Mlp([], head=self.head, _layers=layers)
-
-    def load_from(self, other: "Mlp") -> None:
-        for (w, b), (ow, ob) in zip(self.layers, other.layers):
-            w.data[...] = ow.data
-            b.data[...] = ob.data
 
 
 def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:

@@ -8,13 +8,12 @@ snapshotted as the frozen teacher and the replay memory is rebalanced.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import ContractError, add, mul
-from .coeffs import ConfigError, CoeffSimplex, from_preset, init_uniform
+from .coeffs import CoeffSimplex, from_preset, init_uniform
 from .datagen import DomainStream, LabeledSet
 from .divergence import hdh_discriminator_estimate
 from .losses import (
@@ -27,8 +26,6 @@ from .metrics import (
 )
 from .models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
 from .seeding import substream
-
-log = logging.getLogger(__name__)
 
 ADAPTIVE_METHOD = "UDIL"
 ORACLE_METHOD = "Joint"
@@ -47,7 +44,6 @@ class TrainerConfig:
     memory_batch: int | None = None    # per past domain; default: sgd.batch_size
     split_memory_batch: bool = False   # split one batch across past domains
     baseline_models: int = 5
-    eval_superdiagonal: bool = True
 
 
 @dataclass
@@ -65,16 +61,8 @@ class TrainState:
     history: HistorySnapshot | None
     omega: CoeffSimplex | None
     bank: MemoryBank
-    hp: HyperParams
-    sgd: SgdConfig
+    config: TrainerConfig
     t: int
-    seed: int
-    method: str
-    arch: ArchConfig
-    omega_lr: float | None = None
-    disc_lr: float | None = None
-    memory_batch: int | None = None
-    split_memory_batch: bool = False
     omega_log: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,22 +76,9 @@ def initial_state(config: TrainerConfig, input_dim: int,
                   n_classes: int) -> TrainState:
     model = config.arch.build_classifier(
         input_dim, n_classes, substream(config.seed, "init"))
-    return TrainState(
-        model=model, disc=None, history=None, omega=None,
-        bank=MemoryBank(config.memory_capacity), hp=config.hp,
-        sgd=config.sgd, t=1, seed=config.seed, method=config.method,
-        arch=config.arch, omega_lr=config.omega_lr, disc_lr=config.disc_lr,
-        memory_batch=config.memory_batch,
-        split_memory_batch=config.split_memory_batch)
-
-
-def grow_discriminator(d: Mlp, t: int, rng: np.random.Generator) -> Mlp:
-    """Fresh discriminator with a t-way head and re-initialized weights,
-    keeping the previous input/hidden widths."""
-    if t < 2:
-        raise ContractError("discriminator is only defined for t >= 2")
-    sizes = d.sizes[:-1] + [t]
-    return Mlp(sizes, head="softmax", rng=rng)
+    return TrainState(model=model, disc=None, history=None, omega=None,
+                      bank=MemoryBank(config.memory_capacity),
+                      config=config, t=1)
 
 
 def _make_simplex(method: str, t: int) -> CoeffSimplex:
@@ -172,38 +147,45 @@ def snapshot_history(state: TrainState) -> HistorySnapshot:
     return HistorySnapshot(frozen, cached)
 
 
-def train_domain(state: TrainState, domain_data: LabeledSet) -> TrainState:
+def train_domain(state: TrainState, domain_data: LabeledSet,
+                 pooled: LabeledSet | None = None) -> TrainState:
     """Train one domain and return the state advanced to the next domain.
 
     Domain 1 and the FineTune preset reduce to plain SGD on the current
-    data.  Otherwise each step samples one current batch plus one batch per
-    memory bucket and applies, in order: the discriminator update, the
-    coefficient update (adaptive mode only), and the model update.
+    data; Joint runs plain SGD on `pooled`, the union of domains 1..t,
+    which it alone must pass.  Otherwise each step samples one current
+    batch plus one batch per memory bucket and applies, in order: the
+    discriminator update, the coefficient update (adaptive mode only), and
+    the model update.  Every method fills memory bucket t from
+    `domain_data`.
     """
+    config = state.config
     if domain_data.domain_id != state.t:
         raise ContractError(
             f"domain_data has id {domain_data.domain_id}, state expects {state.t}")
     if len(domain_data) == 0:
         raise ContractError("training data is empty")
+    if (pooled is not None) != (config.method == ORACLE_METHOD):
+        raise ContractError("pooled data is passed exactly when the method is Joint")
     t = state.t
-    rng = substream(state.seed, "batches", t)
+    rng = substream(config.seed, "batches", t)
 
-    if t == 1 or state.method == "FineTune":
-        if t >= 2 and state.method == "FineTune":
-            state.omega = _make_simplex(state.method, t)  # zeros, for the log
-        _erm_steps(state.model, domain_data, state.sgd, rng)
-    elif state.method == ORACLE_METHOD:
-        raise ConfigError("Joint mode trains on pooled data via run_sequence")
+    if pooled is not None:
+        _erm_steps(state.model, pooled, config.sgd, rng)
+    elif t == 1 or config.method == "FineTune":
+        if t >= 2:
+            state.omega = _make_simplex(config.method, t)  # zeros, for the log
+        _erm_steps(state.model, domain_data, config.sgd, rng)
     else:
-        state.omega = _make_simplex(state.method, t)
-        state.disc = state.arch.build_discriminator(
-            t, substream(state.seed, "disc", t))
+        state.omega = _make_simplex(config.method, t)
+        state.disc = config.arch.build_discriminator(
+            t, substream(config.seed, "disc", t))
         _train_domain_replay(state, domain_data, rng)
 
     if state.omega is not None:
         state.omega_log[t] = state.omega.triples()
 
-    state.bank.update_after_domain(domain_data, t, state.seed)
+    state.bank.update_after_domain(domain_data, t, config.seed)
     state.history = snapshot_history(state)
     state.t = t + 1
     state.omega = None
@@ -213,16 +195,16 @@ def train_domain(state: TrainState, domain_data: LabeledSet) -> TrainState:
 
 def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator) -> None:
-    t, hp, sgd = state.t, state.hp, state.sgd
+    config = state.config
+    t, hp, sgd = state.t, config.hp, config.sgd
     model, disc, history = state.model, state.disc, state.history
     simplex = state.omega
     adaptive = simplex.mode == "adaptive"
-    omega_lr = state.omega_lr if state.omega_lr is not None else sgd.learning_rate
-    disc_lr = state.disc_lr if state.disc_lr is not None else sgd.learning_rate
-    n_past = t - 1
-    mem_batch = state.memory_batch if state.memory_batch is not None else sgd.batch_size
-    if state.split_memory_batch:
-        mem_batch = max(1, mem_batch // n_past)
+    omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
+    disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
+    mem_batch = config.memory_batch if config.memory_batch is not None else sgd.batch_size
+    if config.split_memory_batch:
+        mem_batch = max(1, mem_batch // (t - 1))
     n_memory = [len(state.bank.buckets[i]) for i in sorted(state.bank.buckets)]
     # a fixed preset with no cross-domain mass never trains the discriminator
     fixed_beta_mass = (not adaptive
@@ -298,32 +280,27 @@ def run_sequence(stream: DomainStream, config: TrainerConfig) -> SequenceResult:
     n = stream.n_domains
     mat = AccuracyMatrix(n)
     state = initial_state(config, stream.input_dim, stream.num_classes)
-    baseline = (_baseline_accuracies(stream, config)
-                if config.eval_superdiagonal else [])
+    baseline = _baseline_accuracies(stream, config)
 
     for t in range(1, n + 1):
-        if config.eval_superdiagonal and t >= 2:
+        if t >= 2:
             mat.set(t - 1, t, accuracy(state.model, stream.test(t)))
+        # two calls, not one with pooled=None: perfbench tags a train_domain
+        # span by its domain only when called as (state, domain_data)
         if config.method == ORACLE_METHOD:
-            rng = substream(config.seed, "batches", t)
-            _erm_steps(state.model, _pooled_through(stream, t),
-                       state.sgd, rng)
-            state.bank.update_after_domain(stream.train(t), t, state.seed)
-            state.history = snapshot_history(state)
-            state.t = t + 1
+            state = train_domain(state, stream.train(t),
+                                 pooled=_pooled_through(stream, t))
         else:
             state = train_domain(state, stream.train(t))
         for j in range(1, t + 1):
             mat.set(t, j, accuracy(state.model, stream.test(j)))
 
-    result = SequenceResult(
+    return SequenceResult(
         method=config.method, seed=config.seed, n_domains=n, matrix=mat,
         omega_by_domain={k: v.tolist() for k, v in state.omega_log.items()},
         avg_acc_by_domain={t: avg_acc(mat, t) for t in range(1, n + 1)},
         forgetting_by_domain={t: forgetting(mat, t) for t in range(2, n + 1)},
-        forward_transfer=(forward_transfer(mat, baseline, n)
-                          if config.eval_superdiagonal and n >= 2 else None),
+        forward_transfer=forward_transfer(mat, baseline, n) if n >= 2 else None,
         baseline_acc=baseline,
         shortfalls=dict(state.bank.shortfalls),
         final_state=state)
-    return result

@@ -9,9 +9,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import dilkit
 from dilkit.autodiff import Tensor, gradcheck
 from dilkit.bounds import (check_cross_bound, check_intra_bound,
                            check_unified_bound, random_instance,
@@ -431,9 +433,15 @@ lambda_d = 0.1
 def test_criterion_10_results_files_bitwise_identical(tmp_path):
     cfg = tmp_path / "det.cfg"
     cfg.write_text(DETERMINISM_CFG)
+    # the subprocess runs in tmp_path, where a relative PYTHONPATH entry no
+    # longer resolves, so put this package's absolute source root first
+    src_root = str(Path(dilkit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")]))
     blobs = []
     for sub in ("first", "second"):
-        env = dict(os.environ, DILKIT_OUTPUT_DIR=str(tmp_path / sub))
+        env = dict(os.environ, DILKIT_OUTPUT_DIR=str(tmp_path / sub),
+                   PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "dilkit.expcli.cli", "run", str(cfg)],
             capture_output=True, text=True, env=env, cwd=str(tmp_path))

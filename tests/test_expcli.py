@@ -12,7 +12,8 @@ from dilkit.expcli import (RunConfig, default_config_text, load_results,
                            stream_fingerprint)
 from dilkit.expcli.cli import main
 from dilkit.expcli.runio import (METRICS_HEADER, format_csv, metrics_rows,
-                                 recompute_metrics, results_payload)
+                                 recompute_metrics, results_payload,
+                                 write_text)
 from dilkit.trainer import TrainerConfig, run_sequence
 from dilkit.models import ArchConfig, SgdConfig
 
@@ -92,6 +93,10 @@ def test_parse_config_reads_every_field_kind():
     ("buffer_capacity = 0", "buffer_capacity"),
     ("seeds = -1", "seeds"),
     ("learning_rate = -0.1", "learning_rate"),
+    ("bound_domains = 1", "bound_domains"),
+    ("points_per_domain = 9", "points_per_domain"),
+    ("class_size = 1", "class_size"),
+    ("grid_resolution = 1", "grid_resolution"),
 ])
 def test_parse_config_field_level_errors(line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -205,6 +210,20 @@ def test_recompute_metrics_matches_and_flags_tampering():
     payload["per_seed"][0]["avg_acc"]["3"] += 0.25
     _, problems = recompute_metrics(payload)
     assert any("avg_acc" in p for p in problems)
+
+
+def test_write_text_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "results.json"
+    path.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_text(str(path), "new\n")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["results.json"]
 
 
 def test_metrics_csv_shape():

@@ -106,17 +106,6 @@ def test_sample_past_deterministic_given_rng():
     assert np.array_equal(s1[1].x, s2[1].x)
 
 
-def test_json_roundtrip():
-    bank = MemoryBank(capacity=30)
-    for t in (1, 2):
-        bank.update_after_domain(_domain(t, n=40), t, seed=2)
-    clone = MemoryBank.from_json(bank.to_json())
-    assert clone.capacity == bank.capacity and clone.t_seen == bank.t_seen
-    for i in (1, 2):
-        assert np.array_equal(clone.buckets[i].x, bank.buckets[i].x)
-        assert np.array_equal(clone.buckets[i].y, bank.buckets[i].y)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 300), st.integers(1, 12))
 def test_quota_partition_property(capacity, t):

@@ -13,8 +13,7 @@ from dilkit.models import ArchConfig, SgdConfig, sgd_step
 from dilkit.seeding import substream
 from dilkit.trainer import (
     TrainerConfig, TrainState, coeff_stats_for_step, descend_v01,
-    grow_discriminator, initial_state, run_sequence, snapshot_history,
-    train_domain,
+    initial_state, run_sequence, snapshot_history, train_domain,
 )
 
 SMALL_ARCH = ArchConfig(encoder_hidden=[8], embed_dim=4,
@@ -88,8 +87,7 @@ def test_two_domain_toy_udil_retains_finetune_forgets():
         cfg = TrainerConfig(method=method, seed=1, arch=ArchConfig(
             encoder_hidden=[16], embed_dim=8, predictor_hidden=[],
             disc_hidden=[8]), sgd=SgdConfig(0.1, 300, 16),
-            memory_capacity=40, hp=HyperParams(lambda_d=0.1),
-            eval_superdiagonal=False)
+            memory_capacity=40, hp=HyperParams(lambda_d=0.1))
         accs[method] = run_sequence(stream, cfg).matrix.get(2, 1)
     assert accs["UDIL"] >= 0.9
     assert accs["FineTune"] < 0.7
@@ -109,6 +107,14 @@ def test_joint_dominates_finetune_final_row():
     joint = run_sequence(stream, small_config("Joint"))
     ft = run_sequence(stream, small_config("FineTune"))
     assert joint.avg_acc_by_domain[3] >= ft.avg_acc_by_domain[3]
+    # SGD draws from the pooled domains, but bucket t is filled from domain
+    # t's own split, and Joint keeps no coefficient log
+    state = joint.final_state
+    for t, bucket in state.bank.buckets.items():
+        own = {row.tobytes() for row in stream.train(t).x}
+        assert all(row.tobytes() in own for row in bucket.x)
+    assert joint.omega_by_domain == {}
+    assert state.history is not None
 
 
 def test_seeded_repeat_bitwise_identical():
@@ -164,9 +170,13 @@ def test_train_domain_contracts():
         train_domain(state, LabeledSet(np.zeros((0, 4)), [], 1))
     with pytest.raises(ContractError):
         TrainState(model=state.model, disc=None, history=None, omega=None,
-                   bank=MemoryBank(10), hp=HyperParams(),
-                   sgd=SgdConfig(0.1, 1, 1), t=2, seed=0, method="UDIL",
-                   arch=SMALL_ARCH)
+                   bank=MemoryBank(10),
+                   config=TrainerConfig(method="UDIL", seed=0, arch=SMALL_ARCH,
+                                        sgd=SgdConfig(0.1, 1, 1)),
+                   t=2)
+    with pytest.raises(ContractError, match="pooled"):
+        train_domain(initial_state(small_config("Joint"), 4, 2),
+                     stream.train(1))
 
 
 def _post_domain1_state(method="UDIL"):
@@ -179,10 +189,10 @@ def _post_domain1_state(method="UDIL"):
 def test_snapshot_deep_copy_and_cache_coherence():
     state, stream = _post_domain1_state()
     snap = state.history
-    before = snap.predict(stream.test(1).x).copy()
+    before = snap.classifier.predict(stream.test(1).x).copy()
     for p in state.model.params():
         p.data += 10.0  # wreck the live model
-    np.testing.assert_array_equal(snap.predict(stream.test(1).x), before)
+    np.testing.assert_array_equal(snap.classifier.predict(stream.test(1).x), before)
     for i, bucket in state.bank.buckets.items():
         assert snap.cached_consts[i] == erm01(snap.classifier, bucket)
 
@@ -195,23 +205,12 @@ def test_snapshot_untrained_model_near_chance():
     bank.update_after_domain(LabeledSet(x, y, 1), 1, seed=77)
     state = TrainState(
         model=SMALL_ARCH.build_classifier(6, 2, substream(77, "init")),
-        disc=None, history=None, omega=None, bank=bank, hp=HyperParams(),
-        sgd=SgdConfig(0.1, 1, 1), t=1, seed=77, method="UDIL",
-        arch=SMALL_ARCH)
+        disc=None, history=None, omega=None, bank=bank,
+        config=TrainerConfig(method="UDIL", seed=77, arch=SMALL_ARCH,
+                             sgd=SgdConfig(0.1, 1, 1)),
+        t=1)
     snap = snapshot_history(state)
     assert abs(snap.cached_consts[1] - 0.5) <= 0.1
-
-
-def test_grow_discriminator():
-    rng = substream(9, "d")
-    d2 = SMALL_ARCH.build_discriminator(2, rng)
-    assert d2.sizes[-1] == 2
-    d5 = grow_discriminator(d2, 5, rng)
-    assert d5.sizes == [4, 8, 5]
-    out = d5.forward(np.random.default_rng(0).normal(size=(7, 4))).data
-    np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-    with pytest.raises(ContractError):
-        grow_discriminator(d2, 1, rng)
 
 
 def test_trained_discriminator_near_chance_on_identical_distributions():
