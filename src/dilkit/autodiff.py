@@ -1,8 +1,12 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
 Each op builds a Tensor holding a `_backward` closure; `backward()` runs
-the closures in reverse topological order, accumulating into `.grad`
-with +=.  Gradients are cleared by the optimizer step, not here.
+the closures in reverse topological order, passing each node its own
+`.grad`, and the closures accumulate into their inputs' `.grad` with +=.
+A closure takes the incoming gradient as its argument and holds no
+reference to its output, so a graph has no reference cycles: dropping the
+loss frees the whole graph at once, without the cyclic garbage collector.
+Gradients are cleared by the optimizer step, not here.
 """
 from __future__ import annotations
 
@@ -60,7 +64,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
@@ -114,8 +118,7 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = _make(a.data + b.data, (a, b))
     if out.requires_grad:
-        def _back():
-            g = out.grad
+        def _back(g):
             a._accum(_unbroadcast(g, a.data.shape))
             b._accum(_unbroadcast(g, b.data.shape))
         out._backward = _back
@@ -126,8 +129,7 @@ def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = _make(a.data * b.data, (a, b))
     if out.requires_grad:
-        def _back():
-            g = out.grad
+        def _back(g):
             a._accum(_unbroadcast(g * b.data, a.data.shape))
             b._accum(_unbroadcast(g * a.data, b.data.shape))
         out._backward = _back
@@ -143,8 +145,7 @@ def matmul(a, b) -> Tensor:
             "matmul shape mismatch: %r @ %r" % (a.data.shape, b.data.shape))
     out = _make(a.data @ b.data, (a, b))
     if out.requires_grad:
-        def _back():
-            g = out.grad
+        def _back(g):
             a._accum(g @ b.data.T)
             b._accum(a.data.T @ g)
         out._backward = _back
@@ -156,8 +157,8 @@ def relu(a: Tensor) -> Tensor:
     out = _make(np.maximum(a.data, 0.0), (a,))
     if out.requires_grad:
         mask = a.data > 0.0
-        def _back():
-            a._accum(out.grad * mask)
+        def _back(g):
+            a._accum(g * mask)
         out._backward = _back
     return out
 
@@ -167,8 +168,8 @@ def sqrt(a: Tensor) -> Tensor:
     val = np.sqrt(a.data)
     out = _make(val, (a,))
     if out.requires_grad:
-        def _back():
-            a._accum(out.grad * 0.5 / val)
+        def _back(g):
+            a._accum(g * 0.5 / val)
         out._backward = _back
     return out
 
@@ -177,8 +178,8 @@ def tsum(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _make(np.asarray(a.data.sum()), (a,))
     if out.requires_grad:
-        def _back():
-            a._accum(np.full_like(a.data, float(out.grad)))
+        def _back(g):
+            a._accum(np.full_like(a.data, float(g)))
         out._backward = _back
     return out
 
@@ -195,8 +196,8 @@ def rowsum(a: Tensor) -> Tensor:
         raise ContractError("rowsum expects a 2-D tensor")
     out = _make(a.data.sum(axis=1), (a,))
     if out.requires_grad:
-        def _back():
-            a._accum(np.repeat(out.grad[:, None], a.data.shape[1], axis=1))
+        def _back(g):
+            a._accum(np.repeat(g[:, None], a.data.shape[1], axis=1))
         out._backward = _back
     return out
 
@@ -211,10 +212,10 @@ def pick(a: Tensor, idx) -> Tensor:
     rows_i = np.arange(n)
     out = _make(a.data[rows_i, idx], (a,))
     if out.requires_grad:
-        def _back():
-            g = np.zeros_like(a.data)
-            np.add.at(g, (rows_i, idx), out.grad)
-            a._accum(g)
+        def _back(g):
+            full = np.zeros_like(a.data)
+            np.add.at(full, (rows_i, idx), g)
+            a._accum(full)
         out._backward = _back
     return out
 
@@ -225,10 +226,10 @@ def rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = _make(a.data[idx], (a,))
     if out.requires_grad:
-        def _back():
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, out.grad)
-            a._accum(g)
+        def _back(g):
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            a._accum(full)
         out._backward = _back
     return out
 
@@ -238,10 +239,10 @@ def column(a: Tensor, j: int) -> Tensor:
     a = _wrap(a)
     out = _make(a.data[:, j].copy(), (a,))
     if out.requires_grad:
-        def _back():
-            g = np.zeros_like(a.data)
-            g[:, j] = out.grad
-            a._accum(g)
+        def _back(g):
+            full = np.zeros_like(a.data)
+            full[:, j] = g
+            a._accum(full)
         out._backward = _back
     return out
 
@@ -250,8 +251,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     a = _wrap(a)
     out = _make(a.data.reshape(shape), (a,))
     if out.requires_grad:
-        def _back():
-            a._accum(out.grad.reshape(a.data.shape))
+        def _back(g):
+            a._accum(g.reshape(a.data.shape))
         out._backward = _back
     return out
 
@@ -263,9 +264,9 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     out = _make(np.concatenate([p.data for p in parts], axis=1), parts)
     if out.requires_grad:
         offsets = np.cumsum([0] + widths)
-        def _back():
+        def _back(g):
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p._accum(out.grad[:, lo:hi])
+                p._accum(g[:, lo:hi])
         out._backward = _back
     return out
 
@@ -278,8 +279,7 @@ def softmax(a: Tensor) -> Tensor:
     p = e / e.sum(axis=-1, keepdims=True)
     out = _make(p, (a,))
     if out.requires_grad:
-        def _back():
-            g = out.grad
+        def _back(g):
             dot = (g * p).sum(axis=-1, keepdims=True)
             a._accum(p * (g - dot))
         out._backward = _back
@@ -296,8 +296,8 @@ def lse(a: Tensor) -> Tensor:
     out = _make(val, (a,))
     if out.requires_grad:
         sm = e / s
-        def _back():
-            a._accum(sm * out.grad[:, None])
+        def _back(g):
+            a._accum(sm * g[:, None])
         out._backward = _back
     return out
 

@@ -82,31 +82,61 @@ def _check_omega(omega: np.ndarray, past_batches: dict) -> np.ndarray:
     return omega
 
 
+def stack_segments(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack row blocks into one batch; block k is rows bounds[k]:bounds[k+1].
+
+    The losses stack the current batch first, then each past domain's
+    memory batch in sorted domain order."""
+    return np.concatenate(parts), np.cumsum([0] + [len(p) for p in parts])
+
+
+def _row_weights(seg_w: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Segment k's weight divided by its size, repeated over its rows."""
+    sizes = np.diff(bounds)
+    return np.repeat(seg_w / np.maximum(sizes, 1), sizes)
+
+
 def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,
         current_batch: LabeledSet,
         past_batches: dict[int, LabeledSet]) -> Tensor:
-    """Model loss: per past domain gamma_i * CE + alpha_i * distill, plus CE
-    on the current batch and (sum beta_i) * distill on the current batch.
+    """Model loss: CE + (sum beta_i) * distill on the current batch, plus per
+    past domain gamma_i * CE + alpha_i * distill on its memory batch.
+
+    One student forward over the stacked batch of the segments with any
+    weight, and at most one teacher forward, over the rows with
+    distillation weight.  Per row the target is
+    w_ce * onehot(y) + w_distill * teacher_probs, where current rows have
+    (w_ce, w_distill) = (1, sum beta) / n_0 and domain i's rows
+    (gamma_i, alpha_i) / n_i; the loss is -sum(target * log_softmax(logits)).
     Coefficients enter as constants (stopped)."""
-    loss = classification_loss(h, current_batch)
     if not past_batches:
-        return loss
+        return classification_loss(h, current_batch)
     if history is None:
         raise ContractError("v_l with past domains requires a history model")
     omega = _check_omega(omega, past_batches)
-    teacher = history.classifier
-    for pos, i in enumerate(sorted(past_batches)):
-        a_i, _, g_i = omega[pos]
-        batch = past_batches[i]
-        if g_i != 0.0:
-            loss = add(loss, mul(classification_loss(h, batch), g_i))
-        if a_i != 0.0:
-            loss = add(loss, mul(distillation_loss(h, teacher, batch.x), a_i))
-    sum_beta = float(omega[:, 1].sum())
-    if sum_beta != 0.0:
-        loss = add(loss, mul(distillation_loss(h, teacher, current_batch.x),
-                             sum_beta))
-    return loss
+    batches = [current_batch] + [past_batches[i] for i in sorted(past_batches)]
+    w_ce = np.concatenate([[1.0], omega[:, 2]])
+    w_distill = np.concatenate([[float(omega[:, 1].sum())], omega[:, 0]])
+    if any(w != 0.0 and len(b) == 0 for w, b in zip(w_ce, batches)):
+        raise ContractError("v_l: empty batch")
+    used = (w_ce != 0.0) | (w_distill != 0.0)
+    used_batches = [b for b, u in zip(batches, used) if u]
+    x, bounds = stack_segments([b.x for b in used_batches])
+    y = np.concatenate([b.y for b in used_batches])
+    logits = h.logits(x)
+    k = logits.data.shape[1]
+    target = np.zeros((len(y), k))
+    target[np.arange(len(y)), y] = _row_weights(w_ce[used], bounds)
+    distilled = np.repeat(w_distill[used] != 0.0, np.diff(bounds))
+    if distilled.any():
+        probs = history.classifier.probs(x[distilled]).data
+        if probs.shape[1] != k:
+            raise ContractError(
+                f"distillation arity mismatch: teacher {probs.shape[1]} "
+                f"vs student {k}")
+        target[distilled] += (
+            _row_weights(w_distill[used], bounds)[distilled, None] * probs)
+    return mul(tsum(mul(log_softmax(logits), target)), -1.0)
 
 
 @dataclass
@@ -150,7 +180,11 @@ def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
 def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,
         past_x: dict[int, np.ndarray], t: int) -> Tensor:
     """Domain discrimination loss: (sum beta_i) * CE(current batch -> class t)
-    + sum_i beta_i * CE(memory batch i -> class i)."""
+    + sum_i beta_i * CE(memory batch i -> class i).
+
+    One encoder and discriminator forward over the stacked rows of the
+    segments with non-zero weight; current rows have weight
+    (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
     if not past_x:
         return Tensor(0.0)
     omega = _check_omega(omega, past_x)
@@ -160,40 +194,34 @@ def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,
     arity = d.sizes[-1]
     if arity != t:
         raise ContractError(f"discriminator arity {arity} != t={t}")
-    loss = mul(tmean(mul(pick_log(d, encoder, current_x, t - 1), -1.0)),
-               float(betas.sum()))
-    for pos, i in enumerate(sorted(past_x)):
-        b_i = float(betas[pos])
-        if b_i == 0.0:
-            continue
-        term = tmean(mul(pick_log(d, encoder, past_x[i], i - 1), -1.0))
-        loss = add(loss, mul(term, b_i))
-    return loss
-
-
-def pick_log(d: Mlp, encoder: Mlp, x: np.ndarray, class_idx: int) -> Tensor:
-    """log [d(e(x))]_class for each row of x."""
-    if x.shape[0] == 0:
+    ids = sorted(past_x)
+    seg_w = np.concatenate([[float(betas.sum())], betas])
+    used = seg_w != 0.0
+    parts = [current_x] + [past_x[i] for i in ids]
+    x, bounds = stack_segments([p for p, u in zip(parts, used) if u])
+    sizes = np.diff(bounds)
+    if np.any(sizes == 0):
         raise ContractError("v_d: empty batch")
-    logits = d.logits(encoder.logits(x))
-    logp = log_softmax(logits)
-    idx = np.full(x.shape[0], class_idx, dtype=np.int64)
-    return pick(logp, idx)
+    seg_class = np.array([t - 1] + [i - 1 for i in ids])[used]
+    logp = log_softmax(d.logits(encoder.logits(x)))
+    picked = pick(logp, np.repeat(seg_class, sizes))
+    return mul(tsum(mul(picked, _row_weights(seg_w[used], bounds))), -1.0)
 
 
 def v_p(encoder: Mlp, prev_encoder: Mlp,
         memory_x: dict[int, np.ndarray]) -> Tensor:
     """Past-embedding distillation: per past domain the mean squared L2
-    distance between current and snapshot embeddings, summed over domains."""
+    distance between current and snapshot embeddings, summed over domains.
+    One forward of each encoder over the stacked memory batches, with
+    domain i's rows weighted 1 / n_i."""
     if not memory_x:
         return Tensor(0.0)
-    total = None
-    for i in sorted(memory_x):
-        x = memory_x[i]
-        diff = add(encoder.logits(x), mul(prev_encoder.logits(x), -1.0))
-        term = mul(tsum(mul(diff, diff)), 1.0 / x.shape[0])
-        total = term if total is None else add(total, term)
-    return total
+    x, bounds = stack_segments([memory_x[i] for i in sorted(memory_x)])
+    if np.any(np.diff(bounds) == 0):
+        raise ContractError("v_p: empty batch")
+    diff = add(encoder.logits(x), mul(prev_encoder.logits(x), -1.0))
+    w = _row_weights(np.ones(len(memory_x)), bounds)
+    return tsum(mul(rowsum(mul(diff, diff)), w))
 
 
 def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,

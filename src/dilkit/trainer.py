@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ContractError, add, mul
+from .autodiff import ContractError, Tensor, add, mul
 from .coeffs import CoeffSimplex, from_preset, init_uniform
 from .datagen import DomainStream, LabeledSet
 from .divergence import hdh_discriminator_estimate
 from .losses import (
     CoeffStats, HistorySnapshot, HyperParams, classification_loss,
-    encoder_aux_loss, erm01, erm01_agreement, v_01, v_d, v_l,
+    encoder_aux_loss, erm01, stack_segments, v_01, v_d, v_l,
 )
 from .membank import MemoryBank
 from .metrics import (
@@ -94,11 +94,21 @@ def _sample_batch(data: LabeledSet, batch_size: int,
     return data.subset(np.sort(idx))
 
 
+def _check_finite(loss: Tensor, name: str, method: str, t: int,
+                  step: int) -> None:
+    """Raise before a non-finite loss reaches backward() and the SGD step."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise ContractError(
+            f"{method}: {name} loss is {value!r} at domain {t}, step {step}")
+
+
 def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
-               rng: np.random.Generator) -> None:
-    for _ in range(sgd.step_count):
+               rng: np.random.Generator, method: str, t: int) -> None:
+    for step in range(1, sgd.step_count + 1):
         batch = _sample_batch(data, sgd.batch_size, rng)
         loss = classification_loss(model, batch)
+        _check_finite(loss, "classification", method, t, step)
         loss.backward()
         sgd_step(model.params(), sgd.learning_rate)
 
@@ -107,15 +117,25 @@ def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
                          disc: Mlp, current_batch: LabeledSet,
                          past_batches: dict[int, LabeledSet]) -> CoeffStats:
     """Assemble the per-step scalar statistics the bound surrogate needs,
-    from the sampled batches and the frozen history constants."""
+    from the sampled batches and the frozen history constants.  The model
+    and the teacher each predict once over the stacked batch (current
+    rows, then each memory batch in sorted domain order); the 0-1 errors
+    are read off its segments."""
     ids = sorted(past_batches)
-    teacher = history.classifier
-    eps_replay = np.array([erm01(model, past_batches[i]) for i in ids])
-    eps_intra = np.array(
-        [erm01_agreement(model, teacher, past_batches[i].x) for i in ids])
-    eps_cross = erm01_agreement(model, teacher, current_batch.x)
+    batches = [current_batch] + [past_batches[i] for i in ids]
+    if any(len(b) == 0 for b in batches):
+        raise ContractError("coeff_stats_for_step: empty batch")
+    x, bounds = stack_segments([b.x for b in batches])
+    stopped = model.stopped()
+    pred = stopped.predict(x)
+    differs = pred != history.classifier.predict(x)
+    segs = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    eps_replay = np.array([np.mean(pred[s] != b.y)
+                           for s, b in zip(segs[1:], batches[1:])])
+    eps_intra = np.array([np.mean(differs[s]) for s in segs[1:]])
+    eps_cross = float(np.mean(differs[segs[0]]))
     dhat = np.array([
-        hdh_discriminator_estimate(disc, model.encoder, current_batch.x,
+        hdh_discriminator_estimate(disc, stopped.encoder, current_batch.x,
                                    past_batches[i].x, i) for i in ids])
     eps_hist = np.array([history.cached_consts[i] for i in ids])
     return CoeffStats(eps_replay, eps_intra, eps_cross, dhat, eps_hist)
@@ -171,11 +191,11 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
     rng = substream(config.seed, "batches", t)
 
     if pooled is not None:
-        _erm_steps(state.model, pooled, config.sgd, rng)
+        _erm_steps(state.model, pooled, config.sgd, rng, config.method, t)
     elif t == 1 or config.method == "FineTune":
         if t >= 2:
             state.omega = _make_simplex(config.method, t)  # zeros, for the log
-        _erm_steps(state.model, domain_data, config.sgd, rng)
+        _erm_steps(state.model, domain_data, config.sgd, rng, config.method, t)
     else:
         state.omega = _make_simplex(config.method, t)
         state.disc = config.arch.build_discriminator(
@@ -210,7 +230,7 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     fixed_beta_mass = (not adaptive
                        and float(simplex.triples()[:, 1].sum()) > 0.0)
 
-    for _ in range(sgd.step_count):
+    for step in range(1, sgd.step_count + 1):
         current = _sample_batch(domain_data, sgd.batch_size, rng)
         past = state.bank.sample_past(mem_batch, rng)
         past_x = {i: b.x for i, b in past.items()}
@@ -219,12 +239,16 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
             omega_frozen = simplex.triples()
             disc_loss = mul(v_d(disc, model.stopped().encoder, omega_frozen,
                                 current.x, past_x, t), hp.lambda_d)
-            disc_loss.backward()
-            sgd_step(disc.params(), disc_lr)
+            _check_finite(disc_loss, "discriminator", config.method, t, step)
+            # with no beta mass left the loss is a constant: nothing to train
+            if disc_loss.requires_grad:
+                disc_loss.backward()
+                sgd_step(disc.params(), disc_lr)
 
         if adaptive:
             stats = coeff_stats_for_step(model, history, disc, current, past)
             loss = v_01(simplex, stats, hp.c_gen, len(domain_data), n_memory)
+            _check_finite(loss, "coefficient", config.method, t, step)
             loss.backward()
             sgd_step([simplex.logits], omega_lr)
 
@@ -234,6 +258,7 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
             model.encoder, disc.stopped(), history.classifier.encoder,
             omega_frozen, current, past, t, hp, rng)
         objective = add(objective, aux)
+        _check_finite(objective, "model", config.method, t, step)
         objective.backward()
         sgd_step(model.params(), sgd.learning_rate)
 

@@ -1,10 +1,13 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dilkit.autodiff import (
-    ContractError, Tensor, add, concat_cols, gradcheck, log_softmax, lse,
-    matmul, mul, pick, relu, rows, rowsum, softmax, sqrt, tmean, tsum,
+    ContractError, Tensor, add, column, concat_cols, gradcheck, log_softmax,
+    lse, matmul, mul, pick, relu, reshape, rows, rowsum, softmax, sqrt, tmean,
+    tsum,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 
@@ -228,3 +231,84 @@ def test_softmax_rows_property(n_cols, n_rows, seed):
     p = softmax(Tensor(rng.normal(size=(n_rows, n_cols)) * 10)).data
     assert np.all(p >= 0)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_dropped_graph_is_freed_without_cyclic_gc():
+    """No closure refers to its own output, so a graph holds no reference
+    cycle and a dropped loss is freed by reference counting alone."""
+    rng = np.random.default_rng(5)
+    m = Mlp([4, 6, 3], head="logits", rng=rng)
+    x = rng.normal(size=(8, 4))
+    y = rng.integers(0, 3, size=8)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            loss = mul(tmean(pick(log_softmax(m.logits(x)), y)), -1.0)
+            loss.backward()
+            sgd_step(m.params(), 0.1)
+            del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- random-shape gradient checks, one per op ----------------------------
+
+def _away_from_zero(rng, shape):
+    """Values with |v| >= 0.1, so relu's kink is beyond the FD step."""
+    return rng.choice([-1.0, 1.0], size=shape) * (0.1 + np.abs(rng.normal(size=shape)))
+
+
+def _broadcast_shape(rng, n, m):
+    return [(n, m), (m,), (1, m), (n, 1), ()][rng.integers(0, 5)]
+
+
+def _op_case(op, rng, n, m):
+    """The op's differentiable inputs and a thunk applying it to them."""
+    a = Tensor(rng.normal(size=(n, m)), requires_grad=True)
+    if op in ("add", "mul"):
+        b = Tensor(rng.normal(size=_broadcast_shape(rng, n, m)), requires_grad=True)
+        fn = add if op == "add" else mul
+        return [a, b], lambda: fn(a, b)
+    if op == "matmul":
+        b = Tensor(rng.normal(size=(m, int(rng.integers(1, 5)))), requires_grad=True)
+        return [a, b], lambda: matmul(a, b)
+    if op == "relu":
+        a.data[...] = _away_from_zero(rng, (n, m))
+        return [a], lambda: relu(a)
+    if op == "sqrt":
+        a.data[...] = 0.5 + rng.random((n, m))
+        return [a], lambda: sqrt(a)
+    if op == "concat_cols":
+        b = Tensor(rng.normal(size=(n, int(rng.integers(1, 4)))), requires_grad=True)
+        return [a, b], lambda: concat_cols([a, b, a])
+    if op in ("pick", "rows"):
+        if op == "pick":
+            idx = rng.integers(0, m, size=n)
+            return [a], lambda: pick(a, idx)
+        idx = rng.integers(0, n, size=n + 3)  # duplicates guaranteed
+        return [a], lambda: rows(a, idx)
+    if op == "column":
+        j = int(rng.integers(0, m))
+        return [a], lambda: column(a, j)
+    if op == "reshape":
+        return [a], lambda: reshape(a, (m, n))
+    unary = {"tsum": tsum, "rowsum": rowsum, "softmax": softmax, "lse": lse,
+             "log_softmax": log_softmax}
+    return [a], lambda: unary[op](a)
+
+
+OPS = ("add", "mul", "matmul", "relu", "sqrt", "tsum", "rowsum", "reshape",
+       "concat_cols", "softmax", "lse", "log_softmax", "pick", "rows",
+       "column")
+
+
+@pytest.mark.parametrize("op", OPS)
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 5), seed=st.integers(0, 2 ** 31 - 1))
+def test_gradcheck_every_op_random_shapes(op, n, m, seed):
+    rng = np.random.default_rng(seed)
+    inputs, apply = _op_case(op, rng, n, m)
+    weights = rng.normal(size=apply().data.shape)  # a generic linear readout
+    gradcheck(lambda: tsum(mul(apply(), weights)), inputs)

@@ -1,6 +1,8 @@
 """Config grammar, artifact persistence, and the four CLI subcommands."""
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -390,3 +392,28 @@ def test_cli_metrics_recomputes_and_detects_corruption(tmp_path, monkeypatch,
     results.write_text(json.dumps(payload))
     assert main(["metrics", str(results)]) == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_cli_run_diverging_seed_exits_1_with_flagged_partial(
+        tmp_path, monkeypatch, capsys):
+    """Seed 1 trains with a diverging learning rate: the run stops at its
+    first non-finite loss, exits 1, and keeps seed 0's results flagged as
+    partial, with the error naming the domain and step."""
+    import dilkit.expcli.cli as cli
+
+    def diverge_seed_1(stream, config):
+        if config.seed == 1:
+            config = dataclasses.replace(config, sgd=SgdConfig(1e6, 40, 16))
+        return run_sequence(stream, config)
+
+    monkeypatch.setattr(cli, "run_sequence", diverge_seed_1)
+    monkeypatch.setenv("DILKIT_OUTPUT_DIR", str(tmp_path / "out"))
+    cfg = write_cfg(tmp_path, TINY.replace("seeds = 0", "seeds = 0, 1"))
+    with np.errstate(all="ignore"):
+        assert main(["run", cfg]) == 1
+    payload = load_results(str(tmp_path / "out" / "hd-balls-ER" / "results.json"))
+    assert payload["partial"]["completed_seeds"] == [0]
+    assert re.fullmatch(r"seed 1: ContractError: ER: classification loss is "
+                        r"nan at domain 1, step \d+",
+                        payload["partial"]["error"])
+    assert "partial results written and flagged" in capsys.readouterr().err

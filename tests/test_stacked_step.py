@@ -1,0 +1,163 @@
+"""Differential tests: the stacked-batch losses and coefficient statistics
+against the per-domain reference in reference_step.py, on random states."""
+import numpy as np
+import pytest
+
+import reference_step as ref
+from dilkit.autodiff import ContractError
+from dilkit.datagen import LabeledSet
+from dilkit.losses import HistorySnapshot, v_d, v_l, v_p
+from dilkit.models import Classifier, Mlp
+from dilkit.trainer import coeff_stats_for_step
+
+IN_DIM, EMBED, N_CLASSES = 4, 5, 3
+KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
+
+
+def _classifier(rng, frozen=False):
+    clf = Classifier(Mlp([IN_DIM, 6, EMBED], "logits", rng=rng),
+                     Mlp([EMBED, N_CLASSES], "softmax", rng=rng))
+    return clf.copy(frozen=True) if frozen else clf
+
+
+def _batch(rng, n, domain):
+    # a wide spread, so the student and teacher disagree on some rows
+    return LabeledSet(rng.normal(size=(n, IN_DIM)) * 2.0,
+                      rng.integers(0, N_CLASSES, n), domain)
+
+
+def _omega(rng, kind, t):
+    """[t-1, 3] triples; ER, LwF and FineTune rows carry zero columns."""
+    if kind == "UDIL":
+        return rng.dirichlet(np.ones(3), size=t - 1)
+    if kind == "ER":
+        return np.tile([0.0, 0.0, 1.0], (t - 1, 1))
+    if kind == "LwF":
+        return np.tile([0.0, 1.0, 0.0], (t - 1, 1))
+    if kind == "FineTune":
+        return np.zeros((t - 1, 3))
+    # one random zero column per row
+    rows = rng.dirichlet(np.ones(3), size=t - 1)
+    rows[np.arange(t - 1), rng.integers(0, 3, t - 1)] = 0.0
+    return rows
+
+
+def _state(seed, t, kind):
+    """Random student, teacher, discriminator, omega and batches with
+    unequal segment sizes (short buckets, split memory batches)."""
+    rng = np.random.default_rng(seed)
+    h = _classifier(rng)
+    teacher = _classifier(rng, frozen=True)
+    disc = Mlp([EMBED, 6, t], "softmax", rng=rng)
+    current = _batch(rng, int(rng.integers(1, 10)), t)
+    past = {i: _batch(rng, int(rng.integers(1, 8)), i) for i in range(1, t)}
+    history = HistorySnapshot(teacher, {i: float(rng.random()) for i in past})
+    return h, history, disc, _omega(rng, kind, t), current, past
+
+
+def _value_and_grads(loss, params):
+    for p in params:
+        p.grad = None
+    loss.backward()
+    out = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+           for p in params]
+    for p in params:
+        p.grad = None
+    return loss.item(), out
+
+
+def _assert_same(new_loss, ref_loss, params):
+    new_val, new_grads = _value_and_grads(new_loss, params)
+    ref_val, ref_grads = _value_and_grads(ref_loss, params)
+    assert abs(new_val - ref_val) <= 1e-10
+    for got, want in zip(new_grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+CASES = [(t, kind, seed) for t in (2, 3, 4, 5) for kind in KINDS
+         for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("t,kind,seed", CASES)
+def test_v_l_matches_reference(t, kind, seed):
+    h, history, _, omega, current, past = _state(100 * t + seed, t, kind)
+    _assert_same(v_l(h, history, omega, current, past),
+                 ref.v_l(h, history, omega, current, past), h.params())
+
+
+@pytest.mark.parametrize("t,kind,seed", CASES)
+def test_v_d_matches_reference(t, kind, seed):
+    h, _, disc, omega, current, past = _state(200 * t + seed, t, kind)
+    past_x = {i: b.x for i, b in past.items()}
+    params = disc.params() + h.encoder.params()
+    _assert_same(v_d(disc, h.encoder, omega, current.x, past_x, t),
+                 ref.v_d(disc, h.encoder, omega, current.x, past_x, t), params)
+
+
+@pytest.mark.parametrize("t,seed", [(t, seed) for t in (2, 3, 4, 5)
+                                    for seed in (0, 1)])
+def test_v_p_matches_reference(t, seed):
+    h, _, _, _, _, past = _state(300 * t + seed, t, "UDIL")
+    prev = _classifier(np.random.default_rng(seed)).encoder
+    past_x = {i: b.x for i, b in past.items()}
+    params = h.encoder.params() + prev.params()
+    _assert_same(v_p(h.encoder, prev, past_x),
+                 ref.v_p(h.encoder, prev, past_x), params)
+
+
+@pytest.mark.parametrize("t,seed", [(t, seed) for t in (2, 3, 4, 5)
+                                    for seed in range(4)])
+def test_coeff_stats_match_reference_exactly(t, seed):
+    h, history, disc, _, current, past = _state(400 * t + seed, t, "UDIL")
+    got = coeff_stats_for_step(h, history, disc, current, past)
+    want = ref.coeff_stats_for_step(h, history, disc, current, past)
+    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.eps_cross == want.eps_cross
+
+
+def _outcome(fn):
+    try:
+        return fn().item()
+    except ContractError:
+        return "ContractError"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_empty_segment_contracts_match_reference(kind, empty):
+    """An empty segment raises exactly when the reference raises, and
+    otherwise gives the reference's value."""
+    h, history, disc, omega, current, past = _state(500 + empty, 3, kind)
+    batches = [current, past[1], past[2]]
+    batches[empty] = batches[empty].subset(np.arange(0))
+    current, past = batches[0], {1: batches[1], 2: batches[2]}
+    past_x = {i: b.x for i, b in past.items()}
+    calls = [
+        (lambda: v_l(h, history, omega, current, past),
+         lambda: ref.v_l(h, history, omega, current, past)),
+        (lambda: v_d(disc, h.encoder, omega, current.x, past_x, 3),
+         lambda: ref.v_d(disc, h.encoder, omega, current.x, past_x, 3)),
+    ]
+    for new, old in calls:
+        got, want = _outcome(new), _outcome(old)
+        if want == "ContractError":
+            assert got == want
+        else:
+            assert got == pytest.approx(want, abs=1e-10)
+    with pytest.raises(ContractError):
+        coeff_stats_for_step(h, history, disc, current, past)
+    with pytest.raises(ContractError):
+        ref.coeff_stats_for_step(h, history, disc, current, past)
+
+
+def test_v_l_teacher_arity_contract_kept():
+    h, history, _, _, current, past = _state(600, 2, "UDIL")
+    wide = Classifier(history.classifier.encoder,
+                      Mlp([EMBED, N_CLASSES + 1], "softmax",
+                          rng=np.random.default_rng(0)))
+    bad = HistorySnapshot(wide, history.cached_consts)
+    omega = np.array([[0.5, 0.0, 0.5]])
+    for fn in (v_l, ref.v_l):
+        with pytest.raises(ContractError, match="arity"):
+            fn(h, bad, omega, current, past)

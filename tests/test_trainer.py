@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,41 @@ def test_descend_rejects_fixed_mode():
     stats, n_cur, n_mem = _frozen_instance(0, 3)
     with pytest.raises(ContractError):
         descend_v01(from_preset("ER", 3), stats, 1.0, n_cur, n_mem, 10, 1.0)
+
+
+@pytest.mark.parametrize("method", ["ER", "UDIL"])
+def test_diverging_run_fails_loudly(method):
+    """A learning rate that blows the parameters up stops the run at the
+    first non-finite loss, naming the method, loss, domain and step, rather
+    than finishing with NaN parameters or failing later in sgd_step."""
+    cfg = TrainerConfig(method=method, seed=1, arch=SMALL_ARCH,
+                        sgd=SgdConfig(1e6, 40, 16), memory_capacity=30)
+    with np.errstate(all="ignore"), pytest.raises(
+            ContractError, match=rf"^{method}: classification loss is nan "
+                                 r"at domain 1, step \d+$"):
+        run_sequence(small_stream(), cfg)
+
+
+@pytest.mark.parametrize("method,loss", [("ER", "model"), ("UDIL", "model"),
+                                         ("LwF", "discriminator")])
+def test_diverging_replay_step_names_the_loss(method, loss):
+    stream = small_stream()
+    state = train_domain(initial_state(small_config(method), 4, 2),
+                         stream.train(1))
+    state.config = dataclasses.replace(state.config,
+                                       sgd=SgdConfig(1e6, 40, 16))
+    with np.errstate(all="ignore"), pytest.raises(
+            ContractError, match=rf"^{method}: {loss} loss is nan at "
+                                 r"domain 2, step \d+$"):
+        train_domain(state, stream.train(2))
+
+
+def test_collapsed_beta_mass_skips_discriminator_step():
+    """A huge coefficient step can put exactly zero mass on beta; the
+    discriminator loss is then a constant and the step goes on without a
+    discriminator update."""
+    stream = small_stream()
+    res = run_sequence(stream, small_config("UDIL", omega_lr=1e6))
+    assert res.omega_by_domain[2] == [[0.0, 0.0, 1.0]]
+    assert all(np.isfinite(p.data).all()
+               for p in res.final_state.model.params())
