@@ -3,7 +3,8 @@
 
 Runs the adaptive method, all fixed presets, and both control baselines on
 one shared stream, then prints final average accuracy and forgetting per
-method (mean over seeds).  Takes a couple of minutes at the defaults.
+method (mean over seeds), or why a method was rejected (ESM-ER at t = 2).
+Takes a couple of minutes at the defaults.
 """
 import argparse
 import sys
@@ -12,7 +13,7 @@ import time
 import numpy as np
 
 from dilkit.coeffs import METHODS
-from dilkit.datagen import gen_hd_balls
+from dilkit.datagen import ConfigError, gen_hd_balls
 from dilkit.losses import HyperParams
 from dilkit.models import ArchConfig, SgdConfig
 from dilkit.trainer import TrainerConfig, run_sequence
@@ -35,19 +36,23 @@ def main() -> int:
 
     stream = gen_hd_balls(args.data_seed, args.domains, args.per_domain,
                           args.dim, args.sigma)
-    rows = []
+    rows, rejected = [], []
     for method in args.methods:
         tick = time.perf_counter()
         accs, forgs = [], []
-        for seed in args.seeds:
-            cfg = TrainerConfig(
-                method, seed, arch=ArchConfig([32], 16, [], [16]),
-                sgd=SgdConfig(args.lr, args.steps, 32),
-                hp=HyperParams(lambda_d=args.lambda_d),
-                memory_capacity=args.buffer)
-            result = run_sequence(stream, cfg)
-            accs.append(result.avg_acc_by_domain[args.domains])
-            forgs.append(result.forgetting_by_domain[args.domains])
+        try:
+            for seed in args.seeds:
+                cfg = TrainerConfig(
+                    method, seed, arch=ArchConfig([32], 16, [], [16]),
+                    sgd=SgdConfig(args.lr, args.steps, 32),
+                    hp=HyperParams(lambda_d=args.lambda_d),
+                    memory_capacity=args.buffer)
+                result = run_sequence(stream, cfg)
+                accs.append(result.avg_acc_by_domain[args.domains])
+                forgs.append(result.forgetting_by_domain[args.domains])
+        except ConfigError as err:
+            rejected.append(f"{method:10s} rejected: {err}")
+            continue
         rows.append((method, np.mean(accs), np.std(accs), np.mean(forgs),
                      time.perf_counter() - tick))
         print(f"  finished {method} ({rows[-1][-1]:.1f}s)", file=sys.stderr)
@@ -56,6 +61,8 @@ def main() -> int:
     print(f"\n{'method':10s} {'avg_acc':>8s} {'±std':>7s} {'forgetting':>11s}")
     for method, acc, std, forg, _ in rows:
         print(f"{method:10s} {acc:8.4f} {std:7.4f} {forg:11.4f}")
+    for line in rejected:
+        print(line)
     return 0
 
 

@@ -86,15 +86,6 @@ def _pairwise_disagreement(labelings: np.ndarray, idx: np.ndarray) -> np.ndarray
     return (cnt[:, None] + cnt[None, :] - 2.0 * gram) / idx.size
 
 
-def disagreement_rate(label_a: np.ndarray, label_b: np.ndarray,
-                      sample) -> float:
-    """Empirical fraction of sample points where two labelings differ."""
-    a = np.asarray(label_a)
-    b = np.asarray(label_b)
-    idx = _as_sample(sample, a.size, "sample")
-    return float(np.mean(a[idx] != b[idx]))
-
-
 def hdh_exact(hclass: FiniteHypothesisClass, sample_p, sample_q) -> float:
     """Exact symmetric-difference divergence between two empirical samples.
 

@@ -74,9 +74,7 @@ def _mnist_base(config: cfg.RunConfig):
 
 
 def build_stream(config: cfg.RunConfig) -> DomainStream:
-    if config.dataset is None:
-        raise ConfigError("key 'dataset' is required: one of "
-                          + ", ".join(cfg.DATASETS))
+    cfg.require_run_fields(config, ("dataset",))
     if config.dataset == "hd-balls":
         return gen_hd_balls(config.data_seed, config.n_domains,
                             config.n_per_domain, config.dim, config.sigma)

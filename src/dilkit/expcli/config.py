@@ -8,20 +8,22 @@ Grammar (diff-friendly, one assignment per line):
 
 Value syntax per key type:
 
-    int / float   plain literals ("500", "0.1")
+    int / float   plain literals ("500", "0.1"); floats must be finite
     bool          true / false (case-insensitive)
     str           taken verbatim after trimming
     int list      comma-separated ("0, 1, 2"); "" or "none" -> empty list
 
-Every key is optional unless a subcommand states otherwise; unknown keys and
-malformed lines are rejected with the offending line number.  The full key
-table lives in `KEY_TABLE` below and in the README.
+Every key is optional unless a subcommand states otherwise; "" or "none"
+keeps a default of none.  Unknown keys, malformed lines and out-of-range
+values are rejected with the offending key or line number.  `KEY_TABLE`
+states each key's type, range and help; each default lives in its dataclass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
-from ..autodiff import ContractError
 from ..coeffs import METHODS
 from ..datagen import ConfigError
 from ..losses import HyperParams
@@ -29,47 +31,73 @@ from ..models import ArchConfig, SgdConfig
 
 DATASETS = ("hd-balls", "p-mnist", "r-mnist")
 
-# key -> (type tag, default as written in the grammar, help)
+
+@dataclass(frozen=True)
+class Key:
+    """One config key; numbers and list entries must lie in `lo..hi`, or
+    above `lo` when `above` is set."""
+    kind: str                   # int | float | bool | str | int_list
+    help: str
+    path: str = ""              # the RunConfig attribute set; default: the key
+    lo: float | None = None
+    hi: int | None = None
+    above: bool = False
+    choices: tuple[str, ...] = ()
+    distinct: bool = False      # int_list entries may not repeat
+
+    def span(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        if self.lo is None:
+            return ""
+        if self.hi is not None:
+            return f"in {self.lo}..{self.hi}"
+        return f"{'>' if self.above else '>='} {self.lo}"
+
+    def notes(self) -> str:
+        return "; ".join(filter(None, (self.help, self.span())))
+
+
 KEY_TABLE = {
     # experiment identity
-    "dataset": ("str", None, "hd-balls | p-mnist | r-mnist"),
-    "method": ("str", None, "UDIL or a fixed preset; required by `run`"),
-    "seeds": ("int_list", None, "training seeds, comma-separated; required by `run`"),
-    "output_dir": ("str", "runs", "base directory for artifacts"),
+    "dataset": Key("str", "domain stream", choices=DATASETS),
+    "method": Key("str", "UDIL or a fixed preset; required by `run`", choices=METHODS),
+    "seeds": Key("int_list", "training seeds; required by `run`", lo=0, distinct=True),
+    "output_dir": Key("str", "base directory for artifacts"),
     # dataset shape
-    "data_seed": ("int", "0", "dataset substream seed (shared across methods)"),
-    "n_domains": ("int", "5", "length of the domain sequence"),
-    "n_per_domain": ("int", "500", "points per domain (hd-balls: split 80/20)"),
-    "n_test_per_domain": ("int", "none", "per-domain test size (mnist streams)"),
-    "dim": ("int", "20", "hd-balls input dimension"),
-    "sigma": ("float", "1.0", "hd-balls cloud scale"),
-    "mnist_dir": ("str", "none", "directory holding the four raw IDX files"),
-    "degrees_per_domain": ("float", "9.0", "r-mnist rotation band per domain"),
+    "data_seed": Key("int", "dataset substream seed (shared across methods)", lo=0),
+    "n_domains": Key("int", "length of the domain sequence", lo=1),
+    "n_per_domain": Key("int", "points per domain (hd-balls: split 80/20)", lo=1),
+    "n_test_per_domain": Key("int", "per-domain test size (mnist streams)", lo=1),
+    "dim": Key("int", "hd-balls input dimension", lo=2),
+    "sigma": Key("float", "hd-balls cloud scale", lo=0, above=True),
+    "mnist_dir": Key("str", "directory holding the four raw IDX files"),
+    "degrees_per_domain": Key("float", "r-mnist rotation band per domain", lo=0, above=True),
     # optimization
-    "learning_rate": ("float", "0.1", "SGD step size"),
-    "steps_per_domain": ("int", "100", "SGD steps per domain"),
-    "batch_size": ("int", "32", "current-domain minibatch size"),
-    "buffer_capacity": ("int", "200", "total replay-memory budget"),
-    "lambda_d": ("float", "1.0", "domain-alignment strength"),
-    "c_gen": ("float", "1.0", "generalization-effect scalar"),
-    "lambda_p": ("float", "0.0", "past-embedding distillation weight"),
-    "lambda_s": ("float", "0.0", "supervised contrastive weight"),
-    "encoder_hidden": ("int_list", "64", "encoder hidden widths"),
-    "embed_dim": ("int", "32", "embedding width"),
-    "predictor_hidden": ("int_list", "none", "predictor hidden widths"),
-    "disc_hidden": ("int_list", "32", "discriminator hidden widths"),
-    "omega_lr": ("float", "none", "coefficient-descent step size (default: learning_rate)"),
-    "disc_lr": ("float", "none", "discriminator step size (default: learning_rate)"),
-    "memory_batch": ("int", "none", "replay minibatch per past domain (default: batch_size)"),
-    "split_memory_batch": ("bool", "false", "divide one batch across past domains"),
-    "baseline_models": ("int", "5", "fresh models averaged for the transfer baseline"),
-    # bound verification
-    "instances": ("int", "100", "random bound instances to audit"),
-    "bound_domains": ("int", "3", "domains per bound instance, the last one current (>= 2)"),
-    "points_per_domain": ("int", "6", "ground-set points per domain (1..8)"),
-    "class_size": ("int", "64", "hypotheses per sampled finite class (2..256)"),
-    "grid_resolution": ("int", "10", "barycentric grid density for the argmin (>= 2)"),
-    "bounds_seed": ("int", "0", "seed for the bound-instance sampler"),
+    "learning_rate": Key("float", "SGD step size", "sgd.learning_rate", lo=0, above=True),
+    "steps_per_domain": Key("int", "SGD steps per domain", "sgd.step_count", lo=1),
+    "batch_size": Key("int", "current-domain minibatch size", "sgd.batch_size", lo=1),
+    "buffer_capacity": Key("int", "total replay-memory budget", lo=1),
+    "lambda_d": Key("float", "domain-alignment strength", "hp.lambda_d", lo=0),
+    "c_gen": Key("float", "generalization-effect scalar", "hp.c_gen", lo=0),
+    "lambda_p": Key("float", "past-embedding distillation weight", "hp.lambda_p", lo=0),
+    "lambda_s": Key("float", "supervised contrastive weight", "hp.lambda_s", lo=0),
+    "encoder_hidden": Key("int_list", "encoder hidden widths", "arch.encoder_hidden", lo=1),
+    "embed_dim": Key("int", "embedding width", "arch.embed_dim", lo=1),
+    "predictor_hidden": Key("int_list", "predictor hidden widths", "arch.predictor_hidden", lo=1),
+    "disc_hidden": Key("int_list", "discriminator hidden widths", "arch.disc_hidden", lo=1),
+    "omega_lr": Key("float", "coefficient-descent step size (none: learning_rate)", lo=0, above=True),
+    "disc_lr": Key("float", "discriminator step size (none: learning_rate)", lo=0, above=True),
+    "memory_batch": Key("int", "replay minibatch per past domain (none: batch_size)", lo=1),
+    "split_memory_batch": Key("bool", "divide one batch across past domains"),
+    "baseline_models": Key("int", "fresh models averaged for the transfer baseline", lo=1),
+    # bound verification; the ranges random_instance and barycentric_grid accept
+    "instances": Key("int", "random bound instances to audit", lo=1),
+    "bound_domains": Key("int", "domains per bound instance, the last one current", lo=2),
+    "points_per_domain": Key("int", "ground-set points per domain", lo=1, hi=8),
+    "class_size": Key("int", "hypotheses per sampled finite class", lo=2, hi=256),
+    "grid_resolution": Key("int", "barycentric grid density for the argmin", lo=2),
+    "bounds_seed": Key("int", "seed for the bound-instance sampler", lo=0),
 }
 
 
@@ -89,7 +117,7 @@ class RunConfig:
     sigma: float = 1.0
     mnist_dir: str | None = None
     degrees_per_domain: float = 9.0
-    sgd: SgdConfig = field(default_factory=lambda: SgdConfig(0.1, 100, 32))
+    sgd: SgdConfig = field(default_factory=SgdConfig)
     hp: HyperParams = field(default_factory=HyperParams)
     arch: ArchConfig = field(default_factory=ArchConfig)
     buffer_capacity: int = 200
@@ -125,124 +153,88 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _is_none(value: str) -> bool:
-    return value.lower() in ("", "none")
+def _default(key: str):
+    return attrgetter(KEY_TABLE[key].path or key)(RunConfig())
 
 
 def _typed(key: str, value: str):
-    kind = KEY_TABLE[key][0]
+    """The value as the key's type; None for "none" on a none default."""
+    kind = KEY_TABLE[key].kind
+    none = value.lower() in ("", "none")
     try:
+        if kind == "int_list":
+            ints = () if none else tuple(int(p) for p in value.split(",") if p.strip())
+            return type(_default(key))(ints)  # seeds a tuple, widths a list
+        if none and _default(key) is None:
+            return None
         if kind == "int":
             return int(value)
         if kind == "float":
             return float(value)
         if kind == "bool":
-            low = value.lower()
-            if low not in ("true", "false"):
-                raise ValueError
-            return low == "true"
-        if kind == "int_list":
-            return tuple(int(p) for p in value.split(",") if p.strip())
+            return {"true": True, "false": False}[value.lower()]
         return value  # str
-    except ValueError:
+    except (ValueError, KeyError):
         raise ConfigError(f"key {key!r}: cannot read {value!r} as {kind}") from None
+
+
+def _check(key: str, value) -> None:
+    spec = KEY_TABLE[key]
+    if spec.choices and value not in spec.choices:
+        raise ConfigError(f"key {key!r}: unknown {key} {value!r}; valid {key}s: "
+                          + ", ".join(spec.choices))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: must be finite, got {value}")
+    entries = value if isinstance(value, (tuple, list)) else (value,)
+    for entry in entries:
+        if spec.lo is not None and not (
+                (spec.lo < entry if spec.above else spec.lo <= entry)
+                and (spec.hi is None or entry <= spec.hi)):
+            raise ConfigError(f"key {key!r}: must be {spec.span()}, got {entry}")
+    if spec.distinct and len(set(entries)) != len(entries):
+        raise ConfigError(f"key {key!r}: entries must be distinct, got {value}")
 
 
 def parse_config(text: str) -> RunConfig:
     """Grammar + typing + range validation; raises ConfigError with the
     offending key in the message."""
-    values: dict = {}
-    for key, value in parse_kv(text).items():
+    top, nested = {}, {}
+    for key, raw in parse_kv(text).items():
         if key not in KEY_TABLE:
             raise ConfigError(f"unknown key {key!r}; valid keys: "
                               + ", ".join(sorted(KEY_TABLE)))
-        if _is_none(value) and KEY_TABLE[key][1] in (None, "none"):
-            continue  # explicit "none" on an optional key keeps the default
-        values[key] = _typed(key, value)
-
-    if "dataset" in values and values["dataset"] not in DATASETS:
-        raise ConfigError(f"key 'dataset': {values['dataset']!r} is not one of "
-                          + ", ".join(DATASETS))
-    if "method" in values and values["method"] not in METHODS:
-        raise ConfigError(f"key 'method': unknown method {values['method']!r}; "
-                          "valid methods: " + ", ".join(METHODS))
-
-    try:
-        sgd = SgdConfig(values.pop("learning_rate", 0.1),
-                        values.pop("steps_per_domain", 100),
-                        values.pop("batch_size", 32))
-        hp = HyperParams(values.pop("lambda_d", 1.0),
-                         values.pop("c_gen", 1.0),
-                         values.pop("lambda_p", 0.0),
-                         values.pop("lambda_s", 0.0))
-        arch = ArchConfig(list(values.pop("encoder_hidden", (64,))),
-                          values.pop("embed_dim", 32),
-                          list(values.pop("predictor_hidden", ())),
-                          list(values.pop("disc_hidden", (32,))))
-    except ContractError as err:
-        raise ConfigError(str(err)) from None
-
-    config = RunConfig(sgd=sgd, hp=hp, arch=arch, **values)
-    _check_ranges(config)
-    return config
+        value = _typed(key, raw)
+        if value is None:
+            continue  # explicit "none" keeps the default
+        _check(key, value)
+        owner, _, name = (KEY_TABLE[key].path or key).rpartition(".")
+        (nested.setdefault(owner, {}) if owner else top)[name] = value
+    base = RunConfig()
+    for owner, values in nested.items():
+        top[owner] = replace(getattr(base, owner), **values)
+    return replace(base, **top)
 
 
-def _check_ranges(c: RunConfig) -> None:
-    positives = {"n_domains": c.n_domains, "n_per_domain": c.n_per_domain,
-                 "buffer_capacity": c.buffer_capacity,
-                 "baseline_models": c.baseline_models,
-                 "instances": c.instances}
-    for key, value in positives.items():
-        if value < 1:
-            raise ConfigError(f"key {key!r}: must be >= 1, got {value}")
-    # the ranges random_instance and barycentric_grid accept
-    for key, value, lo, hi in (("bound_domains", c.bound_domains, 2, None),
-                               ("points_per_domain", c.points_per_domain, 1, 8),
-                               ("class_size", c.class_size, 2, 256),
-                               ("grid_resolution", c.grid_resolution, 2, None)):
-        if value < lo or (hi is not None and value > hi):
-            span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise ConfigError(f"key {key!r}: must be {span}, got {value}")
-    if c.data_seed < 0 or c.bounds_seed < 0:
-        raise ConfigError("seeds must be >= 0")
-    if any(s < 0 for s in c.seeds):
-        raise ConfigError("key 'seeds': entries must be >= 0")
-    if c.n_test_per_domain is not None and c.n_test_per_domain < 1:
-        raise ConfigError("key 'n_test_per_domain': must be >= 1")
-    if c.dim < 2:
-        raise ConfigError("key 'dim': hd-balls needs dim >= 2")
-    if c.sigma <= 0:
-        raise ConfigError("key 'sigma': must be > 0")
-    if c.degrees_per_domain <= 0:
-        raise ConfigError("key 'degrees_per_domain': must be > 0")
-    for key, value in (("omega_lr", c.omega_lr), ("disc_lr", c.disc_lr)):
-        if value is not None and value <= 0:
-            raise ConfigError(f"key {key!r}: must be > 0")
-    if c.memory_batch is not None and c.memory_batch < 1:
-        raise ConfigError("key 'memory_batch': must be >= 1")
-    if c.arch.embed_dim < 1:
-        raise ConfigError("key 'embed_dim': must be >= 1")
-    if any(w < 1 for w in (*c.arch.encoder_hidden, *c.arch.predictor_hidden,
-                           *c.arch.disc_hidden)):
-        raise ConfigError("hidden widths must be >= 1")
+def require_run_fields(config: RunConfig,
+                       keys: tuple[str, ...] = ("dataset", "method", "seeds")) -> None:
+    """Raise unless each key is set; by default the ones `run` needs."""
+    for key in keys:
+        if not getattr(config, key):
+            raise ConfigError(f"key {key!r} is required ({KEY_TABLE[key].notes()})")
 
 
-def require_run_fields(config: RunConfig) -> None:
-    """The `run` subcommand needs an explicit experiment identity."""
-    if config.dataset is None:
-        raise ConfigError("key 'dataset' is required: one of "
-                          + ", ".join(DATASETS))
-    if config.method is None:
-        raise ConfigError("key 'method' is required; valid methods: "
-                          + ", ".join(METHODS))
-    if not config.seeds:
-        raise ConfigError("key 'seeds' is required and must be nonempty")
+def format_value(value) -> str:
+    """A typed value as config text; `parse_config` reads it back."""
+    if isinstance(value, (tuple, list)):
+        return ", ".join(map(str, value)) or "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "none" if value is None else str(value)
 
 
 def default_config_text() -> str:
-    """A commented template with every key at its default."""
+    """A commented template with every key at its default and its range."""
     lines = ["# dilkit experiment config (flat key-value lines)"]
-    for key, (_, default, help_text) in KEY_TABLE.items():
-        shown = "" if default is None else default
-        lines.append(f"# {key} = {shown}".rstrip() + f"   ({help_text})")
+    for key, spec in KEY_TABLE.items():
+        lines.append(f"# {key} = {format_value(_default(key))}   ({spec.notes()})")
     return "\n".join(lines) + "\n"

@@ -48,30 +48,11 @@ def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
     return mul(tmean(pick(logp, batch.y)), -1.0)
 
 
-def distillation_loss(h: Classifier, teacher, inputs: np.ndarray) -> Tensor:
-    """Soft cross-entropy toward the frozen teacher's output distribution."""
-    targets = teacher.probs(inputs)
-    target_vals = targets.data if isinstance(targets, Tensor) else targets
-    logp = log_softmax(h.logits(inputs))
-    if target_vals.shape[1] != logp.data.shape[1]:
-        raise ContractError(
-            f"distillation arity mismatch: teacher {target_vals.shape[1]} "
-            f"vs student {logp.data.shape[1]}")
-    return mul(tmean(rowsum(mul(Tensor(target_vals), logp))), -1.0)
-
-
 def erm01(h, labeled_set: LabeledSet) -> float:
     """Fraction of argmax-misclassified points (nondifferentiable)."""
     if len(labeled_set) == 0:
         raise ContractError("erm01: empty set")
     return float(np.mean(h.predict(labeled_set.x) != labeled_set.y))
-
-
-def erm01_agreement(h, teacher, inputs: np.ndarray) -> float:
-    """Fraction of points where argmax predictions of h and teacher differ."""
-    if inputs.shape[0] == 0:
-        raise ContractError("erm01_agreement: empty set")
-    return float(np.mean(h.predict(inputs) != teacher.predict(inputs)))
 
 
 def _check_omega(omega: np.ndarray, past_batches: dict) -> np.ndarray:

@@ -14,9 +14,9 @@ HEADS = ("logits", "softmax")
 
 @dataclass
 class SgdConfig:
-    learning_rate: float
-    step_count: int
-    batch_size: int
+    learning_rate: float = 0.1
+    step_count: int = 100
+    batch_size: int = 32
 
     def __post_init__(self):
         if not self.learning_rate > 0:

@@ -36,7 +36,7 @@ class TrainerConfig:
     method: str
     seed: int
     arch: ArchConfig = field(default_factory=ArchConfig)
-    sgd: SgdConfig = field(default_factory=lambda: SgdConfig(0.1, 100, 32))
+    sgd: SgdConfig = field(default_factory=SgdConfig)
     hp: HyperParams = field(default_factory=HyperParams)
     memory_capacity: int = 200
     omega_lr: float | None = None      # default: sgd.learning_rate

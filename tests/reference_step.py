@@ -1,21 +1,41 @@
 """Test-only reference: the per-domain loss loops and coefficient
 statistics as they were before the losses ran over one stacked batch.
 Each past domain gets its own forward passes here; the differential tests
-in test_stacked_step.py compare the stacked code against these."""
+in test_stacked_step.py compare the stacked code against these.  The
+distillation loss and the 0-1 disagreement they are built from have no
+caller in the library and live here, tested in test_losses.py."""
 from __future__ import annotations
 
 import numpy as np
 
 from dilkit.autodiff import (
-    ContractError, Tensor, add, log_softmax, mul, pick, tmean, tsum,
+    ContractError, Tensor, add, log_softmax, mul, pick, rowsum, tmean, tsum,
 )
 from dilkit.datagen import LabeledSet
 from dilkit.divergence import hdh_discriminator_estimate
 from dilkit.losses import (
-    CoeffStats, HistorySnapshot, _check_omega, classification_loss,
-    distillation_loss, erm01, erm01_agreement,
+    CoeffStats, HistorySnapshot, _check_omega, classification_loss, erm01,
 )
 from dilkit.models import Classifier, Mlp
+
+
+def distillation_loss(h: Classifier, teacher, inputs: np.ndarray) -> Tensor:
+    """Soft cross-entropy toward the frozen teacher's output distribution."""
+    targets = teacher.probs(inputs)
+    target_vals = targets.data if isinstance(targets, Tensor) else targets
+    logp = log_softmax(h.logits(inputs))
+    if target_vals.shape[1] != logp.data.shape[1]:
+        raise ContractError(
+            f"distillation arity mismatch: teacher {target_vals.shape[1]} "
+            f"vs student {logp.data.shape[1]}")
+    return mul(tmean(rowsum(mul(Tensor(target_vals), logp))), -1.0)
+
+
+def erm01_agreement(h, teacher, inputs: np.ndarray) -> float:
+    """Fraction of points where argmax predictions of h and teacher differ."""
+    if inputs.shape[0] == 0:
+        raise ContractError("erm01_agreement: empty set")
+    return float(np.mean(h.predict(inputs) != teacher.predict(inputs)))
 
 
 def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dilkit.autodiff import ContractError
 from dilkit.datagen import LabeledSet
 from dilkit.divergence import (
-    FiniteHypothesisClass, all_labelings, disagreement_rate, hdh_exact,
+    FiniteHypothesisClass, _as_sample, all_labelings, hdh_exact,
     hdh_discriminator_estimate, threshold_class,
 )
 from dilkit.losses import classification_loss
@@ -90,6 +90,15 @@ def test_range_property(seed):
     sp = rng.integers(0, n, size=int(rng.integers(1, 10)))
     sq = rng.integers(0, n, size=int(rng.integers(1, 10)))
     assert 0.0 <= hdh_exact(h, sp, sq) <= 2.0
+
+
+def disagreement_rate(label_a: np.ndarray, label_b: np.ndarray,
+                      sample) -> float:
+    """Empirical fraction of sample points where two labelings differ."""
+    a = np.asarray(label_a)
+    b = np.asarray(label_b)
+    idx = _as_sample(sample, a.size, "sample")
+    return float(np.mean(a[idx] != b[idx]))
 
 
 def test_pairwise_gap_bounded_by_half_divergence():

@@ -99,10 +99,34 @@ def test_parse_config_reads_every_field_kind():
     ("points_per_domain = 9", "points_per_domain"),
     ("class_size = 1", "class_size"),
     ("grid_resolution = 1", "grid_resolution"),
+    ("sigma = nan", "'sigma'"),
+    ("degrees_per_domain = inf", "'degrees_per_domain'"),
+    ("lambda_d = nan", "'lambda_d'"),
+    ("c_gen = nan", "'c_gen'"),
+    ("lambda_p = inf", "'lambda_p'"),
+    ("lambda_s = nan", "'lambda_s'"),
+    ("omega_lr = inf", "'omega_lr'"),
+    ("disc_lr = nan", "'disc_lr'"),
+    ("learning_rate = inf", "'learning_rate'"),
+    ("steps_per_domain = 0", "'steps_per_domain'"),
+    ("batch_size = 0", "'batch_size'"),
+    ("encoder_hidden = 0", "'encoder_hidden'"),
+    ("disc_hidden = 8, 0", "'disc_hidden'"),
+    ("data_seed = -1", "'data_seed'"),
+    ("bounds_seed = -1", "'bounds_seed'"),
+    ("seeds = 0, 0", "'seeds'"),
 ])
 def test_parse_config_field_level_errors(line, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("key", ["seeds", "encoder_hidden", "predictor_hidden",
+                                 "disc_hidden"])
+@pytest.mark.parametrize("value", ["none", ""])
+def test_list_key_none_is_empty(key, value):
+    c = parse_config(f"{key} = {value}\n")
+    assert c.seeds == () if key == "seeds" else getattr(c.arch, key) == []
 
 
 def test_require_run_fields_names_the_missing_key():
@@ -376,6 +400,14 @@ def test_cli_verify_bounds_report_and_flip_sign(tmp_path, monkeypatch, capsys):
     flipped = json.loads((tmp_path / "vb" / "bounds-report.json").read_text())
     assert flipped["flip_sign_selftest"] is True
     assert flipped["total_violations"] > 0
+
+
+def test_cli_verify_bounds_non_finite_c_gen_is_config_error(tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.setenv("DILKIT_OUTPUT_DIR", str(tmp_path / "vb"))
+    assert main(["verify-bounds", write_cfg(tmp_path, "c_gen = nan\n")]) == 2
+    assert "key 'c_gen'" in capsys.readouterr().err
+    assert not (tmp_path / "vb").exists()
 
 
 def test_cli_metrics_recomputes_and_detects_corruption(tmp_path, monkeypatch,

@@ -9,10 +9,10 @@ from dilkit.coeffs import from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
     CoeffStats, HistorySnapshot, HyperParams, classification_loss,
-    distillation_loss, encoder_aux_loss, erm01, erm01_agreement, v_01, v_d,
-    v_l, v_p, v_s,
+    encoder_aux_loss, erm01, v_01, v_d, v_l, v_p, v_s,
 )
 from dilkit.models import Classifier, Mlp
+from reference_step import distillation_loss, erm01_agreement
 
 
 def identity_mlp(dim):

@@ -8,7 +8,7 @@ from dilkit.coeffs import ConfigError, TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
 from dilkit.losses import (
     CoeffStats, HyperParams, classification_loss, encoder_aux_loss, erm01,
-    erm01_agreement, v_01, v_d, v_l,
+    v_01, v_d, v_l,
 )
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, SgdConfig, sgd_step
@@ -17,6 +17,7 @@ from dilkit.trainer import (
     TrainerConfig, TrainState, coeff_stats_for_step, descend_v01,
     initial_state, run_sequence, snapshot_history, train_domain,
 )
+from reference_step import erm01_agreement
 
 SMALL_ARCH = ArchConfig(encoder_hidden=[8], embed_dim=4,
                         predictor_hidden=[], disc_hidden=[8])
