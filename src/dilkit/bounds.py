@@ -9,6 +9,7 @@ The concentration radical is checked only as algebraic bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,16 @@ from .divergence import (
 )
 
 TOL = 1e-12
+# the instance sizes random_instance accepts and the coarsest grid
+MIN_DOMAINS = 2
+POINTS_RANGE = range(1, 9)
+CLASS_SIZE_RANGE = range(2, 257)
+MIN_GRID_RESOLUTION = 2
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -28,7 +39,8 @@ class BoundInstance:
     ``domain_samples[i]`` are ground-set indices for domain i+1; the last
     domain is the current one.  ``h_idx``/``hprev_idx`` select the student
     and the frozen teacher from the class.  ``omega`` holds one coefficient
-    triple per past domain.
+    triple per past domain.  Its arrays are read-only copies; each exact
+    term is computed once, on first use, and shared by every check.
     """
 
     hclass: FiniteHypothesisClass
@@ -40,10 +52,11 @@ class BoundInstance:
 
     def __post_init__(self):
         n = self.hclass.n_points
-        y = np.asarray(self.true_labels, dtype=np.int8)
+        y = _read_only(np.array(self.true_labels, dtype=np.int8))
         if y.shape != (n,) or not np.isin(y, (0, 1)).all():
             raise ContractError("true_labels must be 0/1 over the ground set")
-        samples = tuple(np.asarray(s, dtype=np.int64) for s in self.domain_samples)
+        samples = tuple(_read_only(np.array(s, dtype=np.int64))
+                        for s in self.domain_samples)
         if len(samples) < 2:
             raise ContractError("need at least two domains")
         for s in samples:
@@ -67,6 +80,34 @@ class BoundInstance:
     def n_domains(self) -> int:
         return len(self.domain_samples)
 
+    @cached_property
+    def risks(self) -> np.ndarray:
+        """[m, T] matrix: 0-1 risk of every hypothesis on every domain."""
+        lab = self.hclass.labelings
+        return _read_only(np.stack(
+            [(lab[:, idx] != self.true_labels[idx]).mean(axis=1)
+             for idx in self.domain_samples], axis=1))
+
+    @cached_property
+    def disagreements(self) -> tuple[np.ndarray, ...]:
+        """One [m, m] pairwise-disagreement matrix per domain."""
+        return tuple(_read_only(_pairwise_disagreement(self.hclass.labelings, idx))
+                     for idx in self.domain_samples)
+
+    @cached_property
+    def divergences(self) -> np.ndarray:
+        """Exact divergence between each past domain and the current one."""
+        *past, cur = self.domain_samples
+        return _read_only(np.array([hdh_exact(self.hclass, p, cur) for p in past]))
+
+    @cached_property
+    def unified_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-domain student risks, teacher risks and student-teacher
+        disagreements of the chosen (h, H_prev)."""
+        h, hp = self.h_idx, self.hprev_idx
+        return (self.risks[h], self.risks[hp], _read_only(
+            np.array([dis[h, hp] for dis in self.disagreements])))
+
 
 @dataclass
 class CheckReport:
@@ -81,71 +122,31 @@ class CheckReport:
         return self.n_violations == 0
 
 
-def _risks(inst: BoundInstance) -> np.ndarray:
-    """[m, T] matrix: 0-1 risk of every hypothesis on every domain."""
-    lab = inst.hclass.labelings
-    cols = []
-    for idx in inst.domain_samples:
-        cols.append((lab[:, idx] != inst.true_labels[idx]).mean(axis=1))
-    return np.stack(cols, axis=1)
-
-
-def _divergences_to_current(inst: BoundInstance) -> np.ndarray:
-    """Exact divergence between each past domain and the current one."""
-    t = inst.n_domains
-    cur = inst.domain_samples[t - 1]
-    return np.array([hdh_exact(inst.hclass, inst.domain_samples[i], cur)
-                     for i in range(t - 1)])
+def _pair_check(name: str, inst: BoundInstance, margins) -> CheckReport:
+    """For every pair (h, H') and every domain i:
+    risk_i(h) <= margins[i][h, H'] + risk_i(H')."""
+    risks = inst.risks
+    worst = -np.inf
+    violations = 0
+    for d, margin in enumerate(margins):
+        gap = risks[:, d, None] - (margin + risks[None, :, d])
+        worst = max(worst, float(gap.max()))
+        violations += int((gap > TOL).sum())
+    checks = inst.hclass.n_hypotheses ** 2 * len(margins)
+    return CheckReport(name, checks, violations, worst)
 
 
 def check_intra_bound(inst: BoundInstance) -> CheckReport:
-    """For every pair (h, H') and every domain i:
-    risk_i(h) <= disagreement_i(h, H') + risk_i(H')."""
-    risks = _risks(inst)
-    m = inst.hclass.n_hypotheses
-    worst = -np.inf
-    violations = checks = 0
-    for d, idx in enumerate(inst.domain_samples):
-        dis = _pairwise_disagreement(inst.hclass.labelings, idx)
-        gap = risks[:, d, None] - (dis + risks[None, :, d])
-        worst = max(worst, float(gap.max()))
-        violations += int((gap > TOL).sum())
-        checks += m * m
-    return CheckReport("intra_bound", checks, violations, worst)
+    """risk_i(h) <= disagreement_i(h, H') + risk_i(H')."""
+    return _pair_check("intra_bound", inst, inst.disagreements)
 
 
 def check_cross_bound(inst: BoundInstance) -> CheckReport:
-    """For every pair (h, H') and every domain i:
-    risk_i(h) <= disagreement_cur(h, H') + half-divergence + risk_i(H')."""
-    risks = _risks(inst)
-    t = inst.n_domains
-    cur_idx = inst.domain_samples[t - 1]
-    dis_cur = _pairwise_disagreement(inst.hclass.labelings, cur_idx)
-    m = inst.hclass.n_hypotheses
-    worst = -np.inf
-    violations = checks = 0
-    for d, idx in enumerate(inst.domain_samples):
-        half_div = 0.5 * hdh_exact(inst.hclass, idx, cur_idx)
-        gap = risks[:, d, None] - (dis_cur + half_div + risks[None, :, d])
-        worst = max(worst, float(gap.max()))
-        violations += int((gap > TOL).sum())
-        checks += m * m
-    return CheckReport("cross_bound", checks, violations, worst)
-
-
-def _unified_terms(inst: BoundInstance):
-    """Per-domain ingredients of the combined inequality for the chosen
-    (h, H_prev): student risks, student-teacher disagreements, teacher
-    risks, and the current-domain disagreement, all exact."""
-    lab = inst.hclass.labelings
-    h = lab[inst.h_idx]
-    hp = lab[inst.hprev_idx]
-    risk_h, risk_hp, dis = [], [], []
-    for idx in inst.domain_samples:
-        risk_h.append(float((h[idx] != inst.true_labels[idx]).mean()))
-        risk_hp.append(float((hp[idx] != inst.true_labels[idx]).mean()))
-        dis.append(float((h[idx] != hp[idx]).mean()))
-    return np.array(risk_h), np.array(risk_hp), np.array(dis)
+    """risk_i(h) <= disagreement_cur(h, H') + half-divergence + risk_i(H'),
+    where the current domain's divergence to itself is exactly 0."""
+    half_divs = np.append(0.5 * inst.divergences, 0.0)
+    return _pair_check("cross_bound", inst,
+                       [inst.disagreements[-1] + hd for hd in half_divs])
 
 
 def deterministic_bound(inst: BoundInstance,
@@ -153,8 +154,7 @@ def deterministic_bound(inst: BoundInstance,
     """The combined right-hand side evaluated exactly at the given
     coefficients (default: the instance's own)."""
     om = inst.omega if omega is None else np.asarray(omega, dtype=np.float64)
-    risk_h, risk_hp, dis = _unified_terms(inst)
-    div = _divergences_to_current(inst)
+    (risk_h, risk_hp, dis), div = inst.unified_terms, inst.divergences
     t = inst.n_domains
     a, b, g = om[:, 0], om[:, 1], om[:, 2]
     past = slice(0, t - 1)
@@ -166,8 +166,7 @@ def deterministic_bound(inst: BoundInstance,
 
 def total_risk(inst: BoundInstance) -> float:
     """Left-hand side: the student's summed risk over all domains."""
-    risk_h, _, _ = _unified_terms(inst)
-    return float(risk_h.sum())
+    return float(inst.unified_terms[0].sum())
 
 
 def check_unified_bound(inst: BoundInstance) -> CheckReport:
@@ -177,8 +176,8 @@ def check_unified_bound(inst: BoundInstance) -> CheckReport:
 
 def barycentric_grid(resolution: int) -> np.ndarray:
     """All triples (k1, k2, k3)/resolution with nonnegative integer parts."""
-    if resolution < 2:
-        raise ContractError("grid resolution must be >= 2")
+    if resolution < MIN_GRID_RESOLUTION:
+        raise ContractError(f"grid resolution must be >= {MIN_GRID_RESOLUTION}")
     pts = [(i / resolution, j / resolution, (resolution - i - j) / resolution)
            for i in range(resolution + 1)
            for j in range(resolution + 1 - i)]
@@ -194,8 +193,7 @@ def tightest_bound_grid(inst: BoundInstance, presets=None,
     if presets is None:
         presets = [m for m in TRIPLE_PRESETS
                    if not (m == "ESM-ER" and t == 2)]
-    risk_h, risk_hp, dis = _unified_terms(inst)
-    div = _divergences_to_current(inst)
+    (risk_h, risk_hp, dis), div = inst.unified_terms, inst.divergences
     cands = np.concatenate([barycentric_grid(grid_resolution),
                             np.array([preset_triple(m, t) for m in presets])])
 
@@ -262,14 +260,15 @@ def random_instance(rng: np.random.Generator, n_domains: int = 3,
                     points_per_domain: int = 6,
                     class_size: int = 64) -> BoundInstance:
     """Randomized exhaustive instance for the verification suites."""
-    if not (2 <= n_domains and 1 <= points_per_domain <= 8
-            and 2 <= class_size <= 256):
+    if not (MIN_DOMAINS <= n_domains and points_per_domain in POINTS_RANGE
+            and class_size in CLASS_SIZE_RANGE):
         raise ContractError("instance parameters outside the supported range")
     n = n_domains * points_per_domain
     labelings = rng.integers(0, 2, size=(class_size, n)).astype(np.int8)
     hclass = FiniteHypothesisClass(labelings)
     samples = tuple(
-        rng.integers(0, n, size=rng.integers(2, points_per_domain + 1))
+        rng.integers(0, n, size=rng.integers(min(2, points_per_domain),
+                                             points_per_domain + 1))
         for _ in range(n_domains))
     omega = rng.dirichlet((1.0, 1.0, 1.0), size=n_domains - 1)
     return BoundInstance(

@@ -25,7 +25,8 @@ class FiniteHypothesisClass:
     labelings: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.labelings, dtype=np.int8)
+        arr = np.array(self.labelings, dtype=np.int8)
+        arr.flags.writeable = False  # BoundInstance caches terms built from it
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ContractError("labelings must be a nonempty 2-D array")
         if not np.isin(arr, (0, 1)).all():

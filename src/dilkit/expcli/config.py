@@ -24,6 +24,9 @@ import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
+from ..bounds import (
+    CLASS_SIZE_RANGE, MIN_DOMAINS, MIN_GRID_RESOLUTION, POINTS_RANGE,
+)
 from ..coeffs import METHODS
 from ..datagen import ConfigError
 from ..losses import HyperParams
@@ -93,10 +96,14 @@ KEY_TABLE = {
     "baseline_models": Key("int", "fresh models averaged for the transfer baseline", lo=1),
     # bound verification; the ranges random_instance and barycentric_grid accept
     "instances": Key("int", "random bound instances to audit", lo=1),
-    "bound_domains": Key("int", "domains per bound instance, the last one current", lo=2),
-    "points_per_domain": Key("int", "ground-set points per domain", lo=1, hi=8),
-    "class_size": Key("int", "hypotheses per sampled finite class", lo=2, hi=256),
-    "grid_resolution": Key("int", "barycentric grid density for the argmin", lo=2),
+    "bound_domains": Key("int", "domains per bound instance, the last one current",
+                         lo=MIN_DOMAINS),
+    "points_per_domain": Key("int", "ground-set points per domain",
+                             lo=POINTS_RANGE.start, hi=POINTS_RANGE[-1]),
+    "class_size": Key("int", "hypotheses per sampled finite class",
+                      lo=CLASS_SIZE_RANGE.start, hi=CLASS_SIZE_RANGE[-1]),
+    "grid_resolution": Key("int", "barycentric grid density for the argmin",
+                           lo=MIN_GRID_RESOLUTION),
     "bounds_seed": Key("int", "seed for the bound-instance sampler", lo=0),
 }
 

@@ -28,8 +28,9 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("lambda_d", "c_gen", "lambda_p", "lambda_s"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ContractError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

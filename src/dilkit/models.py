@@ -19,8 +19,9 @@ class SgdConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ContractError("learning_rate must be > 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.step_count < 1:
             raise ContractError("step_count must be >= 1")
         if self.batch_size < 1:

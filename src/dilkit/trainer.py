@@ -134,9 +134,11 @@ def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
                            for s, b in zip(segs[1:], batches[1:])])
     eps_intra = np.array([np.mean(differs[s]) for s in segs[1:]])
     eps_cross = float(np.mean(differs[segs[0]]))
+    stopped_disc = disc.stopped()
     dhat = np.array([
-        hdh_discriminator_estimate(disc, stopped.encoder, current_batch.x,
-                                   past_batches[i].x, i) for i in ids])
+        hdh_discriminator_estimate(stopped_disc, stopped.encoder,
+                                   current_batch.x, past_batches[i].x, i)
+        for i in ids])
     eps_hist = np.array([history.cached_consts[i] for i in ids])
     return CoeffStats(eps_replay, eps_intra, eps_cross, dhat, eps_hist)
 

@@ -1,0 +1,132 @@
+"""Test-only reference: the bound checks as they were before each exact
+term was computed once per instance.  Every check here rebuilds its own
+risks, disagreement matrices and `hdh_exact` divergences; the differential
+tests in test_bounds.py compare the cached library checks against these.
+`check_erm_bound_shape` reads none of these terms and is not copied."""
+from __future__ import annotations
+
+import numpy as np
+
+from dilkit.bounds import TOL, BoundInstance, CheckReport, barycentric_grid
+from dilkit.coeffs import TRIPLE_PRESETS, preset_triple
+from dilkit.divergence import _pairwise_disagreement, hdh_exact
+
+
+def _risks(inst: BoundInstance) -> np.ndarray:
+    """[m, T] matrix: 0-1 risk of every hypothesis on every domain."""
+    lab = inst.hclass.labelings
+    cols = []
+    for idx in inst.domain_samples:
+        cols.append((lab[:, idx] != inst.true_labels[idx]).mean(axis=1))
+    return np.stack(cols, axis=1)
+
+
+def _divergences_to_current(inst: BoundInstance) -> np.ndarray:
+    """Exact divergence between each past domain and the current one."""
+    t = inst.n_domains
+    cur = inst.domain_samples[t - 1]
+    return np.array([hdh_exact(inst.hclass, inst.domain_samples[i], cur)
+                     for i in range(t - 1)])
+
+
+def check_intra_bound(inst: BoundInstance) -> CheckReport:
+    risks = _risks(inst)
+    m = inst.hclass.n_hypotheses
+    worst = -np.inf
+    violations = checks = 0
+    for d, idx in enumerate(inst.domain_samples):
+        dis = _pairwise_disagreement(inst.hclass.labelings, idx)
+        gap = risks[:, d, None] - (dis + risks[None, :, d])
+        worst = max(worst, float(gap.max()))
+        violations += int((gap > TOL).sum())
+        checks += m * m
+    return CheckReport("intra_bound", checks, violations, worst)
+
+
+def check_cross_bound(inst: BoundInstance) -> CheckReport:
+    risks = _risks(inst)
+    t = inst.n_domains
+    cur_idx = inst.domain_samples[t - 1]
+    dis_cur = _pairwise_disagreement(inst.hclass.labelings, cur_idx)
+    m = inst.hclass.n_hypotheses
+    worst = -np.inf
+    violations = checks = 0
+    for d, idx in enumerate(inst.domain_samples):
+        half_div = 0.5 * hdh_exact(inst.hclass, idx, cur_idx)
+        gap = risks[:, d, None] - (dis_cur + half_div + risks[None, :, d])
+        worst = max(worst, float(gap.max()))
+        violations += int((gap > TOL).sum())
+        checks += m * m
+    return CheckReport("cross_bound", checks, violations, worst)
+
+
+def _unified_terms(inst: BoundInstance):
+    lab = inst.hclass.labelings
+    h = lab[inst.h_idx]
+    hp = lab[inst.hprev_idx]
+    risk_h, risk_hp, dis = [], [], []
+    for idx in inst.domain_samples:
+        risk_h.append(float((h[idx] != inst.true_labels[idx]).mean()))
+        risk_hp.append(float((hp[idx] != inst.true_labels[idx]).mean()))
+        dis.append(float((h[idx] != hp[idx]).mean()))
+    return np.array(risk_h), np.array(risk_hp), np.array(dis)
+
+
+def deterministic_bound(inst: BoundInstance,
+                        omega: np.ndarray | None = None) -> float:
+    om = inst.omega if omega is None else np.asarray(omega, dtype=np.float64)
+    risk_h, risk_hp, dis = _unified_terms(inst)
+    div = _divergences_to_current(inst)
+    t = inst.n_domains
+    a, b, g = om[:, 0], om[:, 1], om[:, 2]
+    past = slice(0, t - 1)
+    return float(
+        np.sum(g * risk_h[past]) + np.sum(a * dis[past]) + risk_h[t - 1]
+        + b.sum() * dis[t - 1] + 0.5 * np.sum(b * div)
+        + np.sum((a + b) * risk_hp[past]))
+
+
+def total_risk(inst: BoundInstance) -> float:
+    risk_h, _, _ = _unified_terms(inst)
+    return float(risk_h.sum())
+
+
+def check_unified_bound(inst: BoundInstance) -> CheckReport:
+    gap = total_risk(inst) - deterministic_bound(inst)
+    return CheckReport("unified_bound", 1, int(gap > TOL), float(gap))
+
+
+def tightest_bound_grid(inst: BoundInstance, presets=None,
+                        grid_resolution: int = 10) -> CheckReport:
+    t = inst.n_domains
+    if presets is None:
+        presets = [m for m in TRIPLE_PRESETS
+                   if not (m == "ESM-ER" and t == 2)]
+    risk_h, risk_hp, dis = _unified_terms(inst)
+    div = _divergences_to_current(inst)
+    cands = np.concatenate([barycentric_grid(grid_resolution),
+                            np.array([preset_triple(m, t) for m in presets])])
+
+    def per_domain_values(i: int, triples: np.ndarray) -> np.ndarray:
+        a, b, g = triples[:, 0], triples[:, 1], triples[:, 2]
+        return (g * risk_h[i] + a * dis[i] + b * dis[t - 1]
+                + 0.5 * b * div[i] + (a + b) * risk_hp[i])
+
+    argmin = np.zeros((t - 1, 3))
+    best_total = risk_h[t - 1]
+    for i in range(t - 1):
+        vals = per_domain_values(i, cands)
+        k = int(np.argmin(vals))
+        argmin[i] = cands[k]
+        best_total += float(vals[k])
+
+    preset_values = {m: deterministic_bound(
+        inst, np.array([preset_triple(m, t) for _ in range(t - 1)]))
+        for m in presets}
+    violations = sum(best_total > v + 1e-9 for v in preset_values.values())
+    worst = max(best_total - v for v in preset_values.values())
+    return CheckReport(
+        "tightest_bound_grid", len(presets), int(violations), float(worst),
+        details={"argmin_omega": argmin.tolist(),
+                 "argmin_value": best_total,
+                 "preset_values": preset_values})

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import dilkit.bounds
+import reference_bounds as ref
 from dilkit.autodiff import ContractError
 from dilkit.bounds import (
     BoundInstance, barycentric_grid, check_cross_bound, check_erm_bound_shape,
     check_intra_bound, check_unified_bound, deterministic_bound,
     radical_argument, random_instance, tightest_bound_grid, total_risk,
 )
-from dilkit.coeffs import preset_triple
+from dilkit.coeffs import TRIPLE_PRESETS, preset_triple
 from dilkit.divergence import FiniteHypothesisClass, all_labelings, hdh_exact
 
 
@@ -175,3 +177,148 @@ def test_barycentric_grid():
         assert (g == v).all(axis=1).any()
     with pytest.raises(ContractError):
         barycentric_grid(1)
+
+
+# -- cached terms against the per-check reference ---------------------------
+
+def gate1_instances(seed: int, n: int):
+    """Instances shaped as acceptance criterion 1 draws them."""
+    rng = np.random.default_rng(seed)
+    return [random_instance(rng, n_domains=int(rng.integers(2, 5)),
+                            points_per_domain=int(rng.integers(3, 9)),
+                            class_size=int(rng.choice([16, 64, 256])))
+            for _ in range(n)]
+
+
+def assert_same_report(got, want):
+    """Equal field by field with == on floats, and equal reprs, so that
+    even the sign of a zero and the float type must agree."""
+    assert (got.name, got.n_checks, got.n_violations) == (
+        want.name, want.n_checks, want.n_violations)
+    assert got.max_violation == want.max_violation
+    assert got.details == want.details
+    assert repr(got) == repr(want)
+
+
+CHECK_PAIRS = [(check_intra_bound, ref.check_intra_bound),
+               (check_cross_bound, ref.check_cross_bound),
+               (check_unified_bound, ref.check_unified_bound),
+               (tightest_bound_grid, ref.tightest_bound_grid)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_checks_match_reference_exactly(seed):
+    for inst in gate1_instances(seed, 15):
+        for check, reference in CHECK_PAIRS:
+            assert_same_report(check(inst), reference(inst))
+        assert total_risk(inst) == ref.total_risk(inst)
+        assert deterministic_bound(inst) == ref.deterministic_bound(inst)
+
+
+def test_deterministic_bound_matches_reference_at_explicit_omegas():
+    rng = np.random.default_rng(5)
+    for inst in gate1_instances(5, 20):
+        t = inst.n_domains
+        omegas = [rng.dirichlet((1.0, 1.0, 1.0), size=t - 1)
+                  for _ in range(3)]
+        omegas += [np.tile(v, (t - 1, 1)) for v in np.eye(3)]
+        omegas += [np.array([preset_triple(m, t)] * (t - 1))
+                   for m in TRIPLE_PRESETS if not (m == "ESM-ER" and t == 2)]
+        for om in omegas:
+            got = deterministic_bound(inst, om)
+            assert got == ref.deterministic_bound(inst, om)
+            assert repr(got) == repr(ref.deterministic_bound(inst, om))
+
+
+@pytest.mark.parametrize("resolution", range(2, 11))
+def test_grid_matches_reference_with_explicit_presets(resolution):
+    rng = np.random.default_rng(100 + resolution)
+    for inst in gate1_instances(100 + resolution, 4):
+        valid = [m for m in TRIPLE_PRESETS
+                 if not (m == "ESM-ER" and inst.n_domains == 2)]
+        k = int(rng.integers(1, len(valid) + 1))
+        presets = list(rng.choice(valid, size=k, replace=False))
+        assert_same_report(
+            tightest_bound_grid(inst, presets=presets,
+                                grid_resolution=resolution),
+            ref.tightest_bound_grid(inst, presets=presets,
+                                    grid_resolution=resolution))
+
+
+@pytest.mark.parametrize("n_domains", [2, 3, 4])
+def test_each_divergence_computed_once_per_instance(monkeypatch, n_domains):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hdh_exact(*args)
+
+    monkeypatch.setattr(dilkit.bounds, "hdh_exact", counting)
+    rng = np.random.default_rng(n_domains)
+    inst = random_instance(rng, n_domains=n_domains, points_per_domain=6,
+                           class_size=64)
+    check_intra_bound(inst)
+    check_cross_bound(inst)
+    check_unified_bound(inst)
+    tightest_bound_grid(inst)
+    check_erm_bound_shape(inst)
+    total_risk(inst)
+    deterministic_bound(inst)
+    assert len(calls) == n_domains - 1
+
+
+def test_cached_terms_and_inputs_are_read_only():
+    """The cached terms cannot go stale: the instance keeps read-only
+    copies of its inputs and hands out read-only terms."""
+    rows = all_labelings(4).labelings.copy()
+    y = np.array([0, 1, 0, 1], dtype=np.int8)
+    s = (np.array([0, 1]), np.array([2, 3]))
+    inst = simple_instance(class_rows=rows, labels=y, samples=s)
+    risks = inst.risks
+    rows[:] = 0
+    y[:] = 1
+    s[0][:] = 3
+    assert inst.risks is risks
+    assert (inst.true_labels == [0, 1, 0, 1]).all()
+    assert (inst.domain_samples[0] == [0, 1]).all()
+    assert inst.hclass.labelings.any()
+    for a in (inst.hclass.labelings, inst.true_labels, *inst.domain_samples,
+              inst.risks, *inst.disagreements, inst.divergences,
+              *inst.unified_terms):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+# -- the tightest bound in closed form -----------------------------------------
+
+def closed_form_minimum(inst: BoundInstance) -> float:
+    """The bound is linear in each past domain's triple, so its minimum over
+    the simplex sits at a vertex: gamma (replay), alpha (intra-domain
+    distillation) or beta (cross-domain distillation).  Terms come from the
+    per-check reference, not from the instance's cache."""
+    risk_h, risk_hp, dis = ref._unified_terms(inst)
+    div = ref._divergences_to_current(inst)
+    t = inst.n_domains
+    return risk_h[t - 1] + sum(
+        min(risk_h[i], dis[i] + risk_hp[i],
+            dis[t - 1] + div[i] / 2 + risk_hp[i])
+        for i in range(t - 1))
+
+
+@pytest.mark.parametrize("resolution", range(2, 11))
+def test_grid_minimum_is_the_closed_form_minimum(resolution):
+    for inst in gate1_instances(200 + resolution, 12):
+        best = closed_form_minimum(inst)
+        rep = tightest_bound_grid(inst, grid_resolution=resolution)
+        assert abs(rep.details["argmin_value"] - best) <= 1e-12
+        for value in rep.details["preset_values"].values():
+            assert value >= best - 1e-12
+
+
+def test_single_point_domains():
+    rng = np.random.default_rng(9)
+    inst = random_instance(rng, n_domains=3, points_per_domain=1,
+                           class_size=8)
+    assert all(s.size == 1 for s in inst.domain_samples)
+    assert check_intra_bound(inst).ok and check_cross_bound(inst).ok
+    assert check_unified_bound(inst).ok and tightest_bound_grid(inst).ok

@@ -9,10 +9,13 @@ import tempfile
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_config as ref
+from dilkit.autodiff import ContractError
+from dilkit.bounds import barycentric_grid, random_instance
 from dilkit.datagen import ConfigError
 from dilkit.expcli import KEY_TABLE, RunConfig, default_config_text, parse_config
 from dilkit.expcli.cli import main
@@ -161,3 +164,34 @@ def test_out_of_range_value_exits_2_naming_the_key(data):
         with contextlib.redirect_stderr(err):
             code = main(["run", path])
     assert code == 2 and f"key '{key}'" in err.getvalue(), (key, value, err.getvalue())
+
+
+INSTANCE_ARGS = {"bound_domains": "n_domains",
+                 "points_per_domain": "points_per_domain",
+                 "class_size": "class_size"}
+
+
+def _library_accepts(key, value):
+    c = RunConfig()
+    args = {arg: getattr(c, k) for k, arg in INSTANCE_ARGS.items()}
+    try:
+        if key == "grid_resolution":
+            barycentric_grid(value)
+        else:
+            random_instance(np.random.default_rng(0),
+                            **dict(args, **{INSTANCE_ARGS[key]: value}))
+    except ContractError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", [*INSTANCE_ARGS, "grid_resolution"])
+def test_bound_key_ranges_are_the_library_ranges(key):
+    """At each edge of a bound key's range, the value the table accepts the
+    bound library accepts, and the value just outside both refuse."""
+    spec = KEY_TABLE[key]
+    hi = spec.hi if spec.hi is not None else spec.lo + 3
+    for value in (spec.lo - 1, spec.lo, hi, hi + 1):
+        inside = spec.lo <= value and (spec.hi is None or value <= spec.hi)
+        assert (_outcome(parse_config, f"{key} = {value}\n")[1] is None) == inside
+        assert _library_accepts(key, value) == inside, value

@@ -11,7 +11,7 @@ from dilkit.losses import (
     CoeffStats, HistorySnapshot, HyperParams, classification_loss,
     encoder_aux_loss, erm01, v_01, v_d, v_l, v_p, v_s,
 )
-from dilkit.models import Classifier, Mlp
+from dilkit.models import Classifier, Mlp, SgdConfig
 from reference_step import distillation_loss, erm01_agreement
 
 
@@ -440,3 +440,13 @@ def test_hyperparams_validation():
     hp = HyperParams()
     assert hp.lambda_d == 1.0 and hp.c_gen == 1.0
     assert hp.lambda_p == 0.0 and hp.lambda_s == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls,name", [
+    (SgdConfig, "learning_rate"), (HyperParams, "lambda_d"),
+    (HyperParams, "c_gen"), (HyperParams, "lambda_p"),
+    (HyperParams, "lambda_s")])
+def test_non_finite_values_rejected_naming_the_field(cls, name, value):
+    with pytest.raises(ContractError, match=f"^{name} must be finite"):
+        cls(**{name: value})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference_step as ref
-from dilkit.autodiff import ContractError
+from dilkit.autodiff import ContractError, Tensor
 from dilkit.datagen import LabeledSet
 from dilkit.losses import HistorySnapshot, v_d, v_l, v_p
 from dilkit.models import Classifier, Mlp
@@ -114,6 +114,23 @@ def test_coeff_stats_match_reference_exactly(t, seed):
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.eps_cross == want.eps_cross
+
+
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
+    """Every network is scored through a stopped view: no Tensor created
+    inside coeff_stats_for_step requires a gradient."""
+    h, history, disc, _, current, past = _state(450 + t, t, "UDIL")
+    tracked = []
+    init = Tensor.__init__
+
+    def recording_init(self, data, requires_grad=False, _prev=()):
+        tracked.append(bool(requires_grad))
+        init(self, data, requires_grad, _prev)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    coeff_stats_for_step(h, history, disc, current, past)
+    assert tracked and not any(tracked)
 
 
 def _outcome(fn):
