@@ -1,5 +1,9 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
+Ops, each one the library calls: add, mul, relu, sqrt, tsum, rowsum, rows,
+column, reshape, concat_cols, softmax, and the fused linear (x @ w + b) and
+softmax_xent (-sum(target * log_softmax(a)), every cross-entropy loss).
+
 Each op builds a Tensor holding a `_backward` closure; `backward()` runs
 the closures in reverse topological order, passing each node its own
 `.grad`, and the closures accumulate into their inputs' `.grad` with +=.
@@ -86,9 +90,6 @@ class Tensor:
     def __rsub__(self, other):
         return add(_wrap(other), mul(self, -1.0))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -136,18 +137,21 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ContractError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
+def linear(x, w, b) -> Tensor:
+    """[n, i], [i, o], [o] -> [n, o]: x @ w + b as one node."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if (x.data.ndim != 2 or b.data.ndim != 1
+            or w.data.shape != (x.data.shape[1],) + b.data.shape):
         raise ContractError(
-            "matmul shape mismatch: %r @ %r" % (a.data.shape, b.data.shape))
-    out = _make(a.data @ b.data, (a, b))
+            "linear shape mismatch: %r @ %r + %r" % (x.shape, w.shape, b.shape))
+    out = _make(x.data @ w.data + b.data, (x, w, b))
     if out.requires_grad:
         def _back(g):
-            a._accum(g @ b.data.T)
-            b._accum(a.data.T @ g)
+            b._accum(g.sum(axis=0))
+            if x.requires_grad:
+                x._accum(g @ w.data.T)
+            if w.requires_grad:
+                w._accum(x.data.T @ g)
         out._backward = _back
     return out
 
@@ -184,11 +188,6 @@ def tsum(a: Tensor) -> Tensor:
     return out
 
 
-def tmean(a: Tensor) -> Tensor:
-    n = max(a.data.size, 1)
-    return mul(tsum(a), 1.0 / n)
-
-
 def rowsum(a: Tensor) -> Tensor:
     """[n, c] -> [n]: sum over the second axis."""
     a = _wrap(a)
@@ -198,24 +197,6 @@ def rowsum(a: Tensor) -> Tensor:
     if out.requires_grad:
         def _back(g):
             a._accum(np.repeat(g[:, None], a.data.shape[1], axis=1))
-        out._backward = _back
-    return out
-
-
-def pick(a: Tensor, idx) -> Tensor:
-    """[n, c], [n] -> [n]: a[i, idx[i]] per row."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    n = a.data.shape[0]
-    if idx.shape != (n,):
-        raise ContractError("pick index must be 1-D with one entry per row")
-    rows_i = np.arange(n)
-    out = _make(a.data[rows_i, idx], (a,))
-    if out.requires_grad:
-        def _back(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, (rows_i, idx), g)
-            a._accum(full)
         out._backward = _back
     return out
 
@@ -286,25 +267,30 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-def lse(a: Tensor) -> Tensor:
-    """[n, c] -> [n]: row-wise log-sum-exp, stabilized."""
+def softmax_xent(a: Tensor, target) -> Tensor:
+    """[n, c], constant [n, c] -> scalar: -sum(target * log_softmax(a)).
+    Row weights live in the target (one-hot rows times 1/n: the mean
+    cross-entropy); the adjoint is g * (softmax(a) * rowsum(target) - target)."""
     a = _wrap(a)
+    target = np.asarray(target, dtype=np.float64)
+    if a.data.ndim != 2 or target.shape != a.data.shape:
+        raise ContractError("softmax_xent target must match the [n, c] logits, "
+                            "got %r for %r" % (target.shape, a.data.shape))
     m = a.data.max(axis=1, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=1, keepdims=True)
-    val = (m + np.log(s)).ravel()
-    out = _make(val, (a,))
+    logp = a.data + (m + np.log(s)) * -1.0
+    out = _make(-(logp * target).sum(), (a,))
     if out.requires_grad:
         sm = e / s
         def _back(g):
-            a._accum(sm * g[:, None])
+            # the accumulation order of the composed log_softmax graph, so
+            # training results stay bitwise equal to it
+            d = np.full_like(a.data, -float(g)) * target
+            a._accum(d)
+            a._accum(sm * (d.sum(axis=1, keepdims=True) * -1.0))
         out._backward = _back
     return out
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    n = a.data.shape[0]
-    return add(a, mul(reshape(lse(a), (n, 1)), -1.0))
 
 
 # -- finite-difference oracle -----------------------------------------

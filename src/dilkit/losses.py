@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    ContractError, Tensor, add, column, concat_cols, log_softmax, lse, mul,
-    pick, reshape, rows, rowsum, sqrt, tmean, tsum,
+    ContractError, Tensor, add, column, concat_cols, mul, reshape, rows,
+    rowsum, softmax_xent, sqrt, tsum,
 )
 from .coeffs import CoeffSimplex
 from .datagen import LabeledSet
@@ -45,8 +45,9 @@ def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
     """Mean cross-entropy -log p(true class)."""
     if len(batch) == 0:
         raise ContractError("classification_loss: empty batch")
-    logp = log_softmax(h.logits(batch.x))
-    return mul(tmean(pick(logp, batch.y)), -1.0)
+    logits = h.logits(batch.x)
+    return softmax_xent(
+        logits, _one_hot(batch.y, logits.shape[1], 1.0 / len(batch)))
 
 
 def erm01(h, labeled_set: LabeledSet) -> float:
@@ -72,6 +73,13 @@ def stack_segments(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(parts), np.cumsum([0] + [len(p) for p in parts])
 
 
+def _one_hot(y: np.ndarray, k: int, row_w) -> np.ndarray:
+    """[n, k] target holding row i's weight at column y[i], zeros elsewhere."""
+    target = np.zeros((len(y), k))
+    target[np.arange(len(y)), y] = row_w
+    return target
+
+
 def _row_weights(seg_w: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Segment k's weight divided by its size, repeated over its rows."""
     sizes = np.diff(bounds)
@@ -89,7 +97,7 @@ def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,
     distillation weight.  Per row the target is
     w_ce * onehot(y) + w_distill * teacher_probs, where current rows have
     (w_ce, w_distill) = (1, sum beta) / n_0 and domain i's rows
-    (gamma_i, alpha_i) / n_i; the loss is -sum(target * log_softmax(logits)).
+    (gamma_i, alpha_i) / n_i; the loss is softmax_xent(logits, target).
     Coefficients enter as constants (stopped)."""
     if not past_batches:
         return classification_loss(h, current_batch)
@@ -107,8 +115,7 @@ def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,
     y = np.concatenate([b.y for b in used_batches])
     logits = h.logits(x)
     k = logits.data.shape[1]
-    target = np.zeros((len(y), k))
-    target[np.arange(len(y)), y] = _row_weights(w_ce[used], bounds)
+    target = _one_hot(y, k, _row_weights(w_ce[used], bounds))
     distilled = np.repeat(w_distill[used] != 0.0, np.diff(bounds))
     if distilled.any():
         probs = history.classifier.probs(x[distilled]).data
@@ -118,7 +125,7 @@ def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,
                 f"vs student {k}")
         target[distilled] += (
             _row_weights(w_distill[used], bounds)[distilled, None] * probs)
-    return mul(tsum(mul(log_softmax(logits), target)), -1.0)
+    return softmax_xent(logits, target)
 
 
 @dataclass
@@ -185,9 +192,9 @@ def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,
     if np.any(sizes == 0):
         raise ContractError("v_d: empty batch")
     seg_class = np.array([t - 1] + [i - 1 for i in ids])[used]
-    logp = log_softmax(d.logits(encoder.logits(x)))
-    picked = pick(logp, np.repeat(seg_class, sizes))
-    return mul(tsum(mul(picked, _row_weights(seg_w[used], bounds))), -1.0)
+    target = _one_hot(np.repeat(seg_class, sizes), t,
+                      _row_weights(seg_w[used], bounds))
+    return softmax_xent(d.logits(encoder.logits(x)), target)
 
 
 def v_p(encoder: Mlp, prev_encoder: Mlp,
@@ -245,10 +252,12 @@ def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
     d_neg = add(rows(emb, np.repeat(a_idx, n_negatives)),
                 mul(rows(emb, neg.ravel()), -1.0))
     s_neg = reshape(rowsum(mul(d_neg, d_neg)), (m, n_negatives))
-    # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] = lse([0, s+ - s-_1, ...])
+    # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] is the cross-entropy of
+    # the logits [0, s+ - s-_1, ...] toward column 0
     gap = add(reshape(s_pos, (m, 1)), mul(s_neg, -1.0))
     z = concat_cols([Tensor(np.zeros((m, 1))), gap])
-    return mul(tsum(lse(z)), 1.0 / k)
+    target = _one_hot(np.zeros(m, np.int64), n_negatives + 1, 1.0 / k)
+    return softmax_xent(z, target)
 
 
 def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp,

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, matmul, relu, softmax, add
+from .autodiff import ContractError, Tensor, linear, relu, softmax
 
 HEADS = ("logits", "softmax")
 
@@ -69,7 +69,7 @@ class Mlp:
                 raise ContractError(
                     f"layer {k}: input has {h.data.shape[1]} features, "
                     f"expected {w.data.shape[0]}")
-            h = add(matmul(h, w), b)
+            h = linear(h, w, b)
             if k < len(self.layers) - 1:
                 h = relu(h)
         return h

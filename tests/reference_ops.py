@@ -1,0 +1,72 @@
+"""Test-only reference: the autodiff ops the library composed its layers
+and cross-entropies from before `linear` and `softmax_xent` fused them.
+The differential tests in test_autodiff.py compare the fused ops against
+these compositions, and reference_step.py builds its per-domain losses
+from them."""
+from __future__ import annotations
+
+import numpy as np
+
+from dilkit.autodiff import (
+    ContractError, Tensor, _make, _wrap, add, mul, reshape, tsum,
+)
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ContractError("matmul expects 2-D operands")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ContractError(
+            "matmul shape mismatch: %r @ %r" % (a.data.shape, b.data.shape))
+    out = _make(a.data @ b.data, (a, b))
+    if out.requires_grad:
+        def _back(g):
+            a._accum(g @ b.data.T)
+            b._accum(a.data.T @ g)
+        out._backward = _back
+    return out
+
+
+def tmean(a: Tensor) -> Tensor:
+    n = max(a.data.size, 1)
+    return mul(tsum(a), 1.0 / n)
+
+
+def pick(a: Tensor, idx) -> Tensor:
+    """[n, c], [n] -> [n]: a[i, idx[i]] per row."""
+    a = _wrap(a)
+    idx = np.asarray(idx, dtype=np.int64)
+    n = a.data.shape[0]
+    if idx.shape != (n,):
+        raise ContractError("pick index must be 1-D with one entry per row")
+    rows_i = np.arange(n)
+    out = _make(a.data[rows_i, idx], (a,))
+    if out.requires_grad:
+        def _back(g):
+            full = np.zeros_like(a.data)
+            np.add.at(full, (rows_i, idx), g)
+            a._accum(full)
+        out._backward = _back
+    return out
+
+
+def lse(a: Tensor) -> Tensor:
+    """[n, c] -> [n]: row-wise log-sum-exp, stabilized."""
+    a = _wrap(a)
+    m = a.data.max(axis=1, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=1, keepdims=True)
+    val = (m + np.log(s)).ravel()
+    out = _make(val, (a,))
+    if out.requires_grad:
+        sm = e / s
+        def _back(g):
+            a._accum(sm * g[:, None])
+        out._backward = _back
+    return out
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    n = a.data.shape[0]
+    return add(a, mul(reshape(lse(a), (n, 1)), -1.0))

@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from dilkit.autodiff import (
-    ContractError, Tensor, add, log_softmax, mul, pick, rowsum, tmean, tsum,
-)
+from dilkit.autodiff import ContractError, Tensor, add, mul, rowsum, tsum
 from dilkit.datagen import LabeledSet
 from dilkit.divergence import hdh_discriminator_estimate
 from dilkit.losses import (
     CoeffStats, HistorySnapshot, _check_omega, classification_loss, erm01,
 )
 from dilkit.models import Classifier, Mlp
+
+from reference_ops import log_softmax, pick, tmean
 
 
 def distillation_loss(h: Classifier, teacher, inputs: np.ndarray) -> Tensor:

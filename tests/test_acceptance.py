@@ -443,7 +443,7 @@ def test_criterion_10_results_files_bitwise_identical(tmp_path):
         env = dict(os.environ, DILKIT_OUTPUT_DIR=str(tmp_path / sub),
                    PYTHONPATH=pythonpath)
         proc = subprocess.run(
-            [sys.executable, "-m", "dilkit.expcli.cli", "run", str(cfg)],
+            [sys.executable, "-m", "dilkit.expcli", "run", str(cfg)],
             capture_output=True, text=True, env=env, cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         blobs.append((tmp_path / sub / "hd-balls-UDIL"

@@ -1,15 +1,25 @@
+import ast
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dilkit
 from dilkit.autodiff import (
-    ContractError, Tensor, add, column, concat_cols, gradcheck, log_softmax,
-    lse, matmul, mul, pick, relu, reshape, rows, rowsum, softmax, sqrt, tmean,
-    tsum,
+    ContractError, Tensor, add, column, concat_cols, gradcheck, linear, mul,
+    relu, reshape, rows, rowsum, softmax, softmax_xent, sqrt, tsum,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
+
+from reference_ops import log_softmax, lse, matmul, pick, tmean
+
+
+def _mean_xent(logits, y):
+    """Mean cross-entropy toward labels y, as classification_loss builds it."""
+    n, k = logits.data.shape
+    return softmax_xent(logits, np.eye(k)[y] / n)
 
 
 def test_sum_of_squares_grad():
@@ -58,6 +68,23 @@ def test_lse_stable_on_huge_logits():
     v = lse(z).data
     assert np.allclose(v, 1000.0 + np.log(2.0))
     assert np.isfinite(log_softmax(z).data).all()
+
+
+def test_softmax_xent_stable_on_huge_logits():
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.normal(size=(4, 5)) * 1e3, requires_grad=True)
+    loss = softmax_xent(a, np.eye(5)[[0, 1, 2, 3]] * 0.25)
+    loss.backward()
+    assert np.isfinite(loss.item())
+    assert np.isfinite(a.grad).all()
+
+
+def test_softmax_xent_rejects_mismatched_target():
+    a = Tensor(np.zeros((3, 4)), requires_grad=True)
+    with pytest.raises(ContractError, match="softmax_xent"):
+        softmax_xent(a, np.zeros((3, 5)))
+    with pytest.raises(ContractError, match="softmax_xent"):
+        softmax_xent(a, np.zeros(4))
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -134,7 +161,7 @@ def test_mlp_cross_entropy_gradcheck():
     y = rng.integers(0, 3, size=5)
 
     def fn():
-        return mul(tmean(pick(log_softmax(m.logits(x)), y)), -1.0)
+        return _mean_xent(m.logits(x), y)
 
     gradcheck(fn, m.params(), rng=rng)
 
@@ -214,7 +241,7 @@ def test_determinism_forward_backward():
         m = Mlp([4, 8, 3], head="logits", rng=rng)
         x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
-        loss = mul(tmean(pick(log_softmax(m.logits(x)), y)), -1.0)
+        loss = _mean_xent(m.logits(x), y)
         loss.backward()
         return loss.item(), [p.grad.copy() for p in m.params()]
 
@@ -244,7 +271,7 @@ def test_dropped_graph_is_freed_without_cyclic_gc():
     gc.disable()
     try:
         for _ in range(3):
-            loss = mul(tmean(pick(log_softmax(m.logits(x)), y)), -1.0)
+            loss = _mean_xent(m.logits(x), y)
             loss.backward()
             sgd_step(m.params(), 0.1)
             del loss
@@ -271,9 +298,16 @@ def _op_case(op, rng, n, m):
         b = Tensor(rng.normal(size=_broadcast_shape(rng, n, m)), requires_grad=True)
         fn = add if op == "add" else mul
         return [a, b], lambda: fn(a, b)
-    if op == "matmul":
-        b = Tensor(rng.normal(size=(m, int(rng.integers(1, 5)))), requires_grad=True)
-        return [a, b], lambda: matmul(a, b)
+    if op in ("matmul", "linear"):
+        o = int(rng.integers(1, 5))
+        w = Tensor(rng.normal(size=(m, o)), requires_grad=True)
+        if op == "matmul":
+            return [a, w], lambda: matmul(a, w)
+        b = Tensor(rng.normal(size=o), requires_grad=True)
+        return [a, w, b], lambda: linear(a, w, b)
+    if op == "softmax_xent":
+        target = rng.random((n, m)) * (rng.random((n, 1)) < 0.7)
+        return [a], lambda: softmax_xent(a, target)
     if op == "relu":
         a.data[...] = _away_from_zero(rng, (n, m))
         return [a], lambda: relu(a)
@@ -299,9 +333,9 @@ def _op_case(op, rng, n, m):
     return [a], lambda: unary[op](a)
 
 
-OPS = ("add", "mul", "matmul", "relu", "sqrt", "tsum", "rowsum", "reshape",
-       "concat_cols", "softmax", "lse", "log_softmax", "pick", "rows",
-       "column")
+OPS = ("add", "mul", "matmul", "linear", "relu", "sqrt", "tsum", "rowsum",
+       "reshape", "concat_cols", "softmax", "softmax_xent", "lse",
+       "log_softmax", "pick", "rows", "column")
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -312,3 +346,91 @@ def test_gradcheck_every_op_random_shapes(op, n, m, seed):
     inputs, apply = _op_case(op, rng, n, m)
     weights = rng.normal(size=apply().data.shape)  # a generic linear readout
     gradcheck(lambda: tsum(mul(apply(), weights)), inputs)
+
+
+# -- fused ops against the compositions they replace ---------------------
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 5), soft=st.booleans(),
+       scale=st.sampled_from([1.0, -0.37, 2.5, 1e-3]),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_softmax_xent_matches_composition(n, k, soft, scale, seed):
+    """Same value within 1e-12 and bitwise-equal gradients as
+    -sum(log_softmax(a) * target), and, for one-hot rows, as the weighted
+    pick of log_softmax that the per-row class losses used."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(n, k)) * 3.0
+    y = rng.integers(0, k, size=n)
+    w = rng.random(n) * (rng.random(n) < 0.7)  # some rows weigh nothing
+    target = np.zeros((n, k))
+    target[np.arange(n), y] = w
+    if soft:
+        target += rng.random(n)[:, None] * softmax(Tensor(rng.normal(size=(n, k)))).data
+
+    def run(build):
+        a = Tensor(logits.copy(), requires_grad=True)
+        loss = mul(build(a), scale)
+        loss.backward()
+        return loss.item(), a.grad
+
+    value, grad = run(lambda a: softmax_xent(a, target))
+    compositions = [lambda a: mul(tsum(mul(log_softmax(a), target)), -1.0)]
+    if not soft:
+        compositions.append(
+            lambda a: mul(tsum(mul(pick(log_softmax(a), y), w)), -1.0))
+    for build in compositions:
+        ref_value, ref_grad = run(build)
+        assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+        assert np.array_equal(grad, ref_grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), i=st.integers(1, 5), o=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_linear_matches_composition(n, i, o, seed):
+    rng = np.random.default_rng(seed)
+    x0, w0, b0 = (rng.normal(size=(n, i)), rng.normal(size=(i, o)),
+                  rng.normal(size=o))
+    readout = rng.normal(size=(n, o))  # an upstream gradient that is not 1
+
+    def run(build):
+        x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, w0, b0))
+        out = build(x, w, b)
+        tsum(mul(out, readout)).backward()
+        return out.data, [x.grad, w.grad, b.grad]
+
+    value, grads = run(linear)
+    ref_value, ref_grads = run(lambda x, w, b: add(matmul(x, w), b))
+    assert np.allclose(value, ref_value, rtol=0, atol=1e-12)
+    assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+
+def test_linear_rejects_mismatched_shapes():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ContractError, match="linear"):
+        linear(x, np.zeros((4, 2)), np.zeros(2))
+    with pytest.raises(ContractError, match="linear"):
+        linear(x, np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(ContractError, match="linear"):
+        linear(np.zeros(3), np.zeros((3, 2)), np.zeros(2))
+
+
+def test_every_public_op_has_a_library_caller():
+    """The core keeps only the ops the library calls: each public function
+    of dilkit.autodiff, apart from the finite-difference oracle gradcheck,
+    is imported by another module of the package."""
+    pkg = Path(dilkit.__file__).parent
+    core = ast.parse((pkg / "autodiff.py").read_text())
+    public = {node.name for node in core.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")} - {"gradcheck"}
+    imported = set()
+    for path in pkg.rglob("*.py"):
+        if path.name == "autodiff.py" and path.parent == pkg:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[-1] == "autodiff"):
+                imported.update(alias.name for alias in node.names)
+    assert public, "no public functions found in dilkit.autodiff"
+    assert not public - imported, sorted(public - imported)

@@ -3,10 +3,14 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dilkit
 from dilkit.datagen import ConfigError, FormatError, gen_hd_balls
 from dilkit.expcli import (RunConfig, default_config_text, load_results,
                            load_stream, parse_config, parse_kv,
@@ -449,3 +453,16 @@ def test_cli_run_diverging_seed_exits_1_with_flagged_partial(
                         r"nan at domain 1, step \d+",
                         payload["partial"]["error"])
     assert "partial results written and flagged" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings():
+    """`python -m dilkit.expcli` is the uninstalled entry point; running it
+    must not re-execute an already imported module (a RuntimeWarning)."""
+    src_root = str(Path(dilkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dilkit.expcli",
+         "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: dilkit")
