@@ -2,7 +2,8 @@
 
 Two routes to the same quantity: an exact brute-force computation over an
 explicitly enumerated finite hypothesis class (used for verification), and
-the discriminator-based empirical estimate used during training.
+the discriminator-based empirical estimate used during training, read off
+one discriminator pass over a stacked batch for every past domain at once.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from itertools import product
 
 import numpy as np
 
-from .autodiff import ContractError
+from .autodiff import ContractError, softmax
+from .losses import stack_segments
 from .models import Mlp
 
 
@@ -101,27 +103,42 @@ def hdh_exact(hclass: FiniteHypothesisClass, sample_p, sample_q) -> float:
     return float(2.0 * np.max(np.abs(dis_p - dis_q)))
 
 
-def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,
-                               past_x: np.ndarray, past_index: int) -> float:
-    """Discriminator-based divergence estimate for one past domain.
+def discriminator_divergences(probs: np.ndarray, bounds,
+                               past_ids) -> np.ndarray:
+    """Discriminator-based divergence estimate for every past domain.
 
-    With delta(x) = [d(e(x))]_i - [d(e(x))]_t (i = past_index, t = head
-    arity = current domain), the discriminator's balanced pairwise accuracy
-    is b = 1/2 * [frac of past samples with delta >= 0
-                  + frac of current samples with delta < 0],
+    ``probs`` is the discriminator's [n, t] output over one stacked batch
+    whose segment k is rows bounds[k]:bounds[k+1]: the current domain t's
+    rows first, then domain past_ids[k-1]'s.  With delta(x) = p_i(x) - p_t(x)
+    for past domain i, the discriminator's balanced pairwise accuracy is
+    b = 1/2 * [frac of domain i's rows with delta >= 0
+               + frac of current rows with delta < 0],
     and the estimate is clamp(2 * (2b - 1), 0, 2): 0 when the discriminator
     does no better than chance, 2 when it separates the domains perfectly.
     """
-    if current_x.shape[0] == 0 or past_x.shape[0] == 0:
-        raise ContractError("both sample sets must be nonempty")
-    p_cur = d.forward(encoder.logits(current_x)).data
-    p_past = d.forward(encoder.logits(past_x)).data
-    t = p_cur.shape[1]
-    if not 1 <= past_index <= t - 1:
+    ids = np.asarray(past_ids, dtype=np.int64)
+    sizes = np.diff(bounds)
+    t = probs.shape[1]
+    if sizes.size != ids.size + 1 or (sizes < 1).any():
+        raise ContractError("every segment must be nonempty")
+    if ((ids < 1) | (ids > t - 1)).any():
         raise ContractError(
-            f"past_index must be in [1, {t - 1}], got {past_index}")
-    col = past_index - 1
-    delta_cur = p_cur[:, col] - p_cur[:, t - 1]
-    delta_past = p_past[:, col] - p_past[:, t - 1]
-    b = 0.5 * (np.mean(delta_past >= 0) + np.mean(delta_cur < 0))
-    return float(np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0))
+            f"past domain ids must be in [1, {t - 1}], got {ids.tolist()}")
+    delta = probs[:, ids - 1] - probs[:, [t - 1]]          # [n, len(ids)]
+    n_cur = sizes[0]
+    seg = np.repeat(np.arange(ids.size), sizes[1:])       # past rows' segment
+    past_hits = delta[np.arange(n_cur, len(probs)), seg] >= 0
+    b = 0.5 * (np.bincount(seg, past_hits, ids.size) / sizes[1:]
+               + np.mean(delta[:n_cur] < 0, axis=0))
+    return np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0)
+
+
+def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,
+                               past_x: np.ndarray, past_index: int) -> float:
+    """The divergence estimate for one past domain (see
+    discriminator_divergences), from one forward over the two stacked
+    samples; ``past_index`` must be in [1, t - 1] for a discriminator of
+    arity t."""
+    x, bounds = stack_segments([current_x, past_x])
+    probs = softmax(d.logits(encoder.logits(x))).data
+    return float(discriminator_divergences(probs, bounds, [past_index])[0])

@@ -1,4 +1,4 @@
-"""MLPs (ReLU hidden layers, linear or softmax head), SGD, and the
+"""MLPs (ReLU hidden layers, linear last layer), SGD, and the
 encoder/predictor composite used by the training loop."""
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ContractError, Tensor, linear, relu, softmax
-
-HEADS = ("logits", "softmax")
 
 
 @dataclass
@@ -37,12 +35,10 @@ def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> tuple[Te
 
 
 class Mlp:
-    """Fully connected net: ReLU on hidden layers, head on the last."""
+    """Fully connected net: ReLU on hidden layers, logits out of the last."""
 
-    def __init__(self, sizes: Sequence[int], head: str = "logits",
+    def __init__(self, sizes: Sequence[int],
                  rng: np.random.Generator | None = None, _layers=None):
-        if head not in HEADS:
-            raise ContractError(f"head must be one of {HEADS}")
         if _layers is not None:
             self.layers = _layers
         else:
@@ -51,7 +47,6 @@ class Mlp:
             if rng is None:
                 raise ContractError("Mlp init requires a seeded rng")
             self.layers = [_init_layer(a, b, rng) for a, b in zip(sizes, sizes[1:])]
-        self.head = head
 
     @property
     def sizes(self) -> list[int]:
@@ -74,22 +69,16 @@ class Mlp:
                 h = relu(h)
         return h
 
-    def forward(self, x) -> Tensor:
-        out = self.logits(x)
-        if self.head == "softmax":
-            out = softmax(out)
-        return out
-
     def copy(self, frozen: bool = False) -> "Mlp":
         layers = [(Tensor(w.data.copy(), requires_grad=not frozen),
                    Tensor(b.data.copy(), requires_grad=not frozen))
                   for w, b in self.layers]
-        return Mlp([], head=self.head, _layers=layers)
+        return Mlp([], _layers=layers)
 
     def stopped(self) -> "Mlp":
         """View of this net whose parameters cut the gradient graph."""
         layers = [(Tensor(w.data), Tensor(b.data)) for w, b in self.layers]
-        return Mlp([], head=self.head, _layers=layers)
+        return Mlp([], _layers=layers)
 
 
 def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:
@@ -146,11 +135,10 @@ class ArchConfig:
     def build_classifier(self, input_dim: int, n_classes: int,
                          rng: np.random.Generator) -> Classifier:
         enc = Mlp([input_dim] + list(self.encoder_hidden) + [self.embed_dim],
-                  head="logits", rng=rng)
+                  rng=rng)
         pred = Mlp([self.embed_dim] + list(self.predictor_hidden) + [n_classes],
-                   head="softmax", rng=rng)
+                   rng=rng)
         return Classifier(enc, pred)
 
     def build_discriminator(self, t: int, rng: np.random.Generator) -> Mlp:
-        return Mlp([self.embed_dim] + list(self.disc_hidden) + [t],
-                   head="softmax", rng=rng)
+        return Mlp([self.embed_dim] + list(self.disc_hidden) + [t], rng=rng)

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, add, mul
+from .autodiff import ContractError, Tensor, add, mul, softmax
 from .coeffs import CoeffSimplex, from_preset, init_uniform
 from .datagen import DomainStream, LabeledSet
-from .divergence import hdh_discriminator_estimate
+# no caller here; perfbench wraps hdh_discriminator_estimate by this name
+from .divergence import discriminator_divergences, hdh_discriminator_estimate
 from .losses import (
     CoeffStats, HistorySnapshot, HyperParams, classification_loss,
     encoder_aux_loss, erm01, stack_segments, v_01, v_d, v_l,
@@ -48,18 +49,18 @@ class TrainerConfig:
 
 @dataclass
 class TrainState:
-    """Mutable state threaded through the per-domain fold.
+    """Mutable state threaded through the per-domain fold: only what lives
+    across domains.
 
-    Between domains: ``t`` is the next domain to train, ``history`` is the
-    frozen teacher from domain t-1 (absent before domain 2), and the
-    discriminator / coefficient simplex are built lazily when domain t's
-    training starts (the discriminator head arity must equal t).
+    Between domains: ``t`` is the next domain to train and ``history`` is
+    the frozen teacher from domain t-1 (absent before domain 2).  The
+    discriminator (arity t) and the coefficient simplex are built when
+    domain t's training starts and dropped when it ends; ``omega_log``
+    keeps each domain's final triples.
     """
 
     model: Classifier
-    disc: Mlp | None
     history: HistorySnapshot | None
-    omega: CoeffSimplex | None
     bank: MemoryBank
     config: TrainerConfig
     t: int
@@ -76,7 +77,7 @@ def initial_state(config: TrainerConfig, input_dim: int,
                   n_classes: int) -> TrainState:
     model = config.arch.build_classifier(
         input_dim, n_classes, substream(config.seed, "init"))
-    return TrainState(model=model, disc=None, history=None, omega=None,
+    return TrainState(model=model, history=None,
                       bank=MemoryBank(config.memory_capacity),
                       config=config, t=1)
 
@@ -117,28 +118,27 @@ def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
                          disc: Mlp, current_batch: LabeledSet,
                          past_batches: dict[int, LabeledSet]) -> CoeffStats:
     """Assemble the per-step scalar statistics the bound surrogate needs,
-    from the sampled batches and the frozen history constants.  The model
-    and the teacher each predict once over the stacked batch (current
-    rows, then each memory batch in sorted domain order); the 0-1 errors
-    are read off its segments."""
+    from the sampled batches and the frozen history constants.  One stopped
+    encoder pass embeds the stacked batch (current rows, then each memory
+    batch in sorted domain order); the predictor and the discriminator each
+    run once on that embedding, and the teacher once on the batch.  The 0-1
+    errors and every divergence estimate are read off the segments."""
     ids = sorted(past_batches)
     batches = [current_batch] + [past_batches[i] for i in ids]
     if any(len(b) == 0 for b in batches):
         raise ContractError("coeff_stats_for_step: empty batch")
     x, bounds = stack_segments([b.x for b in batches])
     stopped = model.stopped()
-    pred = stopped.predict(x)
+    embedding = stopped.encoder.logits(x)
+    pred = np.argmax(stopped.predictor.logits(embedding).data, axis=1)
     differs = pred != history.classifier.predict(x)
     segs = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     eps_replay = np.array([np.mean(pred[s] != b.y)
                            for s, b in zip(segs[1:], batches[1:])])
     eps_intra = np.array([np.mean(differs[s]) for s in segs[1:]])
     eps_cross = float(np.mean(differs[segs[0]]))
-    stopped_disc = disc.stopped()
-    dhat = np.array([
-        hdh_discriminator_estimate(stopped_disc, stopped.encoder,
-                                   current_batch.x, past_batches[i].x, i)
-        for i in ids])
+    probs = softmax(disc.stopped().logits(embedding)).data
+    dhat = discriminator_divergences(probs, bounds, ids)
     eps_hist = np.array([history.cached_consts[i] for i in ids])
     return CoeffStats(eps_replay, eps_intra, eps_cross, dhat, eps_hist)
 
@@ -192,35 +192,34 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
     t = state.t
     rng = substream(config.seed, "batches", t)
 
+    simplex = None
     if pooled is not None:
         _erm_steps(state.model, pooled, config.sgd, rng, config.method, t)
     elif t == 1 or config.method == "FineTune":
         if t >= 2:
-            state.omega = _make_simplex(config.method, t)  # zeros, for the log
+            simplex = _make_simplex(config.method, t)  # zeros, for the log
         _erm_steps(state.model, domain_data, config.sgd, rng, config.method, t)
     else:
-        state.omega = _make_simplex(config.method, t)
-        state.disc = config.arch.build_discriminator(
+        simplex = _make_simplex(config.method, t)
+        disc = config.arch.build_discriminator(
             t, substream(config.seed, "disc", t))
-        _train_domain_replay(state, domain_data, rng)
+        _train_domain_replay(state, domain_data, rng, disc, simplex)
 
-    if state.omega is not None:
-        state.omega_log[t] = state.omega.triples()
+    if simplex is not None:
+        state.omega_log[t] = simplex.triples()
 
     state.bank.update_after_domain(domain_data, t, config.seed)
     state.history = snapshot_history(state)
     state.t = t + 1
-    state.omega = None
-    state.disc = None
     return state
 
 
 def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
-                         rng: np.random.Generator) -> None:
+                         rng: np.random.Generator, disc: Mlp,
+                         simplex: CoeffSimplex) -> None:
     config = state.config
     t, hp, sgd = state.t, config.hp, config.sgd
-    model, disc, history = state.model, state.disc, state.history
-    simplex = state.omega
+    model, history = state.model, state.history
     adaptive = simplex.mode == "adaptive"
     omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
     disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate

@@ -1,16 +1,18 @@
-"""Test-only reference: the per-domain loss loops and coefficient
-statistics as they were before the losses ran over one stacked batch.
-Each past domain gets its own forward passes here; the differential tests
-in test_stacked_step.py compare the stacked code against these.  The
-distillation loss and the 0-1 disagreement they are built from have no
-caller in the library and live here, tested in test_losses.py."""
+"""Test-only reference: the per-domain loss loops, coefficient statistics
+and discriminator divergence estimate as they were before the losses ran
+over one stacked batch.  Each past domain gets its own forward passes
+here; the differential tests in test_stacked_step.py compare the stacked
+code against these.  The distillation loss and the 0-1 disagreement they
+are built from have no caller in the library and live here, tested in
+test_losses.py."""
 from __future__ import annotations
 
 import numpy as np
 
-from dilkit.autodiff import ContractError, Tensor, add, mul, rowsum, tsum
+from dilkit.autodiff import (
+    ContractError, Tensor, add, mul, rowsum, softmax, tsum,
+)
 from dilkit.datagen import LabeledSet
-from dilkit.divergence import hdh_discriminator_estimate
 from dilkit.losses import (
     CoeffStats, HistorySnapshot, _check_omega, classification_loss, erm01,
 )
@@ -112,6 +114,36 @@ def v_p(encoder: Mlp, prev_encoder: Mlp,
         term = mul(tsum(mul(diff, diff)), 1.0 / x.shape[0])
         total = term if total is None else add(total, term)
     return total
+
+
+def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,
+                               past_x: np.ndarray, past_index: int) -> float:
+    """Discriminator-based divergence estimate for one past domain.
+
+    With delta(x) = [d(e(x))]_i - [d(e(x))]_t (i = past_index, t = head
+    arity = current domain), the discriminator's balanced pairwise accuracy
+    is b = 1/2 * [frac of past samples with delta >= 0
+                  + frac of current samples with delta < 0],
+    and the estimate is clamp(2 * (2b - 1), 0, 2): 0 when the discriminator
+    does no better than chance, 2 when it separates the domains perfectly.
+
+    Two forwards, one per sample.  The library's discriminators all had the
+    softmax head, so ``d.forward(...)`` is written out as
+    ``softmax(d.logits(...))``; the rest is unchanged.
+    """
+    if current_x.shape[0] == 0 or past_x.shape[0] == 0:
+        raise ContractError("both sample sets must be nonempty")
+    p_cur = softmax(d.logits(encoder.logits(current_x))).data
+    p_past = softmax(d.logits(encoder.logits(past_x))).data
+    t = p_cur.shape[1]
+    if not 1 <= past_index <= t - 1:
+        raise ContractError(
+            f"past_index must be in [1, {t - 1}], got {past_index}")
+    col = past_index - 1
+    delta_cur = p_cur[:, col] - p_cur[:, t - 1]
+    delta_past = p_past[:, col] - p_past[:, t - 1]
+    b = 0.5 * (np.mean(delta_past >= 0) + np.mean(delta_cur < 0))
+    return float(np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0))
 
 
 def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,

@@ -140,11 +140,11 @@ def test_criterion_03_preset_goldens_exact():
 
 def _grad_trial_setups(seed: int):
     rng = np.random.default_rng(seed)
-    h = Classifier(Mlp([3, 5, 4], "logits", rng=rng),
-                   Mlp([4, 2], "softmax", rng=rng))
+    h = Classifier(Mlp([3, 5, 4], rng=rng),
+                   Mlp([4, 2], rng=rng))
     hist = HistorySnapshot(
-        Classifier(Mlp([3, 5, 4], "logits", rng=rng),
-                   Mlp([4, 2], "softmax", rng=rng)).copy(frozen=True))
+        Classifier(Mlp([3, 5, 4], rng=rng),
+                   Mlp([4, 2], rng=rng)).copy(frozen=True))
     cur = LabeledSet(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
     past = {1: LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))}
     omega = rng.dirichlet((1.0, 1.0, 1.0), size=1)
@@ -155,9 +155,9 @@ def test_criterion_04_gradient_suite_100_trials_each():
     failures = []
     for trial in range(100):
         rng, h, hist, cur, past, omega = _grad_trial_setups(4000 + trial)
-        d = Mlp([4, 2], "softmax", rng=rng)
+        d = Mlp([4, 2], rng=rng)
         enc = h.encoder
-        prev = Mlp([3, 5, 4], "logits", rng=rng)
+        prev = Mlp([3, 5, 4], rng=rng)
         stats = CoeffStats(rng.random(2) * 0.5, rng.random(2) * 0.5,
                            float(rng.random() * 0.5), rng.random(2) * 1.5,
                            rng.random(2) * 0.3)
@@ -284,10 +284,10 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     pooled = np.concatenate([past_pts, cur_pts])
     exact = hdh_exact(threshold_class(pooled), np.arange(n),
                       np.arange(n, 2 * n))
-    enc = Mlp([1, 1], "logits", rng=np.random.default_rng(0))
+    enc = Mlp([1, 1], rng=np.random.default_rng(0))
     enc.layers[0][0].data[...] = np.eye(1)
     enc.layers[0][1].data[...] = 0.0
-    disc = Mlp([1, 2], "softmax", rng=substream(0xD1, "disc-init"))
+    disc = Mlp([1, 2], rng=substream(0xD1, "disc-init"))
     batch = LabeledSet(pooled.reshape(-1, 1), [0] * n + [1] * n)
     for _ in range(400):
         loss = classification_loss(disc, batch)
@@ -304,8 +304,8 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     past = rng2.normal(size=(300, 4))
     cur_eval = rng2.normal(size=(300, 4))
     past_eval = rng2.normal(size=(300, 4))
-    enc4 = Mlp([4, 8, 4], "logits", rng=substream(11, "enc"))
-    disc4 = Mlp([4, 8, 2], "softmax", rng=substream(11, "disc"))
+    enc4 = Mlp([4, 8, 4], rng=substream(11, "enc"))
+    disc4 = Mlp([4, 8, 2], rng=substream(11, "disc"))
     omega = np.array([[0.0, 1.0, 0.0]])
     for _ in range(200):
         loss = v_d(disc4, enc4.stopped(), omega, cur, {1: past}, 2)

@@ -113,17 +113,17 @@ def test_gradcheck_composite_ops(trial):
 
 
 def test_mlp_identity_layer():
-    m = Mlp([2, 2], head="logits", rng=np.random.default_rng(0))
+    m = Mlp([2, 2], rng=np.random.default_rng(0))
     m.layers[0][0].data[...] = np.eye(2)
     m.layers[0][1].data[...] = 0.0
-    out = m.forward(np.array([[1.0, 2.0]]))
+    out = m.logits(np.array([[1.0, 2.0]]))
     assert np.allclose(out.data, [[1.0, 2.0]])
 
 
 def test_mlp_softmax_head_uniform():
-    m = Mlp([3, 3], head="softmax", rng=np.random.default_rng(0))
+    m = Mlp([3, 3], rng=np.random.default_rng(0))
     m.layers[0][0].data[...] = 0.0
-    out = m.forward(np.zeros((1, 3)))
+    out = softmax(m.logits(np.zeros((1, 3))))
     assert np.allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
 
 
@@ -131,23 +131,23 @@ def test_mlp_hand_forward_oracle():
     # 2-2-1 ReLU net evaluated by hand:
     # h = relu([1,2] @ [[1,0],[1,1]] + [0,-3]) = relu([3,2]+[0,-3]) = [3,0]
     # out = [3,0] @ [[2],[7]] + [1] = 7
-    m = Mlp([2, 2, 1], head="logits", rng=np.random.default_rng(0))
+    m = Mlp([2, 2, 1], rng=np.random.default_rng(0))
     m.layers[0][0].data[...] = [[1.0, 0.0], [1.0, 1.0]]
     m.layers[0][1].data[...] = [0.0, -3.0]
     m.layers[1][0].data[...] = [[2.0], [7.0]]
     m.layers[1][1].data[...] = [1.0]
-    out = m.forward(np.array([[1.0, 2.0]]))
+    out = m.logits(np.array([[1.0, 2.0]]))
     assert np.allclose(out.data, [[7.0]])
 
 
 def test_mlp_shape_error_names_layer():
-    m = Mlp([3, 4, 2], head="logits", rng=np.random.default_rng(0))
+    m = Mlp([3, 4, 2], rng=np.random.default_rng(0))
     with pytest.raises(ContractError, match="layer 0"):
-        m.forward(np.zeros((1, 5)))
+        m.logits(np.zeros((1, 5)))
 
 
 def test_mlp_init_bounds_and_zero_bias():
-    m = Mlp([10, 20], head="logits", rng=np.random.default_rng(7))
+    m = Mlp([10, 20], rng=np.random.default_rng(7))
     w, b = m.layers[0]
     lim = np.sqrt(6.0 / 30.0)
     assert np.all(np.abs(w.data) <= lim)
@@ -156,7 +156,7 @@ def test_mlp_init_bounds_and_zero_bias():
 
 def test_mlp_cross_entropy_gradcheck():
     rng = np.random.default_rng(42)
-    m = Mlp([4, 6, 3], head="logits", rng=rng)
+    m = Mlp([4, 6, 3], rng=rng)
     x = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, size=5)
 
@@ -206,7 +206,7 @@ def test_sgd_config_validation():
 
 
 def test_mlp_copy_is_deep_and_stopped_is_view():
-    m = Mlp([2, 2], head="logits", rng=np.random.default_rng(0))
+    m = Mlp([2, 2], rng=np.random.default_rng(0))
     c = m.copy(frozen=True)
     s = m.stopped()
     m.layers[0][0].data[0, 0] += 10.0
@@ -216,7 +216,7 @@ def test_mlp_copy_is_deep_and_stopped_is_view():
 
 
 def test_stopped_model_builds_no_graph():
-    m = Mlp([3, 4, 2], head="logits", rng=np.random.default_rng(1))
+    m = Mlp([3, 4, 2], rng=np.random.default_rng(1))
     out = m.stopped().logits(np.ones((2, 3)))
     assert not out.requires_grad
     loss = tsum(out)
@@ -226,8 +226,8 @@ def test_stopped_model_builds_no_graph():
 
 def test_classifier_composition():
     rng = np.random.default_rng(3)
-    clf = Classifier(Mlp([4, 5, 3], head="logits", rng=rng),
-                     Mlp([3, 2], head="softmax", rng=rng))
+    clf = Classifier(Mlp([4, 5, 3], rng=rng),
+                     Mlp([3, 2], rng=rng))
     x = rng.normal(size=(6, 4))
     p = clf.probs(x).data
     assert p.shape == (6, 2)
@@ -238,7 +238,7 @@ def test_classifier_composition():
 def test_determinism_forward_backward():
     def run():
         rng = np.random.default_rng(11)
-        m = Mlp([4, 8, 3], head="logits", rng=rng)
+        m = Mlp([4, 8, 3], rng=rng)
         x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
         loss = _mean_xent(m.logits(x), y)
@@ -264,7 +264,7 @@ def test_dropped_graph_is_freed_without_cyclic_gc():
     """No closure refers to its own output, so a graph holds no reference
     cycle and a dropped loss is freed by reference counting alone."""
     rng = np.random.default_rng(5)
-    m = Mlp([4, 6, 3], head="logits", rng=rng)
+    m = Mlp([4, 6, 3], rng=rng)
     x = rng.normal(size=(8, 4))
     y = rng.integers(0, 3, size=8)
     gc.collect()
@@ -418,7 +418,8 @@ def test_linear_rejects_mismatched_shapes():
 def test_every_public_op_has_a_library_caller():
     """The core keeps only the ops the library calls: each public function
     of dilkit.autodiff, apart from the finite-difference oracle gradcheck,
-    is imported by another module of the package."""
+    is imported by another module of the package, and Tensor carries no
+    operator sugar (no dunder method but __init__ and __repr__)."""
     pkg = Path(dilkit.__file__).parent
     core = ast.parse((pkg / "autodiff.py").read_text())
     public = {node.name for node in core.body
@@ -434,3 +435,7 @@ def test_every_public_op_has_a_library_caller():
                 imported.update(alias.name for alias in node.names)
     assert public, "no public functions found in dilkit.autodiff"
     assert not public - imported, sorted(public - imported)
+    dunders = {name for name, value in vars(Tensor).items()
+               if name.startswith("__") and name.endswith("__")
+               and callable(value)}
+    assert dunders == {"__init__", "__repr__"}, sorted(dunders)

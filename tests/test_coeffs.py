@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilkit.autodiff import ContractError, Tensor, column, tsum, mul
+from dilkit.autodiff import ContractError, Tensor, add, column, tsum, mul
 from dilkit.coeffs import (
     CoeffSimplex, ESM_ER_RATIO, METHODS, TRIPLE_PRESETS, from_preset,
     init_uniform, preset_triple,
@@ -125,7 +125,7 @@ def test_simplex_closure_under_sgd(seed, t, n_steps):
     target = Tensor(rng.random((t - 1, 3)))
     for _ in range(n_steps):
         m = s.materialize()
-        diff = m - target
+        diff = add(m, mul(target, -1.0))
         loss = tsum(mul(diff, diff))
         loss.backward()
         sgd_step([s.logits], 0.5)

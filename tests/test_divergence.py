@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from dilkit.autodiff import ContractError
 from dilkit.datagen import LabeledSet
 from dilkit.divergence import (
-    FiniteHypothesisClass, _as_sample, all_labelings, hdh_exact,
-    hdh_discriminator_estimate, threshold_class,
+    FiniteHypothesisClass, _as_sample, all_labelings,
+    discriminator_divergences, hdh_exact, hdh_discriminator_estimate,
+    threshold_class,
 )
 from dilkit.losses import classification_loss
 from dilkit.models import Mlp, sgd_step, zero_grads
@@ -29,7 +30,7 @@ def naive_hdh(labelings, sample_p, sample_q):
 
 
 def identity_encoder(dim):
-    m = Mlp([dim, dim], head="logits", rng=np.random.default_rng(0))
+    m = Mlp([dim, dim], rng=np.random.default_rng(0))
     m.layers[0][0].data[...] = np.eye(dim)
     m.layers[0][1].data[...] = 0.0
     return m
@@ -144,14 +145,14 @@ def test_threshold_class_structure():
 
 def test_discriminator_estimate_identical_sets_zero():
     enc = identity_encoder(2)
-    d = Mlp([2, 2], "softmax", rng=np.random.default_rng(1))
+    d = Mlp([2, 2], rng=np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(20, 2))
     assert hdh_discriminator_estimate(d, enc, x, x, 1) == 0.0
 
 
 def test_discriminator_estimate_perfect_separation():
     enc = identity_encoder(2)
-    d = Mlp([2, 2], "softmax", rng=np.random.default_rng(1))
+    d = Mlp([2, 2], rng=np.random.default_rng(1))
     d.layers[0][0].data[...] = np.array([[40.0, 0.0], [0.0, 40.0]])
     past = np.array([[1.0, 0.0]] * 5)
     cur = np.array([[0.0, 1.0]] * 7)
@@ -160,7 +161,7 @@ def test_discriminator_estimate_perfect_separation():
 
 def test_discriminator_estimate_clamped_at_zero():
     enc = identity_encoder(2)
-    d = Mlp([2, 2], "softmax", rng=np.random.default_rng(1))
+    d = Mlp([2, 2], rng=np.random.default_rng(1))
     # anti-separating: claims current for past points and vice versa
     d.layers[0][0].data[...] = np.array([[0.0, 40.0], [40.0, 0.0]])
     past = np.array([[1.0, 0.0]] * 5)
@@ -170,12 +171,32 @@ def test_discriminator_estimate_clamped_at_zero():
 
 def test_discriminator_estimate_contracts():
     enc = identity_encoder(2)
-    d = Mlp([2, 3], "softmax", rng=np.random.default_rng(1))
+    d = Mlp([2, 3], rng=np.random.default_rng(1))
     x = np.zeros((3, 2))
     with pytest.raises(ContractError):
         hdh_discriminator_estimate(d, enc, np.zeros((0, 2)), x, 1)
     with pytest.raises(ContractError):
         hdh_discriminator_estimate(d, enc, x, x, 3)  # head arity 3 -> past in [1,2]
+
+
+def test_discriminator_divergences_read_each_segment():
+    # t = 3: current rows lean to class 3, domain 1's rows to class 1 and
+    # domain 2's rows to class 3 as well
+    cur, first, second = [0.1, 0.1, 0.8], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]
+    probs = np.array([cur] * 3 + [first] * 2 + [second] * 4)
+    got = discriminator_divergences(probs, [0, 3, 5, 9], [1, 2])
+    assert got.tolist() == [2.0, 0.0]
+
+
+def test_discriminator_divergences_contracts():
+    probs = np.full((5, 3), 1 / 3)
+    for bounds, ids in (([0, 0, 5], [1]), ([0, 2, 2, 5], [1, 2]),
+                        ([0, 2, 5], [1, 2])):
+        with pytest.raises(ContractError, match="nonempty"):
+            discriminator_divergences(probs, bounds, ids)
+    for bad in (0, 3):
+        with pytest.raises(ContractError, match=r"in \[1, 2\]"):
+            discriminator_divergences(probs, [0, 2, 5], [bad])
 
 
 def test_trained_discriminator_tracks_exact_divergence():
@@ -190,7 +211,7 @@ def test_trained_discriminator_tracks_exact_divergence():
                       np.arange(n, 2 * n))
 
     enc = identity_encoder(1)
-    d = Mlp([1, 2], "softmax", rng=substream(0xD1, "disc-init"))
+    d = Mlp([1, 2], rng=substream(0xD1, "disc-init"))
     batch = LabeledSet(pooled.reshape(-1, 1), [0] * n + [1] * n)
     for _ in range(400):
         loss = classification_loss(d, batch)

@@ -16,7 +16,7 @@ from reference_step import distillation_loss, erm01_agreement
 
 
 def identity_mlp(dim):
-    m = Mlp([dim, dim], head="logits", rng=np.random.default_rng(0))
+    m = Mlp([dim, dim], rng=np.random.default_rng(0))
     m.layers[0][0].data[...] = np.eye(dim)
     m.layers[0][1].data[...] = 0.0
     return m
@@ -29,8 +29,8 @@ def passthrough_classifier(k):
 
 def random_classifier(in_dim, k, seed, hidden=5, embed=4):
     rng = np.random.default_rng(seed)
-    return Classifier(Mlp([in_dim, hidden, embed], "logits", rng=rng),
-                      Mlp([embed, k], "softmax", rng=rng))
+    return Classifier(Mlp([in_dim, hidden, embed], rng=rng),
+                      Mlp([embed, k], rng=rng))
 
 
 # numpy-only oracles
@@ -254,7 +254,7 @@ def test_v_01_contract_positive_counts():
 
 def test_v_d_zero_betas():
     enc = identity_mlp(3)
-    d = Mlp([3, 2], "softmax", rng=np.random.default_rng(0))
+    d = Mlp([3, 2], rng=np.random.default_rng(0))
     got = v_d(d, enc, np.array([[0.5, 0.0, 0.5]]), np.zeros((4, 3)),
               {1: np.zeros((4, 3))}, t=2)
     assert got.item() == 0.0
@@ -262,7 +262,7 @@ def test_v_d_zero_betas():
 
 def test_v_d_uniform_discriminator_4ln3():
     enc = identity_mlp(3)
-    d = Mlp([3, 3], "softmax", rng=np.random.default_rng(0))
+    d = Mlp([3, 3], rng=np.random.default_rng(0))
     d.layers[0][0].data[...] = 0.0
     omega = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     rng = np.random.default_rng(1)
@@ -273,7 +273,7 @@ def test_v_d_uniform_discriminator_4ln3():
 
 def test_v_d_perfect_discriminator_near_zero():
     enc = identity_mlp(2)
-    d = Mlp([2, 3], "softmax", rng=np.random.default_rng(0))
+    d = Mlp([2, 3], rng=np.random.default_rng(0))
     d.layers[0][0].data[...] = np.array([[60.0, 0.0, 0.0],
                                          [0.0, 0.0, 60.0]])
     cur = np.array([[0.0, 1.0]] * 3)     # class index 2
@@ -288,7 +288,7 @@ def test_v_d_perfect_discriminator_near_zero():
 
 def test_v_d_arity_contract():
     enc = identity_mlp(3)
-    d = Mlp([3, 2], "softmax", rng=np.random.default_rng(0))
+    d = Mlp([3, 2], rng=np.random.default_rng(0))
     with pytest.raises(ContractError, match="arity"):
         v_d(d, enc, np.array([[0.0, 1.0, 0.0]]), np.zeros((2, 3)),
             {1: np.zeros((2, 3))}, t=3)
@@ -308,8 +308,8 @@ def test_v_p_identical_and_shifted():
 
 def test_v_p_numpy_oracle():
     rng = np.random.default_rng(40)
-    enc = Mlp([3, 4, 2], "logits", rng=rng)
-    prev = Mlp([3, 4, 2], "logits", rng=rng)
+    enc = Mlp([3, 4, 2], rng=rng)
+    prev = Mlp([3, 4, 2], rng=rng)
     x = {1: rng.normal(size=(10, 3))}
     diff = enc.logits(x[1]).data - prev.logits(x[1]).data
     assert v_p(enc, prev, x).item() == pytest.approx((diff ** 2).sum() / 10)
@@ -370,9 +370,9 @@ def test_v_s_hand_table():
 
 def test_encoder_aux_reductions_and_composition():
     rng = np.random.default_rng(50)
-    enc = Mlp([3, 4, 2], "logits", rng=rng)
-    prev = Mlp([3, 4, 2], "logits", rng=rng)
-    d = Mlp([2, 2], "softmax", rng=rng).stopped()
+    enc = Mlp([3, 4, 2], rng=rng)
+    prev = Mlp([3, 4, 2], rng=rng)
+    d = Mlp([2, 2], rng=rng).stopped()
     cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
     past = {1: LabeledSet(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))}
     omega = np.array([[0.2, 0.5, 0.3]])
@@ -399,8 +399,8 @@ def test_encoder_aux_reductions_and_composition():
 
 def test_encoder_aux_gradient_reaches_encoder_only():
     rng = np.random.default_rng(51)
-    enc = Mlp([3, 4, 2], "logits", rng=rng)
-    d = Mlp([2, 2], "softmax", rng=rng)
+    enc = Mlp([3, 4, 2], rng=rng)
+    d = Mlp([2, 2], rng=rng)
     cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
     past = {1: LabeledSet(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))}
     hp = HyperParams(lambda_d=1.0)
@@ -420,12 +420,12 @@ def test_loss_gradients_finite_difference(seed):
     gradcheck(lambda: v_l(h, hist, omega, cur, past), h.params(),
               rng=rng, max_coords=4)
 
-    d = Mlp([4, 2], "softmax", rng=rng)
+    d = Mlp([4, 2], rng=rng)
     enc = h.encoder
     gradcheck(lambda: v_d(d, enc, omega, cur.x, {1: past[1].x}, 2),
               enc.params() + d.params(), rng=rng, max_coords=4)
 
-    prev = Mlp([3, 5, 4], "logits", rng=rng)
+    prev = Mlp([3, 5, 4], rng=rng)
     gradcheck(lambda: v_p(enc, prev, {1: past[1].x}), enc.params(),
               rng=rng, max_coords=4)
 

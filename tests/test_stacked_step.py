@@ -1,11 +1,14 @@
-"""Differential tests: the stacked-batch losses and coefficient statistics
-against the per-domain reference in reference_step.py, on random states."""
+"""Differential tests: the stacked-batch losses, coefficient statistics
+and divergence estimate against the per-domain reference in
+reference_step.py, on random states."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_step as ref
 from dilkit.autodiff import ContractError, Tensor
 from dilkit.datagen import LabeledSet
+from dilkit.divergence import hdh_discriminator_estimate
 from dilkit.losses import HistorySnapshot, v_d, v_l, v_p
 from dilkit.models import Classifier, Mlp
 from dilkit.trainer import coeff_stats_for_step
@@ -15,8 +18,8 @@ KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
 
 
 def _classifier(rng, frozen=False):
-    clf = Classifier(Mlp([IN_DIM, 6, EMBED], "logits", rng=rng),
-                     Mlp([EMBED, N_CLASSES], "softmax", rng=rng))
+    clf = Classifier(Mlp([IN_DIM, 6, EMBED], rng=rng),
+                     Mlp([EMBED, N_CLASSES], rng=rng))
     return clf.copy(frozen=True) if frozen else clf
 
 
@@ -48,7 +51,7 @@ def _state(seed, t, kind):
     rng = np.random.default_rng(seed)
     h = _classifier(rng)
     teacher = _classifier(rng, frozen=True)
-    disc = Mlp([EMBED, 6, t], "softmax", rng=rng)
+    disc = Mlp([EMBED, 6, t], rng=rng)
     current = _batch(rng, int(rng.integers(1, 10)), t)
     past = {i: _batch(rng, int(rng.integers(1, 8)), i) for i in range(1, t)}
     history = HistorySnapshot(teacher, {i: float(rng.random()) for i in past})
@@ -133,6 +136,54 @@ def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
     assert tracked and not any(tracked)
 
 
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_coeff_stats_runs_each_network_once(monkeypatch, t):
+    """Five Mlp.logits calls at every t: the encoder, the predictor and the
+    discriminator once each over the stacked batch, and the teacher's two
+    nets once each; none per past domain."""
+    h, history, disc, _, current, past = _state(700 + t, t, "UDIL")
+    calls = []
+    logits = Mlp.logits
+
+    def counting_logits(self, x):
+        calls.append(self)
+        return logits(self, x)
+
+    monkeypatch.setattr(Mlp, "logits", counting_logits)
+    coeff_stats_for_step(h, history, disc, current, past)
+    assert len(calls) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 5), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from(("plain", "tie", "scaled")),
+       st.integers(0, 2 ** 31 - 1))
+def test_divergence_estimate_matches_reference_exactly(data, arity, n_cur,
+                                                       n_past, mode, seed):
+    """One stacked forward gives the reference's two-forward estimate
+    exactly, at every past index: with a tie (delta = 0 on every row, the
+    two columns' last-layer weights equal) and with logits scaled by 1e3."""
+    past_index = data.draw(st.integers(1, arity - 1))
+    rng = np.random.default_rng(seed)
+    enc = Mlp([IN_DIM, 6, EMBED], rng=rng)
+    disc = Mlp([EMBED, 6, arity], rng=rng)
+    w, b = disc.layers[-1]
+    b.data[...] = rng.normal(size=arity)
+    if mode == "tie":
+        w.data[:, past_index - 1] = w.data[:, arity - 1]
+        b.data[past_index - 1] = b.data[arity - 1]
+    elif mode == "scaled":
+        w.data *= 1e3
+        b.data *= 1e3
+    cur = rng.normal(size=(n_cur, IN_DIM)) * 2.0
+    past_x = rng.normal(size=(n_past, IN_DIM)) * 2.0 + rng.normal(size=IN_DIM)
+    got = hdh_discriminator_estimate(disc, enc, cur, past_x, past_index)
+    want = ref.hdh_discriminator_estimate(disc, enc, cur, past_x, past_index)
+    assert got == want
+    if mode == "tie":
+        assert got == 0.0
+
+
 def _outcome(fn):
     try:
         return fn().item()
@@ -171,7 +222,7 @@ def test_empty_segment_contracts_match_reference(kind, empty):
 def test_v_l_teacher_arity_contract_kept():
     h, history, _, _, current, past = _state(600, 2, "UDIL")
     wide = Classifier(history.classifier.encoder,
-                      Mlp([EMBED, N_CLASSES + 1], "softmax",
+                      Mlp([EMBED, N_CLASSES + 1],
                           rng=np.random.default_rng(0)))
     bad = HistorySnapshot(wide, history.cached_consts)
     omega = np.array([[0.5, 0.0, 0.5]])

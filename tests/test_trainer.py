@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dilkit.autodiff import ContractError, mul
+from dilkit.autodiff import ContractError, add, mul
 from dilkit.coeffs import ConfigError, TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
 from dilkit.losses import (
@@ -59,7 +59,10 @@ def test_domain1_equals_plain_sgd():
     stream = small_stream()
     cfg = small_config("UDIL")
     state = train_domain(initial_state(cfg, 4, 2), stream.train(1))
-    assert state.t == 2 and state.omega is None and state.omega_log == {}
+    assert state.t == 2 and state.omega_log == {}
+    # the discriminator and the simplex live only inside one train_domain call
+    assert {"disc", "omega"}.isdisjoint(
+        f.name for f in dataclasses.fields(state))
 
     # independent replication: fresh model, same init and batch substreams
     manual = SMALL_ARCH.build_classifier(4, 2, substream(1, "init"))
@@ -172,8 +175,7 @@ def test_train_domain_contracts():
     with pytest.raises(ContractError, match="empty"):
         train_domain(state, LabeledSet(np.zeros((0, 4)), [], 1))
     with pytest.raises(ContractError):
-        TrainState(model=state.model, disc=None, history=None, omega=None,
-                   bank=MemoryBank(10),
+        TrainState(model=state.model, history=None, bank=MemoryBank(10),
                    config=TrainerConfig(method="UDIL", seed=0, arch=SMALL_ARCH,
                                         sgd=SgdConfig(0.1, 1, 1)),
                    t=2)
@@ -208,7 +210,7 @@ def test_snapshot_untrained_model_near_chance():
     bank.update_after_domain(LabeledSet(x, y, 1), 1, seed=77)
     state = TrainState(
         model=SMALL_ARCH.build_classifier(6, 2, substream(77, "init")),
-        disc=None, history=None, omega=None, bank=bank,
+        history=None, bank=bank,
         config=TrainerConfig(method="UDIL", seed=77, arch=SMALL_ARCH,
                              sgd=SgdConfig(0.1, 1, 1)),
         t=1)
@@ -279,7 +281,7 @@ def test_update_isolation_checksums():
     aux = encoder_aux_loss(model.encoder, disc.stopped(),
                            state.history.classifier.encoder, frozen, current,
                            past, t, HyperParams(), rng)
-    total = loss7 + aux
+    total = add(loss7, aux)
     total.backward()
     sgd_step(model.params(), 0.2)
     assert unchanged(disc.params(), d0) and unchanged([simplex.logits], o0)
