@@ -139,6 +139,8 @@ def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,
     discriminator_divergences), from one forward over the two stacked
     samples; ``past_index`` must be in [1, t - 1] for a discriminator of
     arity t."""
+    if np.shape(current_x)[1:] != np.shape(past_x)[1:]:
+        raise ContractError("current and past samples must have one width")
     x, bounds = stack_segments([current_x, past_x])
     probs = softmax(d.logits(encoder.logits(x))).data
     return float(discriminator_divergences(probs, bounds, [past_index])[0])

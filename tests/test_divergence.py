@@ -176,7 +176,12 @@ def test_discriminator_estimate_contracts():
     with pytest.raises(ContractError):
         hdh_discriminator_estimate(d, enc, np.zeros((0, 2)), x, 1)
     with pytest.raises(ContractError):
-        hdh_discriminator_estimate(d, enc, x, x, 3)  # head arity 3 -> past in [1,2]
+        hdh_discriminator_estimate(d, enc, x, x, 3)  # arity 3 -> past in [1,2]
+    for bad in (np.zeros(0), np.zeros((3, 3))):  # not [n, 2] like x
+        with pytest.raises(ContractError):
+            hdh_discriminator_estimate(d, enc, bad, x, 1)
+        with pytest.raises(ContractError):
+            hdh_discriminator_estimate(d, enc, x, bad, 1)
 
 
 def test_discriminator_divergences_read_each_segment():
