@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
-Ops, each one the library calls: add, mul, relu, sqrt, tsum, rowsum, rows,
-column, reshape, concat_cols, softmax, and the fused linear (x @ w + b) and
-softmax_xent (-sum(target * log_softmax(a)), every cross-entropy loss).
+Ops, each one the library calls: add, mul, relu, sqrt, tsum, rowsum,
+reshape, softmax, linear and softmax_xent.  linear is x @ w + b as one
+node; softmax_xent is -sum(target * log_softmax(a)), every cross-entropy.
 
 Each op builds a Tensor holding a `_backward` closure; `backward()` runs
 the closures in reverse topological order, passing each node its own
@@ -14,7 +14,7 @@ Gradients are cleared by the optimizer step, not here.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -181,53 +181,12 @@ def rowsum(a: Tensor) -> Tensor:
     return out
 
 
-def rows(a: Tensor, idx) -> Tensor:
-    """[n, c], [k] -> [k, c]: gather whole rows (duplicates allowed)."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = _make(a.data[idx], (a,))
-    if out.requires_grad:
-        def _back(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            a._accum(full)
-        out._backward = _back
-    return out
-
-
-def column(a: Tensor, j: int) -> Tensor:
-    """[r, c] -> [r]: one column."""
-    a = _wrap(a)
-    out = _make(a.data[:, j].copy(), (a,))
-    if out.requires_grad:
-        def _back(g):
-            full = np.zeros_like(a.data)
-            full[:, j] = g
-            a._accum(full)
-        out._backward = _back
-    return out
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     a = _wrap(a)
     out = _make(a.data.reshape(shape), (a,))
     if out.requires_grad:
         def _back(g):
             a._accum(g.reshape(a.data.shape))
-        out._backward = _back
-    return out
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along axis 1."""
-    parts = [_wrap(p) for p in parts]
-    widths = [p.data.shape[1] for p in parts]
-    out = _make(np.concatenate([p.data for p in parts], axis=1), parts)
-    if out.requires_grad:
-        offsets = np.cumsum([0] + widths)
-        def _back(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p._accum(g[:, lo:hi])
         out._backward = _back
     return out
 

@@ -13,6 +13,7 @@ from .seeding import substream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+TEST_FRACTION = 0.2  # the last fifth of each split pool is held out
 
 
 class FormatError(ValueError):
@@ -76,10 +77,10 @@ class DomainStream:
         return self.domains[t - 1][1]
 
 
-def _split_80_20(x: np.ndarray, y: np.ndarray, domain_id: int,
-                 test_fraction: float = 0.2) -> tuple[LabeledSet, LabeledSet]:
+def _split_80_20(x: np.ndarray, y: np.ndarray,
+                 domain_id: int) -> tuple[LabeledSet, LabeledSet]:
     n = x.shape[0]
-    n_train = n - int(round(n * test_fraction))
+    n_train = n - int(round(n * TEST_FRACTION))
     return (LabeledSet(x[:n_train], y[:n_train], domain_id),
             LabeledSet(x[n_train:], y[n_train:], domain_id))
 
@@ -169,16 +170,14 @@ def rotate_images(x: np.ndarray, angles_deg: np.ndarray, side: int) -> np.ndarra
     return out
 
 
-def _base_splits(base: LabeledSet, base_test: LabeledSet | None,
-                 test_fraction: float) -> tuple[LabeledSet, LabeledSet]:
+def _base_splits(base: LabeledSet,
+                 base_test: LabeledSet | None) -> tuple[LabeledSet, LabeledSet]:
     if base_test is not None:
         return base, base_test
-    n = len(base)
-    n_train = n - int(round(n * test_fraction))
-    if n_train < 1 or n_train >= n:
+    train, test = _split_80_20(base.x, base.y, base.domain_id)
+    if len(train) == 0 or len(test) == 0:
         raise ConfigError("base set too small to split")
-    return (LabeledSet(base.x[:n_train], base.y[:n_train], base.domain_id),
-            LabeledSet(base.x[n_train:], base.y[n_train:], base.domain_id))
+    return train, test
 
 
 def _subsample(s: LabeledSet, n: int | None, rng: np.random.Generator) -> LabeledSet:
@@ -190,14 +189,13 @@ def _subsample(s: LabeledSet, n: int | None, rng: np.random.Generator) -> Labele
 
 def permuted_stream(base: LabeledSet, n_domains: int, seed: int,
                     base_test: LabeledSet | None = None,
-                    test_fraction: float = 0.2,
                     n_per_domain: int | None = None,
                     n_test_per_domain: int | None = None) -> DomainStream:
     """Each domain applies its own fixed random pixel permutation (domain 1
     included) to the same base train/test pools."""
     if len(base) == 0:
         raise ContractError("base set is empty")
-    tr0, te0 = _base_splits(base, base_test, test_fraction)
+    tr0, te0 = _base_splits(base, base_test)
     k = int(base.y.max()) + 1
     domains = []
     for t in range(1, n_domains + 1):
@@ -212,7 +210,6 @@ def permuted_stream(base: LabeledSet, n_domains: int, seed: int,
 
 def rotated_stream(base: LabeledSet, n_domains: int, seed: int,
                    base_test: LabeledSet | None = None,
-                   test_fraction: float = 0.2,
                    n_per_domain: int | None = None,
                    n_test_per_domain: int | None = None,
                    degrees_per_domain: float = 9.0) -> DomainStream:
@@ -223,7 +220,7 @@ def rotated_stream(base: LabeledSet, n_domains: int, seed: int,
     side = int(round(np.sqrt(base.x.shape[1])))
     if side * side != base.x.shape[1]:
         raise ConfigError("rotated stream requires square images")
-    tr0, te0 = _base_splits(base, base_test, test_fraction)
+    tr0, te0 = _base_splits(base, base_test)
     k = int(base.y.max()) + 1
     domains = []
     for t in range(1, n_domains + 1):

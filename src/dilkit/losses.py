@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    ContractError, Tensor, add, column, concat_cols, mul, reshape, rows,
-    rowsum, softmax_xent, sqrt, tsum,
+    ContractError, Tensor, add, linear, mul, reshape, rowsum, softmax_xent,
+    sqrt, tsum,
 )
 from .coeffs import CoeffSimplex
 from .datagen import LabeledSet
@@ -148,22 +148,33 @@ class CoeffStats:
 def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
          n_current: int, n_memory: np.ndarray) -> Tensor:
     """Coefficient loss: the 0-1 surrogate bound evaluated at the simplex,
-    differentiable only through the coefficient logits."""
+    differentiable only through the coefficient logits.  With m the [t-1, 3]
+    triples it is sum(m * L) + c_gen * sqrt(sum(w * v**2)): row i of L
+    weighs (alpha_i, beta_i, gamma_i) by (eps_intra_i + eps_hist_i,
+    eps_cross + dhat_i / 2 + eps_hist_i, eps_replay_i), v = (1 + sum beta,
+    alpha_i + gamma_i) is one affine map of the flattened triples, and
+    w = (1 / n_current, 1 / n_i)."""
     n_memory = np.asarray(n_memory, dtype=np.float64)
+    m = simplex.materialize()
+    n_past = m.data.shape[0]
+    if n_memory.shape != (n_past,) or len(stats.eps_replay) != n_past:
+        raise ContractError(
+            f"v_01: the simplex has {n_past} past domains, the stats "
+            f"{len(stats.eps_replay)} and n_memory {n_memory.size}")
     if n_current <= 0 or np.any(n_memory <= 0):
         raise ContractError("v_01 requires positive sample counts")
-    m = simplex.materialize()
-    alpha, beta, gamma = column(m, 0), column(m, 1), column(m, 2)
-    loss = tsum(mul(gamma, stats.eps_replay))
-    loss = add(loss, tsum(mul(alpha, stats.eps_intra)))
-    loss = add(loss, mul(tsum(beta), stats.eps_cross))
-    loss = add(loss, mul(tsum(mul(beta, stats.dhat)), 0.5))
-    loss = add(loss, tsum(mul(add(alpha, beta), stats.eps_hist)))
-    one_plus_sb = add(tsum(beta), 1.0)
-    rad = mul(mul(one_plus_sb, one_plus_sb), 1.0 / n_current)
-    ga = add(gamma, alpha)
-    rad = add(rad, tsum(mul(mul(ga, ga), 1.0 / n_memory)))
-    return add(loss, mul(sqrt(rad), c_gen))
+    weights = np.stack([stats.eps_intra + stats.eps_hist,
+                        stats.eps_cross + 0.5 * stats.dhat + stats.eps_hist,
+                        stats.eps_replay], axis=1)
+    # v = flat @ select + e_0; flat[3i:3i + 3] is (alpha_i, beta_i, gamma_i)
+    select = np.zeros((3 * n_past, n_past + 1))
+    select[1::3, 0] = 1.0
+    select[0::3, 1:] = np.eye(n_past)
+    select[2::3, 1:] = np.eye(n_past)
+    v = linear(reshape(m, (1, 3 * n_past)), select, np.eye(1, n_past + 1)[0])
+    w = np.concatenate([[1.0 / n_current], 1.0 / n_memory])
+    rad = sqrt(tsum(mul(mul(v, v), w)))
+    return add(tsum(mul(m, weights)), mul(rad, c_gen))
 
 
 def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,
@@ -245,19 +256,20 @@ def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
     m = len(keep)
     a_idx = np.array(anchors)[keep]
     p_idx = np.array(positives)[keep]
-    neg = np.stack(negatives)
+    # row (r, 0) of the selection is anchor r minus its positive, row (r, j)
+    # anchor r minus its j-th negative: one product gives every difference
+    partner = np.concatenate([p_idx[:, None], np.stack(negatives)], axis=1)
+    select = np.zeros((partner.size, n))
+    pairs = np.arange(partner.size)
+    select[pairs, np.repeat(a_idx, n_negatives + 1)] = 1.0
+    select[pairs, partner.ravel()] = -1.0
     emb = encoder.logits(batch.x)
-    d_pos = add(rows(emb, a_idx), mul(rows(emb, p_idx), -1.0))
-    s_pos = rowsum(mul(d_pos, d_pos))
-    d_neg = add(rows(emb, np.repeat(a_idx, n_negatives)),
-                mul(rows(emb, neg.ravel()), -1.0))
-    s_neg = reshape(rowsum(mul(d_neg, d_neg)), (m, n_negatives))
+    diff = linear(select, emb, np.zeros(emb.data.shape[1]))
+    dist = reshape(rowsum(mul(diff, diff)), partner.shape)
     # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] is the cross-entropy of
-    # the logits [0, s+ - s-_1, ...] toward column 0
-    gap = add(reshape(s_pos, (m, 1)), mul(s_neg, -1.0))
-    z = concat_cols([Tensor(np.zeros((m, 1))), gap])
+    # the logits -[s+, s-_1, ...] toward column 0
     target = _one_hot(np.zeros(m, np.int64), n_negatives + 1, 1.0 / k)
-    return softmax_xent(z, target)
+    return softmax_xent(mul(dist, -1.0), target)
 
 
 def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp,

@@ -27,7 +27,6 @@ def quotas(capacity: int, t: int) -> list[int]:
 class MemoryBank:
     capacity: int
     buckets: dict[int, LabeledSet] = field(default_factory=dict)
-    t_seen: int = 0
     shortfalls: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -43,9 +42,9 @@ class MemoryBank:
     def update_after_domain(self, current: LabeledSet, t: int, seed: int) -> None:
         """Shrink old buckets to their new quotas (uniform eviction) and fill
         bucket t from `current` (uniform draw without replacement)."""
-        if t != self.t_seen + 1:
+        if t != len(self.buckets) + 1:
             raise ContractError(
-                f"update_after_domain expects t={self.t_seen + 1}, got {t}")
+                f"update_after_domain expects t={len(self.buckets) + 1}, got {t}")
         q = quotas(self.capacity, t)
         rng = substream(seed, "membank", t)
         for i in range(1, t):
@@ -63,7 +62,6 @@ class MemoryBank:
         else:
             take = np.sort(rng.choice(len(current), size=want_t, replace=False))
         self.buckets[t] = current.subset(take, domain_id=t)
-        self.t_seen = t
 
     def sample_past(self, per_domain_batch: int,
                     rng: np.random.Generator) -> dict[int, LabeledSet]:

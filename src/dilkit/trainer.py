@@ -46,6 +46,18 @@ class TrainerConfig:
     split_memory_batch: bool = False   # split one batch across past domains
     baseline_models: int = 5
 
+    def __post_init__(self):
+        for name in ("omega_lr", "disc_lr"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ContractError(f"{name} must be finite and > 0, got {value}")
+        if self.memory_batch is not None and self.memory_batch < 1:
+            raise ContractError(
+                f"memory_batch must be >= 1, got {self.memory_batch}")
+        if self.baseline_models < 1:
+            raise ContractError(
+                f"baseline_models must be >= 1, got {self.baseline_models}")
+
 
 @dataclass
 class TrainState:

@@ -1,9 +1,12 @@
 """Test-only reference: the autodiff ops the library composed its layers
-and cross-entropies from before `linear` and `softmax_xent` fused them.
-The differential tests in test_autodiff.py compare the fused ops against
-these compositions, and reference_step.py builds its per-domain losses
-from them."""
+and cross-entropies from before `linear` and `softmax_xent` fused them,
+and the slicing ops V_01 and V_s were built from before each became one
+weighted product.  The differential tests in test_autodiff.py compare the
+fused ops against these compositions, and reference_step.py builds its
+per-domain losses from them."""
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -70,3 +73,44 @@ def lse(a: Tensor) -> Tensor:
 def log_softmax(a: Tensor) -> Tensor:
     n = a.data.shape[0]
     return add(a, mul(reshape(lse(a), (n, 1)), -1.0))
+
+
+def rows(a: Tensor, idx) -> Tensor:
+    """[n, c], [k] -> [k, c]: gather whole rows (duplicates allowed)."""
+    a = _wrap(a)
+    idx = np.asarray(idx, dtype=np.int64)
+    out = _make(a.data[idx], (a,))
+    if out.requires_grad:
+        def _back(g):
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            a._accum(full)
+        out._backward = _back
+    return out
+
+
+def column(a: Tensor, j: int) -> Tensor:
+    """[r, c] -> [r]: one column."""
+    a = _wrap(a)
+    out = _make(a.data[:, j].copy(), (a,))
+    if out.requires_grad:
+        def _back(g):
+            full = np.zeros_like(a.data)
+            full[:, j] = g
+            a._accum(full)
+        out._backward = _back
+    return out
+
+
+def concat_cols(parts: Iterable[Tensor]) -> Tensor:
+    """Concatenate 2-D tensors along axis 1."""
+    parts = [_wrap(p) for p in parts]
+    widths = [p.data.shape[1] for p in parts]
+    out = _make(np.concatenate([p.data for p in parts], axis=1), parts)
+    if out.requires_grad:
+        offsets = np.cumsum([0] + widths)
+        def _back(g):
+            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+                p._accum(g[:, lo:hi])
+        out._backward = _back
+    return out

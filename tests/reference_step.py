@@ -2,23 +2,32 @@
 and discriminator divergence estimate as they were before the losses ran
 over one stacked batch.  Each past domain gets its own forward passes
 here; the differential tests in test_stacked_step.py compare the stacked
-code against these.  The distillation loss and the 0-1 disagreement they
-are built from have no caller in the library and live here, tested in
-test_losses.py."""
+code against these.  V_01 and V_s are kept as they were built from
+per-column and per-row slices, before each became one weighted product;
+test_losses.py compares the library's against them.  The distillation
+loss and the 0-1 disagreement they are built from have no caller in the
+library and live here, tested in test_losses.py."""
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 
 from dilkit.autodiff import (
-    ContractError, Tensor, add, mul, rowsum, softmax, tsum,
+    ContractError, Tensor, add, mul, reshape, rowsum, softmax, softmax_xent,
+    sqrt, tsum,
 )
+from dilkit.coeffs import CoeffSimplex
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    CoeffStats, HistorySnapshot, _check_omega, classification_loss, erm01,
+    CoeffStats, HistorySnapshot, _check_omega, _one_hot, classification_loss,
+    erm01,
 )
 from dilkit.models import Classifier, Mlp
 
-from reference_ops import log_softmax, pick, tmean
+from reference_ops import column, concat_cols, log_softmax, pick, rows, tmean
+
+log = logging.getLogger(__name__)
 
 
 def distillation_loss(h: Classifier, teacher, inputs: np.ndarray) -> Tensor:
@@ -162,3 +171,71 @@ def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
                                    past_batches[i].x, i) for i in ids])
     eps_hist = np.array([history.cached_consts[i] for i in ids])
     return CoeffStats(eps_replay, eps_intra, eps_cross, dhat, eps_hist)
+
+
+def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
+         n_current: int, n_memory: np.ndarray) -> Tensor:
+    """Coefficient loss: the 0-1 surrogate bound evaluated at the simplex,
+    differentiable only through the coefficient logits."""
+    n_memory = np.asarray(n_memory, dtype=np.float64)
+    if n_current <= 0 or np.any(n_memory <= 0):
+        raise ContractError("v_01 requires positive sample counts")
+    m = simplex.materialize()
+    alpha, beta, gamma = column(m, 0), column(m, 1), column(m, 2)
+    loss = tsum(mul(gamma, stats.eps_replay))
+    loss = add(loss, tsum(mul(alpha, stats.eps_intra)))
+    loss = add(loss, mul(tsum(beta), stats.eps_cross))
+    loss = add(loss, mul(tsum(mul(beta, stats.dhat)), 0.5))
+    loss = add(loss, tsum(mul(add(alpha, beta), stats.eps_hist)))
+    one_plus_sb = add(tsum(beta), 1.0)
+    rad = mul(mul(one_plus_sb, one_plus_sb), 1.0 / n_current)
+    ga = add(gamma, alpha)
+    rad = add(rad, tsum(mul(mul(ga, ga), 1.0 / n_memory)))
+    return add(loss, mul(sqrt(rad), c_gen))
+
+
+def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
+        rng: np.random.Generator) -> Tensor:
+    """Supervised contrastive loss over squared embedding distances.
+    Positives are same-class pairs; negatives are different-class samples
+    drawn from the whole batch regardless of domain.  Pair choice depends
+    only on labels, so the loss stays smooth in the encoder parameters."""
+    y = batch.y
+    n = len(batch)
+    anchors, positives = [], []
+    for a in range(n):
+        same = np.flatnonzero(y == y[a])
+        same = same[same != a]
+        if len(same):
+            anchors.append(a)
+            positives.append(int(rng.choice(same)))
+    if not anchors:
+        log.warning("v_s: no same-class pair in batch, returning 0")
+        return Tensor(0.0)
+    k = len(anchors)
+    keep, negatives = [], []
+    for row, a in enumerate(anchors):
+        pool = np.flatnonzero(y != y[a])
+        if len(pool):
+            keep.append(row)
+            negatives.append(rng.choice(pool, size=n_negatives, replace=True))
+    # An anchor with no different-class sample has an empty negative sum:
+    # -log[exp(-s+)/exp(-s+)] = 0, so it adds nothing to the mean over k.
+    if not keep:
+        return Tensor(0.0)
+    m = len(keep)
+    a_idx = np.array(anchors)[keep]
+    p_idx = np.array(positives)[keep]
+    neg = np.stack(negatives)
+    emb = encoder.logits(batch.x)
+    d_pos = add(rows(emb, a_idx), mul(rows(emb, p_idx), -1.0))
+    s_pos = rowsum(mul(d_pos, d_pos))
+    d_neg = add(rows(emb, np.repeat(a_idx, n_negatives)),
+                mul(rows(emb, neg.ravel()), -1.0))
+    s_neg = reshape(rowsum(mul(d_neg, d_neg)), (m, n_negatives))
+    # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] is the cross-entropy of
+    # the logits [0, s+ - s-_1, ...] toward column 0
+    gap = add(reshape(s_pos, (m, 1)), mul(s_neg, -1.0))
+    z = concat_cols([Tensor(np.zeros((m, 1))), gap])
+    target = _one_hot(np.zeros(m, np.int64), n_negatives + 1, 1.0 / k)
+    return softmax_xent(z, target)

@@ -1,5 +1,6 @@
 import ast
 import gc
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import dilkit
 from dilkit.autodiff import (
-    ContractError, Tensor, add, column, concat_cols, gradcheck, linear, mul,
-    relu, reshape, rows, rowsum, softmax, softmax_xent, sqrt, tsum,
+    ContractError, Tensor, add, gradcheck, linear, mul, relu, reshape, rowsum,
+    softmax, softmax_xent, sqrt, tsum,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 
-from reference_ops import log_softmax, lse, matmul, pick, tmean
+from reference_ops import (
+    column, concat_cols, log_softmax, lse, matmul, pick, rows, tmean,
+)
 
 
 def _mean_xent(logits, y):
@@ -419,7 +422,8 @@ def test_every_public_op_has_a_library_caller():
     """The core keeps only the ops the library calls: each public function
     of dilkit.autodiff, apart from the finite-difference oracle gradcheck,
     is imported by another module of the package, and Tensor carries no
-    operator sugar (no dunder method but __init__ and __repr__)."""
+    operator sugar (no dunder method but __init__ and __repr__).  The
+    module docstring lists exactly those ops and README counts them."""
     pkg = Path(dilkit.__file__).parent
     core = ast.parse((pkg / "autodiff.py").read_text())
     public = {node.name for node in core.body
@@ -439,3 +443,8 @@ def test_every_public_op_has_a_library_caller():
                if name.startswith("__") and name.endswith("__")
                and callable(value)}
     assert dunders == {"__init__", "__repr__"}, sorted(dunders)
+    listed = ast.get_docstring(core).split("calls:", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"\w+", listed)) - {"and"} == public, listed
+    readme = (pkg.parents[1] / "README.md").read_text()
+    counts = re.findall(r"the (\d+) ops the library calls", readme)
+    assert counts == [str(len(public))], counts

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilkit.autodiff import ContractError, Tensor, add, column, tsum, mul
+from dilkit.autodiff import ContractError, Tensor, add, tsum, mul
 from dilkit.coeffs import (
     CoeffSimplex, ESM_ER_RATIO, METHODS, TRIPLE_PRESETS, from_preset,
     init_uniform, preset_triple,

@@ -171,6 +171,24 @@ def test_permuted_stream_label_preservation_and_determinism():
     assert np.allclose(sorted_a, np.sort(base.x[:32], axis=1))
 
 
+@pytest.mark.parametrize("n", [3, 7, 10, 37])
+def test_streams_hold_out_the_last_fifth_of_the_base(n):
+    base = _toy_base(n=n)
+    n_train = n - int(round(0.2 * n))
+    for make in (permuted_stream, rotated_stream):
+        s = make(base, 2, seed=3)
+        for t in (1, 2):
+            assert np.array_equal(s.train(t).y, base.y[:n_train])
+            assert np.array_equal(s.test(t).y, base.y[n_train:])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_streams_reject_a_base_too_small_to_split(n):
+    for make in (permuted_stream, rotated_stream):
+        with pytest.raises(ConfigError, match="too small to split"):
+            make(_toy_base(n=n), 2, seed=3)
+
+
 def test_rotate_zero_degrees_bit_exact():
     rng = np.random.default_rng(2)
     x = rng.random((3, 49))

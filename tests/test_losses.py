@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_step
 from dilkit.autodiff import ContractError, Tensor, gradcheck
-from dilkit.coeffs import from_preset, init_uniform
+from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
     CoeffStats, HistorySnapshot, HyperParams, classification_loss,
@@ -252,6 +254,51 @@ def test_v_01_contract_positive_counts():
         v_01(init_uniform(2), _stats(1, zero=True), 1.0, 0, [5])
 
 
+def test_v_01_contract_past_domain_counts_agree():
+    rng = np.random.default_rng(32)
+    with pytest.raises(ContractError, match="simplex has 4 .* stats 4 and n_memory 1"):
+        v_01(init_uniform(5), _stats(4, rng), 1.0, 50, [10])
+    with pytest.raises(ContractError, match="simplex has 4 .* stats 3 and n_memory 4"):
+        v_01(init_uniform(5), _stats(3, rng), 1.0, 50, [10, 10, 10, 10])
+    with pytest.raises(ContractError, match="simplex has 1 .* stats 2 and n_memory 2"):
+        v_01(from_preset("ER", 2), _stats(2, rng), 1.0, 50, [10, 10])
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=st.integers(2, 7), c_gen=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+       scale=st.sampled_from([0.1, 1.0, 5.0]), zero=st.booleans(),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
+    """The weighted-sum-plus-radical V_01 equals the per-column reference:
+    value and logits gradient within 1e-12 relative (the gradient against
+    its largest entry), at random logits and at every fixed preset."""
+    rng = np.random.default_rng(seed)
+    stats = _stats(t - 1, rng, zero=zero)
+    n_current = int(rng.integers(1, 500))
+    n_memory = list(rng.integers(1, 200, size=t - 1))
+    logits = rng.normal(size=(t - 1, 3)) * scale
+    methods = [m for m in TRIPLE_PRESETS + ("FineTune",)
+               if not (m == "ESM-ER" and t == 2)]
+    for method in methods + ["UDIL"]:
+        runs = []
+        for build in (v_01, reference_step.v_01):
+            if method == "UDIL":
+                simplex = init_uniform(t)
+                simplex.logits.data[...] = logits
+            else:
+                simplex = from_preset(method, t)
+            loss = build(simplex, stats, c_gen, n_current, n_memory)
+            if loss.requires_grad:
+                loss.backward()
+            runs.append((loss.item(), simplex.logits))
+        (value, logits_t), (ref_value, ref_logits_t) = runs
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        if method == "UDIL":
+            grad, ref_grad = logits_t.grad, ref_logits_t.grad
+            assert (np.abs(grad - ref_grad).max()
+                    <= 1e-12 * np.abs(ref_grad).max())
+
+
 def test_v_d_zero_betas():
     enc = identity_mlp(3)
     d = Mlp([3, 2], rng=np.random.default_rng(0))
@@ -366,6 +413,39 @@ def test_v_s_hand_table():
         sn = [(x[a, 0] - x[j, 0]) ** 2 for j in neg[a]]
         total += np.logaddexp.reduce([0.0] + [sp - s for s in sn])
     assert got.item() == pytest.approx(total / 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 30), n_classes=st.integers(1, 4),
+       n_negatives=st.integers(0, 6), seed=st.integers(0, 2 ** 31 - 1))
+def test_v_s_matches_per_row_reference(n, n_classes, n_negatives, seed):
+    """The one-selection-product V_s draws the same pairs as the per-row
+    reference (the generators end in the same state), with the value
+    within 1e-12 relative and every encoder gradient within 1e-12 of the
+    largest reference gradient entry."""
+    rng = np.random.default_rng(seed)
+    enc = Mlp([3, 5, 4], rng=rng)
+    batch = LabeledSet(rng.normal(size=(n, 3)),
+                       rng.integers(0, n_classes, size=n))
+    runs = []
+    for build in (v_s, reference_step.v_s):
+        for p in enc.params():
+            p.grad = None
+        draws = np.random.default_rng(seed)
+        loss = build(enc, batch, n_negatives, draws)
+        if loss.requires_grad:
+            loss.backward()
+        runs.append((loss.item(), [p.grad for p in enc.params()],
+                     draws.bit_generator.state))
+    (value, grads, state), (ref_value, ref_grads, ref_state) = runs
+    assert state == ref_state
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    if all(g is None for g in ref_grads):
+        assert all(g is None for g in grads)
+        return
+    scale = max(np.abs(g).max() for g in ref_grads)
+    for g, ref_g in zip(grads, ref_grads):
+        assert np.abs(g - ref_g).max() <= 1e-12 * scale
 
 
 def test_encoder_aux_reductions_and_composition():

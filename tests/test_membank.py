@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,8 +58,20 @@ def test_shortfall_recorded_and_stores_all():
 
 def test_wrong_order_rejected():
     bank = MemoryBank(capacity=10)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="expects t=1, got 2"):
         bank.update_after_domain(_domain(1), 2, seed=0)
+    bank.update_after_domain(_domain(1), 1, seed=0)
+    with pytest.raises(ContractError, match="expects t=2, got 1"):
+        bank.update_after_domain(_domain(1), 1, seed=0)
+    with pytest.raises(ContractError, match="expects t=2, got 3"):
+        bank.update_after_domain(_domain(3), 3, seed=0)
+
+
+def test_domain_count_lives_in_the_buckets():
+    """The next expected domain is read off the buckets; the bank keeps no
+    separate counter that could disagree with them."""
+    assert [f.name for f in dataclasses.fields(MemoryBank)] == [
+        "capacity", "buckets", "shortfalls"]
 
 
 def test_exemplars_come_from_current_without_replacement():

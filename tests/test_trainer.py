@@ -355,3 +355,12 @@ def test_collapsed_beta_mass_skips_discriminator_step():
     assert res.omega_by_domain[2] == [[0.0, 0.0, 1.0]]
     assert all(np.isfinite(p.data).all()
                for p in res.final_state.model.params())
+
+
+@pytest.mark.parametrize("name,value", [
+    ("omega_lr", float("nan")), ("omega_lr", float("inf")), ("omega_lr", 0.0),
+    ("disc_lr", float("nan")), ("disc_lr", -0.1),
+    ("memory_batch", 0), ("baseline_models", 0), ("baseline_models", -2)])
+def test_trainer_config_rejects_bad_values_naming_the_field(name, value):
+    with pytest.raises(ContractError, match=f"^{name} must be"):
+        TrainerConfig("UDIL", 0, **{name: value})
