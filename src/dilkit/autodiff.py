@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
 Ops, each one the library calls: add, mul, relu, sqrt, tsum, rowsum,
-reshape, softmax, linear and softmax_xent.  linear is x @ w + b as one
-node; softmax_xent is -sum(target * log_softmax(a)), every cross-entropy.
+rows, reshape, softmax, linear and softmax_xent.  linear is x @ w + b as
+one node; softmax_xent is -sum(target * log_softmax(a)), every
+cross-entropy.
 
 Each op builds a Tensor holding a `_backward` closure; `backward()` runs
 the closures in reverse topological order, passing each node its own
@@ -177,6 +178,20 @@ def rowsum(a: Tensor) -> Tensor:
     if out.requires_grad:
         def _back(g):
             a._accum(np.repeat(g[:, None], a.data.shape[1], axis=1))
+        out._backward = _back
+    return out
+
+
+def rows(a: Tensor, idx) -> Tensor:
+    """[n, c], [k] -> [k, c]: gather whole rows (duplicates allowed)."""
+    a = _wrap(a)
+    idx = np.asarray(idx, dtype=np.int64)
+    out = _make(a.data[idx], (a,))
+    if out.requires_grad:
+        def _back(g):
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            a._accum(full)
         out._backward = _back
     return out
 

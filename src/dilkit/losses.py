@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    ContractError, Tensor, add, linear, mul, reshape, rowsum, softmax_xent,
-    sqrt, tsum,
+    ContractError, Tensor, add, linear, mul, reshape, rows, rowsum,
+    softmax_xent, sqrt, tsum,
 )
 from .coeffs import CoeffSimplex
 from .datagen import LabeledSet
@@ -256,15 +256,12 @@ def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
     m = len(keep)
     a_idx = np.array(anchors)[keep]
     p_idx = np.array(positives)[keep]
-    # row (r, 0) of the selection is anchor r minus its positive, row (r, j)
-    # anchor r minus its j-th negative: one product gives every difference
+    # row (r, 0) is anchor r minus its positive, row (r, j) anchor r minus
+    # its j-th negative: two gathers give every difference
     partner = np.concatenate([p_idx[:, None], np.stack(negatives)], axis=1)
-    select = np.zeros((partner.size, n))
-    pairs = np.arange(partner.size)
-    select[pairs, np.repeat(a_idx, n_negatives + 1)] = 1.0
-    select[pairs, partner.ravel()] = -1.0
     emb = encoder.logits(batch.x)
-    diff = linear(select, emb, np.zeros(emb.data.shape[1]))
+    diff = add(rows(emb, np.repeat(a_idx, n_negatives + 1)),
+               mul(rows(emb, partner.ravel()), -1.0))
     dist = reshape(rowsum(mul(diff, diff)), partner.shape)
     # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] is the cross-entropy of
     # the logits -[s+, s-_1, ...] toward column 0

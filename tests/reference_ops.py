@@ -1,7 +1,7 @@
 """Test-only reference: the autodiff ops the library composed its layers
 and cross-entropies from before `linear` and `softmax_xent` fused them,
-and the slicing ops V_01 and V_s were built from before each became one
-weighted product.  The differential tests in test_autodiff.py compare the
+and the slicing ops V_01 and V_s were built from before V_01 became one
+weighted sum and V_s one cross-entropy over gathered differences.  The differential tests in test_autodiff.py compare the
 fused ops against these compositions, and reference_step.py builds its
 per-domain losses from them."""
 from __future__ import annotations
@@ -73,20 +73,6 @@ def lse(a: Tensor) -> Tensor:
 def log_softmax(a: Tensor) -> Tensor:
     n = a.data.shape[0]
     return add(a, mul(reshape(lse(a), (n, 1)), -1.0))
-
-
-def rows(a: Tensor, idx) -> Tensor:
-    """[n, c], [k] -> [k, c]: gather whole rows (duplicates allowed)."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = _make(a.data[idx], (a,))
-    if out.requires_grad:
-        def _back(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            a._accum(full)
-        out._backward = _back
-    return out
 
 
 def column(a: Tensor, j: int) -> Tensor:

@@ -3,7 +3,8 @@ and discriminator divergence estimate as they were before the losses ran
 over one stacked batch.  Each past domain gets its own forward passes
 here; the differential tests in test_stacked_step.py compare the stacked
 code against these.  V_01 and V_s are kept as they were built from
-per-column and per-row slices, before each became one weighted product;
+per-column slices and separate positive/negative gathers, before V_01
+became one weighted sum and V_s one cross-entropy over all differences;
 test_losses.py compares the library's against them.  The distillation
 loss and the 0-1 disagreement they are built from have no caller in the
 library and live here, tested in test_losses.py."""
@@ -14,8 +15,8 @@ import logging
 import numpy as np
 
 from dilkit.autodiff import (
-    ContractError, Tensor, add, mul, reshape, rowsum, softmax, softmax_xent,
-    sqrt, tsum,
+    ContractError, Tensor, add, mul, reshape, rows, rowsum, softmax,
+    softmax_xent, sqrt, tsum,
 )
 from dilkit.coeffs import CoeffSimplex
 from dilkit.datagen import LabeledSet
@@ -25,7 +26,7 @@ from dilkit.losses import (
 )
 from dilkit.models import Classifier, Mlp
 
-from reference_ops import column, concat_cols, log_softmax, pick, rows, tmean
+from reference_ops import column, concat_cols, log_softmax, pick, tmean
 
 log = logging.getLogger(__name__)
 

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import dilkit
 from dilkit.autodiff import (
-    ContractError, Tensor, add, gradcheck, linear, mul, relu, reshape, rowsum,
-    softmax, softmax_xent, sqrt, tsum,
+    ContractError, Tensor, add, gradcheck, linear, mul, relu, reshape, rows,
+    rowsum, softmax, softmax_xent, sqrt, tsum,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 
 from reference_ops import (
-    column, concat_cols, log_softmax, lse, matmul, pick, rows, tmean,
+    column, concat_cols, log_softmax, lse, matmul, pick, tmean,
 )
 
 

@@ -419,7 +419,7 @@ def test_v_s_hand_table():
 @given(n=st.integers(1, 30), n_classes=st.integers(1, 4),
        n_negatives=st.integers(0, 6), seed=st.integers(0, 2 ** 31 - 1))
 def test_v_s_matches_per_row_reference(n, n_classes, n_negatives, seed):
-    """The one-selection-product V_s draws the same pairs as the per-row
+    """The single cross-entropy V_s draws the same pairs as the per-row
     reference (the generators end in the same state), with the value
     within 1e-12 relative and every encoder gradient within 1e-12 of the
     largest reference gradient entry."""
