@@ -18,6 +18,7 @@ from .coeffs import TRIPLE_PRESETS, preset_triple
 from .divergence import (
     FiniteHypothesisClass, _pairwise_disagreement, hdh_exact,
 )
+from .losses import CoeffStats, radical_map
 
 TOL = 1e-12
 # the instance sizes random_instance accepts and the coarsest grid
@@ -101,12 +102,14 @@ class BoundInstance:
         return _read_only(np.array([hdh_exact(self.hclass, p, cur) for p in past]))
 
     @cached_property
-    def unified_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-domain student risks, teacher risks and student-teacher
-        disagreements of the chosen (h, H_prev)."""
+    def coeff_stats(self) -> CoeffStats:
+        """The exact terms of the chosen (h, H_prev) as the statistics
+        V_01 weighs the coefficients by."""
         h, hp = self.h_idx, self.hprev_idx
-        return (self.risks[h], self.risks[hp], _read_only(
-            np.array([dis[h, hp] for dis in self.disagreements])))
+        dis = _read_only(np.array([d[h, hp] for d in self.disagreements]))
+        return CoeffStats(eps_replay=self.risks[h, :-1], eps_intra=dis[:-1],
+                          eps_cross=dis[-1], dhat=self.divergences,
+                          eps_hist=self.risks[hp, :-1])
 
 
 @dataclass
@@ -152,21 +155,19 @@ def check_cross_bound(inst: BoundInstance) -> CheckReport:
 def deterministic_bound(inst: BoundInstance,
                         omega: np.ndarray | None = None) -> float:
     """The combined right-hand side evaluated exactly at the given
-    coefficients (default: the instance's own)."""
-    om = inst.omega if omega is None else np.asarray(omega, dtype=np.float64)
-    (risk_h, risk_hp, dis), div = inst.unified_terms, inst.divergences
-    t = inst.n_domains
-    a, b, g = om[:, 0], om[:, 1], om[:, 2]
-    past = slice(0, t - 1)
-    return float(
-        np.sum(g * risk_h[past]) + np.sum(a * dis[past]) + risk_h[t - 1]
-        + b.sum() * dis[t - 1] + 0.5 * np.sum(b * div)
-        + np.sum((a + b) * risk_hp[past]))
+    coefficients (default: the instance's own): the student's current risk
+    plus the coefficients weighed as V_01 weighs them."""
+    om = np.asarray(inst.omega if omega is None else omega, dtype=np.float64)
+    if om.shape != inst.omega.shape:
+        raise ContractError(
+            f"omega must have shape {inst.omega.shape}, got {om.shape}")
+    return float(inst.risks[inst.h_idx, -1]
+                 + np.sum(om * inst.coeff_stats.weights()))
 
 
 def total_risk(inst: BoundInstance) -> float:
     """Left-hand side: the student's summed risk over all domains."""
-    return float(inst.unified_terms[0].sum())
+    return float(inst.risks[inst.h_idx].sum())
 
 
 def check_unified_bound(inst: BoundInstance) -> CheckReport:
@@ -193,44 +194,37 @@ def tightest_bound_grid(inst: BoundInstance, presets=None,
     if presets is None:
         presets = [m for m in TRIPLE_PRESETS
                    if not (m == "ESM-ER" and t == 2)]
-    (risk_h, risk_hp, dis), div = inst.unified_terms, inst.divergences
+    if len(presets) == 0:
+        raise ContractError("tightest_bound_grid needs at least one preset")
     cands = np.concatenate([barycentric_grid(grid_resolution),
                             np.array([preset_triple(m, t) for m in presets])])
-
-    def per_domain_values(i: int, triples: np.ndarray) -> np.ndarray:
-        a, b, g = triples[:, 0], triples[:, 1], triples[:, 2]
-        return (g * risk_h[i] + a * dis[i] + b * dis[t - 1]
-                + 0.5 * b * div[i] + (a + b) * risk_hp[i])
-
-    # the bound is additive across past domains, so the grid minimization
-    # decomposes into independent per-domain minimizations
-    argmin = np.zeros((t - 1, 3))
-    best_total = risk_h[t - 1]
-    for i in range(t - 1):
-        vals = per_domain_values(i, cands)
-        k = int(np.argmin(vals))
-        argmin[i] = cands[k]
-        best_total += float(vals[k])
-
-    preset_values = {m: deterministic_bound(
-        inst, np.array([preset_triple(m, t) for _ in range(t - 1)]))
-        for m in presets}
+    # the bound adds one term per past domain, vals[i, k] domain i's at
+    # candidate k (presets last); one column sum totals the row minima and
+    # each preset alike, so the minimum is never above a preset by rounding
+    vals = inst.coeff_stats.weights() @ cands.T
+    totals = inst.risks[inst.h_idx, -1] + np.column_stack(
+        [vals.min(axis=1), vals[:, -len(presets):]]).sum(axis=0)
+    best_total = float(totals[0])
+    preset_values = dict(zip(presets, totals[1:].tolist()))
     violations = sum(best_total > v + 1e-9 for v in preset_values.values())
     worst = max(best_total - v for v in preset_values.values())
     return CheckReport(
         "tightest_bound_grid", len(presets), int(violations), float(worst),
-        details={"argmin_omega": argmin.tolist(),
+        details={"argmin_omega": cands[vals.argmin(axis=1)].tolist(),
                  "argmin_value": best_total,
                  "preset_values": preset_values})
 
 
 def radical_argument(omega: np.ndarray, n_current: int,
                      n_memory) -> float:
-    """(1 + sum beta)^2 / N_t + sum (gamma_i + alpha_i)^2 / N_i."""
+    """V_01's radical squared:
+    (1 + sum beta)^2 / N_t + sum (gamma_i + alpha_i)^2 / N_i."""
     om = np.asarray(omega, dtype=np.float64)
-    n_mem = np.asarray(n_memory, dtype=np.float64)
-    a, b, g = om[:, 0], om[:, 1], om[:, 2]
-    return float((1 + b.sum()) ** 2 / n_current + np.sum((g + a) ** 2 / n_mem))
+    if om.ndim != 2 or om.shape[1] != 3:
+        raise ContractError(f"omega must have shape (t-1, 3), got {om.shape}")
+    select, offset, w = radical_map(len(om), n_current, n_memory)
+    v = om.reshape(1, -1) @ select + offset
+    return float(np.sum(v * v * w))
 
 
 def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckReport:

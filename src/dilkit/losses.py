@@ -144,16 +144,41 @@ class CoeffStats:
             if len(getattr(self, name)) != n:
                 raise ContractError(f"CoeffStats.{name} length mismatch")
 
+    def weights(self) -> np.ndarray:
+        """[t-1, 3] weights of the bound's linear part: row i weighs
+        (alpha_i, beta_i, gamma_i) by (eps_intra_i + eps_hist_i,
+        eps_cross + dhat_i / 2 + eps_hist_i, eps_replay_i)."""
+        return np.stack([self.eps_intra + self.eps_hist,
+                         self.eps_cross + 0.5 * self.dhat + self.eps_hist,
+                         self.eps_replay], axis=1)
+
+
+def radical_map(n_past: int, n_current: int,
+                n_memory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The radical's argument is sum(w * v**2), where v = flat @ select +
+    offset is (1 + sum beta, alpha_i + gamma_i) for the flattened triples
+    (flat[3i:3i + 3] is (alpha_i, beta_i, gamma_i)) and
+    w = (1 / n_current, 1 / n_i).  Returns (select, offset, w)."""
+    n_memory = np.asarray(n_memory, dtype=np.float64)
+    if n_memory.shape != (n_past,):
+        raise ContractError(
+            f"n_memory must have shape ({n_past},), got {n_memory.shape}")
+    if n_current <= 0 or np.any(n_memory <= 0):
+        raise ContractError("the radical requires positive sample counts")
+    select = np.zeros((3 * n_past, n_past + 1))
+    select[1::3, 0] = 1.0
+    select[0::3, 1:] = np.eye(n_past)
+    select[2::3, 1:] = np.eye(n_past)
+    w = np.concatenate([[1.0 / n_current], 1.0 / n_memory])
+    return select, np.eye(1, n_past + 1)[0], w
+
 
 def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
          n_current: int, n_memory: np.ndarray) -> Tensor:
     """Coefficient loss: the 0-1 surrogate bound evaluated at the simplex,
     differentiable only through the coefficient logits.  With m the [t-1, 3]
-    triples it is sum(m * L) + c_gen * sqrt(sum(w * v**2)): row i of L
-    weighs (alpha_i, beta_i, gamma_i) by (eps_intra_i + eps_hist_i,
-    eps_cross + dhat_i / 2 + eps_hist_i, eps_replay_i), v = (1 + sum beta,
-    alpha_i + gamma_i) is one affine map of the flattened triples, and
-    w = (1 / n_current, 1 / n_i)."""
+    triples it is sum(m * stats.weights()) + c_gen * sqrt(sum(w * v**2)),
+    v and w as radical_map builds them."""
     n_memory = np.asarray(n_memory, dtype=np.float64)
     m = simplex.materialize()
     n_past = m.data.shape[0]
@@ -161,20 +186,10 @@ def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
         raise ContractError(
             f"v_01: the simplex has {n_past} past domains, the stats "
             f"{len(stats.eps_replay)} and n_memory {n_memory.size}")
-    if n_current <= 0 or np.any(n_memory <= 0):
-        raise ContractError("v_01 requires positive sample counts")
-    weights = np.stack([stats.eps_intra + stats.eps_hist,
-                        stats.eps_cross + 0.5 * stats.dhat + stats.eps_hist,
-                        stats.eps_replay], axis=1)
-    # v = flat @ select + e_0; flat[3i:3i + 3] is (alpha_i, beta_i, gamma_i)
-    select = np.zeros((3 * n_past, n_past + 1))
-    select[1::3, 0] = 1.0
-    select[0::3, 1:] = np.eye(n_past)
-    select[2::3, 1:] = np.eye(n_past)
-    v = linear(reshape(m, (1, 3 * n_past)), select, np.eye(1, n_past + 1)[0])
-    w = np.concatenate([[1.0 / n_current], 1.0 / n_memory])
+    select, offset, w = radical_map(n_past, n_current, n_memory)
+    v = linear(reshape(m, (1, 3 * n_past)), select, offset)
     rad = sqrt(tsum(mul(mul(v, v), w)))
-    return add(tsum(mul(m, weights)), mul(rad, c_gen))
+    return add(tsum(mul(m, stats.weights())), mul(rad, c_gen))
 
 
 def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,

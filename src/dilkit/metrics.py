@@ -49,10 +49,6 @@ class AccuracyMatrix:
             raise ContractError(f"entry ({i},{j}) not populated")
         return float(v)
 
-    def is_set(self, i: int, j: int) -> bool:
-        self._check_index(i, j)
-        return not np.isnan(self._r[i - 1, j - 1])
-
     def to_lists(self) -> list[list[float | None]]:
         return [[None if np.isnan(v) else float(v) for v in row]
                 for row in self._r]

@@ -91,11 +91,6 @@ def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:
         p.grad = None
 
 
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
-
-
 @dataclass
 class Classifier:
     """h = predictor ∘ encoder; the encoder output is the embedding."""

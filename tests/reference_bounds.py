@@ -1,8 +1,11 @@
 """Test-only reference: the bound checks as they were before each exact
-term was computed once per instance.  Every check here rebuilds its own
-risks, disagreement matrices and `hdh_exact` divergences; the differential
-tests in test_bounds.py compare the cached library checks against these.
-`check_erm_bound_shape` reads none of these terms and is not copied."""
+term was computed once per instance, and before the bound's arithmetic
+moved to the weights and radical that V_01 descends.  Every check here
+rebuilds its own risks, disagreement matrices and `hdh_exact` divergences
+and writes the bound's weights out term by term; the differential tests in
+test_bounds.py compare the library checks against these.
+`check_erm_bound_shape` reads none of these terms and is not copied, and
+`radical_argument` is the closed form the old library wrote."""
 from __future__ import annotations
 
 import numpy as np
@@ -96,26 +99,38 @@ def check_unified_bound(inst: BoundInstance) -> CheckReport:
     return CheckReport("unified_bound", 1, int(gap > TOL), float(gap))
 
 
+def per_domain_values(inst: BoundInstance, triples: np.ndarray) -> np.ndarray:
+    """[t-1, K]: past domain i's term of the bound at each of K triples."""
+    risk_h, risk_hp, dis = _unified_terms(inst)
+    div = _divergences_to_current(inst)
+    t = inst.n_domains
+    a, b, g = triples[:, 0], triples[:, 1], triples[:, 2]
+    return np.stack([g * risk_h[i] + a * dis[i] + b * dis[t - 1]
+                     + 0.5 * b * div[i] + (a + b) * risk_hp[i]
+                     for i in range(t - 1)])
+
+
+def radical_argument(omega: np.ndarray, n_current: int, n_memory) -> float:
+    om = np.asarray(omega, dtype=np.float64)
+    n_mem = np.asarray(n_memory, dtype=np.float64)
+    a, b, g = om[:, 0], om[:, 1], om[:, 2]
+    return float((1 + b.sum()) ** 2 / n_current + np.sum((g + a) ** 2 / n_mem))
+
+
 def tightest_bound_grid(inst: BoundInstance, presets=None,
                         grid_resolution: int = 10) -> CheckReport:
     t = inst.n_domains
     if presets is None:
         presets = [m for m in TRIPLE_PRESETS
                    if not (m == "ESM-ER" and t == 2)]
-    risk_h, risk_hp, dis = _unified_terms(inst)
-    div = _divergences_to_current(inst)
+    risk_h, _, _ = _unified_terms(inst)
     cands = np.concatenate([barycentric_grid(grid_resolution),
                             np.array([preset_triple(m, t) for m in presets])])
-
-    def per_domain_values(i: int, triples: np.ndarray) -> np.ndarray:
-        a, b, g = triples[:, 0], triples[:, 1], triples[:, 2]
-        return (g * risk_h[i] + a * dis[i] + b * dis[t - 1]
-                + 0.5 * b * div[i] + (a + b) * risk_hp[i])
-
+    values = per_domain_values(inst, cands)
     argmin = np.zeros((t - 1, 3))
     best_total = risk_h[t - 1]
     for i in range(t - 1):
-        vals = per_domain_values(i, cands)
+        vals = values[i]
         k = int(np.argmin(vals))
         argmin[i] = cands[k]
         best_total += float(vals[k])

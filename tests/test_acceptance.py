@@ -28,8 +28,7 @@ from dilkit.losses import (CoeffStats, HistorySnapshot, HyperParams,
 from dilkit.membank import MemoryBank
 from dilkit.metrics import (AccuracyMatrix, avg_acc, avg_of_avg, forgetting,
                             forward_transfer)
-from dilkit.models import (ArchConfig, Classifier, Mlp, SgdConfig, sgd_step,
-                           zero_grads)
+from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
 from dilkit.seeding import substream
 from dilkit.trainer import TrainerConfig, descend_v01, run_sequence
 
@@ -293,7 +292,8 @@ def test_criterion_07_divergence_estimate_tracks_exact():
         loss = classification_loss(disc, batch)
         loss.backward()
         sgd_step(disc.params(), 1.0)
-        zero_grads(disc.params())
+        for p in disc.params():
+            p.grad = None
     est = hdh_discriminator_estimate(disc, enc, cur_pts.reshape(-1, 1),
                                      past_pts.reshape(-1, 1), 1)
     gap = abs(est - exact)
@@ -311,7 +311,8 @@ def test_criterion_07_divergence_estimate_tracks_exact():
         loss = v_d(disc4, enc4.stopped(), omega, cur, {1: past}, 2)
         loss.backward()
         sgd_step(disc4.params(), 0.2)
-        zero_grads(disc4.params())
+        for p in disc4.params():
+            p.grad = None
     same = hdh_discriminator_estimate(disc4, enc4, cur_eval, past_eval, 1)
     gate(7, gap <= 0.15 and same <= 0.1,
          f"two-Gaussian benchmark |est - exact| = {gap:.3f} (<= 0.15); "

@@ -14,7 +14,7 @@ from dilkit.divergence import (
     threshold_class,
 )
 from dilkit.losses import classification_loss
-from dilkit.models import Mlp, sgd_step, zero_grads
+from dilkit.models import Mlp, sgd_step
 from dilkit.seeding import substream
 
 
@@ -222,7 +222,8 @@ def test_trained_discriminator_tracks_exact_divergence():
         loss = classification_loss(d, batch)
         loss.backward()
         sgd_step(d.params(), 1.0)
-        zero_grads(d.params())
+        for p in d.params():
+            p.grad = None
 
     est = hdh_discriminator_estimate(d, enc, cur_pts.reshape(-1, 1),
                                      past_pts.reshape(-1, 1), 1)
