@@ -69,7 +69,7 @@ def preset_triple(method: str, t: int) -> tuple[float, float, float]:
         if lam < 0:
             raise ConfigError(
                 f"ESM-ER requires lambda' = r*(t-1)-1 >= 0 with r = 1-1/e; "
-                f"t={t} gives lambda' = {lam:.6f} < 0")
+                f"t={t} gives lambda' = {lam:.6f} < 0", field="method")
         return (lam / (1.0 + lam), 0.0, 1.0 / (1.0 + lam))
     if method == "BiC":
         # equal-batch bias-correction replay: the weight ratio
@@ -85,7 +85,8 @@ def from_preset(method: str, t: int) -> CoeffSimplex:
     past-domain weights (off-simplex by definition: no replay at all)."""
     if method not in METHODS:
         raise ConfigError(
-            f"unknown method {method!r}; valid methods: {', '.join(METHODS)}")
+            f"unknown method {method!r}; valid methods: {', '.join(METHODS)}",
+            field="method")
     if method in ("UDIL", "Joint"):
         raise ConfigError(
             f"{method} does not use fixed coefficients; "

@@ -9,11 +9,14 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .autodiff import ContractError
+from .models import Range
 from .seeding import substream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 TEST_FRACTION = 0.2  # the last fifth of each split pool is held out
+HD_BALLS_DIM, HD_BALLS_SIGMA = Range(2), Range(0, above=True)
+HD_BALLS_POINTS = Range(5)  # fewer points degenerate the 80/20 split
 
 
 class FormatError(ValueError):
@@ -21,7 +24,11 @@ class FormatError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value."""
+    """Invalid configuration value; `field`, when set, names the setting."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass
@@ -89,12 +96,9 @@ def gen_hd_balls(seed: int, n_domains: int, n_per_domain: int, dim: int,
                  sigma: float) -> DomainStream:
     """Per domain: mean mu uniform on the unit sphere, x ~ N(mu, sigma^2 I),
     y = 1 iff <x, mu> > 1 (tangent hyperplane with normal mu; ties -> 0)."""
-    if dim < 2:
-        raise ConfigError("hd-balls requires dim >= 2")
-    if sigma <= 0:
-        raise ConfigError("hd-balls requires sigma > 0")
-    if n_per_domain < 5:
-        raise ConfigError("n_per_domain < 5 degenerates the 80/20 split")
+    HD_BALLS_DIM.check("hd-balls dim", dim, ConfigError)
+    HD_BALLS_SIGMA.check("hd-balls sigma", sigma, ConfigError)
+    HD_BALLS_POINTS.check("hd-balls n_per_domain", n_per_domain, ConfigError)
     domains = []
     for t in range(1, n_domains + 1):
         rng = substream(seed, "data", t)

@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from ..bounds import (CheckReport, check_cross_bound, check_erm_bound_shape,
                       check_intra_bound, check_unified_bound,
                       deterministic_bound, random_instance,
                       tightest_bound_grid, total_risk)
-from ..datagen import ConfigError, DomainStream, FormatError, gen_hd_balls, \
-    load_idx, permuted_stream, rotated_stream
+from ..datagen import HD_BALLS_POINTS, ConfigError, DomainStream, \
+    FormatError, gen_hd_balls, load_idx, permuted_stream, rotated_stream
 from ..seeding import substream
 from ..trainer import SequenceResult, TrainerConfig, run_sequence
 from . import config as cfg
@@ -76,6 +77,8 @@ def _mnist_base(config: cfg.RunConfig):
 def build_stream(config: cfg.RunConfig) -> DomainStream:
     cfg.require_run_fields(config, ("dataset",))
     if config.dataset == "hd-balls":
+        HD_BALLS_POINTS.check("key 'n_per_domain':", config.n_per_domain,
+                              ConfigError)
         return gen_hd_balls(config.data_seed, config.n_domains,
                             config.n_per_domain, config.dim, config.sigma)
     base, base_test = _mnist_base(config)
@@ -102,13 +105,9 @@ def _dataset_facts(config: cfg.RunConfig, stream: DomainStream) -> dict:
 
 
 def _trainer_config(config: cfg.RunConfig, seed: int) -> TrainerConfig:
-    return TrainerConfig(
-        method=config.method, seed=seed, arch=config.arch, sgd=config.sgd,
-        hp=config.hp, memory_capacity=config.buffer_capacity,
-        omega_lr=config.omega_lr, disc_lr=config.disc_lr,
-        memory_batch=config.memory_batch,
-        split_memory_batch=config.split_memory_batch,
-        baseline_models=config.baseline_models)
+    return TrainerConfig(method=config.method, seed=seed, **{
+        f.name: getattr(config, cfg.RUN_NAMES.get(f.name, f.name))
+        for f in fields(TrainerConfig) if f.name not in ("method", "seed")})
 
 
 def _embedding_rows(results: list[SequenceResult],
@@ -144,6 +143,9 @@ def cmd_run(args) -> int:
         tick = time.perf_counter()
         try:
             results.append(run_sequence(stream, _trainer_config(config, seed)))
+        except ConfigError as err:  # refused before training: name the key
+            raise ConfigError(f"key {cfg.RUN_NAMES.get(err.field, err.field)!r}: "
+                              + str(err).removeprefix(f"{err.field} ")) from None
         except Exception as err:  # mid-run failure: flag partial results
             failure = f"seed {seed}: {type(err).__name__}: {err}"
             break

@@ -16,96 +16,97 @@ Value syntax per key type:
 Every key is optional unless a subcommand states otherwise; "" or "none"
 keeps a default of none.  Unknown keys, malformed lines and out-of-range
 values are rejected with the offending key or line number.  `KEY_TABLE`
-states each key's type, range and help; each default lives in its dataclass.
+states each key's type and help; each default and numeric range lives on the
+dataclass field the key sets.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 from ..bounds import (
     CLASS_SIZE_RANGE, MIN_DOMAINS, MIN_GRID_RESOLUTION, POINTS_RANGE,
 )
 from ..coeffs import METHODS
-from ..datagen import ConfigError
+from ..datagen import HD_BALLS_DIM, HD_BALLS_SIGMA, ConfigError
 from ..losses import HyperParams
-from ..models import ArchConfig, SgdConfig
+from ..models import ArchConfig, Range, SgdConfig
+from ..trainer import TrainerConfig
 
 DATASETS = ("hd-balls", "p-mnist", "r-mnist")
 
 
 @dataclass(frozen=True)
 class Key:
-    """One config key; numbers and list entries must lie in `lo..hi`, or
-    above `lo` when `above` is set."""
+    """One config key.  Its numeric range is the `Range` declared on the
+    dataclass field that `path` names."""
     kind: str                   # int | float | bool | str | int_list
     help: str
     path: str = ""              # the RunConfig attribute set; default: the key
-    lo: float | None = None
-    hi: int | None = None
-    above: bool = False
     choices: tuple[str, ...] = ()
     distinct: bool = False      # int_list entries may not repeat
 
-    def span(self) -> str:
-        if self.choices:
-            return "one of " + ", ".join(self.choices)
-        if self.lo is None:
-            return ""
-        if self.hi is not None:
-            return f"in {self.lo}..{self.hi}"
-        return f"{'>' if self.above else '>='} {self.lo}"
+    @property
+    def range(self) -> Range | None:
+        owner, _, name = self.path.rpartition(".")
+        return Range.of(attrgetter(owner)(RunConfig()) if owner else RunConfig, name)
 
     def notes(self) -> str:
-        return "; ".join(filter(None, (self.help, self.span())))
+        span = "one of " + ", ".join(self.choices) if self.choices else self.range
+        return "; ".join(map(str, filter(None, (self.help, span))))
 
 
-KEY_TABLE = {
+KEY_TABLE = {key: replace(spec, path=spec.path or key) for key, spec in {
     # experiment identity
     "dataset": Key("str", "domain stream", choices=DATASETS),
     "method": Key("str", "UDIL or a fixed preset; required by `run`", choices=METHODS),
-    "seeds": Key("int_list", "training seeds; required by `run`", lo=0, distinct=True),
+    "seeds": Key("int_list", "training seeds; required by `run`", distinct=True),
     "output_dir": Key("str", "base directory for artifacts"),
     # dataset shape
-    "data_seed": Key("int", "dataset substream seed (shared across methods)", lo=0),
-    "n_domains": Key("int", "length of the domain sequence", lo=1),
-    "n_per_domain": Key("int", "points per domain (hd-balls: split 80/20)", lo=1),
-    "n_test_per_domain": Key("int", "per-domain test size (mnist streams)", lo=1),
-    "dim": Key("int", "hd-balls input dimension", lo=2),
-    "sigma": Key("float", "hd-balls cloud scale", lo=0, above=True),
+    "data_seed": Key("int", "dataset substream seed (shared across methods)"),
+    "n_domains": Key("int", "length of the domain sequence"),
+    "n_per_domain": Key("int", "points per domain (hd-balls: split 80/20)"),
+    "n_test_per_domain": Key("int", "per-domain test size (mnist streams)"),
+    "dim": Key("int", "hd-balls input dimension"),
+    "sigma": Key("float", "hd-balls cloud scale"),
     "mnist_dir": Key("str", "directory holding the four raw IDX files"),
-    "degrees_per_domain": Key("float", "r-mnist rotation band per domain", lo=0, above=True),
+    "degrees_per_domain": Key("float", "r-mnist rotation band per domain"),
     # optimization
-    "learning_rate": Key("float", "SGD step size", "sgd.learning_rate", lo=0, above=True),
-    "steps_per_domain": Key("int", "SGD steps per domain", "sgd.step_count", lo=1),
-    "batch_size": Key("int", "current-domain minibatch size", "sgd.batch_size", lo=1),
-    "buffer_capacity": Key("int", "total replay-memory budget", lo=1),
-    "lambda_d": Key("float", "domain-alignment strength", "hp.lambda_d", lo=0),
-    "c_gen": Key("float", "generalization-effect scalar", "hp.c_gen", lo=0),
-    "lambda_p": Key("float", "past-embedding distillation weight", "hp.lambda_p", lo=0),
-    "lambda_s": Key("float", "supervised contrastive weight", "hp.lambda_s", lo=0),
-    "encoder_hidden": Key("int_list", "encoder hidden widths", "arch.encoder_hidden", lo=1),
-    "embed_dim": Key("int", "embedding width", "arch.embed_dim", lo=1),
-    "predictor_hidden": Key("int_list", "predictor hidden widths", "arch.predictor_hidden", lo=1),
-    "disc_hidden": Key("int_list", "discriminator hidden widths", "arch.disc_hidden", lo=1),
-    "omega_lr": Key("float", "coefficient-descent step size (none: learning_rate)", lo=0, above=True),
-    "disc_lr": Key("float", "discriminator step size (none: learning_rate)", lo=0, above=True),
-    "memory_batch": Key("int", "replay minibatch per past domain (none: batch_size)", lo=1),
+    "learning_rate": Key("float", "SGD step size", "sgd.learning_rate"),
+    "steps_per_domain": Key("int", "SGD steps per domain", "sgd.step_count"),
+    "batch_size": Key("int", "current-domain minibatch size", "sgd.batch_size"),
+    "buffer_capacity": Key("int", "total replay-memory budget"),
+    "lambda_d": Key("float", "domain-alignment strength", "hp.lambda_d"),
+    "c_gen": Key("float", "generalization-effect scalar", "hp.c_gen"),
+    "lambda_p": Key("float", "past-embedding distillation weight", "hp.lambda_p"),
+    "lambda_s": Key("float", "supervised contrastive weight", "hp.lambda_s"),
+    "encoder_hidden": Key("int_list", "encoder hidden widths", "arch.encoder_hidden"),
+    "embed_dim": Key("int", "embedding width", "arch.embed_dim"),
+    "predictor_hidden": Key("int_list", "predictor hidden widths", "arch.predictor_hidden"),
+    "disc_hidden": Key("int_list", "discriminator hidden widths", "arch.disc_hidden"),
+    "omega_lr": Key("float", "coefficient-descent step size (none: learning_rate)"),
+    "disc_lr": Key("float", "discriminator step size (none: learning_rate)"),
+    "memory_batch": Key("int", "replay minibatch per past domain (none: batch_size)"),
     "split_memory_batch": Key("bool", "divide one batch across past domains"),
-    "baseline_models": Key("int", "fresh models averaged for the transfer baseline", lo=1),
-    # bound verification; the ranges random_instance and barycentric_grid accept
-    "instances": Key("int", "random bound instances to audit", lo=1),
-    "bound_domains": Key("int", "domains per bound instance, the last one current",
-                         lo=MIN_DOMAINS),
-    "points_per_domain": Key("int", "ground-set points per domain",
-                             lo=POINTS_RANGE.start, hi=POINTS_RANGE[-1]),
-    "class_size": Key("int", "hypotheses per sampled finite class",
-                      lo=CLASS_SIZE_RANGE.start, hi=CLASS_SIZE_RANGE[-1]),
-    "grid_resolution": Key("int", "barycentric grid density for the argmin",
-                           lo=MIN_GRID_RESOLUTION),
-    "bounds_seed": Key("int", "seed for the bound-instance sampler", lo=0),
-}
+    "baseline_models": Key("int", "fresh models averaged for the transfer baseline"),
+    # bound verification
+    "instances": Key("int", "random bound instances to audit"),
+    "bound_domains": Key("int", "domains per bound instance, the last one current"),
+    "points_per_domain": Key("int", "ground-set points per domain"),
+    "class_size": Key("int", "hypotheses per sampled finite class"),
+    "grid_resolution": Key("int", "barycentric grid density for the argmin"),
+    "bounds_seed": Key("int", "seed for the bound-instance sampler"),
+}.items()}
+
+# RunConfig's names for the TrainerConfig fields it copies, where they differ
+RUN_NAMES = {"memory_capacity": "buffer_capacity"}
+
+
+def _trainer_field(name: str):
+    """RunConfig's copy of TrainerConfig's field `name`: default and range."""
+    f = {f.name: f for f in fields(TrainerConfig)}[name]
+    return field(default=f.default, default_factory=f.default_factory,
+                 metadata=f.metadata)
 
 
 @dataclass(frozen=True)
@@ -114,31 +115,32 @@ class RunConfig:
     so one file can also drive `gen-data` and `verify-bounds`."""
     dataset: str | None = None
     method: str | None = None
-    seeds: tuple[int, ...] = ()
+    seeds: tuple[int, ...] = Range(0).field(())
     output_dir: str = "runs"
-    data_seed: int = 0
-    n_domains: int = 5
-    n_per_domain: int = 500
-    n_test_per_domain: int | None = None
-    dim: int = 20
-    sigma: float = 1.0
+    data_seed: int = Range(0).field(0)
+    n_domains: int = Range(1).field(5)
+    n_per_domain: int = Range(1).field(500)
+    n_test_per_domain: int | None = Range(1).field(None)
+    dim: int = HD_BALLS_DIM.field(20)
+    sigma: float = HD_BALLS_SIGMA.field(1.0)
     mnist_dir: str | None = None
-    degrees_per_domain: float = 9.0
-    sgd: SgdConfig = field(default_factory=SgdConfig)
-    hp: HyperParams = field(default_factory=HyperParams)
-    arch: ArchConfig = field(default_factory=ArchConfig)
-    buffer_capacity: int = 200
-    omega_lr: float | None = None
-    disc_lr: float | None = None
-    memory_batch: int | None = None
-    split_memory_batch: bool = False
-    baseline_models: int = 5
-    instances: int = 100
-    bound_domains: int = 3
-    points_per_domain: int = 6
-    class_size: int = 64
-    grid_resolution: int = 10
-    bounds_seed: int = 0
+    degrees_per_domain: float = Range(0, above=True).field(9.0)
+    sgd: SgdConfig = _trainer_field("sgd")
+    hp: HyperParams = _trainer_field("hp")
+    arch: ArchConfig = _trainer_field("arch")
+    buffer_capacity: int = _trainer_field("memory_capacity")
+    omega_lr: float | None = _trainer_field("omega_lr")
+    disc_lr: float | None = _trainer_field("disc_lr")
+    memory_batch: int | None = _trainer_field("memory_batch")
+    split_memory_batch: bool = _trainer_field("split_memory_batch")
+    baseline_models: int = _trainer_field("baseline_models")
+    # the ranges random_instance and barycentric_grid accept
+    instances: int = Range(1).field(100)
+    bound_domains: int = Range(MIN_DOMAINS).field(3)
+    points_per_domain: int = Range(POINTS_RANGE.start, POINTS_RANGE[-1]).field(6)
+    class_size: int = Range(CLASS_SIZE_RANGE.start, CLASS_SIZE_RANGE[-1]).field(64)
+    grid_resolution: int = Range(MIN_GRID_RESOLUTION).field(10)
+    bounds_seed: int = Range(0).field(0)
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -161,7 +163,7 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 def _default(key: str):
-    return attrgetter(KEY_TABLE[key].path or key)(RunConfig())
+    return attrgetter(KEY_TABLE[key].path)(RunConfig())
 
 
 def _typed(key: str, value: str):
@@ -190,15 +192,9 @@ def _check(key: str, value) -> None:
     if spec.choices and value not in spec.choices:
         raise ConfigError(f"key {key!r}: unknown {key} {value!r}; valid {key}s: "
                           + ", ".join(spec.choices))
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: must be finite, got {value}")
-    entries = value if isinstance(value, (tuple, list)) else (value,)
-    for entry in entries:
-        if spec.lo is not None and not (
-                (spec.lo < entry if spec.above else spec.lo <= entry)
-                and (spec.hi is None or entry <= spec.hi)):
-            raise ConfigError(f"key {key!r}: must be {spec.span()}, got {entry}")
-    if spec.distinct and len(set(entries)) != len(entries):
+    if spec.range is not None:
+        spec.range.check(f"key {key!r}:", value, ConfigError)
+    if spec.distinct and len(set(value)) != len(value):
         raise ConfigError(f"key {key!r}: entries must be distinct, got {value}")
 
 
@@ -214,7 +210,7 @@ def parse_config(text: str) -> RunConfig:
         if value is None:
             continue  # explicit "none" keeps the default
         _check(key, value)
-        owner, _, name = (KEY_TABLE[key].path or key).rpartition(".")
+        owner, _, name = KEY_TABLE[key].path.rpartition(".")
         (nested.setdefault(owner, {}) if owner else top)[name] = value
     base = RunConfig()
     for owner, values in nested.items():

@@ -14,23 +14,17 @@ from .autodiff import (
 )
 from .coeffs import CoeffSimplex
 from .datagen import LabeledSet
-from .models import Classifier, Mlp
+from .models import Classifier, Mlp, Range, Ranged
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
-class HyperParams:
-    lambda_d: float = 1.0   # domain-alignment strength
-    c_gen: float = 1.0      # generalization-effect scalar in V_01
-    lambda_p: float = 0.0   # past-embedding distillation weight
-    lambda_s: float = 0.0   # supervised contrastive weight
-
-    def __post_init__(self):
-        for name in ("lambda_d", "c_gen", "lambda_p", "lambda_s"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ContractError(f"{name} must be finite and >= 0, got {value}")
+class HyperParams(Ranged):
+    lambda_d: float = Range(0).field(1.0)   # domain-alignment strength
+    c_gen: float = Range(0).field(1.0)      # generalization-effect scalar in V_01
+    lambda_p: float = Range(0).field(0.0)   # past-embedding distillation weight
+    lambda_s: float = Range(0).field(0.0)   # supervised contrastive weight
 
 
 @dataclass

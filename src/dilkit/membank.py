@@ -13,6 +13,7 @@ import numpy as np
 
 from .autodiff import ContractError
 from .datagen import LabeledSet
+from .models import Range, Ranged
 from .seeding import substream
 
 log = logging.getLogger(__name__)
@@ -24,14 +25,10 @@ def quotas(capacity: int, t: int) -> list[int]:
 
 
 @dataclass
-class MemoryBank:
-    capacity: int
+class MemoryBank(Ranged):
+    capacity: int = Range(1).field()
     buckets: dict[int, LabeledSet] = field(default_factory=dict)
     shortfalls: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ContractError("capacity must be >= 1")
 
     def sizes(self) -> dict[int, int]:
         return {i: len(b) for i, b in self.buckets.items()}

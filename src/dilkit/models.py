@@ -2,7 +2,8 @@
 encoder/predictor composite used by the training loop."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -10,20 +11,53 @@ import numpy as np
 from .autodiff import ContractError, Tensor, linear, relu, softmax
 
 
-@dataclass
-class SgdConfig:
-    learning_rate: float = 0.1
-    step_count: int = 100
-    batch_size: int = 32
+@dataclass(frozen=True)
+class Range:
+    """The values a config field takes: `lo..hi`, or above `lo` when `above`
+    is set.  Declared once, with `field`; `Ranged` and the config table read it."""
+    lo: int
+    hi: int | None = None
+    above: bool = False
+
+    def __str__(self) -> str:
+        if self.hi is not None:
+            return f"in {self.lo}..{self.hi}"
+        return f"{'>' if self.above else '>='} {self.lo}"
+
+    def check(self, name: str, value, error=ContractError) -> None:
+        """Raise `error("<name> must be ..., got v")` unless each entry of
+        `value` lies in range; None, an unset optional, passes."""
+        for v in value if isinstance(value, (list, tuple)) else (value,):
+            finite = not isinstance(v, float) or math.isfinite(v)
+            if v is not None and not (
+                    finite and (v > self.lo if self.above else v >= self.lo)
+                    and (self.hi is None or v <= self.hi)):
+                raise error(f"{name} must be {'' if finite else 'finite and '}"
+                            f"{self}, got {v}")
+
+    def field(self, default=MISSING, **kwargs) -> Field:
+        return field(default=default, metadata={"range": self}, **kwargs)
+
+    @staticmethod
+    def of(holder, name: str) -> Range | None:
+        """The range of field `name` of a dataclass or of an instance."""
+        return {f.name: f for f in fields(holder)}[name].metadata.get("range")
+
+
+class Ranged:
+    """Base of the config dataclasses: construction checks each field's `Range`."""
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ContractError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.step_count < 1:
-            raise ContractError("step_count must be >= 1")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
+        for f in fields(self):
+            if "range" in f.metadata:
+                f.metadata["range"].check(f.name, getattr(self, f.name))
+
+
+@dataclass
+class SgdConfig(Ranged):
+    learning_rate: float = Range(0, above=True).field(0.1)
+    step_count: int = Range(1).field(100)
+    batch_size: int = Range(1).field(32)
 
 
 def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
@@ -120,12 +154,12 @@ class Classifier:
 
 
 @dataclass
-class ArchConfig:
+class ArchConfig(Ranged):
     """Widths for the three nets; depth is however many entries you list."""
-    encoder_hidden: list[int] = field(default_factory=lambda: [64])
-    embed_dim: int = 32
-    predictor_hidden: list[int] = field(default_factory=list)
-    disc_hidden: list[int] = field(default_factory=lambda: [32])
+    encoder_hidden: list[int] = Range(1).field(default_factory=lambda: [64])
+    embed_dim: int = Range(1).field(32)
+    predictor_hidden: list[int] = Range(1).field(default_factory=list)
+    disc_hidden: list[int] = Range(1).field(default_factory=lambda: [32])
 
     def build_classifier(self, input_dim: int, n_classes: int,
                          rng: np.random.Generator) -> Classifier:

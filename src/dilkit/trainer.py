@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import ContractError, Tensor, add, mul, softmax
 from .coeffs import CoeffSimplex, from_preset, init_uniform
-from .datagen import DomainStream, LabeledSet
+from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
 from .losses import (
@@ -25,7 +25,8 @@ from .membank import MemoryBank
 from .metrics import (
     AccuracyMatrix, accuracy, avg_acc, forgetting, forward_transfer,
 )
-from .models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
+from .models import (ArchConfig, Classifier, Mlp, Range, Ranged, SgdConfig,
+                     sgd_step)
 from .seeding import substream
 
 ADAPTIVE_METHOD = "UDIL"
@@ -33,30 +34,19 @@ ORACLE_METHOD = "Joint"
 
 
 @dataclass
-class TrainerConfig:
+class TrainerConfig(Ranged):
     method: str
     seed: int
     arch: ArchConfig = field(default_factory=ArchConfig)
     sgd: SgdConfig = field(default_factory=SgdConfig)
     hp: HyperParams = field(default_factory=HyperParams)
-    memory_capacity: int = 200
-    omega_lr: float | None = None      # default: sgd.learning_rate
-    disc_lr: float | None = None       # default: sgd.learning_rate
-    memory_batch: int | None = None    # per past domain; default: sgd.batch_size
+    memory_capacity: int = Range.of(MemoryBank, "capacity").field(200)
+    omega_lr: float | None = Range(0, above=True).field(None)  # None: sgd.learning_rate
+    disc_lr: float | None = Range(0, above=True).field(None)   # None: sgd.learning_rate
+    # per past domain; None: sgd.batch_size
+    memory_batch: int | None = Range(1).field(None)
     split_memory_batch: bool = False   # split one batch across past domains
-    baseline_models: int = 5
-
-    def __post_init__(self):
-        for name in ("omega_lr", "disc_lr"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise ContractError(f"{name} must be finite and > 0, got {value}")
-        if self.memory_batch is not None and self.memory_batch < 1:
-            raise ContractError(
-                f"memory_batch must be >= 1, got {self.memory_batch}")
-        if self.baseline_models < 1:
-            raise ContractError(
-                f"baseline_models must be >= 1, got {self.baseline_models}")
+    baseline_models: int = Range(1).field(5)
 
 
 @dataclass
@@ -309,6 +299,16 @@ def _baseline_accuracies(stream: DomainStream, config: TrainerConfig) -> list[fl
     return list(accs / config.baseline_models)
 
 
+def check_sequence(config: TrainerConfig, n_domains: int) -> None:
+    """Raise ConfigError, with `field` set, when a run could not finish."""
+    if config.memory_capacity < n_domains:  # a domain would keep no exemplar
+        raise ConfigError(f"memory_capacity must be >= n_domains = {n_domains}"
+                          f", got {config.memory_capacity}", field="memory_capacity")
+    for t in range(2, n_domains + 1):  # the coefficients train_domain builds
+        if config.method != ORACLE_METHOD:
+            _make_simplex(config.method, t)
+
+
 def run_sequence(stream: DomainStream, config: TrainerConfig) -> SequenceResult:
     """Fold train_domain over the stream, evaluating all seen test splits
     after each domain (plus the upcoming split before, for forward
@@ -316,6 +316,7 @@ def run_sequence(stream: DomainStream, config: TrainerConfig) -> SequenceResult:
     if stream.n_domains < 1:
         raise ContractError("stream is empty")
     n = stream.n_domains
+    check_sequence(config, n)
     mat = AccuracyMatrix(n)
     state = initial_state(config, stream.input_dim, stream.num_classes)
     baseline = _baseline_accuracies(stream, config)

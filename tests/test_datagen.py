@@ -69,6 +69,14 @@ def test_hd_balls_config_errors():
         gen_hd_balls(1, 2, 100, 10, 0.0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_hd_balls_rejects_non_finite_sigma(sigma):
+    """A nan sigma used to build nan inputs, and training failed later on a
+    nan loss."""
+    with pytest.raises(ConfigError, match="^hd-balls sigma must be finite and > 0"):
+        gen_hd_balls(1, 2, 100, 10, sigma)
+
+
 def _write_idx_images(path, arr):
     arr = np.asarray(arr, dtype=np.uint8)
     with open(path, "wb") as f:

@@ -315,6 +315,28 @@ def test_cli_unknown_method_lists_presets(tmp_path, capsys):
     assert "valid methods" in err and "DER++" in err and "UDIL" in err
 
 
+@pytest.mark.parametrize("old,new,fragment", [
+    ("buffer_capacity = 30", "buffer_capacity = 2",
+     "key 'buffer_capacity': must be >= n_domains = 3, got 2"),
+    ("method = ER", "method = ESM-ER", "key 'method': ESM-ER requires"),
+    ("n_per_domain = 60", "n_per_domain = 4",
+     "key 'n_per_domain': must be >= 5, got 4")])
+def test_cli_run_refuses_before_training(tmp_path, monkeypatch, capsys, old,
+                                         new, fragment):
+    """Configs that used to fail after training, or inside the stream
+    generator, exit 2 naming the key, and nothing is written."""
+    import dilkit.trainer as trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a domain")
+
+    monkeypatch.setattr(trainer, "train_domain", no_training)
+    monkeypatch.setenv("DILKIT_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["run", write_cfg(tmp_path, TINY.replace(old, new))]) == 2
+    assert f"config error: {fragment}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
     assert "config error" in capsys.readouterr().err

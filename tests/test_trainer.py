@@ -360,7 +360,38 @@ def test_collapsed_beta_mass_skips_discriminator_step():
 @pytest.mark.parametrize("name,value", [
     ("omega_lr", float("nan")), ("omega_lr", float("inf")), ("omega_lr", 0.0),
     ("disc_lr", float("nan")), ("disc_lr", -0.1),
-    ("memory_batch", 0), ("baseline_models", 0), ("baseline_models", -2)])
+    ("memory_batch", 0), ("baseline_models", 0), ("baseline_models", -2),
+    ("memory_capacity", 0)])
 def test_trainer_config_rejects_bad_values_naming_the_field(name, value):
     with pytest.raises(ContractError, match=f"^{name} must be"):
         TrainerConfig("UDIL", 0, **{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("embed_dim", 0), ("encoder_hidden", [8, 0]), ("predictor_hidden", [-1]),
+    ("disc_hidden", [0])])
+def test_arch_config_rejects_empty_layers_naming_the_field(name, value):
+    with pytest.raises(ContractError, match=f"^{name} must be >= 1, got"):
+        ArchConfig(**{name: value})
+
+
+@pytest.mark.parametrize("method,capacity,match,field", [
+    ("ER", 2, r"^memory_capacity must be >= n_domains = 3, got 2$",
+     "memory_capacity"),
+    ("Joint", 2, "^memory_capacity must be", "memory_capacity"),
+    ("ESM-ER", 30, "^ESM-ER requires lambda' .* t=2 gives", "method")])
+def test_unrunnable_sequence_fails_before_the_first_step(
+        monkeypatch, method, capacity, match, field):
+    """A memory smaller than the number of domains leaves the last domain
+    an empty bucket, and ESM-ER has no triple at t = 2: both used to fail
+    only after training; now run_sequence refuses before its first step."""
+    import dilkit.trainer as trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a domain")
+
+    monkeypatch.setattr(trainer, "train_domain", no_training)
+    config = dataclasses.replace(small_config(method), memory_capacity=capacity)
+    with pytest.raises(ConfigError, match=match) as info:
+        run_sequence(small_stream(), config)
+    assert info.value.field == field
