@@ -1,13 +1,14 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
-Ops, each one the library calls: add, mul, relu, sqrt, tsum, rowsum,
-rows, reshape, softmax, linear and softmax_xent.  linear is x @ w + b as
-one node; softmax_xent is -sum(target * log_softmax(a)), every
-cross-entropy.
+Ops, each one the library calls: add, mul, sqrt, tsum, rowsum, rows,
+reshape, softmax, mlp and softmax_xent.  mlp is a network forward (layers
+x @ w + b with relu between them) as one node; softmax_xent is
+-sum(target * log_softmax(a)), every cross-entropy.
 
 Each op builds a Tensor holding a `_backward` closure; `backward()` runs
 the closures in reverse topological order, passing each node its own
-`.grad`, and the closures accumulate into their inputs' `.grad` with +=.
+`.grad`, and the closures accumulate into their inputs' `.grad`: the first
+gradient is copied, later ones are added with +=.
 A closure takes the incoming gradient as its argument and holds no
 reference to its output, so a graph has no reference cycles: dropping the
 loss frees the whole graph at once, without the cyclic garbage collector.
@@ -44,9 +45,10 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # a copy: _unbroadcast may give both parents g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -118,32 +120,34 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def linear(x, w, b) -> Tensor:
-    """[n, i], [i, o], [o] -> [n, o]: x @ w + b as one node."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if (x.data.ndim != 2 or b.data.ndim != 1
-            or w.data.shape != (x.data.shape[1],) + b.data.shape):
-        raise ContractError(
-            "linear shape mismatch: %r @ %r + %r" % (x.shape, w.shape, b.shape))
-    out = _make(x.data @ w.data + b.data, (x, w, b))
+def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """[n, i] through the (w, b) layers -> [n, o]: h @ w + b per layer, relu
+    between layers, as one node.  The backward accumulates as a chain of one
+    node per layer and per relu does, so gradients are bitwise equal."""
+    x = _wrap(x)
+    if x.data.ndim != 2:
+        raise ContractError("Mlp input must be [batch, features]")
+    hs = [x.data]  # the input of each layer, then the output
+    for k, (w, b) in enumerate(layers):
+        if hs[-1].shape[1] != w.data.shape[0]:
+            raise ContractError(f"layer {k}: input has {hs[-1].shape[1]} "
+                                f"features, expected {w.data.shape[0]}")
+        h = hs[-1] @ w.data + b.data
+        hs.append(np.maximum(h, 0.0) if k < len(layers) - 1 else h)
+    out = _make(hs[-1], [x] + [p for pair in layers for p in pair])
     if out.requires_grad:
         def _back(g):
-            b._accum(g.sum(axis=0))
-            if x.requires_grad:
-                x._accum(g @ w.data.T)
-            if w.requires_grad:
-                w._accum(x.data.T @ g)
-        out._backward = _back
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = _make(np.maximum(a.data, 0.0), (a,))
-    if out.requires_grad:
-        mask = a.data > 0.0
-        def _back(g):
-            a._accum(g * mask)
+            for k in reversed(range(len(layers))):
+                w, b = layers[k]
+                if b.requires_grad:
+                    b._accum(g.sum(axis=0))
+                g_in = g @ w.data.T if k or x.requires_grad else None
+                if w.requires_grad:
+                    w._accum(hs[k].T @ g)
+                if k:
+                    g = g_in * (hs[k] > 0.0)
+                elif g_in is not None:
+                    x._accum(g_in)
         out._backward = _back
     return out
 

@@ -36,6 +36,8 @@ class LabeledSet:
     x: np.ndarray  # [N, n] float64
     y: np.ndarray  # [N] int64 class ids in [0, K)
     domain_id: int = 1
+    # the indices of these rows in the set `subset` took them from
+    source: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -54,7 +56,8 @@ class LabeledSet:
 
     def subset(self, idx: np.ndarray, domain_id: int | None = None) -> "LabeledSet":
         return LabeledSet(self.x[idx], self.y[idx],
-                          self.domain_id if domain_id is None else domain_id)
+                          self.domain_id if domain_id is None else domain_id,
+                          source=np.asarray(idx))
 
 
 @dataclass

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .autodiff import (
-    ContractError, Tensor, add, linear, mul, reshape, rows, rowsum,
+    ContractError, Tensor, add, mlp, mul, reshape, rows, rowsum, softmax,
     softmax_xent, sqrt, tsum,
 )
 from .coeffs import CoeffSimplex
@@ -29,10 +30,11 @@ class HyperParams(Ranged):
 
 @dataclass
 class HistorySnapshot:
-    """Frozen copy of the model after a domain, plus the per-bucket 0-1
-    risks it scores on memory (constants reused by every V_01 step)."""
+    """Frozen copy of the model after a domain, its logits on each memory
+    bucket and the per-bucket 0-1 risks (constants for every V_01 step)."""
     classifier: Classifier
     cached_consts: dict[int, float] = field(default_factory=dict)
+    logits: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
@@ -81,15 +83,15 @@ def _row_weights(seg_w: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,
-        current_batch: LabeledSet,
-        past_batches: dict[int, LabeledSet]) -> Tensor:
+        current_batch: LabeledSet, past_batches: dict[int, LabeledSet],
+        logits: Tensor | None = None, teacher_logits: np.ndarray | None = None) -> Tensor:
     """Model loss: CE + (sum beta_i) * distill on the current batch, plus per
     past domain gamma_i * CE + alpha_i * distill on its memory batch.
 
-    One student forward over the stacked batch of the segments with any
-    weight, and at most one teacher forward, over the rows with
-    distillation weight.  Per row the target is
-    w_ce * onehot(y) + w_distill * teacher_probs, where current rows have
+    One student forward over the stacked batch, and at most one teacher
+    forward, over the rows with distillation weight; either is skipped when
+    the caller passes its `logits` on every stacked row.  Per row the target
+    is w_ce * onehot(y) + w_distill * teacher_probs, where current rows have
     (w_ce, w_distill) = (1, sum beta) / n_0 and domain i's rows
     (gamma_i, alpha_i) / n_i; the loss is softmax_xent(logits, target).
     Coefficients enter as constants (stopped)."""
@@ -103,22 +105,21 @@ def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,
     w_distill = np.concatenate([[float(omega[:, 1].sum())], omega[:, 0]])
     if any(w != 0.0 and len(b) == 0 for w, b in zip(w_ce, batches)):
         raise ContractError("v_l: empty batch")
-    used = (w_ce != 0.0) | (w_distill != 0.0)
-    used_batches = [b for b, u in zip(batches, used) if u]
-    x, bounds = stack_segments([b.x for b in used_batches])
-    y = np.concatenate([b.y for b in used_batches])
-    logits = h.logits(x)
+    x, bounds = stack_segments([b.x for b in batches])
+    y = np.concatenate([b.y for b in batches])
+    logits = h.logits(x) if logits is None else logits
     k = logits.data.shape[1]
-    target = _one_hot(y, k, _row_weights(w_ce[used], bounds))
-    distilled = np.repeat(w_distill[used] != 0.0, np.diff(bounds))
+    target = _one_hot(y, k, _row_weights(w_ce, bounds))
+    distilled = np.repeat(w_distill != 0.0, np.diff(bounds))
     if distilled.any():
-        probs = history.classifier.probs(x[distilled]).data
+        probs = (history.classifier.probs(x[distilled]) if teacher_logits is None
+                 else softmax(teacher_logits[distilled])).data
         if probs.shape[1] != k:
             raise ContractError(
                 f"distillation arity mismatch: teacher {probs.shape[1]} "
                 f"vs student {k}")
         target[distilled] += (
-            _row_weights(w_distill[used], bounds)[distilled, None] * probs)
+            _row_weights(w_distill, bounds)[distilled, None] * probs)
     return softmax_xent(logits, target)
 
 
@@ -159,12 +160,20 @@ def radical_map(n_past: int, n_current: int,
             f"n_memory must have shape ({n_past},), got {n_memory.shape}")
     if n_current <= 0 or np.any(n_memory <= 0):
         raise ContractError("the radical requires positive sample counts")
+    w = np.concatenate([[1.0 / n_current], 1.0 / n_memory])
+    return _radical_select(n_past) + (w,)
+
+
+@lru_cache(maxsize=64)
+def _radical_select(n_past: int) -> tuple[np.ndarray, np.ndarray]:
+    """radical_map's (select, offset): they depend on n_past alone, so each
+    size is built once, read-only."""
     select = np.zeros((3 * n_past, n_past + 1))
     select[1::3, 0] = 1.0
-    select[0::3, 1:] = np.eye(n_past)
-    select[2::3, 1:] = np.eye(n_past)
-    w = np.concatenate([[1.0 / n_current], 1.0 / n_memory])
-    return select, np.eye(1, n_past + 1)[0], w
+    select[0::3, 1:] = select[2::3, 1:] = np.eye(n_past)
+    offset = np.eye(1, n_past + 1)[0]
+    select.flags.writeable = offset.flags.writeable = False
+    return select, offset
 
 
 def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
@@ -181,19 +190,19 @@ def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
             f"v_01: the simplex has {n_past} past domains, the stats "
             f"{len(stats.eps_replay)} and n_memory {n_memory.size}")
     select, offset, w = radical_map(n_past, n_current, n_memory)
-    v = linear(reshape(m, (1, 3 * n_past)), select, offset)
+    v = mlp(reshape(m, (1, 3 * n_past)), [(Tensor(select), Tensor(offset))])
     rad = sqrt(tsum(mul(mul(v, v), w)))
     return add(tsum(mul(m, stats.weights())), mul(rad, c_gen))
 
 
-def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,
-        past_x: dict[int, np.ndarray], t: int) -> Tensor:
+def v_d(d: Mlp, encoder: Mlp | None, omega: np.ndarray, current_x: np.ndarray,
+        past_x: dict[int, np.ndarray], t: int, logits: Tensor | None = None) -> Tensor:
     """Domain discrimination loss: (sum beta_i) * CE(current batch -> class t)
     + sum_i beta_i * CE(memory batch i -> class i).
 
-    One encoder and discriminator forward over the stacked rows of the
-    segments with non-zero weight; current rows have weight
-    (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
+    One encoder and discriminator forward over the stacked rows, skipped
+    when the caller passes the discriminator's `logits` on them; current
+    rows have weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
     if not past_x:
         return Tensor(0.0)
     omega = _check_omega(omega, past_x)
@@ -205,16 +214,14 @@ def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,
         raise ContractError(f"discriminator arity {arity} != t={t}")
     ids = sorted(past_x)
     seg_w = np.concatenate([[float(betas.sum())], betas])
-    used = seg_w != 0.0
-    parts = [current_x] + [past_x[i] for i in ids]
-    x, bounds = stack_segments([p for p, u in zip(parts, used) if u])
+    x, bounds = stack_segments([current_x] + [past_x[i] for i in ids])
     sizes = np.diff(bounds)
-    if np.any(sizes == 0):
+    if np.any((sizes == 0) & (seg_w != 0.0)):
         raise ContractError("v_d: empty batch")
-    seg_class = np.array([t - 1] + [i - 1 for i in ids])[used]
-    target = _one_hot(np.repeat(seg_class, sizes), t,
-                      _row_weights(seg_w[used], bounds))
-    return softmax_xent(d.logits(encoder.logits(x)), target)
+    seg_class = np.array([t - 1] + [i - 1 for i in ids])
+    target = _one_hot(np.repeat(seg_class, sizes), t, _row_weights(seg_w, bounds))
+    return softmax_xent(d.logits(encoder.logits(x)) if logits is None else logits,
+                        target)
 
 
 def v_p(encoder: Mlp, prev_encoder: Mlp,
@@ -283,13 +290,15 @@ def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp,
                      current_batch: LabeledSet,
                      past_batches: dict[int, LabeledSet], t: int,
                      hp: HyperParams, rng: np.random.Generator,
-                     n_negatives: int = 8) -> Tensor:
+                     n_negatives: int = 8, disc_logits: Tensor | None = None) -> Tensor:
     """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s; with the
-    discriminator stopped the gradient reaches the encoder only."""
+    discriminator stopped the gradient reaches the encoder only.
+    `disc_logits` is V_d's precomputed `logits`."""
     total = Tensor(0.0)
     if hp.lambda_d > 0 and past_batches:
         vd = v_d(d_stopped, encoder, omega, current_batch.x,
-                 {i: b.x for i, b in past_batches.items()}, t)
+                 {i: b.x for i, b in past_batches.items()}, t,
+                 logits=disc_logits)
         total = add(total, mul(vd, -hp.lambda_d))
     if hp.lambda_p > 0 and past_batches and prev_encoder is not None:
         vp = v_p(encoder, prev_encoder,

@@ -62,7 +62,8 @@ class MemoryBank(Ranged):
 
     def sample_past(self, per_domain_batch: int,
                     rng: np.random.Generator) -> dict[int, LabeledSet]:
-        """Uniform without-replacement minibatch from every stored bucket."""
+        """Uniform without-replacement minibatch from every stored bucket;
+        each batch's `source` holds its rows' indices in the bucket."""
         out: dict[int, LabeledSet] = {}
         for i in sorted(self.buckets):
             bucket = self.buckets[i]

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, linear, relu, softmax
+from .autodiff import ContractError, Tensor, mlp, softmax
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,7 @@ class Mlp:
         return [p for pair in self.layers for p in pair]
 
     def logits(self, x) -> Tensor:
-        h = x if isinstance(x, Tensor) else Tensor(x)
-        if h.data.ndim != 2:
-            raise ContractError("Mlp input must be [batch, features]")
-        for k, (w, b) in enumerate(self.layers):
-            if h.data.shape[1] != w.data.shape[0]:
-                raise ContractError(
-                    f"layer {k}: input has {h.data.shape[1]} features, "
-                    f"expected {w.data.shape[0]}")
-            h = linear(h, w, b)
-            if k < len(self.layers) - 1:
-                h = relu(h)
-        return h
+        return mlp(x, self.layers)
 
     def copy(self, frozen: bool = False) -> "Mlp":
         layers = [(Tensor(w.data.copy(), requires_grad=not frozen),

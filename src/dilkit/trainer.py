@@ -19,7 +19,7 @@ from .datagen import ConfigError, DomainStream, LabeledSet
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
 from .losses import (
     CoeffStats, HistorySnapshot, HyperParams, classification_loss,
-    encoder_aux_loss, erm01, stack_segments, v_01, v_d, v_l,
+    encoder_aux_loss, stack_segments, v_01, v_d, v_l,
 )
 from .membank import MemoryBank
 from .metrics import (
@@ -118,31 +118,36 @@ def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
 
 def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
                          disc: Mlp, current_batch: LabeledSet,
-                         past_batches: dict[int, LabeledSet]) -> CoeffStats:
+                         past_batches: dict[int, LabeledSet],
+                         logits: np.ndarray | None = None,
+                         disc_logits: np.ndarray | None = None,
+                         teacher_logits: np.ndarray | None = None) -> CoeffStats:
     """Assemble the per-step scalar statistics the bound surrogate needs,
     from the sampled batches and the frozen history constants.  One stopped
     encoder pass embeds the stacked batch (current rows, then each memory
     batch in sorted domain order); the predictor and the discriminator each
-    run once on that embedding, and the teacher once on the batch.  The 0-1
-    errors and every divergence estimate are read off the segments."""
+    run once on that embedding, and the teacher once on the batch, unless
+    the caller passes all three outputs on those rows.  The 0-1 errors are
+    counted per segment and every divergence estimate is read off them."""
     ids = sorted(past_batches)
     batches = [current_batch] + [past_batches[i] for i in ids]
     if any(len(b) == 0 for b in batches):
         raise ContractError("coeff_stats_for_step: empty batch")
     x, bounds = stack_segments([b.x for b in batches])
-    stopped = model.stopped()
-    embedding = stopped.encoder.logits(x)
-    pred = np.argmax(stopped.predictor.logits(embedding).data, axis=1)
-    differs = pred != history.classifier.predict(x)
-    segs = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    eps_replay = np.array([np.mean(pred[s] != b.y)
-                           for s, b in zip(segs[1:], batches[1:])])
-    eps_intra = np.array([np.mean(differs[s]) for s in segs[1:]])
-    eps_cross = float(np.mean(differs[segs[0]]))
-    probs = softmax(disc.stopped().logits(embedding)).data
-    dhat = discriminator_divergences(probs, bounds, ids)
+    if logits is None:
+        stopped = model.stopped()
+        embedding = stopped.encoder.logits(x)
+        logits = stopped.predictor.logits(embedding).data
+        disc_logits = disc.stopped().logits(embedding).data
+        teacher_logits = history.classifier.logits(x).data
+    pred = np.argmax(logits, axis=1)
+    y = np.concatenate([b.y for b in batches])
+    wrong, differs = (
+        np.add.reduceat(miss, bounds[:-1], dtype=np.int64) / np.diff(bounds)
+        for miss in (pred != y, pred != np.argmax(teacher_logits, axis=1)))
+    dhat = discriminator_divergences(softmax(disc_logits).data, bounds, ids)
     eps_hist = np.array([history.cached_consts[i] for i in ids])
-    return CoeffStats(eps_replay, eps_intra, eps_cross, dhat, eps_hist)
+    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
 
 
 def descend_v01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
@@ -163,12 +168,13 @@ def descend_v01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
 
 
 def snapshot_history(state: TrainState) -> HistorySnapshot:
-    """Freeze the trained model as the next domain's teacher and cache its
-    0-1 error on every memory bucket."""
+    """Freeze the trained model as the next domain's teacher, with its
+    logits on every memory bucket and its 0-1 error on each."""
     frozen = state.model.copy(frozen=True)
-    cached = {i: erm01(frozen, bucket)
-              for i, bucket in state.bank.buckets.items()}
-    return HistorySnapshot(frozen, cached)
+    logits = {i: frozen.logits(b.x).data for i, b in state.bank.buckets.items()}
+    cached = {i: float(np.mean(np.argmax(logits[i], axis=1) != b.y))
+              for i, b in state.bank.buckets.items()}
+    return HistorySnapshot(frozen, cached, logits)
 
 
 def train_domain(state: TrainState, domain_data: LabeledSet,
@@ -219,6 +225,8 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
 def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator, disc: Mlp,
                          simplex: CoeffSimplex) -> None:
+    """Each network runs once per step, on the stacked rows (current, then
+    each past domain in sorted order); the teacher's logits are read by row."""
     config = state.config
     t, hp, sgd = state.t, config.hp, config.sgd
     model, history = state.model, state.history
@@ -230,36 +238,47 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         mem_batch = max(1, mem_batch // (t - 1))
     n_memory = [len(state.bank.buckets[i]) for i in sorted(state.bank.buckets)]
     # a fixed preset with no cross-domain mass never trains the discriminator
-    fixed_beta_mass = (not adaptive
-                       and float(simplex.triples()[:, 1].sum()) > 0.0)
+    disc_on = hp.lambda_d > 0 and (
+        adaptive or float(simplex.triples()[:, 1].sum()) > 0.0)
+    # the teacher's logits by domain: the snapshot's, and this domain's
+    teacher = {**history.logits, t: history.classifier.logits(domain_data.x).data}
 
     for step in range(1, sgd.step_count + 1):
         current = _sample_batch(domain_data, sgd.batch_size, rng)
         past = state.bank.sample_past(mem_batch, rng)
-        past_x = {i: b.x for i, b in past.items()}
+        batches = [current] + [past[i] for i in sorted(past)]
+        x, _ = stack_segments([b.x for b in batches])
+        teacher_logits = np.concatenate([teacher[b.domain_id][b.source] for b in batches])
+        embedding = model.encoder.logits(x)
+        logits = model.predictor.logits(embedding)
 
-        if hp.lambda_d > 0 and (adaptive or fixed_beta_mass):
-            omega_frozen = simplex.triples()
-            disc_loss = mul(v_d(disc, model.stopped().encoder, omega_frozen,
-                                current.x, past_x, t), hp.lambda_d)
+        if disc_on:
+            disc_loss = mul(v_d(disc, None, simplex.triples(), current.x,
+                                {i: b.x for i, b in past.items()}, t,
+                                disc.logits(embedding.data)), hp.lambda_d)
             _check_finite(disc_loss, "discriminator", config.method, t, step)
             # with no beta mass left the loss is a constant: nothing to train
             if disc_loss.requires_grad:
                 disc_loss.backward()
                 sgd_step(disc.params(), disc_lr)
+        d_stopped = disc.stopped()
+        disc_logits = d_stopped.logits(embedding) if adaptive or disc_on else None
 
         if adaptive:
-            stats = coeff_stats_for_step(model, history, disc, current, past)
+            stats = coeff_stats_for_step(model, history, disc, current, past,
+                                         logits.data, disc_logits.data,
+                                         teacher_logits)
             loss = v_01(simplex, stats, hp.c_gen, len(domain_data), n_memory)
             _check_finite(loss, "coefficient", config.method, t, step)
             loss.backward()
             sgd_step([simplex.logits], omega_lr)
 
         omega_frozen = simplex.triples()
-        objective = v_l(model, history, omega_frozen, current, past)
+        objective = v_l(model, history, omega_frozen, current, past, logits,
+                        teacher_logits)
         aux = encoder_aux_loss(
-            model.encoder, disc.stopped(), history.classifier.encoder,
-            omega_frozen, current, past, t, hp, rng)
+            model.encoder, d_stopped, history.classifier.encoder,
+            omega_frozen, current, past, t, hp, rng, disc_logits=disc_logits)
         objective = add(objective, aux)
         _check_finite(objective, "model", config.method, t, step)
         objective.backward()

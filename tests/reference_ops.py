@@ -1,9 +1,11 @@
-"""Test-only reference: the autodiff ops the library composed its layers
-and cross-entropies from before `linear` and `softmax_xent` fused them,
-and the slicing ops V_01 and V_s were built from before V_01 became one
-weighted sum and V_s one cross-entropy over gathered differences.  The differential tests in test_autodiff.py compare the
-fused ops against these compositions, and reference_step.py builds its
-per-domain losses from them."""
+"""Test-only reference: the autodiff ops the library composed its networks
+and cross-entropies from before `mlp` and `softmax_xent` fused them (a
+`linear` node per layer and a `relu` node between layers; `linear` itself
+fused `matmul` and `add`), and the slicing ops V_01 and V_s were built
+from before V_01 became one weighted sum and V_s one cross-entropy over
+gathered differences.  The differential tests in test_autodiff.py compare
+the fused ops against these compositions, and reference_step.py builds
+its per-domain losses from them."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -29,6 +31,47 @@ def matmul(a, b) -> Tensor:
             b._accum(a.data.T @ g)
         out._backward = _back
     return out
+
+
+def linear(x, w, b) -> Tensor:
+    """[n, i], [i, o], [o] -> [n, o]: x @ w + b as one node."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if (x.data.ndim != 2 or b.data.ndim != 1
+            or w.data.shape != (x.data.shape[1],) + b.data.shape):
+        raise ContractError(
+            "linear shape mismatch: %r @ %r + %r" % (x.shape, w.shape, b.shape))
+    out = _make(x.data @ w.data + b.data, (x, w, b))
+    if out.requires_grad:
+        def _back(g):
+            b._accum(g.sum(axis=0))
+            if x.requires_grad:
+                x._accum(g @ w.data.T)
+            if w.requires_grad:
+                w._accum(x.data.T @ g)
+        out._backward = _back
+    return out
+
+
+def relu(a: Tensor) -> Tensor:
+    a = _wrap(a)
+    out = _make(np.maximum(a.data, 0.0), (a,))
+    if out.requires_grad:
+        mask = a.data > 0.0
+        def _back(g):
+            a._accum(g * mask)
+        out._backward = _back
+    return out
+
+
+def mlp_chain(x, layers) -> Tensor:
+    """A network forward as the composed chain of linear and relu nodes,
+    the way Mlp.logits built it before `mlp` fused it."""
+    h = _wrap(x)
+    for k, (w, b) in enumerate(layers):
+        h = linear(h, w, b)
+        if k < len(layers) - 1:
+            h = relu(h)
+    return h
 
 
 def tmean(a: Tensor) -> Tensor:

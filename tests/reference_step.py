@@ -7,13 +7,18 @@ per-column slices and separate positive/negative gathers, before V_01
 became one weighted sum and V_s one cross-entropy over all differences;
 test_losses.py compares the library's against them.  The distillation
 loss and the 0-1 disagreement they are built from have no caller in the
-library and live here, tested in test_losses.py."""
+library and live here, tested in test_losses.py.  `replay_step` is one
+adaptive training step in the phase order the trainer ran before the
+phases shared one student pass, one stopped-discriminator pass and the
+teacher's per-domain outputs; test_stacked_step.py compares the trainer's
+step against it."""
 from __future__ import annotations
 
 import logging
 
 import numpy as np
 
+from dilkit import losses
 from dilkit.autodiff import (
     ContractError, Tensor, add, mul, reshape, rows, rowsum, softmax,
     softmax_xent, sqrt, tsum,
@@ -21,10 +26,10 @@ from dilkit.autodiff import (
 from dilkit.coeffs import CoeffSimplex
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    CoeffStats, HistorySnapshot, _check_omega, _one_hot, classification_loss,
-    erm01,
+    CoeffStats, HistorySnapshot, HyperParams, _check_omega, _one_hot,
+    classification_loss, erm01,
 )
-from dilkit.models import Classifier, Mlp
+from dilkit.models import Classifier, Mlp, sgd_step
 
 from reference_ops import column, concat_cols, log_softmax, pick, tmean
 
@@ -240,3 +245,36 @@ def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
     z = concat_cols([Tensor(np.zeros((m, 1))), gap])
     target = _one_hot(np.zeros(m, np.int64), n_negatives + 1, 1.0 / k)
     return softmax_xent(z, target)
+
+
+def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
+                simplex: CoeffSimplex, current: LabeledSet,
+                past: dict[int, LabeledSet], t: int, hp: HyperParams,
+                n_current: int, n_memory: list[int],
+                rng: np.random.Generator, disc_lr: float, omega_lr: float):
+    """One adaptive step, each phase with its own forwards, from the
+    library's losses called without precomputed passes (each checked
+    against its per-domain form above): the discriminator update through a
+    stopped encoder pass, the coefficient statistics (per domain, above)
+    and update, then V_l, which runs the student and the teacher on the
+    batch, plus the encoder terms, whose V_d runs the encoder and a stopped
+    discriminator again.  Returns (stats, objective); the objective is not
+    yet backpropagated."""
+    past_x = {i: b.x for i, b in past.items()}
+    disc_loss = mul(losses.v_d(disc, model.stopped().encoder,
+                               simplex.triples(), current.x, past_x, t),
+                    hp.lambda_d)
+    if disc_loss.requires_grad:
+        disc_loss.backward()
+        sgd_step(disc.params(), disc_lr)
+    stats = coeff_stats_for_step(model, history, disc, current, past)
+    loss01 = losses.v_01(simplex, stats, hp.c_gen, n_current, n_memory)
+    loss01.backward()
+    sgd_step([simplex.logits], omega_lr)
+    omega = simplex.triples()
+    objective = add(losses.v_l(model, history, omega, current, past),
+                    losses.encoder_aux_loss(
+                        model.encoder, disc.stopped(),
+                        history.classifier.encoder, omega, current, past, t,
+                        hp, rng))
+    return stats, objective

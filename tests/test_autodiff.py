@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import dilkit
 from dilkit.autodiff import (
-    ContractError, Tensor, add, gradcheck, linear, mul, relu, reshape, rows,
-    rowsum, softmax, softmax_xent, sqrt, tsum,
+    ContractError, Tensor, add, gradcheck, mlp, mul, reshape, rows, rowsum,
+    softmax, softmax_xent, sqrt, tsum,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 
 from reference_ops import (
-    column, concat_cols, log_softmax, lse, matmul, pick, tmean,
+    column, concat_cols, linear, log_softmax, lse, matmul, mlp_chain, pick,
+    relu, tmean,
 )
 
 
@@ -43,6 +44,29 @@ def test_grad_accumulates_across_uses():
     loss = add(tsum(mul(w, 2.0)), tsum(mul(w, 5.0)))
     loss.backward()
     assert np.allclose(w.grad, [7.0])
+
+
+def test_first_gradient_is_copied_not_aliased():
+    """_unbroadcast hands the upstream gradient itself to both parents of a
+    same-shape add: each parent's .grad is its own array, and a tensor used
+    twice still accumulates both uses."""
+    rng = np.random.default_rng(1)
+    readout = rng.normal(size=(3, 4))
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    tsum(mul(add(x, x), readout)).backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * readout)
+    for op, want in ((add, lambda a, b: (readout, readout)),
+                     (mul, lambda a, b: (readout * b, readout * a))):
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        out = op(a, b)
+        tsum(mul(out, readout)).backward()
+        want_a, want_b = want(a.data, b.data)
+        np.testing.assert_array_equal(a.grad, want_a)
+        np.testing.assert_array_equal(b.grad, want_b)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, out.grad)
+        assert not np.shares_memory(b.grad, out.grad)
 
 
 def test_broadcast_bias_grad():
@@ -311,6 +335,13 @@ def _op_case(op, rng, n, m):
     if op == "softmax_xent":
         target = rng.random((n, m)) * (rng.random((n, 1)) < 0.7)
         return [a], lambda: softmax_xent(a, target)
+    if op == "mlp":
+        sizes = [m] + [int(v) for v in rng.integers(1, 5, rng.integers(1, 4))]
+        layers = [(Tensor(rng.normal(size=(i, o)), requires_grad=True),
+                   Tensor(rng.normal(size=o), requires_grad=True))
+                  for i, o in zip(sizes, sizes[1:])]
+        return ([a] + [p for pair in layers for p in pair],
+                lambda: mlp(a, layers))
     if op == "relu":
         a.data[...] = _away_from_zero(rng, (n, m))
         return [a], lambda: relu(a)
@@ -336,7 +367,7 @@ def _op_case(op, rng, n, m):
     return [a], lambda: unary[op](a)
 
 
-OPS = ("add", "mul", "matmul", "linear", "relu", "sqrt", "tsum", "rowsum",
+OPS = ("add", "mul", "matmul", "linear", "mlp", "relu", "sqrt", "tsum", "rowsum",
        "reshape", "concat_cols", "softmax", "softmax_xent", "lse",
        "log_softmax", "pick", "rows", "column")
 
@@ -406,6 +437,49 @@ def test_linear_matches_composition(n, i, o, seed):
     ref_value, ref_grads = run(lambda x, w, b: add(matmul(x, w), b))
     assert np.allclose(value, ref_value, rtol=0, atol=1e-12)
     assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+
+def _net(rng, sizes, requires_grad=True):
+    return [(Tensor(rng.normal(size=(i, o)), requires_grad=requires_grad),
+             Tensor(rng.normal(size=o), requires_grad=requires_grad))
+            for i, o in zip(sizes, sizes[1:])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), depth=st.integers(1, 3), x_grad=st.booleans(),
+       stopped_head=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+def test_mlp_matches_composition(n, depth, x_grad, stopped_head, seed):
+    """One mlp node gives the composed linear/relu chain's output and, for
+    the input and every parameter, bitwise-equal gradients.  The first
+    network's output feeds two consumers, a second network and a third
+    whose parameters are stopped (as the predictor and the stopped
+    discriminator read one embedding), so its gradient is accumulated."""
+    rng = np.random.default_rng(seed)
+    widths = [int(v) for v in rng.integers(1, 6, depth + 1)]
+    x0 = rng.normal(size=(n, widths[0]))
+    nets0 = [_net(rng, widths), _net(rng, [widths[-1], 3, 2]),
+             _net(rng, [widths[-1], 4, 3], requires_grad=not stopped_head)]
+    readouts = [rng.normal(size=(n, 2)), rng.normal(size=(n, 3))]
+
+    def run(forward):
+        x = Tensor(x0.copy(), requires_grad=x_grad)
+        nets = [[(Tensor(w.data.copy(), requires_grad=w.requires_grad),
+                  Tensor(b.data.copy(), requires_grad=b.requires_grad))
+                 for w, b in net] for net in nets0]
+        emb = forward(x, nets[0])
+        outs = [forward(emb, nets[1]), forward(emb, nets[2])]
+        add(tsum(mul(outs[0], readouts[0])),
+            tsum(mul(outs[1], readouts[1]))).backward()
+        params = [p for net in nets for pair in net for p in pair]
+        return ([emb.data] + [o.data for o in outs],
+                [x.grad] + [p.grad for p in params])
+
+    values, grads = run(mlp)
+    ref_values, ref_grads = run(mlp_chain)
+    assert all(np.array_equal(v, r) for v, r in zip(values, ref_values))
+    for g, r in zip(grads, ref_grads):
+        assert (g is None) == (r is None)
+        assert g is None or np.array_equal(g, r)
 
 
 def test_linear_rejects_mismatched_shapes():

@@ -11,7 +11,7 @@ from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
     CoeffStats, HistorySnapshot, HyperParams, classification_loss,
-    encoder_aux_loss, erm01, v_01, v_d, v_l, v_p, v_s,
+    encoder_aux_loss, erm01, radical_map, v_01, v_d, v_l, v_p, v_s,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig
 from reference_step import distillation_loss, erm01_agreement
@@ -262,6 +262,28 @@ def test_v_01_contract_past_domain_counts_agree():
         v_01(init_uniform(5), _stats(3, rng), 1.0, 50, [10, 10, 10, 10])
     with pytest.raises(ContractError, match="simplex has 1 .* stats 2 and n_memory 2"):
         v_01(from_preset("ER", 2), _stats(2, rng), 1.0, 50, [10, 10])
+
+
+@pytest.mark.parametrize("n_past", [1, 2, 4, 7])
+def test_radical_map_is_built_once_per_size_read_only(n_past):
+    """The selection matrix and the offset depend on n_past alone: every
+    call at one size returns the same read-only arrays, equal to the map
+    built afresh; only the sample weights follow the counts."""
+    select, offset, w = radical_map(n_past, 40, np.arange(1, n_past + 1))
+    again, offset_again, w_again = radical_map(n_past, 7, [5] * n_past)
+    assert again is select and offset_again is offset
+    for arr in (select, offset):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    fresh = np.zeros((3 * n_past, n_past + 1))
+    fresh[1::3, 0] = 1.0
+    fresh[0::3, 1:] = np.eye(n_past)
+    fresh[2::3, 1:] = np.eye(n_past)
+    np.testing.assert_array_equal(select, fresh)
+    np.testing.assert_array_equal(offset, np.eye(1, n_past + 1)[0])
+    np.testing.assert_array_equal(w, np.r_[1 / 40, 1 / np.arange(1, n_past + 1)])
+    np.testing.assert_array_equal(w_again, np.r_[1 / 7, [0.2] * n_past])
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,17 +1,25 @@
 """Differential tests: the stacked-batch losses, coefficient statistics
 and divergence estimate against the per-domain reference in
-reference_step.py, on random states."""
+reference_step.py, on random states; the losses fed precomputed passes
+against their own forwards; and the trainer's step, whose phases share
+their passes, against the reference's phase order."""
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_step as ref
+from dilkit import trainer
 from dilkit.autodiff import ContractError, Tensor
-from dilkit.datagen import LabeledSet
+from dilkit.coeffs import init_uniform
+from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
-from dilkit.losses import HistorySnapshot, v_d, v_l, v_p
-from dilkit.models import Classifier, Mlp
-from dilkit.trainer import coeff_stats_for_step
+from dilkit.losses import HistorySnapshot, HyperParams, v_d, v_l, v_p
+from dilkit.membank import MemoryBank
+from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
+from dilkit.trainer import (TrainerConfig, TrainState, coeff_stats_for_step,
+                            snapshot_history)
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
 KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
@@ -229,3 +237,166 @@ def test_v_l_teacher_arity_contract_kept():
     for fn in (v_l, ref.v_l):
         with pytest.raises(ContractError, match="arity"):
             fn(h, bad, omega, current, past)
+
+
+# -- precomputed passes ---------------------------------------------------
+
+@pytest.mark.parametrize("t,kind,seed", CASES)
+def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
+    """v_l given the student's and the teacher's logits on every stacked
+    row, v_d given the discriminator's logits on them (through a graph
+    into the encoder, or on a stopped embedding), and coeff_stats_for_step
+    given all three, agree with the forwards they replace; segments without
+    weight (ER, LwF, FineTune, mixed) keep their rows at zero weight."""
+    h, history, disc, omega, current, past = _state(800 * t + seed, t, kind)
+    x = np.concatenate([current.x] + [past[i].x for i in sorted(past)])
+    past_x = {i: b.x for i, b in past.items()}
+    teacher_logits = history.classifier.logits(x).data
+    _assert_same(
+        v_l(h, history, omega, current, past, h.logits(x), teacher_logits),
+        v_l(h, history, omega, current, past), h.params())
+    enc_params = h.encoder.params()
+    d_stopped = disc.stopped()
+    _assert_same(v_d(d_stopped, h.encoder, omega, current.x, past_x, t,
+                     logits=d_stopped.logits(h.encoder.logits(x))),
+                 v_d(d_stopped, h.encoder, omega, current.x, past_x, t),
+                 enc_params)
+    _assert_same(v_d(disc, None, omega, current.x, past_x, t,
+                     disc.logits(h.encoder.logits(x).data)),
+                 v_d(disc, h.encoder.stopped(), omega, current.x, past_x, t),
+                 disc.params())
+    got = coeff_stats_for_step(
+        h, history, disc, current, past, h.logits(x).data,
+        disc.logits(h.encoder.logits(x)).data, teacher_logits)
+    want = coeff_stats_for_step(h, history, disc, current, past)
+    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.eps_cross == want.eps_cross
+
+
+# -- one full step -------------------------------------------------------
+
+def _step_state(seed, t, hp):
+    """A UDIL state at domain t, with a teacher snapshot of random memory
+    buckets, a discriminator, a random simplex and the domain's data."""
+    rng = np.random.default_rng(seed)
+    bank = MemoryBank(100)
+    bank.buckets = {i: _batch(rng, int(rng.integers(4, 15)), i)
+                    for i in range(1, t)}
+    config = TrainerConfig("UDIL", seed, hp=hp, omega_lr=0.7, disc_lr=0.4,
+                           sgd=SgdConfig(0.3, 1, int(rng.integers(1, 12))),
+                           memory_batch=int(rng.integers(1, 8)))
+    state = TrainState(_classifier(rng), None, bank, config, 1)
+    state.history, state.t = snapshot_history(state), t
+    state.model = _classifier(rng)
+    disc = Mlp([EMBED, 6, t], rng=rng)
+    simplex = init_uniform(t)
+    simplex.logits.data[...] = rng.normal(size=(t - 1, 3))
+    return state, disc, simplex, _batch(rng, 30, t)
+
+
+HPS = [HyperParams(lambda_d=0.5, c_gen=1.0),
+       HyperParams(lambda_d=0.05, c_gen=0.3, lambda_p=0.2, lambda_s=0.1)]
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+@pytest.mark.parametrize("hp_index", range(len(HPS)))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
+                                                   seed):
+    """One trainer step (one student pass, one stopped-discriminator pass,
+    teacher logits by row) against reference_step.replay_step on the same
+    batches: the same coefficient statistics exactly, the same
+    discriminator and coefficient updates, and the model loss and every
+    model gradient within 1e-10."""
+    hp = HPS[hp_index]
+    state, disc, simplex, domain = _step_state(900 * t + 10 * hp_index + seed,
+                                               t, hp)
+    model, history, bank = state.model, state.history, state.bank
+    ref_model, ref_disc, ref_simplex = copy.deepcopy((model, disc, simplex))
+    seen = {"batches": [], "stats": [], "losses": {}, "grads": []}
+    sample_batch, sample_past = trainer._sample_batch, bank.sample_past
+    stats_for_step = trainer.coeff_stats_for_step
+
+    def recording_sample_batch(*args):
+        seen["batches"].append(sample_batch(*args))
+        return seen["batches"][-1]
+
+    def recording_sample_past(per_domain, rng):
+        seen["batches"].append(sample_past(per_domain, rng))
+        seen["rng"] = copy.deepcopy(rng)  # the stream V_s draws from next
+        return seen["batches"][-1]
+
+    def recording_stats(*args):
+        seen["stats"].append(stats_for_step(*args))
+        return seen["stats"][-1]
+
+    def recording_sgd_step(params, lr):
+        seen["grads"].append([p.grad.copy() for p in params])
+        sgd_step(params, lr)
+
+    monkeypatch.setattr(trainer, "_sample_batch", recording_sample_batch)
+    monkeypatch.setattr(bank, "sample_past", recording_sample_past)
+    monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
+    monkeypatch.setattr(trainer, "_check_finite", lambda loss, name, *rest:
+                        seen["losses"].update({name: loss.item()}))
+    monkeypatch.setattr(trainer, "sgd_step", recording_sgd_step)
+    trainer._train_domain_replay(state, domain, np.random.default_rng(seed),
+                                 disc, simplex)
+
+    current, past = seen["batches"]
+    n_memory = [len(bank.buckets[i]) for i in sorted(bank.buckets)]
+    ref_stats, ref_objective = ref.replay_step(
+        ref_model, history, ref_disc, ref_simplex, current, past, t, hp,
+        len(domain), n_memory, seen["rng"], 0.4, 0.7)
+    (stats,) = seen["stats"]
+    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
+        np.testing.assert_array_equal(getattr(stats, name),
+                                      getattr(ref_stats, name))
+    assert stats.eps_cross == ref_stats.eps_cross
+    np.testing.assert_allclose(simplex.logits.data, ref_simplex.logits.data,
+                               rtol=0, atol=1e-10)
+    for p, r in zip(disc.params(), ref_disc.params()):
+        np.testing.assert_allclose(p.data, r.data, rtol=0, atol=1e-10)
+    ref_value, ref_grads = _value_and_grads(ref_objective, ref_model.params())
+    assert abs(seen["losses"]["model"] - ref_value) <= 1e-10
+    model_grads = seen["grads"][-1]  # the model update comes last
+    assert len(model_grads) == len(ref_grads)
+    for got, want in zip(model_grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("method", ["UDIL", "ER", "LwF"])
+def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
+    """A UDIL step makes four Mlp.logits calls at every t (the encoder and
+    the predictor over the stacked rows, the discriminator for its update
+    and once stopped), at most five, flat in t; ER makes two and LwF
+    four.  The teacher runs once per domain, not per step: the counts of a
+    three-step and a one-step domain differ by exactly two steps' worth."""
+    stream = gen_hd_balls(seed=3, n_domains=5, n_per_domain=60, dim=4,
+                          sigma=0.4)
+    calls = []
+    logits = Mlp.logits
+
+    def counting_logits(self, x):
+        calls.append(self)
+        return logits(self, x)
+
+    def calls_per_domain(steps):
+        config = TrainerConfig(method, 1, arch=ArchConfig([8], 4, [], [8]),
+                               sgd=SgdConfig(0.2, steps, 16),
+                               memory_capacity=30, hp=HyperParams(lambda_d=0.1))
+        state = trainer.initial_state(config, 4, stream.num_classes)
+        counts = {}
+        for t in range(1, 6):
+            start = len(calls)
+            state = trainer.train_domain(state, stream.train(t))
+            counts[t] = len(calls) - start
+        return counts
+
+    monkeypatch.setattr(Mlp, "logits", counting_logits)
+    one, three = calls_per_domain(1), calls_per_domain(3)
+    per_step = {t: (three[t] - one[t]) / 2 for t in range(2, 6)}
+    want = {"UDIL": 4, "ER": 2, "LwF": 4}[method]
+    assert per_step == {t: want for t in range(2, 6)}
+    assert max(per_step.values()) <= 5
