@@ -5,10 +5,11 @@ reshape, softmax, mlp and softmax_xent.  mlp is a network forward (layers
 x @ w + b with relu between them) as one node; softmax_xent is
 -sum(target * log_softmax(a)), every cross-entropy.
 
-Each op builds a Tensor holding a `_backward` closure; `backward()` runs
-the closures in reverse topological order, passing each node its own
-`.grad`, and the closures accumulate into their inputs' `.grad`: the first
-gradient is copied, later ones are added with +=.
+Each op builds a Tensor holding a `_backward` closure and a creation number;
+an op's inputs exist before its output, so `backward()` runs the closures
+of the nodes the loss reaches in reverse creation order, passing each node
+its own `.grad`, and the closures accumulate into their inputs' `.grad`:
+the first gradient is copied, later ones are added with +=.
 A closure takes the incoming gradient as its argument and holds no
 reference to its output, so a graph has no reference cycles: dropping the
 loss frees the whole graph at once, without the cyclic garbage collector.
@@ -16,9 +17,12 @@ Gradients are cleared by the optimizer step, not here.
 """
 from __future__ import annotations
 
+from itertools import count
 from typing import Sequence
 
 import numpy as np
+
+_SEQUENCE = count()  # creation order of every Tensor
 
 
 class ContractError(ValueError):
@@ -26,7 +30,7 @@ class ContractError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, _prev: tuple = ()):
         self.data = np.asarray(data, dtype=np.float64)
@@ -34,6 +38,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._prev = _prev
         self._backward = None
+        self._seq = next(_SEQUENCE)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -53,23 +58,14 @@ class Tensor:
     def backward(self) -> None:
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss, got shape %r" % (self.shape,))
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        reached, stack = {id(self): self}, [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._prev:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+            for p in stack.pop()._prev:
+                if p.requires_grad and id(p) not in reached:
+                    reached[id(p)] = p
+                    stack.append(p)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for node in sorted(reached.values(), key=lambda n: n._seq, reverse=True):
             if node._backward is not None:
                 node._backward(node.grad)
 

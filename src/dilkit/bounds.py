@@ -185,17 +185,13 @@ def barycentric_grid(resolution: int) -> np.ndarray:
     return np.array(pts)
 
 
-def tightest_bound_grid(inst: BoundInstance, presets=None,
+def tightest_bound_grid(inst: BoundInstance,
                         grid_resolution: int = 10) -> CheckReport:
     """Minimize the combined bound over per-domain coefficient candidates
-    (a barycentric grid joined with every preset's triple) and compare the
-    minimum against each full preset."""
+    (a barycentric grid joined with every preset's triple; ESM-ER has none
+    at t = 2) and compare the minimum against each full preset."""
     t = inst.n_domains
-    if presets is None:
-        presets = [m for m in TRIPLE_PRESETS
-                   if not (m == "ESM-ER" and t == 2)]
-    if len(presets) == 0:
-        raise ContractError("tightest_bound_grid needs at least one preset")
+    presets = [m for m in TRIPLE_PRESETS if not (m == "ESM-ER" and t == 2)]
     cands = np.concatenate([barycentric_grid(grid_resolution),
                             np.array([preset_triple(m, t) for m in presets])])
     # the bound adds one term per past domain, vals[i, k] domain i's at

@@ -20,11 +20,10 @@ ESM_ER_RATIO = 1.0 - math.exp(-1.0)  # replay-stream retention rate r
 
 
 class CoeffSimplex:
-    def __init__(self, n_past: int, mode: str, logits: Tensor | None = None,
+    def __init__(self, mode: str, logits: Tensor | None = None,
                  fixed: np.ndarray | None = None):
         if mode not in ("adaptive", "fixed"):
             raise ContractError("mode must be adaptive or fixed")
-        self.n_past = n_past
         self.mode = mode
         self.logits = logits
         self._fixed = fixed
@@ -46,7 +45,7 @@ def init_uniform(t: int) -> CoeffSimplex:
     if t < 2:
         raise ContractError("adaptive coefficients require t >= 2")
     logits = Tensor(np.zeros((t - 1, 3)), requires_grad=True)
-    return CoeffSimplex(t - 1, "adaptive", logits=logits)
+    return CoeffSimplex("adaptive", logits=logits)
 
 
 def preset_triple(method: str, t: int) -> tuple[float, float, float]:
@@ -97,4 +96,4 @@ def from_preset(method: str, t: int) -> CoeffSimplex:
         fixed = np.zeros((t - 1, 3))
     else:
         fixed = np.array([preset_triple(method, t)] * (t - 1))
-    return CoeffSimplex(t - 1, "fixed", fixed=fixed)
+    return CoeffSimplex("fixed", fixed=fixed)

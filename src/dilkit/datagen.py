@@ -148,12 +148,11 @@ def load_idx(images_path: str, labels_path: str) -> LabeledSet:
 
 
 def apply_permutation(s: LabeledSet, perm: np.ndarray,
-                      domain_id: int | None = None) -> LabeledSet:
+                      domain_id: int) -> LabeledSet:
     perm = np.asarray(perm, dtype=np.int64)
     if perm.shape != (s.x.shape[1],):
         raise ConfigError("permutation length must equal input_dim")
-    return LabeledSet(s.x[:, perm], s.y,
-                      s.domain_id if domain_id is None else domain_id)
+    return LabeledSet(s.x[:, perm], s.y, domain_id)
 
 
 def rotate_images(x: np.ndarray, angles_deg: np.ndarray, side: int) -> np.ndarray:

@@ -8,7 +8,6 @@ one discriminator pass over a stacked batch for every past domain at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -42,14 +41,6 @@ class FiniteHypothesisClass:
     @property
     def n_points(self) -> int:
         return self.labelings.shape[1]
-
-
-def all_labelings(n_points: int) -> FiniteHypothesisClass:
-    """Every binary labeling of an n-point ground set (2**n hypotheses)."""
-    if not 1 <= n_points <= 16:
-        raise ContractError("all_labelings supports 1..16 points")
-    rows = list(product((0, 1), repeat=n_points))
-    return FiniteHypothesisClass(np.array(rows, dtype=np.int8))
 
 
 def threshold_class(points_1d: np.ndarray) -> FiniteHypothesisClass:

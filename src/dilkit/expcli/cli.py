@@ -252,7 +252,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_metrics(args) -> int:
     payload = runio.load_results(args.results)
-    rows, problems = runio.recompute_metrics(payload)
+    with runio.fields_of(f"{args.results}: "):
+        rows, problems = runio.recompute_metrics(payload)
     print(runio.format_csv(runio.METRICS_HEADER, rows), end="")
     if problems:
         for p in problems:

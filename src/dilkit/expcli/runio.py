@@ -26,7 +26,9 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -61,6 +63,18 @@ def write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def fields_of(where: str = ""):
+    """Report a missing or malformed field of a file read from disk as a
+    FormatError naming the field, after `where`, not as a traceback."""
+    try:
+        yield
+    except KeyError as err:
+        raise FormatError(f"{where}missing field {err.args[0]!r}") from None
+    except (TypeError, ValueError, IndexError, AttributeError) as err:
+        raise FormatError(f"{where}{err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +116,17 @@ def load_stream(dir_path: str) -> DomainStream:
         raise FormatError(f"{meta_path}: not found") from None
     except json.JSONDecodeError as err:
         raise FormatError(f"{meta_path}: {err}") from None
-    if meta.get("schema") != STREAM_SCHEMA:
-        raise FormatError(f"{meta_path}: schema {meta.get('schema')!r}, "
+    schema = meta.get("schema") if isinstance(meta, dict) else None
+    if schema != STREAM_SCHEMA:
+        raise FormatError(f"{meta_path}: schema {schema!r}, "
                           f"expected {STREAM_SCHEMA!r}")
+    with fields_of(f"{meta_path}: "):
+        n_domains, num_classes, input_dim = (
+            operator.index(meta[k]) for k in ("n_domains", "num_classes",
+                                              "input_dim"))
+        fingerprint = meta["fingerprint"]
     domains = []
-    for t in range(1, meta["n_domains"] + 1):
+    for t in range(1, n_domains + 1):
         parts = {}
         for tag in ("train", "test"):
             arrays = []
@@ -117,9 +137,9 @@ def load_stream(dir_path: str) -> DomainStream:
                 arrays.append(np.load(path))
             parts[tag] = LabeledSet(arrays[0], arrays[1], domain_id=t)
         domains.append((parts["train"], parts["test"]))
-    stream = DomainStream(domains, num_classes=meta["num_classes"],
-                          input_dim=meta["input_dim"])
-    if stream_fingerprint(stream) != meta["fingerprint"]:
+    stream = DomainStream(domains, num_classes=num_classes,
+                          input_dim=input_dim)
+    if stream_fingerprint(stream) != fingerprint:
         raise FormatError(f"{dir_path}: array bytes do not match the "
                           "recorded fingerprint")
     return stream
@@ -184,18 +204,20 @@ def results_payload(config_text: str, results: list[SequenceResult],
     return payload
 
 
+def _metrics_row(method: str, seed: int, t: int, final: int, avg: float,
+                 forget: float | None, transfer: float | None) -> tuple:
+    """One metrics.csv row: forgetting is empty for domain 1 and forward
+    transfer is given on the final domain's row only."""
+    return (method, seed, t, repr(float(avg)),
+            "" if forget is None else repr(float(forget)),
+            repr(float(transfer)) if t == final and transfer is not None else "")
+
+
 def metrics_rows(results: list[SequenceResult]) -> list[tuple]:
-    rows = []
-    for r in results:
-        for t in range(1, r.n_domains + 1):
-            rows.append((
-                r.method, r.seed, t,
-                repr(float(r.avg_acc_by_domain[t])),
-                repr(float(r.forgetting_by_domain[t])) if t >= 2 else "",
-                repr(float(r.forward_transfer))
-                if t == r.n_domains and r.forward_transfer is not None else "",
-            ))
-    return rows
+    return [_metrics_row(r.method, r.seed, t, r.n_domains,
+                         r.avg_acc_by_domain[t], r.forgetting_by_domain.get(t),
+                         r.forward_transfer)
+            for r in results for t in range(1, r.n_domains + 1)]
 
 
 def omega_rows(results: list[SequenceResult]) -> list[tuple]:
@@ -219,15 +241,13 @@ def format_csv(header: tuple, rows: list[tuple]) -> str:
 
 
 def write_results(out_dir: str, payload: dict,
-                  results: list[SequenceResult],
-                  timing: dict | None = None) -> None:
+                  results: list[SequenceResult], timing: dict) -> None:
     write_text(os.path.join(out_dir, "results.json"), dump_json(payload))
     write_text(os.path.join(out_dir, "metrics.csv"),
                format_csv(METRICS_HEADER, metrics_rows(results)))
     write_text(os.path.join(out_dir, "omega.csv"),
                format_csv(OMEGA_HEADER, omega_rows(results)))
-    if timing is not None:
-        write_text(os.path.join(out_dir, "timing.json"), dump_json(timing))
+    write_text(os.path.join(out_dir, "timing.json"), dump_json(timing))
 
 
 def load_results(path: str) -> dict:
@@ -238,8 +258,9 @@ def load_results(path: str) -> dict:
         raise FormatError(f"{path}: not found") from None
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: {err}") from None
-    if payload.get("schema") != RESULTS_SCHEMA:
-        raise FormatError(f"{path}: schema {payload.get('schema')!r}, "
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != RESULTS_SCHEMA:
+        raise FormatError(f"{path}: schema {schema!r}, "
                           f"expected {RESULTS_SCHEMA!r}")
     return payload
 
@@ -248,41 +269,42 @@ def recompute_metrics(payload: dict) -> tuple[list[tuple], list[str]]:
     """Rebuild every stored metric from the stored accuracy matrices.
 
     Returns (metrics rows recomputed per seed and domain, list of
-    discrepancy descriptions vs the stored values).
+    discrepancy descriptions vs the stored values).  A missing or
+    malformed field raises FormatError naming it.
     """
     rows: list[tuple] = []
     problems: list[str] = []
-    final = payload["n_domains"]
-    for entry in payload["per_seed"]:
-        matrix = AccuracyMatrix.from_lists(entry["matrix"])
-        seed = entry["seed"]
-        recomputed_ft = None
-        if entry["forward_transfer"] is not None:
-            recomputed_ft = forward_transfer(
-                matrix, [float(v) for v in entry["baseline_acc"]], final)
-        for t in range(1, final + 1):
-            a_t = avg_acc(matrix, t)
-            f_t = forgetting(matrix, t) if t >= 2 else None
-            for name, got, stored in (
-                    ("avg_acc", a_t, entry["avg_acc"][str(t)]),
-                    ("forgetting", f_t,
-                     entry["forgetting"].get(str(t)) if t >= 2 else None)):
-                if stored is None and got is None:
-                    continue
-                if stored is None or got is None \
-                        or abs(got - stored) > 1e-12:
-                    problems.append(
-                        f"seed {seed} domain {t}: {name} stored {stored!r} "
-                        f"!= recomputed {got!r}")
-            rows.append((payload["method"], seed, t,
-                         repr(float(a_t)),
-                         repr(float(f_t)) if t >= 2 else "",
-                         repr(float(recomputed_ft))
-                         if t == final and recomputed_ft is not None else ""))
-        if recomputed_ft is not None and \
-                abs(recomputed_ft - entry["forward_transfer"]) > 1e-12:
-            problems.append(
-                f"seed {seed}: forward_transfer stored "
-                f"{entry['forward_transfer']!r} != recomputed "
-                f"{recomputed_ft!r}")
+    with fields_of():
+        final, method, entries = (payload[k] for k in ("n_domains", "method",
+                                                       "per_seed"))
+    for k, entry in enumerate(entries):
+        with fields_of(f"per_seed[{k}]: "):
+            matrix = AccuracyMatrix.from_lists(entry["matrix"])
+            seed = entry["seed"]
+            recomputed_ft = None
+            if entry["forward_transfer"] is not None:
+                recomputed_ft = forward_transfer(
+                    matrix, [float(v) for v in entry["baseline_acc"]], final)
+            for t in range(1, final + 1):
+                a_t = avg_acc(matrix, t)
+                f_t = forgetting(matrix, t) if t >= 2 else None
+                for name, got, stored in (
+                        ("avg_acc", a_t, entry["avg_acc"][str(t)]),
+                        ("forgetting", f_t,
+                         entry["forgetting"].get(str(t)) if t >= 2 else None)):
+                    if stored is None and got is None:
+                        continue
+                    if stored is None or got is None \
+                            or abs(got - stored) > 1e-12:
+                        problems.append(
+                            f"seed {seed} domain {t}: {name} stored {stored!r} "
+                            f"!= recomputed {got!r}")
+                rows.append(_metrics_row(method, seed, t, final, a_t, f_t,
+                                         recomputed_ft))
+            if recomputed_ft is not None and \
+                    abs(recomputed_ft - entry["forward_transfer"]) > 1e-12:
+                problems.append(
+                    f"seed {seed}: forward_transfer stored "
+                    f"{entry['forward_transfer']!r} != recomputed "
+                    f"{recomputed_ft!r}")
     return rows, problems

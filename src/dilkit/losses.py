@@ -18,6 +18,7 @@ from .datagen import LabeledSet
 from .models import Classifier, Mlp, Range, Ranged
 
 log = logging.getLogger(__name__)
+N_NEGATIVES = 8  # V_s negatives drawn per anchor in training
 
 
 @dataclass
@@ -285,12 +286,11 @@ def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
     return softmax_xent(mul(dist, -1.0), target)
 
 
-def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp,
-                     prev_encoder: Mlp | None, omega: np.ndarray,
-                     current_batch: LabeledSet,
+def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp, prev_encoder: Mlp,
+                     omega: np.ndarray, current_batch: LabeledSet,
                      past_batches: dict[int, LabeledSet], t: int,
                      hp: HyperParams, rng: np.random.Generator,
-                     n_negatives: int = 8, disc_logits: Tensor | None = None) -> Tensor:
+                     disc_logits: Tensor | None = None) -> Tensor:
     """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s; with the
     discriminator stopped the gradient reaches the encoder only.
     `disc_logits` is V_d's precomputed `logits`."""
@@ -300,7 +300,7 @@ def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp,
                  {i: b.x for i, b in past_batches.items()}, t,
                  logits=disc_logits)
         total = add(total, mul(vd, -hp.lambda_d))
-    if hp.lambda_p > 0 and past_batches and prev_encoder is not None:
+    if hp.lambda_p > 0 and past_batches:
         vp = v_p(encoder, prev_encoder,
                  {i: b.x for i, b in past_batches.items()})
         total = add(total, mul(vp, hp.lambda_p))
@@ -309,6 +309,6 @@ def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp,
         ys = [current_batch.y] + [past_batches[i].y for i in sorted(past_batches)]
         combined = LabeledSet(np.concatenate(xs), np.concatenate(ys),
                               current_batch.domain_id)
-        total = add(total, mul(v_s(encoder, combined, n_negatives, rng),
+        total = add(total, mul(v_s(encoder, combined, N_NEGATIVES, rng),
                                hp.lambda_s))
     return total

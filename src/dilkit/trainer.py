@@ -116,30 +116,20 @@ def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
         sgd_step(model.params(), sgd.learning_rate)
 
 
-def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
-                         disc: Mlp, current_batch: LabeledSet,
+def coeff_stats_for_step(history: HistorySnapshot, current_batch: LabeledSet,
                          past_batches: dict[int, LabeledSet],
-                         logits: np.ndarray | None = None,
-                         disc_logits: np.ndarray | None = None,
-                         teacher_logits: np.ndarray | None = None) -> CoeffStats:
-    """Assemble the per-step scalar statistics the bound surrogate needs,
-    from the sampled batches and the frozen history constants.  One stopped
-    encoder pass embeds the stacked batch (current rows, then each memory
-    batch in sorted domain order); the predictor and the discriminator each
-    run once on that embedding, and the teacher once on the batch, unless
-    the caller passes all three outputs on those rows.  The 0-1 errors are
-    counted per segment and every divergence estimate is read off them."""
+                         logits: np.ndarray, disc_logits: np.ndarray,
+                         teacher_logits: np.ndarray) -> CoeffStats:
+    """Assemble the per-step scalar statistics the bound surrogate needs
+    from the step's three outputs on the stacked batch (current rows, then
+    each memory batch in sorted domain order) and the frozen history
+    constants.  The 0-1 errors are counted per segment and every divergence
+    estimate is read off them."""
     ids = sorted(past_batches)
     batches = [current_batch] + [past_batches[i] for i in ids]
     if any(len(b) == 0 for b in batches):
         raise ContractError("coeff_stats_for_step: empty batch")
-    x, bounds = stack_segments([b.x for b in batches])
-    if logits is None:
-        stopped = model.stopped()
-        embedding = stopped.encoder.logits(x)
-        logits = stopped.predictor.logits(embedding).data
-        disc_logits = disc.stopped().logits(embedding).data
-        teacher_logits = history.classifier.logits(x).data
+    bounds = np.cumsum([0] + [len(b) for b in batches])
     pred = np.argmax(logits, axis=1)
     y = np.concatenate([b.y for b in batches])
     wrong, differs = (
@@ -265,9 +255,8 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         disc_logits = d_stopped.logits(embedding) if adaptive or disc_on else None
 
         if adaptive:
-            stats = coeff_stats_for_step(model, history, disc, current, past,
-                                         logits.data, disc_logits.data,
-                                         teacher_logits)
+            stats = coeff_stats_for_step(history, current, past, logits.data,
+                                         disc_logits.data, teacher_logits)
             loss = v_01(simplex, stats, hp.c_gen, len(domain_data), n_memory)
             _check_finite(loss, "coefficient", config.method, t, step)
             loss.backward()

@@ -5,7 +5,9 @@ fused `matmul` and `add`), and the slicing ops V_01 and V_s were built
 from before V_01 became one weighted sum and V_s one cross-entropy over
 gathered differences.  The differential tests in test_autodiff.py compare
 the fused ops against these compositions, and reference_step.py builds
-its per-domain losses from them."""
+its per-domain losses from them.  `backward` is the graph walk
+`Tensor.backward` ran before it ordered nodes by creation: a two-phase
+depth-first search whose post-order, reversed, is the topological order."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -15,6 +17,32 @@ import numpy as np
 from dilkit.autodiff import (
     ContractError, Tensor, _make, _wrap, add, mul, reshape, tsum,
 )
+
+
+def backward(loss: Tensor) -> None:
+    """loss.backward() with the two-phase depth-first topological sort."""
+    if loss.data.size != 1:
+        raise ContractError("backward() requires a scalar loss, got shape %r"
+                            % (loss.shape,))
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._prev:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
 
 
 def matmul(a, b) -> Tensor:

@@ -14,6 +14,7 @@ from dilkit.autodiff import (
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 
+import reference_ops
 from reference_ops import (
     column, concat_cols, linear, log_softmax, lse, matmul, mlp_chain, pick,
     relu, tmean,
@@ -305,6 +306,90 @@ def test_dropped_graph_is_freed_without_cyclic_gc():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- backward order: creation sequence against the depth-first walk ------
+
+def _random_dag(rng, n_leaves, n_ops, max_consumers):
+    """Leaves, then add/mul/softmax nodes over [3, 2] values whose inputs
+    are drawn from the nodes with fewer than `max_consumers` consumers so
+    far (add(x, x) counts twice; a new leaf when every node is taken);
+    every node no op consumed joins one sum, and the loss is its total."""
+    nodes, uses = [], []
+
+    def leaf():
+        nodes.append(Tensor(rng.normal(size=(3, 2)), requires_grad=True))
+        uses.append(0)
+
+    for _ in range(n_leaves):
+        leaf()
+
+    def take():
+        free = [k for k, u in enumerate(uses) if u < max_consumers]
+        if not free:
+            leaf()
+            free = [len(nodes) - 1]
+        k = free[rng.integers(len(free))]
+        uses[k] += 1
+        return nodes[k]
+
+    for _ in range(n_ops):
+        kind = rng.integers(3)
+        if kind == 2:
+            out = softmax(take())
+        else:
+            a = take()
+            out = (add if kind == 0 else mul)(a, take())
+        nodes.append(out)
+        uses.append(0)
+    sinks = [node for node, u in zip(nodes, uses) if u == 0]
+    total = sinks[0]
+    for node in sinks[1:]:
+        total = add(total, node)
+    return nodes, tsum(total)
+
+
+def _dag_grads(walk, seed, *shape):
+    """The values and the gradients `walk` leaves on every node of one
+    freshly built random DAG."""
+    nodes, loss = _random_dag(np.random.default_rng(seed), *shape)
+    walk(loss)
+    return [node.data for node in nodes], [node.grad for node in nodes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_leaves=st.integers(1, 3), n_ops=st.integers(1, 14),
+       max_consumers=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+def test_backward_matches_depth_first_reference(n_leaves, n_ops,
+                                                max_consumers, seed):
+    """Running the closures in reverse creation order gives the two-phase
+    DFS's gradients on every node of a random DAG: bitwise when no node has
+    more than two consumers (two addends commute exactly), otherwise within
+    1e-12 relative to the graph's scale, the largest gradient times the
+    largest value (a softmax's gradients cancel to rounding noise)."""
+    shape = (n_leaves, n_ops, max_consumers)
+    _, got = _dag_grads(Tensor.backward, seed, *shape)
+    values, want = _dag_grads(reference_ops.backward, seed, *shape)
+    scale = (max(np.abs(w).max() for w in want if w is not None)
+             * max(1.0, max(np.abs(v).max() for v in values)))
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is None:
+            continue
+        if max_consumers <= 2:
+            assert np.array_equal(g, w)
+        else:
+            assert np.abs(g - w).max() <= 1e-12 * scale
+
+
+def test_backward_on_a_leaf():
+    """A scalar leaf is its own loss: its gradient is one, with or without
+    requires_grad, as under the depth-first walk."""
+    for requires_grad in (True, False):
+        for walk in (Tensor.backward, reference_ops.backward):
+            leaf = Tensor(2.5, requires_grad=requires_grad)
+            walk(leaf)
+            assert leaf.grad == 1.0
 
 
 # -- random-shape gradient checks, one per op ----------------------------

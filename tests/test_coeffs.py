@@ -16,7 +16,6 @@ from dilkit.models import sgd_step
 
 def test_init_uniform_triples():
     s = init_uniform(3)
-    assert s.n_past == 2
     tr = s.triples()
     assert tr.shape == (2, 3)
     assert np.allclose(tr, 1.0 / 3.0)
@@ -96,7 +95,7 @@ def test_presets_lie_on_simplex():
 
 def test_from_preset_builds_fixed_rows():
     s = from_preset("DER++", 4)
-    assert s.mode == "fixed" and s.n_past == 3
+    assert s.mode == "fixed"
     assert np.allclose(s.triples(), [[0.5, 0.0, 0.5]] * 3)
     ft = from_preset("FineTune", 3)
     assert np.allclose(ft.triples(), 0.0)

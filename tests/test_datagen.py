@@ -146,15 +146,15 @@ def _toy_base(n=40, dim=16, k=4, seed=0):
 
 def test_identity_permutation_is_noop():
     base = _toy_base()
-    out = apply_permutation(base, np.arange(16))
-    assert np.array_equal(out.x, base.x)
+    out = apply_permutation(base, np.arange(16), 3)
+    assert np.array_equal(out.x, base.x) and out.domain_id == 3
 
 
 def test_permutation_inverse_restores():
     base = _toy_base()
     perm = np.random.default_rng(1).permutation(16)
     inv = np.argsort(perm)
-    out = apply_permutation(apply_permutation(base, perm), inv)
+    out = apply_permutation(apply_permutation(base, perm, 1), inv, 1)
     assert np.array_equal(out.x, base.x)
 
 

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from dilkit.autodiff import ContractError
 from dilkit.datagen import LabeledSet
 from dilkit.divergence import (
-    FiniteHypothesisClass, _as_sample, all_labelings,
-    discriminator_divergences, hdh_exact, hdh_discriminator_estimate,
-    threshold_class,
+    FiniteHypothesisClass, _as_sample, discriminator_divergences, hdh_exact,
+    hdh_discriminator_estimate, threshold_class,
 )
 from dilkit.losses import classification_loss
 from dilkit.models import Mlp, sgd_step
 from dilkit.seeding import substream
+from finite_classes import all_labelings
 
 
 def naive_hdh(labelings, sample_p, sample_q):

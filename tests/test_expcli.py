@@ -197,6 +197,18 @@ def test_load_stream_missing_file(tmp_path):
         load_stream(str(tmp_path / "s"))
 
 
+@pytest.mark.parametrize("meta,fragment", [
+    ({"schema": "dilkit-stream-v1"}, "missing field 'n_domains'"),
+    ({"schema": "dilkit-stream-v1", "n_domains": "3"}, "'str' object"),
+    ([], "schema None"),
+])
+def test_load_stream_names_a_missing_meta_field(tmp_path, meta, fragment):
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=r"meta\.json: ") as err:
+        load_stream(str(tmp_path))
+    assert fragment in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # results payloads
 
@@ -445,11 +457,41 @@ def test_cli_metrics_recomputes_and_detects_corruption(tmp_path, monkeypatch,
     assert main(["metrics", str(results)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == ",".join(METRICS_HEADER)
+    assert out == (results.parent / "metrics.csv").read_text()
     payload = json.loads(results.read_text())
     payload["per_seed"][0]["forgetting"]["3"] = 0.77
     results.write_text(json.dumps(payload))
     assert main(["metrics", str(results)]) == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+def _metrics_error(path, capsys) -> str:
+    assert main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"format error: {path}: ")
+    return err
+
+
+@pytest.mark.parametrize("payload,fragment", [
+    ({"schema": "dilkit-results-v1"}, "missing field 'n_domains'"),
+    ({"schema": "dilkit-results-v1", "n_domains": 3, "method": "ER",
+      "per_seed": [{"seed": 0}]}, "per_seed[0]: missing field 'matrix'"),
+    ([], "schema None"),
+])
+def test_cli_metrics_missing_field_is_format_error(tmp_path, capsys, payload,
+                                                   fragment):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(payload))
+    assert fragment in _metrics_error(path, capsys)
+
+
+def test_cli_metrics_accuracy_out_of_range_is_format_error(tmp_path, capsys):
+    payload = results_payload("t", tiny_results(seeds=(0,)), {})
+    payload["per_seed"][0]["matrix"][1][0] = 2.0
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(payload))
+    err = _metrics_error(path, capsys)
+    assert "per_seed[0]" in err and "2.0 outside [0,1]" in err
 
 
 def test_cli_run_diverging_seed_exits_1_with_flagged_partial(

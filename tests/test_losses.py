@@ -10,8 +10,9 @@ from dilkit.autodiff import ContractError, Tensor, gradcheck
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    CoeffStats, HistorySnapshot, HyperParams, classification_loss,
-    encoder_aux_loss, erm01, radical_map, v_01, v_d, v_l, v_p, v_s,
+    N_NEGATIVES, CoeffStats, HistorySnapshot, HyperParams,
+    classification_loss, encoder_aux_loss, erm01, radical_map, v_01, v_d,
+    v_l, v_p, v_s,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig
 from reference_step import distillation_loss, erm01_agreement
@@ -491,11 +492,11 @@ def test_encoder_aux_reductions_and_composition():
 
     hp = HyperParams(lambda_d=0.5, lambda_p=1.3, lambda_s=0.9)
     got = encoder_aux_loss(enc, d, prev, omega, cur, past, 2, hp,
-                           np.random.default_rng(7), n_negatives=3).item()
+                           np.random.default_rng(7)).item()
     vp = v_p(enc, prev, {1: past[1].x}).item()
     combined = LabeledSet(np.concatenate([cur.x, past[1].x]),
                           np.concatenate([cur.y, past[1].y]))
-    vs = v_s(enc, combined, 3, np.random.default_rng(7)).item()
+    vs = v_s(enc, combined, N_NEGATIVES, np.random.default_rng(7)).item()
     assert got == pytest.approx(-0.5 * vd + 1.3 * vp + 0.9 * vs)
 
 
@@ -506,7 +507,7 @@ def test_encoder_aux_gradient_reaches_encoder_only():
     cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
     past = {1: LabeledSet(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))}
     hp = HyperParams(lambda_d=1.0)
-    loss = encoder_aux_loss(enc, d.stopped(), None,
+    loss = encoder_aux_loss(enc, d.stopped(), Mlp([3, 4, 2], rng=rng),
                             np.array([[0.0, 1.0, 0.0]]), cur, past, 2, hp,
                             np.random.default_rng(0))
     loss.backward()

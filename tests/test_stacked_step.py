@@ -66,6 +66,18 @@ def _state(seed, t, kind):
     return h, history, disc, _omega(rng, kind, t), current, past
 
 
+def _outputs(h, history, disc, current, past):
+    """The three passes a step hands coeff_stats_for_step, over the stacked
+    rows: the student's logits, the stopped discriminator's on the
+    student's embedding, and the teacher's."""
+    x = np.concatenate([current.x] + [past[i].x for i in sorted(past)])
+    stopped = h.stopped()
+    embedding = stopped.encoder.logits(x)
+    return (stopped.predictor.logits(embedding).data,
+            disc.stopped().logits(embedding).data,
+            history.classifier.logits(x).data)
+
+
 def _value_and_grads(loss, params):
     for p in params:
         p.grad = None
@@ -120,7 +132,8 @@ def test_v_p_matches_reference(t, seed):
                                     for seed in range(4)])
 def test_coeff_stats_match_reference_exactly(t, seed):
     h, history, disc, _, current, past = _state(400 * t + seed, t, "UDIL")
-    got = coeff_stats_for_step(h, history, disc, current, past)
+    got = coeff_stats_for_step(history, current, past,
+                               *_outputs(h, history, disc, current, past))
     want = ref.coeff_stats_for_step(h, history, disc, current, past)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -129,9 +142,9 @@ def test_coeff_stats_match_reference_exactly(t, seed):
 
 @pytest.mark.parametrize("t", [2, 3, 5])
 def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
-    """Every network is scored through a stopped view: no Tensor created
-    inside coeff_stats_for_step requires a gradient."""
+    """No Tensor created inside coeff_stats_for_step requires a gradient."""
     h, history, disc, _, current, past = _state(450 + t, t, "UDIL")
+    outputs = _outputs(h, history, disc, current, past)
     tracked = []
     init = Tensor.__init__
 
@@ -140,16 +153,16 @@ def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
         init(self, data, requires_grad, _prev)
 
     monkeypatch.setattr(Tensor, "__init__", recording_init)
-    coeff_stats_for_step(h, history, disc, current, past)
+    coeff_stats_for_step(history, current, past, *outputs)
     assert tracked and not any(tracked)
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_coeff_stats_runs_each_network_once(monkeypatch, t):
-    """Five Mlp.logits calls at every t: the encoder, the predictor and the
-    discriminator once each over the stacked batch, and the teacher's two
-    nets once each; none per past domain."""
+    """No Mlp.logits call at any t: the step runs each network once and
+    hands coeff_stats_for_step its outputs on the stacked batch."""
     h, history, disc, _, current, past = _state(700 + t, t, "UDIL")
+    outputs = _outputs(h, history, disc, current, past)
     calls = []
     logits = Mlp.logits
 
@@ -158,8 +171,8 @@ def test_coeff_stats_runs_each_network_once(monkeypatch, t):
         return logits(self, x)
 
     monkeypatch.setattr(Mlp, "logits", counting_logits)
-    coeff_stats_for_step(h, history, disc, current, past)
-    assert len(calls) == 5
+    coeff_stats_for_step(history, current, past, *outputs)
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,7 +235,8 @@ def test_empty_segment_contracts_match_reference(kind, empty):
         else:
             assert got == pytest.approx(want, abs=1e-10)
     with pytest.raises(ContractError):
-        coeff_stats_for_step(h, history, disc, current, past)
+        coeff_stats_for_step(history, current, past,
+                             *_outputs(h, history, disc, current, past))
     with pytest.raises(ContractError):
         ref.coeff_stats_for_step(h, history, disc, current, past)
 
@@ -245,9 +259,10 @@ def test_v_l_teacher_arity_contract_kept():
 def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
     """v_l given the student's and the teacher's logits on every stacked
     row, v_d given the discriminator's logits on them (through a graph
-    into the encoder, or on a stopped embedding), and coeff_stats_for_step
-    given all three, agree with the forwards they replace; segments without
-    weight (ER, LwF, FineTune, mixed) keep their rows at zero weight."""
+    into the encoder, or on a stopped embedding), agree with the forwards
+    they replace; segments without weight (ER, LwF, FineTune, mixed) keep
+    their rows at zero weight.  coeff_stats_for_step given all three
+    equals the per-domain reference exactly."""
     h, history, disc, omega, current, past = _state(800 * t + seed, t, kind)
     x = np.concatenate([current.x] + [past[i].x for i in sorted(past)])
     past_x = {i: b.x for i, b in past.items()}
@@ -266,9 +281,9 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
                  v_d(disc, h.encoder.stopped(), omega, current.x, past_x, t),
                  disc.params())
     got = coeff_stats_for_step(
-        h, history, disc, current, past, h.logits(x).data,
+        history, current, past, h.logits(x).data,
         disc.logits(h.encoder.logits(x)).data, teacher_logits)
-    want = coeff_stats_for_step(h, history, disc, current, past)
+    want = ref.coeff_stats_for_step(h, history, disc, current, past)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.eps_cross == want.eps_cross

@@ -268,7 +268,11 @@ def test_update_isolation_checksums():
     assert not unchanged(disc.params(), d0)
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
-    stats = coeff_stats_for_step(model, state.history, disc, current, past)
+    x = np.concatenate([current.x] + [past[i].x for i in sorted(past)])
+    embedding = model.encoder.logits(x)
+    stats = coeff_stats_for_step(
+        state.history, current, past, model.predictor.logits(embedding).data,
+        disc.logits(embedding).data, state.history.classifier.logits(x).data)
     loss6 = v_01(simplex, stats, 1.0, len(data), [len(b) for b in past.values()])
     loss6.backward()
     sgd_step([simplex.logits], 0.2)
