@@ -6,7 +6,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .autodiff import ContractError
 from .models import Range
@@ -14,7 +13,7 @@ from .seeding import substream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-TEST_FRACTION = 0.2  # the last fifth of each split pool is held out
+TEST_FRACTION = 0.2  # the last fifth of each hd-balls domain is held out
 HD_BALLS_DIM, HD_BALLS_SIGMA = Range(2), Range(0, above=True)
 HD_BALLS_POINTS = Range(5)  # fewer points degenerate the 80/20 split
 
@@ -87,14 +86,6 @@ class DomainStream:
         return self.domains[t - 1][1]
 
 
-def _split_80_20(x: np.ndarray, y: np.ndarray,
-                 domain_id: int) -> tuple[LabeledSet, LabeledSet]:
-    n = x.shape[0]
-    n_train = n - int(round(n * TEST_FRACTION))
-    return (LabeledSet(x[:n_train], y[:n_train], domain_id),
-            LabeledSet(x[n_train:], y[n_train:], domain_id))
-
-
 def gen_hd_balls(seed: int, n_domains: int, n_per_domain: int, dim: int,
                  sigma: float) -> DomainStream:
     """Per domain: mean mu uniform on the unit sphere, x ~ N(mu, sigma^2 I),
@@ -102,6 +93,7 @@ def gen_hd_balls(seed: int, n_domains: int, n_per_domain: int, dim: int,
     HD_BALLS_DIM.check("hd-balls dim", dim, ConfigError)
     HD_BALLS_SIGMA.check("hd-balls sigma", sigma, ConfigError)
     HD_BALLS_POINTS.check("hd-balls n_per_domain", n_per_domain, ConfigError)
+    n_train = n_per_domain - int(round(n_per_domain * TEST_FRACTION))
     domains = []
     for t in range(1, n_domains + 1):
         rng = substream(seed, "data", t)
@@ -109,7 +101,8 @@ def gen_hd_balls(seed: int, n_domains: int, n_per_domain: int, dim: int,
         mu = g / np.linalg.norm(g)
         x = mu + sigma * rng.normal(size=(n_per_domain, dim))
         y = (x @ mu > 1.0).astype(np.int64)
-        domains.append(_split_80_20(x, y, t))
+        domains.append((LabeledSet(x[:n_train], y[:n_train], t),
+                        LabeledSet(x[n_train:], y[n_train:], t)))
     return DomainStream(domains, num_classes=2, input_dim=dim)
 
 
@@ -147,17 +140,12 @@ def load_idx(images_path: str, labels_path: str) -> LabeledSet:
     return LabeledSet(x, labels.astype(np.int64))
 
 
-def apply_permutation(s: LabeledSet, perm: np.ndarray,
-                      domain_id: int) -> LabeledSet:
-    perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (s.x.shape[1],):
-        raise ConfigError("permutation length must equal input_dim")
-    return LabeledSet(s.x[:, perm], s.y, domain_id)
-
-
 def rotate_images(x: np.ndarray, angles_deg: np.ndarray, side: int) -> np.ndarray:
     """Rotate each flattened side*side image about its center by its own
     angle; bilinear interpolation, out-of-frame pixels zero."""
+    # imported here, not at module level: scipy.ndimage doubles the time of
+    # `import dilkit`, and only the rotated stream needs it
+    from scipy.ndimage import map_coordinates
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     ctr = (side - 1) / 2.0
@@ -176,16 +164,6 @@ def rotate_images(x: np.ndarray, angles_deg: np.ndarray, side: int) -> np.ndarra
     return out
 
 
-def _base_splits(base: LabeledSet,
-                 base_test: LabeledSet | None) -> tuple[LabeledSet, LabeledSet]:
-    if base_test is not None:
-        return base, base_test
-    train, test = _split_80_20(base.x, base.y, base.domain_id)
-    if len(train) == 0 or len(test) == 0:
-        raise ConfigError("base set too small to split")
-    return train, test
-
-
 def _subsample(s: LabeledSet, n: int | None, rng: np.random.Generator) -> LabeledSet:
     if n is None or n >= len(s):
         return s
@@ -193,29 +171,42 @@ def _subsample(s: LabeledSet, n: int | None, rng: np.random.Generator) -> Labele
     return s.subset(np.sort(idx))
 
 
+def _digit_stream(base: LabeledSet, base_test: LabeledSet, n_domains: int,
+                  seed: int, n_per_domain: int | None,
+                  n_test_per_domain: int | None, transform) -> DomainStream:
+    """Domain t draws its train and test rows from the base pools with its
+    own "subsample" substream, then `transform(t, (train_x, test_x))`
+    returns the domain's inputs, train first."""
+    k = int(base.y.max()) + 1
+    domains = []
+    for t in range(1, n_domains + 1):
+        rng = substream(seed, "subsample", t)
+        tr = _subsample(base, n_per_domain, rng)
+        te = _subsample(base_test, n_test_per_domain, rng)
+        x_tr, x_te = transform(t, (tr.x, te.x))
+        domains.append((LabeledSet(x_tr, tr.y, t), LabeledSet(x_te, te.y, t)))
+    return DomainStream(domains, num_classes=k, input_dim=base.x.shape[1])
+
+
 def permuted_stream(base: LabeledSet, n_domains: int, seed: int,
-                    base_test: LabeledSet | None = None,
+                    base_test: LabeledSet,
                     n_per_domain: int | None = None,
                     n_test_per_domain: int | None = None) -> DomainStream:
     """Each domain applies its own fixed random pixel permutation (domain 1
     included) to the same base train/test pools."""
     if len(base) == 0:
         raise ContractError("base set is empty")
-    tr0, te0 = _base_splits(base, base_test)
-    k = int(base.y.max()) + 1
-    domains = []
-    for t in range(1, n_domains + 1):
+
+    def permute(t, xs):
         perm = substream(seed, "perm", t).permutation(base.x.shape[1])
-        rng_s = substream(seed, "subsample", t)
-        tr = _subsample(tr0, n_per_domain, rng_s)
-        te = _subsample(te0, n_test_per_domain, rng_s)
-        domains.append((apply_permutation(tr, perm, t),
-                        apply_permutation(te, perm, t)))
-    return DomainStream(domains, num_classes=k, input_dim=base.x.shape[1])
+        return [x[:, perm] for x in xs]
+
+    return _digit_stream(base, base_test, n_domains, seed, n_per_domain,
+                         n_test_per_domain, permute)
 
 
 def rotated_stream(base: LabeledSet, n_domains: int, seed: int,
-                   base_test: LabeledSet | None = None,
+                   base_test: LabeledSet,
                    n_per_domain: int | None = None,
                    n_test_per_domain: int | None = None,
                    degrees_per_domain: float = 9.0) -> DomainStream:
@@ -226,18 +217,15 @@ def rotated_stream(base: LabeledSet, n_domains: int, seed: int,
     side = int(round(np.sqrt(base.x.shape[1])))
     if side * side != base.x.shape[1]:
         raise ConfigError("rotated stream requires square images")
-    tr0, te0 = _base_splits(base, base_test)
-    k = int(base.y.max()) + 1
-    domains = []
-    for t in range(1, n_domains + 1):
-        rng_s = substream(seed, "subsample", t)
-        tr = _subsample(tr0, n_per_domain, rng_s)
-        te = _subsample(te0, n_test_per_domain, rng_s)
-        rng_a = substream(seed, "angles", t)
+
+    def rotate(t, xs):
+        rng = substream(seed, "angles", t)
         lo = degrees_per_domain * (t - 1)
-        pair = []
-        for s in (tr, te):
-            angles = rng_a.uniform(lo, lo + degrees_per_domain, size=len(s))
-            pair.append(LabeledSet(rotate_images(s.x, angles, side), s.y, t))
-        domains.append((pair[0], pair[1]))
-    return DomainStream(domains, num_classes=k, input_dim=base.x.shape[1])
+        out = []
+        for x in xs:
+            angles = rng.uniform(lo, lo + degrees_per_domain, size=len(x))
+            out.append(rotate_images(x, angles, side))
+        return out
+
+    return _digit_stream(base, base_test, n_domains, seed, n_per_domain,
+                         n_test_per_domain, rotate)

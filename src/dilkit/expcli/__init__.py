@@ -15,15 +15,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 from .config import (DATASETS, KEY_TABLE, RunConfig, default_config_text,  # noqa: E402
                      parse_config, parse_kv, require_run_fields)
-from .runio import (load_results, load_stream, recompute_metrics,  # noqa: E402
-                    results_payload, save_stream, stream_fingerprint,
-                    write_results)
+from .runio import (load_results, recompute_metrics, results_payload,  # noqa: E402
+                    save_stream, stream_fingerprint, write_results)
 from .cli import build_stream, main  # noqa: E402
 
 __all__ = [
     "DATASETS", "KEY_TABLE", "RunConfig", "default_config_text",
     "parse_config", "parse_kv", "require_run_fields",
-    "load_results", "load_stream", "recompute_metrics", "results_payload",
+    "load_results", "recompute_metrics", "results_payload",
     "save_stream", "stream_fingerprint", "write_results",
     "build_stream", "main",
 ]

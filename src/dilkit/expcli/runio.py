@@ -26,14 +26,13 @@ import csv
 import hashlib
 import io
 import json
-import operator
 import os
 from contextlib import contextmanager
 
 import numpy as np
 
 from .. import __version__
-from ..datagen import DomainStream, FormatError, LabeledSet
+from ..datagen import DomainStream, FormatError
 from ..metrics import AccuracyMatrix, avg_acc, forgetting, forward_transfer
 from ..trainer import SequenceResult
 
@@ -50,19 +49,23 @@ def dump_json(payload: dict) -> str:
                       allow_nan=False) + "\n"
 
 
-def write_text(path: str, text: str) -> None:
+def write_bytes(path: str, data: bytes) -> None:
     """Write via a temporary file in the same directory and os.replace, so
-    `path` holds either its old content or all of `text`, never a part."""
+    `path` holds either its old content or all of `data`, never a part."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        with open(tmp, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text(path: str, text: str) -> None:
+    write_bytes(path, text.encode("utf-8"))
 
 
 @contextmanager
@@ -91,12 +94,14 @@ def stream_fingerprint(stream: DomainStream) -> str:
 
 
 def save_stream(stream: DomainStream, dir_path: str) -> None:
-    os.makedirs(dir_path, exist_ok=True)
     sizes = []
     for t, (train, test) in enumerate(stream.domains, start=1):
         for tag, part in (("train", train), ("test", test)):
-            np.save(os.path.join(dir_path, f"d{t:02d}_{tag}_x.npy"), part.x)
-            np.save(os.path.join(dir_path, f"d{t:02d}_{tag}_y.npy"), part.y)
+            for axis, array in (("x", part.x), ("y", part.y)):
+                buf = io.BytesIO()
+                np.save(buf, array)
+                name = f"d{t:02d}_{tag}_{axis}.npy"
+                write_bytes(os.path.join(dir_path, name), buf.getvalue())
         sizes.append({"train": len(train), "test": len(test)})
     meta = {"schema": STREAM_SCHEMA,
             "n_domains": stream.n_domains,
@@ -105,44 +110,6 @@ def save_stream(stream: DomainStream, dir_path: str) -> None:
             "sizes": sizes,
             "fingerprint": stream_fingerprint(stream)}
     write_text(os.path.join(dir_path, "meta.json"), dump_json(meta))
-
-
-def load_stream(dir_path: str) -> DomainStream:
-    meta_path = os.path.join(dir_path, "meta.json")
-    try:
-        with open(meta_path, encoding="utf-8") as f:
-            meta = json.load(f)
-    except FileNotFoundError:
-        raise FormatError(f"{meta_path}: not found") from None
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{meta_path}: {err}") from None
-    schema = meta.get("schema") if isinstance(meta, dict) else None
-    if schema != STREAM_SCHEMA:
-        raise FormatError(f"{meta_path}: schema {schema!r}, "
-                          f"expected {STREAM_SCHEMA!r}")
-    with fields_of(f"{meta_path}: "):
-        n_domains, num_classes, input_dim = (
-            operator.index(meta[k]) for k in ("n_domains", "num_classes",
-                                              "input_dim"))
-        fingerprint = meta["fingerprint"]
-    domains = []
-    for t in range(1, n_domains + 1):
-        parts = {}
-        for tag in ("train", "test"):
-            arrays = []
-            for axis in ("x", "y"):
-                path = os.path.join(dir_path, f"d{t:02d}_{tag}_{axis}.npy")
-                if not os.path.exists(path):
-                    raise FormatError(f"{path}: missing stream file")
-                arrays.append(np.load(path))
-            parts[tag] = LabeledSet(arrays[0], arrays[1], domain_id=t)
-        domains.append((parts["train"], parts["test"]))
-    stream = DomainStream(domains, num_classes=num_classes,
-                          input_dim=input_dim)
-    if stream_fingerprint(stream) != fingerprint:
-        raise FormatError(f"{dir_path}: array bytes do not match the "
-                          "recorded fingerprint")
-    return stream
 
 
 # ---------------------------------------------------------------------------

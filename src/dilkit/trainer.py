@@ -144,8 +144,9 @@ def descend_v01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
                 n_current: int, n_memory: list[int], steps: int,
                 learning_rate: float) -> float:
     """Run plain gradient descent on the bound surrogate in logit space and
-    return the final value.  Used by the coefficient-update step and by the
-    frozen-instance comparisons against the fixed presets."""
+    return the final value.  For the frozen-instance comparisons against the
+    fixed presets; the training step takes its one `v_01` step inline, so it
+    can check the loss is finite before `backward()`."""
     if simplex.mode != "adaptive":
         raise ContractError("only adaptive coefficients can be descended")
     value = None

@@ -1,13 +1,21 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import dilkit
+import reference_datagen as ref
 from dilkit.autodiff import ContractError
 from dilkit.datagen import (
-    ConfigError, DomainStream, FormatError, LabeledSet, apply_permutation,
-    gen_hd_balls, load_idx, permuted_stream, rotate_images, rotated_stream,
+    ConfigError, DomainStream, FormatError, LabeledSet, gen_hd_balls,
+    load_idx, permuted_stream, rotate_images, rotated_stream,
 )
+from dilkit.expcli.runio import stream_fingerprint
 from dilkit.seeding import substream
 
 
@@ -144,57 +152,107 @@ def _toy_base(n=40, dim=16, k=4, seed=0):
     return LabeledSet(rng.random((n, dim)), rng.integers(0, k, size=n))
 
 
-def test_identity_permutation_is_noop():
-    base = _toy_base()
-    out = apply_permutation(base, np.arange(16), 3)
-    assert np.array_equal(out.x, base.x) and out.domain_id == 3
-
-
 def test_permutation_inverse_restores():
-    base = _toy_base()
-    perm = np.random.default_rng(1).permutation(16)
-    inv = np.argsort(perm)
-    out = apply_permutation(apply_permutation(base, perm, 1), inv, 1)
-    assert np.array_equal(out.x, base.x)
+    base, base_test = _toy_base(), _toy_base(n=10, seed=1)
+    s = permuted_stream(base, 3, seed=4, base_test=base_test)
+    for t in (1, 2, 3):
+        # reproduce the permutation substream as permuted_stream draws it
+        inv = np.argsort(substream(4, "perm", t).permutation(16))
+        assert np.array_equal(s.train(t).x[:, inv], base.x)
+        assert np.array_equal(s.test(t).x[:, inv], base_test.x)
 
 
 def test_permuted_stream_structure():
-    base = _toy_base(n=50)
-    s = permuted_stream(base, n_domains=3, seed=11)
+    base, base_test = _toy_base(n=40), _toy_base(n=10, seed=1)
+    s = permuted_stream(base, n_domains=3, seed=11, base_test=base_test)
     assert s.n_domains == 3
     assert len(s.train(1)) == 40 and len(s.test(1)) == 10
-    # domain 1 is permuted like the others, and splits share labels with base
-    assert not np.array_equal(s.train(1).x, base.x[:40])
-    assert np.array_equal(s.train(1).y, base.y[:40])
+    # domain 1 is permuted like the others, and the pools keep their labels
+    assert not np.array_equal(s.train(1).x, base.x)
+    assert np.array_equal(s.train(1).y, base.y)
+    assert np.array_equal(s.test(1).y, base_test.y)
     # distinct domains use distinct permutations
     assert not np.array_equal(s.train(1).x, s.train(2).x)
 
 
 def test_permuted_stream_label_preservation_and_determinism():
-    base = _toy_base()
-    a = permuted_stream(base, 2, seed=5)
-    b = permuted_stream(base, 2, seed=5)
+    base, base_test = _toy_base(), _toy_base(n=8, seed=1)
+    a = permuted_stream(base, 2, seed=5, base_test=base_test)
+    b = permuted_stream(base, 2, seed=5, base_test=base_test)
     assert np.array_equal(a.train(2).x, b.train(2).x)
     sorted_a = np.sort(a.train(1).x, axis=1)
-    assert np.allclose(sorted_a, np.sort(base.x[:32], axis=1))
+    assert np.allclose(sorted_a, np.sort(base.x, axis=1))
 
 
-@pytest.mark.parametrize("n", [3, 7, 10, 37])
-def test_streams_hold_out_the_last_fifth_of_the_base(n):
-    base = _toy_base(n=n)
-    n_train = n - int(round(0.2 * n))
-    for make in (permuted_stream, rotated_stream):
-        s = make(base, 2, seed=3)
-        for t in (1, 2):
-            assert np.array_equal(s.train(t).y, base.y[:n_train])
-            assert np.array_equal(s.test(t).y, base.y[n_train:])
+def _stream_or_error(make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except (ContractError, ConfigError) as err:
+        return type(err), str(err)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_streams_reject_a_base_too_small_to_split(n):
-    for make in (permuted_stream, rotated_stream):
-        with pytest.raises(ConfigError, match="too small to split"):
-            make(_toy_base(n=n), 2, seed=3)
+@settings(max_examples=60, deadline=None)
+@given(rotated=st.booleans(), side=st.integers(3, 7), square=st.booleans(),
+       n_base=st.integers(0, 30), n_test=st.integers(0, 12),
+       n_domains=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1),
+       n_per=st.one_of(st.none(), st.integers(0, 35)),
+       n_test_per=st.one_of(st.none(), st.integers(0, 15)),
+       degrees=st.floats(0.5, 45.0))
+# the errors, in their order: an empty base before a non-square one
+@example(rotated=True, side=4, square=False, n_base=0, n_test=3, n_domains=2,
+         seed=1, n_per=None, n_test_per=None, degrees=9.0)
+@example(rotated=True, side=4, square=False, n_base=5, n_test=3, n_domains=2,
+         seed=1, n_per=None, n_test_per=None, degrees=9.0)
+@example(rotated=False, side=4, square=True, n_base=0, n_test=3, n_domains=2,
+         seed=1, n_per=None, n_test_per=None, degrees=9.0)
+def test_streams_match_per_dataset_reference(rotated, side, square, n_base,
+                                             n_test, n_domains, seed, n_per,
+                                             n_test_per, degrees):
+    """The shared builder gives the bytes, ids, sizes and errors the two
+    separate loops gave, with `n_per_domain`/`n_test_per_domain` unset,
+    inside the pools or beyond them."""
+    dim = side * side if square else side * side + 1
+    rng = np.random.default_rng(seed)
+    base = LabeledSet(rng.random((n_base, dim)), rng.integers(0, 4, n_base))
+    base_test = LabeledSet(rng.random((n_test, dim)),
+                           rng.integers(0, 4, n_test))
+    args = (base, n_domains, seed)
+    kwargs = dict(base_test=base_test, n_per_domain=n_per,
+                  n_test_per_domain=n_test_per)
+    if rotated:
+        kwargs["degrees_per_domain"] = degrees
+        got = _stream_or_error(rotated_stream, *args, **kwargs)
+        want = _stream_or_error(ref.rotated_stream, *args, **kwargs)
+    else:
+        got = _stream_or_error(permuted_stream, *args, **kwargs)
+        want = _stream_or_error(ref.permuted_stream, *args, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, DomainStream)
+    assert (got.num_classes, got.input_dim, got.n_domains) == \
+        (want.num_classes, want.input_dim, want.n_domains)
+    for (g_tr, g_te), (w_tr, w_te) in zip(got.domains, want.domains):
+        for g, w in ((g_tr, w_tr), (g_te, w_te)):
+            assert g.domain_id == w.domain_id
+            assert g.x.tobytes() == w.x.tobytes() and g.x.shape == w.x.shape
+            assert g.y.tobytes() == w.y.tobytes()
+    assert stream_fingerprint(got) == stream_fingerprint(want)
+
+
+def test_import_does_not_load_scipy_ndimage():
+    """scipy.ndimage costs about as much as the rest of `import dilkit`;
+    only the rotated stream needs it, so importing the library must not
+    load it."""
+    src_root = str(Path(dilkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, dilkit.expcli, dilkit.trainer, dilkit.bounds; "
+            "print('scipy.ndimage' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_rotate_zero_degrees_bit_exact():
@@ -225,8 +283,8 @@ def test_rotation_mass_conservation_on_disk(angle):
 
 
 def test_rotated_stream_angles_in_range():
-    base = _toy_base(n=30, dim=25)
-    s = rotated_stream(base, n_domains=3, seed=13)
+    base, base_test = _toy_base(n=24, dim=25), _toy_base(n=6, dim=25, seed=1)
+    s = rotated_stream(base, n_domains=3, seed=13, base_test=base_test)
     assert s.n_domains == 3
     for t in (1, 2, 3):
         # reproduce the angle substream exactly as rotated_stream consumes it
@@ -238,14 +296,15 @@ def test_rotated_stream_angles_in_range():
         for a in (a_tr, a_te):
             assert np.all(a >= lo) and np.all(a < lo + 9.0)
         # and images are reproduced bit-exactly by the same draws
-        assert np.array_equal(
-            s.train(t).x, rotate_images(base.x[:24], a_tr, 5))
+        assert np.array_equal(s.train(t).x, rotate_images(base.x, a_tr, 5))
+        assert np.array_equal(s.test(t).x,
+                              rotate_images(base_test.x, a_te, 5))
 
 
 def test_rotated_stream_requires_square():
     base = _toy_base(n=10, dim=15)
     with pytest.raises(ConfigError):
-        rotated_stream(base, 2, seed=1)
+        rotated_stream(base, 2, seed=1, base_test=base)
 
 
 def test_stream_validation():
