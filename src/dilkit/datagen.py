@@ -3,7 +3,7 @@ pixel-permutation / rotation domain transforms."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,6 @@ class LabeledSet:
     x: np.ndarray  # [N, n] float64
     y: np.ndarray  # [N] int64 class ids in [0, K)
     domain_id: int = 1
-    # the indices of these rows in the set `subset` took them from
-    source: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -55,8 +53,7 @@ class LabeledSet:
 
     def subset(self, idx: np.ndarray, domain_id: int | None = None) -> "LabeledSet":
         return LabeledSet(self.x[idx], self.y[idx],
-                          self.domain_id if domain_id is None else domain_id,
-                          source=np.asarray(idx))
+                          self.domain_id if domain_id is None else domain_id)
 
 
 @dataclass

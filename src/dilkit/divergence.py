@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, softmax
-from .losses import stack_segments
 from .models import Mlp
 
 
@@ -132,6 +131,7 @@ def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,
     arity t."""
     if np.shape(current_x)[1:] != np.shape(past_x)[1:]:
         raise ContractError("current and past samples must have one width")
-    x, bounds = stack_segments([current_x, past_x])
+    x = np.concatenate([current_x, past_x])
     probs = softmax(d.logits(encoder.logits(x))).data
-    return float(discriminator_divergences(probs, bounds, [past_index])[0])
+    return float(discriminator_divergences(
+        probs, [0, len(current_x), len(x)], [past_index])[0])

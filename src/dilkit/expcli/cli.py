@@ -71,6 +71,10 @@ def _mnist_base(config: cfg.RunConfig):
         raise ConfigError("missing IDX files: " + ", ".join(missing))
     base = load_idx(paths["train_x"], paths["train_y"])
     base_test = load_idx(paths["test_x"], paths["test_y"])
+    label, top = base_test.y.max(initial=-1), base.y.max(initial=-1)
+    if label > top:  # the stream's num_classes is read off the train labels
+        raise FormatError(f"{paths['test_y']} holds label {label}, above the "
+                          f"largest label {top} in {paths['train_y']}")
     return base, base_test
 
 

@@ -62,12 +62,30 @@ def _check_omega(omega: np.ndarray, past_batches: dict) -> np.ndarray:
     return omega
 
 
-def stack_segments(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack row blocks into one batch; block k is rows bounds[k]:bounds[k+1].
+@dataclass(frozen=True)
+class StepBatch:
+    """A replay step's rows: domain t's batch, then each past domain's in
+    sorted order; segment k is rows bounds[k]:bounds[k + 1], from domain t
+    for k = 0 and from domain ids[k - 1] after."""
+    x: np.ndarray
+    y: np.ndarray
+    bounds: np.ndarray
+    ids: tuple[int, ...]
+    t: int
 
-    The losses stack the current batch first, then each past domain's
-    memory batch in sorted domain order."""
-    return np.concatenate(parts), np.cumsum([0] + [len(p) for p in parts])
+    @classmethod
+    def stack(cls, current: LabeledSet, past: dict[int, LabeledSet]) -> StepBatch:
+        """`current` (from domain t, its domain_id), then each set of `past`."""
+        sets = [current] + [past[i] for i in sorted(past)]
+        return cls(np.concatenate([s.x for s in sets]),
+                   np.concatenate([s.y for s in sets]),
+                   np.cumsum([0] + [len(s) for s in sets]),
+                   tuple(sorted(past)), current.domain_id)
+
+    def parts(self, a: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Views of `a` (aligned with x): current rows, each past domain's by id."""
+        b = self.bounds
+        return a[:b[1]], {i: a[b[k]:b[k + 1]] for k, i in enumerate(self.ids, 1)}
 
 
 def _one_hot(y: np.ndarray, k: int, row_w) -> np.ndarray:
@@ -77,50 +95,47 @@ def _one_hot(y: np.ndarray, k: int, row_w) -> np.ndarray:
     return target
 
 
-def _row_weights(seg_w: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def _row_weights(seg_w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Segment k's weight divided by its size, repeated over its rows."""
-    sizes = np.diff(bounds)
     return np.repeat(seg_w / np.maximum(sizes, 1), sizes)
 
 
 def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,
-        current_batch: LabeledSet, past_batches: dict[int, LabeledSet],
-        logits: Tensor | None = None, teacher_logits: np.ndarray | None = None) -> Tensor:
-    """Model loss: CE + (sum beta_i) * distill on the current batch, plus per
-    past domain gamma_i * CE + alpha_i * distill on its memory batch.
-
-    One student forward over the stacked batch, and at most one teacher
-    forward, over the rows with distillation weight; either is skipped when
-    the caller passes its `logits` on every stacked row.  Per row the target
-    is w_ce * onehot(y) + w_distill * teacher_probs, where current rows have
-    (w_ce, w_distill) = (1, sum beta) / n_0 and domain i's rows
-    (gamma_i, alpha_i) / n_i; the loss is softmax_xent(logits, target).
-    Coefficients enter as constants (stopped)."""
+        current_batch: LabeledSet, past_batches: dict[int, LabeledSet]) -> Tensor:
+    """V_l (see stacked_v_l) from one student and one teacher forward over
+    the stacked batches; plain CE with no past domain."""
     if not past_batches:
         return classification_loss(h, current_batch)
     if history is None:
         raise ContractError("v_l with past domains requires a history model")
-    omega = _check_omega(omega, past_batches)
-    batches = [current_batch] + [past_batches[i] for i in sorted(past_batches)]
+    b = StepBatch.stack(current_batch, past_batches)
+    return stacked_v_l(b, omega, h.logits(b.x), history.classifier.logits(b.x).data)
+
+
+def stacked_v_l(batch: StepBatch, omega: np.ndarray, logits: Tensor,
+                teacher_logits: np.ndarray) -> Tensor:
+    """Model loss from the student's `logits` and the frozen teacher's on the
+    record's rows: CE + (sum beta) * distill on the current batch, plus per
+    past domain gamma_i * CE + alpha_i * distill on its memory batch.  Per
+    row the target is w_ce * onehot(y) + w_distill * teacher_probs, with
+    (w_ce, w_distill) = (1, sum beta) / n_0 on current rows and
+    (gamma_i, alpha_i) / n_i on domain i's; the loss is
+    softmax_xent(logits, target).  Coefficients enter as constants."""
+    omega = _check_omega(omega, batch.ids)
     w_ce = np.concatenate([[1.0], omega[:, 2]])
     w_distill = np.concatenate([[float(omega[:, 1].sum())], omega[:, 0]])
-    if any(w != 0.0 and len(b) == 0 for w, b in zip(w_ce, batches)):
+    sizes = np.diff(batch.bounds)
+    if np.any((sizes == 0) & (w_ce != 0.0)):
         raise ContractError("v_l: empty batch")
-    x, bounds = stack_segments([b.x for b in batches])
-    y = np.concatenate([b.y for b in batches])
-    logits = h.logits(x) if logits is None else logits
     k = logits.data.shape[1]
-    target = _one_hot(y, k, _row_weights(w_ce, bounds))
-    distilled = np.repeat(w_distill != 0.0, np.diff(bounds))
+    target = _one_hot(batch.y, k, _row_weights(w_ce, sizes))
+    distilled = np.repeat(w_distill != 0.0, sizes)
     if distilled.any():
-        probs = (history.classifier.probs(x[distilled]) if teacher_logits is None
-                 else softmax(teacher_logits[distilled])).data
-        if probs.shape[1] != k:
-            raise ContractError(
-                f"distillation arity mismatch: teacher {probs.shape[1]} "
-                f"vs student {k}")
-        target[distilled] += (
-            _row_weights(w_distill, bounds)[distilled, None] * probs)
+        if teacher_logits.shape[1] != k:
+            raise ContractError(f"distillation arity mismatch: teacher "
+                                f"{teacher_logits.shape[1]} vs student {k}")
+        target[distilled] += (_row_weights(w_distill, sizes)[distilled, None]
+                              * softmax(teacher_logits[distilled]).data)
     return softmax_xent(logits, target)
 
 
@@ -215,14 +230,15 @@ def v_d(d: Mlp, encoder: Mlp | None, omega: np.ndarray, current_x: np.ndarray,
         raise ContractError(f"discriminator arity {arity} != t={t}")
     ids = sorted(past_x)
     seg_w = np.concatenate([[float(betas.sum())], betas])
-    x, bounds = stack_segments([current_x] + [past_x[i] for i in ids])
-    sizes = np.diff(bounds)
+    sizes = np.array([len(current_x)] + [len(past_x[i]) for i in ids])
     if np.any((sizes == 0) & (seg_w != 0.0)):
         raise ContractError("v_d: empty batch")
     seg_class = np.array([t - 1] + [i - 1 for i in ids])
-    target = _one_hot(np.repeat(seg_class, sizes), t, _row_weights(seg_w, bounds))
-    return softmax_xent(d.logits(encoder.logits(x)) if logits is None else logits,
-                        target)
+    target = _one_hot(np.repeat(seg_class, sizes), t, _row_weights(seg_w, sizes))
+    if logits is None:
+        x = np.concatenate([current_x] + [past_x[i] for i in ids])
+        logits = d.logits(encoder.logits(x))
+    return softmax_xent(logits, target)
 
 
 def v_p(encoder: Mlp, prev_encoder: Mlp,
@@ -233,22 +249,23 @@ def v_p(encoder: Mlp, prev_encoder: Mlp,
     domain i's rows weighted 1 / n_i."""
     if not memory_x:
         return Tensor(0.0)
-    x, bounds = stack_segments([memory_x[i] for i in sorted(memory_x)])
-    if np.any(np.diff(bounds) == 0):
+    x = np.concatenate([memory_x[i] for i in sorted(memory_x)])
+    sizes = np.array([len(memory_x[i]) for i in sorted(memory_x)])
+    if np.any(sizes == 0):
         raise ContractError("v_p: empty batch")
     diff = add(encoder.logits(x), mul(prev_encoder.logits(x), -1.0))
-    w = _row_weights(np.ones(len(memory_x)), bounds)
+    w = _row_weights(np.ones(len(memory_x)), sizes)
     return tsum(mul(rowsum(mul(diff, diff)), w))
 
 
-def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
+def v_s(encoder: Mlp, batch: LabeledSet | StepBatch, n_negatives: int,
         rng: np.random.Generator) -> Tensor:
     """Supervised contrastive loss over squared embedding distances.
     Positives are same-class pairs; negatives are different-class samples
-    drawn from the whole batch regardless of domain.  Pair choice depends
-    only on labels, so the loss stays smooth in the encoder parameters."""
+    drawn from the whole batch (x, y) regardless of domain.  Pair choice
+    depends only on labels, so the loss stays smooth in the encoder."""
     y = batch.y
-    n = len(batch)
+    n = len(y)
     anchors, positives = [], []
     for a in range(n):
         same = np.flatnonzero(y == y[a])
@@ -287,28 +304,21 @@ def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
 
 
 def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp, prev_encoder: Mlp,
-                     omega: np.ndarray, current_batch: LabeledSet,
-                     past_batches: dict[int, LabeledSet], t: int,
+                     omega: np.ndarray, batch: StepBatch,
                      hp: HyperParams, rng: np.random.Generator,
                      disc_logits: Tensor | None = None) -> Tensor:
-    """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s; with the
-    discriminator stopped the gradient reaches the encoder only.
+    """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s on the step's rows;
+    with the discriminator stopped the gradient reaches the encoder only.
     `disc_logits` is V_d's precomputed `logits`."""
     total = Tensor(0.0)
-    if hp.lambda_d > 0 and past_batches:
-        vd = v_d(d_stopped, encoder, omega, current_batch.x,
-                 {i: b.x for i, b in past_batches.items()}, t,
+    current_x, past_x = batch.parts(batch.x)
+    if hp.lambda_d > 0 and past_x:
+        vd = v_d(d_stopped, encoder, omega, current_x, past_x, batch.t,
                  logits=disc_logits)
         total = add(total, mul(vd, -hp.lambda_d))
-    if hp.lambda_p > 0 and past_batches:
-        vp = v_p(encoder, prev_encoder,
-                 {i: b.x for i, b in past_batches.items()})
-        total = add(total, mul(vp, hp.lambda_p))
+    if hp.lambda_p > 0 and past_x:
+        total = add(total, mul(v_p(encoder, prev_encoder, past_x), hp.lambda_p))
     if hp.lambda_s > 0:
-        xs = [current_batch.x] + [past_batches[i].x for i in sorted(past_batches)]
-        ys = [current_batch.y] + [past_batches[i].y for i in sorted(past_batches)]
-        combined = LabeledSet(np.concatenate(xs), np.concatenate(ys),
-                              current_batch.domain_id)
-        total = add(total, mul(v_s(encoder, combined, N_NEGATIVES, rng),
+        total = add(total, mul(v_s(encoder, batch, N_NEGATIVES, rng),
                                hp.lambda_s))
     return total

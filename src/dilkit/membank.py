@@ -61,13 +61,8 @@ class MemoryBank(Ranged):
         self.buckets[t] = current.subset(take, domain_id=t)
 
     def sample_past(self, per_domain_batch: int,
-                    rng: np.random.Generator) -> dict[int, LabeledSet]:
-        """Uniform without-replacement minibatch from every stored bucket;
-        each batch's `source` holds its rows' indices in the bucket."""
-        out: dict[int, LabeledSet] = {}
-        for i in sorted(self.buckets):
-            bucket = self.buckets[i]
-            k = min(per_domain_batch, len(bucket))
-            idx = rng.choice(len(bucket), size=k, replace=False)
-            out[i] = bucket.subset(idx)
-        return out
+                    rng: np.random.Generator) -> dict[int, np.ndarray]:
+        """Row indices of a uniform without-replacement minibatch of every
+        stored bucket, by domain id in sorted order."""
+        return {i: rng.choice(len(b), size=min(per_domain_batch, len(b)),
+                              replace=False) for i, b in sorted(self.buckets.items())}

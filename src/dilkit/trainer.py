@@ -17,9 +17,10 @@ from .coeffs import CoeffSimplex, from_preset, init_uniform
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
+# perfbench wraps the trainer's V_l by the name v_l
 from .losses import (
-    CoeffStats, HistorySnapshot, HyperParams, classification_loss,
-    encoder_aux_loss, stack_segments, v_01, v_d, v_l,
+    CoeffStats, HistorySnapshot, HyperParams, StepBatch, classification_loss,
+    encoder_aux_loss, stacked_v_l as v_l, v_01, v_d,
 )
 from .membank import MemoryBank
 from .metrics import (
@@ -90,11 +91,9 @@ def _make_simplex(method: str, t: int) -> CoeffSimplex:
     return from_preset(method, t)
 
 
-def _sample_batch(data: LabeledSet, batch_size: int,
-                  rng: np.random.Generator) -> LabeledSet:
-    n = len(data)
-    idx = rng.choice(n, size=min(batch_size, n), replace=False)
-    return data.subset(np.sort(idx))
+def _draw_rows(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform without-replacement batch of row indices, sorted."""
+    return np.sort(rng.choice(n, size=min(batch_size, n), replace=False))
 
 
 def _check_finite(loss: Tensor, name: str, method: str, t: int,
@@ -109,34 +108,26 @@ def _check_finite(loss: Tensor, name: str, method: str, t: int,
 def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
                rng: np.random.Generator, method: str, t: int) -> None:
     for step in range(1, sgd.step_count + 1):
-        batch = _sample_batch(data, sgd.batch_size, rng)
+        batch = data.subset(_draw_rows(len(data), sgd.batch_size, rng))
         loss = classification_loss(model, batch)
         _check_finite(loss, "classification", method, t, step)
         loss.backward()
         sgd_step(model.params(), sgd.learning_rate)
 
 
-def coeff_stats_for_step(history: HistorySnapshot, current_batch: LabeledSet,
-                         past_batches: dict[int, LabeledSet],
+def coeff_stats_for_step(history: HistorySnapshot, batch: StepBatch,
                          logits: np.ndarray, disc_logits: np.ndarray,
                          teacher_logits: np.ndarray) -> CoeffStats:
     """Assemble the per-step scalar statistics the bound surrogate needs
-    from the step's three outputs on the stacked batch (current rows, then
-    each memory batch in sorted domain order) and the frozen history
-    constants.  The 0-1 errors are counted per segment and every divergence
-    estimate is read off them."""
-    ids = sorted(past_batches)
-    batches = [current_batch] + [past_batches[i] for i in ids]
-    if any(len(b) == 0 for b in batches):
-        raise ContractError("coeff_stats_for_step: empty batch")
-    bounds = np.cumsum([0] + [len(b) for b in batches])
+    from the step's three outputs on the record's rows and the frozen
+    history constants.  The 0-1 errors are counted per segment and every
+    divergence estimate is read off them; an empty segment raises."""
+    dhat = discriminator_divergences(softmax(disc_logits).data, batch.bounds, batch.ids)
     pred = np.argmax(logits, axis=1)
-    y = np.concatenate([b.y for b in batches])
     wrong, differs = (
-        np.add.reduceat(miss, bounds[:-1], dtype=np.int64) / np.diff(bounds)
-        for miss in (pred != y, pred != np.argmax(teacher_logits, axis=1)))
-    dhat = discriminator_divergences(softmax(disc_logits).data, bounds, ids)
-    eps_hist = np.array([history.cached_consts[i] for i in ids])
+        np.add.reduceat(miss, batch.bounds[:-1], dtype=np.int64) / np.diff(batch.bounds)
+        for miss in (pred != batch.y, pred != np.argmax(teacher_logits, axis=1)))
+    eps_hist = np.array([history.cached_consts[i] for i in batch.ids])
     return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
 
 
@@ -216,8 +207,10 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
 def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator, disc: Mlp,
                          simplex: CoeffSimplex) -> None:
-    """Each network runs once per step, on the stacked rows (current, then
-    each past domain in sorted order); the teacher's logits are read by row."""
+    """[domain_data; bucket 1; ...; bucket t-1] is laid out once, with the
+    teacher's logits on it; each step gathers its record (a current batch,
+    then a memory batch per bucket) by drawn row index, and each network
+    runs once on it."""
     config = state.config
     t, hp, sgd = state.t, config.hp, config.sgd
     model, history = state.model, state.history
@@ -231,22 +224,23 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     # a fixed preset with no cross-domain mass never trains the discriminator
     disc_on = hp.lambda_d > 0 and (
         adaptive or float(simplex.triples()[:, 1].sum()) > 0.0)
-    # the teacher's logits by domain: the snapshot's, and this domain's
-    teacher = {**history.logits, t: history.classifier.logits(domain_data.x).data}
+    layout = StepBatch.stack(domain_data, state.bank.buckets)
+    teacher = np.concatenate([history.classifier.logits(domain_data.x).data]
+                             + [history.logits[i] for i in layout.ids])
 
     for step in range(1, sgd.step_count + 1):
-        current = _sample_batch(domain_data, sgd.batch_size, rng)
-        past = state.bank.sample_past(mem_batch, rng)
-        batches = [current] + [past[i] for i in sorted(past)]
-        x, _ = stack_segments([b.x for b in batches])
-        teacher_logits = np.concatenate([teacher[b.domain_id][b.source] for b in batches])
-        embedding = model.encoder.logits(x)
+        rows = [_draw_rows(len(domain_data), sgd.batch_size, rng)]
+        rows += state.bank.sample_past(mem_batch, rng).values()  # in layout.ids order
+        idx = np.concatenate([lo + r for lo, r in zip(layout.bounds, rows)])
+        batch = StepBatch(layout.x[idx], layout.y[idx],
+                          np.cumsum([0] + [len(r) for r in rows]), layout.ids, t)
+        teacher_logits = teacher[idx]
+        embedding = model.encoder.logits(batch.x)
         logits = model.predictor.logits(embedding)
 
         if disc_on:
-            disc_loss = mul(v_d(disc, None, simplex.triples(), current.x,
-                                {i: b.x for i, b in past.items()}, t,
-                                disc.logits(embedding.data)), hp.lambda_d)
+            disc_loss = mul(v_d(disc, None, simplex.triples(), *batch.parts(batch.x),
+                                t, disc.logits(embedding.data)), hp.lambda_d)
             _check_finite(disc_loss, "discriminator", config.method, t, step)
             # with no beta mass left the loss is a constant: nothing to train
             if disc_loss.requires_grad:
@@ -256,7 +250,7 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         disc_logits = d_stopped.logits(embedding) if adaptive or disc_on else None
 
         if adaptive:
-            stats = coeff_stats_for_step(history, current, past, logits.data,
+            stats = coeff_stats_for_step(history, batch, logits.data,
                                          disc_logits.data, teacher_logits)
             loss = v_01(simplex, stats, hp.c_gen, len(domain_data), n_memory)
             _check_finite(loss, "coefficient", config.method, t, step)
@@ -264,11 +258,10 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
             sgd_step([simplex.logits], omega_lr)
 
         omega_frozen = simplex.triples()
-        objective = v_l(model, history, omega_frozen, current, past, logits,
-                        teacher_logits)
+        objective = v_l(batch, omega_frozen, logits, teacher_logits)
         aux = encoder_aux_loss(
             model.encoder, d_stopped, history.classifier.encoder,
-            omega_frozen, current, past, t, hp, rng, disc_logits=disc_logits)
+            omega_frozen, batch, hp, rng, disc_logits=disc_logits)
         objective = add(objective, aux)
         _check_finite(objective, "model", config.method, t, step)
         objective.backward()

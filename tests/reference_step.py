@@ -7,11 +7,15 @@ per-column slices and separate positive/negative gathers, before V_01
 became one weighted sum and V_s one cross-entropy over all differences;
 test_losses.py compares the library's against them.  The distillation
 loss and the 0-1 disagreement they are built from have no caller in the
-library and live here, tested in test_losses.py.  `replay_step` is one
-adaptive training step in the phase order the trainer ran before the
-phases shared one student pass, one stopped-discriminator pass and the
-teacher's per-domain outputs; test_stacked_step.py compares the trainer's
-step against it."""
+library and live here, tested in test_losses.py.  `sample_step` draws a
+replay step's batches as the trainer did before it gathered them from one
+per-domain layout: a sampled current set, one sampled set per memory
+bucket, then x, y, segment bounds and the teacher's logits stacked from
+them.  `replay_step` is one adaptive training step in the phase order the
+trainer ran before the phases shared one student pass, one
+stopped-discriminator pass and the teacher's per-domain outputs;
+test_stacked_step.py compares the trainer's draws and step against
+these."""
 from __future__ import annotations
 
 import logging
@@ -26,9 +30,10 @@ from dilkit.autodiff import (
 from dilkit.coeffs import CoeffSimplex
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    CoeffStats, HistorySnapshot, HyperParams, _check_omega, _one_hot,
-    classification_loss, erm01,
+    CoeffStats, HistorySnapshot, HyperParams, StepBatch, _check_omega,
+    _one_hot, classification_loss, erm01,
 )
+from dilkit.membank import MemoryBank
 from dilkit.models import Classifier, Mlp, sgd_step
 
 from reference_ops import column, concat_cols, log_softmax, pick, tmean
@@ -247,6 +252,37 @@ def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
     return softmax_xent(z, target)
 
 
+def sample_step(domain_data: LabeledSet, bank: MemoryBank,
+                teacher: dict[int, np.ndarray], batch_size: int,
+                memory_batch: int | None, split: bool,
+                rng: np.random.Generator):
+    """One step's draws: the current set (sorted without-replacement rows
+    of `domain_data`), then one set per bucket in sorted order (unsorted
+    without-replacement rows; `memory_batch`, default `batch_size`, divided
+    by t - 1 when `split`), each a LabeledSet.  Returns (current, past, x,
+    y, bounds, teacher_logits), the last four stacked over the sets, with
+    `teacher` the frozen teacher's logits on each domain's full set."""
+    n, t = len(domain_data), domain_data.domain_id
+    cur_idx = np.sort(rng.choice(n, size=min(batch_size, n), replace=False))
+    current = domain_data.subset(cur_idx)
+    mem = batch_size if memory_batch is None else memory_batch
+    if split:
+        mem = max(1, mem // (t - 1))
+    past, sources = {}, {t: cur_idx}
+    for i in sorted(bank.buckets):
+        bucket = bank.buckets[i]
+        sources[i] = rng.choice(len(bucket), size=min(mem, len(bucket)),
+                                replace=False)
+        past[i] = bucket.subset(sources[i])
+    batches = [current] + [past[i] for i in sorted(past)]
+    x = np.concatenate([b.x for b in batches])
+    y = np.concatenate([b.y for b in batches])
+    bounds = np.cumsum([0] + [len(b) for b in batches])
+    order = [t] + sorted(past)
+    teacher_logits = np.concatenate([teacher[i][sources[i]] for i in order])
+    return current, past, x, y, bounds, teacher_logits
+
+
 def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
                 simplex: CoeffSimplex, current: LabeledSet,
                 past: dict[int, LabeledSet], t: int, hp: HyperParams,
@@ -275,6 +311,6 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
     objective = add(losses.v_l(model, history, omega, current, past),
                     losses.encoder_aux_loss(
                         model.encoder, disc.stopped(),
-                        history.classifier.encoder, omega, current, past, t,
-                        hp, rng))
+                        history.classifier.encoder, omega,
+                        StepBatch.stack(current, past), hp, rng))
     return stats, objective

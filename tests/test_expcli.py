@@ -415,6 +415,36 @@ disc_hidden = 8
     assert payload["per_seed"][0]["matrix"][2][2] is not None
 
 
+def test_cli_test_label_above_train_labels_names_both_files(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    import struct
+    idx_dir = _write_synthetic_idx_dir(tmp_path)
+    test_labels = np.full(40, 3, dtype=np.uint8)
+    test_labels[7] = 9
+    for stem, labels in (("train", np.arange(120, dtype=np.uint8) % 8),
+                         ("t10k", test_labels)):
+        with open(idx_dir / f"{stem}-labels-idx1-ubyte", "wb") as f:
+            f.write(struct.pack(">II", 0x00000801, len(labels)))
+            f.write(labels.tobytes())
+    monkeypatch.setenv("DILKIT_OUTPUT_DIR", str(tmp_path / "out"))
+    cfg = write_cfg(tmp_path, f"""
+dataset = p-mnist
+mnist_dir = {idx_dir}
+method = ER
+seeds = 0
+n_domains = 2
+n_per_domain = 20
+n_test_per_domain = 8
+""")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert (f"format error: {idx_dir / 't10k-labels-idx1-ubyte'} holds label 9"
+            f", above the largest label 7 in "
+            f"{idx_dir / 'train-labels-idx1-ubyte'}") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_gen_data_round_trip_and_determinism(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, TINY)
     digests = []

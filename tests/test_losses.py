@@ -10,7 +10,7 @@ from dilkit.autodiff import ContractError, Tensor, gradcheck
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    N_NEGATIVES, CoeffStats, HistorySnapshot, HyperParams,
+    N_NEGATIVES, CoeffStats, HistorySnapshot, HyperParams, StepBatch,
     classification_loss, encoder_aux_loss, erm01, radical_map, v_01, v_d,
     v_l, v_p, v_s,
 )
@@ -476,22 +476,23 @@ def test_encoder_aux_reductions_and_composition():
     enc = Mlp([3, 4, 2], rng=rng)
     prev = Mlp([3, 4, 2], rng=rng)
     d = Mlp([2, 2], rng=rng).stopped()
-    cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
+    cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5), 2)
     past = {1: LabeledSet(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))}
+    batch = StepBatch.stack(cur, past)
     omega = np.array([[0.2, 0.5, 0.3]])
 
     hp0 = HyperParams(lambda_d=0.0, lambda_p=0.0, lambda_s=0.0)
-    assert encoder_aux_loss(enc, d, prev, omega, cur, past, 2, hp0,
+    assert encoder_aux_loss(enc, d, prev, omega, batch, hp0,
                             np.random.default_rng(0)).item() == 0.0
 
     hp_d = HyperParams(lambda_d=0.7, lambda_p=0.0, lambda_s=0.0)
-    got = encoder_aux_loss(enc, d, prev, omega, cur, past, 2, hp_d,
+    got = encoder_aux_loss(enc, d, prev, omega, batch, hp_d,
                            np.random.default_rng(0)).item()
     vd = v_d(d, enc, omega, cur.x, {1: past[1].x}, 2).item()
     assert got == pytest.approx(-0.7 * vd)
 
     hp = HyperParams(lambda_d=0.5, lambda_p=1.3, lambda_s=0.9)
-    got = encoder_aux_loss(enc, d, prev, omega, cur, past, 2, hp,
+    got = encoder_aux_loss(enc, d, prev, omega, batch, hp,
                            np.random.default_rng(7)).item()
     vp = v_p(enc, prev, {1: past[1].x}).item()
     combined = LabeledSet(np.concatenate([cur.x, past[1].x]),
@@ -504,11 +505,12 @@ def test_encoder_aux_gradient_reaches_encoder_only():
     rng = np.random.default_rng(51)
     enc = Mlp([3, 4, 2], rng=rng)
     d = Mlp([2, 2], rng=rng)
-    cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
+    cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5), 2)
     past = {1: LabeledSet(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))}
     hp = HyperParams(lambda_d=1.0)
     loss = encoder_aux_loss(enc, d.stopped(), Mlp([3, 4, 2], rng=rng),
-                            np.array([[0.0, 1.0, 0.0]]), cur, past, 2, hp,
+                            np.array([[0.0, 1.0, 0.0]]),
+                            StepBatch.stack(cur, past), hp,
                             np.random.default_rng(0))
     loss.backward()
     assert any(p.grad is not None for p in enc.params())

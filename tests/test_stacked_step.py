@@ -1,8 +1,10 @@
 """Differential tests: the stacked-batch losses, coefficient statistics
 and divergence estimate against the per-domain reference in
 reference_step.py, on random states; the losses fed precomputed passes
-against their own forwards; and the trainer's step, whose phases share
-their passes, against the reference's phase order."""
+against their own forwards; the trainer's draws, gathered from one
+per-domain layout, against the reference's sampled and stacked sets; and
+the trainer's step, whose phases share their passes, against the
+reference's phase order."""
 import copy
 
 import numpy as np
@@ -15,7 +17,8 @@ from dilkit.autodiff import ContractError, Tensor
 from dilkit.coeffs import init_uniform
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
-from dilkit.losses import HistorySnapshot, HyperParams, v_d, v_l, v_p
+from dilkit.losses import (HistorySnapshot, HyperParams, StepBatch,
+                           stacked_v_l, v_d, v_l, v_p)
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
 from dilkit.trainer import (TrainerConfig, TrainState, coeff_stats_for_step,
@@ -66,16 +69,15 @@ def _state(seed, t, kind):
     return h, history, disc, _omega(rng, kind, t), current, past
 
 
-def _outputs(h, history, disc, current, past):
-    """The three passes a step hands coeff_stats_for_step, over the stacked
-    rows: the student's logits, the stopped discriminator's on the
+def _outputs(h, history, disc, batch):
+    """The three passes a step hands coeff_stats_for_step, over the
+    record's rows: the student's logits, the stopped discriminator's on the
     student's embedding, and the teacher's."""
-    x = np.concatenate([current.x] + [past[i].x for i in sorted(past)])
     stopped = h.stopped()
-    embedding = stopped.encoder.logits(x)
+    embedding = stopped.encoder.logits(batch.x)
     return (stopped.predictor.logits(embedding).data,
             disc.stopped().logits(embedding).data,
-            history.classifier.logits(x).data)
+            history.classifier.logits(batch.x).data)
 
 
 def _value_and_grads(loss, params):
@@ -132,8 +134,9 @@ def test_v_p_matches_reference(t, seed):
                                     for seed in range(4)])
 def test_coeff_stats_match_reference_exactly(t, seed):
     h, history, disc, _, current, past = _state(400 * t + seed, t, "UDIL")
-    got = coeff_stats_for_step(history, current, past,
-                               *_outputs(h, history, disc, current, past))
+    batch = StepBatch.stack(current, past)
+    got = coeff_stats_for_step(history, batch,
+                               *_outputs(h, history, disc, batch))
     want = ref.coeff_stats_for_step(h, history, disc, current, past)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -144,7 +147,8 @@ def test_coeff_stats_match_reference_exactly(t, seed):
 def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
     """No Tensor created inside coeff_stats_for_step requires a gradient."""
     h, history, disc, _, current, past = _state(450 + t, t, "UDIL")
-    outputs = _outputs(h, history, disc, current, past)
+    batch = StepBatch.stack(current, past)
+    outputs = _outputs(h, history, disc, batch)
     tracked = []
     init = Tensor.__init__
 
@@ -153,7 +157,7 @@ def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
         init(self, data, requires_grad, _prev)
 
     monkeypatch.setattr(Tensor, "__init__", recording_init)
-    coeff_stats_for_step(history, current, past, *outputs)
+    coeff_stats_for_step(history, batch, *outputs)
     assert tracked and not any(tracked)
 
 
@@ -162,7 +166,8 @@ def test_coeff_stats_runs_each_network_once(monkeypatch, t):
     """No Mlp.logits call at any t: the step runs each network once and
     hands coeff_stats_for_step its outputs on the stacked batch."""
     h, history, disc, _, current, past = _state(700 + t, t, "UDIL")
-    outputs = _outputs(h, history, disc, current, past)
+    batch = StepBatch.stack(current, past)
+    outputs = _outputs(h, history, disc, batch)
     calls = []
     logits = Mlp.logits
 
@@ -171,7 +176,7 @@ def test_coeff_stats_runs_each_network_once(monkeypatch, t):
         return logits(self, x)
 
     monkeypatch.setattr(Mlp, "logits", counting_logits)
-    coeff_stats_for_step(history, current, past, *outputs)
+    coeff_stats_for_step(history, batch, *outputs)
     assert calls == []
 
 
@@ -234,9 +239,9 @@ def test_empty_segment_contracts_match_reference(kind, empty):
             assert got == want
         else:
             assert got == pytest.approx(want, abs=1e-10)
+    batch = StepBatch.stack(current, past)
     with pytest.raises(ContractError):
-        coeff_stats_for_step(history, current, past,
-                             *_outputs(h, history, disc, current, past))
+        coeff_stats_for_step(history, batch, *_outputs(h, history, disc, batch))
     with pytest.raises(ContractError):
         ref.coeff_stats_for_step(h, history, disc, current, past)
 
@@ -257,31 +262,33 @@ def test_v_l_teacher_arity_contract_kept():
 
 @pytest.mark.parametrize("t,kind,seed", CASES)
 def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
-    """v_l given the student's and the teacher's logits on every stacked
-    row, v_d given the discriminator's logits on them (through a graph
-    into the encoder, or on a stopped embedding), agree with the forwards
-    they replace; segments without weight (ER, LwF, FineTune, mixed) keep
-    their rows at zero weight.  coeff_stats_for_step given all three
-    equals the per-domain reference exactly."""
+    """stacked_v_l given the student's and the teacher's logits on the
+    record's rows matches the per-domain reference; v_d given the
+    discriminator's logits on them (through a graph into the encoder, or
+    on a stopped embedding) and the record's row views agrees with the
+    forward it replaces; segments without weight (ER, LwF, FineTune,
+    mixed) keep their rows at zero weight.  coeff_stats_for_step given all
+    three equals the per-domain reference exactly."""
     h, history, disc, omega, current, past = _state(800 * t + seed, t, kind)
-    x = np.concatenate([current.x] + [past[i].x for i in sorted(past)])
-    past_x = {i: b.x for i, b in past.items()}
+    batch = StepBatch.stack(current, past)
+    x = batch.x
+    cur_x, past_x = batch.parts(x)
     teacher_logits = history.classifier.logits(x).data
-    _assert_same(
-        v_l(h, history, omega, current, past, h.logits(x), teacher_logits),
-        v_l(h, history, omega, current, past), h.params())
+    _assert_same(stacked_v_l(batch, omega, h.logits(x), teacher_logits),
+                 ref.v_l(h, history, omega, current, past), h.params())
     enc_params = h.encoder.params()
     d_stopped = disc.stopped()
-    _assert_same(v_d(d_stopped, h.encoder, omega, current.x, past_x, t,
+    _assert_same(v_d(d_stopped, h.encoder, omega, cur_x, past_x, t,
                      logits=d_stopped.logits(h.encoder.logits(x))),
-                 v_d(d_stopped, h.encoder, omega, current.x, past_x, t),
+                 v_d(d_stopped, h.encoder, omega, current.x,
+                     {i: b.x for i, b in past.items()}, t),
                  enc_params)
-    _assert_same(v_d(disc, None, omega, current.x, past_x, t,
+    _assert_same(v_d(disc, None, omega, cur_x, past_x, t,
                      disc.logits(h.encoder.logits(x).data)),
-                 v_d(disc, h.encoder.stopped(), omega, current.x, past_x, t),
+                 v_d(disc, h.encoder.stopped(), omega, cur_x, past_x, t),
                  disc.params())
     got = coeff_stats_for_step(
-        history, current, past, h.logits(x).data,
+        history, batch, h.logits(x).data,
         disc.logits(h.encoder.logits(x)).data, teacher_logits)
     want = ref.coeff_stats_for_step(h, history, disc, current, past)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
@@ -291,16 +298,17 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
 
 # -- one full step -------------------------------------------------------
 
-def _step_state(seed, t, hp):
+def _step_state(seed, t, hp, steps=1, **config):
     """A UDIL state at domain t, with a teacher snapshot of random memory
     buckets, a discriminator, a random simplex and the domain's data."""
     rng = np.random.default_rng(seed)
     bank = MemoryBank(100)
     bank.buckets = {i: _batch(rng, int(rng.integers(4, 15)), i)
                     for i in range(1, t)}
+    config = {"memory_batch": int(rng.integers(1, 8)), **config}
     config = TrainerConfig("UDIL", seed, hp=hp, omega_lr=0.7, disc_lr=0.4,
-                           sgd=SgdConfig(0.3, 1, int(rng.integers(1, 12))),
-                           memory_batch=int(rng.integers(1, 8)))
+                           sgd=SgdConfig(0.3, steps, int(rng.integers(1, 12))),
+                           **config)
     state = TrainState(_classifier(rng), None, bank, config, 1)
     state.history, state.t = snapshot_history(state), t
     state.model = _classifier(rng)
@@ -308,6 +316,48 @@ def _step_state(seed, t, hp):
     simplex = init_uniform(t)
     simplex.logits.data[...] = rng.normal(size=(t - 1, 3))
     return state, disc, simplex, _batch(rng, 30, t)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_draws_match_reference_sampling(monkeypatch, t, split, seed):
+    """From equal rng states, each of three replay steps gathers the
+    reference's x, y, segment bounds and teacher logits bitwise (as handed
+    to coeff_stats_for_step), and the steps leave the rng in the
+    reference's state.  Bucket 1 holds one row, shorter than any memory
+    batch; with `split` the memory batch is divided over t - 1."""
+    state, disc, simplex, domain = _step_state(
+        1000 * t + seed, t, HyperParams(), steps=3, memory_batch=8,
+        split_memory_batch=split)
+    bank = state.bank
+    bank.buckets[1] = bank.buckets[1].subset(np.arange(1))
+    history = state.history = snapshot_history(state)
+    teacher = {**history.logits, t: history.classifier.logits(domain.x).data}
+    seen = []
+    stats_for_step = trainer.coeff_stats_for_step
+
+    def recording_stats(history, batch, logits, disc_logits, teacher_logits):
+        seen.append((batch, teacher_logits))
+        return stats_for_step(history, batch, logits, disc_logits,
+                              teacher_logits)
+
+    monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    trainer._train_domain_replay(state, domain, rng, disc, simplex)
+    assert len(seen) == 3
+    for batch, teacher_logits in seen:
+        _, _, x, y, bounds, ref_teacher = ref.sample_step(
+            domain, bank, teacher, state.config.sgd.batch_size, 8, split,
+            ref_rng)
+        np.testing.assert_array_equal(batch.x, x)
+        np.testing.assert_array_equal(batch.y, y)
+        np.testing.assert_array_equal(batch.bounds, bounds)
+        np.testing.assert_array_equal(teacher_logits, ref_teacher)
+        assert batch.ids == tuple(range(1, t)) and batch.t == t
+        assert bounds[2] - bounds[1] == 1  # the short bucket: all of it
+    # lambda_s = 0: the draws are the steps' only use of the rng
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 HPS = [HyperParams(lambda_d=0.5, c_gen=1.0),
@@ -320,8 +370,8 @@ HPS = [HyperParams(lambda_d=0.5, c_gen=1.0),
 def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
                                                    seed):
     """One trainer step (one student pass, one stopped-discriminator pass,
-    teacher logits by row) against reference_step.replay_step on the same
-    batches: the same coefficient statistics exactly, the same
+    teacher logits by row) against reference_step.replay_step on the rows
+    it drew: the same coefficient statistics exactly, the same
     discriminator and coefficient updates, and the model loss and every
     model gradient within 1e-10."""
     hp = HPS[hp_index]
@@ -329,18 +379,18 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
                                                t, hp)
     model, history, bank = state.model, state.history, state.bank
     ref_model, ref_disc, ref_simplex = copy.deepcopy((model, disc, simplex))
-    seen = {"batches": [], "stats": [], "losses": {}, "grads": []}
-    sample_batch, sample_past = trainer._sample_batch, bank.sample_past
+    seen = {"rows": [], "stats": [], "losses": {}, "grads": []}
+    draw_rows, sample_past = trainer._draw_rows, bank.sample_past
     stats_for_step = trainer.coeff_stats_for_step
 
-    def recording_sample_batch(*args):
-        seen["batches"].append(sample_batch(*args))
-        return seen["batches"][-1]
+    def recording_draw_rows(*args):
+        seen["rows"].append(draw_rows(*args))
+        return seen["rows"][-1]
 
     def recording_sample_past(per_domain, rng):
-        seen["batches"].append(sample_past(per_domain, rng))
+        seen["rows"].append(sample_past(per_domain, rng))
         seen["rng"] = copy.deepcopy(rng)  # the stream V_s draws from next
-        return seen["batches"][-1]
+        return seen["rows"][-1]
 
     def recording_stats(*args):
         seen["stats"].append(stats_for_step(*args))
@@ -350,7 +400,7 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
         seen["grads"].append([p.grad.copy() for p in params])
         sgd_step(params, lr)
 
-    monkeypatch.setattr(trainer, "_sample_batch", recording_sample_batch)
+    monkeypatch.setattr(trainer, "_draw_rows", recording_draw_rows)
     monkeypatch.setattr(bank, "sample_past", recording_sample_past)
     monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
     monkeypatch.setattr(trainer, "_check_finite", lambda loss, name, *rest:
@@ -359,7 +409,9 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
     trainer._train_domain_replay(state, domain, np.random.default_rng(seed),
                                  disc, simplex)
 
-    current, past = seen["batches"]
+    current_rows, past_rows = seen["rows"]
+    current = domain.subset(current_rows)
+    past = {i: bank.buckets[i].subset(rows) for i, rows in past_rows.items()}
     n_memory = [len(bank.buckets[i]) for i in sorted(bank.buckets)]
     ref_stats, ref_objective = ref.replay_step(
         ref_model, history, ref_disc, ref_simplex, current, past, t, hp,
@@ -383,35 +435,50 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
 
 @pytest.mark.parametrize("method", ["UDIL", "ER", "LwF"])
 def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
-    """A UDIL step makes four Mlp.logits calls at every t (the encoder and
-    the predictor over the stacked rows, the discriminator for its update
-    and once stopped), at most five, flat in t; ER makes two and LwF
-    four.  The teacher runs once per domain, not per step: the counts of a
-    three-step and a one-step domain differ by exactly two steps' worth."""
+    """With the auxiliary terms off, a UDIL step makes four Mlp.logits calls
+    at every t (the encoder and the predictor over the stacked rows, the
+    discriminator for its update and once stopped), at most five, flat in
+    t; ER makes two and LwF four.  With lambda_p = lambda_s > 0, V_p's two
+    encoder passes and V_s's one add three.  The teacher runs once per
+    domain, not per step: the counts of a three-step and a one-step domain
+    differ by exactly two steps' worth.  With the auxiliary terms off or
+    on, no step constructs a LabeledSet: its rows are gathered from the
+    domain's layout."""
     stream = gen_hd_balls(seed=3, n_domains=5, n_per_domain=60, dim=4,
                           sigma=0.4)
-    calls = []
-    logits = Mlp.logits
+    calls, sets = [], []
+    logits, post_init = Mlp.logits, LabeledSet.__post_init__
 
     def counting_logits(self, x):
         calls.append(self)
         return logits(self, x)
 
-    def calls_per_domain(steps):
+    def counting_post_init(self):
+        sets.append(self)
+        post_init(self)
+
+    def per_domain(steps, aux):
         config = TrainerConfig(method, 1, arch=ArchConfig([8], 4, [], [8]),
                                sgd=SgdConfig(0.2, steps, 16),
-                               memory_capacity=30, hp=HyperParams(lambda_d=0.1))
+                               memory_capacity=30,
+                               hp=HyperParams(lambda_d=0.1, lambda_p=aux,
+                                              lambda_s=aux))
         state = trainer.initial_state(config, 4, stream.num_classes)
         counts = {}
         for t in range(1, 6):
-            start = len(calls)
-            state = trainer.train_domain(state, stream.train(t))
-            counts[t] = len(calls) - start
+            data = stream.train(t)
+            start = len(calls), len(sets)
+            state = trainer.train_domain(state, data)
+            counts[t] = len(calls) - start[0], len(sets) - start[1]
         return counts
 
     monkeypatch.setattr(Mlp, "logits", counting_logits)
-    one, three = calls_per_domain(1), calls_per_domain(3)
-    per_step = {t: (three[t] - one[t]) / 2 for t in range(2, 6)}
-    want = {"UDIL": 4, "ER": 2, "LwF": 4}[method]
-    assert per_step == {t: want for t in range(2, 6)}
-    assert max(per_step.values()) <= 5
+    monkeypatch.setattr(LabeledSet, "__post_init__", counting_post_init)
+    for aux in (0.0, 0.1):
+        one, three = per_domain(1, aux), per_domain(3, aux)
+        per_step = {t: tuple((b - a) / 2 for a, b in zip(one[t], three[t]))
+                    for t in range(2, 6)}
+        want = {"UDIL": 4, "ER": 2, "LwF": 4}[method] + (3 if aux else 0)
+        assert per_step == {t: (want, 0) for t in range(2, 6)}
+        if not aux:
+            assert max(n for n, _ in per_step.values()) <= 5

@@ -7,8 +7,8 @@ from dilkit.autodiff import ContractError, add, mul
 from dilkit.coeffs import ConfigError, TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
 from dilkit.losses import (
-    CoeffStats, HyperParams, classification_loss, encoder_aux_loss, erm01,
-    v_01, v_d, v_l,
+    CoeffStats, HyperParams, StepBatch, classification_loss, encoder_aux_loss,
+    erm01, v_01, v_d, v_l,
 )
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, SgdConfig, sgd_step
@@ -249,7 +249,9 @@ def test_update_isolation_checksums():
     data = stream.train(2)
     idx = np.sort(rng.choice(len(data), size=16, replace=False))
     current = data.subset(idx)
-    past = state.bank.sample_past(16, rng)
+    past = {i: state.bank.buckets[i].subset(ix)
+            for i, ix in state.bank.sample_past(16, rng).items()}
+    batch = StepBatch.stack(current, past)
     past_x = {i: b.x for i, b in past.items()}
 
     def dump(params):
@@ -268,11 +270,11 @@ def test_update_isolation_checksums():
     assert not unchanged(disc.params(), d0)
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
-    x = np.concatenate([current.x] + [past[i].x for i in sorted(past)])
-    embedding = model.encoder.logits(x)
+    embedding = model.encoder.logits(batch.x)
     stats = coeff_stats_for_step(
-        state.history, current, past, model.predictor.logits(embedding).data,
-        disc.logits(embedding).data, state.history.classifier.logits(x).data)
+        state.history, batch, model.predictor.logits(embedding).data,
+        disc.logits(embedding).data,
+        state.history.classifier.logits(batch.x).data)
     loss6 = v_01(simplex, stats, 1.0, len(data), [len(b) for b in past.values()])
     loss6.backward()
     sgd_step([simplex.logits], 0.2)
@@ -283,8 +285,8 @@ def test_update_isolation_checksums():
     frozen = simplex.triples()
     loss7 = v_l(model, state.history, frozen, current, past)
     aux = encoder_aux_loss(model.encoder, disc.stopped(),
-                           state.history.classifier.encoder, frozen, current,
-                           past, t, HyperParams(), rng)
+                           state.history.classifier.encoder, frozen, batch,
+                           HyperParams(), rng)
     total = add(loss7, aux)
     total.backward()
     sgd_step(model.params(), 0.2)
