@@ -1,6 +1,8 @@
 """Training losses: cross-entropy classification, soft-target distillation,
 0-1 risks, the model loss V_l, the coefficient loss V_01, the domain
-discrimination loss V_d, and the opt-in encoder losses V_p / V_s."""
+discrimination loss V_d, and the opt-in encoder losses V_p / V_s.  A replay
+step's terms read the passes it ran once over its rows; `v_l`, `v_d`, `v_p`
+and `v_s` run their own forwards, then the same formulas."""
 from __future__ import annotations
 
 import logging
@@ -31,11 +33,12 @@ class HyperParams(Ranged):
 
 @dataclass
 class HistorySnapshot:
-    """Frozen copy of the model after a domain, its logits on each memory
-    bucket and the per-bucket 0-1 risks (constants for every V_01 step)."""
+    """Frozen copy of the model after a domain, its embedding and logits on
+    each memory bucket and the per-bucket 0-1 risks (V_01's constants)."""
     classifier: Classifier
     cached_consts: dict[int, float] = field(default_factory=dict)
     logits: dict[int, np.ndarray] = field(default_factory=dict)
+    embeddings: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
@@ -211,60 +214,69 @@ def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
     return add(tsum(mul(m, stats.weights())), mul(rad, c_gen))
 
 
-def v_d(d: Mlp, encoder: Mlp | None, omega: np.ndarray, current_x: np.ndarray,
+def v_d(d: Mlp | None, encoder: Mlp | None, omega: np.ndarray, current_x: np.ndarray,
         past_x: dict[int, np.ndarray], t: int, logits: Tensor | None = None) -> Tensor:
     """Domain discrimination loss: (sum beta_i) * CE(current batch -> class t)
     + sum_i beta_i * CE(memory batch i -> class i).
 
-    One encoder and discriminator forward over the stacked rows, skipped
-    when the caller passes the discriminator's `logits` on them; current
-    rows have weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
+    One encoder and discriminator forward over the stacked rows, or the
+    caller's discriminator `logits` on them (`d`, `encoder` then unused);
+    current rows have weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
     if not past_x:
         return Tensor(0.0)
     omega = _check_omega(omega, past_x)
     betas = omega[:, 1]
     if float(betas.sum()) == 0.0:
         return Tensor(0.0)
-    arity = d.sizes[-1]
-    if arity != t:
-        raise ContractError(f"discriminator arity {arity} != t={t}")
     ids = sorted(past_x)
     seg_w = np.concatenate([[float(betas.sum())], betas])
     sizes = np.array([len(current_x)] + [len(past_x[i]) for i in ids])
     if np.any((sizes == 0) & (seg_w != 0.0)):
         raise ContractError("v_d: empty batch")
-    seg_class = np.array([t - 1] + [i - 1 for i in ids])
-    target = _one_hot(np.repeat(seg_class, sizes), t, _row_weights(seg_w, sizes))
     if logits is None:
         x = np.concatenate([current_x] + [past_x[i] for i in ids])
         logits = d.logits(encoder.logits(x))
+    arity = logits.data.shape[1]
+    if arity != t:
+        raise ContractError(f"discriminator arity {arity} != t={t}")
+    seg_class = np.array([t - 1] + [i - 1 for i in ids])
+    target = _one_hot(np.repeat(seg_class, sizes), t, _row_weights(seg_w, sizes))
     return softmax_xent(logits, target)
 
 
 def v_p(encoder: Mlp, prev_encoder: Mlp,
         memory_x: dict[int, np.ndarray]) -> Tensor:
-    """Past-embedding distillation: per past domain the mean squared L2
-    distance between current and snapshot embeddings, summed over domains.
-    One forward of each encoder over the stacked memory batches, with
-    domain i's rows weighted 1 / n_i."""
+    """V_p (see stacked_v_p) from one forward of each encoder over the memory rows."""
     if not memory_x:
         return Tensor(0.0)
     x = np.concatenate([memory_x[i] for i in sorted(memory_x)])
     sizes = np.array([len(memory_x[i]) for i in sorted(memory_x)])
-    if np.any(sizes == 0):
+    return stacked_v_p(encoder.logits(x), prev_encoder.logits(x), sizes,
+                       np.ones(len(sizes)))
+
+
+def stacked_v_p(embedding: Tensor, teacher_embedding: Tensor | np.ndarray,
+                sizes: np.ndarray, seg_w: np.ndarray) -> Tensor:
+    """Past-embedding distillation over rows split into segments of `sizes`:
+    the sum over segments k of seg_w[k] times the segment's mean squared L2
+    distance between the student's and the snapshot's embeddings."""
+    if np.any((sizes == 0) & (seg_w != 0.0)):
         raise ContractError("v_p: empty batch")
-    diff = add(encoder.logits(x), mul(prev_encoder.logits(x), -1.0))
-    w = _row_weights(np.ones(len(memory_x)), sizes)
-    return tsum(mul(rowsum(mul(diff, diff)), w))
+    diff = add(embedding, mul(teacher_embedding, -1.0))
+    return tsum(mul(rowsum(mul(diff, diff)), _row_weights(seg_w, sizes)))
 
 
 def v_s(encoder: Mlp, batch: LabeledSet | StepBatch, n_negatives: int,
         rng: np.random.Generator) -> Tensor:
-    """Supervised contrastive loss over squared embedding distances.
-    Positives are same-class pairs; negatives are different-class samples
-    drawn from the whole batch (x, y) regardless of domain.  Pair choice
-    depends only on labels, so the loss stays smooth in the encoder."""
-    y = batch.y
+    """V_s (see stacked_v_s) from one encoder forward over the batch."""
+    return stacked_v_s(encoder.logits(batch.x), batch.y, n_negatives, rng)
+
+
+def stacked_v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
+                rng: np.random.Generator) -> Tensor:
+    """Supervised contrastive loss over squared distances between rows of
+    `embedding`, labelled `y`: same-class positives, different-class negatives
+    drawn from all rows; the draws read labels only, so the loss stays smooth."""
     n = len(y)
     anchors, positives = [], []
     for a in range(n):
@@ -293,9 +305,8 @@ def v_s(encoder: Mlp, batch: LabeledSet | StepBatch, n_negatives: int,
     # row (r, 0) is anchor r minus its positive, row (r, j) anchor r minus
     # its j-th negative: two gathers give every difference
     partner = np.concatenate([p_idx[:, None], np.stack(negatives)], axis=1)
-    emb = encoder.logits(batch.x)
-    diff = add(rows(emb, np.repeat(a_idx, n_negatives + 1)),
-               mul(rows(emb, partner.ravel()), -1.0))
+    diff = add(rows(embedding, np.repeat(a_idx, n_negatives + 1)),
+               mul(rows(embedding, partner.ravel()), -1.0))
     dist = reshape(rowsum(mul(diff, diff)), partner.shape)
     # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] is the cross-entropy of
     # the logits -[s+, s-_1, ...] toward column 0
@@ -303,22 +314,24 @@ def v_s(encoder: Mlp, batch: LabeledSet | StepBatch, n_negatives: int,
     return softmax_xent(mul(dist, -1.0), target)
 
 
-def encoder_aux_loss(encoder: Mlp, d_stopped: Mlp, prev_encoder: Mlp,
-                     omega: np.ndarray, batch: StepBatch,
-                     hp: HyperParams, rng: np.random.Generator,
-                     disc_logits: Tensor | None = None) -> Tensor:
-    """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s on the step's rows;
-    with the discriminator stopped the gradient reaches the encoder only.
-    `disc_logits` is V_d's precomputed `logits`."""
+def encoder_aux_loss(embedding: Tensor, disc_logits: Tensor | None,
+                     teacher_embedding: np.ndarray | None, omega: np.ndarray,
+                     batch: StepBatch, hp: HyperParams,
+                     rng: np.random.Generator) -> Tensor:
+    """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s from the step's passes
+    over the record's rows, running no network: the student's `embedding`, the
+    stopped discriminator's `disc_logits` on it (None with no beta mass left)
+    and the frozen teacher's `teacher_embedding` (None when lambda_p = 0)."""
     total = Tensor(0.0)
     current_x, past_x = batch.parts(batch.x)
     if hp.lambda_d > 0 and past_x:
-        vd = v_d(d_stopped, encoder, omega, current_x, past_x, batch.t,
-                 logits=disc_logits)
+        vd = v_d(None, None, omega, current_x, past_x, batch.t, disc_logits)
         total = add(total, mul(vd, -hp.lambda_d))
     if hp.lambda_p > 0 and past_x:
-        total = add(total, mul(v_p(encoder, prev_encoder, past_x), hp.lambda_p))
+        vp = stacked_v_p(embedding, teacher_embedding, np.diff(batch.bounds),
+                         np.r_[0.0, np.ones(len(past_x))])  # current rows: weight 0
+        total = add(total, mul(vp, hp.lambda_p))
     if hp.lambda_s > 0:
-        total = add(total, mul(v_s(encoder, batch, N_NEGATIVES, rng),
+        total = add(total, mul(stacked_v_s(embedding, batch.y, N_NEGATIVES, rng),
                                hp.lambda_s))
     return total

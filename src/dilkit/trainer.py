@@ -151,12 +151,13 @@ def descend_v01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
 
 def snapshot_history(state: TrainState) -> HistorySnapshot:
     """Freeze the trained model as the next domain's teacher, with its
-    logits on every memory bucket and its 0-1 error on each."""
+    embedding and logits on every memory bucket and its 0-1 error on each."""
     frozen = state.model.copy(frozen=True)
-    logits = {i: frozen.logits(b.x).data for i, b in state.bank.buckets.items()}
+    embedded = {i: frozen.embed(b.x).data for i, b in state.bank.buckets.items()}
+    logits = {i: frozen.predictor.logits(e).data for i, e in embedded.items()}
     cached = {i: float(np.mean(np.argmax(logits[i], axis=1) != b.y))
               for i, b in state.bank.buckets.items()}
-    return HistorySnapshot(frozen, cached, logits)
+    return HistorySnapshot(frozen, cached, logits, embedded)
 
 
 def train_domain(state: TrainState, domain_data: LabeledSet,
@@ -208,9 +209,9 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator, disc: Mlp,
                          simplex: CoeffSimplex) -> None:
     """[domain_data; bucket 1; ...; bucket t-1] is laid out once, with the
-    teacher's logits on it; each step gathers its record (a current batch,
-    then a memory batch per bucket) by drawn row index, and each network
-    runs once on it."""
+    teacher's logits and embedding on it; each step gathers its record (a
+    current batch, then a memory batch per bucket) by drawn row index, and
+    each network runs once on it for every loss term."""
     config = state.config
     t, hp, sgd = state.t, config.hp, config.sgd
     model, history = state.model, state.history
@@ -225,8 +226,10 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     disc_on = hp.lambda_d > 0 and (
         adaptive or float(simplex.triples()[:, 1].sum()) > 0.0)
     layout = StepBatch.stack(domain_data, state.bank.buckets)
-    teacher = np.concatenate([history.classifier.logits(domain_data.x).data]
+    embedded = history.classifier.embed(domain_data.x).data
+    teacher = np.concatenate([history.classifier.predictor.logits(embedded).data]
                              + [history.logits[i] for i in layout.ids])
+    teacher_emb = np.concatenate([embedded] + [history.embeddings[i] for i in layout.ids])
 
     for step in range(1, sgd.step_count + 1):
         rows = [_draw_rows(len(domain_data), sgd.batch_size, rng)]
@@ -235,19 +238,19 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         batch = StepBatch(layout.x[idx], layout.y[idx],
                           np.cumsum([0] + [len(r) for r in rows]), layout.ids, t)
         teacher_logits = teacher[idx]
+        teacher_embedding = teacher_emb[idx] if hp.lambda_p > 0 else None
         embedding = model.encoder.logits(batch.x)
         logits = model.predictor.logits(embedding)
 
         if disc_on:
-            disc_loss = mul(v_d(disc, None, simplex.triples(), *batch.parts(batch.x),
+            disc_loss = mul(v_d(None, None, simplex.triples(), *batch.parts(batch.x),
                                 t, disc.logits(embedding.data)), hp.lambda_d)
             _check_finite(disc_loss, "discriminator", config.method, t, step)
             # with no beta mass left the loss is a constant: nothing to train
             if disc_loss.requires_grad:
                 disc_loss.backward()
                 sgd_step(disc.params(), disc_lr)
-        d_stopped = disc.stopped()
-        disc_logits = d_stopped.logits(embedding) if adaptive or disc_on else None
+        disc_logits = disc.stopped().logits(embedding) if adaptive or disc_on else None
 
         if adaptive:
             stats = coeff_stats_for_step(history, batch, logits.data,
@@ -259,9 +262,8 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
 
         omega_frozen = simplex.triples()
         objective = v_l(batch, omega_frozen, logits, teacher_logits)
-        aux = encoder_aux_loss(
-            model.encoder, d_stopped, history.classifier.encoder,
-            omega_frozen, batch, hp, rng, disc_logits=disc_logits)
+        aux = encoder_aux_loss(embedding, disc_logits, teacher_embedding,
+                               omega_frozen, batch, hp, rng)
         objective = add(objective, aux)
         _check_finite(objective, "model", config.method, t, step)
         objective.backward()

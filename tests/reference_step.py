@@ -12,8 +12,8 @@ replay step's batches as the trainer did before it gathered them from one
 per-domain layout: a sampled current set, one sampled set per memory
 bucket, then x, y, segment bounds and the teacher's logits stacked from
 them.  `replay_step` is one adaptive training step in the phase order the
-trainer ran before the phases shared one student pass, one
-stopped-discriminator pass and the teacher's per-domain outputs;
+trainer ran before the phases and the encoder terms shared one student
+pass, one stopped-discriminator pass and the teacher's per-domain outputs;
 test_stacked_step.py compares the trainer's draws and step against
 these."""
 from __future__ import annotations
@@ -293,9 +293,10 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
     against its per-domain form above): the discriminator update through a
     stopped encoder pass, the coefficient statistics (per domain, above)
     and update, then V_l, which runs the student and the teacher on the
-    batch, plus the encoder terms, whose V_d runs the encoder and a stopped
-    discriminator again.  Returns (stats, objective); the objective is not
-    yet backpropagated."""
+    batch, minus lambda_d * V_d through the encoder and a stopped
+    discriminator, plus lambda_p * V_p and lambda_s * V_s, each running
+    its own encoder passes.  Returns (stats, objective); the objective is
+    not yet backpropagated."""
     past_x = {i: b.x for i, b in past.items()}
     disc_loss = mul(losses.v_d(disc, model.stopped().encoder,
                                simplex.triples(), current.x, past_x, t),
@@ -308,9 +309,16 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
     loss01.backward()
     sgd_step([simplex.logits], omega_lr)
     omega = simplex.triples()
-    objective = add(losses.v_l(model, history, omega, current, past),
-                    losses.encoder_aux_loss(
-                        model.encoder, disc.stopped(),
-                        history.classifier.encoder, omega,
-                        StepBatch.stack(current, past), hp, rng))
+    objective = losses.v_l(model, history, omega, current, past)
+    if hp.lambda_d > 0:
+        vd = losses.v_d(disc.stopped(), model.encoder, omega, current.x,
+                        past_x, t)
+        objective = add(objective, mul(vd, -hp.lambda_d))
+    if hp.lambda_p > 0:
+        vp = losses.v_p(model.encoder, history.classifier.encoder, past_x)
+        objective = add(objective, mul(vp, hp.lambda_p))
+    if hp.lambda_s > 0:
+        vs = losses.v_s(model.encoder, StepBatch.stack(current, past),
+                        losses.N_NEGATIVES, rng)
+        objective = add(objective, mul(vs, hp.lambda_s))
     return stats, objective

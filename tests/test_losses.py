@@ -481,24 +481,25 @@ def test_encoder_aux_reductions_and_composition():
     batch = StepBatch.stack(cur, past)
     omega = np.array([[0.2, 0.5, 0.3]])
 
+    def aux(hp, seed):
+        embedding = enc.logits(batch.x)
+        return encoder_aux_loss(embedding, d.logits(embedding),
+                                prev.logits(batch.x).data, omega, batch, hp,
+                                np.random.default_rng(seed)).item()
+
     hp0 = HyperParams(lambda_d=0.0, lambda_p=0.0, lambda_s=0.0)
-    assert encoder_aux_loss(enc, d, prev, omega, batch, hp0,
-                            np.random.default_rng(0)).item() == 0.0
+    assert aux(hp0, 0) == 0.0
 
     hp_d = HyperParams(lambda_d=0.7, lambda_p=0.0, lambda_s=0.0)
-    got = encoder_aux_loss(enc, d, prev, omega, batch, hp_d,
-                           np.random.default_rng(0)).item()
     vd = v_d(d, enc, omega, cur.x, {1: past[1].x}, 2).item()
-    assert got == pytest.approx(-0.7 * vd)
+    assert aux(hp_d, 0) == pytest.approx(-0.7 * vd)
 
     hp = HyperParams(lambda_d=0.5, lambda_p=1.3, lambda_s=0.9)
-    got = encoder_aux_loss(enc, d, prev, omega, batch, hp,
-                           np.random.default_rng(7)).item()
     vp = v_p(enc, prev, {1: past[1].x}).item()
     combined = LabeledSet(np.concatenate([cur.x, past[1].x]),
                           np.concatenate([cur.y, past[1].y]))
     vs = v_s(enc, combined, N_NEGATIVES, np.random.default_rng(7)).item()
-    assert got == pytest.approx(-0.5 * vd + 1.3 * vp + 0.9 * vs)
+    assert aux(hp, 7) == pytest.approx(-0.5 * vd + 1.3 * vp + 0.9 * vs)
 
 
 def test_encoder_aux_gradient_reaches_encoder_only():
@@ -507,10 +508,12 @@ def test_encoder_aux_gradient_reaches_encoder_only():
     d = Mlp([2, 2], rng=rng)
     cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5), 2)
     past = {1: LabeledSet(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))}
+    batch = StepBatch.stack(cur, past)
+    embedding = enc.logits(batch.x)
     hp = HyperParams(lambda_d=1.0)
-    loss = encoder_aux_loss(enc, d.stopped(), Mlp([3, 4, 2], rng=rng),
-                            np.array([[0.0, 1.0, 0.0]]),
-                            StepBatch.stack(cur, past), hp,
+    loss = encoder_aux_loss(embedding, d.stopped().logits(embedding),
+                            Mlp([3, 4, 2], rng=rng).logits(batch.x).data,
+                            np.array([[0.0, 1.0, 0.0]]), batch, hp,
                             np.random.default_rng(0))
     loss.backward()
     assert any(p.grad is not None for p in enc.params())

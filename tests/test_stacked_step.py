@@ -1,10 +1,10 @@
 """Differential tests: the stacked-batch losses, coefficient statistics
 and divergence estimate against the per-domain reference in
-reference_step.py, on random states; the losses fed precomputed passes
-against their own forwards; the trainer's draws, gathered from one
-per-domain layout, against the reference's sampled and stacked sets; and
-the trainer's step, whose phases share their passes, against the
-reference's phase order."""
+reference_step.py, on random states; the losses and the encoder terms fed
+precomputed passes against their own forwards; the trainer's draws,
+gathered from one per-domain layout, against the reference's sampled and
+stacked sets; and the trainer's step, whose phases and encoder terms share
+their passes, against the reference's phase order."""
 import copy
 
 import numpy as np
@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference_step as ref
 from dilkit import trainer
-from dilkit.autodiff import ContractError, Tensor
+from dilkit.autodiff import ContractError, Tensor, add, mul
 from dilkit.coeffs import init_uniform
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
-from dilkit.losses import (HistorySnapshot, HyperParams, StepBatch,
-                           stacked_v_l, v_d, v_l, v_p)
+from dilkit.losses import (N_NEGATIVES, HistorySnapshot, HyperParams,
+                           StepBatch, encoder_aux_loss, stacked_v_l, v_d, v_l,
+                           v_p, v_s)
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
 from dilkit.trainer import (TrainerConfig, TrainState, coeff_stats_for_step,
@@ -296,6 +297,39 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
     assert got.eps_cross == want.eps_cross
 
 
+AUX_HP = HyperParams(lambda_d=0.3, lambda_p=0.2, lambda_s=0.1)
+
+
+@pytest.mark.parametrize("t,kind,seed", CASES)
+def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
+    """encoder_aux_loss fed one student embedding of the record's rows, the
+    stopped discriminator's logits on it and the teacher's embedding of the
+    rows equals -lambda_d * v_d + lambda_p * v_p + lambda_s * v_s, each run
+    with its own forwards: the value within 1e-12 and every encoder
+    gradient within 1e-10.  From equal rng states, both leave the rng in
+    equal states."""
+    h, history, disc, omega, current, past = _state(1100 * t + seed, t, kind)
+    batch = StepBatch.stack(current, past)
+    enc, teacher, d_stopped = h.encoder, history.classifier.encoder, disc.stopped()
+    past_x = {i: b.x for i, b in past.items()}
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    embedding = enc.logits(batch.x)
+    got = encoder_aux_loss(embedding, d_stopped.logits(embedding),
+                           teacher.logits(batch.x).data, omega, batch,
+                           AUX_HP, rng)
+    vd = v_d(d_stopped, enc, omega, current.x, past_x, t)
+    vp = v_p(enc, teacher, past_x)
+    vs = v_s(enc, batch, N_NEGATIVES, ref_rng)
+    want = add(add(mul(vd, -AUX_HP.lambda_d), mul(vp, AUX_HP.lambda_p)),
+               mul(vs, AUX_HP.lambda_s))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    got_val, got_grads = _value_and_grads(got, enc.params())
+    want_val, want_grads = _value_and_grads(want, enc.params())
+    assert abs(got_val - want_val) <= 1e-12
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+
+
 # -- one full step -------------------------------------------------------
 
 def _step_state(seed, t, hp, steps=1, **config):
@@ -435,15 +469,15 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
 
 @pytest.mark.parametrize("method", ["UDIL", "ER", "LwF"])
 def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
-    """With the auxiliary terms off, a UDIL step makes four Mlp.logits calls
-    at every t (the encoder and the predictor over the stacked rows, the
-    discriminator for its update and once stopped), at most five, flat in
-    t; ER makes two and LwF four.  With lambda_p = lambda_s > 0, V_p's two
-    encoder passes and V_s's one add three.  The teacher runs once per
-    domain, not per step: the counts of a three-step and a one-step domain
-    differ by exactly two steps' worth.  With the auxiliary terms off or
-    on, no step constructs a LabeledSet: its rows are gathered from the
-    domain's layout."""
+    """With the auxiliary terms off or on (lambda_p = lambda_s = 0.1), a UDIL
+    step makes four Mlp.logits calls at every t (the encoder and the
+    predictor over the stacked rows, the discriminator for its update and
+    once stopped), flat in t; ER makes two and LwF four: V_p and V_s read
+    the step's embedding and the teacher's per-domain one.  The teacher
+    runs once per domain, not per step: the counts of a three-step and a
+    one-step domain differ by exactly two steps' worth.  No step
+    constructs a LabeledSet: its rows are gathered from the domain's
+    layout."""
     stream = gen_hd_balls(seed=3, n_domains=5, n_per_domain=60, dim=4,
                           sigma=0.4)
     calls, sets = [], []
@@ -478,7 +512,5 @@ def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
         one, three = per_domain(1, aux), per_domain(3, aux)
         per_step = {t: tuple((b - a) / 2 for a, b in zip(one[t], three[t]))
                     for t in range(2, 6)}
-        want = {"UDIL": 4, "ER": 2, "LwF": 4}[method] + (3 if aux else 0)
+        want = {"UDIL": 4, "ER": 2, "LwF": 4}[method]
         assert per_step == {t: (want, 0) for t in range(2, 6)}
-        if not aux:
-            assert max(n for n, _ in per_step.values()) <= 5

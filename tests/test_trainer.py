@@ -124,12 +124,18 @@ def test_joint_dominates_finetune_final_row():
 
 
 def test_seeded_repeat_bitwise_identical():
+    """Two runs from one seed agree bitwise, with the encoder terms off and
+    on: accuracies, coefficients and every final parameter's bytes."""
     stream = small_stream()
-    a = run_sequence(stream, small_config("UDIL"))
-    b = run_sequence(stream, small_config("UDIL"))
-    assert a.matrix.to_lists() == b.matrix.to_lists()
-    assert a.omega_by_domain == b.omega_by_domain
-    assert a.baseline_acc == b.baseline_acc
+    for aux in (0.0, 0.1):
+        hp = HyperParams(lambda_p=aux, lambda_s=aux)
+        a = run_sequence(stream, small_config("UDIL", hp=hp))
+        b = run_sequence(stream, small_config("UDIL", hp=hp))
+        assert a.matrix.to_lists() == b.matrix.to_lists()
+        assert a.omega_by_domain == b.omega_by_domain
+        assert a.baseline_acc == b.baseline_acc
+        assert ([p.data.tobytes() for p in a.final_state.model.params()]
+                == [p.data.tobytes() for p in b.final_state.model.params()])
 
 
 def test_preset_run_records_fixed_triples():
@@ -284,9 +290,10 @@ def test_update_isolation_checksums():
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
     frozen = simplex.triples()
     loss7 = v_l(model, state.history, frozen, current, past)
-    aux = encoder_aux_loss(model.encoder, disc.stopped(),
-                           state.history.classifier.encoder, frozen, batch,
-                           HyperParams(), rng)
+    embedding = model.encoder.logits(batch.x)
+    aux = encoder_aux_loss(embedding, disc.stopped().logits(embedding),
+                           state.history.classifier.embed(batch.x).data,
+                           frozen, batch, HyperParams(), rng)
     total = add(loss7, aux)
     total.backward()
     sgd_step(model.params(), 0.2)
