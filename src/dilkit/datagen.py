@@ -131,6 +131,8 @@ def load_idx(images_path: str, labels_path: str) -> LabeledSet:
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}")
+    if images.shape[0] == 0:
+        raise FormatError(f"{images_path}: holds no image")
     if labels.size and not (0 <= labels.min() and labels.max() < 10):
         raise FormatError("labels outside [0, 10)")
     x = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0

@@ -1,8 +1,8 @@
-"""Training losses: cross-entropy classification, soft-target distillation,
-0-1 risks, the model loss V_l, the coefficient loss V_01, the domain
-discrimination loss V_d, and the opt-in encoder losses V_p / V_s.  A replay
-step's terms read the passes it ran once over its rows; `v_l`, `v_d`, `v_p`
-and `v_s` run their own forwards, then the same formulas."""
+"""Training losses: cross-entropy classification, 0-1 risks and the terms of
+the replay objective, one function each: the model loss V_l, the coefficient
+loss V_01, the domain discrimination loss V_d and the opt-in encoder losses
+V_p / V_s.  V_l, V_d, V_p and V_s read a replay step's record (`StepBatch`)
+and the passes the step ran once over its rows; none runs a network."""
 from __future__ import annotations
 
 import logging
@@ -17,7 +17,7 @@ from .autodiff import (
 )
 from .coeffs import CoeffSimplex
 from .datagen import LabeledSet
-from .models import Classifier, Mlp, Range, Ranged
+from .models import Classifier, Range, Ranged
 
 log = logging.getLogger(__name__)
 N_NEGATIVES = 8  # V_s negatives drawn per anchor in training
@@ -57,11 +57,11 @@ def erm01(h, labeled_set: LabeledSet) -> float:
     return float(np.mean(h.predict(labeled_set.x) != labeled_set.y))
 
 
-def _check_omega(omega: np.ndarray, past_batches: dict) -> np.ndarray:
+def _check_omega(omega: np.ndarray, ids) -> np.ndarray:
     omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim != 2 or omega.shape[1] != 3 or omega.shape[0] != len(past_batches):
+    if omega.ndim != 2 or omega.shape[1] != 3 or omega.shape[0] != len(ids):
         raise ContractError(
-            f"omega must be [t-1, 3] matching {len(past_batches)} past domains")
+            f"omega must be [t-1, 3] matching {len(ids)} past domains")
     return omega
 
 
@@ -85,11 +85,6 @@ class StepBatch:
                    np.cumsum([0] + [len(s) for s in sets]),
                    tuple(sorted(past)), current.domain_id)
 
-    def parts(self, a: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Views of `a` (aligned with x): current rows, each past domain's by id."""
-        b = self.bounds
-        return a[:b[1]], {i: a[b[k]:b[k + 1]] for k, i in enumerate(self.ids, 1)}
-
 
 def _one_hot(y: np.ndarray, k: int, row_w) -> np.ndarray:
     """[n, k] target holding row i's weight at column y[i], zeros elsewhere."""
@@ -103,20 +98,8 @@ def _row_weights(seg_w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(seg_w / np.maximum(sizes, 1), sizes)
 
 
-def v_l(h: Classifier, history: HistorySnapshot | None, omega: np.ndarray,
-        current_batch: LabeledSet, past_batches: dict[int, LabeledSet]) -> Tensor:
-    """V_l (see stacked_v_l) from one student and one teacher forward over
-    the stacked batches; plain CE with no past domain."""
-    if not past_batches:
-        return classification_loss(h, current_batch)
-    if history is None:
-        raise ContractError("v_l with past domains requires a history model")
-    b = StepBatch.stack(current_batch, past_batches)
-    return stacked_v_l(b, omega, h.logits(b.x), history.classifier.logits(b.x).data)
-
-
-def stacked_v_l(batch: StepBatch, omega: np.ndarray, logits: Tensor,
-                teacher_logits: np.ndarray) -> Tensor:
+def v_l(batch: StepBatch, omega: np.ndarray, logits: Tensor,
+        teacher_logits: np.ndarray) -> Tensor:
     """Model loss from the student's `logits` and the frozen teacher's on the
     record's rows: CE + (sum beta) * distill on the current batch, plus per
     past domain gamma_i * CE + alpha_i * distill on its memory batch.  Per
@@ -135,7 +118,7 @@ def stacked_v_l(batch: StepBatch, omega: np.ndarray, logits: Tensor,
     distilled = np.repeat(w_distill != 0.0, sizes)
     if distilled.any():
         if teacher_logits.shape[1] != k:
-            raise ContractError(f"distillation arity mismatch: teacher "
+            raise ContractError(f"v_l: distillation arity mismatch: teacher "
                                 f"{teacher_logits.shape[1]} vs student {k}")
         target[distilled] += (_row_weights(w_distill, sizes)[distilled, None]
                               * softmax(teacher_logits[distilled]).data)
@@ -214,66 +197,46 @@ def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
     return add(tsum(mul(m, stats.weights())), mul(rad, c_gen))
 
 
-def v_d(d: Mlp | None, encoder: Mlp | None, omega: np.ndarray, current_x: np.ndarray,
-        past_x: dict[int, np.ndarray], t: int, logits: Tensor | None = None) -> Tensor:
-    """Domain discrimination loss: (sum beta_i) * CE(current batch -> class t)
-    + sum_i beta_i * CE(memory batch i -> class i).
-
-    One encoder and discriminator forward over the stacked rows, or the
-    caller's discriminator `logits` on them (`d`, `encoder` then unused);
-    current rows have weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
-    if not past_x:
+def v_d(batch: StepBatch, omega: np.ndarray, logits: Tensor) -> Tensor:
+    """Domain discrimination loss from the discriminator's `logits` on the
+    record's rows: (sum beta_i) * CE(current rows -> class t)
+    + sum_i beta_i * CE(domain i's rows -> class i).  Current rows have
+    weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
+    if not batch.ids:
         return Tensor(0.0)
-    omega = _check_omega(omega, past_x)
+    omega = _check_omega(omega, batch.ids)
     betas = omega[:, 1]
     if float(betas.sum()) == 0.0:
         return Tensor(0.0)
-    ids = sorted(past_x)
+    t = batch.t
     seg_w = np.concatenate([[float(betas.sum())], betas])
-    sizes = np.array([len(current_x)] + [len(past_x[i]) for i in ids])
+    sizes = np.diff(batch.bounds)
     if np.any((sizes == 0) & (seg_w != 0.0)):
         raise ContractError("v_d: empty batch")
-    if logits is None:
-        x = np.concatenate([current_x] + [past_x[i] for i in ids])
-        logits = d.logits(encoder.logits(x))
     arity = logits.data.shape[1]
     if arity != t:
         raise ContractError(f"discriminator arity {arity} != t={t}")
-    seg_class = np.array([t - 1] + [i - 1 for i in ids])
+    seg_class = np.array([t - 1] + [i - 1 for i in batch.ids])
     target = _one_hot(np.repeat(seg_class, sizes), t, _row_weights(seg_w, sizes))
     return softmax_xent(logits, target)
 
 
-def v_p(encoder: Mlp, prev_encoder: Mlp,
-        memory_x: dict[int, np.ndarray]) -> Tensor:
-    """V_p (see stacked_v_p) from one forward of each encoder over the memory rows."""
-    if not memory_x:
-        return Tensor(0.0)
-    x = np.concatenate([memory_x[i] for i in sorted(memory_x)])
-    sizes = np.array([len(memory_x[i]) for i in sorted(memory_x)])
-    return stacked_v_p(encoder.logits(x), prev_encoder.logits(x), sizes,
-                       np.ones(len(sizes)))
-
-
-def stacked_v_p(embedding: Tensor, teacher_embedding: Tensor | np.ndarray,
-                sizes: np.ndarray, seg_w: np.ndarray) -> Tensor:
-    """Past-embedding distillation over rows split into segments of `sizes`:
-    the sum over segments k of seg_w[k] times the segment's mean squared L2
-    distance between the student's and the snapshot's embeddings."""
-    if np.any((sizes == 0) & (seg_w != 0.0)):
+def v_p(batch: StepBatch, embedding: Tensor,
+        teacher_embedding: Tensor | np.ndarray) -> Tensor:
+    """Past-embedding distillation from the student's and the frozen
+    teacher's embeddings of the record's rows: over past domains, the sum of
+    each domain's mean squared L2 distance between the two.  The current
+    rows have weight 0."""
+    sizes = np.diff(batch.bounds)
+    if np.any(sizes[1:] == 0):
         raise ContractError("v_p: empty batch")
     diff = add(embedding, mul(teacher_embedding, -1.0))
-    return tsum(mul(rowsum(mul(diff, diff)), _row_weights(seg_w, sizes)))
+    row_w = _row_weights(np.r_[0.0, np.ones(len(batch.ids))], sizes)
+    return tsum(mul(rowsum(mul(diff, diff)), row_w))
 
 
-def v_s(encoder: Mlp, batch: LabeledSet | StepBatch, n_negatives: int,
+def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
         rng: np.random.Generator) -> Tensor:
-    """V_s (see stacked_v_s) from one encoder forward over the batch."""
-    return stacked_v_s(encoder.logits(batch.x), batch.y, n_negatives, rng)
-
-
-def stacked_v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
-                rng: np.random.Generator) -> Tensor:
     """Supervised contrastive loss over squared distances between rows of
     `embedding`, labelled `y`: same-class positives, different-class negatives
     drawn from all rows; the draws read labels only, so the loss stays smooth."""
@@ -323,15 +286,12 @@ def encoder_aux_loss(embedding: Tensor, disc_logits: Tensor | None,
     stopped discriminator's `disc_logits` on it (None with no beta mass left)
     and the frozen teacher's `teacher_embedding` (None when lambda_p = 0)."""
     total = Tensor(0.0)
-    current_x, past_x = batch.parts(batch.x)
-    if hp.lambda_d > 0 and past_x:
-        vd = v_d(None, None, omega, current_x, past_x, batch.t, disc_logits)
-        total = add(total, mul(vd, -hp.lambda_d))
-    if hp.lambda_p > 0 and past_x:
-        vp = stacked_v_p(embedding, teacher_embedding, np.diff(batch.bounds),
-                         np.r_[0.0, np.ones(len(past_x))])  # current rows: weight 0
-        total = add(total, mul(vp, hp.lambda_p))
+    if hp.lambda_d > 0 and batch.ids:
+        total = add(total, mul(v_d(batch, omega, disc_logits), -hp.lambda_d))
+    if hp.lambda_p > 0 and batch.ids:
+        total = add(total, mul(v_p(batch, embedding, teacher_embedding),
+                               hp.lambda_p))
     if hp.lambda_s > 0:
-        total = add(total, mul(stacked_v_s(embedding, batch.y, N_NEGATIVES, rng),
+        total = add(total, mul(v_s(embedding, batch.y, N_NEGATIVES, rng),
                                hp.lambda_s))
     return total

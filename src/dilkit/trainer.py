@@ -17,10 +17,9 @@ from .coeffs import CoeffSimplex, from_preset, init_uniform
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
-# perfbench wraps the trainer's V_l by the name v_l
 from .losses import (
     CoeffStats, HistorySnapshot, HyperParams, StepBatch, classification_loss,
-    encoder_aux_loss, stacked_v_l as v_l, v_01, v_d,
+    encoder_aux_loss, v_01, v_d, v_l,
 )
 from .membank import MemoryBank
 from .metrics import (
@@ -243,8 +242,8 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         logits = model.predictor.logits(embedding)
 
         if disc_on:
-            disc_loss = mul(v_d(None, None, simplex.triples(), *batch.parts(batch.x),
-                                t, disc.logits(embedding.data)), hp.lambda_d)
+            disc_loss = mul(v_d(batch, simplex.triples(), disc.logits(embedding.data)),
+                            hp.lambda_d)
             _check_finite(disc_loss, "discriminator", config.method, t, step)
             # with no beta mass left the loss is a constant: nothing to train
             if disc_loss.requires_grad:

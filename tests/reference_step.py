@@ -13,16 +13,16 @@ per-domain layout: a sampled current set, one sampled set per memory
 bucket, then x, y, segment bounds and the teacher's logits stacked from
 them.  `replay_step` is one adaptive training step in the phase order the
 trainer ran before the phases and the encoder terms shared one student
-pass, one stopped-discriminator pass and the teacher's per-domain outputs;
-test_stacked_step.py compares the trainer's draws and step against
-these."""
+pass, one stopped-discriminator pass and the teacher's per-domain outputs,
+built from the per-domain V_l, V_d, V_p, V_s and V_01 here and none of the
+library's; test_stacked_step.py compares the trainer's draws and step
+against these."""
 from __future__ import annotations
 
 import logging
 
 import numpy as np
 
-from dilkit import losses
 from dilkit.autodiff import (
     ContractError, Tensor, add, mul, reshape, rows, rowsum, softmax,
     softmax_xent, sqrt, tsum,
@@ -30,8 +30,8 @@ from dilkit.autodiff import (
 from dilkit.coeffs import CoeffSimplex
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    CoeffStats, HistorySnapshot, HyperParams, StepBatch, _check_omega,
-    _one_hot, classification_loss, erm01,
+    N_NEGATIVES, CoeffStats, HistorySnapshot, HyperParams, StepBatch,
+    _check_omega, _one_hot, classification_loss, erm01,
 )
 from dilkit.membank import MemoryBank
 from dilkit.models import Classifier, Mlp, sgd_step
@@ -205,14 +205,14 @@ def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
     return add(loss, mul(sqrt(rad), c_gen))
 
 
-def v_s(encoder: Mlp, batch: LabeledSet, n_negatives: int,
+def v_s(encoder: Mlp, batch: LabeledSet | StepBatch, n_negatives: int,
         rng: np.random.Generator) -> Tensor:
     """Supervised contrastive loss over squared embedding distances.
     Positives are same-class pairs; negatives are different-class samples
     drawn from the whole batch regardless of domain.  Pair choice depends
     only on labels, so the loss stays smooth in the encoder parameters."""
     y = batch.y
-    n = len(batch)
+    n = len(y)
     anchors, positives = [], []
     for a in range(n):
         same = np.flatnonzero(y == y[a])
@@ -288,37 +288,35 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
                 past: dict[int, LabeledSet], t: int, hp: HyperParams,
                 n_current: int, n_memory: list[int],
                 rng: np.random.Generator, disc_lr: float, omega_lr: float):
-    """One adaptive step, each phase with its own forwards, from the
-    library's losses called without precomputed passes (each checked
-    against its per-domain form above): the discriminator update through a
-    stopped encoder pass, the coefficient statistics (per domain, above)
-    and update, then V_l, which runs the student and the teacher on the
-    batch, minus lambda_d * V_d through the encoder and a stopped
-    discriminator, plus lambda_p * V_p and lambda_s * V_s, each running
-    its own encoder passes.  Returns (stats, objective); the objective is
-    not yet backpropagated."""
+    """One adaptive step, each phase with its own forwards, built from the
+    per-domain forms above, so that it shares none of the library's V_l,
+    V_d, V_p, V_s or V_01 (only the plain cross-entropy
+    `classification_loss`): the discriminator update through a stopped
+    encoder pass, the coefficient statistics and update, then V_l, which
+    runs the student and the teacher on each domain's batch, minus
+    lambda_d * V_d through the encoder and a stopped discriminator, plus
+    lambda_p * V_p and lambda_s * V_s, each running its own encoder passes.
+    Returns (stats, objective); the objective is not yet backpropagated."""
     past_x = {i: b.x for i, b in past.items()}
-    disc_loss = mul(losses.v_d(disc, model.stopped().encoder,
-                               simplex.triples(), current.x, past_x, t),
-                    hp.lambda_d)
+    disc_loss = mul(v_d(disc, model.stopped().encoder, simplex.triples(),
+                        current.x, past_x, t), hp.lambda_d)
     if disc_loss.requires_grad:
         disc_loss.backward()
         sgd_step(disc.params(), disc_lr)
     stats = coeff_stats_for_step(model, history, disc, current, past)
-    loss01 = losses.v_01(simplex, stats, hp.c_gen, n_current, n_memory)
+    loss01 = v_01(simplex, stats, hp.c_gen, n_current, n_memory)
     loss01.backward()
     sgd_step([simplex.logits], omega_lr)
     omega = simplex.triples()
-    objective = losses.v_l(model, history, omega, current, past)
+    objective = v_l(model, history, omega, current, past)
     if hp.lambda_d > 0:
-        vd = losses.v_d(disc.stopped(), model.encoder, omega, current.x,
-                        past_x, t)
+        vd = v_d(disc.stopped(), model.encoder, omega, current.x, past_x, t)
         objective = add(objective, mul(vd, -hp.lambda_d))
     if hp.lambda_p > 0:
-        vp = losses.v_p(model.encoder, history.classifier.encoder, past_x)
+        vp = v_p(model.encoder, history.classifier.encoder, past_x)
         objective = add(objective, mul(vp, hp.lambda_p))
     if hp.lambda_s > 0:
-        vs = losses.v_s(model.encoder, StepBatch.stack(current, past),
-                        losses.N_NEGATIVES, rng)
+        vs = v_s(model.encoder, StepBatch.stack(current, past), N_NEGATIVES,
+                 rng)
         objective = add(objective, mul(vs, hp.lambda_s))
     return stats, objective

@@ -24,7 +24,8 @@ from dilkit.datagen import LabeledSet, gen_hd_balls, load_idx, rotated_stream
 from dilkit.divergence import (hdh_discriminator_estimate, hdh_exact,
                                threshold_class)
 from dilkit.losses import (CoeffStats, HistorySnapshot, HyperParams,
-                           classification_loss, v_01, v_d, v_l, v_p, v_s)
+                           StepBatch, classification_loss, v_01, v_d, v_l,
+                           v_p, v_s)
 from dilkit.membank import MemoryBank
 from dilkit.metrics import (AccuracyMatrix, avg_acc, avg_of_avg, forgetting,
                             forward_transfer)
@@ -163,14 +164,19 @@ def test_criterion_04_gradient_suite_100_trials_each():
         simplex = init_uniform(3)
         simplex.logits.data[...] = rng.normal(size=(2, 3))
         trial_seed = 4000 + trial
+        # the record of the trial's batches, cur as domain 2's
+        batch = StepBatch.stack(LabeledSet(cur.x, cur.y, 2), past)
         cases = {
-            "v_l": (lambda: v_l(h, hist, omega, cur, past), h.params()),
+            "v_l": (lambda: v_l(batch, omega, h.logits(batch.x),
+                                hist.classifier.logits(batch.x).data),
+                    h.params()),
             "v_01": (lambda: v_01(simplex, stats, 1.3, 60, [8, 6]),
                      [simplex.logits]),
-            "v_d": (lambda: v_d(d, enc, omega, cur.x, {1: past[1].x}, 2),
+            "v_d": (lambda: v_d(batch, omega, d.logits(enc.logits(batch.x))),
                     enc.params() + d.params()),
-            "v_p": (lambda: v_p(enc, prev, {1: past[1].x}), enc.params()),
-            "v_s": (lambda: v_s(enc, cur, 3,
+            "v_p": (lambda: v_p(batch, enc.logits(batch.x),
+                                prev.logits(batch.x)), enc.params()),
+            "v_s": (lambda: v_s(enc.logits(cur.x), cur.y, 3,
                                 np.random.default_rng(trial_seed)),
                     enc.params()),
         }
@@ -307,8 +313,10 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     enc4 = Mlp([4, 8, 4], rng=substream(11, "enc"))
     disc4 = Mlp([4, 8, 2], rng=substream(11, "disc"))
     omega = np.array([[0.0, 1.0, 0.0]])
+    record = StepBatch(np.concatenate([cur, past]), np.zeros(600, np.int64),
+                       np.array([0, 300, 600]), (1,), 2)
     for _ in range(200):
-        loss = v_d(disc4, enc4.stopped(), omega, cur, {1: past}, 2)
+        loss = v_d(record, omega, disc4.logits(enc4.stopped().logits(record.x)))
         loss.backward()
         sgd_step(disc4.params(), 0.2)
         for p in disc4.params():

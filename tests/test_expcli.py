@@ -445,6 +445,27 @@ n_test_per_domain = 8
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_header_only_idx_is_format_error(tmp_path, monkeypatch, capsys):
+    """A well-formed IDX pair holding no image fails as a format error
+    naming the images file, not with a traceback."""
+    idx_dir = _write_synthetic_idx_dir(tmp_path, n_test=0)
+    monkeypatch.setenv("DILKIT_OUTPUT_DIR", str(tmp_path / "out"))
+    cfg = write_cfg(tmp_path, f"""
+dataset = p-mnist
+mnist_dir = {idx_dir}
+method = ER
+seeds = 0
+n_domains = 2
+n_per_domain = 20
+n_test_per_domain = 8
+""")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"format error: {idx_dir / 't10k-images-idx3-ubyte'}: "
+                   "holds no image\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_gen_data_round_trip_and_determinism(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, TINY)
     digests = []

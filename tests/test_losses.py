@@ -150,28 +150,64 @@ def _two_domain_setup(seed=20):
     rng = np.random.default_rng(seed)
     h = random_classifier(3, 2, seed=seed)
     hist = HistorySnapshot(random_classifier(3, 2, seed=seed + 1).copy(frozen=True))
-    cur = LabeledSet(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
+    cur = LabeledSet(rng.normal(size=(6, 3)), rng.integers(0, 2, 6), 2)
     past = {1: LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))}
     return h, hist, cur, past
 
 
+def _v_l(h, hist, omega, cur, past):
+    """V_l on the record of `cur` and `past`, from the student's logits and
+    the teacher's on its rows."""
+    b = StepBatch.stack(cur, past)
+    return v_l(b, omega, h.logits(b.x), hist.classifier.logits(b.x).data)
+
+
+def _x_record(cur_x, past_x, t):
+    """A record of bare inputs, every label 0: `cur_x` from domain t, then
+    past_x[i] for each past domain i."""
+    xs = [cur_x] + [past_x[i] for i in sorted(past_x)]
+    bounds = np.cumsum([0] + [len(x) for x in xs])
+    return StepBatch(np.concatenate(xs), np.zeros(bounds[-1], np.int64),
+                     bounds, tuple(sorted(past_x)), t)
+
+
+def _v_d(d, enc, omega, cur_x, past_x, t):
+    """V_d on the record of `cur_x` and `past_x`, from d(enc(x))."""
+    b = _x_record(cur_x, past_x, t)
+    return v_d(b, omega, d.logits(enc.logits(b.x)))
+
+
+def _v_p(enc, prev, memory_x):
+    """V_p on the record of two current rows (weight 0) and `memory_x`,
+    from both encoders' embeddings of its rows."""
+    cur_x = np.ones((2, next(iter(memory_x.values())).shape[1]))
+    b = _x_record(cur_x, memory_x, len(memory_x) + 1)
+    return v_p(b, enc.logits(b.x), prev.logits(b.x))
+
+
+def _v_s(enc, batch, n_negatives, rng):
+    """V_s on the encoder's embedding of the batch's rows."""
+    return v_s(enc.logits(batch.x), batch.y, n_negatives, rng)
+
+
 def test_v_l_t1_is_plain_ce():
     h, _, cur, _ = _two_domain_setup()
-    got = v_l(h, None, np.zeros((0, 3)), cur, {})
+    b = StepBatch.stack(cur, {})
+    got = v_l(b, np.zeros((0, 3)), h.logits(b.x), None)
     assert got.item() == pytest.approx(np_ce(h, cur))
 
 
 def test_v_l_er_preset_is_replay_ce():
     h, hist, cur, past = _two_domain_setup()
     omega = from_preset("ER", 2).triples()
-    got = v_l(h, hist, omega, cur, past)
+    got = _v_l(h, hist, omega, cur, past)
     assert got.item() == pytest.approx(np_ce(h, cur) + np_ce(h, past[1]))
 
 
 def test_v_l_derpp_hand_arithmetic():
     h, hist, cur, past = _two_domain_setup(seed=21)
     omega = np.array([[0.5, 0.0, 0.5]])
-    got = v_l(h, hist, omega, cur, past)
+    got = _v_l(h, hist, omega, cur, past)
     expect = (np_ce(h, cur) + 0.5 * np_ce(h, past[1])
               + 0.5 * np_distill(h, hist.classifier, past[1].x))
     assert got.item() == pytest.approx(expect)
@@ -180,7 +216,7 @@ def test_v_l_derpp_hand_arithmetic():
 def test_v_l_lwf_uses_current_distillation():
     h, hist, cur, past = _two_domain_setup(seed=22)
     omega = np.array([[0.0, 1.0, 0.0]])
-    got = v_l(h, hist, omega, cur, past)
+    got = _v_l(h, hist, omega, cur, past)
     expect = np_ce(h, cur) + np_distill(h, hist.classifier, cur.x)
     assert got.item() == pytest.approx(expect)
 
@@ -188,13 +224,13 @@ def test_v_l_lwf_uses_current_distillation():
 def test_v_l_omega_length_contract():
     h, hist, cur, past = _two_domain_setup()
     with pytest.raises(ContractError):
-        v_l(h, hist, np.zeros((3, 3)), cur, past)
+        _v_l(h, hist, np.zeros((3, 3)), cur, past)
 
 
 def test_v_l_moves_theta_not_omega():
     h, hist, cur, past = _two_domain_setup(seed=23)
     simplex = init_uniform(2)
-    loss = v_l(h, hist, simplex.triples(), cur, past)
+    loss = _v_l(h, hist, simplex.triples(), cur, past)
     loss.backward()
     assert simplex.logits.grad is None
     assert any(p.grad is not None and np.any(p.grad != 0) for p in h.params())
@@ -325,8 +361,8 @@ def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
 def test_v_d_zero_betas():
     enc = identity_mlp(3)
     d = Mlp([3, 2], rng=np.random.default_rng(0))
-    got = v_d(d, enc, np.array([[0.5, 0.0, 0.5]]), np.zeros((4, 3)),
-              {1: np.zeros((4, 3))}, t=2)
+    got = _v_d(d, enc, np.array([[0.5, 0.0, 0.5]]), np.zeros((4, 3)),
+               {1: np.zeros((4, 3))}, t=2)
     assert got.item() == 0.0
 
 
@@ -336,8 +372,8 @@ def test_v_d_uniform_discriminator_4ln3():
     d.layers[0][0].data[...] = 0.0
     omega = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     rng = np.random.default_rng(1)
-    got = v_d(d, enc, omega, rng.normal(size=(5, 3)),
-              {1: rng.normal(size=(4, 3)), 2: rng.normal(size=(6, 3))}, t=3)
+    got = _v_d(d, enc, omega, rng.normal(size=(5, 3)),
+               {1: rng.normal(size=(4, 3)), 2: rng.normal(size=(6, 3))}, t=3)
     assert got.item() == pytest.approx(4 * math.log(3))
 
 
@@ -352,7 +388,7 @@ def test_v_d_perfect_discriminator_near_zero():
     past = {1: past1, 2: np.array([[1.0, 0.0]])}
     # domain 2's batch lands on class 0, not 1, so exclude it via beta
     omega[1, 1] = 0.0
-    got = v_d(d, enc, omega, cur, past, t=3)
+    got = _v_d(d, enc, omega, cur, past, t=3)
     assert got.item() < 1e-8
 
 
@@ -360,20 +396,20 @@ def test_v_d_arity_contract():
     enc = identity_mlp(3)
     d = Mlp([3, 2], rng=np.random.default_rng(0))
     with pytest.raises(ContractError, match="arity"):
-        v_d(d, enc, np.array([[0.0, 1.0, 0.0]]), np.zeros((2, 3)),
-            {1: np.zeros((2, 3))}, t=3)
+        _v_d(d, enc, np.array([[0.0, 1.0, 0.0]]), np.zeros((2, 3)),
+             {1: np.zeros((2, 3))}, t=3)
 
 
 def test_v_p_identical_and_shifted():
     enc = identity_mlp(3)
     prev = identity_mlp(3)
     x = {1: np.random.default_rng(0).normal(size=(4, 3))}
-    assert v_p(enc, prev, x).item() == 0.0
+    assert _v_p(enc, prev, x).item() == 0.0
     shifted = identity_mlp(3)
     shifted.layers[0][1].data[...] = [1.0, 2.0, 2.0]  # ||c||^2 = 9
-    assert v_p(shifted, prev, x).item() == pytest.approx(9.0)
+    assert _v_p(shifted, prev, x).item() == pytest.approx(9.0)
     x2 = {1: x[1], 2: np.random.default_rng(1).normal(size=(6, 3))}
-    assert v_p(shifted, prev, x2).item() == pytest.approx(18.0)
+    assert _v_p(shifted, prev, x2).item() == pytest.approx(18.0)
 
 
 def test_v_p_numpy_oracle():
@@ -382,11 +418,14 @@ def test_v_p_numpy_oracle():
     prev = Mlp([3, 4, 2], rng=rng)
     x = {1: rng.normal(size=(10, 3))}
     diff = enc.logits(x[1]).data - prev.logits(x[1]).data
-    assert v_p(enc, prev, x).item() == pytest.approx((diff ** 2).sum() / 10)
+    assert _v_p(enc, prev, x).item() == pytest.approx((diff ** 2).sum() / 10)
 
 
 def test_v_p_empty_past_returns_zero():
-    assert v_p(identity_mlp(2), identity_mlp(2), {}).item() == 0.0
+    b = _x_record(np.ones((3, 2)), {}, 1)
+    shifted = identity_mlp(2)
+    shifted.layers[0][1].data[...] = 1.0
+    assert v_p(b, shifted.logits(b.x), identity_mlp(2).logits(b.x)).item() == 0.0
 
 
 def test_v_s_all_distances_equal():
@@ -394,7 +433,7 @@ def test_v_s_all_distances_equal():
     enc = identity_mlp(4)
     x = 2.0 * np.eye(4)
     batch = LabeledSet(x, [0, 0, 1, 1])
-    got = v_s(enc, batch, n_negatives=3, rng=np.random.default_rng(0))
+    got = _v_s(enc, batch, n_negatives=3, rng=np.random.default_rng(0))
     assert got.item() == pytest.approx(math.log(1 + 3))
 
 
@@ -403,7 +442,7 @@ def test_v_s_perfect_separation_limit():
     x = np.array([[0.0, 0.0], [0.0, 0.0], [40.0, 0.0], [0.0, 40.0]])
     batch = LabeledSet(x, [0, 0, 1, 2])
     # anchors are the two coincident class-0 points: s+ = 0, s- >= 1600
-    got = v_s(enc, batch, n_negatives=4, rng=np.random.default_rng(1))
+    got = _v_s(enc, batch, n_negatives=4, rng=np.random.default_rng(1))
     assert got.item() < 1e-6
 
 
@@ -411,7 +450,7 @@ def test_v_s_no_positive_pair_warns_and_zero(caplog):
     enc = identity_mlp(2)
     batch = LabeledSet(np.eye(2), [0, 1])
     with caplog.at_level(logging.WARNING):
-        got = v_s(enc, batch, 2, np.random.default_rng(0))
+        got = _v_s(enc, batch, 2, np.random.default_rng(0))
     assert got.item() == 0.0
     assert any("same-class" in r.message for r in caplog.records)
 
@@ -422,7 +461,7 @@ def test_v_s_hand_table():
     x = np.array([[0.0], [1.0], [4.0]])
     batch = LabeledSet(x, [0, 0, 1])
     rng = np.random.default_rng(3)
-    got = v_s(enc, batch, n_negatives=2, rng=rng)
+    got = _v_s(enc, batch, n_negatives=2, rng=rng)
     # replay the rng to recover the sampled pairs, then evaluate by hand
     rng2 = np.random.default_rng(3)
     pos = {0: int(rng2.choice([1])), 1: int(rng2.choice([0]))}
@@ -451,7 +490,7 @@ def test_v_s_matches_per_row_reference(n, n_classes, n_negatives, seed):
     batch = LabeledSet(rng.normal(size=(n, 3)),
                        rng.integers(0, n_classes, size=n))
     runs = []
-    for build in (v_s, reference_step.v_s):
+    for build in (_v_s, reference_step.v_s):
         for p in enc.params():
             p.grad = None
         draws = np.random.default_rng(seed)
@@ -491,14 +530,14 @@ def test_encoder_aux_reductions_and_composition():
     assert aux(hp0, 0) == 0.0
 
     hp_d = HyperParams(lambda_d=0.7, lambda_p=0.0, lambda_s=0.0)
-    vd = v_d(d, enc, omega, cur.x, {1: past[1].x}, 2).item()
+    vd = _v_d(d, enc, omega, cur.x, {1: past[1].x}, 2).item()
     assert aux(hp_d, 0) == pytest.approx(-0.7 * vd)
 
     hp = HyperParams(lambda_d=0.5, lambda_p=1.3, lambda_s=0.9)
-    vp = v_p(enc, prev, {1: past[1].x}).item()
+    vp = _v_p(enc, prev, {1: past[1].x}).item()
     combined = LabeledSet(np.concatenate([cur.x, past[1].x]),
                           np.concatenate([cur.y, past[1].y]))
-    vs = v_s(enc, combined, N_NEGATIVES, np.random.default_rng(7)).item()
+    vs = _v_s(enc, combined, N_NEGATIVES, np.random.default_rng(7)).item()
     assert aux(hp, 7) == pytest.approx(-0.5 * vd + 1.3 * vp + 0.9 * vs)
 
 
@@ -525,21 +564,70 @@ def test_loss_gradients_finite_difference(seed):
     rng = np.random.default_rng(100 + seed)
     h, hist, cur, past = _two_domain_setup(seed=200 + seed)
     omega = np.array([[0.3, 0.3, 0.4]])
-    gradcheck(lambda: v_l(h, hist, omega, cur, past), h.params(),
+    gradcheck(lambda: _v_l(h, hist, omega, cur, past), h.params(),
               rng=rng, max_coords=4)
 
     d = Mlp([4, 2], rng=rng)
     enc = h.encoder
-    gradcheck(lambda: v_d(d, enc, omega, cur.x, {1: past[1].x}, 2),
+    gradcheck(lambda: _v_d(d, enc, omega, cur.x, {1: past[1].x}, 2),
               enc.params() + d.params(), rng=rng, max_coords=4)
 
     prev = Mlp([3, 5, 4], rng=rng)
-    gradcheck(lambda: v_p(enc, prev, {1: past[1].x}), enc.params(),
+    gradcheck(lambda: _v_p(enc, prev, {1: past[1].x}), enc.params(),
               rng=rng, max_coords=4)
 
     def vs():
-        return v_s(enc, cur, 3, np.random.default_rng(seed))
+        return _v_s(enc, cur, 3, np.random.default_rng(seed))
     gradcheck(vs, enc.params(), rng=rng, max_coords=4)
+
+
+_H = random_classifier(3, 2, seed=61)
+_D = Mlp([3, 3], rng=np.random.default_rng(62))
+ER, LWF = [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
+# (message, call on a t = 3 record and omega, (empty segment, omega) that
+# raises, (empty segment, omega) that is accepted); segment 0 is the current
+# rows, None leaves every segment full
+LOSS_RAISES = [
+    ("v_l: empty batch",
+     lambda b, w: v_l(b, w, _H.logits(b.x), _H.logits(b.x).data),
+     (1, [ER, ER]), (1, [LWF, ER])),
+    ("v_l: distillation arity mismatch",
+     lambda b, w: v_l(b, w, _H.logits(b.x), np.zeros((len(b.y), 3))),
+     (None, [LWF, ER]), (None, [ER, ER])),
+    ("v_d: empty batch",
+     lambda b, w: v_d(b, w, _D.logits(b.x)),
+     (2, [LWF, LWF]), (2, [LWF, ER])),
+    ("v_p: empty batch",
+     lambda b, w: v_p(b, _H.encoder.logits(b.x), np.zeros((len(b.y), 4))),
+     (1, [ER, ER]), (0, [ER, ER])),
+]
+
+
+def _record_without(empty):
+    """A t = 3 record of 4 current rows and 3 and 5 past rows, with
+    segment `empty` emptied."""
+    rng = np.random.default_rng(60)
+    sizes = [4, 3, 5]
+    if empty is not None:
+        sizes[empty] = 0
+    cur, past1, past2 = (LabeledSet(rng.normal(size=(n, 3)),
+                                    rng.integers(0, 2, n), i)
+                         for n, i in zip(sizes, (3, 1, 2)))
+    return StepBatch.stack(cur, {1: past1, 2: past2})
+
+
+@pytest.mark.parametrize("message,call,raising,accepted", LOSS_RAISES,
+                         ids=[case[0] for case in LOSS_RAISES])
+def test_loss_raises_only_on_a_weighted_segment(message, call, raising,
+                                                accepted):
+    """A segment with no row raises, naming the term, when it carries
+    weight, and so does a teacher of the wrong arity once a segment is
+    distilled; the same shortfall at weight 0 gives a finite loss."""
+    empty, omega = raising
+    with pytest.raises(ContractError, match=f"^{message}"):
+        call(_record_without(empty), np.array(omega))
+    empty, omega = accepted
+    assert np.isfinite(call(_record_without(empty), np.array(omega)).item())
 
 
 def test_hyperparams_validation():

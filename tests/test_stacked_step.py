@@ -1,10 +1,11 @@
-"""Differential tests: the stacked-batch losses, coefficient statistics
-and divergence estimate against the per-domain reference in
-reference_step.py, on random states; the losses and the encoder terms fed
-precomputed passes against their own forwards; the trainer's draws,
-gathered from one per-domain layout, against the reference's sampled and
-stacked sets; and the trainer's step, whose phases and encoder terms share
-their passes, against the reference's phase order."""
+"""Differential tests against the per-domain reference in
+reference_step.py, on random states: the loss terms, each fed the passes
+a step runs over the record's rows, and the coefficient statistics and
+divergence estimate; the encoder terms as the step sums them; the
+trainer's draws, gathered from one per-domain layout, against the
+reference's sampled and stacked sets; and the trainer's step, whose phases
+and encoder terms share their passes, against the reference's phase
+order, which shares none of the library's loss terms."""
 import copy
 
 import numpy as np
@@ -18,8 +19,7 @@ from dilkit.coeffs import init_uniform
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
 from dilkit.losses import (N_NEGATIVES, HistorySnapshot, HyperParams,
-                           StepBatch, encoder_aux_loss, stacked_v_l, v_d, v_l,
-                           v_p, v_s)
+                           StepBatch, encoder_aux_loss, v_d, v_l, v_p)
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
 from dilkit.trainer import (TrainerConfig, TrainState, coeff_stats_for_step,
@@ -81,6 +81,21 @@ def _outputs(h, history, disc, batch):
             history.classifier.logits(batch.x).data)
 
 
+def _v_l(h, history, omega, current, past):
+    """The library's V_l on the record of `current` and `past`, from the
+    student's and the teacher's logits on its rows."""
+    batch = StepBatch.stack(current, past)
+    return v_l(batch, omega, h.logits(batch.x),
+               history.classifier.logits(batch.x).data)
+
+
+def _v_d(disc, encoder, omega, current, past):
+    """The library's V_d on the record of `current` and `past`, from the
+    discriminator's logits on the encoder's embedding of its rows."""
+    batch = StepBatch.stack(current, past)
+    return v_d(batch, omega, disc.logits(encoder.logits(batch.x)))
+
+
 def _value_and_grads(loss, params):
     for p in params:
         p.grad = None
@@ -107,7 +122,7 @@ CASES = [(t, kind, seed) for t in (2, 3, 4, 5) for kind in KINDS
 @pytest.mark.parametrize("t,kind,seed", CASES)
 def test_v_l_matches_reference(t, kind, seed):
     h, history, _, omega, current, past = _state(100 * t + seed, t, kind)
-    _assert_same(v_l(h, history, omega, current, past),
+    _assert_same(_v_l(h, history, omega, current, past),
                  ref.v_l(h, history, omega, current, past), h.params())
 
 
@@ -116,18 +131,19 @@ def test_v_d_matches_reference(t, kind, seed):
     h, _, disc, omega, current, past = _state(200 * t + seed, t, kind)
     past_x = {i: b.x for i, b in past.items()}
     params = disc.params() + h.encoder.params()
-    _assert_same(v_d(disc, h.encoder, omega, current.x, past_x, t),
+    _assert_same(_v_d(disc, h.encoder, omega, current, past),
                  ref.v_d(disc, h.encoder, omega, current.x, past_x, t), params)
 
 
 @pytest.mark.parametrize("t,seed", [(t, seed) for t in (2, 3, 4, 5)
                                     for seed in (0, 1)])
 def test_v_p_matches_reference(t, seed):
-    h, _, _, _, _, past = _state(300 * t + seed, t, "UDIL")
+    h, _, _, _, current, past = _state(300 * t + seed, t, "UDIL")
     prev = _classifier(np.random.default_rng(seed)).encoder
     past_x = {i: b.x for i, b in past.items()}
     params = h.encoder.params() + prev.params()
-    _assert_same(v_p(h.encoder, prev, past_x),
+    batch = StepBatch.stack(current, past)
+    _assert_same(v_p(batch, h.encoder.logits(batch.x), prev.logits(batch.x)),
                  ref.v_p(h.encoder, prev, past_x), params)
 
 
@@ -229,9 +245,9 @@ def test_empty_segment_contracts_match_reference(kind, empty):
     current, past = batches[0], {1: batches[1], 2: batches[2]}
     past_x = {i: b.x for i, b in past.items()}
     calls = [
-        (lambda: v_l(h, history, omega, current, past),
+        (lambda: _v_l(h, history, omega, current, past),
          lambda: ref.v_l(h, history, omega, current, past)),
-        (lambda: v_d(disc, h.encoder, omega, current.x, past_x, 3),
+        (lambda: _v_d(disc, h.encoder, omega, current, past),
          lambda: ref.v_d(disc, h.encoder, omega, current.x, past_x, 3)),
     ]
     for new, old in calls:
@@ -254,7 +270,7 @@ def test_v_l_teacher_arity_contract_kept():
                           rng=np.random.default_rng(0)))
     bad = HistorySnapshot(wide, history.cached_consts)
     omega = np.array([[0.5, 0.0, 0.5]])
-    for fn in (v_l, ref.v_l):
+    for fn in (_v_l, ref.v_l):
         with pytest.raises(ContractError, match="arity"):
             fn(h, bad, omega, current, past)
 
@@ -263,30 +279,28 @@ def test_v_l_teacher_arity_contract_kept():
 
 @pytest.mark.parametrize("t,kind,seed", CASES)
 def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
-    """stacked_v_l given the student's and the teacher's logits on the
-    record's rows matches the per-domain reference; v_d given the
-    discriminator's logits on them (through a graph into the encoder, or
-    on a stopped embedding) and the record's row views agrees with the
-    forward it replaces; segments without weight (ER, LwF, FineTune,
-    mixed) keep their rows at zero weight.  coeff_stats_for_step given all
-    three equals the per-domain reference exactly."""
+    """v_l given the student's and the teacher's logits on the record's
+    rows matches the per-domain reference, and so does v_d given the
+    discriminator's logits on them in both forms a step feeds it: the
+    stopped discriminator through a graph into the encoder, and the
+    discriminator on a stopped embedding.  Segments without weight (ER,
+    LwF, FineTune, mixed) keep their rows at zero weight.
+    coeff_stats_for_step given all three equals the per-domain reference
+    exactly."""
     h, history, disc, omega, current, past = _state(800 * t + seed, t, kind)
     batch = StepBatch.stack(current, past)
     x = batch.x
-    cur_x, past_x = batch.parts(x)
+    past_x = {i: b.x for i, b in past.items()}
     teacher_logits = history.classifier.logits(x).data
-    _assert_same(stacked_v_l(batch, omega, h.logits(x), teacher_logits),
+    _assert_same(v_l(batch, omega, h.logits(x), teacher_logits),
                  ref.v_l(h, history, omega, current, past), h.params())
-    enc_params = h.encoder.params()
     d_stopped = disc.stopped()
-    _assert_same(v_d(d_stopped, h.encoder, omega, cur_x, past_x, t,
-                     logits=d_stopped.logits(h.encoder.logits(x))),
-                 v_d(d_stopped, h.encoder, omega, current.x,
-                     {i: b.x for i, b in past.items()}, t),
-                 enc_params)
-    _assert_same(v_d(disc, None, omega, cur_x, past_x, t,
-                     disc.logits(h.encoder.logits(x).data)),
-                 v_d(disc, h.encoder.stopped(), omega, cur_x, past_x, t),
+    _assert_same(v_d(batch, omega, d_stopped.logits(h.encoder.logits(x))),
+                 ref.v_d(d_stopped, h.encoder, omega, current.x, past_x, t),
+                 h.encoder.params())
+    _assert_same(v_d(batch, omega, disc.logits(h.encoder.logits(x).data)),
+                 ref.v_d(disc, h.encoder.stopped(), omega, current.x, past_x,
+                         t),
                  disc.params())
     got = coeff_stats_for_step(
         history, batch, h.logits(x).data,
@@ -304,10 +318,10 @@ AUX_HP = HyperParams(lambda_d=0.3, lambda_p=0.2, lambda_s=0.1)
 def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
     """encoder_aux_loss fed one student embedding of the record's rows, the
     stopped discriminator's logits on it and the teacher's embedding of the
-    rows equals -lambda_d * v_d + lambda_p * v_p + lambda_s * v_s, each run
-    with its own forwards: the value within 1e-12 and every encoder
-    gradient within 1e-10.  From equal rng states, both leave the rng in
-    equal states."""
+    rows equals -lambda_d * V_d + lambda_p * V_p + lambda_s * V_s, each the
+    per-domain reference running its own forwards: the value within 1e-12
+    and every encoder gradient within 1e-10.  From equal rng states, both
+    leave the rng in equal states."""
     h, history, disc, omega, current, past = _state(1100 * t + seed, t, kind)
     batch = StepBatch.stack(current, past)
     enc, teacher, d_stopped = h.encoder, history.classifier.encoder, disc.stopped()
@@ -317,9 +331,9 @@ def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
     got = encoder_aux_loss(embedding, d_stopped.logits(embedding),
                            teacher.logits(batch.x).data, omega, batch,
                            AUX_HP, rng)
-    vd = v_d(d_stopped, enc, omega, current.x, past_x, t)
-    vp = v_p(enc, teacher, past_x)
-    vs = v_s(enc, batch, N_NEGATIVES, ref_rng)
+    vd = ref.v_d(d_stopped, enc, omega, current.x, past_x, t)
+    vp = ref.v_p(enc, teacher, past_x)
+    vs = ref.v_s(enc, batch, N_NEGATIVES, ref_rng)
     want = add(add(mul(vd, -AUX_HP.lambda_d), mul(vp, AUX_HP.lambda_p)),
                mul(vs, AUX_HP.lambda_s))
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -237,8 +237,10 @@ def test_trained_discriminator_near_chance_on_identical_distributions():
     enc = state.model.encoder
     d = SMALL_ARCH.build_discriminator(2, substream(11, "disc"))
     omega = np.array([[0.0, 1.0, 0.0]])
+    record = StepBatch(np.concatenate([cur, past]), np.zeros(600, np.int64),
+                       np.array([0, 300, 600]), (1,), 2)
     for _ in range(200):
-        loss = v_d(d, enc.stopped(), omega, cur, {1: past}, 2)
+        loss = v_d(record, omega, d.logits(enc.stopped().logits(record.x)))
         loss.backward()
         sgd_step(d.params(), 0.2)
     est = hdh_discriminator_estimate(d, enc, cur_eval, past_eval, 1)
@@ -258,7 +260,6 @@ def test_update_isolation_checksums():
     past = {i: state.bank.buckets[i].subset(ix)
             for i, ix in state.bank.sample_past(16, rng).items()}
     batch = StepBatch.stack(current, past)
-    past_x = {i: b.x for i, b in past.items()}
 
     def dump(params):
         return [p.data.copy() for p in params]
@@ -268,8 +269,8 @@ def test_update_isolation_checksums():
                    for p, b in zip(params, before))
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
-    loss5 = mul(v_d(disc, model.stopped().encoder, simplex.triples(),
-                    current.x, past_x, t), 1.0)
+    loss5 = mul(v_d(batch, simplex.triples(),
+                    disc.logits(model.stopped().encoder.logits(batch.x))), 1.0)
     loss5.backward()
     sgd_step(disc.params(), 0.2)
     assert unchanged(model.params(), m0) and unchanged([simplex.logits], o0)
@@ -289,7 +290,8 @@ def test_update_isolation_checksums():
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
     frozen = simplex.triples()
-    loss7 = v_l(model, state.history, frozen, current, past)
+    loss7 = v_l(batch, frozen, model.logits(batch.x),
+                state.history.classifier.logits(batch.x).data)
     embedding = model.encoder.logits(batch.x)
     aux = encoder_aux_loss(embedding, disc.stopped().logits(embedding),
                            state.history.classifier.embed(batch.x).data,
