@@ -62,8 +62,10 @@ def main() -> int:
                                          delete=False) as f:
             f.write(text)
             path = f.name
-        code = cli_main(["run", path])
-        os.unlink(path)
+        try:
+            code = cli_main(["run", path])
+        finally:
+            os.unlink(path)
         if code != 0:
             return code
     return 0

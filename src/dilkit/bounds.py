@@ -15,8 +15,9 @@ import numpy as np
 
 from .autodiff import ContractError
 from .coeffs import TRIPLE_PRESETS, preset_triple
+# hdh_exact has no caller here; perfbench wraps it by this name
 from .divergence import (
-    FiniteHypothesisClass, _pairwise_disagreement, hdh_exact,
+    FiniteHypothesisClass, _as_sample, _hdh, _pairwise_disagreement, hdh_exact,
 )
 from .losses import CoeffStats, radical_map
 
@@ -56,14 +57,10 @@ class BoundInstance:
         y = _read_only(np.array(self.true_labels, dtype=np.int8))
         if y.shape != (n,) or not np.isin(y, (0, 1)).all():
             raise ContractError("true_labels must be 0/1 over the ground set")
-        samples = tuple(_read_only(np.array(s, dtype=np.int64))
-                        for s in self.domain_samples)
+        samples = tuple(_read_only(_as_sample(s, n, f"domain {i}'s sample"))
+                        for i, s in enumerate(self.domain_samples, start=1))
         if len(samples) < 2:
             raise ContractError("need at least two domains")
-        for s in samples:
-            if s.size == 0 or s.min() < 0 or s.max() >= n:
-                raise ContractError("each domain sample must be a nonempty "
-                                    "index set into the ground set")
         m = self.hclass.n_hypotheses
         if not (0 <= self.h_idx < m and 0 <= self.hprev_idx < m):
             raise ContractError("h and H_prev must be members of the class")
@@ -97,9 +94,10 @@ class BoundInstance:
 
     @cached_property
     def divergences(self) -> np.ndarray:
-        """Exact divergence between each past domain and the current one."""
-        *past, cur = self.domain_samples
-        return _read_only(np.array([hdh_exact(self.hclass, p, cur) for p in past]))
+        """Exact divergence between each past domain and the current one,
+        read off the cached disagreement matrices (none is rebuilt)."""
+        *past, cur = self.disagreements
+        return _read_only(np.array([_hdh(d, cur) for d in past]))
 
     @cached_property
     def coeff_stats(self) -> CoeffStats:

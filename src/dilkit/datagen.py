@@ -129,12 +129,12 @@ def load_idx(images_path: str, labels_path: str) -> LabeledSet:
     images = _read_idx(images_path, IDX_IMAGES_MAGIC)
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if images.shape[0] != labels.shape[0]:
-        raise FormatError(
-            f"image count {images.shape[0]} != label count {labels.shape[0]}")
+        raise FormatError(f"{labels_path}: image count {images.shape[0]} "
+                          f"!= label count {labels.shape[0]}")
     if images.shape[0] == 0:
         raise FormatError(f"{images_path}: holds no image")
     if labels.size and not (0 <= labels.min() and labels.max() < 10):
-        raise FormatError("labels outside [0, 10)")
+        raise FormatError(f"{labels_path}: labels outside [0, 10)")
     x = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     return LabeledSet(x, labels.astype(np.int64))
 

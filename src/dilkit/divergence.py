@@ -59,11 +59,9 @@ def threshold_class(points_1d: np.ndarray) -> FiniteHypothesisClass:
 
 
 def _as_sample(sample, n_points: int, name: str) -> np.ndarray:
-    idx = np.asarray(sample, dtype=np.int64).ravel()
-    if idx.size == 0:
-        raise ContractError(f"{name} is empty")
-    if idx.min() < 0 or idx.max() >= n_points:
-        raise ContractError(f"{name} indexes outside the ground set")
+    idx = np.array(sample, dtype=np.int64).ravel()
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= n_points:
+        raise ContractError(f"{name} must be nonempty and in the ground set")
     return idx
 
 
@@ -79,6 +77,11 @@ def _pairwise_disagreement(labelings: np.ndarray, idx: np.ndarray) -> np.ndarray
     return (cnt[:, None] + cnt[None, :] - 2.0 * gram) / idx.size
 
 
+def _hdh(dis_p: np.ndarray, dis_q: np.ndarray) -> float:
+    """2 * max |dis_p - dis_q| over two samples' disagreement matrices."""
+    return 2.0 * np.max(np.abs(dis_p - dis_q))
+
+
 def hdh_exact(hclass: FiniteHypothesisClass, sample_p, sample_q) -> float:
     """Exact symmetric-difference divergence between two empirical samples.
 
@@ -88,9 +91,8 @@ def hdh_exact(hclass: FiniteHypothesisClass, sample_p, sample_q) -> float:
     """
     sp = _as_sample(sample_p, hclass.n_points, "sample_P")
     sq = _as_sample(sample_q, hclass.n_points, "sample_Q")
-    dis_p = _pairwise_disagreement(hclass.labelings, sp)
-    dis_q = _pairwise_disagreement(hclass.labelings, sq)
-    return float(2.0 * np.max(np.abs(dis_p - dis_q)))
+    return float(_hdh(_pairwise_disagreement(hclass.labelings, sp),
+                      _pairwise_disagreement(hclass.labelings, sq)))
 
 
 def discriminator_divergences(probs: np.ndarray, bounds,

@@ -25,10 +25,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..bounds import (CheckReport, check_cross_bound, check_erm_bound_shape,
-                      check_intra_bound, check_unified_bound,
-                      deterministic_bound, random_instance,
-                      tightest_bound_grid, total_risk)
+from ..bounds import (TOL, CheckReport, check_cross_bound,
+                      check_erm_bound_shape, check_intra_bound,
+                      check_unified_bound, deterministic_bound,
+                      random_instance, tightest_bound_grid, total_risk)
 from ..datagen import HD_BALLS_POINTS, ConfigError, DomainStream, \
     FormatError, gen_hd_balls, load_idx, permuted_stream, rotated_stream
 from ..seeding import substream
@@ -210,7 +210,7 @@ def cmd_verify_bounds(args) -> int:
         if args.selftest_flip_sign:
             # negative control: assert the bound from the wrong side
             gap = deterministic_bound(inst) - total_risk(inst)
-            unified = CheckReport("unified_bound", 1, int(gap > 1e-12),
+            unified = CheckReport("unified_bound", 1, int(gap > TOL),
                                   float(gap))
         grid = tightest_bound_grid(inst, grid_resolution=config.grid_resolution)
         if sample_argmin is None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dilkit.bounds
+import dilkit.divergence
 import reference_bounds as ref
 from dilkit.autodiff import ContractError
 from dilkit.bounds import (
@@ -14,7 +15,9 @@ from dilkit.bounds import (
     tightest_bound_grid, total_risk,
 )
 from dilkit.coeffs import TRIPLE_PRESETS, CoeffSimplex, preset_triple
-from dilkit.divergence import FiniteHypothesisClass, hdh_exact
+from dilkit.divergence import (
+    FiniteHypothesisClass, _pairwise_disagreement, hdh_exact,
+)
 from dilkit.losses import v_01
 from finite_classes import all_labelings
 
@@ -233,6 +236,7 @@ def test_checks_match_reference_exactly(seed):
     for inst in gate1_instances(seed, 15):
         assert_same_report(check_intra_bound(inst), ref.check_intra_bound(inst))
         assert_same_report(check_cross_bound(inst), ref.check_cross_bound(inst))
+        assert np.array_equal(inst.divergences, ref._divergences_to_current(inst))
         assert total_risk(inst) == ref.total_risk(inst)
         assert_close_report(check_unified_bound(inst),
                             ref.check_unified_bound(inst), inst)
@@ -272,13 +276,21 @@ def test_grid_matches_reference_with_explicit_presets(resolution):
 
 @pytest.mark.parametrize("n_domains", [2, 3, 4])
 def test_each_divergence_computed_once_per_instance(monkeypatch, n_domains):
-    calls = []
+    """Every check reads one matrix per domain; the divergences come off
+    those matrices, so no check goes through hdh_exact."""
+    builds, exact_calls = [], []
 
-    def counting(*args):
-        calls.append(args)
+    def counting_build(*args):
+        builds.append(args)
+        return _pairwise_disagreement(*args)
+
+    def counting_exact(*args):
+        exact_calls.append(args)
         return hdh_exact(*args)
 
-    monkeypatch.setattr(dilkit.bounds, "hdh_exact", counting)
+    for module in (dilkit.bounds, dilkit.divergence):
+        monkeypatch.setattr(module, "_pairwise_disagreement", counting_build)
+    monkeypatch.setattr(dilkit.bounds, "hdh_exact", counting_exact)
     rng = np.random.default_rng(n_domains)
     inst = random_instance(rng, n_domains=n_domains, points_per_domain=6,
                            class_size=64)
@@ -289,7 +301,8 @@ def test_each_divergence_computed_once_per_instance(monkeypatch, n_domains):
     check_erm_bound_shape(inst)
     total_risk(inst)
     deterministic_bound(inst)
-    assert len(calls) == n_domains - 1
+    assert len(builds) == n_domains
+    assert exact_calls == []
 
 
 def test_cached_terms_and_inputs_are_read_only():

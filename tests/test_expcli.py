@@ -445,10 +445,25 @@ n_test_per_domain = 8
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_header_only_idx_is_format_error(tmp_path, monkeypatch, capsys):
-    """A well-formed IDX pair holding no image fails as a format error
-    naming the images file, not with a traceback."""
-    idx_dir = _write_synthetic_idx_dir(tmp_path, n_test=0)
+@pytest.mark.parametrize("n_images, labels, bad_file, message", [
+    (0, [], "t10k-images-idx3-ubyte", "holds no image"),
+    (3, [1, 2], "t10k-labels-idx1-ubyte", "image count 3 != label count 2"),
+    (3, [1, 10, 2], "t10k-labels-idx1-ubyte", "labels outside [0, 10)"),
+], ids=["no-image", "count-mismatch", "label-range"])
+def test_cli_header_only_idx_is_format_error(tmp_path, monkeypatch, capsys,
+                                            n_images, labels, bad_file,
+                                            message):
+    """A well-formed IDX pair that holds no image, whose counts differ or
+    whose labels leave [0, 10) fails as a format error naming the file at
+    fault, not with a traceback."""
+    import struct
+    idx_dir = _write_synthetic_idx_dir(tmp_path)
+    with open(idx_dir / "t10k-images-idx3-ubyte", "wb") as f:
+        f.write(struct.pack(">IIII", 0x00000803, n_images, 28, 28))
+        f.write(bytes(n_images * 28 * 28))
+    with open(idx_dir / "t10k-labels-idx1-ubyte", "wb") as f:
+        f.write(struct.pack(">II", 0x00000801, len(labels)))
+        f.write(bytes(labels))
     monkeypatch.setenv("DILKIT_OUTPUT_DIR", str(tmp_path / "out"))
     cfg = write_cfg(tmp_path, f"""
 dataset = p-mnist
@@ -461,8 +476,7 @@ n_test_per_domain = 8
 """)
     assert main(["run", cfg]) == 1
     err = capsys.readouterr().err
-    assert err == (f"format error: {idx_dir / 't10k-images-idx3-ubyte'}: "
-                   "holds no image\n")
+    assert err == f"format error: {idx_dir / bad_file}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
