@@ -9,7 +9,8 @@ Each op builds a Tensor holding a `_backward` closure and a creation number;
 an op's inputs exist before its output, so `backward()` runs the closures
 of the nodes the loss reaches in reverse creation order, passing each node
 its own `.grad`, and the closures accumulate into their inputs' `.grad`:
-the first gradient is copied, later ones are added with +=.
+mlp's own fresh gradients are taken as they are, every other first
+gradient is copied, and later ones are added with +=.
 A closure takes the incoming gradient as its argument and holds no
 reference to its output, so a graph has no reference cycles: dropping the
 loss frees the whole graph at once, without the cyclic garbage collector.
@@ -47,11 +48,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:  # a copy: _unbroadcast may give both parents g
-            self.grad = np.array(g, dtype=np.float64)
+        if self.grad is None:  # _unbroadcast may give both parents g
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -128,22 +129,23 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
         if hs[-1].shape[1] != w.data.shape[0]:
             raise ContractError(f"layer {k}: input has {hs[-1].shape[1]} "
                                 f"features, expected {w.data.shape[0]}")
-        h = hs[-1] @ w.data + b.data
-        hs.append(np.maximum(h, 0.0) if k < len(layers) - 1 else h)
+        h = hs[-1] @ w.data
+        h += b.data
+        hs.append(np.maximum(h, 0.0, out=h) if k < len(layers) - 1 else h)
     out = _make(hs[-1], [x] + [p for pair in layers for p in pair])
     if out.requires_grad:
         def _back(g):
             for k in reversed(range(len(layers))):
                 w, b = layers[k]
                 if b.requires_grad:
-                    b._accum(g.sum(axis=0))
+                    b._accum(g.sum(axis=0), fresh=True)
                 g_in = g @ w.data.T if k or x.requires_grad else None
                 if w.requires_grad:
-                    w._accum(hs[k].T @ g)
+                    w._accum(hs[k].T @ g, fresh=True)
                 if k:
-                    g = g_in * (hs[k] > 0.0)
+                    g = np.multiply(g_in, hs[k] > 0.0, out=g_in)
                 elif g_in is not None:
-                    x._accum(g_in)
+                    x._accum(g_in, fresh=True)
         out._backward = _back
     return out
 

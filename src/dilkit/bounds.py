@@ -9,7 +9,7 @@ The concentration radical is checked only as algebraic bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class BoundInstance:
     def __post_init__(self):
         n = self.hclass.n_points
         y = _read_only(np.array(self.true_labels, dtype=np.int8))
-        if y.shape != (n,) or not np.isin(y, (0, 1)).all():
+        if y.shape != (n,) or not ((y == 0) | (y == 1)).all():
             raise ContractError("true_labels must be 0/1 over the ground set")
         samples = tuple(_read_only(_as_sample(s, n, f"domain {i}'s sample"))
                         for i, s in enumerate(self.domain_samples, start=1))
@@ -64,7 +64,7 @@ class BoundInstance:
         m = self.hclass.n_hypotheses
         if not (0 <= self.h_idx < m and 0 <= self.hprev_idx < m):
             raise ContractError("h and H_prev must be members of the class")
-        om = np.asarray(self.omega, dtype=np.float64)
+        om = _read_only(np.array(self.omega, dtype=np.float64))
         if om.shape != (len(samples) - 1, 3):
             raise ContractError(
                 f"omega must have shape ({len(samples) - 1}, 3)")
@@ -123,18 +123,25 @@ class CheckReport:
         return self.n_violations == 0
 
 
-def _pair_check(name: str, inst: BoundInstance, margins) -> CheckReport:
+def _pair_check(name: str, inst: BoundInstance, margins,
+                offsets=None) -> CheckReport:
     """For every pair (h, H') and every domain i:
-    risk_i(h) <= margins[i][h, H'] + risk_i(H')."""
-    risks = inst.risks
-    worst = -np.inf
-    violations = 0
+    risk_i(h) <= margins[i][h, H'] (+ offsets[i]) + risk_i(H'), summed in
+    that order into one scratch buffer; gaps above TOL are counted only in
+    a domain whose largest gap exceeds TOL (elsewhere there are none)."""
+    risks, m = inst.risks, inst.hclass.n_hypotheses
+    gap = np.empty((m, m))
+    worst, violations = -np.inf, 0
     for d, margin in enumerate(margins):
-        gap = risks[:, d, None] - (margin + risks[None, :, d])
-        worst = max(worst, float(gap.max()))
-        violations += int((gap > TOL).sum())
-    checks = inst.hclass.n_hypotheses ** 2 * len(margins)
-    return CheckReport(name, checks, violations, worst)
+        if offsets is not None:
+            margin = np.add(margin, offsets[d], out=gap)
+        np.add(margin, risks[None, :, d], out=gap)
+        np.subtract(risks[:, d, None], gap, out=gap)
+        top = float(gap.max())
+        worst = max(worst, top)
+        if top > TOL:
+            violations += int(np.count_nonzero(gap > TOL))
+    return CheckReport(name, m * m * len(margins), violations, worst)
 
 
 def check_intra_bound(inst: BoundInstance) -> CheckReport:
@@ -147,7 +154,7 @@ def check_cross_bound(inst: BoundInstance) -> CheckReport:
     where the current domain's divergence to itself is exactly 0."""
     half_divs = np.append(0.5 * inst.divergences, 0.0)
     return _pair_check("cross_bound", inst,
-                       [inst.disagreements[-1] + hd for hd in half_divs])
+                       [inst.disagreements[-1]] * inst.n_domains, half_divs)
 
 
 def deterministic_bound(inst: BoundInstance,
@@ -174,13 +181,19 @@ def check_unified_bound(inst: BoundInstance) -> CheckReport:
 
 
 def barycentric_grid(resolution: int) -> np.ndarray:
-    """All triples (k1, k2, k3)/resolution with nonnegative integer parts."""
+    """All triples (k1, k2, k3)/resolution with nonnegative integer parts
+    (read-only, built once per resolution)."""
     if resolution < MIN_GRID_RESOLUTION:
         raise ContractError(f"grid resolution must be >= {MIN_GRID_RESOLUTION}")
+    return _grid(resolution)
+
+
+@lru_cache(maxsize=16)
+def _grid(resolution: int) -> np.ndarray:
     pts = [(i / resolution, j / resolution, (resolution - i - j) / resolution)
            for i in range(resolution + 1)
            for j in range(resolution + 1 - i)]
-    return np.array(pts)
+    return _read_only(np.array(pts))
 
 
 def tightest_bound_grid(inst: BoundInstance,

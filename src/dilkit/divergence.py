@@ -29,7 +29,7 @@ class FiniteHypothesisClass:
         arr.flags.writeable = False  # BoundInstance caches terms built from it
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ContractError("labelings must be a nonempty 2-D array")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ContractError("labelings must be 0/1")
         object.__setattr__(self, "labelings", arr)
 
@@ -69,17 +69,21 @@ def _pairwise_disagreement(labelings: np.ndarray, idx: np.ndarray) -> np.ndarray
     """[m, m] matrix of empirical P[h != h'] over the sample idx.
 
     For 0/1 labels, 1[a != b] = a + b - 2ab, so the whole matrix reduces to
-    row sums and one Gram product over the sampled columns.
+    row sums and one Gram product over the sampled columns, combined in
+    place: until the division every entry is a small integer, so exact.
     """
     sub = labelings[:, idx].astype(np.float64)
     cnt = sub.sum(axis=1)
-    gram = sub @ sub.T
-    return (cnt[:, None] + cnt[None, :] - 2.0 * gram) / idx.size
+    dis = sub @ (-2.0 * sub.T)
+    dis += cnt[:, None]
+    dis += cnt[None, :]
+    return np.divide(dis, idx.size, out=dis)
 
 
 def _hdh(dis_p: np.ndarray, dis_q: np.ndarray) -> float:
     """2 * max |dis_p - dis_q| over two samples' disagreement matrices."""
-    return 2.0 * np.max(np.abs(dis_p - dis_q))
+    diff = np.subtract(dis_p, dis_q)
+    return 2.0 * np.abs(diff, out=diff).max()
 
 
 def hdh_exact(hclass: FiniteHypothesisClass, sample_p, sample_q) -> float:

@@ -105,12 +105,14 @@ class Mlp:
 
 
 def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:
-    """p <- p - lr * grad for every param; grads cleared afterwards."""
+    """p <- p - lr * grad for every param, scaling each grad in place (the
+    param owns it); grads cleared afterwards."""
     for p in params:
         if p.grad is None:
             raise ContractError("sgd_step: parameter has no gradient")
     for p in params:
-        p.data -= learning_rate * p.grad
+        p.grad *= learning_rate
+        p.data -= p.grad
         p.grad = None
 
 

@@ -1,9 +1,13 @@
 """Test-only reference: the bound checks as they were before each exact
 term was computed once per instance, and before the bound's arithmetic
 moved to the weights and radical that V_01 descends.  Every check here
-rebuilds its own risks, disagreement matrices and `hdh_exact` divergences
-and writes the bound's weights out term by term; the differential tests in
+rebuilds its own risks, disagreement matrices and divergences and writes
+the bound's weights out term by term; the differential tests in
 test_bounds.py compare the library checks against these.
+`_pairwise_disagreement`, `_hdh` and `_pair_check`'s gap are the
+allocating kernels as they were before the library's wrote into arrays
+they own, so the library kernels are compared with these and not with
+themselves.
 `check_erm_bound_shape` reads none of these terms and is not copied, and
 `radical_argument` is the closed form the old library wrote."""
 from __future__ import annotations
@@ -12,7 +16,33 @@ import numpy as np
 
 from dilkit.bounds import TOL, BoundInstance, CheckReport, barycentric_grid
 from dilkit.coeffs import TRIPLE_PRESETS, preset_triple
-from dilkit.divergence import _pairwise_disagreement, hdh_exact
+
+
+def _pairwise_disagreement(labelings: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """[m, m] matrix of empirical P[h != h'] over the sample idx."""
+    sub = labelings[:, idx].astype(np.float64)
+    cnt = sub.sum(axis=1)
+    gram = sub @ sub.T
+    return (cnt[:, None] + cnt[None, :] - 2.0 * gram) / idx.size
+
+
+def _hdh(dis_p: np.ndarray, dis_q: np.ndarray) -> float:
+    """2 * max |dis_p - dis_q| over two samples' disagreement matrices."""
+    return 2.0 * np.max(np.abs(dis_p - dis_q))
+
+
+def _pair_check(name: str, inst: BoundInstance, margins) -> CheckReport:
+    """For every pair (h, H') and every domain i:
+    risk_i(h) <= margins[i][h, H'] + risk_i(H')."""
+    risks = _risks(inst)
+    worst = -np.inf
+    violations = 0
+    for d, margin in enumerate(margins):
+        gap = risks[:, d, None] - (margin + risks[None, :, d])
+        worst = max(worst, float(gap.max()))
+        violations += int((gap > TOL).sum())
+    checks = inst.hclass.n_hypotheses ** 2 * len(margins)
+    return CheckReport(name, checks, violations, worst)
 
 
 def _risks(inst: BoundInstance) -> np.ndarray:
@@ -26,41 +56,24 @@ def _risks(inst: BoundInstance) -> np.ndarray:
 
 def _divergences_to_current(inst: BoundInstance) -> np.ndarray:
     """Exact divergence between each past domain and the current one."""
-    t = inst.n_domains
-    cur = inst.domain_samples[t - 1]
-    return np.array([hdh_exact(inst.hclass, inst.domain_samples[i], cur)
-                     for i in range(t - 1)])
+    lab = inst.hclass.labelings
+    *past, cur = inst.domain_samples
+    return np.array([_hdh(_pairwise_disagreement(lab, idx),
+                          _pairwise_disagreement(lab, cur)) for idx in past])
 
 
 def check_intra_bound(inst: BoundInstance) -> CheckReport:
-    risks = _risks(inst)
-    m = inst.hclass.n_hypotheses
-    worst = -np.inf
-    violations = checks = 0
-    for d, idx in enumerate(inst.domain_samples):
-        dis = _pairwise_disagreement(inst.hclass.labelings, idx)
-        gap = risks[:, d, None] - (dis + risks[None, :, d])
-        worst = max(worst, float(gap.max()))
-        violations += int((gap > TOL).sum())
-        checks += m * m
-    return CheckReport("intra_bound", checks, violations, worst)
+    lab = inst.hclass.labelings
+    return _pair_check("intra_bound", inst, [
+        _pairwise_disagreement(lab, idx) for idx in inst.domain_samples])
 
 
 def check_cross_bound(inst: BoundInstance) -> CheckReport:
-    risks = _risks(inst)
-    t = inst.n_domains
-    cur_idx = inst.domain_samples[t - 1]
-    dis_cur = _pairwise_disagreement(inst.hclass.labelings, cur_idx)
-    m = inst.hclass.n_hypotheses
-    worst = -np.inf
-    violations = checks = 0
-    for d, idx in enumerate(inst.domain_samples):
-        half_div = 0.5 * hdh_exact(inst.hclass, idx, cur_idx)
-        gap = risks[:, d, None] - (dis_cur + half_div + risks[None, :, d])
-        worst = max(worst, float(gap.max()))
-        violations += int((gap > TOL).sum())
-        checks += m * m
-    return CheckReport("cross_bound", checks, violations, worst)
+    lab = inst.hclass.labelings
+    dis_cur = _pairwise_disagreement(lab, inst.domain_samples[-1])
+    return _pair_check("cross_bound", inst, [
+        dis_cur + 0.5 * _hdh(_pairwise_disagreement(lab, idx), dis_cur)
+        for idx in inst.domain_samples])
 
 
 def _unified_terms(inst: BoundInstance):

@@ -7,7 +7,9 @@ gathered differences.  The differential tests in test_autodiff.py compare
 the fused ops against these compositions, and reference_step.py builds
 its per-domain losses from them.  `backward` is the graph walk
 `Tensor.backward` ran before it ordered nodes by creation: a two-phase
-depth-first search whose post-order, reversed, is the topological order."""
+depth-first search whose post-order, reversed, is the topological order.
+`sgd_step` is the update as models.sgd_step wrote it before it scaled each
+gradient in place."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -43,6 +45,16 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+
+
+def sgd_step(params, learning_rate: float) -> None:
+    """p <- p - lr * grad for every param, through a temporary."""
+    for p in params:
+        if p.grad is None:
+            raise ContractError("sgd_step: parameter has no gradient")
+    for p in params:
+        p.data -= learning_rate * p.grad
+        p.grad = None
 
 
 def matmul(a, b) -> Tensor:

@@ -209,6 +209,29 @@ def test_sgd_step_zero_grad_fixed_point():
     assert np.allclose(p.data, [2.0])
 
 
+@pytest.mark.parametrize("learning_rate", [0.1, 0.2, 0.7, 1e-3, 3.0])
+def test_sgd_step_matches_reference_bitwise(learning_rate):
+    """Scaling each gradient in place, then subtracting it, gives the bits
+    p - lr * grad gave through a temporary, over magnitudes from
+    subnormal to huge and with signed zeros."""
+    rng = np.random.default_rng(int(learning_rate * 1000))
+    shapes = [(7, 5), (5,), (1, 1), (3, 4)]
+    data = [rng.normal(size=s) * 10.0 ** rng.integers(-310, 300, size=s)
+            for s in shapes]
+    grads = [rng.normal(size=s) * 10.0 ** rng.integers(-310, 300, size=s)
+             for s in shapes]
+    data[2][...], grads[2][...] = -0.0, 0.0
+    got, want = ([Tensor(d.copy(), requires_grad=True) for d in data]
+                 for _ in range(2))
+    for step, params in ((sgd_step, got), (reference_ops.sgd_step, want)):
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        step(params, learning_rate)
+    for p, r in zip(got, want):
+        assert p.grad is None and r.grad is None
+        assert p.data.tobytes() == r.data.tobytes()
+
+
 def test_sgd_step_missing_grad_errors():
     p = Tensor([1.0], requires_grad=True)
     with pytest.raises(ContractError):

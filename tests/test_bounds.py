@@ -188,6 +188,13 @@ def test_barycentric_grid():
         barycentric_grid(1)
 
 
+def test_barycentric_grid_built_once_per_resolution():
+    g = barycentric_grid(6)
+    assert barycentric_grid(6) is g
+    with pytest.raises(ValueError, match="read-only"):
+        g[0, 0] = 1.0
+
+
 # -- cached terms against the per-check reference ---------------------------
 
 def gate1_instances(seed: int, n: int):
@@ -244,6 +251,39 @@ def test_checks_match_reference_exactly(seed):
                             ref.tightest_bound_grid(inst), inst)
         assert abs(deterministic_bound(inst)
                    - ref.deterministic_bound(inst)) <= TOL
+
+
+@pytest.mark.parametrize("class_size", [2, 16, 64, 256])
+@pytest.mark.parametrize("n_domains", [2, 3, 4, 5])
+def test_kernels_match_allocating_reference_bitwise(class_size, n_domains):
+    """Every disagreement matrix, divergence and pair-check report equals
+    the allocating reference kernels' bit for bit, including a pair check
+    whose margins are shifted below zero, so violations are counted."""
+    rng = np.random.default_rng(10 * class_size + n_domains)
+    for _ in range(3):
+        inst = random_instance(rng, n_domains=n_domains,
+                               points_per_domain=int(rng.integers(1, 9)),
+                               class_size=class_size)
+        lab, samples = inst.hclass.labelings, inst.domain_samples
+        for dis, idx in zip(inst.disagreements, samples):
+            assert dis.tobytes() == ref._pairwise_disagreement(
+                lab, idx).tobytes()
+        want = ref._divergences_to_current(inst)
+        assert inst.divergences.tobytes() == want.tobytes()
+        assert [hdh_exact(inst.hclass, idx, samples[-1])
+                for idx in samples[:-1]] == want.tolist()
+        assert_same_report(check_intra_bound(inst), ref.check_intra_bound(inst))
+        assert_same_report(check_cross_bound(inst), ref.check_cross_bound(inst))
+        shifted = [d - 0.5 for d in inst.disagreements]
+        got = dilkit.bounds._pair_check("shifted", inst, shifted)
+        assert got.n_violations > 0
+        assert_same_report(got, ref._pair_check("shifted", inst, shifted))
+        cur, offsets = inst.disagreements[-1], -rng.random(n_domains)
+        got = dilkit.bounds._pair_check("offset", inst, [cur] * n_domains,
+                                        offsets)
+        assert got.n_violations > 0
+        assert_same_report(got, ref._pair_check(
+            "offset", inst, [cur + o for o in offsets]))
 
 
 def test_deterministic_bound_matches_reference_at_explicit_omegas():
@@ -311,17 +351,22 @@ def test_cached_terms_and_inputs_are_read_only():
     rows = all_labelings(4).labelings.copy()
     y = np.array([0, 1, 0, 1], dtype=np.int8)
     s = (np.array([0, 1]), np.array([2, 3]))
-    inst = simple_instance(class_rows=rows, labels=y, samples=s)
-    risks = inst.risks
+    om = np.array([[0.2, 0.3, 0.5]])
+    inst = simple_instance(class_rows=rows, labels=y, samples=s, omega=om)
+    risks, bound = inst.risks, deterministic_bound(inst)
     rows[:] = 0
     y[:] = 1
     s[0][:] = 3
+    om[:] = 0.0
     assert inst.risks is risks
     assert (inst.true_labels == [0, 1, 0, 1]).all()
     assert (inst.domain_samples[0] == [0, 1]).all()
     assert inst.hclass.labelings.any()
+    assert (inst.omega == [[0.2, 0.3, 0.5]]).all()
+    assert deterministic_bound(inst) == bound
     stats = inst.coeff_stats
     for a in (inst.hclass.labelings, inst.true_labels, *inst.domain_samples,
+              inst.omega,
               inst.risks, *inst.disagreements, inst.divergences,
               stats.eps_replay, stats.eps_intra, stats.dhat, stats.eps_hist):
         with pytest.raises(ValueError, match="read-only"):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dilkit.autodiff import ContractError, add, mul
+from dilkit.autodiff import ContractError, Tensor, add, mul
 from dilkit.coeffs import ConfigError, TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
 from dilkit.losses import (
@@ -359,6 +359,39 @@ def test_diverging_replay_step_names_the_loss(method, loss):
             ContractError, match=rf"^{method}: {loss} loss is nan at "
                                  r"domain 2, step \d+$"):
         train_domain(state, stream.train(2))
+
+
+@pytest.mark.parametrize("method", ["UDIL", "ER"])
+def test_replay_step_gradients_own_their_memory(monkeypatch, method):
+    """At every SGD update of a replay step (UDIL's discriminator,
+    coefficient and model updates, ER's model update), with every loss term
+    on: no two gradients share memory, and no gradient shares memory with
+    the data of any tensor built so far, so sgd_step may scale each
+    gradient in place."""
+    tensors, updates = [], []
+    init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tensors.append(self)
+
+    def checking_sgd_step(params, learning_rate):
+        grads = [t.grad for t in tensors if t.grad is not None]
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, o) for o in grads[i + 1:])
+            assert not any(np.shares_memory(g, t.data) for t in tensors)
+        updates.append(len(params))
+        sgd_step(params, learning_rate)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr("dilkit.trainer.sgd_step", checking_sgd_step)
+    stream = small_stream()
+    hp = HyperParams(lambda_d=0.1, lambda_p=0.1, lambda_s=0.1)
+    state = initial_state(small_config(method, steps=1, hp=hp), 4,
+                          stream.num_classes)
+    for t in (1, 2):
+        state = train_domain(state, stream.train(t))
+    assert len(updates) == {"UDIL": 4, "ER": 2}[method]
 
 
 def test_collapsed_beta_mass_skips_discriminator_step():
