@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
-Ops, each one the library calls: add, mul, sqrt, tsum, rowsum, rows,
-reshape, softmax, mlp and softmax_xent.  mlp is a network forward (layers
+Ops, each one the library calls: add, mul, tsum, rowsum, rows, reshape,
+softmax, mlp and softmax_xent.  mlp is a network forward (layers
 x @ w + b with relu between them) as one node; softmax_xent is
 -sum(target * log_softmax(a)), every cross-entropy.
 
@@ -150,17 +150,6 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     return out
 
 
-def sqrt(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    val = np.sqrt(a.data)
-    out = _make(val, (a,))
-    if out.requires_grad:
-        def _back(g):
-            a._accum(g * 0.5 / val)
-        out._backward = _back
-    return out
-
-
 def tsum(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _make(np.asarray(a.data.sum()), (a,))
@@ -247,46 +236,3 @@ def softmax_xent(a: Tensor, target) -> Tensor:
             a._accum(sm * (d.sum(axis=1, keepdims=True) * -1.0))
         out._backward = _back
     return out
-
-
-# -- finite-difference oracle -----------------------------------------
-
-def gradcheck(fn, tensors: Sequence[Tensor], eps: float = 1e-5,
-              rtol: float = 1e-4, atol: float = 1e-7,
-              max_coords: int | None = None,
-              rng: np.random.Generator | None = None) -> float:
-    """Compare analytic grads of scalar fn() against central differences.
-
-    Returns the worst relative error; raises AssertionError past tolerance.
-    """
-    for t in tensors:
-        t.grad = None
-    loss = fn()
-    loss.backward()
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                for t in tensors]
-    worst = 0.0
-    for t, an in zip(tensors, analytic):
-        flat = t.data.ravel()
-        coords = np.arange(flat.size)
-        if max_coords is not None and flat.size > max_coords:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            hi = float(fn().data)
-            flat[c] = orig - eps
-            lo = float(fn().data)
-            flat[c] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            a = an.ravel()[c]
-            err = abs(a - fd)
-            denom = max(abs(a), abs(fd))
-            rel = err / denom if denom > 0 else 0.0
-            worst = max(worst, rel if denom > atol else 0.0)
-            if err > atol and rel > rtol:
-                raise AssertionError(
-                    f"grad mismatch at coord {c}: analytic {a!r} vs fd {fd!r}")
-    return worst

@@ -19,7 +19,7 @@ from .coeffs import TRIPLE_PRESETS, preset_triple
 from .divergence import (
     FiniteHypothesisClass, _as_sample, _hdh, _pairwise_disagreement, hdh_exact,
 )
-from .losses import CoeffStats, radical_map
+from .losses import CoeffStats, radical_terms
 
 TOL = 1e-12
 # the instance sizes random_instance accepts and the coarsest grid
@@ -229,9 +229,8 @@ def radical_argument(omega: np.ndarray, n_current: int,
     om = np.asarray(omega, dtype=np.float64)
     if om.ndim != 2 or om.shape[1] != 3:
         raise ContractError(f"omega must have shape (t-1, 3), got {om.shape}")
-    select, offset, w = radical_map(len(om), n_current, n_memory)
-    v = om.reshape(1, -1) @ select + offset
-    return float(np.sum(v * v * w))
+    v, w = radical_terms(om, n_current, n_memory)
+    return float((v * v * w).sum())
 
 
 def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckReport:

@@ -42,22 +42,6 @@ class FiniteHypothesisClass:
         return self.labelings.shape[1]
 
 
-def threshold_class(points_1d: np.ndarray) -> FiniteHypothesisClass:
-    """Threshold functions h_c(x) = 1[x >= c] over a 1-D ground set.
-
-    One labeling per distinct cut position of the sorted points (n+1 rows).
-    """
-    pts = np.asarray(points_1d, dtype=np.float64).ravel()
-    if pts.size == 0:
-        raise ContractError("ground set must be nonempty")
-    order = np.argsort(pts, kind="stable")
-    n = pts.size
-    rows = np.zeros((n + 1, n), dtype=np.int8)
-    for k in range(n + 1):
-        rows[k, order[k:]] = 1
-    return FiniteHypothesisClass(rows)
-
-
 def _as_sample(sample, n_points: int, name: str) -> np.ndarray:
     idx = np.array(sample, dtype=np.int64).ravel()
     if idx.size == 0 or idx.min() < 0 or idx.max() >= n_points:

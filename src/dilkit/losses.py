@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .autodiff import (
-    ContractError, Tensor, add, mlp, mul, reshape, rows, rowsum, softmax,
-    softmax_xent, sqrt, tsum,
+    ContractError, Tensor, _make, add, mul, reshape, rows, rowsum, softmax,
+    softmax_xent, tsum,
 )
 from .coeffs import CoeffSimplex
 from .datagen import LabeledSet
@@ -150,51 +149,48 @@ class CoeffStats:
                          self.eps_replay], axis=1)
 
 
-def radical_map(n_past: int, n_current: int,
-                n_memory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The radical's argument is sum(w * v**2), where v = flat @ select +
-    offset is (1 + sum beta, alpha_i + gamma_i) for the flattened triples
-    (flat[3i:3i + 3] is (alpha_i, beta_i, gamma_i)) and
-    w = (1 / n_current, 1 / n_i).  Returns (select, offset, w)."""
+def radical_terms(omega: np.ndarray, n_current: int,
+                  n_memory) -> tuple[np.ndarray, np.ndarray]:
+    """V_01's radical is sqrt(sum(w * v**2)) over the [t-1, 3] triples omega
+    (row i is (alpha_i, beta_i, gamma_i)), with v = (1 + sum beta,
+    alpha_i + gamma_i) and w = (1 / n_current, 1 / n_i).  Returns (v, w)."""
     n_memory = np.asarray(n_memory, dtype=np.float64)
-    if n_memory.shape != (n_past,):
+    if n_memory.shape != (len(omega),):
         raise ContractError(
-            f"n_memory must have shape ({n_past},), got {n_memory.shape}")
-    if n_current <= 0 or np.any(n_memory <= 0):
+            f"n_memory must have shape ({len(omega)},), got {n_memory.shape}")
+    if n_current <= 0 or (n_memory <= 0).any():
         raise ContractError("the radical requires positive sample counts")
-    w = np.concatenate([[1.0 / n_current], 1.0 / n_memory])
-    return _radical_select(n_past) + (w,)
-
-
-@lru_cache(maxsize=64)
-def _radical_select(n_past: int) -> tuple[np.ndarray, np.ndarray]:
-    """radical_map's (select, offset): they depend on n_past alone, so each
-    size is built once, read-only."""
-    select = np.zeros((3 * n_past, n_past + 1))
-    select[1::3, 0] = 1.0
-    select[0::3, 1:] = select[2::3, 1:] = np.eye(n_past)
-    offset = np.eye(1, n_past + 1)[0]
-    select.flags.writeable = offset.flags.writeable = False
-    return select, offset
+    v = np.concatenate(([1.0 + omega[:, 1].sum()], omega[:, 0] + omega[:, 2]))
+    return v, 1.0 / np.concatenate(([n_current], n_memory))
 
 
 def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
          n_current: int, n_memory: np.ndarray) -> Tensor:
     """Coefficient loss: the 0-1 surrogate bound evaluated at the simplex,
     differentiable only through the coefficient logits.  With m the [t-1, 3]
-    triples it is sum(m * stats.weights()) + c_gen * sqrt(sum(w * v**2)),
-    v and w as radical_map builds them."""
-    n_memory = np.asarray(n_memory, dtype=np.float64)
+    triples, W = stats.weights() and v, w as radical_terms builds them, it is
+    sum(m * W) + c_gen * sqrt(R), R = sum(w * v**2), as one node on m: its
+    gradient adds W + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i) to row i."""
     m = simplex.materialize()
     n_past = m.data.shape[0]
-    if n_memory.shape != (n_past,) or len(stats.eps_replay) != n_past:
+    if np.shape(n_memory) != (n_past,) or len(stats.eps_replay) != n_past:
         raise ContractError(
             f"v_01: the simplex has {n_past} past domains, the stats "
-            f"{len(stats.eps_replay)} and n_memory {n_memory.size}")
-    select, offset, w = radical_map(n_past, n_current, n_memory)
-    v = mlp(reshape(m, (1, 3 * n_past)), [(Tensor(select), Tensor(offset))])
-    rad = sqrt(tsum(mul(mul(v, v), w)))
-    return add(tsum(mul(m, stats.weights())), mul(rad, c_gen))
+            f"{len(stats.eps_replay)} and n_memory {np.size(n_memory)}")
+    weights = stats.weights()
+    v, w = radical_terms(m.data, n_current, n_memory)
+    rad = np.sqrt((v * v * w).sum())
+    out = _make((m.data * weights).sum() + rad * c_gen, (m,))
+    if out.requires_grad:
+        def _back(g):
+            # d(w * v * v)/dv in two halves, as the tests' selection-matrix
+            # composition sums it: given equal v, the gradients are equal
+            half = g * c_gen * 0.5 / rad * w * v
+            dv = half + half
+            dm = np.column_stack([dv[1:], np.full(n_past, dv[0]), dv[1:]])
+            m._accum(g * weights + dm, fresh=True)
+        out._backward = _back
+    return out
 
 
 def v_d(batch: StepBatch, omega: np.ndarray, logits: Tensor) -> Tensor:

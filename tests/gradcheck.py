@@ -1,0 +1,50 @@
+"""Test-only finite-difference oracle: the gate-4 suite and the autodiff and
+loss tests check every analytic gradient against central differences."""
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from dilkit.autodiff import Tensor
+
+
+def gradcheck(fn, tensors: Sequence[Tensor], eps: float = 1e-5,
+              rtol: float = 1e-4, atol: float = 1e-7,
+              max_coords: int | None = None,
+              rng: np.random.Generator | None = None) -> float:
+    """Compare analytic grads of scalar fn() against central differences.
+
+    Returns the worst relative error; raises AssertionError past tolerance.
+    """
+    for t in tensors:
+        t.grad = None
+    loss = fn()
+    loss.backward()
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                for t in tensors]
+    worst = 0.0
+    for t, an in zip(tensors, analytic):
+        flat = t.data.ravel()
+        coords = np.arange(flat.size)
+        if max_coords is not None and flat.size > max_coords:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            coords = rng.choice(flat.size, size=max_coords, replace=False)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + eps
+            hi = float(fn().data)
+            flat[c] = orig - eps
+            lo = float(fn().data)
+            flat[c] = orig
+            fd = (hi - lo) / (2.0 * eps)
+            a = an.ravel()[c]
+            err = abs(a - fd)
+            denom = max(abs(a), abs(fd))
+            rel = err / denom if denom > 0 else 0.0
+            worst = max(worst, rel if denom > atol else 0.0)
+            if err > atol and rel > rtol:
+                raise AssertionError(
+                    f"grad mismatch at coord {c}: analytic {a!r} vs fd {fd!r}")
+    return worst

@@ -3,13 +3,16 @@ and cross-entropies from before `mlp` and `softmax_xent` fused them (a
 `linear` node per layer and a `relu` node between layers; `linear` itself
 fused `matmul` and `add`), and the slicing ops V_01 and V_s were built
 from before V_01 became one weighted sum and V_s one cross-entropy over
-gathered differences.  The differential tests in test_autodiff.py compare
-the fused ops against these compositions, and reference_step.py builds
-its per-domain losses from them.  `backward` is the graph walk
-`Tensor.backward` ran before it ordered nodes by creation: a two-phase
-depth-first search whose post-order, reversed, is the topological order.
-`sgd_step` is the update as models.sgd_step wrote it before it scaled each
-gradient in place."""
+gathered differences.  `sqrt` is the op V_01's radical was built with, and
+`v_01_selection` is V_01 as it was composed before it became one node: an
+`mlp` used as an affine map over a selection matrix, then the weighted sum
+and the radical from generic ops.  The differential tests in
+test_autodiff.py and test_losses.py compare the fused ops and V_01 against
+these compositions, and reference_step.py builds its per-domain losses from
+them.  `backward` is the graph walk `Tensor.backward` ran before it ordered
+nodes by creation: a two-phase depth-first search whose post-order,
+reversed, is the topological order.  `sgd_step` is the update as
+models.sgd_step wrote it before it scaled each gradient in place."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -17,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from dilkit.autodiff import (
-    ContractError, Tensor, _make, _wrap, add, mul, reshape, tsum,
+    ContractError, Tensor, _make, _wrap, add, mlp, mul, reshape, tsum,
 )
 
 
@@ -183,3 +186,36 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
                 p._accum(g[:, lo:hi])
         out._backward = _back
     return out
+
+
+def sqrt(a: Tensor) -> Tensor:
+    a = _wrap(a)
+    val = np.sqrt(a.data)
+    out = _make(val, (a,))
+    if out.requires_grad:
+        def _back(g):
+            a._accum(g * 0.5 / val)
+        out._backward = _back
+    return out
+
+
+def v_01_selection(simplex, stats, c_gen: float, n_current: int,
+                   n_memory) -> Tensor:
+    """sum(m * stats.weights()) + c_gen * sqrt(sum(w * v**2)) over the
+    simplex's [t-1, 3] triples m, with v = flat(m) @ select + offset, the
+    selection matrix picking (1 + sum beta, alpha_i + gamma_i)."""
+    n_memory = np.asarray(n_memory, dtype=np.float64)
+    m = simplex.materialize()
+    n_past = m.data.shape[0]
+    if n_memory.shape != (n_past,) or len(stats.eps_replay) != n_past:
+        raise ContractError("v_01: past-domain counts disagree")
+    if n_current <= 0 or np.any(n_memory <= 0):
+        raise ContractError("the radical requires positive sample counts")
+    select = np.zeros((3 * n_past, n_past + 1))
+    select[1::3, 0] = 1.0
+    select[0::3, 1:] = select[2::3, 1:] = np.eye(n_past)
+    offset = np.eye(1, n_past + 1)[0]
+    w = np.concatenate([[1.0 / n_current], 1.0 / n_memory])
+    v = mlp(reshape(m, (1, 3 * n_past)), [(Tensor(select), Tensor(offset))])
+    rad = sqrt(tsum(mul(mul(v, v), w)))
+    return add(tsum(mul(m, stats.weights())), mul(rad, c_gen))

@@ -25,7 +25,7 @@ import numpy as np
 
 from dilkit.autodiff import (
     ContractError, Tensor, add, mul, reshape, rows, rowsum, softmax,
-    softmax_xent, sqrt, tsum,
+    softmax_xent, tsum,
 )
 from dilkit.coeffs import CoeffSimplex
 from dilkit.datagen import LabeledSet
@@ -36,7 +36,7 @@ from dilkit.losses import (
 from dilkit.membank import MemoryBank
 from dilkit.models import Classifier, Mlp, sgd_step
 
-from reference_ops import column, concat_cols, log_softmax, pick, tmean
+from reference_ops import column, concat_cols, log_softmax, pick, sqrt, tmean
 
 log = logging.getLogger(__name__)
 

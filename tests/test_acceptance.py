@@ -14,15 +14,14 @@ from pathlib import Path
 import numpy as np
 
 import dilkit
-from dilkit.autodiff import Tensor, gradcheck
+from dilkit.autodiff import Tensor
 from dilkit.bounds import (check_cross_bound, check_intra_bound,
                            check_unified_bound, random_instance,
                            tightest_bound_grid)
 from dilkit.coeffs import (ConfigError, TRIPLE_PRESETS, from_preset,
                            init_uniform)
 from dilkit.datagen import LabeledSet, gen_hd_balls, load_idx, rotated_stream
-from dilkit.divergence import (hdh_discriminator_estimate, hdh_exact,
-                               threshold_class)
+from dilkit.divergence import hdh_discriminator_estimate, hdh_exact
 from dilkit.losses import (CoeffStats, HistorySnapshot, HyperParams,
                            StepBatch, classification_loss, v_01, v_d, v_l,
                            v_p, v_s)
@@ -32,6 +31,8 @@ from dilkit.metrics import (AccuracyMatrix, avg_acc, avg_of_avg, forgetting,
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
 from dilkit.seeding import substream
 from dilkit.trainer import TrainerConfig, descend_v01, run_sequence
+from finite_classes import threshold_class
+from gradcheck import gradcheck
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")

@@ -10,12 +10,12 @@ from dilkit.autodiff import ContractError
 from dilkit.datagen import LabeledSet
 from dilkit.divergence import (
     FiniteHypothesisClass, _as_sample, discriminator_divergences, hdh_exact,
-    hdh_discriminator_estimate, threshold_class,
+    hdh_discriminator_estimate,
 )
 from dilkit.losses import classification_loss
 from dilkit.models import Mlp, sgd_step
 from dilkit.seeding import substream
-from finite_classes import all_labelings
+from finite_classes import all_labelings, threshold_class
 
 
 def naive_hdh(labelings, sample_p, sample_q):

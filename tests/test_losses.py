@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_ops
 import reference_step
-from dilkit.autodiff import ContractError, Tensor, gradcheck
+from dilkit.autodiff import ContractError, Tensor
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
     N_NEGATIVES, CoeffStats, HistorySnapshot, HyperParams, StepBatch,
-    classification_loss, encoder_aux_loss, erm01, radical_map, v_01, v_d,
-    v_l, v_p, v_s,
+    classification_loss, encoder_aux_loss, erm01, v_01, v_d, v_l, v_p, v_s,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig
+from gradcheck import gradcheck
 from reference_step import distillation_loss, erm01_agreement
 
 
@@ -301,36 +302,15 @@ def test_v_01_contract_past_domain_counts_agree():
         v_01(from_preset("ER", 2), _stats(2, rng), 1.0, 50, [10, 10])
 
 
-@pytest.mark.parametrize("n_past", [1, 2, 4, 7])
-def test_radical_map_is_built_once_per_size_read_only(n_past):
-    """The selection matrix and the offset depend on n_past alone: every
-    call at one size returns the same read-only arrays, equal to the map
-    built afresh; only the sample weights follow the counts."""
-    select, offset, w = radical_map(n_past, 40, np.arange(1, n_past + 1))
-    again, offset_again, w_again = radical_map(n_past, 7, [5] * n_past)
-    assert again is select and offset_again is offset
-    for arr in (select, offset):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-    fresh = np.zeros((3 * n_past, n_past + 1))
-    fresh[1::3, 0] = 1.0
-    fresh[0::3, 1:] = np.eye(n_past)
-    fresh[2::3, 1:] = np.eye(n_past)
-    np.testing.assert_array_equal(select, fresh)
-    np.testing.assert_array_equal(offset, np.eye(1, n_past + 1)[0])
-    np.testing.assert_array_equal(w, np.r_[1 / 40, 1 / np.arange(1, n_past + 1)])
-    np.testing.assert_array_equal(w_again, np.r_[1 / 7, [0.2] * n_past])
-
-
 @settings(max_examples=80, deadline=None)
 @given(t=st.integers(2, 7), c_gen=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
        scale=st.sampled_from([0.1, 1.0, 5.0]), zero=st.booleans(),
        seed=st.integers(0, 2 ** 31 - 1))
 def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
-    """The weighted-sum-plus-radical V_01 equals the per-column reference:
-    value and logits gradient within 1e-12 relative (the gradient against
-    its largest entry), at random logits and at every fixed preset."""
+    """The one-node V_01 equals the per-column reference (value and logits
+    gradient within 1e-12 relative, the gradient against its largest entry)
+    and the selection-matrix composition it replaced (value within 1e-15
+    relative, gradient within 1e-15), at random logits and every preset."""
     rng = np.random.default_rng(seed)
     stats = _stats(t - 1, rng, zero=zero)
     n_current = int(rng.integers(1, 500))
@@ -340,7 +320,7 @@ def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
                if not (m == "ESM-ER" and t == 2)]
     for method in methods + ["UDIL"]:
         runs = []
-        for build in (v_01, reference_step.v_01):
+        for build in (v_01, reference_step.v_01, reference_ops.v_01_selection):
             if method == "UDIL":
                 simplex = init_uniform(t)
                 simplex.logits.data[...] = logits
@@ -350,12 +330,25 @@ def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
             if loss.requires_grad:
                 loss.backward()
             runs.append((loss.item(), simplex.logits))
-        (value, logits_t), (ref_value, ref_logits_t) = runs
+        (value, logits_t), (ref_value, ref_logits_t), sel = runs
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert abs(value - sel[0]) <= 1e-15 * abs(sel[0])
         if method == "UDIL":
             grad, ref_grad = logits_t.grad, ref_logits_t.grad
             assert (np.abs(grad - ref_grad).max()
                     <= 1e-12 * np.abs(ref_grad).max())
+            assert np.abs(grad - sel[1].grad).max() <= 1e-15
+
+
+def test_v_01_is_one_node_on_the_softmax():
+    """An adaptive V_01 builds at most two Tensors: the simplex's softmax and
+    the loss node on it, whose only input is that softmax."""
+    simplex, stats = init_uniform(4), _stats(3, np.random.default_rng(33))
+    first = Tensor(0.0)._seq
+    loss = v_01(simplex, stats, 1.3, 60, [8, 6, 9])
+    assert Tensor(0.0)._seq - first - 1 <= 2
+    (m,) = loss._prev
+    assert m._prev == (simplex.logits,)
 
 
 def test_v_d_zero_betas():
