@@ -2,11 +2,13 @@
 the replay objective, one function each: the model loss V_l, the coefficient
 loss V_01, the domain discrimination loss V_d and the opt-in encoder losses
 V_p / V_s.  V_l, V_d, V_p and V_s read a replay step's record (`StepBatch`)
-and the passes the step ran once over its rows; none runs a network."""
+and the passes the step ran once over its rows; none runs a network.  The
+teacher whose logits and embedding they read is the model as the previous
+domain left it, run once over the domain's layout before its first step."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +30,6 @@ class HyperParams(Ranged):
     c_gen: float = Range(0).field(1.0)      # generalization-effect scalar in V_01
     lambda_p: float = Range(0).field(0.0)   # past-embedding distillation weight
     lambda_s: float = Range(0).field(0.0)   # supervised contrastive weight
-
-
-@dataclass
-class HistorySnapshot:
-    """Frozen copy of the model after a domain, its embedding and logits on
-    each memory bucket and the per-bucket 0-1 risks (V_01's constants)."""
-    classifier: Classifier
-    cached_consts: dict[int, float] = field(default_factory=dict)
-    logits: dict[int, np.ndarray] = field(default_factory=dict)
-    embeddings: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:

@@ -92,12 +92,6 @@ class Mlp:
     def logits(self, x) -> Tensor:
         return mlp(x, self.layers)
 
-    def copy(self, frozen: bool = False) -> "Mlp":
-        layers = [(Tensor(w.data.copy(), requires_grad=not frozen),
-                   Tensor(b.data.copy(), requires_grad=not frozen))
-                  for w, b in self.layers]
-        return Mlp([], _layers=layers)
-
     def stopped(self) -> "Mlp":
         """View of this net whose parameters cut the gradient graph."""
         layers = [(Tensor(w.data), Tensor(b.data)) for w, b in self.layers]
@@ -136,9 +130,6 @@ class Classifier:
 
     def params(self) -> list[Tensor]:
         return self.encoder.params() + self.predictor.params()
-
-    def copy(self, frozen: bool = False) -> "Classifier":
-        return Classifier(self.encoder.copy(frozen), self.predictor.copy(frozen))
 
     def stopped(self) -> "Classifier":
         return Classifier(self.encoder.stopped(), self.predictor.stopped())

@@ -3,8 +3,9 @@
 Each domain runs the three-way alternating update: the discriminator
 descends the domain-confusion loss, the replay coefficients descend the
 bound surrogate, and the model descends the weighted replay loss while the
-encoder ascends the confusion loss.  Between domains the model is
-snapshotted as the frozen teacher and the replay memory is rebalanced.
+encoder ascends the confusion loss.  The teacher is the model as the
+previous domain left it: one pass at the start of each replay domain records
+its outputs.  After each domain the replay memory is rebalanced.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
 from .losses import (
-    CoeffStats, HistorySnapshot, HyperParams, StepBatch, classification_loss,
+    CoeffStats, HyperParams, StepBatch, classification_loss,
     encoder_aux_loss, v_01, v_d, v_l,
 )
 from .membank import MemoryBank
@@ -54,15 +55,14 @@ class TrainState:
     """Mutable state threaded through the per-domain fold: only what lives
     across domains.
 
-    Between domains: ``t`` is the next domain to train and ``history`` is
-    the frozen teacher from domain t-1 (absent before domain 2).  The
-    discriminator (arity t) and the coefficient simplex are built when
-    domain t's training starts and dropped when it ends; ``omega_log``
-    keeps each domain's final triples.
+    Between domains: ``t`` is the next domain to train and ``model`` is
+    also the teacher domain t distills from.  The discriminator (arity t)
+    and the coefficient simplex are built when domain t's training starts
+    and dropped when it ends; ``omega_log`` keeps each domain's final
+    triples.
     """
 
     model: Classifier
-    history: HistorySnapshot | None
     bank: MemoryBank
     config: TrainerConfig
     t: int
@@ -71,16 +71,13 @@ class TrainState:
     def __post_init__(self):
         if self.t < 1:
             raise ContractError("domain index t must be >= 1")
-        if (self.history is None) != (self.t == 1):
-            raise ContractError("history must be present exactly when t >= 2")
 
 
 def initial_state(config: TrainerConfig, input_dim: int,
                   n_classes: int) -> TrainState:
     model = config.arch.build_classifier(
         input_dim, n_classes, substream(config.seed, "init"))
-    return TrainState(model=model, history=None,
-                      bank=MemoryBank(config.memory_capacity),
+    return TrainState(model=model, bank=MemoryBank(config.memory_capacity),
                       config=config, t=1)
 
 
@@ -114,19 +111,18 @@ def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
         sgd_step(model.params(), sgd.learning_rate)
 
 
-def coeff_stats_for_step(history: HistorySnapshot, batch: StepBatch,
+def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
                          logits: np.ndarray, disc_logits: np.ndarray,
                          teacher_logits: np.ndarray) -> CoeffStats:
     """Assemble the per-step scalar statistics the bound surrogate needs
-    from the step's three outputs on the record's rows and the frozen
-    history constants.  The 0-1 errors are counted per segment and every
-    divergence estimate is read off them; an empty segment raises."""
+    from the step's three outputs on the record's rows and the teacher's
+    0-1 error on each memory bucket.  The 0-1 errors are counted per segment
+    and every divergence estimate is read off them; an empty segment raises."""
     dhat = discriminator_divergences(softmax(disc_logits).data, batch.bounds, batch.ids)
     pred = np.argmax(logits, axis=1)
     wrong, differs = (
         np.add.reduceat(miss, batch.bounds[:-1], dtype=np.int64) / np.diff(batch.bounds)
         for miss in (pred != batch.y, pred != np.argmax(teacher_logits, axis=1)))
-    eps_hist = np.array([history.cached_consts[i] for i in batch.ids])
     return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
 
 
@@ -148,15 +144,19 @@ def descend_v01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
     return value
 
 
-def snapshot_history(state: TrainState) -> HistorySnapshot:
-    """Freeze the trained model as the next domain's teacher, with its
-    embedding and logits on every memory bucket and its 0-1 error on each."""
-    frozen = state.model.copy(frozen=True)
-    embedded = {i: frozen.embed(b.x).data for i, b in state.bank.buckets.items()}
-    logits = {i: frozen.predictor.logits(e).data for i, e in embedded.items()}
-    cached = {i: float(np.mean(np.argmax(logits[i], axis=1) != b.y))
-              for i, b in state.bank.buckets.items()}
-    return HistorySnapshot(frozen, cached, logits, embedded)
+def snapshot_history(model: Classifier, layout: StepBatch
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The teacher's pass over a replay domain's layout: its logits and
+    embedding on every row and its 0-1 error on each memory bucket.  Runs on
+    a view of `model` sharing its weights, so call it before the first step.
+    One pass per segment keeps the logits bitwise those of a pass per set."""
+    frozen = model.stopped()
+    bounds = layout.bounds
+    embedded = [frozen.embed(x).data for x in np.split(layout.x, bounds[1:-1])]
+    logits = np.concatenate([frozen.predictor.logits(e).data for e in embedded])
+    wrong = np.argmax(logits, axis=1) != layout.y
+    eps = np.add.reduceat(wrong, bounds[:-1], dtype=np.int64) / np.diff(bounds)
+    return logits, np.concatenate(embedded), eps[1:]
 
 
 def train_domain(state: TrainState, domain_data: LabeledSet,
@@ -180,6 +180,9 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
     if (pooled is not None) != (config.method == ORACLE_METHOD):
         raise ContractError("pooled data is passed exactly when the method is Joint")
     t = state.t
+    if state.bank.capacity < t:  # a memory bucket would be left empty
+        raise ContractError(f"domain {t} needs memory capacity >= {t}, "
+                            f"got {state.bank.capacity}")
     rng = substream(config.seed, "batches", t)
 
     simplex = None
@@ -199,7 +202,6 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
         state.omega_log[t] = simplex.triples()
 
     state.bank.update_after_domain(domain_data, t, config.seed)
-    state.history = snapshot_history(state)
     state.t = t + 1
     return state
 
@@ -208,27 +210,24 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator, disc: Mlp,
                          simplex: CoeffSimplex) -> None:
     """[domain_data; bucket 1; ...; bucket t-1] is laid out once, with the
-    teacher's logits and embedding on it; each step gathers its record (a
-    current batch, then a memory batch per bucket) by drawn row index, and
-    each network runs once on it for every loss term."""
+    teacher's logits and embedding on it from the model before its first
+    step; each step gathers its record (a current batch, then a memory batch
+    per bucket) by drawn row index, and each network runs once on it for
+    every loss term."""
     config = state.config
-    t, hp, sgd = state.t, config.hp, config.sgd
-    model, history = state.model, state.history
+    t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = simplex.mode == "adaptive"
     omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
     disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
     mem_batch = config.memory_batch if config.memory_batch is not None else sgd.batch_size
     if config.split_memory_batch:
         mem_batch = max(1, mem_batch // (t - 1))
-    n_memory = [len(state.bank.buckets[i]) for i in sorted(state.bank.buckets)]
     # a fixed preset with no cross-domain mass never trains the discriminator
     disc_on = hp.lambda_d > 0 and (
         adaptive or float(simplex.triples()[:, 1].sum()) > 0.0)
     layout = StepBatch.stack(domain_data, state.bank.buckets)
-    embedded = history.classifier.embed(domain_data.x).data
-    teacher = np.concatenate([history.classifier.predictor.logits(embedded).data]
-                             + [history.logits[i] for i in layout.ids])
-    teacher_emb = np.concatenate([embedded] + [history.embeddings[i] for i in layout.ids])
+    n_memory = np.diff(layout.bounds)[1:]
+    teacher, teacher_emb, eps_hist = snapshot_history(model, layout)
 
     for step in range(1, sgd.step_count + 1):
         rows = [_draw_rows(len(domain_data), sgd.batch_size, rng)]
@@ -252,7 +251,7 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         disc_logits = disc.stopped().logits(embedding) if adaptive or disc_on else None
 
         if adaptive:
-            stats = coeff_stats_for_step(history, batch, logits.data,
+            stats = coeff_stats_for_step(eps_hist, batch, logits.data,
                                          disc_logits.data, teacher_logits)
             loss = v_01(simplex, stats, hp.c_gen, len(domain_data), n_memory)
             _check_finite(loss, "coefficient", config.method, t, step)

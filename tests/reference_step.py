@@ -16,10 +16,16 @@ trainer ran before the phases and the encoder terms shared one student
 pass, one stopped-discriminator pass and the teacher's per-domain outputs,
 built from the per-domain V_l, V_d, V_p, V_s and V_01 here and none of the
 library's; test_stacked_step.py compares the trainer's draws and step
-against these."""
+against these.  `snapshot_history` is the teacher record the trainer kept
+between domains before it ran the model once over each replay domain's
+layout: a frozen deep copy of the model after a domain (`frozen_copy`),
+with its embedding, logits and 0-1 error on each memory bucket, one pass
+per bucket (`HistorySnapshot`); test_stacked_step.py compares the
+trainer's domain-start pass against it."""
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from dilkit.autodiff import (
 from dilkit.coeffs import CoeffSimplex
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    N_NEGATIVES, CoeffStats, HistorySnapshot, HyperParams, StepBatch,
+    N_NEGATIVES, CoeffStats, HyperParams, StepBatch,
     _check_omega, _one_hot, classification_loss, erm01,
 )
 from dilkit.membank import MemoryBank
@@ -39,6 +45,35 @@ from dilkit.models import Classifier, Mlp, sgd_step
 from reference_ops import column, concat_cols, log_softmax, pick, sqrt, tmean
 
 log = logging.getLogger(__name__)
+
+
+@dataclass
+class HistorySnapshot:
+    """Frozen copy of the model after a domain, its embedding and logits on
+    each memory bucket and the per-bucket 0-1 risks (V_01's constants)."""
+    classifier: Classifier
+    cached_consts: dict[int, float] = field(default_factory=dict)
+    logits: dict[int, np.ndarray] = field(default_factory=dict)
+    embeddings: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+def frozen_copy(model: Classifier) -> Classifier:
+    """A deep copy of `model` whose parameters take no gradient."""
+    def copy_net(net: Mlp) -> Mlp:
+        return Mlp([], _layers=[(Tensor(w.data.copy()), Tensor(b.data.copy()))
+                                for w, b in net.layers])
+    return Classifier(copy_net(model.encoder), copy_net(model.predictor))
+
+
+def snapshot_history(model: Classifier, bank: MemoryBank) -> HistorySnapshot:
+    """Freeze the trained model as the next domain's teacher, with its
+    embedding and logits on every memory bucket and its 0-1 error on each."""
+    frozen = frozen_copy(model)
+    embedded = {i: frozen.embed(b.x).data for i, b in bank.buckets.items()}
+    logits = {i: frozen.predictor.logits(e).data for i, e in embedded.items()}
+    cached = {i: float(np.mean(np.argmax(logits[i], axis=1) != b.y))
+              for i, b in bank.buckets.items()}
+    return HistorySnapshot(frozen, cached, logits, embedded)
 
 
 def distillation_loss(h: Classifier, teacher, inputs: np.ndarray) -> Tensor:

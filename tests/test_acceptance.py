@@ -22,9 +22,8 @@ from dilkit.coeffs import (ConfigError, TRIPLE_PRESETS, from_preset,
                            init_uniform)
 from dilkit.datagen import LabeledSet, gen_hd_balls, load_idx, rotated_stream
 from dilkit.divergence import hdh_discriminator_estimate, hdh_exact
-from dilkit.losses import (CoeffStats, HistorySnapshot, HyperParams,
-                           StepBatch, classification_loss, v_01, v_d, v_l,
-                           v_p, v_s)
+from dilkit.losses import (CoeffStats, HyperParams, StepBatch,
+                           classification_loss, v_01, v_d, v_l, v_p, v_s)
 from dilkit.membank import MemoryBank
 from dilkit.metrics import (AccuracyMatrix, avg_acc, avg_of_avg, forgetting,
                             forward_transfer)
@@ -143,19 +142,18 @@ def _grad_trial_setups(seed: int):
     rng = np.random.default_rng(seed)
     h = Classifier(Mlp([3, 5, 4], rng=rng),
                    Mlp([4, 2], rng=rng))
-    hist = HistorySnapshot(
-        Classifier(Mlp([3, 5, 4], rng=rng),
-                   Mlp([4, 2], rng=rng)).copy(frozen=True))
+    teacher = Classifier(Mlp([3, 5, 4], rng=rng),
+                         Mlp([4, 2], rng=rng)).stopped()
     cur = LabeledSet(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
     past = {1: LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))}
     omega = rng.dirichlet((1.0, 1.0, 1.0), size=1)
-    return rng, h, hist, cur, past, omega
+    return rng, h, teacher, cur, past, omega
 
 
 def test_criterion_04_gradient_suite_100_trials_each():
     failures = []
     for trial in range(100):
-        rng, h, hist, cur, past, omega = _grad_trial_setups(4000 + trial)
+        rng, h, teacher, cur, past, omega = _grad_trial_setups(4000 + trial)
         d = Mlp([4, 2], rng=rng)
         enc = h.encoder
         prev = Mlp([3, 5, 4], rng=rng)
@@ -169,7 +167,7 @@ def test_criterion_04_gradient_suite_100_trials_each():
         batch = StepBatch.stack(LabeledSet(cur.x, cur.y, 2), past)
         cases = {
             "v_l": (lambda: v_l(batch, omega, h.logits(batch.x),
-                                hist.classifier.logits(batch.x).data),
+                                teacher.logits(batch.x).data),
                     h.params()),
             "v_01": (lambda: v_01(simplex, stats, 1.3, 60, [8, 6]),
                      [simplex.logits]),

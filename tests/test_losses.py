@@ -11,7 +11,7 @@ from dilkit.autodiff import ContractError, Tensor
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    N_NEGATIVES, CoeffStats, HistorySnapshot, HyperParams, StepBatch,
+    N_NEGATIVES, CoeffStats, HyperParams, StepBatch,
     classification_loss, encoder_aux_loss, erm01, v_01, v_d, v_l, v_p, v_s,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig
@@ -86,7 +86,7 @@ def test_classification_empty_batch():
 def test_distillation_self_is_entropy_floor():
     clf = random_classifier(4, 3, seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4))
-    teacher = clf.copy(frozen=True)
+    teacher = clf.stopped()
     p = teacher.probs(x).data
     entropy = -(p * np.log(p)).sum(axis=1).mean()
     assert distillation_loss(clf, teacher, x).item() == pytest.approx(entropy)
@@ -106,7 +106,7 @@ def test_distillation_onehot_reduces_to_classification():
 
 def test_distillation_matches_numpy_oracle():
     clf = random_classifier(5, 4, seed=4)
-    teacher = random_classifier(5, 4, seed=5).copy(frozen=True)
+    teacher = random_classifier(5, 4, seed=5).stopped()
     x = np.random.default_rng(6).normal(size=(5, 5))
     assert distillation_loss(clf, teacher, x).item() == pytest.approx(
         np_distill(clf, teacher, x))
@@ -150,17 +150,17 @@ def test_erm01_agreement_brute_force():
 def _two_domain_setup(seed=20):
     rng = np.random.default_rng(seed)
     h = random_classifier(3, 2, seed=seed)
-    hist = HistorySnapshot(random_classifier(3, 2, seed=seed + 1).copy(frozen=True))
+    teacher = random_classifier(3, 2, seed=seed + 1).stopped()
     cur = LabeledSet(rng.normal(size=(6, 3)), rng.integers(0, 2, 6), 2)
     past = {1: LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))}
-    return h, hist, cur, past
+    return h, teacher, cur, past
 
 
-def _v_l(h, hist, omega, cur, past):
+def _v_l(h, teacher, omega, cur, past):
     """V_l on the record of `cur` and `past`, from the student's logits and
     the teacher's on its rows."""
     b = StepBatch.stack(cur, past)
-    return v_l(b, omega, h.logits(b.x), hist.classifier.logits(b.x).data)
+    return v_l(b, omega, h.logits(b.x), teacher.logits(b.x).data)
 
 
 def _x_record(cur_x, past_x, t):
@@ -199,39 +199,39 @@ def test_v_l_t1_is_plain_ce():
 
 
 def test_v_l_er_preset_is_replay_ce():
-    h, hist, cur, past = _two_domain_setup()
+    h, teacher, cur, past = _two_domain_setup()
     omega = from_preset("ER", 2).triples()
-    got = _v_l(h, hist, omega, cur, past)
+    got = _v_l(h, teacher, omega, cur, past)
     assert got.item() == pytest.approx(np_ce(h, cur) + np_ce(h, past[1]))
 
 
 def test_v_l_derpp_hand_arithmetic():
-    h, hist, cur, past = _two_domain_setup(seed=21)
+    h, teacher, cur, past = _two_domain_setup(seed=21)
     omega = np.array([[0.5, 0.0, 0.5]])
-    got = _v_l(h, hist, omega, cur, past)
+    got = _v_l(h, teacher, omega, cur, past)
     expect = (np_ce(h, cur) + 0.5 * np_ce(h, past[1])
-              + 0.5 * np_distill(h, hist.classifier, past[1].x))
+              + 0.5 * np_distill(h, teacher, past[1].x))
     assert got.item() == pytest.approx(expect)
 
 
 def test_v_l_lwf_uses_current_distillation():
-    h, hist, cur, past = _two_domain_setup(seed=22)
+    h, teacher, cur, past = _two_domain_setup(seed=22)
     omega = np.array([[0.0, 1.0, 0.0]])
-    got = _v_l(h, hist, omega, cur, past)
-    expect = np_ce(h, cur) + np_distill(h, hist.classifier, cur.x)
+    got = _v_l(h, teacher, omega, cur, past)
+    expect = np_ce(h, cur) + np_distill(h, teacher, cur.x)
     assert got.item() == pytest.approx(expect)
 
 
 def test_v_l_omega_length_contract():
-    h, hist, cur, past = _two_domain_setup()
+    h, teacher, cur, past = _two_domain_setup()
     with pytest.raises(ContractError):
-        _v_l(h, hist, np.zeros((3, 3)), cur, past)
+        _v_l(h, teacher, np.zeros((3, 3)), cur, past)
 
 
 def test_v_l_moves_theta_not_omega():
-    h, hist, cur, past = _two_domain_setup(seed=23)
+    h, teacher, cur, past = _two_domain_setup(seed=23)
     simplex = init_uniform(2)
-    loss = _v_l(h, hist, simplex.triples(), cur, past)
+    loss = _v_l(h, teacher, simplex.triples(), cur, past)
     loss.backward()
     assert simplex.logits.grad is None
     assert any(p.grad is not None and np.any(p.grad != 0) for p in h.params())
@@ -555,9 +555,9 @@ def test_encoder_aux_gradient_reaches_encoder_only():
 @pytest.mark.parametrize("seed", range(5))
 def test_loss_gradients_finite_difference(seed):
     rng = np.random.default_rng(100 + seed)
-    h, hist, cur, past = _two_domain_setup(seed=200 + seed)
+    h, teacher, cur, past = _two_domain_setup(seed=200 + seed)
     omega = np.array([[0.3, 0.3, 0.4]])
-    gradcheck(lambda: _v_l(h, hist, omega, cur, past), h.params(),
+    gradcheck(lambda: _v_l(h, teacher, omega, cur, past), h.params(),
               rng=rng, max_coords=4)
 
     d = Mlp([4, 2], rng=rng)

@@ -3,7 +3,8 @@ name the program no longer defines would make a traced run invalid, and a
 name the step no longer calls would read 0.  This installs perfbench's
 training spans in a fresh process, set up the way perfbench/run.py starts
 its worker, checks that every name resolves, and counts the spans one
-traced UDIL domain records per step.  perfbench/ is only read."""
+traced UDIL domain records per step and per domain.  perfbench/ is only
+read."""
 import importlib.util
 import json
 import os
@@ -55,6 +56,12 @@ PER_STEP = {
     "dilkit.membank.MemoryBank.sample_past": 1,
     "dilkit.trainer.sgd_step": 3,
 }
+# spans per replay domain: trainer.snapshot_ms times the teacher pass at its
+# start and membank.update_ms the memory update at its end; either would
+# read 0 if the call moved out of train_domain or stopped going through the
+# wrapped name
+PER_DOMAIN = {"dilkit.trainer.snapshot_history": 1,
+              "dilkit.membank.MemoryBank.update_after_domain": 1}
 
 
 def _blas_vars() -> tuple[str, ...]:
@@ -82,3 +89,4 @@ def test_perfbench_wrapped_names_exist(tmp_path):
     assert found["domain"] == "dilkit.trainer.train_domain"
     per_step = {name: found["spans"].get(name, 0) / STEPS for name in PER_STEP}
     assert per_step == PER_STEP
+    assert {name: found["spans"].get(name, 0) for name in PER_DOMAIN} == PER_DOMAIN

@@ -5,7 +5,8 @@ divergence estimate; the encoder terms as the step sums them; the
 trainer's draws, gathered from one per-domain layout, against the
 reference's sampled and stacked sets; and the trainer's step, whose phases
 and encoder terms share their passes, against the reference's phase
-order, which shares none of the library's loss terms."""
+order, which shares none of the library's loss terms; and the trainer's
+domain-start teacher pass against the snapshot it replaced."""
 import copy
 
 import numpy as np
@@ -18,12 +19,11 @@ from dilkit.autodiff import ContractError, Tensor, add, mul
 from dilkit.coeffs import init_uniform
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
-from dilkit.losses import (N_NEGATIVES, HistorySnapshot, HyperParams,
-                           StepBatch, encoder_aux_loss, v_d, v_l, v_p)
+from dilkit.losses import (N_NEGATIVES, HyperParams, StepBatch,
+                           encoder_aux_loss, v_d, v_l, v_p)
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
-from dilkit.trainer import (TrainerConfig, TrainState, coeff_stats_for_step,
-                            snapshot_history)
+from dilkit.trainer import TrainerConfig, TrainState, coeff_stats_for_step
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
 KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
@@ -32,7 +32,7 @@ KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
 def _classifier(rng, frozen=False):
     clf = Classifier(Mlp([IN_DIM, 6, EMBED], rng=rng),
                      Mlp([EMBED, N_CLASSES], rng=rng))
-    return clf.copy(frozen=True) if frozen else clf
+    return clf.stopped() if frozen else clf
 
 
 def _batch(rng, n, domain):
@@ -66,11 +66,19 @@ def _state(seed, t, kind):
     disc = Mlp([EMBED, 6, t], rng=rng)
     current = _batch(rng, int(rng.integers(1, 10)), t)
     past = {i: _batch(rng, int(rng.integers(1, 8)), i) for i in range(1, t)}
-    history = HistorySnapshot(teacher, {i: float(rng.random()) for i in past})
+    history = ref.HistorySnapshot(teacher,
+                                  {i: float(rng.random()) for i in past})
     return h, history, disc, _omega(rng, kind, t), current, past
 
 
-def _outputs(h, history, disc, batch):
+def _eps_hist(history):
+    """The snapshot's per-bucket 0-1 errors as coeff_stats_for_step takes
+    them, domain i at index i - 1."""
+    return np.array([history.cached_consts[i]
+                     for i in sorted(history.cached_consts)])
+
+
+def _outputs(h, teacher, disc, batch):
     """The three passes a step hands coeff_stats_for_step, over the
     record's rows: the student's logits, the stopped discriminator's on the
     student's embedding, and the teacher's."""
@@ -78,15 +86,14 @@ def _outputs(h, history, disc, batch):
     embedding = stopped.encoder.logits(batch.x)
     return (stopped.predictor.logits(embedding).data,
             disc.stopped().logits(embedding).data,
-            history.classifier.logits(batch.x).data)
+            teacher.logits(batch.x).data)
 
 
-def _v_l(h, history, omega, current, past):
+def _v_l(h, teacher, omega, current, past):
     """The library's V_l on the record of `current` and `past`, from the
     student's and the teacher's logits on its rows."""
     batch = StepBatch.stack(current, past)
-    return v_l(batch, omega, h.logits(batch.x),
-               history.classifier.logits(batch.x).data)
+    return v_l(batch, omega, h.logits(batch.x), teacher.logits(batch.x).data)
 
 
 def _v_d(disc, encoder, omega, current, past):
@@ -122,7 +129,7 @@ CASES = [(t, kind, seed) for t in (2, 3, 4, 5) for kind in KINDS
 @pytest.mark.parametrize("t,kind,seed", CASES)
 def test_v_l_matches_reference(t, kind, seed):
     h, history, _, omega, current, past = _state(100 * t + seed, t, kind)
-    _assert_same(_v_l(h, history, omega, current, past),
+    _assert_same(_v_l(h, history.classifier, omega, current, past),
                  ref.v_l(h, history, omega, current, past), h.params())
 
 
@@ -152,8 +159,8 @@ def test_v_p_matches_reference(t, seed):
 def test_coeff_stats_match_reference_exactly(t, seed):
     h, history, disc, _, current, past = _state(400 * t + seed, t, "UDIL")
     batch = StepBatch.stack(current, past)
-    got = coeff_stats_for_step(history, batch,
-                               *_outputs(h, history, disc, batch))
+    got = coeff_stats_for_step(_eps_hist(history), batch,
+                               *_outputs(h, history.classifier, disc, batch))
     want = ref.coeff_stats_for_step(h, history, disc, current, past)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -165,7 +172,7 @@ def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
     """No Tensor created inside coeff_stats_for_step requires a gradient."""
     h, history, disc, _, current, past = _state(450 + t, t, "UDIL")
     batch = StepBatch.stack(current, past)
-    outputs = _outputs(h, history, disc, batch)
+    outputs = _outputs(h, history.classifier, disc, batch)
     tracked = []
     init = Tensor.__init__
 
@@ -174,7 +181,7 @@ def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
         init(self, data, requires_grad, _prev)
 
     monkeypatch.setattr(Tensor, "__init__", recording_init)
-    coeff_stats_for_step(history, batch, *outputs)
+    coeff_stats_for_step(_eps_hist(history), batch, *outputs)
     assert tracked and not any(tracked)
 
 
@@ -184,7 +191,7 @@ def test_coeff_stats_runs_each_network_once(monkeypatch, t):
     hands coeff_stats_for_step its outputs on the stacked batch."""
     h, history, disc, _, current, past = _state(700 + t, t, "UDIL")
     batch = StepBatch.stack(current, past)
-    outputs = _outputs(h, history, disc, batch)
+    outputs = _outputs(h, history.classifier, disc, batch)
     calls = []
     logits = Mlp.logits
 
@@ -193,7 +200,7 @@ def test_coeff_stats_runs_each_network_once(monkeypatch, t):
         return logits(self, x)
 
     monkeypatch.setattr(Mlp, "logits", counting_logits)
-    coeff_stats_for_step(history, batch, *outputs)
+    coeff_stats_for_step(_eps_hist(history), batch, *outputs)
     assert calls == []
 
 
@@ -245,7 +252,7 @@ def test_empty_segment_contracts_match_reference(kind, empty):
     current, past = batches[0], {1: batches[1], 2: batches[2]}
     past_x = {i: b.x for i, b in past.items()}
     calls = [
-        (lambda: _v_l(h, history, omega, current, past),
+        (lambda: _v_l(h, history.classifier, omega, current, past),
          lambda: ref.v_l(h, history, omega, current, past)),
         (lambda: _v_d(disc, h.encoder, omega, current, past),
          lambda: ref.v_d(disc, h.encoder, omega, current.x, past_x, 3)),
@@ -258,7 +265,8 @@ def test_empty_segment_contracts_match_reference(kind, empty):
             assert got == pytest.approx(want, abs=1e-10)
     batch = StepBatch.stack(current, past)
     with pytest.raises(ContractError):
-        coeff_stats_for_step(history, batch, *_outputs(h, history, disc, batch))
+        coeff_stats_for_step(_eps_hist(history), batch,
+                             *_outputs(h, history.classifier, disc, batch))
     with pytest.raises(ContractError):
         ref.coeff_stats_for_step(h, history, disc, current, past)
 
@@ -268,11 +276,12 @@ def test_v_l_teacher_arity_contract_kept():
     wide = Classifier(history.classifier.encoder,
                       Mlp([EMBED, N_CLASSES + 1],
                           rng=np.random.default_rng(0)))
-    bad = HistorySnapshot(wide, history.cached_consts)
     omega = np.array([[0.5, 0.0, 0.5]])
-    for fn in (_v_l, ref.v_l):
-        with pytest.raises(ContractError, match="arity"):
-            fn(h, bad, omega, current, past)
+    with pytest.raises(ContractError, match="arity"):
+        _v_l(h, wide, omega, current, past)
+    with pytest.raises(ContractError, match="arity"):
+        ref.v_l(h, ref.HistorySnapshot(wide, history.cached_consts), omega,
+                current, past)
 
 
 # -- precomputed passes ---------------------------------------------------
@@ -303,7 +312,7 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
                          t),
                  disc.params())
     got = coeff_stats_for_step(
-        history, batch, h.logits(x).data,
+        _eps_hist(history), batch, h.logits(x).data,
         disc.logits(h.encoder.logits(x)).data, teacher_logits)
     want = ref.coeff_stats_for_step(h, history, disc, current, past)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
@@ -347,8 +356,9 @@ def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
 # -- one full step -------------------------------------------------------
 
 def _step_state(seed, t, hp, steps=1, **config):
-    """A UDIL state at domain t, with a teacher snapshot of random memory
-    buckets, a discriminator, a random simplex and the domain's data."""
+    """A UDIL state at domain t with random memory buckets, a teacher other
+    than the student, a discriminator, a random simplex and the domain's
+    data."""
     rng = np.random.default_rng(seed)
     bank = MemoryBank(100)
     bank.buckets = {i: _batch(rng, int(rng.integers(4, 15)), i)
@@ -357,13 +367,20 @@ def _step_state(seed, t, hp, steps=1, **config):
     config = TrainerConfig("UDIL", seed, hp=hp, omega_lr=0.7, disc_lr=0.4,
                            sgd=SgdConfig(0.3, steps, int(rng.integers(1, 12))),
                            **config)
-    state = TrainState(_classifier(rng), None, bank, config, 1)
-    state.history, state.t = snapshot_history(state), t
-    state.model = _classifier(rng)
+    teacher = _classifier(rng)
+    state = TrainState(_classifier(rng), bank, config, t)
     disc = Mlp([EMBED, 6, t], rng=rng)
     simplex = init_uniform(t)
     simplex.logits.data[...] = rng.normal(size=(t - 1, 3))
-    return state, disc, simplex, _batch(rng, 30, t)
+    return state, teacher, disc, simplex, _batch(rng, 30, t)
+
+
+def _teach_with(monkeypatch, teacher):
+    """Have the trainer's domain-start pass run `teacher` in place of the
+    model it is given, so that a step's teacher and student differ."""
+    domain_start = trainer.snapshot_history
+    monkeypatch.setattr(trainer, "snapshot_history",
+                        lambda model, layout: domain_start(teacher, layout))
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
@@ -375,21 +392,22 @@ def test_step_draws_match_reference_sampling(monkeypatch, t, split, seed):
     to coeff_stats_for_step), and the steps leave the rng in the
     reference's state.  Bucket 1 holds one row, shorter than any memory
     batch; with `split` the memory batch is divided over t - 1."""
-    state, disc, simplex, domain = _step_state(
+    state, teacher_net, disc, simplex, domain = _step_state(
         1000 * t + seed, t, HyperParams(), steps=3, memory_batch=8,
         split_memory_batch=split)
     bank = state.bank
     bank.buckets[1] = bank.buckets[1].subset(np.arange(1))
-    history = state.history = snapshot_history(state)
+    history = ref.snapshot_history(teacher_net, bank)
     teacher = {**history.logits, t: history.classifier.logits(domain.x).data}
     seen = []
     stats_for_step = trainer.coeff_stats_for_step
 
-    def recording_stats(history, batch, logits, disc_logits, teacher_logits):
+    def recording_stats(eps_hist, batch, logits, disc_logits, teacher_logits):
         seen.append((batch, teacher_logits))
-        return stats_for_step(history, batch, logits, disc_logits,
+        return stats_for_step(eps_hist, batch, logits, disc_logits,
                               teacher_logits)
 
+    _teach_with(monkeypatch, teacher_net)
     monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     trainer._train_domain_replay(state, domain, rng, disc, simplex)
@@ -423,9 +441,10 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
     discriminator and coefficient updates, and the model loss and every
     model gradient within 1e-10."""
     hp = HPS[hp_index]
-    state, disc, simplex, domain = _step_state(900 * t + 10 * hp_index + seed,
-                                               t, hp)
-    model, history, bank = state.model, state.history, state.bank
+    state, teacher, disc, simplex, domain = _step_state(
+        900 * t + 10 * hp_index + seed, t, hp)
+    model, bank = state.model, state.bank
+    history = ref.snapshot_history(teacher, bank)
     ref_model, ref_disc, ref_simplex = copy.deepcopy((model, disc, simplex))
     seen = {"rows": [], "stats": [], "losses": {}, "grads": []}
     draw_rows, sample_past = trainer._draw_rows, bank.sample_past
@@ -448,6 +467,7 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
         seen["grads"].append([p.grad.copy() for p in params])
         sgd_step(params, lr)
 
+    _teach_with(monkeypatch, teacher)
     monkeypatch.setattr(trainer, "_draw_rows", recording_draw_rows)
     monkeypatch.setattr(bank, "sample_past", recording_sample_past)
     monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
@@ -528,3 +548,49 @@ def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
                     for t in range(2, 6)}
         want = {"UDIL": 4, "ER": 2, "LwF": 4}[method]
         assert per_step == {t: (want, 0) for t in range(2, 6)}
+
+
+# -- the teacher pass at domain start ------------------------------------
+
+@pytest.mark.parametrize("method", ["UDIL", "ER"])
+def test_domain_start_pass_matches_end_of_domain_snapshot(monkeypatch,
+                                                          method):
+    """At each replay domain t = 2..5, trainer.snapshot_history runs once,
+    before any step, and gives bitwise what the reference snapshot of the
+    model and memory after domain t - 1 gives: the logits and embedding of
+    the domain's rows and every bucket's, and each bucket's 0-1 error.
+    After the domain has trained the live model, its outputs have not
+    moved.  Domain 1 runs no pass."""
+    stream = gen_hd_balls(seed=3, n_domains=5, n_per_domain=60, dim=4,
+                          sigma=0.4)
+    config = TrainerConfig(method, 1, arch=ArchConfig([8], 4, [], [8]),
+                           sgd=SgdConfig(0.2, 3, 16), memory_capacity=30,
+                           hp=HyperParams(lambda_d=0.1, lambda_p=0.1))
+    state = trainer.initial_state(config, 4, stream.num_classes)
+    domain_start, passes = trainer.snapshot_history, []
+
+    def recording_pass(model, layout):
+        assert model is state.model
+        passes.append((layout, domain_start(model, layout)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(trainer, "snapshot_history", recording_pass)
+    state = trainer.train_domain(state, stream.train(1))
+    assert passes == []
+    for t in range(2, 6):
+        snap = ref.snapshot_history(state.model, state.bank)
+        data = stream.train(t)
+        teacher_emb = snap.classifier.embed(data.x).data
+        ids = sorted(snap.logits)
+        want = (np.concatenate([snap.classifier.predictor.logits(teacher_emb).data]
+                               + [snap.logits[i] for i in ids]),
+                np.concatenate([teacher_emb] + [snap.embeddings[i] for i in ids]),
+                np.array([snap.cached_consts[i] for i in ids]))
+        state = trainer.train_domain(state, data)
+        assert len(passes) == t - 1
+        layout, got = passes[-1]
+        assert layout.ids == tuple(range(1, t)) and layout.t == t
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # the model has trained: the same pass now reads other logits
+        assert not np.array_equal(domain_start(state.model, layout)[0], got[0])

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dilkit import trainer
 from dilkit.autodiff import ContractError, Tensor, add, mul
 from dilkit.coeffs import ConfigError, TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
@@ -14,10 +15,10 @@ from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, SgdConfig, sgd_step
 from dilkit.seeding import substream
 from dilkit.trainer import (
-    TrainerConfig, TrainState, coeff_stats_for_step, descend_v01,
+    TrainerConfig, coeff_stats_for_step, descend_v01,
     initial_state, run_sequence, snapshot_history, train_domain,
 )
-from reference_step import erm01_agreement
+from reference_step import erm01_agreement, frozen_copy
 
 SMALL_ARCH = ArchConfig(encoder_hidden=[8], embed_dim=4,
                         predictor_hidden=[], disc_hidden=[8])
@@ -77,13 +78,23 @@ def test_domain1_equals_plain_sgd():
         np.testing.assert_array_equal(got.data, want.data)
 
 
-def test_model_starts_from_history():
+def test_model_starts_from_history(monkeypatch):
     stream = small_stream()
     state = train_domain(initial_state(small_config("UDIL"), 4, 2),
                          stream.train(1))
-    # before any domain-2 step, the live model IS the frozen teacher
-    x = stream.test(2).x
-    assert erm01_agreement(state.model, state.history.classifier, x) == 0.0
+    before = frozen_copy(state.model)
+    domain_start, passes = trainer.snapshot_history, []
+
+    def recording_pass(model, layout):
+        passes.append((layout, domain_start(model, layout)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(trainer, "snapshot_history", recording_pass)
+    train_domain(state, stream.train(2))
+    # the teacher of domain 2 is the model as domain 1 left it
+    ((layout, (logits, _, _)),) = passes
+    np.testing.assert_array_equal(np.argmax(logits, axis=1),
+                                  before.predict(layout.x))
 
 
 def test_two_domain_toy_udil_retains_finetune_forgets():
@@ -120,7 +131,6 @@ def test_joint_dominates_finetune_final_row():
         own = {row.tobytes() for row in stream.train(t).x}
         assert all(row.tobytes() in own for row in bucket.x)
     assert joint.omega_by_domain == {}
-    assert state.history is not None
 
 
 def test_seeded_repeat_bitwise_identical():
@@ -180,14 +190,28 @@ def test_train_domain_contracts():
         train_domain(state, stream.train(2))
     with pytest.raises(ContractError, match="empty"):
         train_domain(state, LabeledSet(np.zeros((0, 4)), [], 1))
-    with pytest.raises(ContractError):
-        TrainState(model=state.model, history=None, bank=MemoryBank(10),
-                   config=TrainerConfig(method="UDIL", seed=0, arch=SMALL_ARCH,
-                                        sgd=SgdConfig(0.1, 1, 1)),
-                   t=2)
     with pytest.raises(ContractError, match="pooled"):
         train_domain(initial_state(small_config("Joint"), 4, 2),
                      stream.train(1))
+
+
+@pytest.mark.parametrize("method", ["UDIL", "ER", "DER++", "FineTune"])
+def test_train_domain_fails_fast_when_memory_is_too_small(method):
+    """With room for fewer exemplars than domains, train_domain raises at
+    the first such domain, naming it and the capacity, before it trains the
+    model or touches the memory: no bucket is emptied silently."""
+    stream = small_stream()
+    config = dataclasses.replace(small_config(method, steps=3),
+                                 memory_capacity=1)
+    state = train_domain(initial_state(config, 4, 2), stream.train(1))
+    params = [p.data.copy() for p in state.model.params()]
+    buckets = dict(state.bank.buckets)
+    with pytest.raises(ContractError,
+                       match=r"^domain 2 needs memory capacity >= 2, got 1$"):
+        train_domain(state, stream.train(2))
+    assert state.t == 2 and state.bank.buckets == buckets
+    for p, before in zip(state.model.params(), params):
+        np.testing.assert_array_equal(p.data, before)
 
 
 def _post_domain1_state(method="UDIL"):
@@ -199,13 +223,15 @@ def _post_domain1_state(method="UDIL"):
 
 def test_snapshot_deep_copy_and_cache_coherence():
     state, stream = _post_domain1_state()
-    snap = state.history
-    before = snap.classifier.predict(stream.test(1).x).copy()
+    layout = StepBatch.stack(stream.train(2), state.bank.buckets)
+    outputs = snapshot_history(state.model, layout)
+    saved = [a.copy() for a in outputs]
+    eps = [erm01(state.model, b) for _, b in sorted(state.bank.buckets.items())]
     for p in state.model.params():
         p.data += 10.0  # wreck the live model
-    np.testing.assert_array_equal(snap.classifier.predict(stream.test(1).x), before)
-    for i, bucket in state.bank.buckets.items():
-        assert snap.cached_consts[i] == erm01(snap.classifier, bucket)
+    for got, want in zip(outputs, saved):
+        np.testing.assert_array_equal(got, want)
+    assert list(outputs[2]) == eps
 
 
 def test_snapshot_untrained_model_near_chance():
@@ -214,14 +240,10 @@ def test_snapshot_untrained_model_near_chance():
     x = rng.normal(size=(400, 6))
     y = np.array([0, 1] * 200)
     bank.update_after_domain(LabeledSet(x, y, 1), 1, seed=77)
-    state = TrainState(
-        model=SMALL_ARCH.build_classifier(6, 2, substream(77, "init")),
-        history=None, bank=bank,
-        config=TrainerConfig(method="UDIL", seed=77, arch=SMALL_ARCH,
-                             sgd=SgdConfig(0.1, 1, 1)),
-        t=1)
-    snap = snapshot_history(state)
-    assert abs(snap.cached_consts[1] - 0.5) <= 0.1
+    model = SMALL_ARCH.build_classifier(6, 2, substream(77, "init"))
+    layout = StepBatch.stack(LabeledSet(x[:1], y[:1], 2), bank.buckets)
+    _, _, eps_hist = snapshot_history(model, layout)
+    assert abs(eps_hist[0] - 0.5) <= 0.1
 
 
 def test_trained_discriminator_near_chance_on_identical_distributions():
@@ -251,6 +273,8 @@ def test_update_isolation_checksums():
     state, stream = _post_domain1_state()
     t = 2
     model = state.model
+    teacher = frozen_copy(model)  # domain 2's teacher: the model at its start
+    eps_hist = np.array([erm01(teacher, state.bank.buckets[1])])
     disc = SMALL_ARCH.build_discriminator(t, substream(1, "disc", t))
     simplex = init_uniform(t)
     rng = substream(1, "batches", t)
@@ -279,9 +303,9 @@ def test_update_isolation_checksums():
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
     embedding = model.encoder.logits(batch.x)
     stats = coeff_stats_for_step(
-        state.history, batch, model.predictor.logits(embedding).data,
+        eps_hist, batch, model.predictor.logits(embedding).data,
         disc.logits(embedding).data,
-        state.history.classifier.logits(batch.x).data)
+        teacher.logits(batch.x).data)
     loss6 = v_01(simplex, stats, 1.0, len(data), [len(b) for b in past.values()])
     loss6.backward()
     sgd_step([simplex.logits], 0.2)
@@ -291,10 +315,10 @@ def test_update_isolation_checksums():
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
     frozen = simplex.triples()
     loss7 = v_l(batch, frozen, model.logits(batch.x),
-                state.history.classifier.logits(batch.x).data)
+                teacher.logits(batch.x).data)
     embedding = model.encoder.logits(batch.x)
     aux = encoder_aux_loss(embedding, disc.stopped().logits(embedding),
-                           state.history.classifier.embed(batch.x).data,
+                           teacher.embed(batch.x).data,
                            frozen, batch, HyperParams(), rng)
     total = add(loss7, aux)
     total.backward()
