@@ -1,14 +1,14 @@
-"""Replay-coefficient simplex: per past domain a triple (alpha_i, beta_i,
-gamma_i) mixing intra-domain distillation, cross-domain distillation, and
-raw replay ERM.  Adaptive mode parametrizes the triples as a softmax over
-logits; fixed mode pins them to a method preset."""
+"""Replay coefficients: per past domain a triple (alpha_i, beta_i, gamma_i)
+mixing intra-domain distillation, cross-domain distillation, and raw replay
+ERM.  A preset's triples are a fixed [t-1, 3] array; UDIL's are the row-wise
+softmax of a [t-1, 3] logit Tensor it descends."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, softmax
+from .autodiff import ContractError, Tensor
 from .datagen import ConfigError
 
 METHODS = ("UDIL", "LwF", "ER", "DER++", "iCaRL", "CLS-ER", "ESM-ER", "BiC",
@@ -19,33 +19,12 @@ TRIPLE_PRESETS = ("LwF", "ER", "DER++", "iCaRL", "CLS-ER", "ESM-ER", "BiC")
 ESM_ER_RATIO = 1.0 - math.exp(-1.0)  # replay-stream retention rate r
 
 
-class CoeffSimplex:
-    def __init__(self, mode: str, logits: Tensor | None = None,
-                 fixed: np.ndarray | None = None):
-        if mode not in ("adaptive", "fixed"):
-            raise ContractError("mode must be adaptive or fixed")
-        self.mode = mode
-        self.logits = logits
-        self._fixed = fixed
-
-    def materialize(self) -> Tensor:
-        """[n_past, 3] rows (alpha_i, beta_i, gamma_i); in adaptive mode the
-        rows are softmax(logits) and stay attached to the logit graph."""
-        if self.mode == "adaptive":
-            return softmax(self.logits)
-        return Tensor(self._fixed)
-
-    def triples(self) -> np.ndarray:
-        """Plain values, no graph."""
-        return self.materialize().data.copy()
-
-
-def init_uniform(t: int) -> CoeffSimplex:
-    """Adaptive simplex for domain t: all logits zero -> (1/3, 1/3, 1/3)."""
+def init_uniform(t: int) -> Tensor:
+    """UDIL's [t-1, 3] coefficient logits for domain t, all zero: their
+    softmax rows are (1/3, 1/3, 1/3)."""
     if t < 2:
         raise ContractError("adaptive coefficients require t >= 2")
-    logits = Tensor(np.zeros((t - 1, 3)), requires_grad=True)
-    return CoeffSimplex("adaptive", logits=logits)
+    return Tensor(np.zeros((t - 1, 3)), requires_grad=True)
 
 
 def preset_triple(method: str, t: int) -> tuple[float, float, float]:
@@ -79,9 +58,9 @@ def preset_triple(method: str, t: int) -> tuple[float, float, float]:
         f"unknown preset {method!r}; on-simplex presets: {TRIPLE_PRESETS}")
 
 
-def from_preset(method: str, t: int) -> CoeffSimplex:
-    """Fixed simplex for one of the coefficient presets; FineTune zeroes all
-    past-domain weights (off-simplex by definition: no replay at all)."""
+def from_preset(method: str, t: int) -> np.ndarray:
+    """[t-1, 3] fixed triples of one of the coefficient presets; FineTune
+    zeroes all past-domain weights (off-simplex by definition: no replay)."""
     if method not in METHODS:
         raise ConfigError(
             f"unknown method {method!r}; valid methods: {', '.join(METHODS)}",
@@ -93,7 +72,5 @@ def from_preset(method: str, t: int) -> CoeffSimplex:
     if t < 2:
         raise ContractError("presets require t >= 2")
     if method == "FineTune":
-        fixed = np.zeros((t - 1, 3))
-    else:
-        fixed = np.array([preset_triple(method, t)] * (t - 1))
-    return CoeffSimplex("fixed", fixed=fixed)
+        return np.zeros((t - 1, 3))
+    return np.array([preset_triple(method, t)] * (t - 1))

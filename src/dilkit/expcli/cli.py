@@ -48,7 +48,7 @@ def _read_config(path: str) -> tuple[cfg.RunConfig, str]:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     return cfg.parse_config(text), text
 

@@ -223,7 +223,7 @@ def load_results(path: str) -> dict:
             payload = json.load(f)
     except FileNotFoundError:
         raise FormatError(f"{path}: not found") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise FormatError(f"{path}: {err}") from None
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != RESULTS_SCHEMA:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    ContractError, Tensor, _make, add, mul, reshape, rows, rowsum, softmax,
-    softmax_xent, tsum,
+    ContractError, Tensor, _make, _wrap, add, mul, reshape, rows, rowsum,
+    softmax, softmax_xent, tsum,
 )
-from .coeffs import CoeffSimplex
 from .datagen import LabeledSet
 from .models import Classifier, Range, Ranged
 
@@ -156,14 +155,15 @@ def radical_terms(omega: np.ndarray, n_current: int,
     return v, 1.0 / np.concatenate(([n_current], n_memory))
 
 
-def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
+def v_01(omega: Tensor | np.ndarray, stats: CoeffStats, c_gen: float,
          n_current: int, n_memory: np.ndarray) -> Tensor:
-    """Coefficient loss: the 0-1 surrogate bound evaluated at the simplex,
-    differentiable only through the coefficient logits.  With m the [t-1, 3]
-    triples, W = stats.weights() and v, w as radical_terms builds them, it is
-    sum(m * W) + c_gen * sqrt(R), R = sum(w * v**2), as one node on m: its
-    gradient adds W + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i) to row i."""
-    m = simplex.materialize()
+    """Coefficient loss: the 0-1 surrogate bound evaluated at the [t-1, 3]
+    triples `omega`, UDIL's softmax(logits) or a preset's array.  With
+    W = stats.weights() and v, w as radical_terms builds them, it is
+    sum(omega * W) + c_gen * sqrt(R), R = sum(w * v**2), as one node on omega:
+    its gradient adds W + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i) to
+    row i."""
+    m = _wrap(omega)
     n_past = m.data.shape[0]
     if np.shape(n_memory) != (n_past,) or len(stats.eps_replay) != n_past:
         raise ContractError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ContractError, Tensor, add, mul, softmax
-from .coeffs import CoeffSimplex, from_preset, init_uniform
+from .coeffs import from_preset, init_uniform
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
@@ -57,7 +57,7 @@ class TrainState:
 
     Between domains: ``t`` is the next domain to train and ``model`` is
     also the teacher domain t distills from.  The discriminator (arity t)
-    and the coefficient simplex are built when domain t's training starts
+    and UDIL's coefficient logits are built when domain t's training starts
     and dropped when it ends; ``omega_log`` keeps each domain's final
     triples.
     """
@@ -79,12 +79,6 @@ def initial_state(config: TrainerConfig, input_dim: int,
         input_dim, n_classes, substream(config.seed, "init"))
     return TrainState(model=model, bank=MemoryBank(config.memory_capacity),
                       config=config, t=1)
-
-
-def _make_simplex(method: str, t: int) -> CoeffSimplex:
-    if method == ADAPTIVE_METHOD:
-        return init_uniform(t)
-    return from_preset(method, t)
 
 
 def _draw_rows(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,20 +120,19 @@ def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
     return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
 
 
-def descend_v01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
+def descend_v01(coeff_logits: Tensor, stats: CoeffStats, c_gen: float,
                 n_current: int, n_memory: list[int], steps: int,
                 learning_rate: float) -> float:
-    """Run plain gradient descent on the bound surrogate in logit space and
-    return the final value.  For the frozen-instance comparisons against the
-    fixed presets; the training step takes its one `v_01` step inline, so it
-    can check the loss is finite before `backward()`."""
-    if simplex.mode != "adaptive":
-        raise ContractError("only adaptive coefficients can be descended")
+    """Run plain gradient descent on the bound surrogate over the [t-1, 3]
+    `coeff_logits`, in place, and return the final value.  For the
+    frozen-instance comparisons against the fixed presets; the training step
+    takes its one `v_01` step inline, so it can check the loss is finite
+    before `backward()`."""
     value = None
     for _ in range(steps):
-        loss = v_01(simplex, stats, c_gen, n_current, n_memory)
+        loss = v_01(softmax(coeff_logits), stats, c_gen, n_current, n_memory)
         loss.backward()
-        sgd_step([simplex.logits], learning_rate)
+        sgd_step([coeff_logits], learning_rate)
         value = loss.item()
     return value
 
@@ -167,7 +160,7 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
     data; Joint runs plain SGD on `pooled`, the union of domains 1..t,
     which it alone must pass.  Otherwise each step samples one current
     batch plus one batch per memory bucket and applies, in order: the
-    discriminator update, the coefficient update (adaptive mode only), and
+    discriminator update, the coefficient update (UDIL only), and
     the model update.  Every method fills memory bucket t from
     `domain_data`.
     """
@@ -185,21 +178,18 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
                             f"got {state.bank.capacity}")
     rng = substream(config.seed, "batches", t)
 
-    simplex = None
     if pooled is not None:
         _erm_steps(state.model, pooled, config.sgd, rng, config.method, t)
     elif t == 1 or config.method == "FineTune":
         if t >= 2:
-            simplex = _make_simplex(config.method, t)  # zeros, for the log
+            state.omega_log[t] = from_preset(config.method, t)  # zeros
         _erm_steps(state.model, domain_data, config.sgd, rng, config.method, t)
     else:
-        simplex = _make_simplex(config.method, t)
+        coeff_logits = init_uniform(t) if config.method == ADAPTIVE_METHOD else None
         disc = config.arch.build_discriminator(
             t, substream(config.seed, "disc", t))
-        _train_domain_replay(state, domain_data, rng, disc, simplex)
-
-    if simplex is not None:
-        state.omega_log[t] = simplex.triples()
+        state.omega_log[t] = _train_domain_replay(
+            state, domain_data, rng, disc, coeff_logits)
 
     state.bank.update_after_domain(domain_data, t, config.seed)
     state.t = t + 1
@@ -208,15 +198,19 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
 
 def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator, disc: Mlp,
-                         simplex: CoeffSimplex) -> None:
+                         coeff_logits: Tensor | None) -> np.ndarray:
     """[domain_data; bucket 1; ...; bucket t-1] is laid out once, with the
     teacher's logits and embedding on it from the model before its first
     step; each step gathers its record (a current batch, then a memory batch
     per bucket) by drawn row index, and each network runs once on it for
-    every loss term."""
+    every loss term.  The triples are the method's preset, or with UDIL's
+    [t-1, 3] `coeff_logits` their softmax, descended once per step; returns
+    the domain's final triples."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
-    adaptive = simplex.mode == "adaptive"
+    adaptive = coeff_logits is not None
+    omega = (softmax(coeff_logits).data if adaptive
+             else from_preset(config.method, t))
     omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
     disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
     mem_batch = config.memory_batch if config.memory_batch is not None else sgd.batch_size
@@ -224,7 +218,7 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         mem_batch = max(1, mem_batch // (t - 1))
     # a fixed preset with no cross-domain mass never trains the discriminator
     disc_on = hp.lambda_d > 0 and (
-        adaptive or float(simplex.triples()[:, 1].sum()) > 0.0)
+        adaptive or float(omega[:, 1].sum()) > 0.0)
     layout = StepBatch.stack(domain_data, state.bank.buckets)
     n_memory = np.diff(layout.bounds)[1:]
     teacher, teacher_emb, eps_hist = snapshot_history(model, layout)
@@ -241,7 +235,7 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         logits = model.predictor.logits(embedding)
 
         if disc_on:
-            disc_loss = mul(v_d(batch, simplex.triples(), disc.logits(embedding.data)),
+            disc_loss = mul(v_d(batch, omega, disc.logits(embedding.data)),
                             hp.lambda_d)
             _check_finite(disc_loss, "discriminator", config.method, t, step)
             # with no beta mass left the loss is a constant: nothing to train
@@ -253,19 +247,21 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         if adaptive:
             stats = coeff_stats_for_step(eps_hist, batch, logits.data,
                                          disc_logits.data, teacher_logits)
-            loss = v_01(simplex, stats, hp.c_gen, len(domain_data), n_memory)
+            loss = v_01(softmax(coeff_logits), stats, hp.c_gen,
+                        len(domain_data), n_memory)
             _check_finite(loss, "coefficient", config.method, t, step)
             loss.backward()
-            sgd_step([simplex.logits], omega_lr)
+            sgd_step([coeff_logits], omega_lr)
+            omega = softmax(coeff_logits).data
 
-        omega_frozen = simplex.triples()
-        objective = v_l(batch, omega_frozen, logits, teacher_logits)
+        objective = v_l(batch, omega, logits, teacher_logits)
         aux = encoder_aux_loss(embedding, disc_logits, teacher_embedding,
-                               omega_frozen, batch, hp, rng)
+                               omega, batch, hp, rng)
         objective = add(objective, aux)
         _check_finite(objective, "model", config.method, t, step)
         objective.backward()
         sgd_step(model.params(), sgd.learning_rate)
+    return omega
 
 
 def _pooled_through(stream: DomainStream, t: int) -> LabeledSet:
@@ -307,8 +303,8 @@ def check_sequence(config: TrainerConfig, n_domains: int) -> None:
         raise ConfigError(f"memory_capacity must be >= n_domains = {n_domains}"
                           f", got {config.memory_capacity}", field="memory_capacity")
     for t in range(2, n_domains + 1):  # the coefficients train_domain builds
-        if config.method != ORACLE_METHOD:
-            _make_simplex(config.method, t)
+        if config.method not in (ADAPTIVE_METHOD, ORACLE_METHOD):
+            from_preset(config.method, t)
 
 
 def run_sequence(stream: DomainStream, config: TrainerConfig) -> SequenceResult:

@@ -199,13 +199,13 @@ def sqrt(a: Tensor) -> Tensor:
     return out
 
 
-def v_01_selection(simplex, stats, c_gen: float, n_current: int,
+def v_01_selection(omega, stats, c_gen: float, n_current: int,
                    n_memory) -> Tensor:
     """sum(m * stats.weights()) + c_gen * sqrt(sum(w * v**2)) over the
-    simplex's [t-1, 3] triples m, with v = flat(m) @ select + offset, the
+    [t-1, 3] triples m = omega, with v = flat(m) @ select + offset, the
     selection matrix picking (1 + sum beta, alpha_i + gamma_i)."""
     n_memory = np.asarray(n_memory, dtype=np.float64)
-    m = simplex.materialize()
+    m = _wrap(omega)
     n_past = m.data.shape[0]
     if n_memory.shape != (n_past,) or len(stats.eps_replay) != n_past:
         raise ContractError("v_01: past-domain counts disagree")

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dilkit.autodiff import (
-    ContractError, Tensor, add, mul, reshape, rows, rowsum, softmax,
+    ContractError, Tensor, _wrap, add, mul, reshape, rows, rowsum, softmax,
     softmax_xent, tsum,
 )
-from dilkit.coeffs import CoeffSimplex
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
     N_NEGATIVES, CoeffStats, HyperParams, StepBatch,
@@ -219,14 +218,14 @@ def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
     return CoeffStats(eps_replay, eps_intra, eps_cross, dhat, eps_hist)
 
 
-def v_01(simplex: CoeffSimplex, stats: CoeffStats, c_gen: float,
+def v_01(omega: Tensor | np.ndarray, stats: CoeffStats, c_gen: float,
          n_current: int, n_memory: np.ndarray) -> Tensor:
-    """Coefficient loss: the 0-1 surrogate bound evaluated at the simplex,
-    differentiable only through the coefficient logits."""
+    """Coefficient loss: the 0-1 surrogate bound evaluated at the [t-1, 3]
+    triples `omega`, differentiable through them when they are a Tensor."""
     n_memory = np.asarray(n_memory, dtype=np.float64)
     if n_current <= 0 or np.any(n_memory <= 0):
         raise ContractError("v_01 requires positive sample counts")
-    m = simplex.materialize()
+    m = _wrap(omega)
     alpha, beta, gamma = column(m, 0), column(m, 1), column(m, 2)
     loss = tsum(mul(gamma, stats.eps_replay))
     loss = add(loss, tsum(mul(alpha, stats.eps_intra)))
@@ -319,7 +318,7 @@ def sample_step(domain_data: LabeledSet, bank: MemoryBank,
 
 
 def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
-                simplex: CoeffSimplex, current: LabeledSet,
+                coeff_logits: Tensor, current: LabeledSet,
                 past: dict[int, LabeledSet], t: int, hp: HyperParams,
                 n_current: int, n_memory: list[int],
                 rng: np.random.Generator, disc_lr: float, omega_lr: float):
@@ -333,16 +332,17 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
     lambda_p * V_p and lambda_s * V_s, each running its own encoder passes.
     Returns (stats, objective); the objective is not yet backpropagated."""
     past_x = {i: b.x for i, b in past.items()}
-    disc_loss = mul(v_d(disc, model.stopped().encoder, simplex.triples(),
-                        current.x, past_x, t), hp.lambda_d)
+    disc_loss = mul(v_d(disc, model.stopped().encoder,
+                        softmax(coeff_logits).data, current.x, past_x, t),
+                    hp.lambda_d)
     if disc_loss.requires_grad:
         disc_loss.backward()
         sgd_step(disc.params(), disc_lr)
     stats = coeff_stats_for_step(model, history, disc, current, past)
-    loss01 = v_01(simplex, stats, hp.c_gen, n_current, n_memory)
+    loss01 = v_01(softmax(coeff_logits), stats, hp.c_gen, n_current, n_memory)
     loss01.backward()
-    sgd_step([simplex.logits], omega_lr)
-    omega = simplex.triples()
+    sgd_step([coeff_logits], omega_lr)
+    omega = softmax(coeff_logits).data
     objective = v_l(model, history, omega, current, past)
     if hp.lambda_d > 0:
         vd = v_d(disc.stopped(), model.encoder, omega, current.x, past_x, t)

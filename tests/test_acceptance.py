@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import dilkit
-from dilkit.autodiff import Tensor
+from dilkit.autodiff import Tensor, softmax
 from dilkit.bounds import (check_cross_bound, check_intra_bound,
                            check_unified_bound, random_instance,
                            tightest_bound_grid)
@@ -120,7 +120,7 @@ def test_criterion_03_preset_goldens_exact():
     }
     bad = []
     for (method, t), triple in expected.items():
-        got = from_preset(method, t).triples()
+        got = from_preset(method, t)
         if not np.array_equal(got, np.array([triple] * (t - 1))):
             bad.append(f"{method}@t={t}: {got[0]}")
     rejected = False
@@ -160,8 +160,8 @@ def test_criterion_04_gradient_suite_100_trials_each():
         stats = CoeffStats(rng.random(2) * 0.5, rng.random(2) * 0.5,
                            float(rng.random() * 0.5), rng.random(2) * 1.5,
                            rng.random(2) * 0.3)
-        simplex = init_uniform(3)
-        simplex.logits.data[...] = rng.normal(size=(2, 3))
+        coeff_logits = init_uniform(3)
+        coeff_logits.data[...] = rng.normal(size=(2, 3))
         trial_seed = 4000 + trial
         # the record of the trial's batches, cur as domain 2's
         batch = StepBatch.stack(LabeledSet(cur.x, cur.y, 2), past)
@@ -169,8 +169,9 @@ def test_criterion_04_gradient_suite_100_trials_each():
             "v_l": (lambda: v_l(batch, omega, h.logits(batch.x),
                                 teacher.logits(batch.x).data),
                     h.params()),
-            "v_01": (lambda: v_01(simplex, stats, 1.3, 60, [8, 6]),
-                     [simplex.logits]),
+            "v_01": (lambda: v_01(softmax(coeff_logits), stats, 1.3, 60,
+                                  [8, 6]),
+                     [coeff_logits]),
             "v_d": (lambda: v_d(batch, omega, d.logits(enc.logits(batch.x))),
                     enc.params() + d.params()),
             "v_p": (lambda: v_p(batch, enc.logits(batch.x),

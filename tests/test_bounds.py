@@ -14,7 +14,7 @@ from dilkit.bounds import (
     deterministic_bound, radical_argument, random_instance,
     tightest_bound_grid, total_risk,
 )
-from dilkit.coeffs import TRIPLE_PRESETS, CoeffSimplex, preset_triple
+from dilkit.coeffs import TRIPLE_PRESETS, preset_triple
 from dilkit.divergence import (
     FiniteHypothesisClass, _pairwise_disagreement, hdh_exact,
 )
@@ -436,8 +436,8 @@ def test_deterministic_bound_is_v_01_at_zero_c_gen(seed):
         n_cur, n_mem = sample_sizes(inst)
         for om in (inst.omega, rng.dirichlet((1.0, 1.0, 1.0), size=t - 1),
                    rng.dirichlet((0.2, 0.2, 0.2), size=t - 1)):
-            surrogate = v_01(CoeffSimplex("fixed", fixed=om),
-                             inst.coeff_stats, 0.0, n_cur, n_mem).item()
+            surrogate = v_01(om, inst.coeff_stats, 0.0, n_cur,
+                             n_mem).item()
             assert deterministic_bound(inst, om) == (
                 inst.risks[inst.h_idx, -1] + surrogate)
 
@@ -449,11 +449,10 @@ def test_v_01_radical_is_radical_argument(seed):
         t = inst.n_domains
         n_cur, n_mem = sample_sizes(inst)
         om = rng.dirichlet((1.0, 1.0, 1.0), size=t - 1)
-        simplex = CoeffSimplex("fixed", fixed=om)
-        base = v_01(simplex, inst.coeff_stats, 0.0, n_cur, n_mem).item()
+        base = v_01(om, inst.coeff_stats, 0.0, n_cur, n_mem).item()
         rad = math.sqrt(radical_argument(om, n_cur, n_mem))
         for c in (0.3, 1.0, 2.5):
-            got = v_01(simplex, inst.coeff_stats, c, n_cur, n_mem).item()
+            got = v_01(om, inst.coeff_stats, c, n_cur, n_mem).item()
             assert abs(got - (base + c * rad)) <= 1e-12 * abs(got)
 
 

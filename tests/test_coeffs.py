@@ -5,42 +5,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilkit.autodiff import ContractError, Tensor, add, tsum, mul
+from dilkit.autodiff import ContractError, Tensor, add, softmax, tsum, mul
 from dilkit.coeffs import (
-    CoeffSimplex, ESM_ER_RATIO, METHODS, TRIPLE_PRESETS, from_preset,
-    init_uniform, preset_triple,
+    ESM_ER_RATIO, METHODS, TRIPLE_PRESETS, from_preset, init_uniform,
+    preset_triple,
 )
 from dilkit.datagen import ConfigError
 from dilkit.models import sgd_step
 
 
 def test_init_uniform_triples():
-    s = init_uniform(3)
-    tr = s.triples()
+    logits = init_uniform(3)
+    assert logits.requires_grad
+    tr = softmax(logits).data
     assert tr.shape == (2, 3)
     assert np.allclose(tr, 1.0 / 3.0)
+    with pytest.raises(ContractError, match="t >= 2"):
+        init_uniform(1)
 
 
 def test_softmax_logit_arithmetic():
-    s = init_uniform(2)
-    s.logits.data[0] = [math.log(2.0), 0.0, 0.0]
-    assert np.allclose(s.triples()[0], [0.5, 0.25, 0.25])
+    logits = init_uniform(2)
+    logits.data[0] = [math.log(2.0), 0.0, 0.0]
+    assert np.allclose(softmax(logits).data[0], [0.5, 0.25, 0.25])
 
 
 def test_logit_shift_invariance():
-    s = init_uniform(2)
-    s.logits.data[0] = [0.3, -1.2, 2.0]
-    before = s.triples()
-    s.logits.data[0] += 17.5
-    assert np.allclose(s.triples(), before, atol=1e-12)
+    logits = init_uniform(2)
+    logits.data[0] = [0.3, -1.2, 2.0]
+    before = softmax(logits).data
+    logits.data[0] += 17.5
+    assert np.allclose(softmax(logits).data, before, atol=1e-12)
 
 
 def test_simplex_gradient_of_sum_is_zero():
-    s = init_uniform(2)
-    s.logits.data[0] = [0.7, -0.4, 0.1]
-    loss = tsum(s.materialize())
+    logits = init_uniform(2)
+    logits.data[0] = [0.7, -0.4, 0.1]
+    loss = tsum(softmax(logits))
     loss.backward()
-    assert np.allclose(s.logits.grad, 0.0, atol=1e-15)
+    assert np.allclose(logits.grad, 0.0, atol=1e-15)
 
 
 def test_preset_golden_values_exact():
@@ -95,10 +98,10 @@ def test_presets_lie_on_simplex():
 
 def test_from_preset_builds_fixed_rows():
     s = from_preset("DER++", 4)
-    assert s.mode == "fixed"
-    assert np.allclose(s.triples(), [[0.5, 0.0, 0.5]] * 3)
+    assert isinstance(s, np.ndarray) and s.dtype == np.float64
+    assert np.allclose(s, [[0.5, 0.0, 0.5]] * 3)
     ft = from_preset("FineTune", 3)
-    assert np.allclose(ft.triples(), 0.0)
+    assert np.allclose(ft, 0.0)
 
 
 def test_from_preset_rejections():
@@ -110,25 +113,18 @@ def test_from_preset_rejections():
         from_preset("Joint", 3)
 
 
-def test_fixed_mode_materialize_has_no_graph():
-    s = from_preset("ER", 3)
-    m = s.materialize()
-    assert not m.requires_grad
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6), st.integers(20, 100))
 def test_simplex_closure_under_sgd(seed, t, n_steps):
     rng = np.random.default_rng(seed)
-    s = init_uniform(t)
+    logits = init_uniform(t)
     target = Tensor(rng.random((t - 1, 3)))
     for _ in range(n_steps):
-        m = s.materialize()
-        diff = add(m, mul(target, -1.0))
+        diff = add(softmax(logits), mul(target, -1.0))
         loss = tsum(mul(diff, diff))
         loss.backward()
-        sgd_step([s.logits], 0.5)
-    tr = s.triples()
+        sgd_step([logits], 0.5)
+    tr = softmax(logits).data
     assert np.all(tr >= 0) and np.all(tr <= 1)
     assert np.allclose(tr.sum(axis=1), 1.0, atol=1e-9)
 

@@ -361,6 +361,16 @@ def test_cli_missing_config_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "verify-bounds", "gen-data"])
+def test_cli_non_utf8_config_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: cannot read config {path}: ")
+
+
 def test_cli_mnist_without_dir_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("DILKIT_MNIST_DIR", raising=False)
     bad = write_cfg(tmp_path, "dataset = r-mnist\nmethod = ER\nseeds = 0\n")
@@ -558,6 +568,12 @@ def test_cli_metrics_missing_field_is_format_error(tmp_path, capsys, payload,
     path = tmp_path / "results.json"
     path.write_text(json.dumps(payload))
     assert fragment in _metrics_error(path, capsys)
+
+
+def test_cli_metrics_non_utf8_results_is_format_error(tmp_path, capsys):
+    path = tmp_path / "results.json"
+    path.write_bytes(b'{"schema": "\xff\xfe"}')
+    assert "can't decode byte 0xff" in _metrics_error(path, capsys)
 
 
 def test_cli_metrics_accuracy_out_of_range_is_format_error(tmp_path, capsys):

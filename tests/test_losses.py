@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_ops
 import reference_step
-from dilkit.autodiff import ContractError, Tensor
+from dilkit.autodiff import ContractError, Tensor, softmax
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
@@ -200,7 +200,7 @@ def test_v_l_t1_is_plain_ce():
 
 def test_v_l_er_preset_is_replay_ce():
     h, teacher, cur, past = _two_domain_setup()
-    omega = from_preset("ER", 2).triples()
+    omega = from_preset("ER", 2)
     got = _v_l(h, teacher, omega, cur, past)
     assert got.item() == pytest.approx(np_ce(h, cur) + np_ce(h, past[1]))
 
@@ -230,10 +230,10 @@ def test_v_l_omega_length_contract():
 
 def test_v_l_moves_theta_not_omega():
     h, teacher, cur, past = _two_domain_setup(seed=23)
-    simplex = init_uniform(2)
-    loss = _v_l(h, teacher, simplex.triples(), cur, past)
+    logits = init_uniform(2)
+    loss = _v_l(h, teacher, softmax(logits).data, cur, past)
     loss.backward()
-    assert simplex.logits.grad is None
+    assert logits.grad is None
     assert any(p.grad is not None and np.any(p.grad != 0) for p in h.params())
 
 
@@ -256,48 +256,49 @@ def test_v_01_generalization_term_substitution():
 
 
 def test_v_01_zero_stats_zero_c():
-    simplex = init_uniform(4)
-    simplex.logits.data[...] = np.random.default_rng(0).normal(size=(3, 3))
-    got = v_01(simplex, _stats(3, zero=True), 0.0, 50, [5, 5, 5])
+    logits = init_uniform(4)
+    logits.data[...] = np.random.default_rng(0).normal(size=(3, 3))
+    got = v_01(softmax(logits), _stats(3, zero=True), 0.0, 50, [5, 5, 5])
     assert got.item() == 0.0
 
 
 def test_v_01_numpy_oracle_and_monotone_beta_slope():
     rng = np.random.default_rng(30)
     stats = _stats(2, rng)
-    simplex = init_uniform(3)
-    simplex.logits.data[...] = rng.normal(size=(2, 3))
-    tr = simplex.triples()
+    logits = init_uniform(3)
+    logits.data[...] = rng.normal(size=(2, 3))
+    tr = softmax(logits).data
     a, b, g = tr[:, 0], tr[:, 1], tr[:, 2]
     expect = (np.sum(g * stats.eps_replay) + np.sum(a * stats.eps_intra)
               + b.sum() * stats.eps_cross + 0.5 * np.sum(b * stats.dhat)
               + np.sum((a + b) * stats.eps_hist)
               + 2.0 * math.sqrt((1 + b.sum()) ** 2 / 40
                                 + np.sum((g + a) ** 2 / np.array([7.0, 9.0]))))
-    got = v_01(simplex, stats, 2.0, 40, [7, 9])
+    got = v_01(softmax(logits), stats, 2.0, 40, [7, 9])
     assert got.item() == pytest.approx(expect)
 
 
 def test_v_01_gradient_fd():
     rng = np.random.default_rng(31)
     stats = _stats(3, rng)
-    simplex = init_uniform(4)
-    simplex.logits.data[...] = rng.normal(size=(3, 3))
-    gradcheck(lambda: v_01(simplex, stats, 1.3, 60, [8, 6, 9]),
-              [simplex.logits], rng=rng)
+    logits = init_uniform(4)
+    logits.data[...] = rng.normal(size=(3, 3))
+    gradcheck(lambda: v_01(softmax(logits), stats, 1.3, 60, [8, 6, 9]),
+              [logits], rng=rng)
 
 
 def test_v_01_contract_positive_counts():
     with pytest.raises(ContractError):
-        v_01(init_uniform(2), _stats(1, zero=True), 1.0, 0, [5])
+        v_01(softmax(init_uniform(2)), _stats(1, zero=True), 1.0, 0, [5])
 
 
 def test_v_01_contract_past_domain_counts_agree():
     rng = np.random.default_rng(32)
     with pytest.raises(ContractError, match="simplex has 4 .* stats 4 and n_memory 1"):
-        v_01(init_uniform(5), _stats(4, rng), 1.0, 50, [10])
+        v_01(softmax(init_uniform(5)), _stats(4, rng), 1.0, 50, [10])
     with pytest.raises(ContractError, match="simplex has 4 .* stats 3 and n_memory 4"):
-        v_01(init_uniform(5), _stats(3, rng), 1.0, 50, [10, 10, 10, 10])
+        v_01(softmax(init_uniform(5)), _stats(3, rng), 1.0, 50,
+             [10, 10, 10, 10])
     with pytest.raises(ContractError, match="simplex has 1 .* stats 2 and n_memory 2"):
         v_01(from_preset("ER", 2), _stats(2, rng), 1.0, 50, [10, 10])
 
@@ -322,14 +323,15 @@ def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
         runs = []
         for build in (v_01, reference_step.v_01, reference_ops.v_01_selection):
             if method == "UDIL":
-                simplex = init_uniform(t)
-                simplex.logits.data[...] = logits
+                coeff_logits = init_uniform(t)
+                coeff_logits.data[...] = logits
+                omega = softmax(coeff_logits)
             else:
-                simplex = from_preset(method, t)
-            loss = build(simplex, stats, c_gen, n_current, n_memory)
+                coeff_logits, omega = None, from_preset(method, t)
+            loss = build(omega, stats, c_gen, n_current, n_memory)
             if loss.requires_grad:
                 loss.backward()
-            runs.append((loss.item(), simplex.logits))
+            runs.append((loss.item(), coeff_logits))
         (value, logits_t), (ref_value, ref_logits_t), sel = runs
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
         assert abs(value - sel[0]) <= 1e-15 * abs(sel[0])
@@ -341,14 +343,14 @@ def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
 
 
 def test_v_01_is_one_node_on_the_softmax():
-    """An adaptive V_01 builds at most two Tensors: the simplex's softmax and
+    """An adaptive V_01 builds at most two Tensors: the logits' softmax and
     the loss node on it, whose only input is that softmax."""
-    simplex, stats = init_uniform(4), _stats(3, np.random.default_rng(33))
+    logits, stats = init_uniform(4), _stats(3, np.random.default_rng(33))
     first = Tensor(0.0)._seq
-    loss = v_01(simplex, stats, 1.3, 60, [8, 6, 9])
+    loss = v_01(softmax(logits), stats, 1.3, 60, [8, 6, 9])
     assert Tensor(0.0)._seq - first - 1 <= 2
     (m,) = loss._prev
-    assert m._prev == (simplex.logits,)
+    assert m._prev == (logits,)
 
 
 def test_v_d_zero_betas():

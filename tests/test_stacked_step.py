@@ -357,8 +357,8 @@ def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
 
 def _step_state(seed, t, hp, steps=1, **config):
     """A UDIL state at domain t with random memory buckets, a teacher other
-    than the student, a discriminator, a random simplex and the domain's
-    data."""
+    than the student, a discriminator, random coefficient logits and the
+    domain's data."""
     rng = np.random.default_rng(seed)
     bank = MemoryBank(100)
     bank.buckets = {i: _batch(rng, int(rng.integers(4, 15)), i)
@@ -370,9 +370,9 @@ def _step_state(seed, t, hp, steps=1, **config):
     teacher = _classifier(rng)
     state = TrainState(_classifier(rng), bank, config, t)
     disc = Mlp([EMBED, 6, t], rng=rng)
-    simplex = init_uniform(t)
-    simplex.logits.data[...] = rng.normal(size=(t - 1, 3))
-    return state, teacher, disc, simplex, _batch(rng, 30, t)
+    coeff_logits = init_uniform(t)
+    coeff_logits.data[...] = rng.normal(size=(t - 1, 3))
+    return state, teacher, disc, coeff_logits, _batch(rng, 30, t)
 
 
 def _teach_with(monkeypatch, teacher):
@@ -392,7 +392,7 @@ def test_step_draws_match_reference_sampling(monkeypatch, t, split, seed):
     to coeff_stats_for_step), and the steps leave the rng in the
     reference's state.  Bucket 1 holds one row, shorter than any memory
     batch; with `split` the memory batch is divided over t - 1."""
-    state, teacher_net, disc, simplex, domain = _step_state(
+    state, teacher_net, disc, coeff_logits, domain = _step_state(
         1000 * t + seed, t, HyperParams(), steps=3, memory_batch=8,
         split_memory_batch=split)
     bank = state.bank
@@ -410,7 +410,7 @@ def test_step_draws_match_reference_sampling(monkeypatch, t, split, seed):
     _teach_with(monkeypatch, teacher_net)
     monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    trainer._train_domain_replay(state, domain, rng, disc, simplex)
+    trainer._train_domain_replay(state, domain, rng, disc, coeff_logits)
     assert len(seen) == 3
     for batch, teacher_logits in seen:
         _, _, x, y, bounds, ref_teacher = ref.sample_step(
@@ -441,11 +441,11 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
     discriminator and coefficient updates, and the model loss and every
     model gradient within 1e-10."""
     hp = HPS[hp_index]
-    state, teacher, disc, simplex, domain = _step_state(
+    state, teacher, disc, coeff_logits, domain = _step_state(
         900 * t + 10 * hp_index + seed, t, hp)
     model, bank = state.model, state.bank
     history = ref.snapshot_history(teacher, bank)
-    ref_model, ref_disc, ref_simplex = copy.deepcopy((model, disc, simplex))
+    ref_model, ref_disc, ref_logits = copy.deepcopy((model, disc, coeff_logits))
     seen = {"rows": [], "stats": [], "losses": {}, "grads": []}
     draw_rows, sample_past = trainer._draw_rows, bank.sample_past
     stats_for_step = trainer.coeff_stats_for_step
@@ -475,21 +475,21 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
                         seen["losses"].update({name: loss.item()}))
     monkeypatch.setattr(trainer, "sgd_step", recording_sgd_step)
     trainer._train_domain_replay(state, domain, np.random.default_rng(seed),
-                                 disc, simplex)
+                                 disc, coeff_logits)
 
     current_rows, past_rows = seen["rows"]
     current = domain.subset(current_rows)
     past = {i: bank.buckets[i].subset(rows) for i, rows in past_rows.items()}
     n_memory = [len(bank.buckets[i]) for i in sorted(bank.buckets)]
     ref_stats, ref_objective = ref.replay_step(
-        ref_model, history, ref_disc, ref_simplex, current, past, t, hp,
+        ref_model, history, ref_disc, ref_logits, current, past, t, hp,
         len(domain), n_memory, seen["rng"], 0.4, 0.7)
     (stats,) = seen["stats"]
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
         np.testing.assert_array_equal(getattr(stats, name),
                                       getattr(ref_stats, name))
     assert stats.eps_cross == ref_stats.eps_cross
-    np.testing.assert_allclose(simplex.logits.data, ref_simplex.logits.data,
+    np.testing.assert_allclose(coeff_logits.data, ref_logits.data,
                                rtol=0, atol=1e-10)
     for p, r in zip(disc.params(), ref_disc.params()):
         np.testing.assert_allclose(p.data, r.data, rtol=0, atol=1e-10)

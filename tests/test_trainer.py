@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dilkit import trainer
-from dilkit.autodiff import ContractError, Tensor, add, mul
+from dilkit.autodiff import ContractError, Tensor, add, mul, softmax
 from dilkit.coeffs import ConfigError, TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
 from dilkit.losses import (
@@ -61,7 +61,7 @@ def test_domain1_equals_plain_sgd():
     cfg = small_config("UDIL")
     state = train_domain(initial_state(cfg, 4, 2), stream.train(1))
     assert state.t == 2 and state.omega_log == {}
-    # the discriminator and the simplex live only inside one train_domain call
+    # the discriminator and the coefficients live only inside one train_domain call
     assert {"disc", "omega"}.isdisjoint(
         f.name for f in dataclasses.fields(state))
 
@@ -148,14 +148,14 @@ def test_seeded_repeat_bitwise_identical():
                 == [p.data.tobytes() for p in b.final_state.model.params()])
 
 
-def test_preset_run_records_fixed_triples():
-    stream = small_stream()
-    res = run_sequence(stream, small_config("DER++"))
+@pytest.mark.parametrize("method", ["LwF", "ER", "DER++", "iCaRL", "CLS-ER",
+                                    "BiC", "FineTune"])
+def test_preset_run_records_fixed_triples(method):
+    res = run_sequence(small_stream(), small_config(method))
+    assert sorted(res.omega_by_domain) == [2, 3]
     for t in (2, 3):
-        np.testing.assert_allclose(np.array(res.omega_by_domain[t]),
-                                   from_preset("DER++", t).triples(), atol=0)
-    ft = run_sequence(stream, small_config("FineTune"))
-    assert np.all(np.array(ft.omega_by_domain[3]) == 0.0)
+        np.testing.assert_array_equal(np.array(res.omega_by_domain[t]),
+                                      from_preset(method, t))
 
 
 def test_omega_rows_stay_on_simplex():
@@ -276,7 +276,7 @@ def test_update_isolation_checksums():
     teacher = frozen_copy(model)  # domain 2's teacher: the model at its start
     eps_hist = np.array([erm01(teacher, state.bank.buckets[1])])
     disc = SMALL_ARCH.build_discriminator(t, substream(1, "disc", t))
-    simplex = init_uniform(t)
+    coeff_logits = init_uniform(t)
     rng = substream(1, "batches", t)
     data = stream.train(2)
     idx = np.sort(rng.choice(len(data), size=16, replace=False))
@@ -292,28 +292,29 @@ def test_update_isolation_checksums():
         return all(np.array_equal(p.data, b)
                    for p, b in zip(params, before))
 
-    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
-    loss5 = mul(v_d(batch, simplex.triples(),
+    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
+    loss5 = mul(v_d(batch, softmax(coeff_logits).data,
                     disc.logits(model.stopped().encoder.logits(batch.x))), 1.0)
     loss5.backward()
     sgd_step(disc.params(), 0.2)
-    assert unchanged(model.params(), m0) and unchanged([simplex.logits], o0)
+    assert unchanged(model.params(), m0) and unchanged([coeff_logits], o0)
     assert not unchanged(disc.params(), d0)
 
-    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
+    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
     embedding = model.encoder.logits(batch.x)
     stats = coeff_stats_for_step(
         eps_hist, batch, model.predictor.logits(embedding).data,
         disc.logits(embedding).data,
         teacher.logits(batch.x).data)
-    loss6 = v_01(simplex, stats, 1.0, len(data), [len(b) for b in past.values()])
+    loss6 = v_01(softmax(coeff_logits), stats, 1.0, len(data),
+                 [len(b) for b in past.values()])
     loss6.backward()
-    sgd_step([simplex.logits], 0.2)
+    sgd_step([coeff_logits], 0.2)
     assert unchanged(model.params(), m0) and unchanged(disc.params(), d0)
-    assert not unchanged([simplex.logits], o0)
+    assert not unchanged([coeff_logits], o0)
 
-    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([simplex.logits])
-    frozen = simplex.triples()
+    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
+    frozen = softmax(coeff_logits).data
     loss7 = v_l(batch, frozen, model.logits(batch.x),
                 teacher.logits(batch.x).data)
     embedding = model.encoder.logits(batch.x)
@@ -323,7 +324,7 @@ def test_update_isolation_checksums():
     total = add(loss7, aux)
     total.backward()
     sgd_step(model.params(), 0.2)
-    assert unchanged(disc.params(), d0) and unchanged([simplex.logits], o0)
+    assert unchanged(disc.params(), d0) and unchanged([coeff_logits], o0)
     assert not unchanged(model.params(), m0)
 
 
@@ -346,16 +347,9 @@ def test_descent_matches_or_beats_presets(seed, t):
                                     n_cur, n_mem).item())
         except ConfigError:
             continue  # ESM-ER is undefined at t=2
-    simplex = init_uniform(t)
-    final = descend_v01(simplex, stats, 1.0, n_cur, n_mem,
+    final = descend_v01(init_uniform(t), stats, 1.0, n_cur, n_mem,
                         steps=500, learning_rate=10.0)
     assert final <= min(preset_vals) + 1e-3
-
-
-def test_descend_rejects_fixed_mode():
-    stats, n_cur, n_mem = _frozen_instance(0, 3)
-    with pytest.raises(ContractError):
-        descend_v01(from_preset("ER", 3), stats, 1.0, n_cur, n_mem, 10, 1.0)
 
 
 @pytest.mark.parametrize("method", ["ER", "UDIL"])
