@@ -180,16 +180,12 @@ def check_unified_bound(inst: BoundInstance) -> CheckReport:
     return CheckReport("unified_bound", 1, int(gap > TOL), float(gap))
 
 
+@lru_cache(maxsize=16)
 def barycentric_grid(resolution: int) -> np.ndarray:
     """All triples (k1, k2, k3)/resolution with nonnegative integer parts
     (read-only, built once per resolution)."""
     if resolution < MIN_GRID_RESOLUTION:
         raise ContractError(f"grid resolution must be >= {MIN_GRID_RESOLUTION}")
-    return _grid(resolution)
-
-
-@lru_cache(maxsize=16)
-def _grid(resolution: int) -> np.ndarray:
     pts = [(i / resolution, j / resolution, (resolution - i - j) / resolution)
            for i in range(resolution + 1)
            for j in range(resolution + 1 - i)]

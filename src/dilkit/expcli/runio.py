@@ -33,7 +33,7 @@ import numpy as np
 
 from .. import __version__
 from ..datagen import DomainStream, FormatError
-from ..metrics import AccuracyMatrix, avg_acc, forgetting, forward_transfer
+from ..metrics import AccuracyMatrix
 from ..trainer import SequenceResult
 
 RESULTS_SCHEMA = "dilkit-results-v1"
@@ -119,16 +119,12 @@ def _seed_entry(result: SequenceResult) -> dict:
     return {
         "seed": result.seed,
         "matrix": result.matrix.to_lists(),
-        "omega": {str(t): [[float(v) for v in triple] for triple in triples]
-                  for t, triples in result.omega_by_domain.items()},
-        "avg_acc": {str(t): float(v)
-                    for t, v in result.avg_acc_by_domain.items()},
-        "forgetting": {str(t): float(v)
-                       for t, v in result.forgetting_by_domain.items()},
-        "forward_transfer": (None if result.forward_transfer is None
-                             else float(result.forward_transfer)),
-        "baseline_acc": [float(v) for v in result.baseline_acc],
-        "shortfalls": {str(t): int(v) for t, v in result.shortfalls.items()},
+        "omega": {str(t): v for t, v in result.omega_by_domain.items()},
+        "avg_acc": {str(t): v for t, v in result.avg_acc_by_domain.items()},
+        "forgetting": {str(t): v for t, v in result.forgetting_by_domain.items()},
+        "forward_transfer": result.forward_transfer,
+        "baseline_acc": result.baseline_acc,
+        "shortfalls": {str(t): v for t, v in result.shortfalls.items()},
     }
 
 
@@ -158,10 +154,8 @@ def results_payload(config_text: str, results: list[SequenceResult],
                                   for r in results]),
             "forgetting": _mean_std([r.forgetting_by_domain[final]
                                      for r in results]) if final >= 2 else None,
-            "forward_transfer": (_mean_std([r.forward_transfer
-                                            for r in results])
-                                 if results[0].forward_transfer is not None
-                                 else None),
+            "forward_transfer": _mean_std([r.forward_transfer
+                                           for r in results]) if final >= 2 else None,
         },
         "fingerprint": {
             "package": f"dilkit {__version__}",
@@ -171,20 +165,17 @@ def results_payload(config_text: str, results: list[SequenceResult],
     return payload
 
 
-def _metrics_row(method: str, seed: int, t: int, final: int, avg: float,
-                 forget: float | None, transfer: float | None) -> tuple:
-    """One metrics.csv row: forgetting is empty for domain 1 and forward
-    transfer is given on the final domain's row only."""
-    return (method, seed, t, repr(float(avg)),
-            "" if forget is None else repr(float(forget)),
-            repr(float(transfer)) if t == final and transfer is not None else "")
-
-
 def metrics_rows(results: list[SequenceResult]) -> list[tuple]:
-    return [_metrics_row(r.method, r.seed, t, r.n_domains,
-                         r.avg_acc_by_domain[t], r.forgetting_by_domain.get(t),
-                         r.forward_transfer)
-            for r in results for t in range(1, r.n_domains + 1)]
+    """One metrics.csv row per seed and domain: forgetting is empty for
+    domain 1 and forward transfer is given on the final domain's row only."""
+    rows = []
+    for r in results:
+        avg, forget, last = r.avg_acc_by_domain, r.forgetting_by_domain, r.n_domains
+        rows += [(r.method, r.seed, t, repr(avg[t]),
+                  repr(forget[t]) if t >= 2 else "",
+                  repr(r.forward_transfer) if t == last >= 2 else "")
+                 for t in range(1, last + 1)]
+    return rows
 
 
 def omega_rows(results: list[SequenceResult]) -> list[tuple]:
@@ -223,7 +214,7 @@ def load_results(path: str) -> dict:
             payload = json.load(f)
     except FileNotFoundError:
         raise FormatError(f"{path}: not found") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (ValueError, RecursionError) as err:  # bad JSON, UTF-8 or depth
         raise FormatError(f"{path}: {err}") from None
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != RESULTS_SCHEMA:
@@ -232,46 +223,39 @@ def load_results(path: str) -> dict:
     return payload
 
 
-def recompute_metrics(payload: dict) -> tuple[list[tuple], list[str]]:
-    """Rebuild every stored metric from the stored accuracy matrices.
+def _disagree(stored, got) -> bool:
+    """Null on one side only, or more than 1e-12 apart (NaN included)."""
+    if stored is None or got is None:
+        return stored is not got
+    return not abs(got - stored) <= 1e-12
 
-    Returns (metrics rows recomputed per seed and domain, list of
-    discrepancy descriptions vs the stored values).  A missing or
-    malformed field raises FormatError naming it.
-    """
-    rows: list[tuple] = []
-    problems: list[str] = []
+
+def recompute_metrics(payload: dict) -> tuple[list[tuple], list[str]]:
+    """Rebuild each stored seed's SequenceResult from its matrix and
+    baseline, and compare the metrics it derives with the stored ones.
+    Returns (the rebuilt results' metrics rows, list of discrepancies); a
+    missing or malformed field raises FormatError naming it."""
     with fields_of():
         final, method, entries = (payload[k] for k in ("n_domains", "method",
                                                        "per_seed"))
+    if not entries:
+        raise FormatError("per_seed is empty")
+    results, problems = [], []
     for k, entry in enumerate(entries):
         with fields_of(f"per_seed[{k}]: "):
-            matrix = AccuracyMatrix.from_lists(entry["matrix"])
-            seed = entry["seed"]
-            recomputed_ft = None
-            if entry["forward_transfer"] is not None:
-                recomputed_ft = forward_transfer(
-                    matrix, [float(v) for v in entry["baseline_acc"]], final)
-            for t in range(1, final + 1):
-                a_t = avg_acc(matrix, t)
-                f_t = forgetting(matrix, t) if t >= 2 else None
-                for name, got, stored in (
-                        ("avg_acc", a_t, entry["avg_acc"][str(t)]),
-                        ("forgetting", f_t,
-                         entry["forgetting"].get(str(t)) if t >= 2 else None)):
-                    if stored is None and got is None:
-                        continue
-                    if stored is None or got is None \
-                            or abs(got - stored) > 1e-12:
-                        problems.append(
-                            f"seed {seed} domain {t}: {name} stored {stored!r} "
-                            f"!= recomputed {got!r}")
-                rows.append(_metrics_row(method, seed, t, final, a_t, f_t,
-                                         recomputed_ft))
-            if recomputed_ft is not None and \
-                    abs(recomputed_ft - entry["forward_transfer"]) > 1e-12:
-                problems.append(
-                    f"seed {seed}: forward_transfer stored "
-                    f"{entry['forward_transfer']!r} != recomputed "
-                    f"{recomputed_ft!r}")
-    return rows, problems
+            result = SequenceResult(method, entry["seed"],
+                                    AccuracyMatrix.from_lists(entry["matrix"]),
+                                    {}, entry["baseline_acc"], {})
+            if result.n_domains != final:
+                raise FormatError(f"matrix has {result.n_domains} domains, "
+                                  f"n_domains is {final!r}")
+            rebuilt = _seed_entry(result)
+            checks = [(f" domain {t}: {name}", entry[name].get(str(t)),
+                       rebuilt[name].get(str(t)))
+                      for t in range(1, final + 1) for name in ("avg_acc", "forgetting")]
+            checks.append((": forward_transfer", entry["forward_transfer"],
+                           rebuilt["forward_transfer"]))
+            problems += [f"seed {result.seed}{what} stored {stored!r} != recomputed {got!r}"
+                         for what, stored, got in checks if _disagree(stored, got)]
+        results.append(result)
+    return metrics_rows(results), problems

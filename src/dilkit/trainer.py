@@ -272,17 +272,33 @@ def _pooled_through(stream: DomainStream, t: int) -> LabeledSet:
 
 @dataclass
 class SequenceResult:
+    """What one sequence run produced.  Each run metric is a property read
+    off `matrix` (and `baseline_acc`, for forward transfer), never stored."""
     method: str
     seed: int
-    n_domains: int
     matrix: AccuracyMatrix
     omega_by_domain: dict[int, list[list[float]]]
-    avg_acc_by_domain: dict[int, float]
-    forgetting_by_domain: dict[int, float]
-    forward_transfer: float | None
     baseline_acc: list[float]
     shortfalls: dict[int, int]
     final_state: TrainState | None = None
+
+    @property
+    def n_domains(self) -> int:
+        return self.matrix.n_domains
+
+    @property
+    def avg_acc_by_domain(self) -> dict[int, float]:
+        return {t: avg_acc(self.matrix, t) for t in range(1, self.n_domains + 1)}
+
+    @property
+    def forgetting_by_domain(self) -> dict[int, float]:
+        return {t: forgetting(self.matrix, t)
+                for t in range(2, self.n_domains + 1)}
+
+    @property
+    def forward_transfer(self) -> float | None:
+        n = self.n_domains
+        return forward_transfer(self.matrix, self.baseline_acc, n) if n >= 2 else None
 
 
 def _baseline_accuracies(stream: DomainStream, config: TrainerConfig) -> list[float]:
@@ -294,7 +310,7 @@ def _baseline_accuracies(stream: DomainStream, config: TrainerConfig) -> list[fl
             substream(config.seed, "baseline", m))
         for j in range(1, stream.n_domains + 1):
             accs[j - 1] += accuracy(fresh, stream.test(j))
-    return list(accs / config.baseline_models)
+    return (accs / config.baseline_models).tolist()
 
 
 def check_sequence(config: TrainerConfig, n_domains: int) -> None:
@@ -333,11 +349,8 @@ def run_sequence(stream: DomainStream, config: TrainerConfig) -> SequenceResult:
             mat.set(t, j, accuracy(state.model, stream.test(j)))
 
     return SequenceResult(
-        method=config.method, seed=config.seed, n_domains=n, matrix=mat,
+        method=config.method, seed=config.seed, matrix=mat,
         omega_by_domain={k: v.tolist() for k, v in state.omega_log.items()},
-        avg_acc_by_domain={t: avg_acc(mat, t) for t in range(1, n + 1)},
-        forgetting_by_domain={t: forgetting(mat, t) for t in range(2, n + 1)},
-        forward_transfer=forward_transfer(mat, baseline, n) if n >= 2 else None,
         baseline_acc=baseline,
         shortfalls=dict(state.bank.shortfalls),
         final_state=state)

@@ -550,6 +550,40 @@ def test_cli_metrics_recomputes_and_detects_corruption(tmp_path, monkeypatch,
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_cli_metrics_single_domain_run_round_trips(tmp_path, monkeypatch,
+                                                   capsys):
+    """A 1-domain run stores no forgetting and a null forward transfer;
+    `metrics` re-derives the same and prints the run's metrics.csv."""
+    monkeypatch.setenv("DILKIT_OUTPUT_DIR", str(tmp_path / "out"))
+    cfg = TINY.replace("n_domains = 3", "n_domains = 1")
+    assert main(["run", write_cfg(tmp_path, cfg)]) == 0
+    results = tmp_path / "out" / "hd-balls-ER" / "results.json"
+    stored = json.loads(results.read_text())["per_seed"][0]
+    assert stored["forgetting"] == {} and stored["forward_transfer"] is None
+    capsys.readouterr()
+    assert main(["metrics", str(results)]) == 0
+    assert capsys.readouterr().out == (results.parent / "metrics.csv").read_text()
+
+
+@pytest.mark.parametrize("name,domain,value", [
+    ("forward_transfer", None, None),
+    ("forgetting", "3", float("nan")),
+])
+def test_cli_metrics_null_or_nan_stored_metric_is_a_mismatch(
+        tmp_path, capsys, name, domain, value):
+    payload = results_payload("t", tiny_results(seeds=(0,)), {})
+    entry = payload["per_seed"][0]
+    slot, key = (entry[name], domain) if domain else (entry, name)
+    recomputed, slot[key] = slot[key], value
+    where = f" domain {domain}" if domain else ""
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(payload))
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"mismatch: seed 0{where}: {name} stored {value!r} != recomputed "
+        f"{recomputed!r}\n")
+
+
 def _metrics_error(path, capsys) -> str:
     assert main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err
@@ -562,6 +596,8 @@ def _metrics_error(path, capsys) -> str:
     ({"schema": "dilkit-results-v1", "n_domains": 3, "method": "ER",
       "per_seed": [{"seed": 0}]}, "per_seed[0]: missing field 'matrix'"),
     ([], "schema None"),
+    ({"schema": "dilkit-results-v1", "n_domains": 3, "method": "ER",
+      "per_seed": []}, "per_seed is empty"),
 ])
 def test_cli_metrics_missing_field_is_format_error(tmp_path, capsys, payload,
                                                    fragment):
@@ -574,6 +610,27 @@ def test_cli_metrics_non_utf8_results_is_format_error(tmp_path, capsys):
     path = tmp_path / "results.json"
     path.write_bytes(b'{"schema": "\xff\xfe"}')
     assert "can't decode byte 0xff" in _metrics_error(path, capsys)
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ('{"schema": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["5000-digit-int", "deep-array"])
+def test_cli_metrics_undecodable_results_is_format_error(tmp_path, capsys,
+                                                         text, fragment):
+    path = tmp_path / "results.json"
+    path.write_text(text)
+    assert fragment in _metrics_error(path, capsys)
+
+
+def test_cli_metrics_matrix_size_not_n_domains_is_format_error(tmp_path,
+                                                               capsys):
+    payload = results_payload("t", tiny_results(seeds=(0,)), {})
+    payload["n_domains"] = 2
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(payload))
+    err = _metrics_error(path, capsys)
+    assert err.endswith("per_seed[0]: matrix has 3 domains, n_domains is 2\n")
 
 
 def test_cli_metrics_accuracy_out_of_range_is_format_error(tmp_path, capsys):
