@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, softmax
+from .losses import StepLayout
 from .models import Mlp
 
 
@@ -83,33 +84,30 @@ def hdh_exact(hclass: FiniteHypothesisClass, sample_p, sample_q) -> float:
                       _pairwise_disagreement(hclass.labelings, sq)))
 
 
-def discriminator_divergences(probs: np.ndarray, bounds,
-                               past_ids) -> np.ndarray:
+def discriminator_divergences(probs: np.ndarray,
+                              layout: StepLayout) -> np.ndarray:
     """Discriminator-based divergence estimate for every past domain.
 
     ``probs`` is the discriminator's [n, t] output over one stacked batch
-    whose segment k is rows bounds[k]:bounds[k+1]: the current domain t's
-    rows first, then domain past_ids[k-1]'s.  With delta(x) = p_i(x) - p_t(x)
-    for past domain i, the discriminator's balanced pairwise accuracy is
+    laid out as ``layout`` says: the current domain t's rows first, then
+    each past domain's.  With delta(x) = p_i(x) - p_t(x) for past domain i,
+    the discriminator's balanced pairwise accuracy is
     b = 1/2 * [frac of domain i's rows with delta >= 0
                + frac of current rows with delta < 0],
     and the estimate is clamp(2 * (2b - 1), 0, 2): 0 when the discriminator
     does no better than chance, 2 when it separates the domains perfectly.
     """
-    ids = np.asarray(past_ids, dtype=np.int64)
-    sizes = np.diff(bounds)
-    t = probs.shape[1]
-    if sizes.size != ids.size + 1 or (sizes < 1).any():
+    sizes, t = layout.sizes, layout.t
+    if not layout.full:
         raise ContractError("every segment must be nonempty")
-    if ((ids < 1) | (ids > t - 1)).any():
-        raise ContractError(
-            f"past domain ids must be in [1, {t - 1}], got {ids.tolist()}")
-    delta = probs[:, ids - 1] - probs[:, [t - 1]]          # [n, len(ids)]
-    n_cur = sizes[0]
-    seg = np.repeat(np.arange(ids.size), sizes[1:])       # past rows' segment
-    past_hits = delta[np.arange(n_cur, len(probs)), seg] >= 0
-    b = 0.5 * (np.bincount(seg, past_hits, ids.size) / sizes[1:]
-               + np.mean(delta[:n_cur] < 0, axis=0))
+    if probs.shape[1] != t:
+        raise ContractError(f"discriminator arity {probs.shape[1]} != t={t}")
+    # delta >= 0 exactly when p_i >= p_t; a past row's i is its V_d class
+    n_cur, cols = sizes[0], np.array(layout.ids, dtype=np.int64) - 1
+    cur, past = probs[:n_cur], probs[n_cur:]
+    hits = past[np.arange(len(past)), layout.domain_class[n_cur:]] >= past[:, t - 1]
+    b = 0.5 * (np.bincount(layout.seg[n_cur:] - 1, hits, cols.size) / sizes[1:]
+               + np.count_nonzero(cur[:, cols] < cur[:, [t - 1]], axis=0) / n_cur)
     return np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0)
 
 
@@ -123,5 +121,6 @@ def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,
         raise ContractError("current and past samples must have one width")
     x = np.concatenate([current_x, past_x])
     probs = softmax(d.logits(encoder.logits(x))).data
-    return float(discriminator_divergences(
-        probs, [0, len(current_x), len(x)], [past_index])[0])
+    layout = StepLayout([len(current_x), len(past_x)], [past_index],
+                        probs.shape[1])
+    return float(discriminator_divergences(probs, layout)[0])

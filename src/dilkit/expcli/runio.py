@@ -133,6 +133,19 @@ def _mean_std(values: list[float]) -> dict:
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
+def _summary(results: list[SequenceResult]) -> dict:
+    """Mean and std over seeds of each final-domain metric; forgetting and
+    forward transfer are None on a 1-domain run."""
+    final = results[0].n_domains
+    return {
+        "avg_acc": _mean_std([r.avg_acc_by_domain[final] for r in results]),
+        "forgetting": _mean_std([r.forgetting_by_domain[final]
+                                 for r in results]) if final >= 2 else None,
+        "forward_transfer": _mean_std([r.forward_transfer
+                                       for r in results]) if final >= 2 else None,
+    }
+
+
 def results_payload(config_text: str, results: list[SequenceResult],
                     dataset: dict) -> dict:
     """Deterministic results document.  `dataset` carries the generation
@@ -140,23 +153,15 @@ def results_payload(config_text: str, results: list[SequenceResult],
     config are comparable at a glance."""
     if not results:
         raise ValueError("results must be nonempty")
-    final = results[0].n_domains
     payload = {
         "schema": RESULTS_SCHEMA,
         "config_text": config_text,
         "dataset": dataset,
         "method": results[0].method,
-        "n_domains": final,
+        "n_domains": results[0].n_domains,
         "seeds": [r.seed for r in results],
         "per_seed": [_seed_entry(r) for r in results],
-        "summary": {
-            "avg_acc": _mean_std([r.avg_acc_by_domain[final]
-                                  for r in results]),
-            "forgetting": _mean_std([r.forgetting_by_domain[final]
-                                     for r in results]) if final >= 2 else None,
-            "forward_transfer": _mean_std([r.forward_transfer
-                                           for r in results]) if final >= 2 else None,
-        },
+        "summary": _summary(results),
         "fingerprint": {
             "package": f"dilkit {__version__}",
             "numpy": np.__version__,
@@ -232,9 +237,11 @@ def _disagree(stored, got) -> bool:
 
 def recompute_metrics(payload: dict) -> tuple[list[tuple], list[str]]:
     """Rebuild each stored seed's SequenceResult from its matrix and
-    baseline, and compare the metrics it derives with the stored ones.
-    Returns (the rebuilt results' metrics rows, list of discrepancies); a
-    missing or malformed field raises FormatError naming it."""
+    baseline, and compare the metrics it derives, and the summary over the
+    rebuilt results, with the stored ones; a stored per-domain key outside
+    1..n_domains is a discrepancy too.  Returns (the rebuilt results'
+    metrics rows, list of discrepancies); a missing or malformed field
+    raises FormatError naming it."""
     with fields_of():
         final, method, entries = (payload[k] for k in ("n_domains", "method",
                                                        "per_seed"))
@@ -257,5 +264,18 @@ def recompute_metrics(payload: dict) -> tuple[list[tuple], list[str]]:
                            rebuilt["forward_transfer"]))
             problems += [f"seed {result.seed}{what} stored {stored!r} != recomputed {got!r}"
                          for what, stored, got in checks if _disagree(stored, got)]
+            domains = {str(t) for t in range(1, final + 1)}
+            problems += [f"seed {result.seed}: {name} key {key!r} is outside domains 1..{final}"
+                         for name in ("avg_acc", "forgetting")
+                         for key in entry[name] if key not in domains]
         results.append(result)
+    with fields_of():
+        summary = payload["summary"]
+    with fields_of("summary: "):
+        for name, got in _summary(results).items():
+            want = summary[name]
+            pairs = ([(name, want, got)] if want is None or got is None else
+                     [(f"{name}.{k}", want[k], got[k]) for k in ("mean", "std")])
+            problems += [f"summary: {what} stored {w!r} != recomputed {g!r}"
+                         for what, w, g in pairs if _disagree(w, g)]
     return metrics_rows(results), problems

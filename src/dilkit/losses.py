@@ -2,9 +2,10 @@
 the replay objective, one function each: the model loss V_l, the coefficient
 loss V_01, the domain discrimination loss V_d and the opt-in encoder losses
 V_p / V_s.  V_l, V_d, V_p and V_s read a replay step's record (`StepBatch`)
-and the passes the step ran once over its rows; none runs a network.  The
-teacher whose logits and embedding they read is the model as the previous
-domain left it, run once over the domain's layout before its first step."""
+and the passes the step ran once over its rows; none runs a network, and
+none re-derives what a domain's records share (`StepLayout`).  The teacher
+whose probabilities and embedding they read is the model as the previous
+domain left it, run once over the domain's rows before its first step."""
 from __future__ import annotations
 
 import logging
@@ -14,7 +15,7 @@ import numpy as np
 
 from .autodiff import (
     ContractError, Tensor, _make, _wrap, add, mul, reshape, rows, rowsum,
-    softmax, softmax_xent, tsum,
+    softmax_xent, tsum,
 )
 from .datagen import LabeledSet
 from .models import Classifier, Range, Ranged
@@ -55,16 +56,42 @@ def _check_omega(omega: np.ndarray, ids) -> np.ndarray:
     return omega
 
 
+class StepLayout:
+    """The segments every step record of a replay domain shares, derived and
+    checked once: segment k holds sizes[k] rows, from domain t for k = 0 and
+    from domain ids[k - 1] after; `seg` maps each row to its segment and
+    `domain_class` to the class V_d asks of it (t - 1, or i - 1 on domain i's)."""
+
+    def __init__(self, sizes, ids, t: int):
+        self.sizes, self.ids, self.t = np.asarray(sizes, np.int64), tuple(ids), t
+        if self.sizes.shape != (len(self.ids) + 1,) or not all(
+                0 < i < t for i in self.ids):
+            raise ContractError(f"past domain ids must be in [1, {t - 1}], one "
+                                f"size per segment: got {self.ids}, {list(sizes)}")
+        self.bounds = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.full = bool((self.sizes > 0).all())  # then no weight needs a check
+        self.denom = np.maximum(self.sizes, 1)
+        self.seg = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        self.domain_class = np.array([t - 1] + [i - 1 for i in self.ids])[self.seg]
+
+    def row_weights(self, seg_w: np.ndarray) -> np.ndarray:
+        """Segment k's weight divided by its size, on each of its rows."""
+        return (seg_w / self.denom)[self.seg]
+
+    def check_weighted(self, seg_w: np.ndarray, term: str) -> None:
+        """Raise when a segment with no row carries weight."""
+        if not self.full and np.any((self.sizes == 0) & (seg_w != 0.0)):
+            raise ContractError(f"{term}: empty batch")
+
+
 @dataclass(frozen=True)
 class StepBatch:
-    """A replay step's rows: domain t's batch, then each past domain's in
-    sorted order; segment k is rows bounds[k]:bounds[k + 1], from domain t
-    for k = 0 and from domain ids[k - 1] after."""
+    """A replay step's rows, laid out as `layout` says: domain t's batch,
+    then each past domain's in sorted order.  Every step of a domain shares
+    one layout; only x and y are gathered per step."""
     x: np.ndarray
     y: np.ndarray
-    bounds: np.ndarray
-    ids: tuple[int, ...]
-    t: int
+    layout: StepLayout
 
     @classmethod
     def stack(cls, current: LabeledSet, past: dict[int, LabeledSet]) -> StepBatch:
@@ -72,8 +99,8 @@ class StepBatch:
         sets = [current] + [past[i] for i in sorted(past)]
         return cls(np.concatenate([s.x for s in sets]),
                    np.concatenate([s.y for s in sets]),
-                   np.cumsum([0] + [len(s) for s in sets]),
-                   tuple(sorted(past)), current.domain_id)
+                   StepLayout([len(s) for s in sets], sorted(past),
+                              current.domain_id))
 
 
 def _one_hot(y: np.ndarray, k: int, row_w) -> np.ndarray:
@@ -83,35 +110,29 @@ def _one_hot(y: np.ndarray, k: int, row_w) -> np.ndarray:
     return target
 
 
-def _row_weights(seg_w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Segment k's weight divided by its size, repeated over its rows."""
-    return np.repeat(seg_w / np.maximum(sizes, 1), sizes)
-
-
 def v_l(batch: StepBatch, omega: np.ndarray, logits: Tensor,
-        teacher_logits: np.ndarray) -> Tensor:
-    """Model loss from the student's `logits` and the frozen teacher's on the
-    record's rows: CE + (sum beta) * distill on the current batch, plus per
-    past domain gamma_i * CE + alpha_i * distill on its memory batch.  Per
-    row the target is w_ce * onehot(y) + w_distill * teacher_probs, with
-    (w_ce, w_distill) = (1, sum beta) / n_0 on current rows and
-    (gamma_i, alpha_i) / n_i on domain i's; the loss is
+        teacher_probs: np.ndarray) -> Tensor:
+    """Model loss from the student's `logits` and the frozen teacher's
+    softmax `teacher_probs` on the record's rows: CE + (sum beta) * distill
+    on the current batch, plus per past domain gamma_i * CE + alpha_i *
+    distill on its memory batch.  Per row the target is w_ce * onehot(y) +
+    w_distill * teacher_probs, with (w_ce, w_distill) = (1, sum beta) / n_0
+    on current rows and (gamma_i, alpha_i) / n_i on domain i's; the loss is
     softmax_xent(logits, target).  Coefficients enter as constants."""
-    omega = _check_omega(omega, batch.ids)
+    layout = batch.layout
+    omega = _check_omega(omega, layout.ids)
     w_ce = np.concatenate([[1.0], omega[:, 2]])
     w_distill = np.concatenate([[float(omega[:, 1].sum())], omega[:, 0]])
-    sizes = np.diff(batch.bounds)
-    if np.any((sizes == 0) & (w_ce != 0.0)):
-        raise ContractError("v_l: empty batch")
+    layout.check_weighted(w_ce, "v_l")
     k = logits.data.shape[1]
-    target = _one_hot(batch.y, k, _row_weights(w_ce, sizes))
-    distilled = np.repeat(w_distill != 0.0, sizes)
-    if distilled.any():
-        if teacher_logits.shape[1] != k:
+    target = _one_hot(batch.y, k, layout.row_weights(w_ce))
+    row_w = layout.row_weights(w_distill)
+    if row_w.any():
+        if teacher_probs.shape[1] != k:
             raise ContractError(f"v_l: distillation arity mismatch: teacher "
-                                f"{teacher_logits.shape[1]} vs student {k}")
-        target[distilled] += (_row_weights(w_distill, sizes)[distilled, None]
-                              * softmax(teacher_logits[distilled]).data)
+                                f"{teacher_probs.shape[1]} vs student {k}")
+        # a row of weight 0 adds 0 * p = +0.0 (p a finite probability): unchanged
+        target += row_w[:, None] * teacher_probs
     return softmax_xent(logits, target)
 
 
@@ -190,22 +211,20 @@ def v_d(batch: StepBatch, omega: np.ndarray, logits: Tensor) -> Tensor:
     record's rows: (sum beta_i) * CE(current rows -> class t)
     + sum_i beta_i * CE(domain i's rows -> class i).  Current rows have
     weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
-    if not batch.ids:
+    layout = batch.layout
+    if not layout.ids:
         return Tensor(0.0)
-    omega = _check_omega(omega, batch.ids)
+    omega = _check_omega(omega, layout.ids)
     betas = omega[:, 1]
-    if float(betas.sum()) == 0.0:
+    sum_beta = float(betas.sum())
+    if sum_beta == 0.0:
         return Tensor(0.0)
-    t = batch.t
-    seg_w = np.concatenate([[float(betas.sum())], betas])
-    sizes = np.diff(batch.bounds)
-    if np.any((sizes == 0) & (seg_w != 0.0)):
-        raise ContractError("v_d: empty batch")
-    arity = logits.data.shape[1]
+    seg_w = np.concatenate([[sum_beta], betas])
+    layout.check_weighted(seg_w, "v_d")
+    t, arity = layout.t, logits.data.shape[1]
     if arity != t:
         raise ContractError(f"discriminator arity {arity} != t={t}")
-    seg_class = np.array([t - 1] + [i - 1 for i in batch.ids])
-    target = _one_hot(np.repeat(seg_class, sizes), t, _row_weights(seg_w, sizes))
+    target = _one_hot(layout.domain_class, t, layout.row_weights(seg_w))
     return softmax_xent(logits, target)
 
 
@@ -215,12 +234,10 @@ def v_p(batch: StepBatch, embedding: Tensor,
     teacher's embeddings of the record's rows: over past domains, the sum of
     each domain's mean squared L2 distance between the two.  The current
     rows have weight 0."""
-    sizes = np.diff(batch.bounds)
-    if np.any(sizes[1:] == 0):
-        raise ContractError("v_p: empty batch")
+    seg_w = np.r_[0.0, np.ones(len(batch.layout.ids))]
+    batch.layout.check_weighted(seg_w, "v_p")
     diff = add(embedding, mul(teacher_embedding, -1.0))
-    row_w = _row_weights(np.r_[0.0, np.ones(len(batch.ids))], sizes)
-    return tsum(mul(rowsum(mul(diff, diff)), row_w))
+    return tsum(mul(rowsum(mul(diff, diff)), batch.layout.row_weights(seg_w)))
 
 
 def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
@@ -274,9 +291,9 @@ def encoder_aux_loss(embedding: Tensor, disc_logits: Tensor | None,
     stopped discriminator's `disc_logits` on it (None with no beta mass left)
     and the frozen teacher's `teacher_embedding` (None when lambda_p = 0)."""
     total = Tensor(0.0)
-    if hp.lambda_d > 0 and batch.ids:
+    if hp.lambda_d > 0 and batch.layout.ids:
         total = add(total, mul(v_d(batch, omega, disc_logits), -hp.lambda_d))
-    if hp.lambda_p > 0 and batch.ids:
+    if hp.lambda_p > 0 and batch.layout.ids:
         total = add(total, mul(v_p(batch, embedding, teacher_embedding),
                                hp.lambda_p))
     if hp.lambda_s > 0:

@@ -5,7 +5,8 @@ descends the domain-confusion loss, the replay coefficients descend the
 bound surrogate, and the model descends the weighted replay loss while the
 encoder ascends the confusion loss.  The teacher is the model as the
 previous domain left it: one pass at the start of each replay domain records
-its outputs.  After each domain the replay memory is rebalanced.
+its outputs, and each step's record shares one layout derived there too.
+After each domain the replay memory is rebalanced.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
 from .losses import (
-    CoeffStats, HyperParams, StepBatch, classification_loss,
+    CoeffStats, HyperParams, StepBatch, StepLayout, classification_loss,
     encoder_aux_loss, v_01, v_d, v_l,
 )
 from .membank import MemoryBank
@@ -107,16 +108,17 @@ def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
 
 def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
                          logits: np.ndarray, disc_logits: np.ndarray,
-                         teacher_logits: np.ndarray) -> CoeffStats:
-    """Assemble the per-step scalar statistics the bound surrogate needs
-    from the step's three outputs on the record's rows and the teacher's
-    0-1 error on each memory bucket.  The 0-1 errors are counted per segment
-    and every divergence estimate is read off them; an empty segment raises."""
-    dhat = discriminator_divergences(softmax(disc_logits).data, batch.bounds, batch.ids)
+                         teacher_pred: np.ndarray) -> CoeffStats:
+    """Assemble the per-step scalar statistics the bound surrogate needs from
+    the step's two outputs and the teacher's argmax on the record's rows and
+    the teacher's 0-1 error on each memory bucket.  The 0-1 errors are counted
+    per segment, the divergence estimates read off them; an empty one raises."""
+    layout = batch.layout
+    dhat = discriminator_divergences(softmax(disc_logits).data, layout)
     pred = np.argmax(logits, axis=1)
     wrong, differs = (
-        np.add.reduceat(miss, batch.bounds[:-1], dtype=np.int64) / np.diff(batch.bounds)
-        for miss in (pred != batch.y, pred != np.argmax(teacher_logits, axis=1)))
+        np.add.reduceat(miss, layout.bounds[:-1], dtype=np.int64) / layout.sizes
+        for miss in (pred != batch.y, pred != teacher_pred))
     return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
 
 
@@ -137,19 +139,20 @@ def descend_v01(coeff_logits: Tensor, stats: CoeffStats, c_gen: float,
     return value
 
 
-def snapshot_history(model: Classifier, layout: StepBatch
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The teacher's pass over a replay domain's layout: its logits and
-    embedding on every row and its 0-1 error on each memory bucket.  Runs on
-    a view of `model` sharing its weights, so call it before the first step.
-    One pass per segment keeps the logits bitwise those of a pass per set."""
+def snapshot_history(model: Classifier, pool: StepBatch
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The teacher's pass over a replay domain's rows: its softmax, argmax
+    and embedding on every row (row-wise, so gathering a step's rows gives
+    what the step would compute on them) and its 0-1 error on each bucket.
+    Runs on a view of `model` sharing its weights, so call it before the
+    first step.  One pass per segment keeps the logits those of a pass per set."""
     frozen = model.stopped()
-    bounds = layout.bounds
-    embedded = [frozen.embed(x).data for x in np.split(layout.x, bounds[1:-1])]
+    bounds = pool.layout.bounds
+    embedded = [frozen.embed(x).data for x in np.split(pool.x, bounds[1:-1])]
     logits = np.concatenate([frozen.predictor.logits(e).data for e in embedded])
-    wrong = np.argmax(logits, axis=1) != layout.y
-    eps = np.add.reduceat(wrong, bounds[:-1], dtype=np.int64) / np.diff(bounds)
-    return logits, np.concatenate(embedded), eps[1:]
+    pred = np.argmax(logits, axis=1)
+    eps = np.add.reduceat(pred != pool.y, bounds[:-1], dtype=np.int64) / pool.layout.sizes
+    return softmax(logits).data, pred, np.concatenate(embedded), eps[1:]
 
 
 def train_domain(state: TrainState, domain_data: LabeledSet,
@@ -199,18 +202,19 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
 def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator, disc: Mlp,
                          coeff_logits: Tensor | None) -> np.ndarray:
-    """[domain_data; bucket 1; ...; bucket t-1] is laid out once, with the
-    teacher's logits and embedding on it from the model before its first
-    step; each step gathers its record (a current batch, then a memory batch
-    per bucket) by drawn row index, and each network runs once on it for
-    every loss term.  The triples are the method's preset, or with UDIL's
-    [t-1, 3] `coeff_logits` their softmax, descended once per step; returns
-    the domain's final triples."""
+    """[domain_data; bucket 1; ...; bucket t-1] is stacked once, with the
+    teacher's outputs on it from the model before its first step, and so is
+    the layout of every step's record (a current batch, then a memory batch
+    per bucket); each step gathers its rows by drawn index, and each network
+    runs once on them for every loss term.  The triples are the method's
+    preset, or with UDIL's [t-1, 3] `coeff_logits` their softmax, descended
+    once per step; returns the domain's final triples."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = coeff_logits is not None
-    omega = (softmax(coeff_logits).data if adaptive
-             else from_preset(config.method, t))
+    # UDIL's triples as a node: each update's softmax is the next V_01 input
+    simplex = softmax(coeff_logits) if adaptive else None
+    omega = simplex.data if adaptive else from_preset(config.method, t)
     omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
     disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
     mem_batch = config.memory_batch if config.memory_batch is not None else sgd.batch_size
@@ -219,17 +223,19 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     # a fixed preset with no cross-domain mass never trains the discriminator
     disc_on = hp.lambda_d > 0 and (
         adaptive or float(omega[:, 1].sum()) > 0.0)
-    layout = StepBatch.stack(domain_data, state.bank.buckets)
-    n_memory = np.diff(layout.bounds)[1:]
-    teacher, teacher_emb, eps_hist = snapshot_history(model, layout)
+    pool = StepBatch.stack(domain_data, state.bank.buckets)
+    n_memory = pool.layout.sizes[1:]
+    layout = StepLayout([min(sgd.batch_size, len(domain_data))]
+                        + [min(mem_batch, n) for n in n_memory], pool.layout.ids, t)
+    offsets = pool.layout.bounds[layout.seg]  # where each row's segment starts
+    stopped_disc = disc.stopped()  # shares the weights sgd_step updates in place
+    teacher_probs, teacher_pred, teacher_emb, eps_hist = snapshot_history(model, pool)
 
     for step in range(1, sgd.step_count + 1):
         rows = [_draw_rows(len(domain_data), sgd.batch_size, rng)]
         rows += state.bank.sample_past(mem_batch, rng).values()  # in layout.ids order
-        idx = np.concatenate([lo + r for lo, r in zip(layout.bounds, rows)])
-        batch = StepBatch(layout.x[idx], layout.y[idx],
-                          np.cumsum([0] + [len(r) for r in rows]), layout.ids, t)
-        teacher_logits = teacher[idx]
+        idx = np.concatenate(rows) + offsets
+        batch = StepBatch(pool.x[idx], pool.y[idx], layout)
         teacher_embedding = teacher_emb[idx] if hp.lambda_p > 0 else None
         embedding = model.encoder.logits(batch.x)
         logits = model.predictor.logits(embedding)
@@ -242,19 +248,19 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
             if disc_loss.requires_grad:
                 disc_loss.backward()
                 sgd_step(disc.params(), disc_lr)
-        disc_logits = disc.stopped().logits(embedding) if adaptive or disc_on else None
+        disc_logits = stopped_disc.logits(embedding) if adaptive or disc_on else None
 
         if adaptive:
             stats = coeff_stats_for_step(eps_hist, batch, logits.data,
-                                         disc_logits.data, teacher_logits)
-            loss = v_01(softmax(coeff_logits), stats, hp.c_gen,
-                        len(domain_data), n_memory)
+                                         disc_logits.data, teacher_pred[idx])
+            loss = v_01(simplex, stats, hp.c_gen, len(domain_data), n_memory)
             _check_finite(loss, "coefficient", config.method, t, step)
             loss.backward()
             sgd_step([coeff_logits], omega_lr)
-            omega = softmax(coeff_logits).data
+            simplex = softmax(coeff_logits)
+            omega = simplex.data
 
-        objective = v_l(batch, omega, logits, teacher_logits)
+        objective = v_l(batch, omega, logits, teacher_probs[idx])
         aux = encoder_aux_loss(embedding, disc_logits, teacher_embedding,
                                omega, batch, hp, rng)
         objective = add(objective, aux)

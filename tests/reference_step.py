@@ -21,7 +21,13 @@ between domains before it ran the model once over each replay domain's
 layout: a frozen deep copy of the model after a domain (`frozen_copy`),
 with its embedding, logits and 0-1 error on each memory bucket, one pass
 per bucket (`HistorySnapshot`); test_stacked_step.py compares the
-trainer's domain-start pass against it."""
+trainer's domain-start pass against it.  `per_step_v_l`, `per_step_v_d`,
+`per_step_coeff_stats` and `per_step_divergences` are the stacked forms as
+they were before each replay domain built its `StepLayout` once: each call
+re-derives the segment sizes, each row's segment and V_d's class per row
+from the record's bounds (`Record`), and takes the teacher's logits, whose
+softmax or argmax it computes on the gathered rows; test_stacked_step.py
+compares the layout-reading library forms against them byte for byte."""
 from __future__ import annotations
 
 import logging
@@ -355,3 +361,109 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
                  rng)
         objective = add(objective, mul(vs, hp.lambda_s))
     return stats, objective
+
+
+# -- the stacked forms before the per-domain layout ------------------------
+
+@dataclass(frozen=True)
+class Record:
+    """A replay step's record as the per-step forms read it: segment k is
+    rows bounds[k]:bounds[k + 1], from domain t for k = 0 and from domain
+    ids[k - 1] after."""
+    x: np.ndarray
+    y: np.ndarray
+    bounds: np.ndarray
+    ids: tuple[int, ...]
+    t: int
+
+    @classmethod
+    def of(cls, batch: StepBatch) -> "Record":
+        layout = batch.layout
+        return cls(batch.x, batch.y, np.cumsum([0] + list(layout.sizes)),
+                   layout.ids, layout.t)
+
+
+def _row_weights(seg_w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Segment k's weight divided by its size, repeated over its rows."""
+    return np.repeat(seg_w / np.maximum(sizes, 1), sizes)
+
+
+def per_step_v_l(batch: Record, omega: np.ndarray, logits: Tensor,
+                 teacher_logits: np.ndarray) -> Tensor:
+    """V_l as softmax_xent(logits, w_ce * onehot(y) + w_distill *
+    softmax(teacher_logits)), the teacher's softmax taken on the distilled
+    rows."""
+    omega = _check_omega(omega, batch.ids)
+    w_ce = np.concatenate([[1.0], omega[:, 2]])
+    w_distill = np.concatenate([[float(omega[:, 1].sum())], omega[:, 0]])
+    sizes = np.diff(batch.bounds)
+    if np.any((sizes == 0) & (w_ce != 0.0)):
+        raise ContractError("v_l: empty batch")
+    k = logits.data.shape[1]
+    target = _one_hot(batch.y, k, _row_weights(w_ce, sizes))
+    distilled = np.repeat(w_distill != 0.0, sizes)
+    if distilled.any():
+        if teacher_logits.shape[1] != k:
+            raise ContractError(f"v_l: distillation arity mismatch: teacher "
+                                f"{teacher_logits.shape[1]} vs student {k}")
+        target[distilled] += (_row_weights(w_distill, sizes)[distilled, None]
+                              * softmax(teacher_logits[distilled]).data)
+    return softmax_xent(logits, target)
+
+
+def per_step_v_d(batch: Record, omega: np.ndarray, logits: Tensor) -> Tensor:
+    """V_d as softmax_xent toward each segment's domain class, weighted
+    (sum beta, beta_1, ...) / segment size."""
+    if not batch.ids:
+        return Tensor(0.0)
+    omega = _check_omega(omega, batch.ids)
+    betas = omega[:, 1]
+    if float(betas.sum()) == 0.0:
+        return Tensor(0.0)
+    t = batch.t
+    seg_w = np.concatenate([[float(betas.sum())], betas])
+    sizes = np.diff(batch.bounds)
+    if np.any((sizes == 0) & (seg_w != 0.0)):
+        raise ContractError("v_d: empty batch")
+    arity = logits.data.shape[1]
+    if arity != t:
+        raise ContractError(f"discriminator arity {arity} != t={t}")
+    seg_class = np.array([t - 1] + [i - 1 for i in batch.ids])
+    target = _one_hot(np.repeat(seg_class, sizes), t, _row_weights(seg_w, sizes))
+    return softmax_xent(logits, target)
+
+
+def per_step_divergences(probs: np.ndarray, bounds, past_ids) -> np.ndarray:
+    """The discriminator divergence estimate of every past domain from the
+    discriminator's [n, t] probabilities on a record's rows (see
+    dilkit.divergence.discriminator_divergences)."""
+    ids = np.asarray(past_ids, dtype=np.int64)
+    sizes = np.diff(bounds)
+    t = probs.shape[1]
+    if sizes.size != ids.size + 1 or (sizes < 1).any():
+        raise ContractError("every segment must be nonempty")
+    if ((ids < 1) | (ids > t - 1)).any():
+        raise ContractError(
+            f"past domain ids must be in [1, {t - 1}], got {ids.tolist()}")
+    delta = probs[:, ids - 1] - probs[:, [t - 1]]          # [n, len(ids)]
+    n_cur = sizes[0]
+    seg = np.repeat(np.arange(ids.size), sizes[1:])       # past rows' segment
+    past_hits = delta[np.arange(n_cur, len(probs)), seg] >= 0
+    b = 0.5 * (np.bincount(seg, past_hits, ids.size) / sizes[1:]
+               + np.mean(delta[:n_cur] < 0, axis=0))
+    return np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0)
+
+
+def per_step_coeff_stats(eps_hist: np.ndarray, batch: Record,
+                         logits: np.ndarray, disc_logits: np.ndarray,
+                         teacher_logits: np.ndarray) -> CoeffStats:
+    """The coefficient statistics from the step's three outputs on the
+    record's rows, the teacher's argmax taken on them."""
+    dhat = per_step_divergences(softmax(disc_logits).data, batch.bounds,
+                                batch.ids)
+    pred = np.argmax(logits, axis=1)
+    wrong, differs = (
+        np.add.reduceat(miss, batch.bounds[:-1], dtype=np.int64)
+        / np.diff(batch.bounds)
+        for miss in (pred != batch.y, pred != np.argmax(teacher_logits, axis=1)))
+    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)

@@ -22,7 +22,7 @@ from dilkit.coeffs import (ConfigError, TRIPLE_PRESETS, from_preset,
                            init_uniform)
 from dilkit.datagen import LabeledSet, gen_hd_balls, load_idx, rotated_stream
 from dilkit.divergence import hdh_discriminator_estimate, hdh_exact
-from dilkit.losses import (CoeffStats, HyperParams, StepBatch,
+from dilkit.losses import (CoeffStats, HyperParams, StepBatch, StepLayout,
                            classification_loss, v_01, v_d, v_l, v_p, v_s)
 from dilkit.membank import MemoryBank
 from dilkit.metrics import (AccuracyMatrix, avg_acc, avg_of_avg, forgetting,
@@ -167,7 +167,7 @@ def test_criterion_04_gradient_suite_100_trials_each():
         batch = StepBatch.stack(LabeledSet(cur.x, cur.y, 2), past)
         cases = {
             "v_l": (lambda: v_l(batch, omega, h.logits(batch.x),
-                                teacher.logits(batch.x).data),
+                                teacher.probs(batch.x).data),
                     h.params()),
             "v_01": (lambda: v_01(softmax(coeff_logits), stats, 1.3, 60,
                                   [8, 6]),
@@ -314,7 +314,7 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     disc4 = Mlp([4, 8, 2], rng=substream(11, "disc"))
     omega = np.array([[0.0, 1.0, 0.0]])
     record = StepBatch(np.concatenate([cur, past]), np.zeros(600, np.int64),
-                       np.array([0, 300, 600]), (1,), 2)
+                       StepLayout([300, 300], (1,), 2))
     for _ in range(200):
         loss = v_d(record, omega, disc4.logits(enc4.stopped().logits(record.x)))
         loss.backward()

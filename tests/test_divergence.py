@@ -12,7 +12,7 @@ from dilkit.divergence import (
     FiniteHypothesisClass, _as_sample, discriminator_divergences, hdh_exact,
     hdh_discriminator_estimate,
 )
-from dilkit.losses import classification_loss
+from dilkit.losses import StepLayout, classification_loss
 from dilkit.models import Mlp, sgd_step
 from dilkit.seeding import substream
 from finite_classes import all_labelings, threshold_class
@@ -189,19 +189,20 @@ def test_discriminator_divergences_read_each_segment():
     # domain 2's rows to class 3 as well
     cur, first, second = [0.1, 0.1, 0.8], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]
     probs = np.array([cur] * 3 + [first] * 2 + [second] * 4)
-    got = discriminator_divergences(probs, [0, 3, 5, 9], [1, 2])
+    got = discriminator_divergences(probs, StepLayout([3, 2, 4], [1, 2], 3))
     assert got.tolist() == [2.0, 0.0]
 
 
 def test_discriminator_divergences_contracts():
     probs = np.full((5, 3), 1 / 3)
-    for bounds, ids in (([0, 0, 5], [1]), ([0, 2, 2, 5], [1, 2]),
-                        ([0, 2, 5], [1, 2])):
-        with pytest.raises(ContractError, match="nonempty"):
-            discriminator_divergences(probs, bounds, ids)
-    for bad in (0, 3):
-        with pytest.raises(ContractError, match=r"in \[1, 2\]"):
-            discriminator_divergences(probs, [0, 2, 5], [bad])
+    for sizes, ids in (([0, 5], [1]), ([2, 0, 3], [1, 2])):
+        with pytest.raises(ContractError, match="every segment must be nonempty"):
+            discriminator_divergences(probs, StepLayout(sizes, ids, 3))
+    for sizes, ids in (([2, 3], [1, 2]), ([2, 3], [0]), ([2, 3], [3])):
+        with pytest.raises(ContractError, match=r"in \[1, 2\], one size per"):
+            StepLayout(sizes, ids, 3)
+    with pytest.raises(ContractError, match="discriminator arity 3 != t=2"):
+        discriminator_divergences(probs, StepLayout([2, 3], [1], 2))
 
 
 def test_trained_discriminator_tracks_exact_divergence():

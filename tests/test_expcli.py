@@ -584,6 +584,50 @@ def test_cli_metrics_null_or_nan_stored_metric_is_a_mismatch(
         f"{recomputed!r}\n")
 
 
+def _edit(entry, path):
+    """The dict at `path` (keys from `entry`) and the last key."""
+    for key in path[:-1]:
+        entry = entry[key]
+    return entry, path[-1]
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("summary", "avg_acc", "mean"), 0.123,
+     "summary: avg_acc.mean stored 0.123 != recomputed {old!r}"),
+    (("summary", "forward_transfer", "std"), 0.5,
+     "summary: forward_transfer.std stored 0.5 != recomputed {old!r}"),
+    (("summary", "forgetting"), None,
+     "summary: forgetting stored None != recomputed {old!r}"),
+    (("per_seed", 0, "avg_acc", "7"), 0.5,
+     "seed 0: avg_acc key '7' is outside domains 1..3"),
+    (("per_seed", 0, "forgetting", "0"), 0.0,
+     "seed 0: forgetting key '0' is outside domains 1..3"),
+], ids=["avg_acc-mean", "forward_transfer-std", "forgetting-nulled",
+        "avg_acc-domain-7", "forgetting-domain-0"])
+def test_cli_metrics_checks_summary_and_domain_keys(tmp_path, capsys, path,
+                                                    value, message):
+    """`metrics` re-derives the summary from the rebuilt results as
+    results_payload does, and a stored per-domain key outside
+    1..n_domains is a mismatch naming it; each edit exits 1."""
+    payload = results_payload("t", tiny_results(seeds=(0,)), {})
+    slot, key = _edit(payload, path)
+    old, slot[key] = slot.get(key), value
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(payload))
+    assert main(["metrics", str(results)]) == 1
+    assert capsys.readouterr().err == f"mismatch: {message.format(old=old)}\n"
+
+
+def test_cli_metrics_missing_summary_is_format_error(tmp_path, capsys):
+    payload = results_payload("t", tiny_results(seeds=(0,)), {})
+    del payload["summary"]
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(payload))
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"format error: {path}: missing field 'summary'\n")
+
+
 def _metrics_error(path, capsys) -> str:
     assert main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err

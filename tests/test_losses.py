@@ -11,7 +11,7 @@ from dilkit.autodiff import ContractError, Tensor, softmax
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
-    N_NEGATIVES, CoeffStats, HyperParams, StepBatch,
+    N_NEGATIVES, CoeffStats, HyperParams, StepBatch, StepLayout,
     classification_loss, encoder_aux_loss, erm01, v_01, v_d, v_l, v_p, v_s,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig
@@ -158,18 +158,18 @@ def _two_domain_setup(seed=20):
 
 def _v_l(h, teacher, omega, cur, past):
     """V_l on the record of `cur` and `past`, from the student's logits and
-    the teacher's on its rows."""
+    the teacher's probabilities on its rows."""
     b = StepBatch.stack(cur, past)
-    return v_l(b, omega, h.logits(b.x), teacher.logits(b.x).data)
+    return v_l(b, omega, h.logits(b.x), teacher.probs(b.x).data)
 
 
 def _x_record(cur_x, past_x, t):
     """A record of bare inputs, every label 0: `cur_x` from domain t, then
     past_x[i] for each past domain i."""
     xs = [cur_x] + [past_x[i] for i in sorted(past_x)]
-    bounds = np.cumsum([0] + [len(x) for x in xs])
-    return StepBatch(np.concatenate(xs), np.zeros(bounds[-1], np.int64),
-                     bounds, tuple(sorted(past_x)), t)
+    layout = StepLayout([len(x) for x in xs], sorted(past_x), t)
+    return StepBatch(np.concatenate(xs), np.zeros(layout.bounds[-1], np.int64),
+                     layout)
 
 
 def _v_d(d, enc, omega, cur_x, past_x, t):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_step as ref
 from dilkit import trainer
-from dilkit.autodiff import ContractError, Tensor, add, mul
+from dilkit.autodiff import ContractError, Tensor, add, mul, softmax
 from dilkit.coeffs import init_uniform
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
@@ -79,21 +79,21 @@ def _eps_hist(history):
 
 
 def _outputs(h, teacher, disc, batch):
-    """The three passes a step hands coeff_stats_for_step, over the
-    record's rows: the student's logits, the stopped discriminator's on the
-    student's embedding, and the teacher's."""
+    """What a step hands coeff_stats_for_step on the record's rows: the
+    student's logits, the stopped discriminator's on the student's
+    embedding, and the teacher's argmax."""
     stopped = h.stopped()
     embedding = stopped.encoder.logits(batch.x)
     return (stopped.predictor.logits(embedding).data,
             disc.stopped().logits(embedding).data,
-            teacher.logits(batch.x).data)
+            teacher.predict(batch.x))
 
 
 def _v_l(h, teacher, omega, current, past):
     """The library's V_l on the record of `current` and `past`, from the
-    student's and the teacher's logits on its rows."""
+    student's logits and the teacher's probabilities on its rows."""
     batch = StepBatch.stack(current, past)
-    return v_l(batch, omega, h.logits(batch.x), teacher.logits(batch.x).data)
+    return v_l(batch, omega, h.logits(batch.x), teacher.probs(batch.x).data)
 
 
 def _v_d(disc, encoder, omega, current, past):
@@ -301,7 +301,7 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
     x = batch.x
     past_x = {i: b.x for i, b in past.items()}
     teacher_logits = history.classifier.logits(x).data
-    _assert_same(v_l(batch, omega, h.logits(x), teacher_logits),
+    _assert_same(v_l(batch, omega, h.logits(x), softmax(teacher_logits).data),
                  ref.v_l(h, history, omega, current, past), h.params())
     d_stopped = disc.stopped()
     _assert_same(v_d(batch, omega, d_stopped.logits(h.encoder.logits(x))),
@@ -313,7 +313,8 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
                  disc.params())
     got = coeff_stats_for_step(
         _eps_hist(history), batch, h.logits(x).data,
-        disc.logits(h.encoder.logits(x)).data, teacher_logits)
+        disc.logits(h.encoder.logits(x)).data,
+        np.argmax(teacher_logits, axis=1))
     want = ref.coeff_stats_for_step(h, history, disc, current, past)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -388,7 +389,7 @@ def _teach_with(monkeypatch, teacher):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_draws_match_reference_sampling(monkeypatch, t, split, seed):
     """From equal rng states, each of three replay steps gathers the
-    reference's x, y, segment bounds and teacher logits bitwise (as handed
+    reference's x, y, segment bounds and teacher argmax bitwise (as handed
     to coeff_stats_for_step), and the steps leave the rng in the
     reference's state.  Bucket 1 holds one row, shorter than any memory
     batch; with `split` the memory batch is divided over t - 1."""
@@ -402,25 +403,26 @@ def test_step_draws_match_reference_sampling(monkeypatch, t, split, seed):
     seen = []
     stats_for_step = trainer.coeff_stats_for_step
 
-    def recording_stats(eps_hist, batch, logits, disc_logits, teacher_logits):
-        seen.append((batch, teacher_logits))
+    def recording_stats(eps_hist, batch, logits, disc_logits, teacher_pred):
+        seen.append((batch, teacher_pred))
         return stats_for_step(eps_hist, batch, logits, disc_logits,
-                              teacher_logits)
+                              teacher_pred)
 
     _teach_with(monkeypatch, teacher_net)
     monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     trainer._train_domain_replay(state, domain, rng, disc, coeff_logits)
     assert len(seen) == 3
-    for batch, teacher_logits in seen:
+    for batch, teacher_pred in seen:
         _, _, x, y, bounds, ref_teacher = ref.sample_step(
             domain, bank, teacher, state.config.sgd.batch_size, 8, split,
             ref_rng)
         np.testing.assert_array_equal(batch.x, x)
         np.testing.assert_array_equal(batch.y, y)
-        np.testing.assert_array_equal(batch.bounds, bounds)
-        np.testing.assert_array_equal(teacher_logits, ref_teacher)
-        assert batch.ids == tuple(range(1, t)) and batch.t == t
+        np.testing.assert_array_equal(batch.layout.bounds, bounds)
+        np.testing.assert_array_equal(teacher_pred,
+                                      np.argmax(ref_teacher, axis=1))
+        assert batch.layout.ids == tuple(range(1, t)) and batch.layout.t == t
         assert bounds[2] - bounds[1] == 1  # the short bucket: all of it
     # lambda_s = 0: the draws are the steps' only use of the rng
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -557,8 +559,9 @@ def test_domain_start_pass_matches_end_of_domain_snapshot(monkeypatch,
                                                           method):
     """At each replay domain t = 2..5, trainer.snapshot_history runs once,
     before any step, and gives bitwise what the reference snapshot of the
-    model and memory after domain t - 1 gives: the logits and embedding of
-    the domain's rows and every bucket's, and each bucket's 0-1 error.
+    model and memory after domain t - 1 gives: the softmax and argmax of
+    the logits and the embedding of the domain's rows and every bucket's,
+    and each bucket's 0-1 error.
     After the domain has trained the live model, its outputs have not
     moved.  Domain 1 runs no pass."""
     stream = gen_hd_balls(seed=3, n_domains=5, n_per_domain=60, dim=4,
@@ -582,15 +585,17 @@ def test_domain_start_pass_matches_end_of_domain_snapshot(monkeypatch,
         data = stream.train(t)
         teacher_emb = snap.classifier.embed(data.x).data
         ids = sorted(snap.logits)
-        want = (np.concatenate([snap.classifier.predictor.logits(teacher_emb).data]
-                               + [snap.logits[i] for i in ids]),
+        logits = np.concatenate(
+            [snap.classifier.predictor.logits(teacher_emb).data]
+            + [snap.logits[i] for i in ids])
+        want = (softmax(logits).data, np.argmax(logits, axis=1),
                 np.concatenate([teacher_emb] + [snap.embeddings[i] for i in ids]),
                 np.array([snap.cached_consts[i] for i in ids]))
         state = trainer.train_domain(state, data)
         assert len(passes) == t - 1
-        layout, got = passes[-1]
-        assert layout.ids == tuple(range(1, t)) and layout.t == t
+        pool, got = passes[-1]
+        assert pool.layout.ids == tuple(range(1, t)) and pool.layout.t == t
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         # the model has trained: the same pass now reads other logits
-        assert not np.array_equal(domain_start(state.model, layout)[0], got[0])
+        assert not np.array_equal(domain_start(state.model, pool)[0], got[0])

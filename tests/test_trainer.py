@@ -8,8 +8,8 @@ from dilkit.autodiff import ContractError, Tensor, add, mul, softmax
 from dilkit.coeffs import ConfigError, TRIPLE_PRESETS, from_preset, init_uniform
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
 from dilkit.losses import (
-    CoeffStats, HyperParams, StepBatch, classification_loss, encoder_aux_loss,
-    erm01, v_01, v_d, v_l,
+    CoeffStats, HyperParams, StepBatch, StepLayout, classification_loss,
+    encoder_aux_loss, erm01, v_01, v_d, v_l,
 )
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, SgdConfig, sgd_step
@@ -92,9 +92,8 @@ def test_model_starts_from_history(monkeypatch):
     monkeypatch.setattr(trainer, "snapshot_history", recording_pass)
     train_domain(state, stream.train(2))
     # the teacher of domain 2 is the model as domain 1 left it
-    ((layout, (logits, _, _)),) = passes
-    np.testing.assert_array_equal(np.argmax(logits, axis=1),
-                                  before.predict(layout.x))
+    ((pool, (_, pred, _, _)),) = passes
+    np.testing.assert_array_equal(pred, before.predict(pool.x))
 
 
 def test_two_domain_toy_udil_retains_finetune_forgets():
@@ -231,7 +230,7 @@ def test_snapshot_deep_copy_and_cache_coherence():
         p.data += 10.0  # wreck the live model
     for got, want in zip(outputs, saved):
         np.testing.assert_array_equal(got, want)
-    assert list(outputs[2]) == eps
+    assert list(outputs[3]) == eps
 
 
 def test_snapshot_untrained_model_near_chance():
@@ -242,7 +241,7 @@ def test_snapshot_untrained_model_near_chance():
     bank.update_after_domain(LabeledSet(x, y, 1), 1, seed=77)
     model = SMALL_ARCH.build_classifier(6, 2, substream(77, "init"))
     layout = StepBatch.stack(LabeledSet(x[:1], y[:1], 2), bank.buckets)
-    _, _, eps_hist = snapshot_history(model, layout)
+    *_, eps_hist = snapshot_history(model, layout)
     assert abs(eps_hist[0] - 0.5) <= 0.1
 
 
@@ -260,7 +259,7 @@ def test_trained_discriminator_near_chance_on_identical_distributions():
     d = SMALL_ARCH.build_discriminator(2, substream(11, "disc"))
     omega = np.array([[0.0, 1.0, 0.0]])
     record = StepBatch(np.concatenate([cur, past]), np.zeros(600, np.int64),
-                       np.array([0, 300, 600]), (1,), 2)
+                       StepLayout([300, 300], (1,), 2))
     for _ in range(200):
         loss = v_d(record, omega, d.logits(enc.stopped().logits(record.x)))
         loss.backward()
@@ -305,7 +304,7 @@ def test_update_isolation_checksums():
     stats = coeff_stats_for_step(
         eps_hist, batch, model.predictor.logits(embedding).data,
         disc.logits(embedding).data,
-        teacher.logits(batch.x).data)
+        teacher.predict(batch.x))
     loss6 = v_01(softmax(coeff_logits), stats, 1.0, len(data),
                  [len(b) for b in past.values()])
     loss6.backward()
@@ -316,7 +315,7 @@ def test_update_isolation_checksums():
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
     frozen = softmax(coeff_logits).data
     loss7 = v_l(batch, frozen, model.logits(batch.x),
-                teacher.logits(batch.x).data)
+                teacher.probs(batch.x).data)
     embedding = model.encoder.logits(batch.x)
     aux = encoder_aux_loss(embedding, disc.stopped().logits(embedding),
                            teacher.embed(batch.x).data,
