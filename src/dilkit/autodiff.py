@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
 Ops, each one the library calls: add, mul, tsum, rowsum, rows, reshape,
-softmax, mlp and softmax_xent.  mlp is a network forward (layers
-x @ w + b with relu between them) as one node; softmax_xent is
--sum(target * log_softmax(a)), every cross-entropy.
+mlp and softmax_xent.  mlp is a network forward (layers x @ w + b with relu
+between them) as one node; softmax_xent is -sum(target * log_softmax(a)),
+every cross-entropy.  `softmax` is a plain row-wise function of an array: it
+builds no node and has no backward.
 
 Each op builds a Tensor holding a `_backward` closure and a creation number;
 an op's inputs exist before its output, so `backward()` runs the closures
@@ -197,19 +198,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax with log-sum-exp stabilization."""
-    a = _wrap(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = _make(p, (a,))
-    if out.requires_grad:
-        def _back(g):
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            a._accum(p * (g - dot))
-        out._backward = _back
-    return out
+def softmax(a: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an array, with log-sum-exp stabilization."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_xent(a: Tensor, target) -> Tensor:

@@ -1,14 +1,15 @@
 """Replay coefficients: per past domain a triple (alpha_i, beta_i, gamma_i)
 mixing intra-domain distillation, cross-domain distillation, and raw replay
 ERM.  A preset's triples are a fixed [t-1, 3] array; UDIL's are the row-wise
-softmax of a [t-1, 3] logit Tensor it descends."""
+softmax of a [t-1, 3] logit array it descends, its gradient on the logits
+taken from V_01's on the triples by `logit_gradient`."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor
+from .autodiff import ContractError
 from .datagen import ConfigError
 
 METHODS = ("UDIL", "LwF", "ER", "DER++", "iCaRL", "CLS-ER", "ESM-ER", "BiC",
@@ -19,12 +20,18 @@ TRIPLE_PRESETS = ("LwF", "ER", "DER++", "iCaRL", "CLS-ER", "ESM-ER", "BiC")
 ESM_ER_RATIO = 1.0 - math.exp(-1.0)  # replay-stream retention rate r
 
 
-def init_uniform(t: int) -> Tensor:
+def init_uniform(t: int) -> np.ndarray:
     """UDIL's [t-1, 3] coefficient logits for domain t, all zero: their
     softmax rows are (1/3, 1/3, 1/3)."""
     if t < 2:
         raise ContractError("adaptive coefficients require t >= 2")
-    return Tensor(np.zeros((t - 1, 3)), requires_grad=True)
+    return np.zeros((t - 1, 3))
+
+
+def logit_gradient(omega: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient on the logits whose row-wise softmax is `omega`, given
+    `grad` on omega: omega * (grad - sum_k grad_k omega_k) per row."""
+    return omega * (grad - (grad * omega).sum(axis=-1, keepdims=True))
 
 
 def preset_triple(method: str, t: int) -> tuple[float, float, float]:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    ContractError, Tensor, _make, _wrap, add, mul, reshape, rows, rowsum,
-    softmax_xent, tsum,
+    ContractError, Tensor, add, mul, reshape, rows, rowsum, softmax_xent, tsum,
 )
 from .datagen import LabeledSet
 from .models import Classifier, Range, Ranged
@@ -176,34 +175,28 @@ def radical_terms(omega: np.ndarray, n_current: int,
     return v, 1.0 / np.concatenate(([n_current], n_memory))
 
 
-def v_01(omega: Tensor | np.ndarray, stats: CoeffStats, c_gen: float,
-         n_current: int, n_memory: np.ndarray) -> Tensor:
+def v_01(omega: np.ndarray, stats: CoeffStats, c_gen: float,
+         n_current: int, n_memory: np.ndarray) -> tuple[float, np.ndarray]:
     """Coefficient loss: the 0-1 surrogate bound evaluated at the [t-1, 3]
     triples `omega`, UDIL's softmax(logits) or a preset's array.  With
     W = stats.weights() and v, w as radical_terms builds them, it is
-    sum(omega * W) + c_gen * sqrt(R), R = sum(w * v**2), as one node on omega:
-    its gradient adds W + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i) to
-    row i."""
-    m = _wrap(omega)
-    n_past = m.data.shape[0]
+    sum(omega * W) + c_gen * sqrt(R), R = sum(w * v**2).  Returns the value
+    and its [t-1, 3] gradient on omega, in closed form: row i of the
+    gradient is W_i + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i)."""
+    n_past = omega.shape[0]
     if np.shape(n_memory) != (n_past,) or len(stats.eps_replay) != n_past:
         raise ContractError(
             f"v_01: the simplex has {n_past} past domains, the stats "
             f"{len(stats.eps_replay)} and n_memory {np.size(n_memory)}")
     weights = stats.weights()
-    v, w = radical_terms(m.data, n_current, n_memory)
+    v, w = radical_terms(omega, n_current, n_memory)
     rad = np.sqrt((v * v * w).sum())
-    out = _make((m.data * weights).sum() + rad * c_gen, (m,))
-    if out.requires_grad:
-        def _back(g):
-            # d(w * v * v)/dv in two halves, as the tests' selection-matrix
-            # composition sums it: given equal v, the gradients are equal
-            half = g * c_gen * 0.5 / rad * w * v
-            dv = half + half
-            dm = np.column_stack([dv[1:], np.full(n_past, dv[0]), dv[1:]])
-            m._accum(g * weights + dm, fresh=True)
-        out._backward = _back
-    return out
+    # d(w * v * v)/dv in two halves, as the tests' selection-matrix
+    # composition sums it: given equal v, the gradients are equal
+    half = c_gen * 0.5 / rad * w * v
+    dv = half + half
+    dm = np.column_stack([dv[1:], np.full(n_past, dv[0]), dv[1:]])
+    return float((omega * weights).sum() + rad * c_gen), weights + dm
 
 
 def v_d(batch: StepBatch, omega: np.ndarray, logits: Tensor) -> Tensor:

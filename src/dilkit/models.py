@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, mlp, softmax
+from .autodiff import ContractError, Tensor, mlp
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,6 @@ class Classifier:
 
     def logits(self, x) -> Tensor:
         return self.predictor.logits(self.embed(x))
-
-    def probs(self, x) -> Tensor:
-        return softmax(self.logits(x))
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.logits(x).data, axis=1)

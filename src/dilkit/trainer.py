@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ContractError, Tensor, add, mul, softmax
-from .coeffs import from_preset, init_uniform
+from .coeffs import from_preset, init_uniform, logit_gradient
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
@@ -87,10 +87,9 @@ def _draw_rows(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=min(batch_size, n), replace=False))
 
 
-def _check_finite(loss: Tensor, name: str, method: str, t: int,
+def _check_finite(value: float, name: str, method: str, t: int,
                   step: int) -> None:
-    """Raise before a non-finite loss reaches backward() and the SGD step."""
-    value = loss.item()
+    """Raise before a non-finite loss value reaches its update."""
     if not np.isfinite(value):
         raise ContractError(
             f"{method}: {name} loss is {value!r} at domain {t}, step {step}")
@@ -101,7 +100,7 @@ def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
     for step in range(1, sgd.step_count + 1):
         batch = data.subset(_draw_rows(len(data), sgd.batch_size, rng))
         loss = classification_loss(model, batch)
-        _check_finite(loss, "classification", method, t, step)
+        _check_finite(loss.item(), "classification", method, t, step)
         loss.backward()
         sgd_step(model.params(), sgd.learning_rate)
 
@@ -114,7 +113,7 @@ def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
     the teacher's 0-1 error on each memory bucket.  The 0-1 errors are counted
     per segment, the divergence estimates read off them; an empty one raises."""
     layout = batch.layout
-    dhat = discriminator_divergences(softmax(disc_logits).data, layout)
+    dhat = discriminator_divergences(softmax(disc_logits), layout)
     pred = np.argmax(logits, axis=1)
     wrong, differs = (
         np.add.reduceat(miss, layout.bounds[:-1], dtype=np.int64) / layout.sizes
@@ -122,20 +121,19 @@ def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
     return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
 
 
-def descend_v01(coeff_logits: Tensor, stats: CoeffStats, c_gen: float,
+def descend_v01(coeff_logits: np.ndarray, stats: CoeffStats, c_gen: float,
                 n_current: int, n_memory: list[int], steps: int,
                 learning_rate: float) -> float:
     """Run plain gradient descent on the bound surrogate over the [t-1, 3]
     `coeff_logits`, in place, and return the final value.  For the
-    frozen-instance comparisons against the fixed presets; the training step
-    takes its one `v_01` step inline, so it can check the loss is finite
-    before `backward()`."""
-    value = None
+    frozen-instance comparisons against the fixed presets; each step is the
+    training step's coefficient update, without its finiteness check."""
+    param, omega, value = Tensor(coeff_logits), softmax(coeff_logits), None
     for _ in range(steps):
-        loss = v_01(softmax(coeff_logits), stats, c_gen, n_current, n_memory)
-        loss.backward()
-        sgd_step([coeff_logits], learning_rate)
-        value = loss.item()
+        value, grad = v_01(omega, stats, c_gen, n_current, n_memory)
+        param.grad = logit_gradient(omega, grad)
+        sgd_step([param], learning_rate)
+        omega = softmax(param.data)
     return value
 
 
@@ -152,7 +150,7 @@ def snapshot_history(model: Classifier, pool: StepBatch
     logits = np.concatenate([frozen.predictor.logits(e).data for e in embedded])
     pred = np.argmax(logits, axis=1)
     eps = np.add.reduceat(pred != pool.y, bounds[:-1], dtype=np.int64) / pool.layout.sizes
-    return softmax(logits).data, pred, np.concatenate(embedded), eps[1:]
+    return softmax(logits), pred, np.concatenate(embedded), eps[1:]
 
 
 def train_domain(state: TrainState, domain_data: LabeledSet,
@@ -201,20 +199,22 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
 
 def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator, disc: Mlp,
-                         coeff_logits: Tensor | None) -> np.ndarray:
+                         coeff_logits: np.ndarray | None) -> np.ndarray:
     """[domain_data; bucket 1; ...; bucket t-1] is stacked once, with the
     teacher's outputs on it from the model before its first step, and so is
     the layout of every step's record (a current batch, then a memory batch
     per bucket); each step gathers its rows by drawn index, and each network
     runs once on them for every loss term.  The triples are the method's
     preset, or with UDIL's [t-1, 3] `coeff_logits` their softmax, descended
-    once per step; returns the domain's final triples."""
+    in place once per step; returns the domain's final triples."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = coeff_logits is not None
-    # UDIL's triples as a node: each update's softmax is the next V_01 input
-    simplex = softmax(coeff_logits) if adaptive else None
-    omega = simplex.data if adaptive else from_preset(config.method, t)
+    # UDIL's logit array as sgd_step's parameter (sharing its memory), built
+    # once per domain so that no update builds a Tensor; each update's
+    # softmax is the next V_01 input
+    param = Tensor(coeff_logits) if adaptive else None
+    omega = softmax(coeff_logits) if adaptive else from_preset(config.method, t)
     omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
     disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
     mem_batch = config.memory_batch if config.memory_batch is not None else sgd.batch_size
@@ -243,7 +243,7 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         if disc_on:
             disc_loss = mul(v_d(batch, omega, disc.logits(embedding.data)),
                             hp.lambda_d)
-            _check_finite(disc_loss, "discriminator", config.method, t, step)
+            _check_finite(disc_loss.item(), "discriminator", config.method, t, step)
             # with no beta mass left the loss is a constant: nothing to train
             if disc_loss.requires_grad:
                 disc_loss.backward()
@@ -253,18 +253,18 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         if adaptive:
             stats = coeff_stats_for_step(eps_hist, batch, logits.data,
                                          disc_logits.data, teacher_pred[idx])
-            loss = v_01(simplex, stats, hp.c_gen, len(domain_data), n_memory)
-            _check_finite(loss, "coefficient", config.method, t, step)
-            loss.backward()
-            sgd_step([coeff_logits], omega_lr)
-            simplex = softmax(coeff_logits)
-            omega = simplex.data
+            value, grad = v_01(omega, stats, hp.c_gen, len(domain_data),
+                               n_memory)
+            _check_finite(value, "coefficient", config.method, t, step)
+            param.grad = logit_gradient(omega, grad)
+            sgd_step([param], omega_lr)
+            omega = softmax(param.data)
 
         objective = v_l(batch, omega, logits, teacher_probs[idx])
         aux = encoder_aux_loss(embedding, disc_logits, teacher_embedding,
                                omega, batch, hp, rng)
         objective = add(objective, aux)
-        _check_finite(objective, "model", config.method, t, step)
+        _check_finite(objective.item(), "model", config.method, t, step)
         objective.backward()
         sgd_step(model.params(), sgd.learning_rate)
     return omega

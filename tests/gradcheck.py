@@ -1,5 +1,7 @@
 """Test-only finite-difference oracle: the gate-4 suite and the autodiff and
-loss tests check every analytic gradient against central differences."""
+loss tests check every analytic gradient against central differences, of
+a graph's loss (`gradcheck`) or of a function of a plain array that returns
+its value and gradient (`gradcheck_array`)."""
 from __future__ import annotations
 
 from typing import Sequence
@@ -23,9 +25,31 @@ def gradcheck(fn, tensors: Sequence[Tensor], eps: float = 1e-5,
     loss.backward()
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                 for t in tensors]
+    return _central_differences(lambda: float(fn().data),
+                                [t.data for t in tensors], analytic, eps,
+                                rtol, atol, max_coords, rng)
+
+
+def gradcheck_array(fn, x: np.ndarray, eps: float = 1e-5, rtol: float = 1e-4,
+                    atol: float = 1e-7, max_coords: int | None = None,
+                    rng: np.random.Generator | None = None) -> float:
+    """Compare the gradient fn(x) returns, as (value, gradient), against
+    central differences of its value, perturbing x in place.
+
+    Returns the worst relative error; raises AssertionError past tolerance.
+    """
+    analytic = np.array(fn(x)[1], dtype=np.float64)
+    return _central_differences(lambda: float(fn(x)[0]), [x], [analytic],
+                                eps, rtol, atol, max_coords, rng)
+
+
+def _central_differences(value, arrays, analytic, eps, rtol, atol,
+                         max_coords, rng) -> float:
+    """value() against the analytic gradients of `arrays`, coordinate by
+    coordinate (at most `max_coords` drawn per array)."""
     worst = 0.0
-    for t, an in zip(tensors, analytic):
-        flat = t.data.ravel()
+    for arr, an in zip(arrays, analytic):
+        flat = arr.ravel()
         coords = np.arange(flat.size)
         if max_coords is not None and flat.size > max_coords:
             if rng is None:
@@ -34,9 +58,9 @@ def gradcheck(fn, tensors: Sequence[Tensor], eps: float = 1e-5,
         for c in coords:
             orig = flat[c]
             flat[c] = orig + eps
-            hi = float(fn().data)
+            hi = value()
             flat[c] = orig - eps
-            lo = float(fn().data)
+            lo = value()
             flat[c] = orig
             fd = (hi - lo) / (2.0 * eps)
             a = an.ravel()[c]

@@ -9,7 +9,12 @@ gathered differences.  `sqrt` is the op V_01's radical was built with, and
 and the radical from generic ops.  The differential tests in
 test_autodiff.py and test_losses.py compare the fused ops and V_01 against
 these compositions, and reference_step.py builds its per-domain losses from
-them.  `backward` is the graph walk `Tensor.backward` ran before it ordered
+them.  `softmax` is the graph node the library's softmax was, with its
+backward, before UDIL's coefficient update took V_01's gradient through it
+in closed form; `v_01_node` is V_01 as that one node on the triples, its
+backward in closed form; test_losses.py compares the library's value and
+logits gradient against `v_01_node(softmax(logits))`, and
+reference_step.py's `replay_step` descends through them.  `backward` is the graph walk `Tensor.backward` ran before it ordered
 nodes by creation: a two-phase depth-first search whose post-order,
 reversed, is the topological order.  `sgd_step` is the update as
 models.sgd_step wrote it before it scaled each gradient in place."""
@@ -195,6 +200,50 @@ def sqrt(a: Tensor) -> Tensor:
     if out.requires_grad:
         def _back(g):
             a._accum(g * 0.5 / val)
+        out._backward = _back
+    return out
+
+
+def softmax(a) -> Tensor:
+    """Row-wise softmax with log-sum-exp stabilization, as a node."""
+    a = _wrap(a)
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = _make(p, (a,))
+    if out.requires_grad:
+        def _back(g):
+            dot = (g * p).sum(axis=-1, keepdims=True)
+            a._accum(p * (g - dot))
+        out._backward = _back
+    return out
+
+
+def v_01_node(omega, stats, c_gen: float, n_current: int,
+              n_memory) -> Tensor:
+    """sum(m * stats.weights()) + c_gen * sqrt(sum(w * v**2)) over the
+    [t-1, 3] triples m = omega as one node, whose backward adds
+    g * (W + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i)) to row i."""
+    m = _wrap(omega)
+    n_past = m.data.shape[0]
+    if np.shape(n_memory) != (n_past,) or len(stats.eps_replay) != n_past:
+        raise ContractError(
+            f"v_01: the simplex has {n_past} past domains, the stats "
+            f"{len(stats.eps_replay)} and n_memory {np.size(n_memory)}")
+    n_memory = np.asarray(n_memory, dtype=np.float64)
+    if n_current <= 0 or (n_memory <= 0).any():
+        raise ContractError("the radical requires positive sample counts")
+    weights = stats.weights()
+    v = np.concatenate(([1.0 + m.data[:, 1].sum()], m.data[:, 0] + m.data[:, 2]))
+    w = 1.0 / np.concatenate(([n_current], n_memory))
+    rad = np.sqrt((v * v * w).sum())
+    out = _make((m.data * weights).sum() + rad * c_gen, (m,))
+    if out.requires_grad:
+        def _back(g):
+            half = g * c_gen * 0.5 / rad * w * v
+            dv = half + half
+            dm = np.column_stack([dv[1:], np.full(n_past, dv[0]), dv[1:]])
+            m._accum(g * weights + dm, fresh=True)
         out._backward = _back
     return out
 

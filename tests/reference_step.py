@@ -16,7 +16,9 @@ trainer ran before the phases and the encoder terms shared one student
 pass, one stopped-discriminator pass and the teacher's per-domain outputs,
 built from the per-domain V_l, V_d, V_p, V_s and V_01 here and none of the
 library's; test_stacked_step.py compares the trainer's draws and step
-against these.  `snapshot_history` is the teacher record the trainer kept
+against these.  Every softmax here is reference_ops' graph node, so
+`replay_step` descends the coefficient logits by backpropagation.
+`snapshot_history` is the teacher record the trainer kept
 between domains before it ran the model once over each replay domain's
 layout: a frozen deep copy of the model after a domain (`frozen_copy`),
 with its embedding, logits and 0-1 error on each memory bucket, one pass
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dilkit.autodiff import (
-    ContractError, Tensor, _wrap, add, mul, reshape, rows, rowsum, softmax,
+    ContractError, Tensor, _wrap, add, mul, reshape, rows, rowsum,
     softmax_xent, tsum,
 )
 from dilkit.datagen import LabeledSet
@@ -47,7 +49,9 @@ from dilkit.losses import (
 from dilkit.membank import MemoryBank
 from dilkit.models import Classifier, Mlp, sgd_step
 
-from reference_ops import column, concat_cols, log_softmax, pick, sqrt, tmean
+from reference_ops import (
+    column, concat_cols, log_softmax, pick, softmax, sqrt, tmean,
+)
 
 log = logging.getLogger(__name__)
 
@@ -83,8 +87,7 @@ def snapshot_history(model: Classifier, bank: MemoryBank) -> HistorySnapshot:
 
 def distillation_loss(h: Classifier, teacher, inputs: np.ndarray) -> Tensor:
     """Soft cross-entropy toward the frozen teacher's output distribution."""
-    targets = teacher.probs(inputs)
-    target_vals = targets.data if isinstance(targets, Tensor) else targets
+    target_vals = softmax(teacher.logits(inputs)).data
     logp = log_softmax(h.logits(inputs))
     if target_vals.shape[1] != logp.data.shape[1]:
         raise ContractError(

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 
 import dilkit
-from dilkit.autodiff import Tensor, softmax
+from dilkit.autodiff import softmax
 from dilkit.bounds import (check_cross_bound, check_intra_bound,
                            check_unified_bound, random_instance,
                            tightest_bound_grid)
 from dilkit.coeffs import (ConfigError, TRIPLE_PRESETS, from_preset,
-                           init_uniform)
+                           init_uniform, logit_gradient)
 from dilkit.datagen import LabeledSet, gen_hd_balls, load_idx, rotated_stream
 from dilkit.divergence import hdh_discriminator_estimate, hdh_exact
 from dilkit.losses import (CoeffStats, HyperParams, StepBatch, StepLayout,
@@ -31,7 +31,7 @@ from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
 from dilkit.seeding import substream
 from dilkit.trainer import TrainerConfig, descend_v01, run_sequence
 from finite_classes import threshold_class
-from gradcheck import gradcheck
+from gradcheck import gradcheck, gradcheck_array
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -84,7 +84,7 @@ def test_criterion_02_grid_argmin_and_descent_beat_presets():
                        float(frozen.random() * 0.5), frozen.random(3) * 1.5,
                        frozen.random(3) * 0.3)
     n_cur, n_mem = int(frozen.integers(50, 200)), list(frozen.integers(10, 60, 3))
-    preset_min = min(v_01(from_preset(m, t), stats, 1.0, n_cur, n_mem).item()
+    preset_min = min(v_01(from_preset(m, t), stats, 1.0, n_cur, n_mem)[0]
                      for m in TRIPLE_PRESETS)
     descended = descend_v01(init_uniform(t), stats, 1.0, n_cur, n_mem,
                             steps=500, learning_rate=10.0)
@@ -150,6 +150,14 @@ def _grad_trial_setups(seed: int):
     return rng, h, teacher, cur, past, omega
 
 
+def _coefficient_step_gradient(coeff_logits, stats):
+    """V_01 at softmax(coeff_logits) and its gradient on the logits, as
+    the trainer's coefficient update computes them."""
+    omega = softmax(coeff_logits)
+    value, grad = v_01(omega, stats, 1.3, 60, [8, 6])
+    return value, logit_gradient(omega, grad)
+
+
 def test_criterion_04_gradient_suite_100_trials_each():
     failures = []
     for trial in range(100):
@@ -160,18 +168,17 @@ def test_criterion_04_gradient_suite_100_trials_each():
         stats = CoeffStats(rng.random(2) * 0.5, rng.random(2) * 0.5,
                            float(rng.random() * 0.5), rng.random(2) * 1.5,
                            rng.random(2) * 0.3)
-        coeff_logits = init_uniform(3)
-        coeff_logits.data[...] = rng.normal(size=(2, 3))
+        coeff_logits = rng.normal(size=(2, 3))
         trial_seed = 4000 + trial
         # the record of the trial's batches, cur as domain 2's
         batch = StepBatch.stack(LabeledSet(cur.x, cur.y, 2), past)
         cases = {
             "v_l": (lambda: v_l(batch, omega, h.logits(batch.x),
-                                teacher.probs(batch.x).data),
+                                softmax(teacher.logits(batch.x).data)),
                     h.params()),
-            "v_01": (lambda: v_01(softmax(coeff_logits), stats, 1.3, 60,
-                                  [8, 6]),
-                     [coeff_logits]),
+            # the logits gradient the trainer applies, through the softmax
+            "v_01": (lambda z: _coefficient_step_gradient(z, stats),
+                     coeff_logits),
             "v_d": (lambda: v_d(batch, omega, d.logits(enc.logits(batch.x))),
                     enc.params() + d.params()),
             "v_p": (lambda: v_p(batch, enc.logits(batch.x),
@@ -181,8 +188,9 @@ def test_criterion_04_gradient_suite_100_trials_each():
                     enc.params()),
         }
         for name, (fn, params) in cases.items():
+            check = gradcheck_array if name == "v_01" else gradcheck
             try:
-                gradcheck(fn, params, rtol=1e-4, max_coords=3, rng=rng)
+                check(fn, params, rtol=1e-4, max_coords=3, rng=rng)
             except AssertionError as err:
                 failures.append(f"trial {trial} {name}: {err}")
     gate(4, not failures,

@@ -436,8 +436,7 @@ def test_deterministic_bound_is_v_01_at_zero_c_gen(seed):
         n_cur, n_mem = sample_sizes(inst)
         for om in (inst.omega, rng.dirichlet((1.0, 1.0, 1.0), size=t - 1),
                    rng.dirichlet((0.2, 0.2, 0.2), size=t - 1)):
-            surrogate = v_01(om, inst.coeff_stats, 0.0, n_cur,
-                             n_mem).item()
+            surrogate = v_01(om, inst.coeff_stats, 0.0, n_cur, n_mem)[0]
             assert deterministic_bound(inst, om) == (
                 inst.risks[inst.h_idx, -1] + surrogate)
 
@@ -449,10 +448,10 @@ def test_v_01_radical_is_radical_argument(seed):
         t = inst.n_domains
         n_cur, n_mem = sample_sizes(inst)
         om = rng.dirichlet((1.0, 1.0, 1.0), size=t - 1)
-        base = v_01(om, inst.coeff_stats, 0.0, n_cur, n_mem).item()
+        base = v_01(om, inst.coeff_stats, 0.0, n_cur, n_mem)[0]
         rad = math.sqrt(radical_argument(om, n_cur, n_mem))
         for c in (0.3, 1.0, 2.5):
-            got = v_01(om, inst.coeff_stats, c, n_cur, n_mem).item()
+            got = v_01(om, inst.coeff_stats, c, n_cur, n_mem)[0]
             assert abs(got - (base + c * rad)) <= 1e-12 * abs(got)
 
 

@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilkit.autodiff import ContractError, Tensor, add, softmax, tsum, mul
+from dilkit.autodiff import ContractError, softmax
 from dilkit.coeffs import (
     ESM_ER_RATIO, METHODS, TRIPLE_PRESETS, from_preset, init_uniform,
-    preset_triple,
+    logit_gradient, preset_triple,
 )
 from dilkit.datagen import ConfigError
-from dilkit.models import sgd_step
+
+from gradcheck import gradcheck_array
 
 
 def test_init_uniform_triples():
     logits = init_uniform(3)
-    assert logits.requires_grad
-    tr = softmax(logits).data
+    assert isinstance(logits, np.ndarray) and logits.dtype == np.float64
+    tr = softmax(logits)
     assert tr.shape == (2, 3)
     assert np.allclose(tr, 1.0 / 3.0)
     with pytest.raises(ContractError, match="t >= 2"):
@@ -26,24 +27,41 @@ def test_init_uniform_triples():
 
 def test_softmax_logit_arithmetic():
     logits = init_uniform(2)
-    logits.data[0] = [math.log(2.0), 0.0, 0.0]
-    assert np.allclose(softmax(logits).data[0], [0.5, 0.25, 0.25])
+    logits[0] = [math.log(2.0), 0.0, 0.0]
+    assert np.allclose(softmax(logits)[0], [0.5, 0.25, 0.25])
 
 
 def test_logit_shift_invariance():
     logits = init_uniform(2)
-    logits.data[0] = [0.3, -1.2, 2.0]
-    before = softmax(logits).data
-    logits.data[0] += 17.5
-    assert np.allclose(softmax(logits).data, before, atol=1e-12)
+    logits[0] = [0.3, -1.2, 2.0]
+    before = softmax(logits)
+    logits[0] += 17.5
+    assert np.allclose(softmax(logits), before, atol=1e-12)
+
+
+def _readout(logits, weights):
+    """sum(softmax(logits) * weights) and its gradient on the logits."""
+    omega = softmax(logits)
+    return (omega * weights).sum(), logit_gradient(omega, weights)
 
 
 def test_simplex_gradient_of_sum_is_zero():
     logits = init_uniform(2)
-    logits.data[0] = [0.7, -0.4, 0.1]
-    loss = tsum(softmax(logits))
-    loss.backward()
-    assert np.allclose(logits.grad, 0.0, atol=1e-15)
+    logits[0] = [0.7, -0.4, 0.1]
+    ones = np.ones_like(logits)
+    assert np.allclose(_readout(logits, ones)[1], 0.0, atol=1e-15)
+    gradcheck_array(lambda z: _readout(z, ones), logits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
+def test_logit_gradient_central_differences(n_rows, n_cols, seed):
+    """logit_gradient takes a generic readout's gradient on the softmax to
+    the logits' gradient, checked coordinate by coordinate."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(n_rows, n_cols)) * 3.0
+    weights = rng.normal(size=(n_rows, n_cols))
+    gradcheck_array(lambda z: _readout(z, weights), logits)
 
 
 def test_preset_golden_values_exact():
@@ -118,13 +136,11 @@ def test_from_preset_rejections():
 def test_simplex_closure_under_sgd(seed, t, n_steps):
     rng = np.random.default_rng(seed)
     logits = init_uniform(t)
-    target = Tensor(rng.random((t - 1, 3)))
+    target = rng.random((t - 1, 3))
     for _ in range(n_steps):
-        diff = add(softmax(logits), mul(target, -1.0))
-        loss = tsum(mul(diff, diff))
-        loss.backward()
-        sgd_step([logits], 0.5)
-    tr = softmax(logits).data
+        omega = softmax(logits)
+        logits -= 0.5 * logit_gradient(omega, 2.0 * (omega - target))
+    tr = softmax(logits)
     assert np.all(tr >= 0) and np.all(tr <= 1)
     assert np.allclose(tr.sum(axis=1), 1.0, atol=1e-9)
 

@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import reference_ops
 import reference_step
+from dilkit import trainer
 from dilkit.autodiff import ContractError, Tensor, softmax
-from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
-from dilkit.datagen import LabeledSet
+from dilkit.coeffs import (
+    TRIPLE_PRESETS, from_preset, init_uniform, logit_gradient,
+)
+from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.losses import (
     N_NEGATIVES, CoeffStats, HyperParams, StepBatch, StepLayout,
     classification_loss, encoder_aux_loss, erm01, v_01, v_d, v_l, v_p, v_s,
 )
-from dilkit.models import Classifier, Mlp, SgdConfig
-from gradcheck import gradcheck
+from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
+from gradcheck import gradcheck, gradcheck_array
 from reference_step import distillation_loss, erm01_agreement
 
 
@@ -49,7 +52,7 @@ def np_ce(clf, batch):
 
 
 def np_distill(clf, teacher, x):
-    t = teacher.probs(x).data
+    t = softmax(teacher.logits(x).data)
     lp = np_logsoftmax(clf.logits(x).data)
     return -(t * lp).sum(axis=1).mean()
 
@@ -87,7 +90,7 @@ def test_distillation_self_is_entropy_floor():
     clf = random_classifier(4, 3, seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4))
     teacher = clf.stopped()
-    p = teacher.probs(x).data
+    p = softmax(teacher.logits(x).data)
     entropy = -(p * np.log(p)).sum(axis=1).mean()
     assert distillation_loss(clf, teacher, x).item() == pytest.approx(entropy)
 
@@ -160,7 +163,7 @@ def _v_l(h, teacher, omega, cur, past):
     """V_l on the record of `cur` and `past`, from the student's logits and
     the teacher's probabilities on its rows."""
     b = StepBatch.stack(cur, past)
-    return v_l(b, omega, h.logits(b.x), teacher.probs(b.x).data)
+    return v_l(b, omega, h.logits(b.x), softmax(teacher.logits(b.x).data))
 
 
 def _x_record(cur_x, past_x, t):
@@ -230,10 +233,8 @@ def test_v_l_omega_length_contract():
 
 def test_v_l_moves_theta_not_omega():
     h, teacher, cur, past = _two_domain_setup(seed=23)
-    logits = init_uniform(2)
-    loss = _v_l(h, teacher, softmax(logits).data, cur, past)
-    loss.backward()
-    assert logits.grad is None
+    loss = _v_l(h, teacher, softmax(init_uniform(2)), cur, past)
+    loss.backward()  # the triples are a constant array
     assert any(p.grad is not None and np.any(p.grad != 0) for p in h.params())
 
 
@@ -251,23 +252,21 @@ def test_v_01_generalization_term_substitution():
     lwf = from_preset("LwF", 2)   # beta = 1, gamma + alpha = 0
     got_er = v_01(er, stats, c_gen=1.0, n_current=100, n_memory=[10])
     got_lwf = v_01(lwf, stats, c_gen=1.0, n_current=100, n_memory=[10])
-    assert got_er.item() == pytest.approx(math.sqrt(1 / 100 + 1 / 10))
-    assert got_lwf.item() == pytest.approx(math.sqrt(4 / 100))
+    assert got_er[0] == pytest.approx(math.sqrt(1 / 100 + 1 / 10))
+    assert got_lwf[0] == pytest.approx(math.sqrt(4 / 100))
 
 
 def test_v_01_zero_stats_zero_c():
-    logits = init_uniform(4)
-    logits.data[...] = np.random.default_rng(0).normal(size=(3, 3))
+    logits = np.random.default_rng(0).normal(size=(3, 3))
     got = v_01(softmax(logits), _stats(3, zero=True), 0.0, 50, [5, 5, 5])
-    assert got.item() == 0.0
+    assert got[0] == 0.0
 
 
 def test_v_01_numpy_oracle_and_monotone_beta_slope():
     rng = np.random.default_rng(30)
     stats = _stats(2, rng)
-    logits = init_uniform(3)
-    logits.data[...] = rng.normal(size=(2, 3))
-    tr = softmax(logits).data
+    logits = rng.normal(size=(2, 3))
+    tr = softmax(logits)
     a, b, g = tr[:, 0], tr[:, 1], tr[:, 2]
     expect = (np.sum(g * stats.eps_replay) + np.sum(a * stats.eps_intra)
               + b.sum() * stats.eps_cross + 0.5 * np.sum(b * stats.dhat)
@@ -275,16 +274,23 @@ def test_v_01_numpy_oracle_and_monotone_beta_slope():
               + 2.0 * math.sqrt((1 + b.sum()) ** 2 / 40
                                 + np.sum((g + a) ** 2 / np.array([7.0, 9.0]))))
     got = v_01(softmax(logits), stats, 2.0, 40, [7, 9])
-    assert got.item() == pytest.approx(expect)
+    assert got[0] == pytest.approx(expect)
+
+
+def _coefficient_step_gradient(logits, stats, c_gen, n_current, n_memory):
+    """V_01 at softmax(logits) and its gradient on the logits, as the
+    trainer's coefficient update takes them."""
+    omega = softmax(logits)
+    value, grad = v_01(omega, stats, c_gen, n_current, n_memory)
+    return value, logit_gradient(omega, grad)
 
 
 def test_v_01_gradient_fd():
     rng = np.random.default_rng(31)
     stats = _stats(3, rng)
-    logits = init_uniform(4)
-    logits.data[...] = rng.normal(size=(3, 3))
-    gradcheck(lambda: v_01(softmax(logits), stats, 1.3, 60, [8, 6, 9]),
-              [logits], rng=rng)
+    logits = rng.normal(size=(3, 3))
+    gradcheck_array(lambda z: _coefficient_step_gradient(
+        z, stats, 1.3, 60, [8, 6, 9]), logits, rng=rng)
 
 
 def test_v_01_contract_positive_counts():
@@ -308,49 +314,68 @@ def test_v_01_contract_past_domain_counts_agree():
        scale=st.sampled_from([0.1, 1.0, 5.0]), zero=st.booleans(),
        seed=st.integers(0, 2 ** 31 - 1))
 def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
-    """The one-node V_01 equals the per-column reference (value and logits
-    gradient within 1e-12 relative, the gradient against its largest entry)
-    and the selection-matrix composition it replaced (value within 1e-15
-    relative, gradient within 1e-15), at random logits and every preset."""
+    """The closed-form V_01 gives, byte for byte, the value and gradient of
+    the one-node form it replaced (loss.item() and the leaf's grad after
+    loss.backward()), and equals the per-column reference (within 1e-12
+    relative, the gradient against its largest entry) and the
+    selection-matrix composition (value within 1e-15 relative, gradient
+    within 1e-15): on the logits, through reference_ops' graph softmax, at
+    random logits, and on the triples at every preset."""
     rng = np.random.default_rng(seed)
     stats = _stats(t - 1, rng, zero=zero)
     n_current = int(rng.integers(1, 500))
     n_memory = list(rng.integers(1, 200, size=t - 1))
     logits = rng.normal(size=(t - 1, 3)) * scale
+    args = (stats, c_gen, n_current, n_memory)
     methods = [m for m in TRIPLE_PRESETS + ("FineTune",)
                if not (m == "ESM-ER" and t == 2)]
     for method in methods + ["UDIL"]:
+        adaptive = method == "UDIL"
+        if adaptive:
+            value, grad = _coefficient_step_gradient(logits, *args)
+        else:
+            value, grad = v_01(from_preset(method, t), *args)
         runs = []
-        for build in (v_01, reference_step.v_01, reference_ops.v_01_selection):
-            if method == "UDIL":
-                coeff_logits = init_uniform(t)
-                coeff_logits.data[...] = logits
-                omega = softmax(coeff_logits)
-            else:
-                coeff_logits, omega = None, from_preset(method, t)
-            loss = build(omega, stats, c_gen, n_current, n_memory)
-            if loss.requires_grad:
-                loss.backward()
-            runs.append((loss.item(), coeff_logits))
-        (value, logits_t), (ref_value, ref_logits_t), sel = runs
+        for build in (reference_ops.v_01_node, reference_step.v_01,
+                      reference_ops.v_01_selection):
+            leaf = Tensor(logits.copy() if adaptive else from_preset(method, t),
+                          requires_grad=True)
+            loss = build(reference_ops.softmax(leaf) if adaptive else leaf,
+                         *args)
+            loss.backward()
+            runs.append((loss.item(), leaf.grad))
+        (node_value, node_grad), (ref_value, ref_grad), (sel_value, sel_grad) = runs
+        assert np.float64(value).tobytes() == np.float64(node_value).tobytes()
+        assert grad.tobytes() == node_grad.tobytes()
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-        assert abs(value - sel[0]) <= 1e-15 * abs(sel[0])
-        if method == "UDIL":
-            grad, ref_grad = logits_t.grad, ref_logits_t.grad
-            assert (np.abs(grad - ref_grad).max()
-                    <= 1e-12 * np.abs(ref_grad).max())
-            assert np.abs(grad - sel[1].grad).max() <= 1e-15
+        assert abs(value - sel_value) <= 1e-15 * abs(sel_value)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert np.abs(grad - sel_grad).max() <= 1e-15
 
 
-def test_v_01_is_one_node_on_the_softmax():
-    """An adaptive V_01 builds at most two Tensors: the logits' softmax and
-    the loss node on it, whose only input is that softmax."""
-    logits, stats = init_uniform(4), _stats(3, np.random.default_rng(33))
-    first = Tensor(0.0)._seq
-    loss = v_01(softmax(logits), stats, 1.3, 60, [8, 6, 9])
-    assert Tensor(0.0)._seq - first - 1 <= 2
-    (m,) = loss._prev
-    assert m._prev == (logits,)
+def test_coefficient_update_builds_no_tensor(monkeypatch):
+    """A UDIL step's coefficient update, from V_01 through the logits'
+    sgd_step to the next triples, builds no Tensor: between entering V_01
+    and entering V_l the creation counter moves only for the probe."""
+    seen = []
+
+    def probe(fn, name):
+        def wrapped(*args, **kwargs):
+            seen.append((name, Tensor(0.0)._seq))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(trainer, "v_01", probe(trainer.v_01, "v_01"))
+    monkeypatch.setattr(trainer, "v_l", probe(trainer.v_l, "v_l"))
+    stream = gen_hd_balls(seed=3, n_domains=3, n_per_domain=40, dim=4,
+                          sigma=0.4)
+    config = trainer.TrainerConfig(
+        "UDIL", 0, arch=ArchConfig([8], 4, [], [8]), sgd=SgdConfig(0.2, 3, 8),
+        memory_capacity=20)
+    trainer.run_sequence(stream, config)
+    assert [name for name, _ in seen] == ["v_01", "v_l"] * 6
+    for (_, start), (_, end) in zip(seen[::2], seen[1::2]):
+        assert end - start == 1
 
 
 def test_v_d_zero_betas():

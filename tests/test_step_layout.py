@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import reference_step as ref
 from dilkit import losses, trainer
 from dilkit.autodiff import ContractError, Tensor, softmax
-from dilkit.coeffs import TRIPLE_PRESETS, from_preset, init_uniform
+from dilkit.coeffs import TRIPLE_PRESETS, from_preset
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.losses import HyperParams, StepBatch, StepLayout, v_d, v_l
 from dilkit.membank import MemoryBank
@@ -78,8 +78,7 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
     teacher, disc = _classifier(rng), Mlp([EMBED, 6, t], rng=rng)
     coeff_logits = None
     if method == "UDIL":
-        coeff_logits = init_uniform(t)
-        coeff_logits.data[...] = rng.normal(size=(t - 1, 3))
+        coeff_logits = rng.normal(size=(t - 1, 3))
     seen = {"rows": [], "calls": {}}
     domain_start, draw_rows = trainer.snapshot_history, trainer._draw_rows
     sample_past = bank.sample_past
@@ -93,7 +92,7 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
             [frozen.predictor.logits(e).data for e in embedded])
         seen["starts"] = pool.layout.bounds
         out = domain_start(teacher, pool)
-        assert out[0].tobytes() == softmax(seen["logits"]).data.tobytes()
+        assert out[0].tobytes() == softmax(seen["logits"]).tobytes()
         return out
 
     def recording_draw_rows(*args):
@@ -196,7 +195,7 @@ def test_empty_segments_match_per_step_forms_bytewise(kind, empty):
     disc_logits = rng.normal(size=(len(batch.y), 3))
     pairs = [
         (lambda: _at_leaf(lambda z: v_l(batch, omega, z,
-                                        softmax(teacher_logits).data), logits),
+                                        softmax(teacher_logits)), logits),
          lambda: _at_leaf(lambda z: ref.per_step_v_l(record, omega, z,
                                                      teacher_logits), logits)),
         (lambda: _at_leaf(lambda z: v_d(batch, omega, z), disc_logits),
@@ -222,10 +221,10 @@ ER, LWF = [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
 CONTRACTS = [
     ("v_l: empty batch", [ER, ER], 1,
      lambda new, b, w, x: (v_l if new else ref.per_step_v_l)(
-         b, w, Tensor(x), softmax(x).data if new else x)),
+         b, w, Tensor(x), softmax(x) if new else x)),
     ("v_l: distillation arity mismatch", [LWF, ER], None,
      lambda new, b, w, x: (v_l if new else ref.per_step_v_l)(
-         b, w, Tensor(x[:, :2]), softmax(x).data if new else x)),
+         b, w, Tensor(x[:, :2]), softmax(x) if new else x)),
     ("v_d: empty batch", [LWF, LWF], 2,
      lambda new, b, w, x: (v_d if new else ref.per_step_v_d)(b, w, Tensor(x))),
     ("discriminator arity", [LWF, LWF], None,
@@ -266,8 +265,7 @@ def test_rowwise_softmax_and_argmax_commute_with_gathers(n, k, ties, seed):
     logits = (rng.integers(-2, 3, size=(n, k)).astype(np.float64) if ties
               else rng.normal(size=(n, k)) * rng.choice([1e-3, 1.0, 30.0]))
     idx = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
-    assert softmax(logits).data[idx].tobytes() \
-        == softmax(logits[idx]).data.tobytes()
+    assert softmax(logits)[idx].tobytes() == softmax(logits[idx]).tobytes()
     assert np.argmax(logits, axis=1)[idx].tobytes() \
         == np.argmax(logits[idx], axis=1).tobytes()
 

@@ -5,7 +5,9 @@ import pytest
 
 from dilkit import trainer
 from dilkit.autodiff import ContractError, Tensor, add, mul, softmax
-from dilkit.coeffs import ConfigError, TRIPLE_PRESETS, from_preset, init_uniform
+from dilkit.coeffs import (
+    ConfigError, TRIPLE_PRESETS, from_preset, init_uniform, logit_gradient,
+)
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
 from dilkit.losses import (
     CoeffStats, HyperParams, StepBatch, StepLayout, classification_loss,
@@ -275,7 +277,7 @@ def test_update_isolation_checksums():
     teacher = frozen_copy(model)  # domain 2's teacher: the model at its start
     eps_hist = np.array([erm01(teacher, state.bank.buckets[1])])
     disc = SMALL_ARCH.build_discriminator(t, substream(1, "disc", t))
-    coeff_logits = init_uniform(t)
+    coeff_logits = Tensor(init_uniform(t))  # sgd_step's parameter, as in training
     rng = substream(1, "batches", t)
     data = stream.train(2)
     idx = np.sort(rng.choice(len(data), size=16, replace=False))
@@ -292,7 +294,7 @@ def test_update_isolation_checksums():
                    for p, b in zip(params, before))
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
-    loss5 = mul(v_d(batch, softmax(coeff_logits).data,
+    loss5 = mul(v_d(batch, softmax(coeff_logits.data),
                     disc.logits(model.stopped().encoder.logits(batch.x))), 1.0)
     loss5.backward()
     sgd_step(disc.params(), 0.2)
@@ -305,17 +307,18 @@ def test_update_isolation_checksums():
         eps_hist, batch, model.predictor.logits(embedding).data,
         disc.logits(embedding).data,
         teacher.predict(batch.x))
-    loss6 = v_01(softmax(coeff_logits), stats, 1.0, len(data),
-                 [len(b) for b in past.values()])
-    loss6.backward()
+    omega = softmax(coeff_logits.data)
+    _, grad = v_01(omega, stats, 1.0, len(data),
+                   [len(b) for b in past.values()])
+    coeff_logits.grad = logit_gradient(omega, grad)
     sgd_step([coeff_logits], 0.2)
     assert unchanged(model.params(), m0) and unchanged(disc.params(), d0)
     assert not unchanged([coeff_logits], o0)
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
-    frozen = softmax(coeff_logits).data
+    frozen = softmax(coeff_logits.data)
     loss7 = v_l(batch, frozen, model.logits(batch.x),
-                teacher.probs(batch.x).data)
+                softmax(teacher.logits(batch.x).data))
     embedding = model.encoder.logits(batch.x)
     aux = encoder_aux_loss(embedding, disc.stopped().logits(embedding),
                            teacher.embed(batch.x).data,
@@ -343,7 +346,7 @@ def test_descent_matches_or_beats_presets(seed, t):
     for m in TRIPLE_PRESETS:
         try:
             preset_vals.append(v_01(from_preset(m, t), stats, 1.0,
-                                    n_cur, n_mem).item())
+                                    n_cur, n_mem)[0])
         except ConfigError:
             continue  # ESM-ER is undefined at t=2
     final = descend_v01(init_uniform(t), stats, 1.0, n_cur, n_mem,
@@ -376,6 +379,27 @@ def test_diverging_replay_step_names_the_loss(method, loss):
             ContractError, match=rf"^{method}: {loss} loss is nan at "
                                  r"domain 2, step \d+$"):
         train_domain(state, stream.train(2))
+
+
+def test_non_finite_coefficient_loss_names_the_loss(monkeypatch):
+    """A NaN statistic stops UDIL at its coefficient loss, before the logits
+    move: a diverging learning rate fails the model loss first, so the
+    statistics the coefficient loss reads are poisoned instead."""
+    stats_for_step = trainer.coeff_stats_for_step
+
+    def nan_dhat(*args):
+        stats = stats_for_step(*args)
+        stats.dhat[...] = np.nan
+        return stats
+
+    monkeypatch.setattr(trainer, "coeff_stats_for_step", nan_dhat)
+    stream = small_stream()
+    state = train_domain(initial_state(small_config("UDIL"), 4, 2),
+                         stream.train(1))
+    with pytest.raises(ContractError, match=r"^UDIL: coefficient loss is nan "
+                                            r"at domain 2, step 1$"):
+        train_domain(state, stream.train(2))
+    assert 2 not in state.omega_log
 
 
 @pytest.mark.parametrize("method", ["UDIL", "ER"])
