@@ -5,19 +5,34 @@ true distributions, so every term (risks, disagreements, the
 symmetric-difference divergence) is exactly computable and the
 pre-generalization inequalities must hold to floating-point precision.
 The concentration radical is checked only as algebraic bookkeeping.
+
+Every term is read off a sample, so it depends on a hypothesis only through
+its labels there, and a sample of u distinct points tells apart at most 2^u
+labelings.  The audit therefore groups the hypotheses per domain by their
+labels on its sample and works over classes, not hypothesis pairs.  A
+class's members are equal on the sample, so each class entry is the same
+float, computed in the same order, as each member's entry; a maximum over
+classes is the maximum over hypothesis pairs, and a violating class pair
+counts once per hypothesis pair it stands for.  Where a term mixes two
+domains (the divergences and the cross check), it is monotone in the term
+read off the past domain, so its maximum over the hypothesis pairs of two
+current classes is reached at their extreme values, which reductions over
+the current classes find.  The reports are bitwise those of the full
+[m, m] computation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import ContractError
-from .coeffs import TRIPLE_PRESETS, preset_triple
+from .coeffs import TRIPLE_PRESETS, from_preset, preset_triple
 # hdh_exact has no caller here; perfbench wraps it by this name
 from .divergence import (
-    FiniteHypothesisClass, _as_sample, _hdh, _pairwise_disagreement, hdh_exact,
+    FiniteHypothesisClass, _as_sample, _pairwise_disagreement, hdh_exact,
 )
 from .losses import CoeffStats, radical_terms
 
@@ -27,11 +42,52 @@ MIN_DOMAINS = 2
 POINTS_RANGE = range(1, 9)
 CLASS_SIZE_RANGE = range(2, 257)
 MIN_GRID_RESOLUTION = 2
+# sample positions per error code: a sum of distinct powers of two below
+# 2**53 is exact in float64, so the codes come out of the same matmul as
+# the error counts
+CODE_BITS = 52
+_POWERS = 2.0 ** np.arange(CODE_BITS)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class Classes(NamedTuple):
+    """Hypotheses grouped by equal codes, classes numbered in code order:
+    ``of[k]`` is hypothesis k's class; ``order`` lists the hypotheses class
+    by class, class c's run starting at ``starts[c]``; ``members[c]`` is
+    one hypothesis of class c."""
+
+    of: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    members: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """How many hypotheses each class holds."""
+        return np.bincount(self.of)
+
+
+def _group(codes: np.ndarray) -> Classes:
+    """Classes of equal nonnegative integer codes, found by one sort: exact
+    for any code, and linear in memory however wide the codes are."""
+    order = codes.argsort()
+    ordered = codes[order]
+    first = np.empty(codes.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return Classes(*map(_read_only, (ordered[starts].searchsorted(codes),
+                                     order, starts, order[starts])))
+
+
+def _join(a: Classes, b: Classes) -> Classes:
+    """Classes of the hypotheses that share both a class of a and one of b
+    (codes below m**2, so no int64 overflow)."""
+    return _group(a.of * b.starts.size + b.of)
 
 
 @dataclass(frozen=True)
@@ -43,6 +99,15 @@ class BoundInstance:
     and the frozen teacher from the class.  ``omega`` holds one coefficient
     triple per past domain.  Its arrays are read-only copies; each exact
     term is computed once, on first use, and shared by every check.
+
+    The disagreements are kept per class of hypotheses, not per
+    hypothesis: a domain's ``classes`` group the hypotheses by their labels
+    on its sample, and its disagreement matrix is [P, P] over its P
+    classes.  Hypotheses with equal labels on a sample have equal risks
+    there and equal disagreements with every other hypothesis, so
+    ``disagreements[d][c, c']`` is bitwise the entry of every hypothesis
+    pair of classes c and c', and ``disagreements[d][of][:, of]``, with
+    ``of = classes[d].of``, is the full [m, m] matrix.
     """
 
     hclass: FiniteHypothesisClass
@@ -79,32 +144,85 @@ class BoundInstance:
         return len(self.domain_samples)
 
     @cached_property
+    def _error_tallies(self) -> tuple[np.ndarray, list[int]]:
+        """One matmul over every hypothesis's errors (labels != true labels):
+        column d counts its errors on domain d's sample, and each later
+        column reads its errors on up to CODE_BITS positions of one sample
+        as binary digits, an integer code.  Also returns each code column's
+        domain."""
+        t = self.n_domains
+        chunks = [(d, idx[lo:lo + CODE_BITS])
+                  for d, idx in enumerate(self.domain_samples)
+                  for lo in range(0, idx.size, CODE_BITS)]
+        weights = np.zeros((self.hclass.n_points, t + len(chunks)))
+        for d, idx in enumerate(self.domain_samples):
+            weights[:, d] = np.bincount(idx, minlength=self.hclass.n_points)
+        # a point repeated in a chunk keeps one of its powers; each power
+        # still marks one point, so equal codes mean equal labels
+        for k, (_, pos) in enumerate(chunks, start=t):
+            weights[pos, k] = _POWERS[:pos.size]
+        errors = self.hclass.labelings != self.true_labels
+        return errors @ weights, [d for d, _ in chunks]
+
+    @cached_property
     def risks(self) -> np.ndarray:
-        """[m, T] matrix: 0-1 risk of every hypothesis on every domain."""
-        lab = self.hclass.labelings
-        return _read_only(np.stack(
-            [(lab[:, idx] != self.true_labels[idx]).mean(axis=1)
-             for idx in self.domain_samples], axis=1))
+        """[m, T] matrix: 0-1 risk of every hypothesis on every domain (an
+        exact error count over the sample size, as a mean computes it)."""
+        tallies, _ = self._error_tallies
+        sizes = [idx.size for idx in self.domain_samples]
+        return _read_only(tallies[:, :self.n_domains] / sizes)
+
+    @cached_property
+    def classes(self) -> tuple[Classes, ...]:
+        """Per domain, the hypotheses grouped by their labels on its sample:
+        the classes of its error codes, joined when it has several."""
+        tallies, domain_of = self._error_tallies
+        codes = tallies[:, self.n_domains:].T.astype(np.int64)
+        found: list[Classes | None] = [None] * self.n_domains
+        for d, code in zip(domain_of, codes):
+            part = _group(code)
+            found[d] = part if found[d] is None else _join(found[d], part)
+        return tuple(found)
 
     @cached_property
     def disagreements(self) -> tuple[np.ndarray, ...]:
-        """One [m, m] pairwise-disagreement matrix per domain."""
-        return tuple(_read_only(_pairwise_disagreement(self.hclass.labelings, idx))
-                     for idx in self.domain_samples)
+        """One [P, P] pairwise-disagreement matrix per domain over its P
+        classes, built from one member of each."""
+        lab = self.hclass.labelings
+        return tuple(
+            _read_only(_pairwise_disagreement(lab[c.members], idx))
+            for c, idx in zip(self.classes, self.domain_samples))
 
     @cached_property
     def divergences(self) -> np.ndarray:
         """Exact divergence between each past domain and the current one,
-        read off the cached disagreement matrices (none is rebuilt)."""
+        read off the cached disagreement matrices (none is rebuilt).
+        dis_i - dis_cur rises with dis_i, so over the hypothesis pairs of
+        two current classes its largest magnitude is hi - dis_cur or
+        dis_cur - lo, at the greatest and least dis_i among those pairs:
+        reductions over the current classes' runs of dis_i's rows and
+        columns, gathered onto the hypotheses."""
         *past, cur = self.disagreements
-        return _read_only(np.array([_hdh(d, cur) for d in past]))
+        last = self.classes[-1]
+        out = []
+        for c, dis in zip(self.classes, past):
+            on_past = c.of[last.order]
+            rows, runs = dis[on_past], last.starts
+            lo = np.minimum.reduceat(
+                np.minimum.reduceat(rows, runs)[:, on_past], runs, axis=1)
+            hi = np.maximum.reduceat(
+                np.maximum.reduceat(rows, runs)[:, on_past], runs, axis=1)
+            out.append(2.0 * max(float(np.subtract(hi, cur, out=hi).max()),
+                                 float(np.subtract(cur, lo, out=lo).max())))
+        return _read_only(np.array(out))
 
     @cached_property
     def coeff_stats(self) -> CoeffStats:
         """The exact terms of the chosen (h, H_prev) as the statistics
         V_01 weighs the coefficients by."""
         h, hp = self.h_idx, self.hprev_idx
-        dis = _read_only(np.array([d[h, hp] for d in self.disagreements]))
+        dis = _read_only(np.array([d[c.of[h], c.of[hp]] for d, c in
+                                   zip(self.disagreements, self.classes)]))
         return CoeffStats(eps_replay=self.risks[h, :-1], eps_intra=dis[:-1],
                           eps_cross=dis[-1], dhat=self.divergences,
                           eps_hist=self.risks[hp, :-1])
@@ -123,38 +241,77 @@ class CheckReport:
         return self.n_violations == 0
 
 
-def _pair_check(name: str, inst: BoundInstance, margins,
-                offsets=None) -> CheckReport:
-    """For every pair (h, H') and every domain i:
-    risk_i(h) <= margins[i][h, H'] (+ offsets[i]) + risk_i(H'), summed in
-    that order into one scratch buffer; gaps above TOL are counted only in
-    a domain whose largest gap exceeds TOL (elsewhere there are none)."""
-    risks, m = inst.risks, inst.hclass.n_hypotheses
-    gap = np.empty((m, m))
-    worst, violations = -np.inf, 0
-    for d, margin in enumerate(margins):
-        if offsets is not None:
-            margin = np.add(margin, offsets[d], out=gap)
-        np.add(margin, risks[None, :, d], out=gap)
-        np.subtract(risks[:, d, None], gap, out=gap)
-        top = float(gap.max())
-        worst = max(worst, top)
-        if top > TOL:
-            violations += int(np.count_nonzero(gap > TOL))
-    return CheckReport(name, m * m * len(margins), violations, worst)
+def _gaps(margin: np.ndarray, offset, rows: np.ndarray,
+          cols: np.ndarray) -> np.ndarray:
+    """rows[c] - ((margin[c, c'] (+ offset)) + cols[c']), summed in that
+    order as for each hypothesis pair the two classes stand for."""
+    if offset is not None:
+        margin = np.add(margin, offset)
+    gap = np.add(margin, cols)
+    return np.subtract(rows[:, None], gap, out=gap)
+
+
+def _tally(gap: np.ndarray, classes: Classes | None) -> tuple[float, int]:
+    """The largest gap, and the hypothesis pairs above TOL, counted only
+    when the largest exceeds TOL: a pair of classes c, c' stands for
+    sizes[c] * sizes[c'] of them (without classes, each row and column is
+    one hypothesis).  Every class is nonempty, so the largest gap over
+    classes is the largest over hypothesis pairs."""
+    top = float(gap.max())
+    if top <= TOL:
+        return top, 0
+    if classes is None:
+        return top, int(np.count_nonzero(gap > TOL))
+    sizes = classes.sizes
+    return top, int(sizes @ (gap > TOL) @ sizes)
+
+
+def _report(name: str, inst: BoundInstance, tallies) -> CheckReport:
+    m = inst.hclass.n_hypotheses
+    return CheckReport(name, m * m * len(tallies), sum(v for _, v in tallies),
+                       max(top for top, _ in tallies))
+
+
+def _class_tally(inst: BoundInstance, d: int, margin: np.ndarray,
+                 offset=None) -> tuple[float, int]:
+    """Domain d's pair check over its classes, on which its risk is
+    constant, against a [P, P] margin over them."""
+    c = inst.classes[d]
+    risk = inst.risks[c.members, d]
+    return _tally(_gaps(margin, offset, risk, risk), c)
+
+
+def _cross_tally(inst: BoundInstance, d: int, offset) -> tuple[float, int]:
+    """Past domain d's cross check at the given offset.  A gap rises with
+    its row's risk and falls with its column's, so over the hypothesis
+    pairs of two current classes the largest pairs the riskiest of one with
+    the safest of the other; violations, when there are any, are counted
+    over every hypothesis pair."""
+    cur, last = inst.disagreements[-1], inst.classes[-1]
+    risk = inst.risks[:, d]
+    by_class = risk[last.order]
+    top = float(_gaps(cur, offset, np.maximum.reduceat(by_class, last.starts),
+                      np.minimum.reduceat(by_class, last.starts)).max())
+    if top <= TOL:
+        return top, 0
+    return _tally(_gaps(cur[last.of][:, last.of], offset, risk, risk), None)
 
 
 def check_intra_bound(inst: BoundInstance) -> CheckReport:
-    """risk_i(h) <= disagreement_i(h, H') + risk_i(H')."""
-    return _pair_check("intra_bound", inst, inst.disagreements)
+    """risk_i(h) <= disagreement_i(h, H') + risk_i(H'), over domain i's
+    classes, on which the risk is constant."""
+    return _report("intra_bound", inst, [
+        _class_tally(inst, d, dis) for d, dis in enumerate(inst.disagreements)])
 
 
 def check_cross_bound(inst: BoundInstance) -> CheckReport:
-    """risk_i(h) <= disagreement_cur(h, H') + half-divergence + risk_i(H'),
-    where the current domain's divergence to itself is exactly 0."""
-    half_divs = np.append(0.5 * inst.divergences, 0.0)
-    return _pair_check("cross_bound", inst,
-                       [inst.disagreements[-1]] * inst.n_domains, half_divs)
+    """risk_i(h) <= disagreement_cur(h, H') + half-divergence + risk_i(H');
+    on the current domain, over its own classes, its divergence to itself
+    being exactly 0."""
+    return _report("cross_bound", inst, [
+        *(_cross_tally(inst, d, 0.5 * div)
+          for d, div in enumerate(inst.divergences)),
+        _class_tally(inst, inst.n_domains - 1, inst.disagreements[-1], 0.0)])
 
 
 def deterministic_bound(inst: BoundInstance,
@@ -192,15 +349,25 @@ def barycentric_grid(resolution: int) -> np.ndarray:
     return _read_only(np.array(pts))
 
 
+@lru_cache(maxsize=64)
+def _grid_candidates(resolution: int,
+                     t: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The presets with a triple at t (ESM-ER has none at t = 2), and the
+    candidate triples: the barycentric grid, then those presets' triples
+    (read-only, built once per (resolution, t))."""
+    presets = tuple(m for m in TRIPLE_PRESETS
+                    if not (m == "ESM-ER" and t == 2))
+    return presets, _read_only(np.concatenate(
+        [barycentric_grid(resolution),
+         np.array([preset_triple(m, t) for m in presets])]))
+
+
 def tightest_bound_grid(inst: BoundInstance,
                         grid_resolution: int = 10) -> CheckReport:
     """Minimize the combined bound over per-domain coefficient candidates
     (a barycentric grid joined with every preset's triple; ESM-ER has none
     at t = 2) and compare the minimum against each full preset."""
-    t = inst.n_domains
-    presets = [m for m in TRIPLE_PRESETS if not (m == "ESM-ER" and t == 2)]
-    cands = np.concatenate([barycentric_grid(grid_resolution),
-                            np.array([preset_triple(m, t) for m in presets])])
+    presets, cands = _grid_candidates(grid_resolution, inst.n_domains)
     # the bound adds one term per past domain, vals[i, k] domain i's at
     # candidate k (presets last); one column sum totals the row minima and
     # each preset alike, so the minimum is never above a preset by rounding
@@ -229,6 +396,12 @@ def radical_argument(omega: np.ndarray, n_current: int,
     return float((v * v * w).sum())
 
 
+@lru_cache(maxsize=64)
+def _preset_rows(method: str, t: int) -> np.ndarray:
+    """A preset's [t-1, 3] triples (read-only, built once per (method, t))."""
+    return _read_only(from_preset(method, t))
+
+
 def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckReport:
     """Bookkeeping identities of the concentration radical: at the
     pure-replay preset it reduces to the plain per-domain form
@@ -238,11 +411,11 @@ def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckRepor
     n_cur = int(inst.domain_samples[t - 1].size)
     n_mem = [int(s.size) for s in inst.domain_samples[:-1]]
 
-    er = np.array([preset_triple("ER", t) for _ in range(t - 1)])
+    er = _preset_rows("ER", t)
     plain = 1.0 / n_cur + float(np.sum(1.0 / np.asarray(n_mem, dtype=float)))
     gap_er = abs(radical_argument(er, n_cur, n_mem) - plain)
 
-    lwf = np.array([preset_triple("LwF", t) for _ in range(t - 1)])
+    lwf = _preset_rows("LwF", t)
     gap_lwf = abs(radical_argument(lwf, n_cur, n_mem) - t ** 2 / n_cur)
 
     worst = max(gap_er, gap_lwf) * c_gen

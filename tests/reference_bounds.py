@@ -6,8 +6,9 @@ the bound's weights out term by term; the differential tests in
 test_bounds.py compare the library checks against these.
 `_pairwise_disagreement`, `_hdh` and `_pair_check`'s gap are the
 allocating kernels as they were before the library's wrote into arrays
-they own, so the library kernels are compared with these and not with
-themselves.
+they own, and before it grouped the hypotheses by their labels on each
+sample: every matrix here is [m, m] over hypothesis pairs, so the library's
+class-level kernels are compared with these and not with themselves.
 `check_erm_bound_shape` reads none of these terms and is not copied, and
 `radical_argument` is the closed form the old library wrote."""
 from __future__ import annotations

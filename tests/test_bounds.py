@@ -189,10 +189,19 @@ def test_barycentric_grid():
 
 
 def test_barycentric_grid_built_once_per_resolution():
-    g = barycentric_grid(6)
-    assert barycentric_grid(6) is g
-    with pytest.raises(ValueError, match="read-only"):
-        g[0, 0] = 1.0
+    """So are the grid search's candidates per (resolution, t) and the
+    preset triples the radical's identities read per t."""
+    for build, args in ((barycentric_grid, (6,)),
+                        (dilkit.bounds._grid_candidates, (6, 3)),
+                        (dilkit.bounds._preset_rows, ("ER", 4)),
+                        (dilkit.bounds._preset_rows, ("LwF", 4))):
+        g = build(*args)
+        assert build(*args) is g
+        g = g[1] if isinstance(g, tuple) else g
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0] = 1.0
+    presets, cands = dilkit.bounds._grid_candidates(6, 2)
+    assert "ESM-ER" not in presets and len(cands) == 28 + len(presets)
 
 
 # -- cached terms against the per-check reference ---------------------------
@@ -253,21 +262,32 @@ def test_checks_match_reference_exactly(seed):
                    - ref.deterministic_bound(inst)) <= TOL
 
 
+def expanded(dis: np.ndarray, classes) -> np.ndarray:
+    """A class matrix written out over every hypothesis pair."""
+    return dis[classes.of][:, classes.of]
+
+
 @pytest.mark.parametrize("class_size", [2, 16, 64, 256])
 @pytest.mark.parametrize("n_domains", [2, 3, 4, 5])
 def test_kernels_match_allocating_reference_bitwise(class_size, n_domains):
-    """Every disagreement matrix, divergence and pair-check report equals
-    the allocating reference kernels' bit for bit, including a pair check
-    whose margins are shifted below zero, so violations are counted."""
+    """Every class disagreement matrix, expanded through the class of each
+    hypothesis, equals the allocating reference's full matrix bit for bit,
+    and so do the divergences and the pair-check reports, including checks
+    whose class margins are shifted below zero, so that violations are
+    counted class pair by class pair, each weighted by the hypothesis pairs
+    it stands for, and checks shifted above, where the cross check's
+    largest gap comes from its extreme risks alone."""
     rng = np.random.default_rng(10 * class_size + n_domains)
+    bounds = dilkit.bounds
     for _ in range(3):
         inst = random_instance(rng, n_domains=n_domains,
                                points_per_domain=int(rng.integers(1, 9)),
                                class_size=class_size)
         lab, samples = inst.hclass.labelings, inst.domain_samples
-        for dis, idx in zip(inst.disagreements, samples):
-            assert dis.tobytes() == ref._pairwise_disagreement(
-                lab, idx).tobytes()
+        for dis, classes, idx in zip(inst.disagreements, inst.classes,
+                                     samples):
+            assert expanded(dis, classes).tobytes() == (
+                ref._pairwise_disagreement(lab, idx).tobytes())
         want = ref._divergences_to_current(inst)
         assert inst.divergences.tobytes() == want.tobytes()
         assert [hdh_exact(inst.hclass, idx, samples[-1])
@@ -275,15 +295,92 @@ def test_kernels_match_allocating_reference_bitwise(class_size, n_domains):
         assert_same_report(check_intra_bound(inst), ref.check_intra_bound(inst))
         assert_same_report(check_cross_bound(inst), ref.check_cross_bound(inst))
         shifted = [d - 0.5 for d in inst.disagreements]
-        got = dilkit.bounds._pair_check("shifted", inst, shifted)
+        got = bounds._report("shifted", inst, [
+            bounds._class_tally(inst, d, s) for d, s in enumerate(shifted)])
         assert got.n_violations > 0
-        assert_same_report(got, ref._pair_check("shifted", inst, shifted))
-        cur, offsets = inst.disagreements[-1], -rng.random(n_domains)
-        got = dilkit.bounds._pair_check("offset", inst, [cur] * n_domains,
-                                        offsets)
-        assert got.n_violations > 0
-        assert_same_report(got, ref._pair_check(
-            "offset", inst, [cur + o for o in offsets]))
+        assert_same_report(got, ref._pair_check("shifted", inst, [
+            expanded(s, c) for s, c in zip(shifted, inst.classes)]))
+        cur = expanded(inst.disagreements[-1], inst.classes[-1])
+        half_divs = np.append(0.5 * inst.divergences, 0.0)
+        for sign in (-1.0, 1.0):
+            offsets = half_divs + sign * rng.random(n_domains)
+            got = bounds._report("offset", inst, [
+                *(bounds._cross_tally(inst, d, o)
+                  for d, o in enumerate(offsets[:-1])),
+                bounds._class_tally(inst, n_domains - 1,
+                                    inst.disagreements[-1], offsets[-1])])
+            assert (got.n_violations > 0) == (sign < 0)
+            assert_same_report(got, ref._pair_check(
+                "offset", inst, [cur + o for o in offsets]))
+
+
+def assert_terms_match_reference(inst: BoundInstance):
+    """Each class holds exactly the hypotheses equal to its member on the
+    sample, every check and term is the reference's bit for bit, and the
+    bound's reports agree with it within TOL (it sums the weights in another
+    order)."""
+    lab = inst.hclass.labelings
+    for classes, idx in zip(inst.classes, inst.domain_samples):
+        on_sample = lab[:, idx]
+        assert (on_sample == on_sample[classes.members][classes.of]).all()
+        assert len(np.unique(on_sample[classes.members], axis=0)) == len(
+            classes.members)
+        assert (classes.sizes == np.bincount(classes.of)).all()
+    assert inst.risks.tobytes() == ref._risks(inst).tobytes()
+    assert_same_report(check_intra_bound(inst), ref.check_intra_bound(inst))
+    assert_same_report(check_cross_bound(inst), ref.check_cross_bound(inst))
+    div = ref._divergences_to_current(inst)
+    assert inst.divergences.tobytes() == div.tobytes()
+    risk_h, risk_hp, dis = ref._unified_terms(inst)
+    stats = inst.coeff_stats
+    for got, want in ((stats.eps_replay, risk_h[:-1]),
+                      (stats.eps_intra, dis[:-1]), (stats.dhat, div),
+                      (stats.eps_hist, risk_hp[:-1])):
+        assert got.tobytes() == want.tobytes()
+    assert stats.eps_cross == dis[-1]
+    assert_close_report(check_unified_bound(inst),
+                        ref.check_unified_bound(inst), inst)
+    assert_close_report(tightest_bound_grid(inst),
+                        ref.tightest_bound_grid(inst), inst)
+
+
+def test_awkward_instances_match_reference_bitwise():
+    """Duplicated hypotheses (class size far above 2**points), repeated
+    sample points, one-point samples and five domains, drawn at random."""
+    rng = np.random.default_rng(27)
+    for points, class_size in ((1, 256), (2, 256), (1, 2), (3, 200),
+                               (8, 256), (8, 2)):
+        for _ in range(3):
+            inst = random_instance(rng, n_domains=5,
+                                   points_per_domain=points,
+                                   class_size=class_size)
+            assert_terms_match_reference(inst)
+
+
+def test_hand_built_wide_samples_match_reference_bitwise():
+    """Samples wider than one label code: 150 draws with repeats over 80
+    points (three codes, joined), a fixed sample holding every point once,
+    one point repeated, and one single point.  The class holds duplicated
+    hypotheses and, for each point, a copy of its first hypothesis with
+    that point's label flipped, which only that point tells apart."""
+    rng = np.random.default_rng(64)
+    n = 80
+    rows = rng.integers(0, 2, size=(120, n)).astype(np.int8)
+    flips = np.repeat(rows[:1], n, axis=0)
+    flips[np.arange(n), np.arange(n)] ^= 1
+    rows = np.concatenate([rows, rows[:40], rows[::7], flips])
+    samples = (rng.integers(0, n, size=150), np.arange(n)[::-1],
+               np.array([5, 5, 5, 5]), np.array([17]),
+               rng.integers(0, n, size=70))
+    assert len(np.unique(samples[0])) >= 64
+    for h, hp in ((0, 120), (3, 9)):
+        inst = BoundInstance(
+            FiniteHypothesisClass(rows),
+            rng.integers(0, 2, size=n).astype(np.int8), samples, h, hp,
+            rng.dirichlet((1.0, 1.0, 1.0), size=len(samples) - 1))
+        assert [c.members.size for c in inst.classes][2:4] == [2, 2]
+        assert inst.classes[1].members.size == 120 + n
+        assert_terms_match_reference(inst)
 
 
 def test_deterministic_bound_matches_reference_at_explicit_omegas():
@@ -368,6 +465,7 @@ def test_cached_terms_and_inputs_are_read_only():
     for a in (inst.hclass.labelings, inst.true_labels, *inst.domain_samples,
               inst.omega,
               inst.risks, *inst.disagreements, inst.divergences,
+              *(a for c in inst.classes for a in c),
               stats.eps_replay, stats.eps_intra, stats.dhat, stats.eps_hist):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
