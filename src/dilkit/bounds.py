@@ -252,11 +252,9 @@ def _gaps(margin: np.ndarray, offset, rows: np.ndarray,
 
 
 def _tally(gap: np.ndarray, classes: Classes | None) -> tuple[float, int]:
-    """The largest gap, and the hypothesis pairs above TOL, counted only
-    when the largest exceeds TOL: a pair of classes c, c' stands for
-    sizes[c] * sizes[c'] of them (without classes, each row and column is
-    one hypothesis).  Every class is nonempty, so the largest gap over
-    classes is the largest over hypothesis pairs."""
+    """The largest gap and, only when it exceeds TOL, the hypothesis pairs
+    above TOL: sizes[c] * sizes[c'] per class pair, or one per entry
+    without classes."""
     top = float(gap.max())
     if top <= TOL:
         return top, 0

@@ -325,7 +325,9 @@ def assert_terms_match_reference(inst: BoundInstance):
         assert (on_sample == on_sample[classes.members][classes.of]).all()
         assert len(np.unique(on_sample[classes.members], axis=0)) == len(
             classes.members)
-        assert (classes.sizes == np.bincount(classes.of)).all()
+        runs = np.repeat(np.arange(len(classes.members)), classes.sizes)
+        assert (classes.of[classes.order] == runs).all()
+        assert (classes.starts == np.cumsum(classes.sizes) - classes.sizes).all()
     assert inst.risks.tobytes() == ref._risks(inst).tobytes()
     assert_same_report(check_intra_bound(inst), ref.check_intra_bound(inst))
     assert_same_report(check_cross_bound(inst), ref.check_cross_bound(inst))
