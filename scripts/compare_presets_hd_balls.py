@@ -3,8 +3,9 @@
 
 Runs the adaptive method, all fixed presets, and both control baselines on
 one shared stream, then prints final average accuracy and forgetting per
-method (mean over seeds), or why a method was rejected (ESM-ER at t = 2).
-Takes a couple of minutes at the defaults.
+method (mean over seeds), or why a method was rejected (ESM-ER at t = 2)
+or failed (a non-finite loss, naming its domain and step).  Takes a couple
+of minutes at the defaults.
 """
 import argparse
 import sys
@@ -12,6 +13,7 @@ import time
 
 import numpy as np
 
+from dilkit.autodiff import ContractError
 from dilkit.coeffs import METHODS
 from dilkit.datagen import ConfigError, gen_hd_balls
 from dilkit.losses import HyperParams
@@ -52,6 +54,9 @@ def main() -> int:
                 forgs.append(result.forgetting_by_domain[args.domains])
         except ConfigError as err:
             rejected.append(f"{method:10s} rejected: {err}")
+            continue
+        except ContractError as err:  # a run diverged; the others still run
+            rejected.append(f"{method:10s} failed: {err}")
             continue
         rows.append((method, np.mean(accs), np.std(accs), np.mean(forgs),
                      time.perf_counter() - tick))

@@ -133,7 +133,8 @@ class BoundInstance:
         if om.shape != (len(samples) - 1, 3):
             raise ContractError(
                 f"omega must have shape ({len(samples) - 1}, 3)")
-        if om.min() < 0 or np.abs(om.sum(axis=1) - 1.0).max() > 1e-9:
+        # negated, so that a NaN entry, false in every comparison, fails it
+        if not (om.min() >= 0 and np.abs(om.sum(axis=1) - 1.0).max() <= 1e-9):
             raise ContractError("omega rows must lie on the simplex")
         object.__setattr__(self, "true_labels", y)
         object.__setattr__(self, "domain_samples", samples)

@@ -126,8 +126,8 @@ def descend_v01(coeff_logits: np.ndarray, stats: CoeffStats, c_gen: float,
                 learning_rate: float) -> float:
     """Run plain gradient descent on the bound surrogate over the [t-1, 3]
     `coeff_logits`, in place, and return the final value.  For the
-    frozen-instance comparisons against the fixed presets; each step is the
-    training step's coefficient update, without its finiteness check."""
+    frozen-instance comparisons against the fixed presets; each iteration is
+    `replay_step`'s coefficient update, without its finiteness check."""
     param, omega, value = Tensor(coeff_logits), softmax(coeff_logits), None
     for _ in range(steps):
         value, grad = v_01(omega, stats, c_gen, n_current, n_memory)
@@ -197,16 +197,81 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
     return state
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """What a replay step computed: the triples after it, UDIL's coefficient
+    statistics, and the discriminator, coefficient and model loss values,
+    each checked finite before its update (None where a phase did not run)."""
+    omega: np.ndarray
+    stats: CoeffStats | None
+    disc_loss: float | None
+    coeff_loss: float | None
+    model_loss: float
+
+
+def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
+                eps_hist: np.ndarray, pool_sizes: np.ndarray,
+                rng: np.random.Generator, step: int, batch: StepBatch,
+                teacher: tuple, omega: np.ndarray,
+                param: Tensor | None) -> StepRecord:
+    """Step `step` of replay domain state.t on the record `batch` from the
+    triples `omega`: the discriminator update, the coefficient update (UDIL's
+    `param` over its logits, in place) and the model update, each network
+    running once on the rows for every loss term.  `teacher` is the teacher's
+    softmax, argmax and embedding (None when lambda_p = 0) on the rows, and
+    `pool_sizes` counts the domain's rows, then each bucket's."""
+    config = state.config
+    t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
+    adaptive = param is not None
+    omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
+    disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
+    # a fixed preset with no cross-domain mass never trains the discriminator
+    disc_on = hp.lambda_d > 0 and (adaptive or float(omega[:, 1].sum()) > 0.0)
+    teacher_probs, teacher_pred, teacher_embedding = teacher
+    stats = disc_value = coeff_value = None
+    embedding = model.encoder.logits(batch.x)
+    logits = model.predictor.logits(embedding)
+
+    if disc_on:
+        disc_loss = mul(v_d(batch, omega, disc.logits(embedding.data)), hp.lambda_d)
+        disc_value = disc_loss.item()
+        _check_finite(disc_value, "discriminator", config.method, t, step)
+        # with no beta mass left the loss is a constant: nothing to train
+        if disc_loss.requires_grad:
+            disc_loss.backward()
+            sgd_step(disc.params(), disc_lr)
+    disc_logits = stopped_disc.logits(embedding) if adaptive or disc_on else None
+
+    if adaptive:
+        stats = coeff_stats_for_step(eps_hist, batch, logits.data,
+                                     disc_logits.data, teacher_pred)
+        coeff_value, grad = v_01(omega, stats, hp.c_gen, pool_sizes[0], pool_sizes[1:])
+        _check_finite(coeff_value, "coefficient", config.method, t, step)
+        param.grad = logit_gradient(omega, grad)
+        sgd_step([param], omega_lr)
+        omega = softmax(param.data)
+
+    objective = v_l(batch, omega, logits, teacher_probs)
+    aux = encoder_aux_loss(embedding, disc_logits, teacher_embedding,
+                           omega, batch, hp, rng)
+    objective = add(objective, aux)
+    model_value = objective.item()
+    _check_finite(model_value, "model", config.method, t, step)
+    objective.backward()
+    sgd_step(model.params(), sgd.learning_rate)
+    return StepRecord(omega, stats, disc_value, coeff_value, model_value)
+
+
 def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
                          rng: np.random.Generator, disc: Mlp,
                          coeff_logits: np.ndarray | None) -> np.ndarray:
     """[domain_data; bucket 1; ...; bucket t-1] is stacked once, with the
     teacher's outputs on it from the model before its first step, and so is
     the layout of every step's record (a current batch, then a memory batch
-    per bucket); each step gathers its rows by drawn index, and each network
-    runs once on them for every loss term.  The triples are the method's
-    preset, or with UDIL's [t-1, 3] `coeff_logits` their softmax, descended
-    in place once per step; returns the domain's final triples."""
+    per bucket); each step gathers its rows and the teacher's by drawn index
+    for `replay_step`.  The triples are the method's preset, or with UDIL's
+    [t-1, 3] `coeff_logits` their softmax, descended in place once per step;
+    returns the domain's final triples."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = coeff_logits is not None
@@ -215,14 +280,9 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     # softmax is the next V_01 input
     param = Tensor(coeff_logits) if adaptive else None
     omega = softmax(coeff_logits) if adaptive else from_preset(config.method, t)
-    omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
-    disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
     mem_batch = config.memory_batch if config.memory_batch is not None else sgd.batch_size
     if config.split_memory_batch:
         mem_batch = max(1, mem_batch // (t - 1))
-    # a fixed preset with no cross-domain mass never trains the discriminator
-    disc_on = hp.lambda_d > 0 and (
-        adaptive or float(omega[:, 1].sum()) > 0.0)
     pool = StepBatch.stack(domain_data, state.bank.buckets)
     n_memory = pool.layout.sizes[1:]
     layout = StepLayout([min(sgd.batch_size, len(domain_data))]
@@ -236,37 +296,10 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
         rows += state.bank.sample_past(mem_batch, rng).values()  # in layout.ids order
         idx = np.concatenate(rows) + offsets
         batch = StepBatch(pool.x[idx], pool.y[idx], layout)
-        teacher_embedding = teacher_emb[idx] if hp.lambda_p > 0 else None
-        embedding = model.encoder.logits(batch.x)
-        logits = model.predictor.logits(embedding)
-
-        if disc_on:
-            disc_loss = mul(v_d(batch, omega, disc.logits(embedding.data)),
-                            hp.lambda_d)
-            _check_finite(disc_loss.item(), "discriminator", config.method, t, step)
-            # with no beta mass left the loss is a constant: nothing to train
-            if disc_loss.requires_grad:
-                disc_loss.backward()
-                sgd_step(disc.params(), disc_lr)
-        disc_logits = stopped_disc.logits(embedding) if adaptive or disc_on else None
-
-        if adaptive:
-            stats = coeff_stats_for_step(eps_hist, batch, logits.data,
-                                         disc_logits.data, teacher_pred[idx])
-            value, grad = v_01(omega, stats, hp.c_gen, len(domain_data),
-                               n_memory)
-            _check_finite(value, "coefficient", config.method, t, step)
-            param.grad = logit_gradient(omega, grad)
-            sgd_step([param], omega_lr)
-            omega = softmax(param.data)
-
-        objective = v_l(batch, omega, logits, teacher_probs[idx])
-        aux = encoder_aux_loss(embedding, disc_logits, teacher_embedding,
-                               omega, batch, hp, rng)
-        objective = add(objective, aux)
-        _check_finite(objective.item(), "model", config.method, t, step)
-        objective.backward()
-        sgd_step(model.params(), sgd.learning_rate)
+        teacher = (teacher_probs[idx], teacher_pred[idx],
+                   teacher_emb[idx] if hp.lambda_p > 0 else None)
+        omega = replay_step(state, disc, stopped_disc, eps_hist, pool.layout.sizes,
+                            rng, step, batch, teacher, omega, param).omega
     return omega
 
 

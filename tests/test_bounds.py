@@ -176,6 +176,17 @@ def test_instance_validation():
                         omega=np.array([[1.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_instance_refuses_a_non_finite_omega(bad):
+    """A NaN or infinite entry is off the simplex, whatever its row's other
+    entries: NaN fails every comparison, so the check must not rest on one
+    coming out True."""
+    for row in ([bad, 0.5, 0.5], [0.0, bad, 1.0], [bad, bad, bad]):
+        with pytest.raises(ContractError,
+                           match="omega rows must lie on the simplex"):
+            simple_instance(omega=np.array([row]))
+
+
 def test_barycentric_grid():
     g = barycentric_grid(4)
     assert len(g) == 15  # C(4+2, 2)

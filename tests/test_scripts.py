@@ -11,19 +11,35 @@ import pytest
 import dilkit
 
 
-def test_compare_presets_reports_rejected_method(tmp_path):
+def _compare_presets(tmp_path, *args):
+    """Run compare_presets_hd_balls.py with `args`; its result rows by method."""
     script = Path(__file__).parents[1] / "scripts" / "compare_presets_hd_balls.py"
     src = str(Path(dilkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, str(script), "--domains", "2", "--per-domain", "50",
-         "--steps", "2", "--seeds", "0"],
+         "--seeds", "0", *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0]: line for line in proc.stdout.splitlines()[2:]}
+    return {line.split()[0]: line for line in proc.stdout.splitlines()[2:]}
+
+
+def test_compare_presets_reports_rejected_method(tmp_path):
+    rows = _compare_presets(tmp_path, "--steps", "2")
     assert "rejected: ESM-ER requires" in rows["ESM-ER"]
     assert len(rows) == 10 and "rejected" not in rows["UDIL"]
+
+
+def test_compare_presets_reports_diverging_runs_and_goes_on(tmp_path):
+    """A run whose loss turns non-finite is its method's row, with the
+    trainer's message; the methods after it still run and report."""
+    rows = _compare_presets(tmp_path, "--steps", "5", "--lr", "1e30",
+                            "--methods", "ER", "FineTune")
+    assert rows.keys() == {"ER", "FineTune"}
+    for method in rows:
+        assert (f"failed: {method}: classification loss is nan at domain 1"
+                in rows[method])
 
 
 def test_rotated_digits_removes_its_config_when_interrupted(tmp_path,

@@ -3,11 +3,15 @@ reference_step.py, on random states: the loss terms, each fed the passes
 a step runs over the record's rows, and the coefficient statistics and
 divergence estimate; the encoder terms as the step sums them; the
 trainer's draws, gathered from one per-domain layout, against the
-reference's sampled and stacked sets; and the trainer's step, whose phases
-and encoder terms share their passes, against the reference's phase
-order, which shares none of the library's loss terms; and the trainer's
-domain-start teacher pass against the snapshot it replaced."""
+reference's sampled and stacked sets; `trainer.replay_step`, whose phases
+and encoder terms share their passes, called directly against the
+reference's phase order, which shares none of the library's loss terms,
+and the record it returns for a preset; the forwards and Tensors a step
+makes; and the trainer's domain-start teacher pass against the snapshot
+it replaced."""
 import copy
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -16,12 +20,13 @@ from hypothesis import given, settings, strategies as st
 import reference_step as ref
 from dilkit import trainer
 from dilkit.autodiff import ContractError, Tensor, add, mul, softmax
+from dilkit.coeffs import from_preset
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
 from dilkit.losses import (N_NEGATIVES, HyperParams, StepBatch,
                            encoder_aux_loss, v_d, v_l, v_p)
 from dilkit.membank import MemoryBank
-from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
+from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
 from dilkit.trainer import TrainerConfig, TrainState, coeff_stats_for_step
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
@@ -376,44 +381,37 @@ def _step_state(seed, t, hp, steps=1, **config):
     return state, teacher, disc, coeff_logits, _batch(rng, 30, t)
 
 
-def _teach_with(monkeypatch, teacher):
-    """Have the trainer's domain-start pass run `teacher` in place of the
-    model it is given, so that a step's teacher and student differ."""
-    domain_start = trainer.snapshot_history
-    monkeypatch.setattr(trainer, "snapshot_history",
-                        lambda model, layout: domain_start(teacher, layout))
-
-
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 @pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_draws_match_reference_sampling(monkeypatch, t, split, seed):
     """From equal rng states, each of three replay steps gathers the
     reference's x, y, segment bounds and teacher argmax bitwise (as handed
-    to coeff_stats_for_step), and the steps leave the rng in the
-    reference's state.  Bucket 1 holds one row, shorter than any memory
-    batch; with `split` the memory batch is divided over t - 1."""
-    state, teacher_net, disc, coeff_logits, domain = _step_state(
+    to replay_step; the teacher is the model at domain start), and the
+    steps leave the rng in the reference's state.  Bucket 1 holds one row,
+    shorter than any memory batch; with `split` the memory batch is divided
+    over t - 1."""
+    state, _, disc, coeff_logits, domain = _step_state(
         1000 * t + seed, t, HyperParams(), steps=3, memory_batch=8,
         split_memory_batch=split)
     bank = state.bank
     bank.buckets[1] = bank.buckets[1].subset(np.arange(1))
-    history = ref.snapshot_history(teacher_net, bank)
+    history = ref.snapshot_history(state.model, bank)
     teacher = {**history.logits, t: history.classifier.logits(domain.x).data}
     seen = []
-    stats_for_step = trainer.coeff_stats_for_step
+    replay_step = trainer.replay_step
+    parameters = inspect.signature(replay_step)
 
-    def recording_stats(eps_hist, batch, logits, disc_logits, teacher_pred):
-        seen.append((batch, teacher_pred))
-        return stats_for_step(eps_hist, batch, logits, disc_logits,
-                              teacher_pred)
+    def recording_step(*args):
+        seen.append(parameters.bind(*args).arguments)
+        return replay_step(*args)
 
-    _teach_with(monkeypatch, teacher_net)
-    monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
+    monkeypatch.setattr(trainer, "replay_step", recording_step)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     trainer._train_domain_replay(state, domain, rng, disc, coeff_logits)
     assert len(seen) == 3
-    for batch, teacher_pred in seen:
+    for args in seen:
+        batch, (_, teacher_pred, _) = args["batch"], args["teacher"]
         _, _, x, y, bounds, ref_teacher = ref.sample_step(
             domain, bank, teacher, state.config.sgd.batch_size, 8, split,
             ref_rng)
@@ -432,16 +430,37 @@ HPS = [HyperParams(lambda_d=0.5, c_gen=1.0),
        HyperParams(lambda_d=0.05, c_gen=0.3, lambda_p=0.2, lambda_s=0.1)]
 
 
+def _step_inputs(state, teacher, domain, rng):
+    """A replay step's inputs, drawn as the trainer draws them: the record of
+    a current batch and a memory batch per bucket, the teacher's softmax,
+    argmax and embedding (with lambda_p > 0) on its rows from its pass over
+    the domain's pool, its error on each bucket and the pool's segment sizes;
+    then the drawn current and memory sets themselves."""
+    config, bank = state.config, state.bank
+    pool = StepBatch.stack(domain, bank.buckets)
+    probs, pred, emb, eps_hist = trainer.snapshot_history(teacher, pool)
+    current_rows = trainer._draw_rows(len(domain), config.sgd.batch_size, rng)
+    past_rows = bank.sample_past(config.memory_batch, rng)
+    current = domain.subset(current_rows)
+    past = {i: bank.buckets[i].subset(rows) for i, rows in past_rows.items()}
+    batch = StepBatch.stack(current, past)
+    idx = (np.concatenate([current_rows, *past_rows.values()])
+           + np.repeat(pool.layout.bounds[:-1], batch.layout.sizes))
+    teacher_rows = (probs[idx], pred[idx],
+                    emb[idx] if config.hp.lambda_p > 0 else None)
+    return batch, teacher_rows, eps_hist, pool.layout.sizes, current, past
+
+
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 @pytest.mark.parametrize("hp_index", range(len(HPS)))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
-                                                   seed):
-    """One trainer step (one student pass, one stopped-discriminator pass,
-    teacher logits by row) against reference_step.replay_step on the rows
-    it drew: the same coefficient statistics exactly, the same
-    discriminator and coefficient updates, and the model loss and every
-    model gradient within 1e-10."""
+def test_replay_step_matches_reference_phase_order(t, hp_index, seed):
+    """One library step (one student pass, one stopped-discriminator pass,
+    the teacher's rows gathered from its pass over the domain's pool)
+    against reference_step.replay_step on the same draws: the same
+    coefficient statistics exactly, the same discriminator and coefficient
+    updates, and the model loss and every model gradient (read off the
+    model's update) within 1e-10."""
     hp = HPS[hp_index]
     state, teacher, disc, coeff_logits, domain = _step_state(
         900 * t + 10 * hp_index + seed, t, hp)
@@ -449,59 +468,85 @@ def test_replay_step_matches_reference_phase_order(monkeypatch, t, hp_index,
     history = ref.snapshot_history(teacher, bank)
     ref_model, ref_disc = copy.deepcopy((model, disc))
     ref_logits = Tensor(coeff_logits.copy(), requires_grad=True)
-    seen = {"rows": [], "stats": [], "losses": {}, "grads": []}
-    draw_rows, sample_past = trainer._draw_rows, bank.sample_past
-    stats_for_step = trainer.coeff_stats_for_step
+    rng = np.random.default_rng(seed)
+    batch, teacher_rows, eps_hist, sizes, current, past = _step_inputs(
+        state, teacher, domain, rng)
+    ref_rng = copy.deepcopy(rng)  # the stream V_s draws from next
+    record = trainer.replay_step(state, disc, disc.stopped(), eps_hist, sizes,
+                                 rng, 1, batch, teacher_rows,
+                                 softmax(coeff_logits), Tensor(coeff_logits))
 
-    def recording_draw_rows(*args):
-        seen["rows"].append(draw_rows(*args))
-        return seen["rows"][-1]
-
-    def recording_sample_past(per_domain, rng):
-        seen["rows"].append(sample_past(per_domain, rng))
-        seen["rng"] = copy.deepcopy(rng)  # the stream V_s draws from next
-        return seen["rows"][-1]
-
-    def recording_stats(*args):
-        seen["stats"].append(stats_for_step(*args))
-        return seen["stats"][-1]
-
-    def recording_sgd_step(params, lr):
-        seen["grads"].append([p.grad.copy() for p in params])
-        sgd_step(params, lr)
-
-    _teach_with(monkeypatch, teacher)
-    monkeypatch.setattr(trainer, "_draw_rows", recording_draw_rows)
-    monkeypatch.setattr(bank, "sample_past", recording_sample_past)
-    monkeypatch.setattr(trainer, "coeff_stats_for_step", recording_stats)
-    monkeypatch.setattr(trainer, "_check_finite", lambda value, name, *rest:
-                        seen["losses"].update({name: value}))
-    monkeypatch.setattr(trainer, "sgd_step", recording_sgd_step)
-    trainer._train_domain_replay(state, domain, np.random.default_rng(seed),
-                                 disc, coeff_logits)
-
-    current_rows, past_rows = seen["rows"]
-    current = domain.subset(current_rows)
-    past = {i: bank.buckets[i].subset(rows) for i, rows in past_rows.items()}
     n_memory = [len(bank.buckets[i]) for i in sorted(bank.buckets)]
     ref_stats, ref_objective = ref.replay_step(
         ref_model, history, ref_disc, ref_logits, current, past, t, hp,
-        len(domain), n_memory, seen["rng"], 0.4, 0.7)
-    (stats,) = seen["stats"]
+        len(domain), n_memory, ref_rng, 0.4, 0.7)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
-        np.testing.assert_array_equal(getattr(stats, name),
+        np.testing.assert_array_equal(getattr(record.stats, name),
                                       getattr(ref_stats, name))
-    assert stats.eps_cross == ref_stats.eps_cross
+    assert record.stats.eps_cross == ref_stats.eps_cross
+    assert None not in (record.disc_loss, record.coeff_loss)
     np.testing.assert_allclose(coeff_logits, ref_logits.data,
                                rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(record.omega, softmax(coeff_logits))
     for p, r in zip(disc.params(), ref_disc.params()):
         np.testing.assert_allclose(p.data, r.data, rtol=0, atol=1e-10)
     ref_value, ref_grads = _value_and_grads(ref_objective, ref_model.params())
-    assert abs(seen["losses"]["model"] - ref_value) <= 1e-10
-    model_grads = seen["grads"][-1]  # the model update comes last
-    assert len(model_grads) == len(ref_grads)
-    for got, want in zip(model_grads, ref_grads):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    assert abs(record.model_loss - ref_value) <= 1e-10
+    lr = state.config.sgd.learning_rate
+    assert len(model.params()) == len(ref_grads)
+    for p, before, want in zip(model.params(), ref_model.params(), ref_grads):
+        np.testing.assert_allclose((before.data - p.data) / lr, want,
+                                   rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [2, 4])
+@pytest.mark.parametrize("method,lambda_d", [("ER", 0.05), ("LwF", 0.05),
+                                             ("LwF", 0.0)])
+def test_replay_step_record_of_a_preset(t, method, lambda_d):
+    """A preset's step keeps its triples and computes no coefficient
+    statistics and no V_01 value.  Its discriminator trains only with beta
+    mass and lambda_d > 0, so only LwF at lambda_d = 0.05 records a
+    discriminator loss."""
+    state, teacher, disc, _, domain = _step_state(
+        50 * t + int(100 * lambda_d), t, HyperParams(lambda_d=lambda_d))
+    state.config = dataclasses.replace(state.config, method=method)
+    batch, teacher_rows, eps_hist, sizes, *_ = _step_inputs(
+        state, teacher, domain, np.random.default_rng(t))
+    record = trainer.replay_step(state, disc, disc.stopped(), eps_hist, sizes,
+                                 np.random.default_rng(t), 1, batch,
+                                 teacher_rows, from_preset(method, t), None)
+    assert record.stats is None and record.coeff_loss is None
+    np.testing.assert_array_equal(record.omega, from_preset(method, t))
+    trains_disc = method == "LwF" and lambda_d > 0
+    assert (record.disc_loss is not None) == trains_disc
+    assert np.isfinite(record.model_loss)
+
+
+def _counts_per_step(method, aux, logs):
+    """How many entries each list of `logs` gains per replay step at
+    t = 2..5, with lambda_p = lambda_s = `aux`: the counts over a domain of
+    three steps less those over a domain of one, halved, so that the
+    teacher's pass and the rest of each domain's set-up drop out."""
+    stream = gen_hd_balls(seed=3, n_domains=5, n_per_domain=60, dim=4,
+                          sigma=0.4)
+
+    def per_domain(steps):
+        config = TrainerConfig(method, 1, arch=ArchConfig([8], 4, [], [8]),
+                               sgd=SgdConfig(0.2, steps, 16),
+                               memory_capacity=30,
+                               hp=HyperParams(lambda_d=0.1, lambda_p=aux,
+                                              lambda_s=aux))
+        state = trainer.initial_state(config, 4, stream.num_classes)
+        counts = {}
+        for t in range(1, 6):
+            start = [len(log) for log in logs]
+            state = trainer.train_domain(state, stream.train(t))
+            counts[t] = [len(log) - n for log, n in zip(logs, start)]
+        return counts
+
+    one, three = per_domain(1), per_domain(3)
+    return {t: tuple((b - a) / 2 for a, b in zip(one[t], three[t]))
+            for t in range(2, 6)}
 
 
 @pytest.mark.parametrize("method", ["UDIL", "ER", "LwF"])
@@ -515,8 +560,6 @@ def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
     one-step domain differ by exactly two steps' worth.  No step
     constructs a LabeledSet: its rows are gathered from the domain's
     layout."""
-    stream = gen_hd_balls(seed=3, n_domains=5, n_per_domain=60, dim=4,
-                          sigma=0.4)
     calls, sets = [], []
     logits, post_init = Mlp.logits, LabeledSet.__post_init__
 
@@ -528,29 +571,35 @@ def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
         sets.append(self)
         post_init(self)
 
-    def per_domain(steps, aux):
-        config = TrainerConfig(method, 1, arch=ArchConfig([8], 4, [], [8]),
-                               sgd=SgdConfig(0.2, steps, 16),
-                               memory_capacity=30,
-                               hp=HyperParams(lambda_d=0.1, lambda_p=aux,
-                                              lambda_s=aux))
-        state = trainer.initial_state(config, 4, stream.num_classes)
-        counts = {}
-        for t in range(1, 6):
-            data = stream.train(t)
-            start = len(calls), len(sets)
-            state = trainer.train_domain(state, data)
-            counts[t] = len(calls) - start[0], len(sets) - start[1]
-        return counts
-
     monkeypatch.setattr(Mlp, "logits", counting_logits)
     monkeypatch.setattr(LabeledSet, "__post_init__", counting_post_init)
+    want = {"UDIL": 4, "ER": 2, "LwF": 4}[method]
     for aux in (0.0, 0.1):
-        one, three = per_domain(1, aux), per_domain(3, aux)
-        per_step = {t: tuple((b - a) / 2 for a, b in zip(one[t], three[t]))
-                    for t in range(2, 6)}
-        want = {"UDIL": 4, "ER": 2, "LwF": 4}[method]
-        assert per_step == {t: (want, 0) for t in range(2, 6)}
+        assert (_counts_per_step(method, aux, (calls, sets))
+                == {t: (want, 0) for t in range(2, 6)})
+
+
+@pytest.mark.parametrize("method", ["UDIL", "ER"])
+@pytest.mark.parametrize("aux", [0.0, 0.1])
+def test_replay_step_constructs_a_fixed_number_of_tensors(monkeypatch, method,
+                                                          aux):
+    """Tensor constructions per replay step, flat in t and as measured before
+    the step became `trainer.replay_step`: UDIL 16 and ER 10 with the
+    auxiliary terms off, 42 and 36 with lambda_p = lambda_s = 0.1.  Besides
+    this test only perfbench's traced autodiff.nodes_per_step sees the
+    count."""
+    made = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    want = {("UDIL", 0.0): 16, ("ER", 0.0): 10,
+            ("UDIL", 0.1): 42, ("ER", 0.1): 36}[method, aux]
+    assert (_counts_per_step(method, aux, (made,))
+            == {t: (want,) for t in range(2, 6)})
 
 
 # -- the teacher pass at domain start ------------------------------------
