@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
-Ops, each one the library calls: add, mul, tsum, rowsum, rows, reshape,
-mlp and softmax_xent.  mlp is a network forward (layers x @ w + b with relu
-between them) as one node; softmax_xent is -sum(target * log_softmax(a)),
-every cross-entropy.  `softmax` is a plain row-wise function of an array: it
+Ops, each one the library calls: add, mul, rowsum, rows, mlp and
+softmax_xent.  rowsum sums the last axis; rows gathers rows by an index of
+any shape; mlp is a network forward (layers x @ w + b with relu between
+them) as one node; softmax_xent is -sum(target * log_softmax(a)), every
+cross-entropy.  `softmax` is a plain row-wise function of an array: it
 builds no node and has no backward.
 
 Each op builds a Tensor holding a `_backward` closure and a creation number;
@@ -52,7 +53,7 @@ class Tensor:
     def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:  # _unbroadcast may give both parents g
+        if self.grad is None:  # copied: add hands one g to both parents
             self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
@@ -151,31 +152,22 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     return out
 
 
-def tsum(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = _make(np.asarray(a.data.sum()), (a,))
-    if out.requires_grad:
-        def _back(g):
-            a._accum(np.full_like(a.data, float(g)))
-        out._backward = _back
-    return out
-
-
 def rowsum(a: Tensor) -> Tensor:
-    """[n, c] -> [n]: sum over the second axis."""
+    """[..., c] -> [...]: sum over the last axis."""
     a = _wrap(a)
-    if a.data.ndim != 2:
-        raise ContractError("rowsum expects a 2-D tensor")
-    out = _make(a.data.sum(axis=1), (a,))
+    if a.data.ndim == 0:
+        raise ContractError("rowsum expects a tensor of at least one axis")
+    out = _make(a.data.sum(axis=-1), (a,))
     if out.requires_grad:
         def _back(g):
-            a._accum(np.repeat(g[:, None], a.data.shape[1], axis=1))
+            a._accum(np.repeat(g[..., None], a.data.shape[-1], axis=-1))
         out._backward = _back
     return out
 
 
 def rows(a: Tensor, idx) -> Tensor:
-    """[n, c], [k] -> [k, c]: gather whole rows (duplicates allowed)."""
+    """[n, c], index of shape s -> [*s, c]: gather whole rows (duplicates
+    allowed)."""
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = _make(a.data[idx], (a,))
@@ -184,16 +176,6 @@ def rows(a: Tensor, idx) -> Tensor:
             full = np.zeros_like(a.data)
             np.add.at(full, idx, g)
             a._accum(full)
-        out._backward = _back
-    return out
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _wrap(a)
-    out = _make(a.data.reshape(shape), (a,))
-    if out.requires_grad:
-        def _back(g):
-            a._accum(g.reshape(a.data.shape))
         out._backward = _back
     return out
 

@@ -65,13 +65,18 @@ def preset_triple(method: str, t: int) -> tuple[float, float, float]:
         f"unknown preset {method!r}; on-simplex presets: {TRIPLE_PRESETS}")
 
 
-def from_preset(method: str, t: int) -> np.ndarray:
-    """[t-1, 3] fixed triples of one of the coefficient presets; FineTune
-    zeroes all past-domain weights (off-simplex by definition: no replay)."""
+def check_method(method: str) -> None:
+    """Raise ConfigError (field "method") for a name outside METHODS."""
     if method not in METHODS:
         raise ConfigError(
             f"unknown method {method!r}; valid methods: {', '.join(METHODS)}",
             field="method")
+
+
+def from_preset(method: str, t: int) -> np.ndarray:
+    """[t-1, 3] fixed triples of one of the coefficient presets; FineTune
+    zeroes all past-domain weights (off-simplex by definition: no replay)."""
+    check_method(method)
     if method in ("UDIL", "Joint"):
         raise ConfigError(
             f"{method} does not use fixed coefficients; "

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .autodiff import (
-    ContractError, Tensor, add, mul, reshape, rows, rowsum, softmax_xent, tsum,
-)
+from .autodiff import ContractError, Tensor, add, mul, rows, rowsum, softmax_xent
 from .datagen import LabeledSet
 from .models import Classifier, Range, Ranged
 
@@ -230,7 +229,7 @@ def v_p(batch: StepBatch, embedding: Tensor,
     seg_w = np.r_[0.0, np.ones(len(batch.layout.ids))]
     batch.layout.check_weighted(seg_w, "v_p")
     diff = add(embedding, mul(teacher_embedding, -1.0))
-    return tsum(mul(rowsum(mul(diff, diff)), batch.layout.row_weights(seg_w)))
+    return rowsum(mul(rowsum(mul(diff, diff)), batch.layout.row_weights(seg_w)))
 
 
 def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
@@ -249,29 +248,23 @@ def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
     if not anchors:
         log.warning("v_s: no same-class pair in batch, returning 0")
         return Tensor(0.0)
-    k = len(anchors)
-    keep, negatives = [], []
-    for row, a in enumerate(anchors):
-        pool = np.flatnonzero(y != y[a])
-        if len(pool):
-            keep.append(row)
-            negatives.append(rng.choice(pool, size=n_negatives, replace=True))
-    # An anchor with no different-class sample has an empty negative sum:
-    # -log[exp(-s+)/exp(-s+)] = 0, so it adds nothing to the mean over k.
-    if not keep:
+    # one label throughout leaves every anchor without a negative: each term
+    # is -log[exp(-s+)/exp(-s+)] = 0
+    if (y == y[0]).all():
         return Tensor(0.0)
-    m = len(keep)
-    a_idx = np.array(anchors)[keep]
-    p_idx = np.array(positives)[keep]
-    # row (r, 0) is anchor r minus its positive, row (r, j) anchor r minus
-    # its j-th negative: two gathers give every difference
-    partner = np.concatenate([p_idx[:, None], np.stack(negatives)], axis=1)
-    diff = add(rows(embedding, np.repeat(a_idx, n_negatives + 1)),
-               mul(rows(embedding, partner.ravel()), -1.0))
-    dist = reshape(rowsum(mul(diff, diff)), partner.shape)
+    k = len(anchors)
+    negatives = [rng.choice(np.flatnonzero(y != y[a]), size=n_negatives,
+                            replace=True) for a in anchors]
+    # entry (r, 0) pairs anchor r with its positive and (r, j) with its j-th
+    # negative: two [k, n_negatives + 1] gathers give every difference
+    partner = np.column_stack([positives, np.stack(negatives)])
+    diff = add(rows(embedding, np.repeat(np.array(anchors)[:, None],
+                                         n_negatives + 1, axis=1)),
+               mul(rows(embedding, partner), -1.0))
+    dist = rowsum(mul(diff, diff))
     # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] is the cross-entropy of
     # the logits -[s+, s-_1, ...] toward column 0
-    target = _one_hot(np.zeros(m, np.int64), n_negatives + 1, 1.0 / k)
+    target = _one_hot(np.zeros(k, np.int64), n_negatives + 1, 1.0 / k)
     return softmax_xent(mul(dist, -1.0), target)
 
 
@@ -283,13 +276,11 @@ def encoder_aux_loss(embedding: Tensor, disc_logits: Tensor | None,
     over the record's rows, running no network: the student's `embedding`, the
     stopped discriminator's `disc_logits` on it (None with no beta mass left)
     and the frozen teacher's `teacher_embedding` (None when lambda_p = 0)."""
-    total = Tensor(0.0)
+    terms = []
     if hp.lambda_d > 0 and batch.layout.ids:
-        total = add(total, mul(v_d(batch, omega, disc_logits), -hp.lambda_d))
+        terms.append(mul(v_d(batch, omega, disc_logits), -hp.lambda_d))
     if hp.lambda_p > 0 and batch.layout.ids:
-        total = add(total, mul(v_p(batch, embedding, teacher_embedding),
-                               hp.lambda_p))
+        terms.append(mul(v_p(batch, embedding, teacher_embedding), hp.lambda_p))
     if hp.lambda_s > 0:
-        total = add(total, mul(v_s(embedding, batch.y, N_NEGATIVES, rng),
-                               hp.lambda_s))
-    return total
+        terms.append(mul(v_s(embedding, batch.y, N_NEGATIVES, rng), hp.lambda_s))
+    return reduce(add, terms) if terms else Tensor(0.0)

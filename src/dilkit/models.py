@@ -82,10 +82,6 @@ class Mlp:
                 raise ContractError("Mlp init requires a seeded rng")
             self.layers = [_init_layer(a, b, rng) for a, b in zip(sizes, sizes[1:])]
 
-    @property
-    def sizes(self) -> list[int]:
-        return [self.layers[0][0].data.shape[0]] + [w.data.shape[1] for w, _ in self.layers]
-
     def params(self) -> list[Tensor]:
         return [p for pair in self.layers for p in pair]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ContractError, Tensor, add, mul, softmax
-from .coeffs import from_preset, init_uniform, logit_gradient
+from .coeffs import check_method, from_preset, init_uniform, logit_gradient
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
@@ -128,7 +128,9 @@ def descend_v01(coeff_logits: np.ndarray, stats: CoeffStats, c_gen: float,
     `coeff_logits`, in place, and return the final value.  For the
     frozen-instance comparisons against the fixed presets; each iteration is
     `replay_step`'s coefficient update, without its finiteness check."""
-    param, omega, value = Tensor(coeff_logits), softmax(coeff_logits), None
+    if steps < 1:
+        raise ContractError(f"descend_v01 needs at least one step, got {steps}")
+    param, omega = Tensor(coeff_logits), softmax(coeff_logits)
     for _ in range(steps):
         value, grad = v_01(omega, stats, c_gen, n_current, n_memory)
         param.grad = logit_gradient(omega, grad)
@@ -357,6 +359,7 @@ def check_sequence(config: TrainerConfig, n_domains: int) -> None:
     if config.memory_capacity < n_domains:  # a domain would keep no exemplar
         raise ConfigError(f"memory_capacity must be >= n_domains = {n_domains}"
                           f", got {config.memory_capacity}", field="memory_capacity")
+    check_method(config.method)
     for t in range(2, n_domains + 1):  # the coefficients train_domain builds
         if config.method not in (ADAPTIVE_METHOD, ORACLE_METHOD):
             from_preset(config.method, t)

@@ -17,16 +17,38 @@ logits gradient against `v_01_node(softmax(logits))`, and
 reference_step.py's `replay_step` descends through them.  `backward` is the graph walk `Tensor.backward` ran before it ordered
 nodes by creation: a two-phase depth-first search whose post-order,
 reversed, is the topological order.  `sgd_step` is the update as
-models.sgd_step wrote it before it scaled each gradient in place."""
+models.sgd_step wrote it before it scaled each gradient in place.  `tsum`
+and `reshape` are the whole-tensor sum and the reshape V_p and V_s were
+built with before `rowsum` summed the last axis and V_s gathered its pairs
+with one 2-D index; the frozen V_p, V_s and V_01 forms still use them."""
 from __future__ import annotations
 
 from typing import Iterable
 
 import numpy as np
 
-from dilkit.autodiff import (
-    ContractError, Tensor, _make, _wrap, add, mlp, mul, reshape, tsum,
-)
+from dilkit.autodiff import ContractError, Tensor, _make, _wrap, add, mlp, mul
+
+
+def tsum(a: Tensor) -> Tensor:
+    """Any shape -> scalar: the sum of every entry."""
+    a = _wrap(a)
+    out = _make(np.asarray(a.data.sum()), (a,))
+    if out.requires_grad:
+        def _back(g):
+            a._accum(np.full_like(a.data, float(g)))
+        out._backward = _back
+    return out
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    a = _wrap(a)
+    out = _make(a.data.reshape(shape), (a,))
+    if out.requires_grad:
+        def _back(g):
+            a._accum(g.reshape(a.data.shape))
+        out._backward = _back
+    return out
 
 
 def backward(loss: Tensor) -> None:

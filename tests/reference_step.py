@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dilkit.autodiff import (
-    ContractError, Tensor, _wrap, add, mul, reshape, rows, rowsum,
-    softmax_xent, tsum,
+    ContractError, Tensor, _wrap, add, mul, rows, rowsum, softmax_xent,
 )
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
@@ -50,7 +49,8 @@ from dilkit.membank import MemoryBank
 from dilkit.models import Classifier, Mlp, sgd_step
 
 from reference_ops import (
-    column, concat_cols, log_softmax, pick, softmax, sqrt, tmean,
+    column, concat_cols, log_softmax, pick, reshape, softmax, sqrt, tmean,
+    tsum,
 )
 
 log = logging.getLogger(__name__)
@@ -140,7 +140,7 @@ def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,
     betas = omega[:, 1]
     if float(betas.sum()) == 0.0:
         return Tensor(0.0)
-    arity = d.sizes[-1]
+    arity = d.layers[-1][0].data.shape[1]
     if arity != t:
         raise ContractError(f"discriminator arity {arity} != t={t}")
     loss = mul(tmean(mul(pick_log(d, encoder, current_x, t - 1), -1.0)),

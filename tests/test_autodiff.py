@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import dilkit
 from dilkit.autodiff import (
-    ContractError, Tensor, add, mlp, mul, reshape, rows, rowsum, softmax,
-    softmax_xent, tsum,
+    ContractError, Tensor, add, mlp, mul, rows, rowsum, softmax, softmax_xent,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 
@@ -18,7 +17,7 @@ import reference_ops
 from gradcheck import gradcheck
 from reference_ops import (
     column, concat_cols, linear, log_softmax, lse, matmul, mlp_chain, pick,
-    relu, sqrt, tmean,
+    relu, reshape, sqrt, tmean, tsum,
 )
 
 
@@ -467,14 +466,18 @@ def _op_case(op, rng, n, m):
         return [a], lambda: column(a, j)
     if op == "reshape":
         return [a], lambda: reshape(a, (m, n))
+    if op in ("rowsum_1d", "rowsum_3d"):
+        a = Tensor(rng.normal(size=(m,) if op == "rowsum_1d" else (n, 2, m)),
+                   requires_grad=True)
+        return [a], lambda: rowsum(a)
     unary = {"tsum": tsum, "rowsum": rowsum, "softmax": reference_ops.softmax,
              "lse": lse, "log_softmax": log_softmax}
     return [a], lambda: unary[op](a)
 
 
 OPS = ("add", "mul", "matmul", "linear", "mlp", "relu", "sqrt", "tsum", "rowsum",
-       "reshape", "concat_cols", "softmax", "softmax_xent", "lse",
-       "log_softmax", "pick", "rows", "column")
+       "rowsum_1d", "rowsum_3d", "reshape", "concat_cols", "softmax",
+       "softmax_xent", "lse", "log_softmax", "pick", "rows", "column")
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -485,6 +488,12 @@ def test_gradcheck_every_op_random_shapes(op, n, m, seed):
     inputs, apply = _op_case(op, rng, n, m)
     weights = rng.normal(size=apply().data.shape)  # a generic linear readout
     gradcheck(lambda: tsum(mul(apply(), weights)), inputs)
+
+
+def test_rowsum_refuses_a_0d_tensor():
+    """rowsum sums the last axis; a scalar has none."""
+    with pytest.raises(ContractError, match="rowsum"):
+        rowsum(Tensor(2.0, requires_grad=True))
 
 
 # -- fused ops against the compositions they replace ---------------------

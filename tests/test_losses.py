@@ -475,6 +475,23 @@ def test_v_s_no_positive_pair_warns_and_zero(caplog):
     assert any("same-class" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_v_s_one_label_batch_is_zero(n):
+    """With one label throughout no anchor has a negative: V_s is a constant
+    0, and the generator has drawn one positive per anchor and nothing
+    more, where the per-row reference also leaves it."""
+    enc = identity_mlp(2)
+    batch = LabeledSet(np.arange(2.0 * n).reshape(n, 2), [1] * n)
+    rng, ref_rng, replay = (np.random.default_rng(4) for _ in range(3))
+    got = _v_s(enc, batch, 3, rng)
+    assert got.item() == 0.0 and not got.requires_grad
+    assert reference_step.v_s(enc, batch, 3, ref_rng).item() == 0.0
+    for a in range(n):
+        replay.choice(np.delete(np.arange(n), a))
+    assert (rng.bit_generator.state == ref_rng.bit_generator.state
+            == replay.bit_generator.state)
+
+
 def test_v_s_hand_table():
     # embeddings on a line: class 0 at 0 and 1, class 1 at 4
     enc = identity_mlp(1)

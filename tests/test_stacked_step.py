@@ -583,11 +583,12 @@ def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
 @pytest.mark.parametrize("aux", [0.0, 0.1])
 def test_replay_step_constructs_a_fixed_number_of_tensors(monkeypatch, method,
                                                           aux):
-    """Tensor constructions per replay step, flat in t and as measured before
-    the step became `trainer.replay_step`: UDIL 16 and ER 10 with the
-    auxiliary terms off, 42 and 36 with lambda_p = lambda_s = 0.1.  Besides
-    this test only perfbench's traced autodiff.nodes_per_step sees the
-    count."""
+    """Tensor constructions per replay step, flat in t: UDIL 14 and ER 8
+    with the auxiliary terms off, 39 and 33 with lambda_p = lambda_s = 0.1.
+    The auxiliary sum starts from its first term, not from a constant
+    Tensor(0.0) and an add node, and V_s's distances need no reshape node.
+    Besides this test only perfbench's traced autodiff.nodes_per_step sees
+    the count."""
     made = []
     init = Tensor.__init__
 
@@ -596,8 +597,8 @@ def test_replay_step_constructs_a_fixed_number_of_tensors(monkeypatch, method,
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting_init)
-    want = {("UDIL", 0.0): 16, ("ER", 0.0): 10,
-            ("UDIL", 0.1): 42, ("ER", 0.1): 36}[method, aux]
+    want = {("UDIL", 0.0): 14, ("ER", 0.0): 8,
+            ("UDIL", 0.1): 39, ("ER", 0.1): 33}[method, aux]
     assert (_counts_per_step(method, aux, (made,))
             == {t: (want,) for t in range(2, 6)})
 

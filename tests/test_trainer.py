@@ -354,6 +354,15 @@ def test_descent_matches_or_beats_presets(seed, t):
     assert final <= min(preset_vals) + 1e-3
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_descend_v01_refuses_fewer_than_one_step(steps):
+    """With no step there is no value to return: refused, not None."""
+    stats, n_cur, n_mem = _frozen_instance(0, 3)
+    with pytest.raises(ContractError, match="at least one step"):
+        descend_v01(init_uniform(3), stats, 1.0, n_cur, n_mem,
+                    steps=steps, learning_rate=1.0)
+
+
 @pytest.mark.parametrize("method", ["ER", "UDIL"])
 def test_diverging_run_fails_loudly(method):
     """A learning rate that blows the parameters up stops the run at the
@@ -484,3 +493,18 @@ def test_unrunnable_sequence_fails_before_the_first_step(
     with pytest.raises(ConfigError, match=match) as info:
         run_sequence(small_stream(), config)
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("n_domains", [1, 2])
+def test_unknown_method_is_refused_whatever_the_domain_count(monkeypatch,
+                                                             n_domains):
+    """A method outside coeffs.METHODS is refused before the first step,
+    on a one-domain stream too, where no preset is ever looked up."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a domain")
+
+    monkeypatch.setattr(trainer, "train_domain", no_training)
+    stream = gen_hd_balls(7, n_domains, 50, 20, 0.5)
+    with pytest.raises(ConfigError, match="^unknown method 'bogus'") as info:
+        run_sequence(stream, small_config("bogus"))
+    assert info.value.field == "method"
