@@ -4,8 +4,18 @@ Ops, each one the library calls: add, mul, rowsum, rows, mlp and
 softmax_xent.  rowsum sums the last axis; rows gathers rows by an index of
 any shape; mlp is a network forward (layers x @ w + b with relu between
 them) as one node; softmax_xent is -sum(target * log_softmax(a)), every
-cross-entropy.  `softmax` is a plain row-wise function of an array: it
-builds no node and has no backward.
+cross-entropy.
+
+Two ops are nodes over closed forms that the replay step also calls
+without a graph.  `mlp_forward` is a plain function of an array that keeps
+each layer's input and builds no node; `mlp_backward` is a plain function
+that takes the output gradient, accumulates the parameters' gradients and
+returns the input's, and builds no node either; `mlp` wraps both.
+`xent` is a plain function that returns the cross-entropy's value and its
+adjoint for an upstream scalar, and builds no node; `softmax_xent` wraps
+it.  `softmax` is a plain row-wise function of an array: it builds no node
+and has no backward.  `row_sum` is a plain function that sums the last
+axis, bitwise as NumPy does, and builds no node.
 
 Each op builds a Tensor holding a `_backward` closure and a creation number;
 an op's inputs exist before its output, so `backward()` runs the closures
@@ -119,14 +129,14 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """[n, i] through the (w, b) layers -> [n, o]: h @ w + b per layer, relu
-    between layers, as one node.  The backward accumulates as a chain of one
-    node per layer and per relu does, so gradients are bitwise equal."""
-    x = _wrap(x)
-    if x.data.ndim != 2:
+def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]]) -> list[np.ndarray]:
+    """[n, i] through the (w, b) layers: h @ w + b per layer, relu between
+    layers.  Returns the input of each layer, then the [n, o] output, as
+    `mlp_backward` reads them; builds no node."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
         raise ContractError("Mlp input must be [batch, features]")
-    hs = [x.data]  # the input of each layer, then the output
+    hs = [x]
     for k, (w, b) in enumerate(layers):
         if hs[-1].shape[1] != w.data.shape[0]:
             raise ContractError(f"layer {k}: input has {hs[-1].shape[1]} "
@@ -134,20 +144,40 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
         h = hs[-1] @ w.data
         h += b.data
         hs.append(np.maximum(h, 0.0, out=h) if k < len(layers) - 1 else h)
+    return hs
+
+
+def mlp_backward(hs: list[np.ndarray], layers: Sequence[tuple[Tensor, Tensor]],
+                 g: np.ndarray, input_grad: bool) -> np.ndarray | None:
+    """Backpropagate the output gradient g through the layers `hs` came
+    from: accumulate each parameter's gradient (if it requires one) and
+    return the input's gradient when `input_grad` is set, else None.  Each
+    gradient is the one a chain of one node per layer and per relu
+    accumulates, bitwise."""
+    g_in = None
+    for k in reversed(range(len(layers))):
+        w, b = layers[k]
+        if b.requires_grad:
+            b._accum(g.sum(axis=0), fresh=True)
+        g_in = g @ w.data.T if k or input_grad else None
+        if w.requires_grad:
+            w._accum(hs[k].T @ g, fresh=True)
+        if k:
+            g = np.multiply(g_in, hs[k] > 0.0, out=g_in)
+    return g_in
+
+
+def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """[n, i] through the (w, b) layers -> [n, o] as one node: the forward
+    is `mlp_forward` and the backward `mlp_backward`."""
+    x = _wrap(x)
+    hs = mlp_forward(x.data, layers)
     out = _make(hs[-1], [x] + [p for pair in layers for p in pair])
     if out.requires_grad:
         def _back(g):
-            for k in reversed(range(len(layers))):
-                w, b = layers[k]
-                if b.requires_grad:
-                    b._accum(g.sum(axis=0), fresh=True)
-                g_in = g @ w.data.T if k or x.requires_grad else None
-                if w.requires_grad:
-                    w._accum(hs[k].T @ g, fresh=True)
-                if k:
-                    g = np.multiply(g_in, hs[k] > 0.0, out=g_in)
-                elif g_in is not None:
-                    x._accum(g_in, fresh=True)
+            g_in = mlp_backward(hs, layers, g, x.requires_grad)
+            if g_in is not None:
+                x._accum(g_in, fresh=True)
         out._backward = _back
     return out
 
@@ -180,33 +210,59 @@ def rows(a: Tensor, idx) -> Tensor:
     return out
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), bitwise at any width (signed zeros,
+    NaN and inf included), taken one column at a time: NumPy's reduction
+    along a short last axis costs more than its elementwise maxima."""
+    return np.maximum.reduce(a.T.copy()).T[..., None]
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True), bitwise.  Below 8 columns NumPy adds
+    a row's entries in order, so the columns are added one at a time; from
+    8 up its pairwise sum groups them otherwise, and NumPy's sum is kept."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1, keepdims=True)
+    return np.add.reduce(a.T.copy()).T[..., None]
+
+
 def softmax(a: np.ndarray) -> np.ndarray:
     """Row-wise softmax of an array, with log-sum-exp stabilization."""
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(a - _row_max(a))
+    return e / row_sum(e)
+
+
+def xent(a: np.ndarray, target):
+    """-sum(target * log_softmax(a)) over [n, c] logits `a` and a constant
+    [n, c] target, in closed form.  Row weights live in the target (one-hot
+    rows times 1/n: the mean cross-entropy).  Returns the value and a
+    function of an upstream scalar g giving the adjoint on `a`,
+    g * (softmax(a) * rowsum(target) - target), computed as
+    d = target * -g, then d + softmax(a) * -rowsum(d): the accumulation
+    order of the composed log_softmax graph, so results stay bitwise
+    equal to it."""
+    target = np.asarray(target, dtype=np.float64)
+    if a.ndim != 2 or target.shape != a.shape:
+        raise ContractError("softmax_xent target must match the [n, c] logits, "
+                            "got %r for %r" % (target.shape, a.shape))
+    m = _row_max(a)
+    e = np.exp(a - m)
+    s = row_sum(e)
+    logp = a + (m + np.log(s)) * -1.0
+    value = float(-(logp * target).sum())
+
+    def adjoint(g: float) -> np.ndarray:
+        d = target * -g
+        d += e / s * (row_sum(d) * -1.0)
+        return d
+    return value, adjoint
 
 
 def softmax_xent(a: Tensor, target) -> Tensor:
-    """[n, c], constant [n, c] -> scalar: -sum(target * log_softmax(a)).
-    Row weights live in the target (one-hot rows times 1/n: the mean
-    cross-entropy); the adjoint is g * (softmax(a) * rowsum(target) - target)."""
+    """[n, c], constant [n, c] -> scalar: `xent` as a node."""
     a = _wrap(a)
-    target = np.asarray(target, dtype=np.float64)
-    if a.data.ndim != 2 or target.shape != a.data.shape:
-        raise ContractError("softmax_xent target must match the [n, c] logits, "
-                            "got %r for %r" % (target.shape, a.data.shape))
-    m = a.data.max(axis=1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=1, keepdims=True)
-    logp = a.data + (m + np.log(s)) * -1.0
-    out = _make(-(logp * target).sum(), (a,))
+    value, adjoint = xent(a.data, target)
+    out = _make(value, (a,))
     if out.requires_grad:
-        sm = e / s
-        def _back(g):
-            # the accumulation order of the composed log_softmax graph, so
-            # training results stay bitwise equal to it
-            d = np.full_like(a.data, -float(g)) * target
-            a._accum(d)
-            a._accum(sm * (d.sum(axis=1, keepdims=True) * -1.0))
-        out._backward = _back
+        out._backward = lambda g: a._accum(adjoint(float(g)), fresh=True)
     return out

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .autodiff import ContractError
+from .autodiff import ContractError, row_sum
 from .datagen import ConfigError
 
 METHODS = ("UDIL", "LwF", "ER", "DER++", "iCaRL", "CLS-ER", "ESM-ER", "BiC",
@@ -31,7 +31,7 @@ def init_uniform(t: int) -> np.ndarray:
 def logit_gradient(omega: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """The gradient on the logits whose row-wise softmax is `omega`, given
     `grad` on omega: omega * (grad - sum_k grad_k omega_k) per row."""
-    return omega * (grad - (grad * omega).sum(axis=-1, keepdims=True))
+    return omega * (grad - row_sum(grad * omega))
 
 
 def preset_triple(method: str, t: int) -> tuple[float, float, float]:

@@ -103,10 +103,10 @@ def discriminator_divergences(probs: np.ndarray,
     if probs.shape[1] != t:
         raise ContractError(f"discriminator arity {probs.shape[1]} != t={t}")
     # delta >= 0 exactly when p_i >= p_t; a past row's i is its V_d class
-    n_cur, cols = sizes[0], np.array(layout.ids, dtype=np.int64) - 1
-    cur, past = probs[:n_cur], probs[n_cur:]
-    hits = past[np.arange(len(past)), layout.domain_class[n_cur:]] >= past[:, t - 1]
-    b = 0.5 * (np.bincount(layout.seg[n_cur:] - 1, hits, cols.size) / sizes[1:]
+    n_cur, cols = sizes[0], layout.past_cols
+    cur = probs[:n_cur]
+    hits = probs[layout.class_mask][n_cur:] >= probs[n_cur:, t - 1]
+    b = 0.5 * (np.bincount(layout.past_seg, hits, cols.size) / sizes[1:]
                + np.count_nonzero(cur[:, cols] < cur[:, [t - 1]], axis=0) / n_cur)
     return np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0)
 

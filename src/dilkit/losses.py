@@ -5,16 +5,20 @@ V_p / V_s.  V_l, V_d, V_p and V_s read a replay step's record (`StepBatch`)
 and the passes the step ran once over its rows; none runs a network, and
 none re-derives what a domain's records share (`StepLayout`).  The teacher
 whose probabilities and embedding they read is the model as the previous
-domain left it, run once over the domain's rows before its first step."""
+domain left it, run once over the domain's rows before its first step.
+V_l, V_01 and V_d return their value and their gradient in closed form, on
+the logits (V_l, V_d) or the triples (V_01), and build no graph; V_p and
+V_s are graphs over the embedding."""
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, add, mul, rows, rowsum, softmax_xent
+from .autodiff import (ContractError, Tensor, add, mul, rows, rowsum,
+                       softmax_xent, xent)
 from .datagen import LabeledSet
 from .models import Classifier, Range, Ranged
 
@@ -58,19 +62,30 @@ class StepLayout:
     """The segments every step record of a replay domain shares, derived and
     checked once: segment k holds sizes[k] rows, from domain t for k = 0 and
     from domain ids[k - 1] after; `seg` maps each row to its segment and
-    `domain_class` to the class V_d asks of it (t - 1, or i - 1 on domain i's)."""
+    `domain_class` to the class V_d asks of it (t - 1, or i - 1 on domain
+    i's), which `class_mask` marks in each row of [n, t].  `past_cols` and
+    `past_seg` (the past rows' segment, less one) index the divergence
+    estimate's columns and counts."""
 
     def __init__(self, sizes, ids, t: int):
-        self.sizes, self.ids, self.t = np.asarray(sizes, np.int64), tuple(ids), t
-        if self.sizes.shape != (len(self.ids) + 1,) or not all(
+        self.ids, self.t = tuple(ids), t
+        raw = np.asarray(sizes)
+        if raw.shape != (len(self.ids) + 1,) or not all(
                 0 < i < t for i in self.ids):
             raise ContractError(f"past domain ids must be in [1, {t - 1}], one "
                                 f"size per segment: got {self.ids}, {list(sizes)}")
+        if raw.dtype.kind not in "iu" or (raw < 0).any():
+            raise ContractError(f"segment sizes must be non-negative integers, "
+                                f"got {list(sizes)}")
+        self.sizes = raw.astype(np.int64)
         self.bounds = np.concatenate([[0], np.cumsum(self.sizes)])
         self.full = bool((self.sizes > 0).all())  # then no weight needs a check
         self.denom = np.maximum(self.sizes, 1)
         self.seg = np.repeat(np.arange(len(self.sizes)), self.sizes)
         self.domain_class = np.array([t - 1] + [i - 1 for i in self.ids])[self.seg]
+        self.class_mask = self.domain_class[:, None] == np.arange(t)
+        self.past_cols = np.array(self.ids, dtype=np.int64) - 1
+        self.past_seg = self.seg[self.sizes[0]:] - 1
 
     def row_weights(self, seg_w: np.ndarray) -> np.ndarray:
         """Segment k's weight divided by its size, on each of its rows."""
@@ -108,21 +123,22 @@ def _one_hot(y: np.ndarray, k: int, row_w) -> np.ndarray:
     return target
 
 
-def v_l(batch: StepBatch, omega: np.ndarray, logits: Tensor,
-        teacher_probs: np.ndarray) -> Tensor:
+def v_l(batch: StepBatch, omega: np.ndarray, logits: np.ndarray,
+        teacher_probs: np.ndarray) -> tuple[float, np.ndarray]:
     """Model loss from the student's `logits` and the frozen teacher's
     softmax `teacher_probs` on the record's rows: CE + (sum beta) * distill
     on the current batch, plus per past domain gamma_i * CE + alpha_i *
     distill on its memory batch.  Per row the target is w_ce * onehot(y) +
     w_distill * teacher_probs, with (w_ce, w_distill) = (1, sum beta) / n_0
     on current rows and (gamma_i, alpha_i) / n_i on domain i's; the loss is
-    softmax_xent(logits, target).  Coefficients enter as constants."""
+    the cross-entropy `xent(logits, target)`.  Coefficients enter as
+    constants.  Returns the value and its gradient on the logits."""
     layout = batch.layout
     omega = _check_omega(omega, layout.ids)
     w_ce = np.concatenate([[1.0], omega[:, 2]])
     w_distill = np.concatenate([[float(omega[:, 1].sum())], omega[:, 0]])
     layout.check_weighted(w_ce, "v_l")
-    k = logits.data.shape[1]
+    k = logits.shape[1]
     target = _one_hot(batch.y, k, layout.row_weights(w_ce))
     row_w = layout.row_weights(w_distill)
     if row_w.any():
@@ -131,7 +147,8 @@ def v_l(batch: StepBatch, omega: np.ndarray, logits: Tensor,
                                 f"{teacher_probs.shape[1]} vs student {k}")
         # a row of weight 0 adds 0 * p = +0.0 (p a finite probability): unchanged
         target += row_w[:, None] * teacher_probs
-    return softmax_xent(logits, target)
+    value, adjoint = xent(logits, target)
+    return value, adjoint(1.0)
 
 
 @dataclass
@@ -154,24 +171,37 @@ class CoeffStats:
         """[t-1, 3] weights of the bound's linear part: row i weighs
         (alpha_i, beta_i, gamma_i) by (eps_intra_i + eps_hist_i,
         eps_cross + dhat_i / 2 + eps_hist_i, eps_replay_i)."""
-        return np.stack([self.eps_intra + self.eps_hist,
-                         self.eps_cross + 0.5 * self.dhat + self.eps_hist,
-                         self.eps_replay], axis=1)
+        w = np.empty((len(self.eps_replay), 3))
+        np.add(self.eps_intra, self.eps_hist, out=w[:, 0])
+        np.add(self.eps_cross + 0.5 * self.dhat, self.eps_hist, out=w[:, 1])
+        w[:, 2] = self.eps_replay
+        return w
 
 
 def radical_terms(omega: np.ndarray, n_current: int,
                   n_memory) -> tuple[np.ndarray, np.ndarray]:
     """V_01's radical is sqrt(sum(w * v**2)) over the [t-1, 3] triples omega
     (row i is (alpha_i, beta_i, gamma_i)), with v = (1 + sum beta,
-    alpha_i + gamma_i) and w = (1 / n_current, 1 / n_i).  Returns (v, w)."""
+    alpha_i + gamma_i) and w = (1 / n_current, 1 / n_i).  Returns (v, w);
+    w is read-only."""
     n_memory = np.asarray(n_memory, dtype=np.float64)
     if n_memory.shape != (len(omega),):
         raise ContractError(
             f"n_memory must have shape ({len(omega)},), got {n_memory.shape}")
-    if n_current <= 0 or (n_memory <= 0).any():
-        raise ContractError("the radical requires positive sample counts")
     v = np.concatenate(([1.0 + omega[:, 1].sum()], omega[:, 0] + omega[:, 2]))
-    return v, 1.0 / np.concatenate(([n_current], n_memory))
+    return v, _radical_weights(n_current, tuple(n_memory.tolist()))
+
+
+@lru_cache(maxsize=64)
+def _radical_weights(n_current: float,
+                     n_memory: tuple[float, ...]) -> np.ndarray:
+    """w = 1 / [n_current, n_memory], checked and built once per set of
+    counts: a replay domain's steps all share one."""
+    if n_current <= 0 or any(n <= 0 for n in n_memory):
+        raise ContractError("the radical requires positive sample counts")
+    w = 1.0 / np.array((n_current,) + n_memory, dtype=np.float64)
+    w.flags.writeable = False
+    return w
 
 
 def v_01(omega: np.ndarray, stats: CoeffStats, c_gen: float,
@@ -198,26 +228,30 @@ def v_01(omega: np.ndarray, stats: CoeffStats, c_gen: float,
     return float((omega * weights).sum() + rad * c_gen), weights + dm
 
 
-def v_d(batch: StepBatch, omega: np.ndarray, logits: Tensor) -> Tensor:
+def v_d(batch: StepBatch, omega: np.ndarray, logits: np.ndarray,
+        scale: float) -> tuple[float, np.ndarray] | None:
     """Domain discrimination loss from the discriminator's `logits` on the
     record's rows: (sum beta_i) * CE(current rows -> class t)
     + sum_i beta_i * CE(domain i's rows -> class i).  Current rows have
-    weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i."""
+    weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i.  Returns
+    the value and the logits gradient of `scale` * V_d, or None with no
+    beta mass: the loss is then the constant 0."""
     layout = batch.layout
     if not layout.ids:
-        return Tensor(0.0)
+        return None
     omega = _check_omega(omega, layout.ids)
     betas = omega[:, 1]
     sum_beta = float(betas.sum())
     if sum_beta == 0.0:
-        return Tensor(0.0)
+        return None
     seg_w = np.concatenate([[sum_beta], betas])
     layout.check_weighted(seg_w, "v_d")
-    t, arity = layout.t, logits.data.shape[1]
+    t, arity = layout.t, logits.shape[1]
     if arity != t:
         raise ContractError(f"discriminator arity {arity} != t={t}")
-    target = _one_hot(layout.domain_class, t, layout.row_weights(seg_w))
-    return softmax_xent(logits, target)
+    target = np.where(layout.class_mask, layout.row_weights(seg_w)[:, None], 0.0)
+    value, adjoint = xent(logits, target)
+    return value, adjoint(scale)
 
 
 def v_p(batch: StepBatch, embedding: Tensor,
@@ -268,19 +302,34 @@ def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
     return softmax_xent(mul(dist, -1.0), target)
 
 
-def encoder_aux_loss(embedding: Tensor, disc_logits: Tensor | None,
+def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
                      teacher_embedding: np.ndarray | None, omega: np.ndarray,
                      batch: StepBatch, hp: HyperParams,
-                     rng: np.random.Generator) -> Tensor:
+                     rng: np.random.Generator
+                     ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s from the step's passes
     over the record's rows, running no network: the student's `embedding`, the
     stopped discriminator's `disc_logits` on it (None with no beta mass left)
-    and the frozen teacher's `teacher_embedding` (None when lambda_p = 0)."""
-    terms = []
+    and the frozen teacher's `teacher_embedding` (None when lambda_p = 0).
+    Returns the value, its terms added in that order (-0.0, which adds no
+    bit, when none is on), the gradient on `disc_logits` (None without a
+    V_d term) and the gradient of the V_p and V_s terms on the embedding,
+    backpropagated through their graph over a leaf copy of it (None without
+    either).  A V_d term with no beta mass is the constant 0: it is left
+    out, as adding its -0.0 changes no bit."""
+    values, disc_grad, emb_grad = [], None, None
     if hp.lambda_d > 0 and batch.layout.ids:
-        terms.append(mul(v_d(batch, omega, disc_logits), -hp.lambda_d))
-    if hp.lambda_p > 0 and batch.layout.ids:
-        terms.append(mul(v_p(batch, embedding, teacher_embedding), hp.lambda_p))
-    if hp.lambda_s > 0:
-        terms.append(mul(v_s(embedding, batch.y, N_NEGATIVES, rng), hp.lambda_s))
-    return reduce(add, terms) if terms else Tensor(0.0)
+        vd = v_d(batch, omega, disc_logits, -hp.lambda_d)
+        if vd is not None:
+            values.append(vd[0] * -hp.lambda_d)
+            disc_grad = vd[1]
+    with_p, with_s = hp.lambda_p > 0 and bool(batch.layout.ids), hp.lambda_s > 0
+    if with_p or with_s:
+        leaf = Tensor(embedding, requires_grad=True)
+        terms = [mul(v_p(batch, leaf, teacher_embedding), hp.lambda_p)] if with_p else []
+        if with_s:
+            terms.append(mul(v_s(leaf, batch.y, N_NEGATIVES, rng), hp.lambda_s))
+        values += [term.item() for term in terms]
+        reduce(add, terms).backward()
+        emb_grad = leaf.grad
+    return reduce(float.__add__, values, -0.0), disc_grad, emb_grad

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, mlp
+from .autodiff import ContractError, Tensor, mlp, mlp_backward, mlp_forward
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,17 @@ class Mlp:
 
     def logits(self, x) -> Tensor:
         return mlp(x, self.layers)
+
+    def forward(self, x) -> list[np.ndarray]:
+        """The logits as the last of each layer's input, with no graph node:
+        what `backward` reads."""
+        return mlp_forward(x, self.layers)
+
+    def backward(self, acts: list[np.ndarray], g: np.ndarray,
+                 input_grad: bool) -> np.ndarray | None:
+        """Set each parameter's gradient from the gradient g on the logits
+        of `forward`'s `acts`; returns the input's when `input_grad` is set."""
+        return mlp_backward(acts, self.layers, g, input_grad)
 
     def stopped(self) -> "Mlp":
         """View of this net whose parameters cut the gradient graph."""

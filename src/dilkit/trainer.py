@@ -11,10 +11,12 @@ After each domain the replay memory is rebalanced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, add, mul, softmax
+from .autodiff import ContractError, Tensor, softmax
 from .coeffs import check_method, from_preset, init_uniform, logit_gradient
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
@@ -115,9 +117,9 @@ def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
     layout = batch.layout
     dhat = discriminator_divergences(softmax(disc_logits), layout)
     pred = np.argmax(logits, axis=1)
-    wrong, differs = (
-        np.add.reduceat(miss, layout.bounds[:-1], dtype=np.int64) / layout.sizes
-        for miss in (pred != batch.y, pred != teacher_pred))
+    wrong, differs = np.add.reduceat(
+        [pred != batch.y, pred != teacher_pred], layout.bounds[:-1], axis=1,
+        dtype=np.int64) / layout.sizes
     return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
 
 
@@ -221,7 +223,13 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
     `param` over its logits, in place) and the model update, each network
     running once on the rows for every loss term.  `teacher` is the teacher's
     softmax, argmax and embedding (None when lambda_p = 0) on the rows, and
-    `pool_sizes` counts the domain's rows, then each bucket's."""
+    `pool_sizes` counts the domain's rows, then each bucket's.
+
+    V_l, V_d and V_01 hand back their gradients in closed form and each
+    network backpropagates its own (`Mlp.backward`); only V_p and V_s build
+    a graph.  The embedding's gradient is summed as a graph over the whole
+    step would sum it: V_p and V_s's, then the stopped discriminator's,
+    then the predictor's, so every update is bitwise that graph's."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = param is not None
@@ -231,35 +239,40 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
     disc_on = hp.lambda_d > 0 and (adaptive or float(omega[:, 1].sum()) > 0.0)
     teacher_probs, teacher_pred, teacher_embedding = teacher
     stats = disc_value = coeff_value = None
-    embedding = model.encoder.logits(batch.x)
-    logits = model.predictor.logits(embedding)
+    encoded = model.encoder.forward(batch.x)
+    predicted = model.predictor.forward(encoded[-1])
 
     if disc_on:
-        disc_loss = mul(v_d(batch, omega, disc.logits(embedding.data)), hp.lambda_d)
-        disc_value = disc_loss.item()
+        acts = disc.forward(encoded[-1])
+        vd = v_d(batch, omega, acts[-1], hp.lambda_d)
+        # with no beta mass left the loss is the constant 0: nothing to train
+        disc_value = 0.0 if vd is None else vd[0] * hp.lambda_d
         _check_finite(disc_value, "discriminator", config.method, t, step)
-        # with no beta mass left the loss is a constant: nothing to train
-        if disc_loss.requires_grad:
-            disc_loss.backward()
+        if vd is not None:
+            disc.backward(acts, vd[1], False)
             sgd_step(disc.params(), disc_lr)
-    disc_logits = stopped_disc.logits(embedding) if adaptive or disc_on else None
+    stopped = stopped_disc.forward(encoded[-1]) if adaptive or disc_on else None
 
     if adaptive:
-        stats = coeff_stats_for_step(eps_hist, batch, logits.data,
-                                     disc_logits.data, teacher_pred)
+        stats = coeff_stats_for_step(eps_hist, batch, predicted[-1],
+                                     stopped[-1], teacher_pred)
         coeff_value, grad = v_01(omega, stats, hp.c_gen, pool_sizes[0], pool_sizes[1:])
         _check_finite(coeff_value, "coefficient", config.method, t, step)
         param.grad = logit_gradient(omega, grad)
         sgd_step([param], omega_lr)
         omega = softmax(param.data)
 
-    objective = v_l(batch, omega, logits, teacher_probs)
-    aux = encoder_aux_loss(embedding, disc_logits, teacher_embedding,
-                           omega, batch, hp, rng)
-    objective = add(objective, aux)
-    model_value = objective.item()
+    model_value, logits_grad = v_l(batch, omega, predicted[-1], teacher_probs)
+    aux_value, disc_grad, emb_grad = encoder_aux_loss(
+        encoded[-1], None if stopped is None else stopped[-1],
+        teacher_embedding, omega, batch, hp, rng)
+    model_value += aux_value
     _check_finite(model_value, "model", config.method, t, step)
-    objective.backward()
+    into_embedding = [] if emb_grad is None else [emb_grad]
+    if disc_grad is not None:
+        into_embedding.append(stopped_disc.backward(stopped, disc_grad, True))
+    into_embedding.append(model.predictor.backward(predicted, logits_grad, True))
+    model.encoder.backward(encoded, reduce(iadd, into_embedding), False)
     sgd_step(model.params(), sgd.learning_rate)
     return StepRecord(omega, stats, disc_value, coeff_value, model_value)
 

@@ -1,14 +1,31 @@
 """Test-only finite-difference oracle: the gate-4 suite and the autodiff and
 loss tests check every analytic gradient against central differences, of
 a graph's loss (`gradcheck`) or of a function of a plain array that returns
-its value and gradient (`gradcheck_array`)."""
+its value and gradient (`gradcheck_array`).  `closed_form_node` puts a
+loss that returns its logits gradient in closed form (V_l, V_d) back into a
+graph, so its gradient reaches the networks' parameters through their
+nodes."""
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
 
-from dilkit.autodiff import Tensor
+from dilkit.autodiff import Tensor, _make
+
+
+def closed_form_node(fn, logits: Tensor) -> Tensor:
+    """fn(logits.data), a closed-form loss's (value, gradient on the logits
+    at upstream 1) or None for the constant 0, as a node over `logits`
+    whose backward hands them g times that gradient."""
+    result = fn(logits.data)
+    if result is None:
+        return Tensor(0.0)
+    value, grad = result
+    out = _make(value, (logits,))
+    if out.requires_grad:
+        out._backward = lambda g: logits._accum(g * grad)
+    return out
 
 
 def gradcheck(fn, tensors: Sequence[Tensor], eps: float = 1e-5,

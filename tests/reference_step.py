@@ -29,28 +29,38 @@ they were before each replay domain built its `StepLayout` once: each call
 re-derives the segment sizes, each row's segment and V_d's class per row
 from the record's bounds (`Record`), and takes the teacher's logits, whose
 softmax or argmax it computes on the gathered rows; test_stacked_step.py
-compares the layout-reading library forms against them byte for byte."""
+compares the layout-reading library forms against them byte for byte.
+`graph_replay_step` is `trainer.replay_step` as it ran before V_l and V_d
+returned their logits gradient in closed form: every update one autodiff
+graph, its networks chains of linear and relu nodes, V_l, V_d and the
+encoder terms nodes (`graph_v_l`, `graph_v_d`, `graph_encoder_aux_loss`,
+over the cross-entropy node `graph_softmax_xent`), its softmax and row sums
+NumPy's; test_stacked_step.py compares the trainer's step against it bit
+for bit, and test_step_layout.py the closed forms against its nodes."""
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from dilkit.autodiff import (
-    ContractError, Tensor, _wrap, add, mul, rows, rowsum, softmax_xent,
+    ContractError, Tensor, _make, _wrap, add, mul, rows, rowsum, softmax_xent,
 )
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
     N_NEGATIVES, CoeffStats, HyperParams, StepBatch,
     _check_omega, _one_hot, classification_loss, erm01,
 )
+from dilkit.losses import v_p as library_v_p, v_s as library_v_s
 from dilkit.membank import MemoryBank
 from dilkit.models import Classifier, Mlp, sgd_step
+from dilkit.trainer import StepRecord, _check_finite
 
 from reference_ops import (
-    column, concat_cols, log_softmax, pick, reshape, softmax, sqrt, tmean,
-    tsum,
+    column, concat_cols, log_softmax, mlp_chain, pick, reshape, softmax, sqrt,
+    tmean, tsum, v_01_node,
 )
 
 log = logging.getLogger(__name__)
@@ -470,3 +480,165 @@ def per_step_coeff_stats(eps_hist: np.ndarray, batch: Record,
         / np.diff(batch.bounds)
         for miss in (pred != batch.y, pred != np.argmax(teacher_logits, axis=1)))
     return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
+
+
+# -- the replay step as one graph, before V_l and V_d took closed forms -----
+
+def _array_softmax(a: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an array with NumPy's row max and sum."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def graph_softmax_xent(a: Tensor, target) -> Tensor:
+    """[n, c], constant [n, c] -> scalar: -sum(target * log_softmax(a)) as
+    one node, its adjoint g * (softmax(a) * rowsum(target) - target)
+    accumulated as the composed log_softmax graph did."""
+    a = _wrap(a)
+    target = np.asarray(target, dtype=np.float64)
+    if a.data.ndim != 2 or target.shape != a.data.shape:
+        raise ContractError("softmax_xent target must match the [n, c] logits, "
+                            "got %r for %r" % (target.shape, a.data.shape))
+    m = a.data.max(axis=1, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=1, keepdims=True)
+    logp = a.data + (m + np.log(s)) * -1.0
+    out = _make(-(logp * target).sum(), (a,))
+    if out.requires_grad:
+        sm = e / s
+        def _back(g):
+            d = np.full_like(a.data, -float(g)) * target
+            a._accum(d)
+            a._accum(sm * (d.sum(axis=1, keepdims=True) * -1.0))
+        out._backward = _back
+    return out
+
+
+def graph_v_l(batch: StepBatch, omega: np.ndarray, logits: Tensor,
+              teacher_probs: np.ndarray) -> Tensor:
+    """V_l as a node over the student's logits Tensor."""
+    layout = batch.layout
+    omega = _check_omega(omega, layout.ids)
+    w_ce = np.concatenate([[1.0], omega[:, 2]])
+    w_distill = np.concatenate([[float(omega[:, 1].sum())], omega[:, 0]])
+    layout.check_weighted(w_ce, "v_l")
+    k = logits.data.shape[1]
+    target = _one_hot(batch.y, k, layout.row_weights(w_ce))
+    row_w = layout.row_weights(w_distill)
+    if row_w.any():
+        if teacher_probs.shape[1] != k:
+            raise ContractError(f"v_l: distillation arity mismatch: teacher "
+                                f"{teacher_probs.shape[1]} vs student {k}")
+        target += row_w[:, None] * teacher_probs
+    return graph_softmax_xent(logits, target)
+
+
+def graph_v_d(batch: StepBatch, omega: np.ndarray, logits: Tensor) -> Tensor:
+    """V_d as a node over the discriminator's logits Tensor; the constant
+    Tensor(0.0) with no beta mass."""
+    layout = batch.layout
+    if not layout.ids:
+        return Tensor(0.0)
+    omega = _check_omega(omega, layout.ids)
+    betas = omega[:, 1]
+    sum_beta = float(betas.sum())
+    if sum_beta == 0.0:
+        return Tensor(0.0)
+    seg_w = np.concatenate([[sum_beta], betas])
+    layout.check_weighted(seg_w, "v_d")
+    t, arity = layout.t, logits.data.shape[1]
+    if arity != t:
+        raise ContractError(f"discriminator arity {arity} != t={t}")
+    target = _one_hot(layout.domain_class, t, layout.row_weights(seg_w))
+    return graph_softmax_xent(logits, target)
+
+
+def graph_encoder_aux_loss(embedding: Tensor, disc_logits: Tensor | None,
+                           teacher_embedding: np.ndarray | None,
+                           omega: np.ndarray, batch: StepBatch,
+                           hp: HyperParams, rng: np.random.Generator) -> Tensor:
+    """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s as one graph over
+    the embedding Tensor, each term built even when constant."""
+    terms = []
+    if hp.lambda_d > 0 and batch.layout.ids:
+        terms.append(mul(graph_v_d(batch, omega, disc_logits), -hp.lambda_d))
+    if hp.lambda_p > 0 and batch.layout.ids:
+        terms.append(mul(library_v_p(batch, embedding, teacher_embedding),
+                         hp.lambda_p))
+    if hp.lambda_s > 0:
+        terms.append(mul(library_v_s(embedding, batch.y, N_NEGATIVES, rng),
+                         hp.lambda_s))
+    return reduce(add, terms) if terms else Tensor(0.0)
+
+
+def graph_coeff_stats(eps_hist: np.ndarray, batch: StepBatch,
+                      logits: np.ndarray, disc_logits: np.ndarray,
+                      teacher_pred: np.ndarray) -> CoeffStats:
+    """The coefficient statistics with NumPy's softmax, two reductions and
+    the per-step divergence estimate."""
+    layout = batch.layout
+    dhat = per_step_divergences(_array_softmax(disc_logits), layout.bounds,
+                                layout.ids)
+    pred = np.argmax(logits, axis=1)
+    wrong, differs = (
+        np.add.reduceat(miss, layout.bounds[:-1], dtype=np.int64) / layout.sizes
+        for miss in (pred != batch.y, pred != teacher_pred))
+    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
+
+
+def graph_replay_step(state, disc: Mlp, stopped_disc: Mlp,
+                      eps_hist: np.ndarray, pool_sizes: np.ndarray,
+                      rng: np.random.Generator, step: int, batch: StepBatch,
+                      teacher: tuple, omega: np.ndarray,
+                      param: Tensor | None) -> StepRecord:
+    """trainer.replay_step as one autodiff graph per update: the networks
+    as chains of linear and relu nodes (`mlp_chain`), V_l, V_d and the
+    encoder terms as the nodes above, the discriminator and the model each
+    updated from `loss.backward()`, the coefficient step through
+    `v_01_node`, each softmax and row sum NumPy's."""
+    config = state.config
+    t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
+    adaptive = param is not None
+    omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
+    disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
+    disc_on = hp.lambda_d > 0 and (adaptive or float(omega[:, 1].sum()) > 0.0)
+    teacher_probs, teacher_pred, teacher_embedding = teacher
+    stats = disc_value = coeff_value = None
+    embedding = mlp_chain(batch.x, model.encoder.layers)
+    logits = mlp_chain(embedding, model.predictor.layers)
+
+    if disc_on:
+        disc_loss = mul(graph_v_d(batch, omega,
+                                  mlp_chain(embedding.data, disc.layers)),
+                        hp.lambda_d)
+        disc_value = disc_loss.item()
+        _check_finite(disc_value, "discriminator", config.method, t, step)
+        if disc_loss.requires_grad:
+            disc_loss.backward()
+            sgd_step(disc.params(), disc_lr)
+    disc_logits = (mlp_chain(embedding, stopped_disc.layers)
+                   if adaptive or disc_on else None)
+
+    if adaptive:
+        stats = graph_coeff_stats(eps_hist, batch, logits.data,
+                                  disc_logits.data, teacher_pred)
+        simplex = Tensor(omega, requires_grad=True)
+        loss01 = v_01_node(simplex, stats, hp.c_gen, pool_sizes[0],
+                           pool_sizes[1:])
+        coeff_value = loss01.item()
+        _check_finite(coeff_value, "coefficient", config.method, t, step)
+        loss01.backward()
+        param.grad = omega * (simplex.grad - (simplex.grad * omega).sum(
+            axis=-1, keepdims=True))
+        sgd_step([param], omega_lr)
+        omega = _array_softmax(param.data)
+
+    objective = graph_v_l(batch, omega, logits, teacher_probs)
+    aux = graph_encoder_aux_loss(embedding, disc_logits, teacher_embedding,
+                                 omega, batch, hp, rng)
+    objective = add(objective, aux)
+    model_value = objective.item()
+    _check_finite(model_value, "model", config.method, t, step)
+    objective.backward()
+    sgd_step(model.params(), sgd.learning_rate)
+    return StepRecord(omega, stats, disc_value, coeff_value, model_value)

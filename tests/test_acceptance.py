@@ -31,7 +31,7 @@ from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig, sgd_step
 from dilkit.seeding import substream
 from dilkit.trainer import TrainerConfig, descend_v01, run_sequence
 from finite_classes import threshold_class
-from gradcheck import gradcheck, gradcheck_array
+from gradcheck import closed_form_node, gradcheck, gradcheck_array
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -172,14 +172,19 @@ def test_criterion_04_gradient_suite_100_trials_each():
         trial_seed = 4000 + trial
         # the record of the trial's batches, cur as domain 2's
         batch = StepBatch.stack(LabeledSet(cur.x, cur.y, 2), past)
+        # V_l and V_d return their logits gradient in closed form; as nodes
+        # over the logits it reaches the networks' parameters
+        probs = softmax(teacher.logits(batch.x).data)
         cases = {
-            "v_l": (lambda: v_l(batch, omega, h.logits(batch.x),
-                                softmax(teacher.logits(batch.x).data)),
+            "v_l": (lambda: closed_form_node(
+                        lambda z: v_l(batch, omega, z, probs), h.logits(batch.x)),
                     h.params()),
             # the logits gradient the trainer applies, through the softmax
             "v_01": (lambda z: _coefficient_step_gradient(z, stats),
                      coeff_logits),
-            "v_d": (lambda: v_d(batch, omega, d.logits(enc.logits(batch.x))),
+            "v_d": (lambda: closed_form_node(
+                        lambda z: v_d(batch, omega, z, 1.0),
+                        d.logits(enc.logits(batch.x))),
                     enc.params() + d.params()),
             "v_p": (lambda: v_p(batch, enc.logits(batch.x),
                                 prev.logits(batch.x)), enc.params()),
@@ -324,8 +329,8 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     record = StepBatch(np.concatenate([cur, past]), np.zeros(600, np.int64),
                        StepLayout([300, 300], (1,), 2))
     for _ in range(200):
-        loss = v_d(record, omega, disc4.logits(enc4.stopped().logits(record.x)))
-        loss.backward()
+        acts = disc4.forward(enc4.stopped().logits(record.x).data)
+        disc4.backward(acts, v_d(record, omega, acts[-1], 1.0)[1], False)
         sgd_step(disc4.params(), 0.2)
         for p in disc4.params():
             p.grad = None

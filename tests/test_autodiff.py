@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import dilkit
 from dilkit.autodiff import (
-    ContractError, Tensor, add, mlp, mul, rows, rowsum, softmax, softmax_xent,
+    ContractError, Tensor, _row_max, add, mlp, mul, row_sum, rows, rowsum,
+    softmax, softmax_xent,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 
@@ -643,3 +644,61 @@ def test_every_public_op_has_a_library_caller():
     readme = (pkg.parents[1] / "README.md").read_text()
     counts = re.findall(r"the (\d+) ops the library calls", readme)
     assert counts == [str(len(ops))], counts
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _wide_range_array(seed, rows, cols, special):
+    """Normal draws scaled by 10**[-e, e], e 4 or 300, a 1-D row when
+    rows = 1; with `special` about a third of the entries are signed zeros,
+    NaN and infinities."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols) if rows > 1 else (cols,)
+    e = rng.choice([4, 300])
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-e, e, size=shape)
+    if special:
+        hit = rng.random(shape) < 0.35
+        a[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+    return a
+
+
+def _bitwise(got, want):
+    return (got.shape == want.shape
+            and np.array_equal(np.isnan(got), np.isnan(want))
+            and np.where(np.isnan(got), 0.0, got).tobytes()
+            == np.where(np.isnan(want), 0.0, want).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7), st.integers(1, 40),
+       st.booleans())
+def test_row_sum_is_numpys_row_sum_bitwise(seed, cols, rows, special):
+    """row_sum, one column at a time below 8 columns, equals NumPy's
+    sum(axis=-1, keepdims=True) bit for bit, signed zeros and infinities
+    included, on 1-D and 2-D arrays."""
+    a = _wide_range_array(seed, rows, cols, special)
+    with np.errstate(all="ignore"):
+        assert _bitwise(row_sum(a), a.sum(axis=-1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.booleans())
+def test_row_max_is_numpys_row_max_bitwise(seed, cols, rows, special):
+    """The softmax's row maximum, one column at a time at any width, equals
+    NumPy's max(axis=-1, keepdims=True) bit for bit, with signed zeros,
+    NaN and infinities."""
+    a = _wide_range_array(seed, rows, cols, special)
+    assert _bitwise(_row_max(a), a.max(axis=-1, keepdims=True))
+
+
+def test_row_sum_keeps_numpys_sum_from_eight_columns():
+    """From 8 columns NumPy's pairwise sum groups a row's entries otherwise
+    than adding them in order; row_sum then is NumPy's sum."""
+    a = np.random.default_rng(0).normal(size=(200, 9)) * 10.0 ** np.arange(9)
+    in_order = a[:, :1] + 0.0
+    for j in range(1, 9):
+        in_order += a[:, j:j + 1]
+    assert not np.array_equal(in_order, a.sum(axis=-1, keepdims=True))
+    assert row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()

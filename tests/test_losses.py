@@ -18,7 +18,7 @@ from dilkit.losses import (
     classification_loss, encoder_aux_loss, erm01, v_01, v_d, v_l, v_p, v_s,
 )
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
-from gradcheck import gradcheck, gradcheck_array
+from gradcheck import closed_form_node, gradcheck, gradcheck_array
 from reference_step import distillation_loss, erm01_agreement
 
 
@@ -161,9 +161,10 @@ def _two_domain_setup(seed=20):
 
 def _v_l(h, teacher, omega, cur, past):
     """V_l on the record of `cur` and `past`, from the student's logits and
-    the teacher's probabilities on its rows."""
+    the teacher's probabilities on its rows, as a node over the logits."""
     b = StepBatch.stack(cur, past)
-    return v_l(b, omega, h.logits(b.x), softmax(teacher.logits(b.x).data))
+    probs = softmax(teacher.logits(b.x).data)
+    return closed_form_node(lambda z: v_l(b, omega, z, probs), h.logits(b.x))
 
 
 def _x_record(cur_x, past_x, t):
@@ -176,9 +177,11 @@ def _x_record(cur_x, past_x, t):
 
 
 def _v_d(d, enc, omega, cur_x, past_x, t):
-    """V_d on the record of `cur_x` and `past_x`, from d(enc(x))."""
+    """V_d on the record of `cur_x` and `past_x`, from d(enc(x)), as a node
+    over the logits."""
     b = _x_record(cur_x, past_x, t)
-    return v_d(b, omega, d.logits(enc.logits(b.x)))
+    return closed_form_node(lambda z: v_d(b, omega, z, 1.0),
+                            d.logits(enc.logits(b.x)))
 
 
 def _v_p(enc, prev, memory_x):
@@ -197,8 +200,8 @@ def _v_s(enc, batch, n_negatives, rng):
 def test_v_l_t1_is_plain_ce():
     h, _, cur, _ = _two_domain_setup()
     b = StepBatch.stack(cur, {})
-    got = v_l(b, np.zeros((0, 3)), h.logits(b.x), None)
-    assert got.item() == pytest.approx(np_ce(h, cur))
+    value, _ = v_l(b, np.zeros((0, 3)), h.logits(b.x).data, None)
+    assert value == pytest.approx(np_ce(h, cur))
 
 
 def test_v_l_er_preset_is_replay_ce():
@@ -379,11 +382,12 @@ def test_coefficient_update_builds_no_tensor(monkeypatch):
 
 
 def test_v_d_zero_betas():
+    """With no beta mass V_d is the constant 0: v_d returns None."""
     enc = identity_mlp(3)
     d = Mlp([3, 2], rng=np.random.default_rng(0))
-    got = _v_d(d, enc, np.array([[0.5, 0.0, 0.5]]), np.zeros((4, 3)),
-               {1: np.zeros((4, 3))}, t=2)
-    assert got.item() == 0.0
+    b = _x_record(np.zeros((4, 3)), {1: np.zeros((4, 3))}, 2)
+    assert v_d(b, np.array([[0.5, 0.0, 0.5]]),
+               d.logits(enc.logits(b.x)).data, 1.0) is None
 
 
 def test_v_d_uniform_discriminator_4ln3():
@@ -558,10 +562,10 @@ def test_encoder_aux_reductions_and_composition():
     omega = np.array([[0.2, 0.5, 0.3]])
 
     def aux(hp, seed):
-        embedding = enc.logits(batch.x)
-        return encoder_aux_loss(embedding, d.logits(embedding),
+        embedding = enc.logits(batch.x).data
+        return encoder_aux_loss(embedding, d.logits(embedding).data,
                                 prev.logits(batch.x).data, omega, batch, hp,
-                                np.random.default_rng(seed)).item()
+                                np.random.default_rng(seed))[0]
 
     hp0 = HyperParams(lambda_d=0.0, lambda_p=0.0, lambda_s=0.0)
     assert aux(hp0, 0) == 0.0
@@ -579,19 +583,25 @@ def test_encoder_aux_reductions_and_composition():
 
 
 def test_encoder_aux_gradient_reaches_encoder_only():
+    """The V_d term's logits gradient, backpropagated through the stopped
+    discriminator as the step does, sets the encoder's gradients and none
+    of the discriminator's; without V_p or V_s there is no graph term."""
     rng = np.random.default_rng(51)
     enc = Mlp([3, 4, 2], rng=rng)
     d = Mlp([2, 2], rng=rng)
     cur = LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5), 2)
     past = {1: LabeledSet(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))}
     batch = StepBatch.stack(cur, past)
-    embedding = enc.logits(batch.x)
+    encoded = enc.forward(batch.x)
+    stopped = d.stopped()
+    disc_acts = stopped.forward(encoded[-1])
     hp = HyperParams(lambda_d=1.0)
-    loss = encoder_aux_loss(embedding, d.stopped().logits(embedding),
-                            Mlp([3, 4, 2], rng=rng).logits(batch.x).data,
-                            np.array([[0.0, 1.0, 0.0]]), batch, hp,
-                            np.random.default_rng(0))
-    loss.backward()
+    _, disc_grad, emb_grad = encoder_aux_loss(
+        encoded[-1], disc_acts[-1],
+        Mlp([3, 4, 2], rng=rng).logits(batch.x).data,
+        np.array([[0.0, 1.0, 0.0]]), batch, hp, np.random.default_rng(0))
+    assert emb_grad is None
+    enc.backward(encoded, stopped.backward(disc_acts, disc_grad, True), False)
     assert any(p.grad is not None for p in enc.params())
     assert all(p.grad is None for p in d.params())
 
@@ -626,16 +636,17 @@ ER, LWF = [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
 # rows, None leaves every segment full
 LOSS_RAISES = [
     ("v_l: empty batch",
-     lambda b, w: v_l(b, w, _H.logits(b.x), _H.logits(b.x).data),
+     lambda b, w: v_l(b, w, _H.logits(b.x).data, _H.logits(b.x).data)[0],
      (1, [ER, ER]), (1, [LWF, ER])),
     ("v_l: distillation arity mismatch",
-     lambda b, w: v_l(b, w, _H.logits(b.x), np.zeros((len(b.y), 3))),
+     lambda b, w: v_l(b, w, _H.logits(b.x).data, np.zeros((len(b.y), 3)))[0],
      (None, [LWF, ER]), (None, [ER, ER])),
     ("v_d: empty batch",
-     lambda b, w: v_d(b, w, _D.logits(b.x)),
+     lambda b, w: v_d(b, w, _D.logits(b.x).data, 1.0)[0],
      (2, [LWF, LWF]), (2, [LWF, ER])),
     ("v_p: empty batch",
-     lambda b, w: v_p(b, _H.encoder.logits(b.x), np.zeros((len(b.y), 4))),
+     lambda b, w: v_p(b, _H.encoder.logits(b.x),
+                      np.zeros((len(b.y), 4))).item(),
      (1, [ER, ER]), (0, [ER, ER])),
 ]
 
@@ -664,7 +675,7 @@ def test_loss_raises_only_on_a_weighted_segment(message, call, raising,
     with pytest.raises(ContractError, match=f"^{message}"):
         call(_record_without(empty), np.array(omega))
     empty, omega = accepted
-    assert np.isfinite(call(_record_without(empty), np.array(omega)).item())
+    assert np.isfinite(call(_record_without(empty), np.array(omega)))
 
 
 def test_hyperparams_validation():

@@ -6,12 +6,15 @@ trainer's draws, gathered from one per-domain layout, against the
 reference's sampled and stacked sets; `trainer.replay_step`, whose phases
 and encoder terms share their passes, called directly against the
 reference's phase order, which shares none of the library's loss terms,
-and the record it returns for a preset; the forwards and Tensors a step
+and the record it returns for a preset; every step of a run against the
+step as one autodiff graph, bit for bit; the forwards and Tensors a step
 makes; and the trainer's domain-start teacher pass against the snapshot
 it replaced."""
 import copy
 import dataclasses
 import inspect
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 import reference_step as ref
 from dilkit import trainer
 from dilkit.autodiff import ContractError, Tensor, add, mul, softmax
-from dilkit.coeffs import from_preset
+from dilkit.coeffs import TRIPLE_PRESETS, from_preset
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
 from dilkit.losses import (N_NEGATIVES, HyperParams, StepBatch,
@@ -28,6 +31,7 @@ from dilkit.losses import (N_NEGATIVES, HyperParams, StepBatch,
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
 from dilkit.trainer import TrainerConfig, TrainState, coeff_stats_for_step
+from gradcheck import closed_form_node
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
 KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
@@ -95,17 +99,21 @@ def _outputs(h, teacher, disc, batch):
 
 def _v_l(h, teacher, omega, current, past):
     """The library's V_l on the record of `current` and `past`, from the
-    student's logits and the teacher's probabilities on its rows."""
+    student's logits and the teacher's probabilities on its rows, as a node
+    over the logits."""
     batch = StepBatch.stack(current, past)
-    return v_l(batch, omega, h.logits(batch.x),
-               softmax(teacher.logits(batch.x).data))
+    probs = softmax(teacher.logits(batch.x).data)
+    return closed_form_node(lambda z: v_l(batch, omega, z, probs),
+                            h.logits(batch.x))
 
 
 def _v_d(disc, encoder, omega, current, past):
     """The library's V_d on the record of `current` and `past`, from the
-    discriminator's logits on the encoder's embedding of its rows."""
+    discriminator's logits on the encoder's embedding of its rows, as a
+    node over the logits."""
     batch = StepBatch.stack(current, past)
-    return v_d(batch, omega, disc.logits(encoder.logits(batch.x)))
+    return closed_form_node(lambda z: v_d(batch, omega, z, 1.0),
+                            disc.logits(encoder.logits(batch.x)))
 
 
 def _value_and_grads(loss, params):
@@ -307,13 +315,18 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
     x = batch.x
     past_x = {i: b.x for i, b in past.items()}
     teacher_logits = history.classifier.logits(x).data
-    _assert_same(v_l(batch, omega, h.logits(x), softmax(teacher_logits)),
+    probs = softmax(teacher_logits)
+    _assert_same(closed_form_node(lambda z: v_l(batch, omega, z, probs),
+                                  h.logits(x)),
                  ref.v_l(h, history, omega, current, past), h.params())
     d_stopped = disc.stopped()
-    _assert_same(v_d(batch, omega, d_stopped.logits(h.encoder.logits(x))),
+
+    def v_d_at(z):
+        return v_d(batch, omega, z, 1.0)
+    _assert_same(closed_form_node(v_d_at, d_stopped.logits(h.encoder.logits(x))),
                  ref.v_d(d_stopped, h.encoder, omega, current.x, past_x, t),
                  h.encoder.params())
-    _assert_same(v_d(batch, omega, disc.logits(h.encoder.logits(x).data)),
+    _assert_same(closed_form_node(v_d_at, disc.logits(h.encoder.logits(x).data)),
                  ref.v_d(disc, h.encoder.stopped(), omega, current.x, past_x,
                          t),
                  disc.params())
@@ -335,25 +348,32 @@ def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
     """encoder_aux_loss fed one student embedding of the record's rows, the
     stopped discriminator's logits on it and the teacher's embedding of the
     rows equals -lambda_d * V_d + lambda_p * V_p + lambda_s * V_s, each the
-    per-domain reference running its own forwards: the value within 1e-12
-    and every encoder gradient within 1e-10.  From equal rng states, both
-    leave the rng in equal states."""
+    per-domain reference running its own forwards: the value within 1e-12,
+    and every encoder gradient within 1e-10 once its V_d logits gradient
+    and its V_p + V_s embedding gradient are backpropagated as the step
+    does.  From equal rng states, both leave the rng in equal states."""
     h, history, disc, omega, current, past = _state(1100 * t + seed, t, kind)
     batch = StepBatch.stack(current, past)
     enc, teacher, d_stopped = h.encoder, history.classifier.encoder, disc.stopped()
     past_x = {i: b.x for i, b in past.items()}
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    embedding = enc.logits(batch.x)
-    got = encoder_aux_loss(embedding, d_stopped.logits(embedding),
-                           teacher.logits(batch.x).data, omega, batch,
-                           AUX_HP, rng)
+    encoded = enc.forward(batch.x)
+    disc_acts = d_stopped.forward(encoded[-1])
+    got_val, disc_grad, emb_grad = encoder_aux_loss(
+        encoded[-1], disc_acts[-1], teacher.logits(batch.x).data, omega,
+        batch, AUX_HP, rng)
+    into = [emb_grad] + ([] if disc_grad is None else
+                         [d_stopped.backward(disc_acts, disc_grad, True)])
+    enc.backward(encoded, reduce(iadd, into), False)
+    got_grads = [p.grad for p in enc.params()]
+    for p in enc.params():
+        p.grad = None
     vd = ref.v_d(d_stopped, enc, omega, current.x, past_x, t)
     vp = ref.v_p(enc, teacher, past_x)
     vs = ref.v_s(enc, batch, N_NEGATIVES, ref_rng)
     want = add(add(mul(vd, -AUX_HP.lambda_d), mul(vp, AUX_HP.lambda_p)),
                mul(vs, AUX_HP.lambda_s))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    got_val, got_grads = _value_and_grads(got, enc.params())
     want_val, want_grads = _value_and_grads(want, enc.params())
     assert abs(got_val - want_val) <= 1e-12
     for g, w in zip(got_grads, want_grads):
@@ -522,6 +542,71 @@ def test_replay_step_record_of_a_preset(t, method, lambda_d):
     assert np.isfinite(record.model_loss)
 
 
+FROZEN_METHODS = ("UDIL",) + tuple(m for m in TRIPLE_PRESETS if m != "ESM-ER")
+
+
+def _same_bits(got, want, what):
+    if want is None or got is None:
+        assert got is None and want is None, what
+    else:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), what
+
+
+@pytest.mark.parametrize("method", FROZEN_METHODS)
+@pytest.mark.parametrize("aux", [0.0, 0.1])
+@pytest.mark.parametrize("split", [False, True])
+def test_replay_step_matches_frozen_graph_step_bitwise(monkeypatch, method,
+                                                       aux, split):
+    """Every replay step of a five-domain run, at t = 2..5, against
+    reference_step.graph_replay_step (the step as one autodiff graph per
+    update) run from copies of the same state and rng: the StepRecord's
+    triples, statistics and three loss values, every model and
+    discriminator parameter and the coefficient logits after the step, and
+    the rng's state, all bit for bit.  UDIL and each triple preset but
+    ESM-ER, which cannot train domain 2, with lambda_p = lambda_s = `aux`
+    and the memory batch split over the buckets or not."""
+    stream = gen_hd_balls(seed=5, n_domains=5, n_per_domain=60, dim=4,
+                          sigma=0.4)
+    config = TrainerConfig(method, 2, arch=ArchConfig([8], 4, [], [8]),
+                           sgd=SgdConfig(0.2, 3, 12), memory_capacity=30,
+                           memory_batch=9, split_memory_batch=split,
+                           hp=HyperParams(lambda_d=0.1, lambda_p=aux,
+                                          lambda_s=aux))
+    library, seen = trainer.replay_step, []
+
+    def both(state, disc, stopped_disc, eps_hist, pool_sizes, rng, step,
+             batch, teacher, omega, param):
+        ref_state = dataclasses.replace(state, model=copy.deepcopy(state.model))
+        ref_disc, ref_rng = copy.deepcopy(disc), copy.deepcopy(rng)
+        ref_param = None if param is None else Tensor(param.data.copy())
+        want = ref.graph_replay_step(ref_state, ref_disc, ref_disc.stopped(),
+                                     eps_hist, pool_sizes, ref_rng, step,
+                                     batch, teacher, omega, ref_param)
+        got = library(state, disc, stopped_disc, eps_hist, pool_sizes, rng,
+                      step, batch, teacher, omega, param)
+        where = f"{method}, t = {state.t}, step {step}"
+        for name in ("omega", "disc_loss", "coeff_loss", "model_loss"):
+            _same_bits(getattr(got, name), getattr(want, name), f"{name}, {where}")
+        assert (got.stats is None) == (want.stats is None), where
+        for name in ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist"):
+            if want.stats is not None:
+                _same_bits(getattr(got.stats, name), getattr(want.stats, name),
+                           f"{name}, {where}")
+        pairs = list(zip(state.model.params() + disc.params(),
+                         ref_state.model.params() + ref_disc.params()))
+        if param is not None:
+            pairs.append((param, ref_param))
+        for k, (p, r) in enumerate(pairs):
+            _same_bits(p.data, r.data, f"parameter {k}, {where}")
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, where
+        seen.append(state.t)
+        return got
+
+    monkeypatch.setattr(trainer, "replay_step", both)
+    trainer.run_sequence(stream, config)
+    assert seen == [t for t in range(2, 6) for _ in range(3)]
+
+
 def _counts_per_step(method, aux, logs):
     """How many entries each list of `logs` gains per replay step at
     t = 2..5, with lambda_p = lambda_s = `aux`: the counts over a domain of
@@ -552,26 +637,33 @@ def _counts_per_step(method, aux, logs):
 @pytest.mark.parametrize("method", ["UDIL", "ER", "LwF"])
 def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
     """With the auxiliary terms off or on (lambda_p = lambda_s = 0.1), a UDIL
-    step makes four Mlp.logits calls at every t (the encoder and the
+    step runs four network passes at every t (the encoder and the
     predictor over the stacked rows, the discriminator for its update and
-    once stopped), flat in t; ER makes two and LwF four: V_p and V_s read
-    the step's embedding and the teacher's per-domain one.  The teacher
-    runs once per domain, not per step: the counts of a three-step and a
-    one-step domain differ by exactly two steps' worth.  No step
-    constructs a LabeledSet: its rows are gathered from the domain's
-    layout."""
+    once stopped), flat in t; ER runs two and LwF four: V_p and V_s read
+    the step's embedding and the teacher's per-domain one.  A pass is an
+    Mlp.forward call (the step's, which builds no node) or an Mlp.logits
+    call (a graph node's, as the teacher's pass and the ERM steps make).
+    The teacher runs once per domain, not per step: the counts of a
+    three-step and a one-step domain differ by exactly two steps' worth.
+    No step constructs a LabeledSet: its rows are gathered from the
+    domain's layout."""
     calls, sets = [], []
-    logits, post_init = Mlp.logits, LabeledSet.__post_init__
+    logits, forward, post_init = Mlp.logits, Mlp.forward, LabeledSet.__post_init__
 
     def counting_logits(self, x):
         calls.append(self)
         return logits(self, x)
+
+    def counting_forward(self, x):
+        calls.append(self)
+        return forward(self, x)
 
     def counting_post_init(self):
         sets.append(self)
         post_init(self)
 
     monkeypatch.setattr(Mlp, "logits", counting_logits)
+    monkeypatch.setattr(Mlp, "forward", counting_forward)
     monkeypatch.setattr(LabeledSet, "__post_init__", counting_post_init)
     want = {"UDIL": 4, "ER": 2, "LwF": 4}[method]
     for aux in (0.0, 0.1):
@@ -583,12 +675,13 @@ def test_replay_step_runs_each_network_at_most_once(monkeypatch, method):
 @pytest.mark.parametrize("aux", [0.0, 0.1])
 def test_replay_step_constructs_a_fixed_number_of_tensors(monkeypatch, method,
                                                           aux):
-    """Tensor constructions per replay step, flat in t: UDIL 14 and ER 8
-    with the auxiliary terms off, 39 and 33 with lambda_p = lambda_s = 0.1.
-    The auxiliary sum starts from its first term, not from a constant
-    Tensor(0.0) and an add node, and V_s's distances need no reshape node.
-    Besides this test only perfbench's traced autodiff.nodes_per_step sees
-    the count."""
+    """Tensor constructions per replay step, flat in t: none with the
+    auxiliary terms off, for UDIL and ER alike (V_l, V_d, V_01 and the
+    networks take their gradients in closed form), and 25 for both with
+    lambda_p = lambda_s = 0.1: the leaf copy of the embedding and the
+    graph of V_p and V_s over it.  The auxiliary sum starts from its first
+    term, and V_s's distances need no reshape node.  Besides this test only
+    perfbench's traced autodiff.nodes_per_step sees the count."""
     made = []
     init = Tensor.__init__
 
@@ -597,8 +690,8 @@ def test_replay_step_constructs_a_fixed_number_of_tensors(monkeypatch, method,
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting_init)
-    want = {("UDIL", 0.0): 14, ("ER", 0.0): 8,
-            ("UDIL", 0.1): 39, ("ER", 0.1): 33}[method, aux]
+    want = {("UDIL", 0.0): 0, ("ER", 0.0): 0,
+            ("UDIL", 0.1): 25, ("ER", 0.1): 25}[method, aux]
     assert (_counts_per_step(method, aux, (made,))
             == {t: (want,) for t in range(2, 6)})
 

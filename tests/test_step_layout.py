@@ -1,7 +1,8 @@
 """The per-domain StepLayout against the per-step forms frozen in
 reference_step.py, byte for byte: V_l, both V_d calls (the discriminator
 update and the encoder term) and the coefficient statistics as the trainer
-calls them, on every replay step of a domain, for UDIL and every triple
+calls them, the closed-form logits gradients against the per-step nodes'
+backward at the same upstream scalar, on every replay step of a domain, for UDIL and every triple
 preset; zero-weight empty segments and the contracts' messages; the
 row-wise property the teacher's one pass over the domain's rows relies
 on; and that each replay domain builds its step layout once."""
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_step as ref
 from dilkit import losses, trainer
-from dilkit.autodiff import ContractError, Tensor, softmax
+from dilkit.autodiff import ContractError, Tensor, mul, softmax
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.losses import HyperParams, StepBatch, StepLayout, v_d, v_l
@@ -33,14 +34,24 @@ def _set(rng, n, domain):
                       rng.integers(0, N_CLASSES, n), domain)
 
 
-def _at_leaf(fn, data):
-    """The bytes of fn's value and of its gradient at a fresh leaf holding
-    `data`: each loss here is softmax_xent of its logits, so these two
-    carry every gradient a network would receive through it."""
+def _at_leaf(fn, data, g):
+    """The bytes of a per-step node's value and of its gradient at a fresh
+    leaf holding `data`, backpropagated from g times it: each loss here is a
+    cross-entropy of its logits, so these two carry every gradient a network
+    would receive through it."""
     leaf = Tensor(data.copy(), requires_grad=True)
     loss = fn(leaf)
-    loss.backward()
+    mul(loss, g).backward()
     return loss.data.tobytes(), None if leaf.grad is None else leaf.grad.tobytes()
+
+
+def _closed(result):
+    """The same bytes of a closed form's (value, logits gradient), or of
+    the constant 0 for None, as the per-step form's Tensor(0.0) gives."""
+    if result is None:
+        return np.float64(0.0).tobytes(), None
+    value, grad = result
+    return np.float64(value).tobytes(), grad.tobytes()
 
 
 def _same_stats(got, want):
@@ -118,21 +129,20 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
 
     def check_v_l(batch, omega, logits, teacher_probs):
         record = ref.Record.of(batch)
-        assert (_at_leaf(lambda z: v_l(batch, omega, z, teacher_probs),
-                         logits.data)
+        assert (_closed(v_l(batch, omega, logits, teacher_probs))
                 == _at_leaf(lambda z: ref.per_step_v_l(record, omega, z,
                                                        teacher_logits()),
-                            logits.data))
+                            logits, 1.0))
 
-    def check_v_d(batch, omega, logits):
+    def check_v_d(batch, omega, logits, scale):
         record = ref.Record.of(batch)
         if logits is None:  # no beta mass: no discriminator pass to read
-            assert v_d(batch, omega, None).data.tobytes() \
-                == ref.per_step_v_d(record, omega, None).data.tobytes()
+            assert _closed(v_d(batch, omega, None, scale)) \
+                == (ref.per_step_v_d(record, omega, None).data.tobytes(), None)
             return
-        assert (_at_leaf(lambda z: v_d(batch, omega, z), logits.data)
+        assert (_closed(v_d(batch, omega, logits, scale))
                 == _at_leaf(lambda z: ref.per_step_v_d(record, omega, z),
-                            logits.data))
+                            logits, scale))
 
     def check_stats(eps_hist, batch, logits, disc_logits, teacher_pred):
         _same_stats(coeff_stats_for_step(eps_hist, batch, logits, disc_logits,
@@ -194,13 +204,13 @@ def test_empty_segments_match_per_step_forms_bytewise(kind, empty):
     teacher_logits = rng.normal(size=logits.shape)
     disc_logits = rng.normal(size=(len(batch.y), 3))
     pairs = [
-        (lambda: _at_leaf(lambda z: v_l(batch, omega, z,
-                                        softmax(teacher_logits)), logits),
+        (lambda: _closed(v_l(batch, omega, logits, softmax(teacher_logits))),
          lambda: _at_leaf(lambda z: ref.per_step_v_l(record, omega, z,
-                                                     teacher_logits), logits)),
-        (lambda: _at_leaf(lambda z: v_d(batch, omega, z), disc_logits),
+                                                     teacher_logits),
+                          logits, 1.0)),
+        (lambda: _closed(v_d(batch, omega, disc_logits, 1.0)),
          lambda: _at_leaf(lambda z: ref.per_step_v_d(record, omega, z),
-                          disc_logits)),
+                          disc_logits, 1.0)),
     ]
     for new, old in pairs:
         assert _outcome(new) == _outcome(old)
@@ -220,16 +230,17 @@ ER, LWF = [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
 # discriminator's twice as wide as t = 3
 CONTRACTS = [
     ("v_l: empty batch", [ER, ER], 1,
-     lambda new, b, w, x: (v_l if new else ref.per_step_v_l)(
-         b, w, Tensor(x), softmax(x) if new else x)),
+     lambda new, b, w, x: v_l(b, w, x, softmax(x)) if new
+     else ref.per_step_v_l(b, w, Tensor(x), x)),
     ("v_l: distillation arity mismatch", [LWF, ER], None,
-     lambda new, b, w, x: (v_l if new else ref.per_step_v_l)(
-         b, w, Tensor(x[:, :2]), softmax(x) if new else x)),
+     lambda new, b, w, x: v_l(b, w, x[:, :2], softmax(x)) if new
+     else ref.per_step_v_l(b, w, Tensor(x[:, :2]), x)),
     ("v_d: empty batch", [LWF, LWF], 2,
-     lambda new, b, w, x: (v_d if new else ref.per_step_v_d)(b, w, Tensor(x))),
+     lambda new, b, w, x: v_d(b, w, x, 1.0) if new
+     else ref.per_step_v_d(b, w, Tensor(x))),
     ("discriminator arity", [LWF, LWF], None,
-     lambda new, b, w, x: (v_d if new else ref.per_step_v_d)(
-         b, w, Tensor(np.c_[x, x]))),
+     lambda new, b, w, x: v_d(b, w, np.c_[x, x], 1.0) if new
+     else ref.per_step_v_d(b, w, Tensor(np.c_[x, x]))),
     ("every segment must be nonempty", [ER, ER], 0,
      lambda new, b, w, x: (coeff_stats_for_step if new
                            else ref.per_step_coeff_stats)(
@@ -313,3 +324,13 @@ def test_step_layout_built_once_per_replay_domain(monkeypatch):
 
     one, four = per_domain(1), per_domain(4)
     assert one == four == {1: 0, 2: 2, 3: 2}
+
+
+@pytest.mark.parametrize("sizes", [[-1, 3], [2.5, 3], [2, -4]])
+def test_step_layout_refuses_segment_sizes_that_are_not_counts(sizes):
+    """A negative or fractional segment size is refused with a
+    ContractError that names the sizes, not passed on to NumPy's repeat
+    (which fails on a negative count) or truncated (2.5 rows become 2)."""
+    with pytest.raises(ContractError, match=r"segment sizes must be "
+                       r"non-negative integers, got \[" + str(sizes[0])):
+        StepLayout(sizes, [1], 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dilkit import trainer
-from dilkit.autodiff import ContractError, Tensor, add, mul, softmax
+from dilkit.autodiff import ContractError, Tensor, softmax
 from dilkit.coeffs import (
     ConfigError, TRIPLE_PRESETS, from_preset, init_uniform, logit_gradient,
 )
@@ -263,8 +263,8 @@ def test_trained_discriminator_near_chance_on_identical_distributions():
     record = StepBatch(np.concatenate([cur, past]), np.zeros(600, np.int64),
                        StepLayout([300, 300], (1,), 2))
     for _ in range(200):
-        loss = v_d(record, omega, d.logits(enc.stopped().logits(record.x)))
-        loss.backward()
+        acts = d.forward(enc.stopped().logits(record.x).data)
+        d.backward(acts, v_d(record, omega, acts[-1], 1.0)[1], False)
         sgd_step(d.params(), 0.2)
     est = hdh_discriminator_estimate(d, enc, cur_eval, past_eval, 1)
     assert est <= 0.1
@@ -294,9 +294,9 @@ def test_update_isolation_checksums():
                    for p, b in zip(params, before))
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
-    loss5 = mul(v_d(batch, softmax(coeff_logits.data),
-                    disc.logits(model.stopped().encoder.logits(batch.x))), 1.0)
-    loss5.backward()
+    acts = disc.forward(model.encoder.forward(batch.x)[-1])
+    disc.backward(acts, v_d(batch, softmax(coeff_logits.data), acts[-1], 1.0)[1],
+                  False)
     sgd_step(disc.params(), 0.2)
     assert unchanged(model.params(), m0) and unchanged([coeff_logits], o0)
     assert not unchanged(disc.params(), d0)
@@ -317,14 +317,18 @@ def test_update_isolation_checksums():
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
     frozen = softmax(coeff_logits.data)
-    loss7 = v_l(batch, frozen, model.logits(batch.x),
-                softmax(teacher.logits(batch.x).data))
-    embedding = model.encoder.logits(batch.x)
-    aux = encoder_aux_loss(embedding, disc.stopped().logits(embedding),
-                           teacher.embed(batch.x).data,
-                           frozen, batch, HyperParams(), rng)
-    total = add(loss7, aux)
-    total.backward()
+    encoded = model.encoder.forward(batch.x)
+    predicted = model.predictor.forward(encoded[-1])
+    _, logits_grad = v_l(batch, frozen, predicted[-1],
+                         softmax(teacher.logits(batch.x).data))
+    stopped = disc.stopped()
+    disc_acts = stopped.forward(encoded[-1])
+    _, disc_grad, _ = encoder_aux_loss(encoded[-1], disc_acts[-1],
+                                       teacher.embed(batch.x).data,
+                                       frozen, batch, HyperParams(), rng)
+    grad = stopped.backward(disc_acts, disc_grad, True)
+    grad += model.predictor.backward(predicted, logits_grad, True)
+    model.encoder.backward(encoded, grad, False)
     sgd_step(model.params(), 0.2)
     assert unchanged(disc.params(), d0) and unchanged([coeff_logits], o0)
     assert not unchanged(model.params(), m0)
