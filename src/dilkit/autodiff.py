@@ -31,7 +31,7 @@ Gradients are cleared by the optimizer step, not here.
 from __future__ import annotations
 
 from itertools import count
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -232,7 +232,7 @@ def softmax(a: np.ndarray) -> np.ndarray:
     return e / row_sum(e)
 
 
-def xent(a: np.ndarray, target):
+def xent(a: np.ndarray, target) -> tuple[float, Callable[[float], np.ndarray]]:
     """-sum(target * log_softmax(a)) over [n, c] logits `a` and a constant
     [n, c] target, in closed form.  Row weights live in the target (one-hot
     rows times 1/n: the mean cross-entropy).  Returns the value and a

@@ -332,4 +332,5 @@ def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
         values += [term.item() for term in terms]
         reduce(add, terms).backward()
         emb_grad = leaf.grad
+    # in order, as the graph added them (sum() compensates from Python 3.12)
     return reduce(float.__add__, values, -0.0), disc_grad, emb_grad

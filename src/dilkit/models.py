@@ -1,5 +1,7 @@
 """MLPs (ReLU hidden layers, linear last layer), SGD, and the
-encoder/predictor composite used by the training loop."""
+encoder/predictor composite used by the training loop.  An Mlp runs as a
+graph node (`logits`) or, in the replay step, as a plain forward that
+keeps each layer's input and a backward from its logits gradient."""
 from __future__ import annotations
 
 import math

@@ -6,7 +6,10 @@ bound surrogate, and the model descends the weighted replay loss while the
 encoder ascends the confusion loss.  The teacher is the model as the
 previous domain left it: one pass at the start of each replay domain records
 its outputs, and each step's record shares one layout derived there too.
-After each domain the replay memory is rebalanced.
+A replay step takes every gradient in closed form but V_p's and V_s's, and
+each network backpropagates without a graph; the ERM steps (domain 1,
+FineTune, Joint) backpropagate through one.  After each domain the replay
+memory is rebalanced.
 """
 from __future__ import annotations
 
