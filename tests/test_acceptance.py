@@ -173,7 +173,7 @@ def test_criterion_04_gradient_suite_100_trials_each():
         # the record of the trial's batches, cur as domain 2's
         batch = StepBatch.stack(LabeledSet(cur.x, cur.y, 2), past)
         # V_l and V_d return their logits gradient in closed form; as nodes
-        # over the logits it reaches the networks' parameters
+        # over the logits, that gradient reaches the networks' parameters
         probs = softmax(teacher.logits(batch.x).data)
         cases = {
             "v_l": (lambda: closed_form_node(
