@@ -10,7 +10,11 @@ Two ops are nodes over closed forms that the replay step also calls
 without a graph.  `mlp_forward` is a plain function of an array that keeps
 each layer's input and builds no node; `mlp_backward` is a plain function
 that takes the output gradient, accumulates the parameters' gradients and
-returns the input's, and builds no node either; `mlp` wraps both.
+returns the input's, and builds no node either; `mlp` wraps both and
+has them write into fresh arrays, since its callers keep its outputs.
+`mlp_buffers` is a plain function that builds, once for a row count, the
+arrays the replay step's forward and backward write into instead, and
+builds no node.
 `xent` is a plain function that returns the cross-entropy's value and its
 adjoint for an upstream scalar, and builds no node; `softmax_xent` wraps
 it.  `softmax` is a plain row-wise function of an array: it builds no node
@@ -22,7 +26,9 @@ an op's inputs exist before its output, so `backward()` runs the closures
 of the nodes the loss reaches in reverse creation order, passing each node
 its own `.grad`, and the closures accumulate into their inputs' `.grad`:
 mlp's own fresh gradients are taken as they are, every other first
-gradient is copied, and later ones are added with +=.
+gradient is copied, and later ones are added with +=.  A buffered
+`mlp_backward` hands a parameter its buffer only while the parameter holds
+no gradient; one still held gets a fresh gradient added to it.
 A closure takes the incoming gradient as its argument and holds no
 reference to its output, so a graph has no reference cycles: dropping the
 loss frees the whole graph at once, without the cyclic garbage collector.
@@ -31,7 +37,7 @@ Gradients are cleared by the optimizer step, not here.
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,41 +135,85 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]]) -> list[np.ndarray]:
+class LayerBuffers(NamedTuple):
+    """Where one layer's buffered forward and backward write: its output,
+    its input's gradient, its input's relu mask (None on the first layer)
+    and its weight's and bias's gradients (None for a parameter that takes
+    none)."""
+    out: np.ndarray | None
+    grad_in: np.ndarray | None
+    mask: np.ndarray | None
+    w_grad: np.ndarray | None
+    b_grad: np.ndarray | None
+
+
+_FRESH = LayerBuffers(None, None, None, None, None)  # every result a new array
+
+
+def mlp_buffers(layers: Sequence[tuple[Tensor, Tensor]],
+                rows: int) -> list[LayerBuffers]:
+    """The buffers `mlp_forward` and `mlp_backward` write into for the
+    (w, b) layers at `rows` rows, built once; builds no node.  What a
+    buffered call returns stays valid until the next call on them."""
+    return [LayerBuffers(np.empty((rows, w.data.shape[1])),
+                         np.empty((rows, w.data.shape[0])),
+                         np.empty((rows, w.data.shape[0]), dtype=bool) if k else None,
+                         np.empty_like(w.data) if w.requires_grad else None,
+                         np.empty_like(b.data) if b.requires_grad else None)
+            for k, (w, b) in enumerate(layers)]
+
+
+def _grad_out(p: Tensor, buffer: np.ndarray | None) -> np.ndarray | None:
+    """Where p's next gradient is written: its buffer, handed over as
+    `.grad`, unless p still holds a gradient (maybe that very buffer); the
+    new one is then a fresh array that `_accum` adds to it."""
+    return buffer if p.grad is None else None
+
+
+def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]],
+                buffers: Sequence[LayerBuffers] | None = None) -> list[np.ndarray]:
     """[n, i] through the (w, b) layers: h @ w + b per layer, relu between
     layers.  Returns the input of each layer, then the [n, o] output, as
-    `mlp_backward` reads them; builds no node."""
+    `mlp_backward` reads them; each layer's output is written into its
+    `buffers` (from `mlp_buffers` at n rows) or, without, a fresh array.
+    Builds no node."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ContractError("Mlp input must be [batch, features]")
+    if buffers is not None and len(x) != len(buffers[0].out):
+        raise ContractError(f"Mlp buffers hold {len(buffers[0].out)} rows, "
+                            f"got {len(x)}")
     hs = [x]
-    for k, (w, b) in enumerate(layers):
+    for k, ((w, b), buf) in enumerate(
+            zip(layers, buffers or [_FRESH] * len(layers), strict=True)):
         if hs[-1].shape[1] != w.data.shape[0]:
             raise ContractError(f"layer {k}: input has {hs[-1].shape[1]} "
                                 f"features, expected {w.data.shape[0]}")
-        h = hs[-1] @ w.data
+        h = np.matmul(hs[-1], w.data, out=buf.out)
         h += b.data
         hs.append(np.maximum(h, 0.0, out=h) if k < len(layers) - 1 else h)
     return hs
 
 
 def mlp_backward(hs: list[np.ndarray], layers: Sequence[tuple[Tensor, Tensor]],
-                 g: np.ndarray, input_grad: bool) -> np.ndarray | None:
+                 g: np.ndarray, input_grad: bool,
+                 buffers: Sequence[LayerBuffers] | None = None) -> np.ndarray | None:
     """Backpropagate the output gradient g through the layers `hs` came
     from: accumulate each parameter's gradient (if it requires one) and
     return the input's gradient when `input_grad` is set, else None.  Each
     gradient is the one a chain of one node per layer and per relu
-    accumulates, bitwise."""
-    g_in = None
+    accumulates, bitwise, and is written into its `buffers` (those of the
+    forward) or, without, a fresh array."""
+    g_in, buffers = None, buffers or [_FRESH] * len(layers)
     for k in reversed(range(len(layers))):
-        w, b = layers[k]
+        (w, b), buf = layers[k], buffers[k]
         if b.requires_grad:
-            b._accum(g.sum(axis=0), fresh=True)
-        g_in = g @ w.data.T if k or input_grad else None
+            b._accum(g.sum(axis=0, out=_grad_out(b, buf.b_grad)), fresh=True)
+        g_in = np.matmul(g, w.data.T, out=buf.grad_in) if k or input_grad else None
         if w.requires_grad:
-            w._accum(hs[k].T @ g, fresh=True)
+            w._accum(np.matmul(hs[k].T, g, out=_grad_out(w, buf.w_grad)), fresh=True)
         if k:
-            g = np.multiply(g_in, hs[k] > 0.0, out=g_in)
+            g = np.multiply(g_in, np.greater(hs[k], 0.0, out=buf.mask), out=g_in)
     return g_in
 
 
@@ -211,9 +261,14 @@ def rows(a: Tensor, idx) -> Tensor:
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1, keepdims=True), bitwise at any width (signed zeros,
-    NaN and inf included), taken one column at a time: NumPy's reduction
-    along a short last axis costs more than its elementwise maxima."""
+    """a.max(axis=-1, keepdims=True), bitwise (signed zeros, NaN and inf
+    included).  Below 8 columns it is taken one column at a time: NumPy's
+    reduction along a short last axis costs more than its elementwise
+    maxima.  From 9 up NumPy's vectorized max can return -0.0 where the
+    columns taken in order give 0.0 (measured), so from 8 up, as in
+    `row_sum`, NumPy's max is kept."""
+    if a.shape[-1] >= 8:
+        return a.max(axis=-1, keepdims=True)
     return np.maximum.reduce(a.T.copy()).T[..., None]
 
 

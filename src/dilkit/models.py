@@ -1,7 +1,9 @@
 """MLPs (ReLU hidden layers, linear last layer), SGD, and the
 encoder/predictor composite used by the training loop.  An Mlp runs as a
 graph node (`logits`) or, in the replay step, as a plain forward that
-keeps each layer's input and a backward from its logits gradient."""
+keeps each layer's input and a backward from its logits gradient; while
+its `buffers` are set (for one replay domain, at its row count) those two
+write into them instead of into fresh arrays."""
 from __future__ import annotations
 
 import math
@@ -10,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, mlp, mlp_backward, mlp_forward
+from .autodiff import (ContractError, LayerBuffers, Tensor, mlp, mlp_backward,
+                       mlp_forward)
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,8 @@ class Mlp:
             if rng is None:
                 raise ContractError("Mlp init requires a seeded rng")
             self.layers = [_init_layer(a, b, rng) for a, b in zip(sizes, sizes[1:])]
+        # what forward and backward write into, from autodiff.mlp_buffers
+        self.buffers: list[LayerBuffers] | None = None
 
     def params(self) -> list[Tensor]:
         return [p for pair in self.layers for p in pair]
@@ -92,14 +97,18 @@ class Mlp:
 
     def forward(self, x) -> list[np.ndarray]:
         """The logits as the last of each layer's input, with no graph node:
-        what `backward` reads."""
-        return mlp_forward(x, self.layers)
+        what `backward` reads.  With `buffers` set, the layers' outputs are
+        those buffers, valid until the next forward."""
+        return mlp_forward(x, self.layers, self.buffers)
 
     def backward(self, acts: list[np.ndarray], g: np.ndarray,
                  input_grad: bool) -> np.ndarray | None:
         """Set each parameter's gradient from the gradient g on the logits
-        of `forward`'s `acts`; returns the input's when `input_grad` is set."""
-        return mlp_backward(acts, self.layers, g, input_grad)
+        of `forward`'s `acts`; returns the input's when `input_grad` is set.
+        With `buffers` set, a parameter holding no gradient is handed its
+        buffer, and the input's gradient is a buffer too, valid until the
+        next backward."""
+        return mlp_backward(acts, self.layers, g, input_grad, self.buffers)
 
     def stopped(self) -> "Mlp":
         """View of this net whose parameters cut the gradient graph."""

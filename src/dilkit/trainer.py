@@ -7,9 +7,10 @@ encoder ascends the confusion loss.  The teacher is the model as the
 previous domain left it: one pass at the start of each replay domain records
 its outputs, and each step's record shares one layout derived there too.
 A replay step takes every gradient in closed form but V_p's and V_s's, and
-each network backpropagates without a graph; the ERM steps (domain 1,
-FineTune, Joint) backpropagate through one.  After each domain the replay
-memory is rebalanced.
+each network backpropagates without a graph, writing its layer outputs and
+gradients into buffers built at the domain's start for the networks its
+steps run; the ERM steps (domain 1, FineTune, Joint) backpropagate through
+one.  After each domain the replay memory is rebalanced.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from operator import iadd
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, softmax
+from .autodiff import ContractError, Tensor, mlp_buffers, softmax
 from .coeffs import check_method, from_preset, init_uniform, logit_gradient
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
@@ -204,6 +205,12 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
     return state
 
 
+def _trains_disc(hp: HyperParams, omega: np.ndarray, adaptive: bool) -> bool:
+    """Whether a replay step updates the discriminator: a fixed preset with
+    no cross-domain mass never trains it."""
+    return hp.lambda_d > 0 and (adaptive or float(omega[:, 1].sum()) > 0.0)
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """What a replay step computed: the triples after it, UDIL's coefficient
@@ -229,17 +236,17 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
     `pool_sizes` counts the domain's rows, then each bucket's.
 
     V_l, V_d and V_01 hand back their gradients in closed form and each
-    network backpropagates its own (`Mlp.backward`); only V_p and V_s build
-    a graph.  The embedding's gradient is summed as a graph over the whole
-    step would sum it: V_p and V_s's, then the stopped discriminator's,
-    then the predictor's, so every update is bitwise that graph's."""
+    network backpropagates its own (`Mlp.backward`), into its `buffers`
+    when they are set; only V_p and V_s build a graph.  The embedding's
+    gradient is summed as a graph over the whole step would sum it: V_p
+    and V_s's, then the stopped discriminator's, then the predictor's, so
+    every update is bitwise that graph's."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = param is not None
     omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
     disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
-    # a fixed preset with no cross-domain mass never trains the discriminator
-    disc_on = hp.lambda_d > 0 and (adaptive or float(omega[:, 1].sum()) > 0.0)
+    disc_on = _trains_disc(hp, omega, adaptive)
     teacher_probs, teacher_pred, teacher_embedding = teacher
     stats = disc_value = coeff_value = None
     encoded = model.encoder.forward(batch.x)
@@ -289,7 +296,10 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     per bucket); each step gathers its rows and the teacher's by drawn index
     for `replay_step`.  The triples are the method's preset, or with UDIL's
     [t-1, 3] `coeff_logits` their softmax, descended in place once per step;
-    returns the domain's final triples."""
+    returns the domain's final triples.  The networks the steps run (the
+    encoder and predictor; the discriminator and its stopped view when
+    they train or the coefficients need it) write into buffers at the
+    steps' row count while the domain trains."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = coeff_logits is not None
@@ -309,15 +319,24 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     stopped_disc = disc.stopped()  # shares the weights sgd_step updates in place
     teacher_probs, teacher_pred, teacher_emb, eps_hist = snapshot_history(model, pool)
 
-    for step in range(1, sgd.step_count + 1):
-        rows = [_draw_rows(len(domain_data), sgd.batch_size, rng)]
-        rows += state.bank.sample_past(mem_batch, rng).values()  # in layout.ids order
-        idx = np.concatenate(rows) + offsets
-        batch = StepBatch(pool.x[idx], pool.y[idx], layout)
-        teacher = (teacher_probs[idx], teacher_pred[idx],
-                   teacher_emb[idx] if hp.lambda_p > 0 else None)
-        omega = replay_step(state, disc, stopped_disc, eps_hist, pool.layout.sizes,
-                            rng, step, batch, teacher, omega, param).omega
+    disc_on = _trains_disc(hp, omega, adaptive)
+    nets = ([model.encoder, model.predictor] + ([disc] if disc_on else [])
+            + ([stopped_disc] if adaptive or disc_on else []))
+    for net in nets:
+        net.buffers = mlp_buffers(net.layers, len(layout.seg))
+    try:
+        for step in range(1, sgd.step_count + 1):
+            rows = [_draw_rows(len(domain_data), sgd.batch_size, rng)]
+            rows += state.bank.sample_past(mem_batch, rng).values()  # in layout.ids order
+            idx = np.concatenate(rows) + offsets
+            batch = StepBatch(pool.x[idx], pool.y[idx], layout)
+            teacher = (teacher_probs[idx], teacher_pred[idx],
+                       teacher_emb[idx] if hp.lambda_p > 0 else None)
+            omega = replay_step(state, disc, stopped_disc, eps_hist, pool.layout.sizes,
+                                rng, step, batch, teacher, omega, param).omega
+    finally:  # so that no model a result keeps holds buffers
+        for net in nets:
+            net.buffers = None
     return omega
 
 

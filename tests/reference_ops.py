@@ -20,7 +20,11 @@ reversed, is the topological order.  `sgd_step` is the update as
 models.sgd_step wrote it before it scaled each gradient in place.  `tsum`
 and `reshape` are the whole-tensor sum and the reshape V_p and V_s were
 built with before `rowsum` summed the last axis and V_s gathered its pairs
-with one 2-D index; the frozen V_p, V_s and V_01 forms still use them."""
+with one 2-D index; the frozen V_p, V_s and V_01 forms still use them.
+`mlp_forward` and `mlp_backward` are the network's plain forward and
+backward as they were before they could write into buffers built once:
+every layer output, mask and gradient a fresh array; test_autodiff.py
+compares the buffered forms against them bitwise."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -85,6 +89,40 @@ def sgd_step(params, learning_rate: float) -> None:
     for p in params:
         p.data -= learning_rate * p.grad
         p.grad = None
+
+
+def mlp_forward(x, layers):
+    """[n, i] through the (w, b) layers, each layer's output a new array;
+    returns each layer's input, then the output."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ContractError("Mlp input must be [batch, features]")
+    hs = [x]
+    for k, (w, b) in enumerate(layers):
+        if hs[-1].shape[1] != w.data.shape[0]:
+            raise ContractError(f"layer {k}: input has {hs[-1].shape[1]} "
+                                f"features, expected {w.data.shape[0]}")
+        h = hs[-1] @ w.data
+        h += b.data
+        hs.append(np.maximum(h, 0.0, out=h) if k < len(layers) - 1 else h)
+    return hs
+
+
+def mlp_backward(hs, layers, g, input_grad):
+    """The output gradient g back through the layers `hs` came from, each
+    gradient a new array: accumulates the parameters' gradients, returns
+    the input's when `input_grad` is set."""
+    g_in = None
+    for k in reversed(range(len(layers))):
+        w, b = layers[k]
+        if b.requires_grad:
+            b._accum(g.sum(axis=0), fresh=True)
+        g_in = g @ w.data.T if k or input_grad else None
+        if w.requires_grad:
+            w._accum(hs[k].T @ g, fresh=True)
+        if k:
+            g = np.multiply(g_in, hs[k] > 0.0, out=g_in)
+    return g_in
 
 
 def matmul(a, b) -> Tensor:

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dilkit
 from dilkit.autodiff import (
-    ContractError, Tensor, _row_max, add, mlp, mul, row_sum, rows, rowsum,
-    softmax, softmax_xent,
+    ContractError, Tensor, _row_max, add, mlp, mlp_backward, mlp_buffers,
+    mlp_forward, mul, row_sum, rows, rowsum, softmax, softmax_xent,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 
@@ -380,18 +380,23 @@ def _dag_grads(walk, seed, *shape):
 @settings(max_examples=200, deadline=None)
 @given(n_leaves=st.integers(1, 3), n_ops=st.integers(1, 14),
        max_consumers=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+# values reach 1.7e228 and gradients 4.2e230: their product overflows
+@example(n_leaves=1, n_ops=11, max_consumers=2, seed=4868873)
 def test_backward_matches_depth_first_reference(n_leaves, n_ops,
                                                 max_consumers, seed):
     """Running the closures in reverse creation order gives the two-phase
     DFS's gradients on every node of a random DAG: bitwise when no node has
     more than two consumers (two addends commute exactly), otherwise within
     1e-12 relative to the graph's scale, the largest gradient times the
-    largest value (a softmax's gradients cancel to rounding noise)."""
+    largest value (a softmax's gradients cancel to rounding noise).  The
+    error is divided by the largest value rather than the scale formed, so
+    that no product overflows."""
     shape = (n_leaves, n_ops, max_consumers)
     _, got = _dag_grads(Tensor.backward, seed, *shape)
     values, want = _dag_grads(reference_ops.backward, seed, *shape)
-    scale = (max(np.abs(w).max() for w in want if w is not None)
-             * max(1.0, max(np.abs(v).max() for v in values)))
+    if max_consumers > 2:
+        grad_scale = max(np.abs(w).max() for w in want if w is not None)
+        value_scale = max(1.0, max(np.abs(v).max() for v in values))
     for g, w in zip(got, want):
         assert (g is None) == (w is None)
         if w is None:
@@ -399,7 +404,7 @@ def test_backward_matches_depth_first_reference(n_leaves, n_ops,
         if max_consumers <= 2:
             assert np.array_equal(g, w)
         else:
-            assert np.abs(g - w).max() <= 1e-12 * scale
+            assert np.abs(g - w).max() / value_scale <= 1e-12 * grad_scale
 
 
 def test_backward_on_a_leaf():
@@ -597,6 +602,95 @@ def test_mlp_matches_composition(n, depth, x_grad, stopped_head, seed):
         assert g is None or np.array_equal(g, r)
 
 
+def _copy_net(net):
+    return [(Tensor(w.data.copy(), requires_grad=w.requires_grad),
+             Tensor(b.data.copy(), requires_grad=b.requires_grad))
+            for w, b in net]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 300),
+       widths=st.lists(st.integers(1, 300), min_size=2, max_size=4),
+       input_grad=st.booleans(), stopped=st.booleans(),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_buffered_mlp_matches_allocating_reference(rows, widths, input_grad,
+                                                   stopped, seed):
+    """mlp_forward and mlp_backward writing into buffers built once give
+    the frozen allocating forms' layer outputs, parameter gradients and
+    input gradient bit for bit, on two calls with different inputs
+    through the same buffers (filled with NaN first, so a value either
+    call leaves unwritten would show); each result is its buffer.  Some
+    layers take no gradient, and with `stopped` none does, as in a
+    stopped view."""
+    rng = np.random.default_rng(seed)
+    net = _net(rng, widths)
+    for w, b in net:
+        w.requires_grad = b.requires_grad = not stopped and rng.random() < 0.8
+    buffers = mlp_buffers(net, rows)
+    for buf in buffers:
+        for a in buf:
+            if a is not None and a.dtype == np.float64:
+                a[...] = np.nan
+    params = [p for pair in net for p in pair]
+    for _ in range(2):
+        x = rng.normal(size=(rows, widths[0]))
+        g = rng.normal(size=(rows, widths[-1]))
+        ref = _copy_net(net)
+        want_hs = reference_ops.mlp_forward(x, ref)
+        want_in = reference_ops.mlp_backward(want_hs, ref, g.copy(),
+                                             input_grad)
+        hs = mlp_forward(x, net, buffers)
+        got_in = mlp_backward(hs, net, g.copy(), input_grad, buffers)
+        for h, want, buf in zip(hs[1:], want_hs[1:], buffers):
+            assert h is buf.out and h.tobytes() == want.tobytes()
+        assert (got_in is None) == (want_in is None)
+        if want_in is not None:
+            assert np.shares_memory(got_in, buffers[0].grad_in)
+            assert got_in.tobytes() == want_in.tobytes()
+        slots = [a for buf in buffers for a in (buf.w_grad, buf.b_grad)]
+        for p, r, slot in zip(params, [p for pair in ref for p in pair], slots):
+            assert (p.grad is None) == (r.grad is None) == (slot is None)
+            if p.grad is not None:
+                assert p.grad is slot and p.grad.tobytes() == r.grad.tobytes()
+            p.grad = None  # as sgd_step leaves them
+
+
+def test_buffered_backward_adds_to_a_gradient_still_held():
+    """A buffered backward that finds a parameter still holding a gradient
+    (its own buffer, from an earlier backward with no update between, or
+    any other array) adds the new gradient to it, as the graph path
+    accumulates, bitwise: it never overwrites the buffer and then doubles
+    it.  Once the gradients are cleared the buffers are handed over again."""
+    rng = np.random.default_rng(7)
+    net = _net(rng, [5, 6, 3])
+    ref = _copy_net(net)
+    buffers = mlp_buffers(net, 4)
+    held = rng.normal(size=net[1][1].data.shape)
+    net[1][1].grad, ref[1][1].grad = held.copy(), held.copy()
+    for _ in range(2):
+        x, g = rng.normal(size=(4, 5)), rng.normal(size=(4, 3))
+        mlp_backward(mlp_forward(x, net, buffers), net, g.copy(), False, buffers)
+        reference_ops.mlp_backward(reference_ops.mlp_forward(x, ref), ref, g,
+                                   False)
+    params, slots = [p for pair in net for p in pair], [
+        a for buf in buffers for a in (buf.w_grad, buf.b_grad)]
+    for p, r, slot in zip(params, [p for pair in ref for p in pair], slots):
+        assert p.grad.tobytes() == r.grad.tobytes()
+        assert not np.shares_memory(p.grad, slot) or p.grad is slot
+    assert net[0][0].grad is buffers[0].w_grad  # the sum lives in its buffer
+    assert not np.shares_memory(net[1][1].grad, buffers[1].b_grad)
+    for p in params:
+        p.grad = None
+    mlp_backward(mlp_forward(x, net, buffers), net, g, False, buffers)
+    assert all(p.grad is slot for p, slot in zip(params, slots))
+
+
+def test_buffered_forward_refuses_another_row_count():
+    net = _net(np.random.default_rng(0), [3, 2])
+    with pytest.raises(ContractError, match="^Mlp buffers hold 4 rows, got 5$"):
+        mlp_forward(np.zeros((5, 3)), net, mlp_buffers(net, 4))
+
+
 def test_linear_rejects_mismatched_shapes():
     x = Tensor(np.zeros((2, 3)))
     with pytest.raises(ContractError, match="linear"):
@@ -682,13 +776,15 @@ def test_row_sum_is_numpys_row_sum_bitwise(seed, cols, rows, special):
         assert _bitwise(row_sum(a), a.sum(axis=-1, keepdims=True))
 
 
+# row 15 holds 0.0 and -0.0 as its largest entries: NumPy's max gives -0.0
+@example(seed=1627, cols=16, rows=29, special=True)
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(1, 40),
        st.booleans())
 def test_row_max_is_numpys_row_max_bitwise(seed, cols, rows, special):
-    """The softmax's row maximum, one column at a time at any width, equals
-    NumPy's max(axis=-1, keepdims=True) bit for bit, with signed zeros,
-    NaN and infinities."""
+    """The softmax's row maximum, one column at a time below 8 columns,
+    equals NumPy's max(axis=-1, keepdims=True) bit for bit, with signed
+    zeros, NaN and infinities."""
     a = _wide_range_array(seed, rows, cols, special)
     assert _bitwise(_row_max(a), a.max(axis=-1, keepdims=True))
 

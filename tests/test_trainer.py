@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,41 @@ def test_replay_step_gradients_own_their_memory(monkeypatch, method):
     for t in (1, 2):
         state = train_domain(state, stream.train(t))
     assert len(updates) == {"UDIL": 4, "ER": 2}[method]
+
+
+def test_wide_replay_steps_write_into_buffers(monkeypatch):
+    """An ER domain at widths [256, 256] and 64 with 228 rows per step (a
+    batch of 128 and a bucket of 100): each step after the first allocates
+    less than one [228, 256] float64 array at its peak (tracemalloc around
+    each replay_step), since the networks write their layer outputs and
+    gradients into buffers built once per domain.  The buffers are dropped
+    with the domain, so the model keeps none."""
+    stream = gen_hd_balls(seed=3, n_domains=2, n_per_domain=200, dim=20,
+                          sigma=0.5)
+    config = TrainerConfig("ER", 0, arch=ArchConfig([256, 256], 64, [], [64]),
+                           sgd=SgdConfig(0.1, 4, 128), memory_capacity=100)
+    state = train_domain(initial_state(config, 20, stream.num_classes),
+                         stream.train(1))
+    step, peaks, rows = trainer.replay_step, [], []
+
+    def traced_step(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        record = step(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        rows.append(len(args[7].x))
+        return record
+
+    monkeypatch.setattr(trainer, "replay_step", traced_step)
+    tracemalloc.start()
+    try:
+        train_domain(state, stream.train(2))
+    finally:
+        tracemalloc.stop()
+    assert rows == [228] * 4
+    assert max(peaks[1:]) < 228 * 256 * 8, peaks
+    assert all(net.buffers is None for net in (state.model.encoder,
+                                               state.model.predictor))
 
 
 def test_collapsed_beta_mass_skips_discriminator_step():
