@@ -17,9 +17,13 @@ arrays the replay step's forward and backward write into instead, and
 builds no node.
 `xent` is a plain function that returns the cross-entropy's value and its
 adjoint for an upstream scalar, and builds no node; `softmax_xent` wraps
-it.  `softmax` is a plain row-wise function of an array: it builds no node
-and has no backward.  `row_sum` is a plain function that sums the last
-axis, bitwise as NumPy does, and builds no node.
+it.  `softmax_parts` is a plain function that returns a row-wise softmax
+stored by column, with the row max and row sum it took, which `xent` and
+the divergence estimate read, and builds no node; a caller that needs the
+softmax of one array twice takes it once.  `softmax` is a plain row-wise
+function of an array: it builds no node and has no backward.
+`row_sum` is a plain function that sums the last axis, bitwise as NumPy
+does, and builds no node.
 
 Each op builds a Tensor holding a `_backward` closure and a creation number;
 an op's inputs exist before its output, so `backward()` runs the closures
@@ -163,13 +167,6 @@ def mlp_buffers(layers: Sequence[tuple[Tensor, Tensor]],
             for k, (w, b) in enumerate(layers)]
 
 
-def _grad_out(p: Tensor, buffer: np.ndarray | None) -> np.ndarray | None:
-    """Where p's next gradient is written: its buffer, handed over as
-    `.grad`, unless p still holds a gradient (maybe that very buffer); the
-    new one is then a fresh array that `_accum` adds to it."""
-    return buffer if p.grad is None else None
-
-
 def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]],
                 buffers: Sequence[LayerBuffers] | None = None) -> list[np.ndarray]:
     """[n, i] through the (w, b) layers: h @ w + b per layer, relu between
@@ -177,21 +174,24 @@ def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]],
     `mlp_backward` reads them; each layer's output is written into its
     `buffers` (from `mlp_buffers` at n rows) or, without, a fresh array.
     Builds no node."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2:
         raise ContractError("Mlp input must be [batch, features]")
-    if buffers is not None and len(x) != len(buffers[0].out):
+    if buffers is None:
+        buffers = [_FRESH] * len(layers)
+    elif len(h) != len(buffers[0].out):
         raise ContractError(f"Mlp buffers hold {len(buffers[0].out)} rows, "
-                            f"got {len(x)}")
-    hs = [x]
-    for k, ((w, b), buf) in enumerate(
-            zip(layers, buffers or [_FRESH] * len(layers), strict=True)):
-        if hs[-1].shape[1] != w.data.shape[0]:
-            raise ContractError(f"layer {k}: input has {hs[-1].shape[1]} "
+                            f"got {len(h)}")
+    hs, last = [h], len(layers) - 1
+    for k, ((w, b), buf) in enumerate(zip(layers, buffers, strict=True)):
+        if h.shape[1] != w.data.shape[0]:
+            raise ContractError(f"layer {k}: input has {h.shape[1]} "
                                 f"features, expected {w.data.shape[0]}")
-        h = np.matmul(hs[-1], w.data, out=buf.out)
+        h = np.matmul(h, w.data, out=buf.out)
         h += b.data
-        hs.append(np.maximum(h, 0.0, out=h) if k < len(layers) - 1 else h)
+        if k < last:
+            np.maximum(h, 0.0, out=h)
+        hs.append(h)
     return hs
 
 
@@ -203,15 +203,22 @@ def mlp_backward(hs: list[np.ndarray], layers: Sequence[tuple[Tensor, Tensor]],
     return the input's gradient when `input_grad` is set, else None.  Each
     gradient is the one a chain of one node per layer and per relu
     accumulates, bitwise, and is written into its `buffers` (those of the
-    forward) or, without, a fresh array."""
+    forward) or, without, a fresh array.  A parameter that still holds a
+    gradient (maybe its very buffer) gets a fresh one added to it."""
     g_in, buffers = None, buffers or [_FRESH] * len(layers)
     for k in reversed(range(len(layers))):
         (w, b), buf = layers[k], buffers[k]
         if b.requires_grad:
-            b._accum(g.sum(axis=0, out=_grad_out(b, buf.b_grad)), fresh=True)
+            if b.grad is None:
+                b.grad = np.add.reduce(g, axis=0, out=buf.b_grad)
+            else:
+                b.grad += np.add.reduce(g, axis=0)
         g_in = np.matmul(g, w.data.T, out=buf.grad_in) if k or input_grad else None
         if w.requires_grad:
-            w._accum(np.matmul(hs[k].T, g, out=_grad_out(w, buf.w_grad)), fresh=True)
+            if w.grad is None:
+                w.grad = np.matmul(hs[k].T, g, out=buf.w_grad)
+            else:
+                w.grad += np.matmul(hs[k].T, g)
         if k:
             g = np.multiply(g_in, np.greater(hs[k], 0.0, out=buf.mask), out=g_in)
     return g_in
@@ -260,55 +267,86 @@ def rows(a: Tensor, idx) -> Tensor:
     return out
 
 
+def _row_reduce(ufunc: np.ufunc, a: np.ndarray,
+                at: np.ndarray | None = None) -> np.ndarray:
+    """ufunc.reduce over the last axis of [..., c] `a`, bitwise as NumPy's
+    max or sum along it gives it; `at`, when given, is a.T as a contiguous
+    copy.  Below 8 columns the columns are taken one at a time, in order:
+    NumPy's reduction along a short last axis costs more than its
+    elementwise ops, and its sum adds a row's entries in order there.
+    From 8 up NumPy's pairwise sum groups them otherwise, and from 9 up its
+    vectorized max can return -0.0 where the columns taken in order give
+    0.0 (measured), so from 8 up NumPy's reduction is kept."""
+    if a.shape[-1] >= 8:
+        return ufunc.reduce(np.ascontiguousarray(a), axis=-1)
+    return ufunc.reduce(a.T.copy() if at is None else at).T
+
+
 def _row_max(a: np.ndarray) -> np.ndarray:
     """a.max(axis=-1, keepdims=True), bitwise (signed zeros, NaN and inf
-    included).  Below 8 columns it is taken one column at a time: NumPy's
-    reduction along a short last axis costs more than its elementwise
-    maxima.  From 9 up NumPy's vectorized max can return -0.0 where the
-    columns taken in order give 0.0 (measured), so from 8 up, as in
-    `row_sum`, NumPy's max is kept."""
-    if a.shape[-1] >= 8:
-        return a.max(axis=-1, keepdims=True)
-    return np.maximum.reduce(a.T.copy()).T[..., None]
+    included)."""
+    return _row_reduce(np.maximum, a)[..., None]
 
 
 def row_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1, keepdims=True), bitwise.  Below 8 columns NumPy adds
-    a row's entries in order, so the columns are added one at a time; from
-    8 up its pairwise sum groups them otherwise, and NumPy's sum is kept."""
-    if a.shape[-1] >= 8:
-        return a.sum(axis=-1, keepdims=True)
-    return np.add.reduce(a.T.copy()).T[..., None]
+    """a.sum(axis=-1, keepdims=True), bitwise."""
+    return _row_reduce(np.add, a)[..., None]
+
+
+class Softmax(NamedTuple):
+    """The row-wise softmax of [n, c] logits a, stored by column: `pt` is
+    softmax(a).T as a contiguous [c, n] array, `m` the [n] row max of a and
+    `s` the [n] row sum of exp(a - m) it divided by.  Row-wise work on
+    columns of n entries costs NumPy a few calls, where on rows of c
+    entries it costs one call per row."""
+    m: np.ndarray
+    s: np.ndarray
+    pt: np.ndarray
+
+
+def softmax_parts(a: np.ndarray) -> Softmax:
+    """Row-wise softmax of [n, c] logits with log-sum-exp stabilization,
+    with the row max and row sum it took, stored by column; bitwise the
+    row-wise computation."""
+    at = a.T.copy()
+    m = _row_reduce(np.maximum, a, at)
+    at -= m
+    np.exp(at, out=at)
+    s = _row_reduce(np.add, at.T, at)
+    at /= s
+    return Softmax(m, s, at)
 
 
 def softmax(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an array, with log-sum-exp stabilization."""
-    e = np.exp(a - _row_max(a))
-    return e / row_sum(e)
+    """Row-wise softmax of [n, c] logits, with log-sum-exp stabilization."""
+    return softmax_parts(a).pt.T.copy()
 
 
-def xent(a: np.ndarray, target) -> tuple[float, Callable[[float], np.ndarray]]:
+def xent(a: np.ndarray, target, parts: Softmax | None
+         ) -> tuple[float, Callable[[float], np.ndarray]]:
     """-sum(target * log_softmax(a)) over [n, c] logits `a` and a constant
-    [n, c] target, in closed form.  Row weights live in the target (one-hot
+    [n, c] target, in closed form, from `softmax_parts(a)` (`parts`, when
+    the caller took it already).  Row weights live in the target (one-hot
     rows times 1/n: the mean cross-entropy).  Returns the value and a
     function of an upstream scalar g giving the adjoint on `a`,
     g * (softmax(a) * rowsum(target) - target), computed as
-    d = target * -g, then d + softmax(a) * -rowsum(d): the accumulation
+    d = target * -g, then d - softmax(a) * rowsum(d): the accumulation
     order of the composed log_softmax graph, so results stay bitwise
     equal to it."""
     target = np.asarray(target, dtype=np.float64)
     if a.ndim != 2 or target.shape != a.shape:
         raise ContractError("softmax_xent target must match the [n, c] logits, "
                             "got %r for %r" % (target.shape, a.shape))
-    m = _row_max(a)
-    e = np.exp(a - m)
-    s = row_sum(e)
-    logp = a + (m + np.log(s)) * -1.0
-    value = float(-(logp * target).sum())
+    m, s, pt = softmax_parts(a) if parts is None else parts
+    lse = np.log(s)
+    lse += m
+    logp = np.subtract(a, lse[:, None])
+    logp *= target
+    value = -float(np.add.reduce(logp, axis=None))
 
     def adjoint(g: float) -> np.ndarray:
         d = target * -g
-        d += e / s * (row_sum(d) * -1.0)
+        d -= (pt * _row_reduce(np.add, d)).T
         return d
     return value, adjoint
 
@@ -316,7 +354,7 @@ def xent(a: np.ndarray, target) -> tuple[float, Callable[[float], np.ndarray]]:
 def softmax_xent(a: Tensor, target) -> Tensor:
     """[n, c], constant [n, c] -> scalar: `xent` as a node."""
     a = _wrap(a)
-    value, adjoint = xent(a.data, target)
+    value, adjoint = xent(a.data, target, None)
     out = _make(value, (a,))
     if out.requires_grad:
         out._backward = lambda g: a._accum(adjoint(float(g)), fresh=True)

@@ -102,13 +102,21 @@ def discriminator_divergences(probs: np.ndarray,
         raise ContractError("every segment must be nonempty")
     if probs.shape[1] != t:
         raise ContractError(f"discriminator arity {probs.shape[1]} != t={t}")
-    # delta >= 0 exactly when p_i >= p_t; a past row's i is its V_d class
-    n_cur, cols = sizes[0], layout.past_cols
-    cur = probs[:n_cur]
-    hits = probs[layout.class_mask][n_cur:] >= probs[n_cur:, t - 1]
-    b = 0.5 * (np.bincount(layout.past_seg, hits, cols.size) / sizes[1:]
-               + np.count_nonzero(cur[:, cols] < cur[:, [t - 1]], axis=0) / n_cur)
-    return np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0)
+    # delta >= 0 exactly when p_i >= p_t; a past row's i is its V_d class.
+    # By class, [t, n]: contiguous when probs is a softmax_parts' pt.T
+    n_cur, by_class = sizes[0], probs.T
+    last = by_class[t - 1]
+    hits = by_class.take(layout.past_cells) >= last[n_cur:]
+    cur_hits = np.add.reduce(by_class.take(layout.cur_cells) < last[:n_cur],
+                             axis=1, dtype=np.intp)
+    # b = (x + y) / 2 with x, y in [0, 1], so 2b is x + y exactly and
+    # 2 * (2b - 1) is 2 * (x + y - 1), never -0.0: clamped as np.clip does
+    d = np.bincount(layout.past_seg, hits, len(layout.ids)) / sizes[1:]
+    d += cur_hits / n_cur
+    d -= 1.0
+    d *= 2.0
+    np.maximum(d, 0.0, out=d)
+    return np.minimum(d, 2.0, out=d)
 
 
 def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,

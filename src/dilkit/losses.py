@@ -6,9 +6,9 @@ and the passes the step ran once over its rows; none runs a network, and
 none re-derives what a domain's records share (`StepLayout`).  The teacher
 whose probabilities and embedding they read is the model as the previous
 domain left it, run once over the domain's rows before its first step.
-V_l, V_01 and V_d return their value and their gradient in closed form, on
-the logits (V_l, V_d) or the triples (V_01), and build no graph; V_p and
-V_s are graphs over the embedding."""
+The cross-entropy, V_l, V_01 and V_d return their value and their gradient
+in closed form, on the logits (cross-entropy, V_l, V_d) or the triples
+(V_01), and build no graph; V_p and V_s are graphs over the embedding."""
 from __future__ import annotations
 
 import logging
@@ -17,10 +17,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .autodiff import (ContractError, Tensor, add, mul, rows, rowsum,
+from .autodiff import (ContractError, Softmax, Tensor, add, mul, rows, rowsum,
                        softmax_xent, xent)
 from .datagen import LabeledSet
-from .models import Classifier, Range, Ranged
+from .models import Range, Ranged
 
 log = logging.getLogger(__name__)
 N_NEGATIVES = 8  # V_s negatives drawn per anchor in training
@@ -34,13 +34,15 @@ class HyperParams(Ranged):
     lambda_s: float = Range(0).field(0.0)   # supervised contrastive weight
 
 
-def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
-    """Mean cross-entropy -log p(true class)."""
-    if len(batch) == 0:
+def classification_loss(logits: np.ndarray, y: np.ndarray
+                        ) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy -log p(true class) of the [n, k] `logits` toward
+    the labels y: its value and its gradient on the logits."""
+    if len(y) == 0:
         raise ContractError("classification_loss: empty batch")
-    logits = h.logits(batch.x)
-    return softmax_xent(
-        logits, _one_hot(batch.y, logits.shape[1], 1.0 / len(batch)))
+    value, adjoint = xent(logits, _one_hot(y, logits.shape[1], 1.0 / len(y)),
+                          None)
+    return value, adjoint(1.0)
 
 
 def erm01(h, labeled_set: LabeledSet) -> float:
@@ -63,9 +65,14 @@ class StepLayout:
     checked once: segment k holds sizes[k] rows, from domain t for k = 0 and
     from domain ids[k - 1] after; `seg` maps each row to its segment and
     `domain_class` to the class V_d asks of it (t - 1, or i - 1 on domain
-    i's), which `class_mask` marks in each row of [n, t].  `past_cols` and
-    `past_seg` (the past rows' segment, less one) index the divergence
-    estimate's columns and counts."""
+    i's); in [n, t], `class_slot` holds each row's segment at that class
+    and len(sizes), one past the last segment, elsewhere.  The divergence
+    estimate reads, by flat index into [t, n] (by class), each past row's
+    class cell (`past_cells`) and each current row's cell at each past
+    domain's class (`cur_cells`, [t - 1, n_0]), and counts the past rows by
+    segment, less one (`past_seg`); `starts` is where each segment starts
+    and `miss` the [2, n] misses the coefficient statistics write on every
+    step."""
 
     def __init__(self, sizes, ids, t: int):
         self.ids, self.t = tuple(ids), t
@@ -83,13 +90,19 @@ class StepLayout:
         self.denom = np.maximum(self.sizes, 1)
         self.seg = np.repeat(np.arange(len(self.sizes)), self.sizes)
         self.domain_class = np.array([t - 1] + [i - 1 for i in self.ids])[self.seg]
-        self.class_mask = self.domain_class[:, None] == np.arange(t)
-        self.past_cols = np.array(self.ids, dtype=np.int64) - 1
-        self.past_seg = self.seg[self.sizes[0]:] - 1
+        self.class_slot = np.where(self.domain_class[:, None] == np.arange(t),
+                                   self.seg[:, None], len(self.sizes))
+        n_cur, n = self.sizes[0], len(self.seg)
+        self.past_seg = self.seg[n_cur:] - 1
+        self.past_cells = self.domain_class[n_cur:] * n + np.arange(n_cur, n)
+        self.cur_cells = ((np.array(self.ids, dtype=np.int64)[:, None] - 1) * n
+                          + np.arange(n_cur))
+        self.starts = self.bounds[:-1]
+        self.miss = np.empty((2, n), dtype=bool)
 
     def row_weights(self, seg_w: np.ndarray) -> np.ndarray:
         """Segment k's weight divided by its size, on each of its rows."""
-        return (seg_w / self.denom)[self.seg]
+        return (seg_w / self.denom).take(self.seg)
 
     def check_weighted(self, seg_w: np.ndarray, term: str) -> None:
         """Raise when a segment with no row carries weight."""
@@ -135,19 +148,22 @@ def v_l(batch: StepBatch, omega: np.ndarray, logits: np.ndarray,
     constants.  Returns the value and its gradient on the logits."""
     layout = batch.layout
     omega = _check_omega(omega, layout.ids)
-    w_ce = np.concatenate([[1.0], omega[:, 2]])
-    w_distill = np.concatenate([[float(omega[:, 1].sum())], omega[:, 0]])
-    layout.check_weighted(w_ce, "v_l")
+    seg_w = np.empty((2, len(layout.sizes)))  # rows w_ce, w_distill
+    seg_w[0, 0], seg_w[1, 0] = 1.0, np.add.reduce(omega[:, 1])
+    seg_w[:, 1:] = omega[:, 2::-2].T  # gamma_i, alpha_i
+    layout.check_weighted(seg_w[0], "v_l")
+    seg_w /= layout.denom
+    row_w = seg_w.take(layout.seg, axis=1)
+    ce_w, distill_w = row_w[0], row_w[1]
     k = logits.shape[1]
-    target = _one_hot(batch.y, k, layout.row_weights(w_ce))
-    row_w = layout.row_weights(w_distill)
-    if row_w.any():
+    target = _one_hot(batch.y, k, ce_w)
+    if np.count_nonzero(distill_w):
         if teacher_probs.shape[1] != k:
             raise ContractError(f"v_l: distillation arity mismatch: teacher "
                                 f"{teacher_probs.shape[1]} vs student {k}")
         # a row of weight 0 adds 0 * p = +0.0 (p a finite probability): unchanged
-        target += row_w[:, None] * teacher_probs
-    value, adjoint = xent(logits, target)
+        target += distill_w[:, None] * teacher_probs
+    value, adjoint = xent(logits, target, None)
     return value, adjoint(1.0)
 
 
@@ -188,7 +204,9 @@ def radical_terms(omega: np.ndarray, n_current: int,
     if n_memory.shape != (len(omega),):
         raise ContractError(
             f"n_memory must have shape ({len(omega)},), got {n_memory.shape}")
-    v = np.concatenate(([1.0 + omega[:, 1].sum()], omega[:, 0] + omega[:, 2]))
+    v = np.empty(len(omega) + 1)
+    v[0] = 1.0 + np.add.reduce(omega[:, 1])
+    np.add(omega[:, 0], omega[:, 2], out=v[1:])
     return v, _radical_weights(n_current, tuple(n_memory.tolist()))
 
 
@@ -219,19 +237,22 @@ def v_01(omega: np.ndarray, stats: CoeffStats, c_gen: float,
             f"{len(stats.eps_replay)} and n_memory {np.size(n_memory)}")
     weights = stats.weights()
     v, w = radical_terms(omega, n_current, n_memory)
-    rad = np.sqrt((v * v * w).sum())
+    rad = np.sqrt(np.add.reduce(v * v * w))
+    value = float(np.add.reduce(omega * weights, axis=None) + rad * c_gen)
     # d(w * v * v)/dv in two halves, as the tests' selection-matrix
     # composition sums it: given equal v, the gradients are equal
     half = c_gen * 0.5 / rad * w * v
     dv = half + half
-    dm = np.column_stack([dv[1:], np.full(n_past, dv[0]), dv[1:]])
-    return float((omega * weights).sum() + rad * c_gen), weights + dm
+    weights[:, ::2] += dv[1:, None]  # the gradient, in place: W + (dv_i, dv_0, dv_i)
+    weights[:, 1] += dv[0]
+    return value, weights
 
 
 def v_d(batch: StepBatch, omega: np.ndarray, logits: np.ndarray,
-        scale: float) -> tuple[float, np.ndarray] | None:
+        scale: float, parts: Softmax | None) -> tuple[float, np.ndarray] | None:
     """Domain discrimination loss from the discriminator's `logits` on the
-    record's rows: (sum beta_i) * CE(current rows -> class t)
+    record's rows (and their `softmax_parts`, when the caller took it):
+    (sum beta_i) * CE(current rows -> class t)
     + sum_i beta_i * CE(domain i's rows -> class i).  Current rows have
     weight (sum beta_i) / n_0 and domain i's rows beta_i / n_i.  Returns
     the value and the logits gradient of `scale` * V_d, or None with no
@@ -240,17 +261,17 @@ def v_d(batch: StepBatch, omega: np.ndarray, logits: np.ndarray,
     if not layout.ids:
         return None
     omega = _check_omega(omega, layout.ids)
-    betas = omega[:, 1]
-    sum_beta = float(betas.sum())
-    if sum_beta == 0.0:
+    seg_w = np.zeros(len(layout.sizes) + 1)  # the last slot: off-class cells'
+    seg_w[1:-1] = omega[:, 1]
+    seg_w[0] = np.add.reduce(seg_w[1:-1])
+    if seg_w[0] == 0.0:
         return None
-    seg_w = np.concatenate([[sum_beta], betas])
-    layout.check_weighted(seg_w, "v_d")
+    layout.check_weighted(seg_w[:-1], "v_d")
     t, arity = layout.t, logits.shape[1]
     if arity != t:
         raise ContractError(f"discriminator arity {arity} != t={t}")
-    target = np.where(layout.class_mask, layout.row_weights(seg_w)[:, None], 0.0)
-    value, adjoint = xent(logits, target)
+    seg_w[:-1] /= layout.denom
+    value, adjoint = xent(logits, seg_w.take(layout.class_slot), parts)
     return value, adjoint(scale)
 
 
@@ -303,14 +324,14 @@ def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
 
 
 def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
-                     teacher_embedding: np.ndarray | None, omega: np.ndarray,
+                     disc_parts: Softmax | None, teacher_embedding: np.ndarray | None, omega: np.ndarray,
                      batch: StepBatch, hp: HyperParams,
                      rng: np.random.Generator
                      ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s from the step's passes
     over the record's rows, running no network: the student's `embedding`, the
     stopped discriminator's `disc_logits` on it (None with no beta mass left)
-    and the frozen teacher's `teacher_embedding` (None when lambda_p = 0).
+    with their `softmax_parts` (`disc_parts`, None when not taken) and the frozen teacher's `teacher_embedding` (None when lambda_p = 0).
     Returns the value, its terms added in that order (-0.0, which adds no
     bit, when none is on), the gradient on `disc_logits` (None without a
     V_d term) and the gradient of the V_p and V_s terms on the embedding,
@@ -319,7 +340,7 @@ def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
     out, as adding its -0.0 changes no bit."""
     values, disc_grad, emb_grad = [], None, None
     if hp.lambda_d > 0 and batch.layout.ids:
-        vd = v_d(batch, omega, disc_logits, -hp.lambda_d)
+        vd = v_d(batch, omega, disc_logits, -hp.lambda_d, disc_parts)
         if vd is not None:
             values.append(vd[0] * -hp.lambda_d)
             disc_grad = vd[1]

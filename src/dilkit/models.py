@@ -1,9 +1,9 @@
 """MLPs (ReLU hidden layers, linear last layer), SGD, and the
 encoder/predictor composite used by the training loop.  An Mlp runs as a
-graph node (`logits`) or, in the replay step, as a plain forward that
-keeps each layer's input and a backward from its logits gradient; while
-its `buffers` are set (for one replay domain, at its row count) those two
-write into them instead of into fresh arrays."""
+graph node (`logits`) or, in the replay and ERM steps, as a plain forward
+that keeps each layer's input and a backward from its logits gradient;
+while its `buffers` are set (for one domain's steps, at their row count)
+those two write into them instead of into fresh arrays."""
 from __future__ import annotations
 
 import math

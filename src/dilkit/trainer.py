@@ -9,18 +9,21 @@ its outputs, and each step's record shares one layout derived there too.
 A replay step takes every gradient in closed form but V_p's and V_s's, and
 each network backpropagates without a graph, writing its layer outputs and
 gradients into buffers built at the domain's start for the networks its
-steps run; the ERM steps (domain 1, FineTune, Joint) backpropagate through
-one.  After each domain the replay memory is rebalanced.
+steps run; the ERM steps (domain 1, FineTune, Joint) run the encoder and
+predictor the same way, from the cross-entropy's closed-form gradient.
+After each domain the replay memory is rebalanced.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import iadd
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, mlp_buffers, softmax
+from .autodiff import (ContractError, Tensor, mlp_buffers, softmax,
+                       softmax_parts)
 from .coeffs import check_method, from_preset, init_uniform, logit_gradient
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
@@ -96,34 +99,50 @@ def _draw_rows(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
 def _check_finite(value: float, name: str, method: str, t: int,
                   step: int) -> None:
     """Raise before a non-finite loss value reaches its update."""
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ContractError(
             f"{method}: {name} loss is {value!r} at domain {t}, step {step}")
 
 
 def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
                rng: np.random.Generator, method: str, t: int) -> None:
-    for step in range(1, sgd.step_count + 1):
-        batch = data.subset(_draw_rows(len(data), sgd.batch_size, rng))
-        loss = classification_loss(model, batch)
-        _check_finite(loss.item(), "classification", method, t, step)
-        loss.backward()
-        sgd_step(model.params(), sgd.learning_rate)
+    """Plain SGD on the cross-entropy of batches drawn from `data`, each
+    network running forward and backward once per step, into buffers at
+    the steps' row count."""
+    encoder, predictor = model.encoder, model.predictor
+    for net in (encoder, predictor):
+        net.buffers = mlp_buffers(net.layers, min(sgd.batch_size, len(data)))
+    try:
+        for step in range(1, sgd.step_count + 1):
+            idx = _draw_rows(len(data), sgd.batch_size, rng)
+            encoded = encoder.forward(data.x.take(idx, axis=0))
+            predicted = predictor.forward(encoded[-1])
+            value, logits_grad = classification_loss(predicted[-1], data.y.take(idx))
+            _check_finite(value, "classification", method, t, step)
+            encoder.backward(encoded, predictor.backward(predicted, logits_grad, True),
+                             False)
+            sgd_step(model.params(), sgd.learning_rate)
+    finally:  # so that no model a result keeps holds buffers
+        for net in (encoder, predictor):
+            net.buffers = None
 
 
 def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
-                         logits: np.ndarray, disc_logits: np.ndarray,
+                         logits: np.ndarray, disc_probs: np.ndarray,
                          teacher_pred: np.ndarray) -> CoeffStats:
     """Assemble the per-step scalar statistics the bound surrogate needs from
-    the step's two outputs and the teacher's argmax on the record's rows and
-    the teacher's 0-1 error on each memory bucket.  The 0-1 errors are counted
-    per segment, the divergence estimates read off them; an empty one raises."""
+    the student's logits, the stopped discriminator's softmax and the
+    teacher's argmax on the record's rows and the teacher's 0-1 error on
+    each memory bucket.  The 0-1 errors are counted per segment, the
+    divergence estimates read off them; an empty one raises."""
     layout = batch.layout
-    dhat = discriminator_divergences(softmax(disc_logits), layout)
-    pred = np.argmax(logits, axis=1)
-    wrong, differs = np.add.reduceat(
-        [pred != batch.y, pred != teacher_pred], layout.bounds[:-1], axis=1,
-        dtype=np.int64) / layout.sizes
+    dhat = discriminator_divergences(disc_probs, layout)
+    pred = logits.argmax(axis=1)
+    miss = layout.miss
+    np.not_equal(pred, batch.y, out=miss[0])
+    np.not_equal(pred, teacher_pred, out=miss[1])
+    wrong, differs = np.add.reduceat(miss, layout.starts, axis=1,
+                                     dtype=np.int64) / layout.sizes
     return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
 
 
@@ -233,11 +252,14 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
     `param` over its logits, in place) and the model update, each network
     running once on the rows for every loss term.  `teacher` is the teacher's
     softmax, argmax and embedding (None when lambda_p = 0) on the rows, and
-    `pool_sizes` counts the domain's rows, then each bucket's.
+    `pool_sizes` counts the domain's rows, then each bucket's, as the
+    floats V_01's radical reads.
 
     V_l, V_d and V_01 hand back their gradients in closed form and each
     network backpropagates its own (`Mlp.backward`), into its `buffers`
-    when they are set; only V_p and V_s build a graph.  The embedding's
+    when they are set; only V_p and V_s build a graph.  The stopped
+    discriminator's softmax is taken once (`softmax_parts`), for the
+    divergence estimate and V_d's encoder side alike.  The embedding's
     gradient is summed as a graph over the whole step would sum it: V_p
     and V_s's, then the stopped discriminator's, then the predictor's, so
     every update is bitwise that graph's."""
@@ -254,18 +276,21 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
 
     if disc_on:
         acts = disc.forward(encoded[-1])
-        vd = v_d(batch, omega, acts[-1], hp.lambda_d)
+        vd = v_d(batch, omega, acts[-1], hp.lambda_d, None)
         # with no beta mass left the loss is the constant 0: nothing to train
         disc_value = 0.0 if vd is None else vd[0] * hp.lambda_d
         _check_finite(disc_value, "discriminator", config.method, t, step)
         if vd is not None:
             disc.backward(acts, vd[1], False)
             sgd_step(disc.params(), disc_lr)
-    stopped = stopped_disc.forward(encoded[-1]) if adaptive or disc_on else None
+    stopped = disc_soft = None
+    if adaptive or disc_on:
+        stopped = stopped_disc.forward(encoded[-1])
+        disc_soft = softmax_parts(stopped[-1])
 
     if adaptive:
         stats = coeff_stats_for_step(eps_hist, batch, predicted[-1],
-                                     stopped[-1], teacher_pred)
+                                     disc_soft.pt.T, teacher_pred)
         coeff_value, grad = v_01(omega, stats, hp.c_gen, pool_sizes[0], pool_sizes[1:])
         _check_finite(coeff_value, "coefficient", config.method, t, step)
         param.grad = logit_gradient(omega, grad)
@@ -274,7 +299,7 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
 
     model_value, logits_grad = v_l(batch, omega, predicted[-1], teacher_probs)
     aux_value, disc_grad, emb_grad = encoder_aux_loss(
-        encoded[-1], None if stopped is None else stopped[-1],
+        encoded[-1], None if stopped is None else stopped[-1], disc_soft,
         teacher_embedding, omega, batch, hp, rng)
     model_value += aux_value
     _check_finite(model_value, "model", config.method, t, step)
@@ -312,6 +337,7 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     if config.split_memory_batch:
         mem_batch = max(1, mem_batch // (t - 1))
     pool = StepBatch.stack(domain_data, state.bank.buckets)
+    counts = pool.layout.sizes.astype(np.float64)  # as V_01's radical reads them
     n_memory = pool.layout.sizes[1:]
     layout = StepLayout([min(sgd.batch_size, len(domain_data))]
                         + [min(mem_batch, n) for n in n_memory], pool.layout.ids, t)
@@ -329,10 +355,10 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
             rows = [_draw_rows(len(domain_data), sgd.batch_size, rng)]
             rows += state.bank.sample_past(mem_batch, rng).values()  # in layout.ids order
             idx = np.concatenate(rows) + offsets
-            batch = StepBatch(pool.x[idx], pool.y[idx], layout)
-            teacher = (teacher_probs[idx], teacher_pred[idx],
-                       teacher_emb[idx] if hp.lambda_p > 0 else None)
-            omega = replay_step(state, disc, stopped_disc, eps_hist, pool.layout.sizes,
+            batch = StepBatch(pool.x.take(idx, axis=0), pool.y.take(idx), layout)
+            teacher = (teacher_probs.take(idx, axis=0), teacher_pred.take(idx),
+                       teacher_emb.take(idx, axis=0) if hp.lambda_p > 0 else None)
+            omega = replay_step(state, disc, stopped_disc, eps_hist, counts,
                                 rng, step, batch, teacher, omega, param).omega
     finally:  # so that no model a result keeps holds buffers
         for net in nets:

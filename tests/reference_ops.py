@@ -24,7 +24,18 @@ with one 2-D index; the frozen V_p, V_s and V_01 forms still use them.
 `mlp_forward` and `mlp_backward` are the network's plain forward and
 backward as they were before they could write into buffers built once:
 every layer output, mask and gradient a fresh array; test_autodiff.py
-compares the buffered forms against them bitwise."""
+compares the buffered forms against them bitwise.  `v_01_node`, at an
+upstream 1, is also V_01's closed form as it was before its gradient was
+added in place into the weights (`column_stack` and `full`).
+
+The closed forms as the replay step ran them before it took the stopped
+discriminator's softmax once and worked row-wise reductions by column:
+`xent` (row max, exp and row sums along the rows, the adjoint added as
+d + p * -rowsum(d)), `discriminator_divergences` (a boolean class mask,
+a column list index, `count_nonzero` and `np.clip`) and
+`coeff_stats_for_step` (its own softmax of the discriminator's logits and
+a list of two miss rows).  test_closed_forms.py compares the library's
+forms against them bit for bit."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -32,6 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from dilkit.autodiff import ContractError, Tensor, _make, _wrap, add, mlp, mul
+from dilkit.losses import CoeffStats
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -328,3 +340,58 @@ def v_01_selection(omega, stats, c_gen: float, n_current: int,
     v = mlp(reshape(m, (1, 3 * n_past)), [(Tensor(select), Tensor(offset))])
     rad = sqrt(tsum(mul(mul(v, v), w)))
     return add(tsum(mul(m, stats.weights())), mul(rad, c_gen))
+
+
+# -- the replay step's closed forms before they read one softmax by column --
+
+def xent(a: np.ndarray, target):
+    """-sum(target * log_softmax(a)) and its adjoint for an upstream g, as
+    (value, adjoint), with NumPy's row max and row sums."""
+    target = np.asarray(target, dtype=np.float64)
+    if a.ndim != 2 or target.shape != a.shape:
+        raise ContractError("softmax_xent target must match the [n, c] logits, "
+                            "got %r for %r" % (target.shape, a.shape))
+    m = a.max(axis=-1, keepdims=True)
+    e = np.exp(a - m)
+    s = e.sum(axis=-1, keepdims=True)
+    logp = a + (m + np.log(s)) * -1.0
+    value = float(-(logp * target).sum())
+
+    def adjoint(g: float) -> np.ndarray:
+        d = target * -g
+        d += e / s * (d.sum(axis=-1, keepdims=True) * -1.0)
+        return d
+    return value, adjoint
+
+
+def discriminator_divergences(probs: np.ndarray, layout) -> np.ndarray:
+    """The divergence estimate of every past domain from the [n, t]
+    discriminator probabilities on a record laid out as `layout` says."""
+    sizes, t = layout.sizes, layout.t
+    if not layout.full:
+        raise ContractError("every segment must be nonempty")
+    if probs.shape[1] != t:
+        raise ContractError(f"discriminator arity {probs.shape[1]} != t={t}")
+    n_cur, cols = sizes[0], np.array(layout.ids, dtype=np.int64) - 1
+    cur = probs[:n_cur]
+    class_mask = layout.domain_class[:, None] == np.arange(t)
+    hits = probs[class_mask][n_cur:] >= probs[n_cur:, t - 1]
+    b = 0.5 * (np.bincount(layout.past_seg, hits, cols.size) / sizes[1:]
+               + np.count_nonzero(cur[:, cols] < cur[:, [t - 1]], axis=0) / n_cur)
+    return np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0)
+
+
+def coeff_stats_for_step(eps_hist: np.ndarray, batch, logits: np.ndarray,
+                         disc_logits: np.ndarray,
+                         teacher_pred: np.ndarray) -> CoeffStats:
+    """The coefficient statistics from the student's and the stopped
+    discriminator's logits and the teacher's argmax on a record's rows."""
+    layout = batch.layout
+    m = disc_logits.max(axis=-1, keepdims=True)
+    e = np.exp(disc_logits - m)
+    dhat = discriminator_divergences(e / e.sum(axis=-1, keepdims=True), layout)
+    pred = np.argmax(logits, axis=1)
+    wrong, differs = np.add.reduceat(
+        [pred != batch.y, pred != teacher_pred], layout.bounds[:-1], axis=1,
+        dtype=np.int64) / layout.sizes
+    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)

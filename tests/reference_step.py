@@ -36,7 +36,13 @@ graph, its networks chains of linear and relu nodes, V_l, V_d and the
 encoder terms nodes (`graph_v_l`, `graph_v_d`, `graph_encoder_aux_loss`,
 over the cross-entropy node `graph_softmax_xent`), its softmax and row sums
 NumPy's; test_stacked_step.py compares the trainer's step against it bit
-for bit, and test_step_layout.py the closed forms against its nodes."""
+for bit, and test_step_layout.py the closed forms against its nodes.
+`classification_loss` is the mean cross-entropy as a node over a
+classifier's logits, as the library built it before it returned its logits
+gradient in closed form; the per-domain V_l here is built from it.
+`graph_erm_steps` is `trainer._erm_steps` (domain 1, FineTune, Joint) as
+one such graph per step; test_trainer.py compares the trainer's ERM steps
+against it bit for bit."""
 from __future__ import annotations
 
 import logging
@@ -51,12 +57,12 @@ from dilkit.autodiff import (
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
     N_NEGATIVES, CoeffStats, HyperParams, StepBatch,
-    _check_omega, _one_hot, classification_loss, erm01,
+    _check_omega, _one_hot, erm01,
 )
 from dilkit.losses import v_p as library_v_p, v_s as library_v_s
 from dilkit.membank import MemoryBank
 from dilkit.models import Classifier, Mlp, sgd_step
-from dilkit.trainer import StepRecord, _check_finite
+from dilkit.trainer import StepRecord, _check_finite, _draw_rows
 
 from reference_ops import (
     column, concat_cols, log_softmax, mlp_chain, pick, reshape, softmax, sqrt,
@@ -93,6 +99,17 @@ def snapshot_history(model: Classifier, bank: MemoryBank) -> HistorySnapshot:
     cached = {i: float(np.mean(np.argmax(logits[i], axis=1) != b.y))
               for i, b in bank.buckets.items()}
     return HistorySnapshot(frozen, cached, logits, embedded)
+
+
+def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
+    """Mean cross-entropy -log p(true class) as a node over h's logits, as
+    the library built it before it returned its logits gradient in closed
+    form."""
+    if len(batch) == 0:
+        raise ContractError("classification_loss: empty batch")
+    logits = h.logits(batch.x)
+    return graph_softmax_xent(
+        logits, _one_hot(batch.y, logits.data.shape[1], 1.0 / len(batch)))
 
 
 def distillation_loss(h: Classifier, teacher, inputs: np.ndarray) -> Tensor:
@@ -642,3 +659,20 @@ def graph_replay_step(state, disc: Mlp, stopped_disc: Mlp,
     objective.backward()
     sgd_step(model.params(), sgd.learning_rate)
     return StepRecord(omega, stats, disc_value, coeff_value, model_value)
+
+
+def graph_erm_steps(model: Classifier, data: LabeledSet, sgd, rng: np.random.Generator,
+                    method: str, t: int) -> None:
+    """trainer._erm_steps as it ran before the ERM steps ran each network's
+    closed-form forward and backward: each step one autodiff graph, its
+    batch a `LabeledSet.subset`, its networks chains of linear and relu
+    nodes and its loss the cross-entropy node `graph_softmax_xent`."""
+    for step in range(1, sgd.step_count + 1):
+        batch = data.subset(_draw_rows(len(data), sgd.batch_size, rng))
+        logits = mlp_chain(mlp_chain(batch.x, model.encoder.layers),
+                           model.predictor.layers)
+        loss = graph_softmax_xent(
+            logits, _one_hot(batch.y, logits.data.shape[1], 1.0 / len(batch)))
+        _check_finite(loss.item(), "classification", method, t, step)
+        loss.backward()
+        sgd_step(model.params(), sgd.learning_rate)

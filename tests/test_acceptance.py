@@ -183,7 +183,7 @@ def test_criterion_04_gradient_suite_100_trials_each():
             "v_01": (lambda z: _coefficient_step_gradient(z, stats),
                      coeff_logits),
             "v_d": (lambda: closed_form_node(
-                        lambda z: v_d(batch, omega, z, 1.0),
+                        lambda z: v_d(batch, omega, z, 1.0, None),
                         d.logits(enc.logits(batch.x))),
                     enc.params() + d.params()),
             "v_p": (lambda: v_p(batch, enc.logits(batch.x),
@@ -308,7 +308,8 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     disc = Mlp([1, 2], rng=substream(0xD1, "disc-init"))
     batch = LabeledSet(pooled.reshape(-1, 1), [0] * n + [1] * n)
     for _ in range(400):
-        loss = classification_loss(disc, batch)
+        loss = closed_form_node(lambda z: classification_loss(z, batch.y),
+                                disc.logits(batch.x))
         loss.backward()
         sgd_step(disc.params(), 1.0)
         for p in disc.params():
@@ -330,7 +331,7 @@ def test_criterion_07_divergence_estimate_tracks_exact():
                        StepLayout([300, 300], (1,), 2))
     for _ in range(200):
         acts = disc4.forward(enc4.stopped().logits(record.x).data)
-        disc4.backward(acts, v_d(record, omega, acts[-1], 1.0)[1], False)
+        disc4.backward(acts, v_d(record, omega, acts[-1], 1.0, None)[1], False)
         sgd_step(disc4.params(), 0.2)
         for p in disc4.params():
             p.grad = None

@@ -16,6 +16,7 @@ from dilkit.losses import StepLayout, classification_loss
 from dilkit.models import Mlp, sgd_step
 from dilkit.seeding import substream
 from finite_classes import all_labelings, threshold_class
+from gradcheck import closed_form_node
 
 
 def naive_hdh(labelings, sample_p, sample_q):
@@ -220,7 +221,8 @@ def test_trained_discriminator_tracks_exact_divergence():
     d = Mlp([1, 2], rng=substream(0xD1, "disc-init"))
     batch = LabeledSet(pooled.reshape(-1, 1), [0] * n + [1] * n)
     for _ in range(400):
-        loss = classification_loss(d, batch)
+        loss = closed_form_node(lambda z: classification_loss(z, batch.y),
+                                d.logits(batch.x))
         loss.backward()
         sgd_step(d.params(), 1.0)
         for p in d.params():

@@ -57,18 +57,23 @@ def np_distill(clf, teacher, x):
     return -(t * lp).sum(axis=1).mean()
 
 
+def _ce(clf, batch):
+    """classification_loss's value on the classifier's logits for `batch`."""
+    return classification_loss(clf.logits(batch.x).data, batch.y)[0]
+
+
 def test_classification_perfect_prediction():
     clf = passthrough_classifier(3)
     # logits massively favor the true class -> p(true) ~ 1
     x = np.array([[50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
     batch = LabeledSet(x, [0, 1])
-    assert classification_loss(clf, batch).item() < 1e-12
+    assert _ce(clf, batch) < 1e-12
 
 
 def test_classification_uniform_binary():
     clf = passthrough_classifier(2)
     batch = LabeledSet(np.zeros((4, 2)), [0, 1, 0, 1])
-    assert classification_loss(clf, batch).item() == pytest.approx(math.log(2))
+    assert _ce(clf, batch) == pytest.approx(math.log(2))
 
 
 def test_classification_hand_probabilities():
@@ -77,13 +82,13 @@ def test_classification_hand_probabilities():
     rows = [np.log([0.7, 0.3]), np.log([0.7, 0.3]), np.log([0.1, 0.9])]
     batch = LabeledSet(np.array(rows), [0, 0, 0])
     expect = (2 * -math.log(0.7) + -math.log(0.1)) / 3
-    assert classification_loss(clf, batch).item() == pytest.approx(expect)
+    assert _ce(clf, batch) == pytest.approx(expect)
 
 
 def test_classification_empty_batch():
     clf = passthrough_classifier(2)
     with pytest.raises(ContractError):
-        classification_loss(clf, LabeledSet(np.zeros((0, 2)), []))
+        _ce(clf, LabeledSet(np.zeros((0, 2)), []))
 
 
 def test_distillation_self_is_entropy_floor():
@@ -103,7 +108,7 @@ def test_distillation_onehot_reduces_to_classification():
     x = np.array([[80.0, 0.0], [0.0, 80.0], [90.0, 1.0]])
     dl = distillation_loss(clf, teacher, x).item()
     labels = teacher.predict(x)
-    cl = classification_loss(clf, LabeledSet(x, labels)).item()
+    cl = _ce(clf, LabeledSet(x, labels))
     assert dl == pytest.approx(cl, abs=1e-9)
 
 
@@ -180,7 +185,7 @@ def _v_d(d, enc, omega, cur_x, past_x, t):
     """V_d on the record of `cur_x` and `past_x`, from d(enc(x)), as a node
     over the logits."""
     b = _x_record(cur_x, past_x, t)
-    return closed_form_node(lambda z: v_d(b, omega, z, 1.0),
+    return closed_form_node(lambda z: v_d(b, omega, z, 1.0, None),
                             d.logits(enc.logits(b.x)))
 
 
@@ -387,7 +392,7 @@ def test_v_d_zero_betas():
     d = Mlp([3, 2], rng=np.random.default_rng(0))
     b = _x_record(np.zeros((4, 3)), {1: np.zeros((4, 3))}, 2)
     assert v_d(b, np.array([[0.5, 0.0, 0.5]]),
-               d.logits(enc.logits(b.x)).data, 1.0) is None
+               d.logits(enc.logits(b.x)).data, 1.0, None) is None
 
 
 def test_v_d_uniform_discriminator_4ln3():
@@ -563,7 +568,7 @@ def test_encoder_aux_reductions_and_composition():
 
     def aux(hp, seed):
         embedding = enc.logits(batch.x).data
-        return encoder_aux_loss(embedding, d.logits(embedding).data,
+        return encoder_aux_loss(embedding, d.logits(embedding).data, None,
                                 prev.logits(batch.x).data, omega, batch, hp,
                                 np.random.default_rng(seed))[0]
 
@@ -597,7 +602,7 @@ def test_encoder_aux_gradient_reaches_encoder_only():
     disc_acts = stopped.forward(encoded[-1])
     hp = HyperParams(lambda_d=1.0)
     _, disc_grad, emb_grad = encoder_aux_loss(
-        encoded[-1], disc_acts[-1],
+        encoded[-1], disc_acts[-1], None,
         Mlp([3, 4, 2], rng=rng).logits(batch.x).data,
         np.array([[0.0, 1.0, 0.0]]), batch, hp, np.random.default_rng(0))
     assert emb_grad is None
@@ -642,7 +647,7 @@ LOSS_RAISES = [
      lambda b, w: v_l(b, w, _H.logits(b.x).data, np.zeros((len(b.y), 3)))[0],
      (None, [LWF, ER]), (None, [ER, ER])),
     ("v_d: empty batch",
-     lambda b, w: v_d(b, w, _D.logits(b.x).data, 1.0)[0],
+     lambda b, w: v_d(b, w, _D.logits(b.x).data, 1.0, None)[0],
      (2, [LWF, LWF]), (2, [LWF, ER])),
     ("v_p: empty batch",
      lambda b, w: v_p(b, _H.encoder.logits(b.x),

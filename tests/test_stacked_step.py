@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_step as ref
 from dilkit import trainer
-from dilkit.autodiff import ContractError, Tensor, add, mul, softmax
+from dilkit.autodiff import (ContractError, Tensor, add, mul, softmax,
+                             softmax_parts)
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.divergence import hdh_discriminator_estimate
@@ -88,12 +89,12 @@ def _eps_hist(history):
 
 def _outputs(h, teacher, disc, batch):
     """What a step hands coeff_stats_for_step on the record's rows: the
-    student's logits, the stopped discriminator's on the student's
+    student's logits, the stopped discriminator's softmax on the student's
     embedding, and the teacher's argmax."""
     stopped = h.stopped()
     embedding = stopped.encoder.logits(batch.x)
     return (stopped.predictor.logits(embedding).data,
-            disc.stopped().logits(embedding).data,
+            softmax(disc.stopped().logits(embedding).data),
             teacher.predict(batch.x))
 
 
@@ -112,7 +113,7 @@ def _v_d(disc, encoder, omega, current, past):
     discriminator's logits on the encoder's embedding of its rows, as a
     node over the logits."""
     batch = StepBatch.stack(current, past)
-    return closed_form_node(lambda z: v_d(batch, omega, z, 1.0),
+    return closed_form_node(lambda z: v_d(batch, omega, z, 1.0, None),
                             disc.logits(encoder.logits(batch.x)))
 
 
@@ -322,7 +323,7 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
     d_stopped = disc.stopped()
 
     def v_d_at(z):
-        return v_d(batch, omega, z, 1.0)
+        return v_d(batch, omega, z, 1.0, None)
     _assert_same(closed_form_node(v_d_at, d_stopped.logits(h.encoder.logits(x))),
                  ref.v_d(d_stopped, h.encoder, omega, current.x, past_x, t),
                  h.encoder.params())
@@ -332,7 +333,7 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
                  disc.params())
     got = coeff_stats_for_step(
         _eps_hist(history), batch, h.logits(x).data,
-        disc.logits(h.encoder.logits(x)).data,
+        softmax(disc.logits(h.encoder.logits(x)).data),
         np.argmax(teacher_logits, axis=1))
     want = ref.coeff_stats_for_step(h, history, disc, current, past)
     for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
@@ -360,7 +361,8 @@ def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
     encoded = enc.forward(batch.x)
     disc_acts = d_stopped.forward(encoded[-1])
     got_val, disc_grad, emb_grad = encoder_aux_loss(
-        encoded[-1], disc_acts[-1], teacher.logits(batch.x).data, omega,
+        encoded[-1], disc_acts[-1], softmax_parts(disc_acts[-1]),
+        teacher.logits(batch.x).data, omega,
         batch, AUX_HP, rng)
     into = [emb_grad] + ([] if disc_grad is None else
                          [d_stopped.backward(disc_acts, disc_grad, True)])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_step as ref
 from dilkit import losses, trainer
-from dilkit.autodiff import ContractError, Tensor, mul, softmax
+from dilkit.autodiff import ContractError, Tensor, mul, softmax, softmax_parts
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.losses import HyperParams, StepBatch, StepLayout, v_d, v_l
@@ -134,18 +134,25 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
                                                        teacher_logits()),
                             logits, 1.0))
 
-    def check_v_d(batch, omega, logits, scale):
+    def check_v_d(batch, omega, logits, scale, *rest):
         record = ref.Record.of(batch)
         if logits is None:  # no beta mass: no discriminator pass to read
-            assert _closed(v_d(batch, omega, None, scale)) \
+            assert _closed(v_d(batch, omega, None, scale, *rest)) \
                 == (ref.per_step_v_d(record, omega, None).data.tobytes(), None)
             return
-        assert (_closed(v_d(batch, omega, logits, scale))
+        assert (_closed(v_d(batch, omega, logits, scale, *rest))
                 == _at_leaf(lambda z: ref.per_step_v_d(record, omega, z),
                             logits, scale))
 
-    def check_stats(eps_hist, batch, logits, disc_logits, teacher_pred):
-        _same_stats(coeff_stats_for_step(eps_hist, batch, logits, disc_logits,
+    def recording_softmax_parts(a):
+        # the stopped discriminator's logits, whose softmax the statistics read
+        seen["disc_logits"] = a
+        return softmax_parts(a)
+
+    def check_stats(eps_hist, batch, logits, disc_probs, teacher_pred):
+        disc_logits = seen["disc_logits"]
+        assert disc_probs.tobytes() == softmax(disc_logits).tobytes()
+        _same_stats(coeff_stats_for_step(eps_hist, batch, logits, disc_probs,
                                          teacher_pred),
                     ref.per_step_coeff_stats(eps_hist, ref.Record.of(batch),
                                              logits, disc_logits,
@@ -154,6 +161,7 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
     monkeypatch.setattr(trainer, "snapshot_history", teacher_pass)
     monkeypatch.setattr(trainer, "_draw_rows", recording_draw_rows)
     monkeypatch.setattr(bank, "sample_past", recording_sample_past)
+    monkeypatch.setattr(trainer, "softmax_parts", recording_softmax_parts)
     monkeypatch.setattr(trainer, "v_l", checked("v_l", v_l, check_v_l))
     monkeypatch.setattr(trainer, "v_d", checked("v_d", v_d, check_v_d))
     monkeypatch.setattr(losses, "v_d", checked("v_d_enc", v_d, check_v_d))
@@ -208,7 +216,7 @@ def test_empty_segments_match_per_step_forms_bytewise(kind, empty):
          lambda: _at_leaf(lambda z: ref.per_step_v_l(record, omega, z,
                                                      teacher_logits),
                           logits, 1.0)),
-        (lambda: _closed(v_d(batch, omega, disc_logits, 1.0)),
+        (lambda: _closed(v_d(batch, omega, disc_logits, 1.0, None)),
          lambda: _at_leaf(lambda z: ref.per_step_v_d(record, omega, z),
                           disc_logits, 1.0)),
     ]
@@ -216,7 +224,7 @@ def test_empty_segments_match_per_step_forms_bytewise(kind, empty):
         assert _outcome(new) == _outcome(old)
     eps_hist = rng.random(2)
     assert _outcome(lambda: coeff_stats_for_step(
-        eps_hist, batch, logits, disc_logits,
+        eps_hist, batch, logits, softmax(disc_logits),
         np.argmax(teacher_logits, axis=1))) \
         == _outcome(lambda: ref.per_step_coeff_stats(
             eps_hist, record, logits, disc_logits, teacher_logits)) \
@@ -236,15 +244,16 @@ CONTRACTS = [
      lambda new, b, w, x: v_l(b, w, x[:, :2], softmax(x)) if new
      else ref.per_step_v_l(b, w, Tensor(x[:, :2]), x)),
     ("v_d: empty batch", [LWF, LWF], 2,
-     lambda new, b, w, x: v_d(b, w, x, 1.0) if new
+     lambda new, b, w, x: v_d(b, w, x, 1.0, None) if new
      else ref.per_step_v_d(b, w, Tensor(x))),
     ("discriminator arity", [LWF, LWF], None,
-     lambda new, b, w, x: v_d(b, w, np.c_[x, x], 1.0) if new
+     lambda new, b, w, x: v_d(b, w, np.c_[x, x], 1.0, None) if new
      else ref.per_step_v_d(b, w, Tensor(np.c_[x, x]))),
     ("every segment must be nonempty", [ER, ER], 0,
      lambda new, b, w, x: (coeff_stats_for_step if new
                            else ref.per_step_coeff_stats)(
-         np.zeros(2), b, x, x, np.argmax(x, axis=1) if new else x)),
+         np.zeros(2), b, x, softmax(x) if new else x,
+         np.argmax(x, axis=1) if new else x)),
 ]
 
 

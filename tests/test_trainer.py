@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -11,16 +12,17 @@ from dilkit.coeffs import (
 )
 from dilkit.datagen import DomainStream, LabeledSet, gen_hd_balls
 from dilkit.losses import (
-    CoeffStats, HyperParams, StepBatch, StepLayout, classification_loss,
-    encoder_aux_loss, erm01, v_01, v_d, v_l,
+    CoeffStats, HyperParams, StepBatch, StepLayout, encoder_aux_loss, erm01,
+    v_01, v_d, v_l,
 )
 from dilkit.membank import MemoryBank
-from dilkit.models import ArchConfig, SgdConfig, sgd_step
+from dilkit.models import ArchConfig, Mlp, SgdConfig, sgd_step
 from dilkit.seeding import substream
 from dilkit.trainer import (
     TrainerConfig, coeff_stats_for_step, descend_v01,
     initial_state, run_sequence, snapshot_history, train_domain,
 )
+import reference_step as ref
 from reference_step import erm01_agreement, frozen_copy
 
 SMALL_ARCH = ArchConfig(encoder_hidden=[8], embed_dim=4,
@@ -74,11 +76,101 @@ def test_domain1_equals_plain_sgd():
     data = stream.train(1)
     for _ in range(40):
         idx = np.sort(rng.choice(len(data), size=16, replace=False))
-        loss = classification_loss(manual, data.subset(idx))
+        loss = ref.classification_loss(manual, data.subset(idx))
         loss.backward()
         sgd_step(manual.params(), 0.2)
     for got, want in zip(state.model.params(), manual.params()):
         np.testing.assert_array_equal(got.data, want.data)
+
+
+def _ten_class_stream(seed=4):
+    """Three domains of 4-D points with ten classes: the cross-entropy's
+    class axis is then wider than 8."""
+    rng = np.random.default_rng(seed)
+    domains = [tuple(LabeledSet(rng.normal(size=(n, 4)) + t,
+                                rng.integers(0, 10, n), t) for n in (50, 10))
+               for t in (1, 2, 3)]
+    return DomainStream(domains, 10, 4)
+
+
+@pytest.mark.parametrize("method", ["UDIL", "FineTune", "Joint"])
+@pytest.mark.parametrize("classes", [2, 10])
+def test_erm_steps_match_frozen_graph_steps_bitwise(monkeypatch, method,
+                                                    classes):
+    """Every ERM domain of a three-domain run (domain 1 for UDIL, each
+    domain for FineTune and Joint) against reference_step.graph_erm_steps,
+    the steps as one autodiff graph each, run from copies of the same model
+    and rng: every parameter and the rng's state after the domain, bit for
+    bit, with two classes and with ten."""
+    stream = small_stream() if classes == 2 else _ten_class_stream()
+    library, seen = trainer._erm_steps, []
+
+    def both(model, data, sgd, rng, method, t):
+        want, ref_rng = copy.deepcopy(model), copy.deepcopy(rng)
+        ref.graph_erm_steps(want, data, sgd, ref_rng, method, t)
+        library(model, data, sgd, rng, method, t)
+        for k, (p, r) in enumerate(zip(model.params(), want.params())):
+            assert p.data.tobytes() == r.data.tobytes(), (method, t, k)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert all(net.buffers is None
+                   for net in (model.encoder, model.predictor))
+        seen.append(t)
+
+    monkeypatch.setattr(trainer, "_erm_steps", both)
+    run_sequence(stream, small_config(method, steps=12))
+    assert seen == ([1] if method == "UDIL" else [1, 2, 3])
+
+
+@pytest.mark.parametrize("method", ["UDIL", "FineTune", "Joint"])
+def test_erm_step_runs_each_network_once_and_builds_no_tensor(monkeypatch,
+                                                             method):
+    """Per ERM step (domain 1 for UDIL, each domain for FineTune and
+    Joint), counted as the replay step's passes are (a three-step domain
+    less a one-step one, halved): each network runs forward once and
+    backward once (Mlp.forward, Mlp.backward), no Mlp.logits graph node,
+    no Tensor constructed, no Tensor.backward, and no LabeledSet built."""
+    logs = {name: [] for name in ("forward", "backward", "logits")}
+    for name in logs:
+        def counting(self, *args, fn=getattr(Mlp, name), log=logs[name]):
+            log.append(self)
+            return fn(self, *args)
+        monkeypatch.setattr(Mlp, name, counting)
+    made, walks, sets = [], [], []
+    init, walk, post_init = Tensor.__init__, Tensor.backward, LabeledSet.__post_init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    def counting_walk(self):
+        walks.append(None)
+        walk(self)
+
+    def counting_post_init(self):
+        sets.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(Tensor, "backward", counting_walk)
+    monkeypatch.setattr(LabeledSet, "__post_init__", counting_post_init)
+    stream = small_stream()
+    counted = [logs["forward"], logs["backward"], logs["logits"], made, walks,
+               sets]
+    domains = (1,) if method == "UDIL" else (1, 2, 3)
+
+    def per_domain(steps):
+        state = initial_state(small_config(method, steps=steps), 4, 2)
+        counts = {}
+        for t in domains:
+            pooled = trainer._pooled_through(stream, t) if method == "Joint" else None
+            start = [len(log) for log in counted]
+            state = train_domain(state, stream.train(t), pooled)
+            counts[t] = [len(log) - n for log, n in zip(counted, start)]
+        return counts
+
+    one, three = per_domain(1), per_domain(3)
+    assert {t: tuple((b - a) / 2 for a, b in zip(one[t], three[t]))
+            for t in domains} == {t: (2, 2, 0, 0, 0, 0) for t in domains}
 
 
 def test_model_starts_from_history(monkeypatch):
@@ -265,7 +357,7 @@ def test_trained_discriminator_near_chance_on_identical_distributions():
                        StepLayout([300, 300], (1,), 2))
     for _ in range(200):
         acts = d.forward(enc.stopped().logits(record.x).data)
-        d.backward(acts, v_d(record, omega, acts[-1], 1.0)[1], False)
+        d.backward(acts, v_d(record, omega, acts[-1], 1.0, None)[1], False)
         sgd_step(d.params(), 0.2)
     est = hdh_discriminator_estimate(d, enc, cur_eval, past_eval, 1)
     assert est <= 0.1
@@ -296,8 +388,8 @@ def test_update_isolation_checksums():
 
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
     acts = disc.forward(model.encoder.forward(batch.x)[-1])
-    disc.backward(acts, v_d(batch, softmax(coeff_logits.data), acts[-1], 1.0)[1],
-                  False)
+    disc.backward(acts, v_d(batch, softmax(coeff_logits.data), acts[-1], 1.0,
+                            None)[1], False)
     sgd_step(disc.params(), 0.2)
     assert unchanged(model.params(), m0) and unchanged([coeff_logits], o0)
     assert not unchanged(disc.params(), d0)
@@ -306,7 +398,7 @@ def test_update_isolation_checksums():
     embedding = model.encoder.logits(batch.x)
     stats = coeff_stats_for_step(
         eps_hist, batch, model.predictor.logits(embedding).data,
-        disc.logits(embedding).data,
+        softmax(disc.logits(embedding).data),
         teacher.predict(batch.x))
     omega = softmax(coeff_logits.data)
     _, grad = v_01(omega, stats, 1.0, len(data),
@@ -324,7 +416,7 @@ def test_update_isolation_checksums():
                          softmax(teacher.logits(batch.x).data))
     stopped = disc.stopped()
     disc_acts = stopped.forward(encoded[-1])
-    _, disc_grad, _ = encoder_aux_loss(encoded[-1], disc_acts[-1],
+    _, disc_grad, _ = encoder_aux_loss(encoded[-1], disc_acts[-1], None,
                                        teacher.embed(batch.x).data,
                                        frozen, batch, HyperParams(), rng)
     grad = stopped.backward(disc_acts, disc_grad, True)
