@@ -270,22 +270,16 @@ def rows(a: Tensor, idx) -> Tensor:
 def _row_reduce(ufunc: np.ufunc, a: np.ndarray,
                 at: np.ndarray | None = None) -> np.ndarray:
     """ufunc.reduce over the last axis of [..., c] `a`, bitwise as NumPy's
-    max or sum along it gives it; `at`, when given, is a.T as a contiguous
-    copy.  Below 8 columns the columns are taken one at a time, in order:
-    NumPy's reduction along a short last axis costs more than its
-    elementwise ops, and its sum adds a row's entries in order there.
-    From 8 up NumPy's pairwise sum groups them otherwise, and from 9 up its
-    vectorized max can return -0.0 where the columns taken in order give
-    0.0 (measured), so from 8 up NumPy's reduction is kept."""
+    max or sum along it gives it on `a` in C order; `at`, when given, is
+    a.T as a contiguous copy.  Below 8 columns the columns are taken one at
+    a time, in order: NumPy's reduction along a short last axis costs more
+    than its elementwise ops, and its sum adds a row's entries in order
+    there.  From 8 up NumPy's pairwise sum groups them otherwise, and from
+    9 up its vectorized max can return -0.0 where the columns taken in
+    order give 0.0 (measured), so from 8 up NumPy's reduction is kept."""
     if a.shape[-1] >= 8:
         return ufunc.reduce(np.ascontiguousarray(a), axis=-1)
     return ufunc.reduce(a.T.copy() if at is None else at).T
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1, keepdims=True), bitwise (signed zeros, NaN and inf
-    included)."""
-    return _row_reduce(np.maximum, a)[..., None]
 
 
 def row_sum(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dilkit
 from dilkit.autodiff import (
-    ContractError, Tensor, _row_max, add, mlp, mlp_backward, mlp_buffers,
+    ContractError, Tensor, _row_reduce, add, mlp, mlp_backward, mlp_buffers,
     mlp_forward, mul, row_sum, rows, rowsum, softmax, softmax_xent,
 )
 from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
@@ -788,7 +788,8 @@ def test_row_max_is_numpys_row_max_bitwise(seed, cols, rows, special):
     equals NumPy's max(axis=-1, keepdims=True) bit for bit, with signed
     zeros, NaN and infinities."""
     a = _wide_range_array(seed, rows, cols, special)
-    assert _bitwise(_row_max(a), a.max(axis=-1, keepdims=True))
+    assert _bitwise(_row_reduce(np.maximum, a)[..., None],
+                    a.max(axis=-1, keepdims=True))
 
 
 def test_row_sum_keeps_numpys_sum_from_eight_columns():
