@@ -324,14 +324,16 @@ def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
 
 
 def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
-                     disc_parts: Softmax | None, teacher_embedding: np.ndarray | None, omega: np.ndarray,
+                     disc_parts: Softmax | None,
+                     teacher_embedding: np.ndarray | None, omega: np.ndarray,
                      batch: StepBatch, hp: HyperParams,
                      rng: np.random.Generator
                      ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """-lambda_d * V_d + lambda_p * V_p + lambda_s * V_s from the step's passes
     over the record's rows, running no network: the student's `embedding`, the
     stopped discriminator's `disc_logits` on it (None with no beta mass left)
-    with their `softmax_parts` (`disc_parts`, None when not taken) and the frozen teacher's `teacher_embedding` (None when lambda_p = 0).
+    and their `softmax_parts` (`disc_parts`; None leaves V_d to take it), and
+    the frozen teacher's `teacher_embedding` (None when lambda_p = 0).
     Returns the value, its terms added in that order (-0.0, which adds no
     bit, when none is on), the gradient on `disc_logits` (None without a
     V_d term) and the gradient of the V_p and V_s terms on the embedding,
