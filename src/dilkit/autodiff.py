@@ -1,42 +1,26 @@
-"""Minimal reverse-mode autodiff over numpy float64 arrays.
+"""Closed-form network passes, softmax and cross-entropy over numpy
+float64 arrays, and `Tensor`, the parameter holder they read.
 
-Ops, each one the library calls: add, mul, rowsum, rows, mlp and
-softmax_xent.  rowsum sums the last axis; rows gathers rows by an index of
-any shape; mlp is a network forward (layers x @ w + b with relu between
-them) as one node; softmax_xent is -sum(target * log_softmax(a)), every
-cross-entropy.
+A Tensor holds a parameter's value (`data`), its gradient (`grad`, None
+until a backward sets it; the optimizer step clears it) and whether it
+takes one.  The library builds no graph of Tensors.  The test-side graph
+does, over the parameters: each of its nodes is a Tensor with a
+`_backward` closure and a creation number, `backward()` runs the closures
+of the nodes a scalar loss reaches in reverse creation order, and
+`_accum` adds a closure's gradient into an input's (a first one copied
+unless fresh, later ones added with +=).  perfbench wraps `backward` and
+counts Tensor constructions by name.
 
-Two ops are nodes over closed forms that the replay step also calls
-without a graph.  `mlp_forward` is a plain function of an array that keeps
-each layer's input and builds no node; `mlp_backward` is a plain function
-that takes the output gradient, accumulates the parameters' gradients and
-returns the input's, and builds no node either; `mlp` wraps both and
-has them write into fresh arrays, since its callers keep its outputs.
-`mlp_buffers` is a plain function that builds, once for a row count, the
-arrays the replay step's forward and backward write into instead, and
-builds no node.
-`xent` is a plain function that returns the cross-entropy's value and its
-adjoint for an upstream scalar, and builds no node; `softmax_xent` wraps
-it.  `softmax_parts` is a plain function that returns a row-wise softmax
-stored by column, with the row max and row sum it took, which `xent` and
-the divergence estimate read, and builds no node; a caller that needs the
-softmax of one array twice takes it once.  `softmax` is a plain row-wise
-function of an array: it builds no node and has no backward.
-`row_sum` is a plain function that sums the last axis, bitwise as NumPy
-does, and builds no node.
-
-Each op builds a Tensor holding a `_backward` closure and a creation number;
-an op's inputs exist before its output, so `backward()` runs the closures
-of the nodes the loss reaches in reverse creation order, passing each node
-its own `.grad`, and the closures accumulate into their inputs' `.grad`:
-mlp's own fresh gradients are taken as they are, every other first
-gradient is copied, and later ones are added with +=.  A buffered
-`mlp_backward` hands a parameter its buffer only while the parameter holds
-no gradient; one still held gets a fresh gradient added to it.
-A closure takes the incoming gradient as its argument and holds no
-reference to its output, so a graph has no reference cycles: dropping the
-loss frees the whole graph at once, without the cyclic garbage collector.
-Gradients are cleared by the optimizer step, not here.
+`mlp_forward` runs a network (x @ w + b per layer, relu between layers)
+and keeps each layer's input; `mlp_backward` takes the output gradient,
+accumulates the parameters' gradients and returns the input's;
+`mlp_buffers` builds, once for a row count, the arrays the two write into
+instead of fresh ones.  A buffered `mlp_backward` hands a parameter its
+buffer only while the parameter holds no gradient; one still held gets a
+fresh gradient added to it.  `softmax_parts` is a row-wise softmax stored
+by column, with the row max and row sum it took; `softmax` is the softmax
+itself, `xent` the cross-entropy's value and its adjoint for an upstream
+scalar, and `row_sum` NumPy's last-axis sum, bitwise.
 """
 from __future__ import annotations
 
@@ -73,7 +57,7 @@ class Tensor:
     def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:  # copied: add hands one g to both parents
+        if self.grad is None:  # copied: a node may hand one g to two parents
             self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
@@ -94,49 +78,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce gradient g back to `shape` after numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
-
-
-def _make(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, _prev=tuple(parents) if req else ())
-
-
-# -- primitives --------------------------------------------------------
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = _make(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def _back(g):
-            a._accum(_unbroadcast(g, a.data.shape))
-            b._accum(_unbroadcast(g, b.data.shape))
-        out._backward = _back
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = _make(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def _back(g):
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
-        out._backward = _back
-    return out
 
 
 class LayerBuffers(NamedTuple):
@@ -224,49 +165,6 @@ def mlp_backward(hs: list[np.ndarray], layers: Sequence[tuple[Tensor, Tensor]],
     return g_in
 
 
-def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """[n, i] through the (w, b) layers -> [n, o] as one node: the forward
-    is `mlp_forward` and the backward `mlp_backward`."""
-    x = _wrap(x)
-    hs = mlp_forward(x.data, layers)
-    out = _make(hs[-1], [x] + [p for pair in layers for p in pair])
-    if out.requires_grad:
-        def _back(g):
-            g_in = mlp_backward(hs, layers, g, x.requires_grad)
-            if g_in is not None:
-                x._accum(g_in, fresh=True)
-        out._backward = _back
-    return out
-
-
-def rowsum(a: Tensor) -> Tensor:
-    """[..., c] -> [...]: sum over the last axis."""
-    a = _wrap(a)
-    if a.data.ndim == 0:
-        raise ContractError("rowsum expects a tensor of at least one axis")
-    out = _make(a.data.sum(axis=-1), (a,))
-    if out.requires_grad:
-        def _back(g):
-            a._accum(np.repeat(g[..., None], a.data.shape[-1], axis=-1))
-        out._backward = _back
-    return out
-
-
-def rows(a: Tensor, idx) -> Tensor:
-    """[n, c], index of shape s -> [*s, c]: gather whole rows (duplicates
-    allowed)."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = _make(a.data[idx], (a,))
-    if out.requires_grad:
-        def _back(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            a._accum(full)
-        out._backward = _back
-    return out
-
-
 def _row_reduce(ufunc: np.ufunc, a: np.ndarray,
                 at: np.ndarray | None = None) -> np.ndarray:
     """ufunc.reduce over the last axis of [..., c] `a`, bitwise as NumPy's
@@ -343,13 +241,3 @@ def xent(a: np.ndarray, target, parts: Softmax | None
         d -= (pt * _row_reduce(np.add, d)).T
         return d
     return value, adjoint
-
-
-def softmax_xent(a: Tensor, target) -> Tensor:
-    """[n, c], constant [n, c] -> scalar: `xent` as a node."""
-    a = _wrap(a)
-    value, adjoint = xent(a.data, target, None)
-    out = _make(value, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: a._accum(adjoint(float(g)), fresh=True)
-    return out

@@ -128,7 +128,7 @@ def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,
     if np.shape(current_x)[1:] != np.shape(past_x)[1:]:
         raise ContractError("current and past samples must have one width")
     x = np.concatenate([current_x, past_x])
-    probs = softmax(d.logits(encoder.logits(x)).data)
+    probs = softmax(d.logits(encoder.logits(x)))
     layout = StepLayout([len(current_x), len(past_x)], [past_index],
                         probs.shape[1])
     return float(discriminator_divergences(probs, layout)[0])

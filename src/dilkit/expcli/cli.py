@@ -122,7 +122,7 @@ def _embedding_rows(results: list[SequenceResult],
         model = r.final_state.model
         for t in range(1, stream.n_domains + 1):
             test = stream.test(t)
-            emb = model.embed(test.x).data
+            emb = model.embed(test.x)
             dim = emb.shape[1]
             for row, label in zip(emb, test.y):
                 rows.append((r.seed, t, int(label),

@@ -6,9 +6,9 @@ and the passes the step ran once over its rows; none runs a network, and
 none re-derives what a domain's records share (`StepLayout`).  The teacher
 whose probabilities and embedding they read is the model as the previous
 domain left it, run once over the domain's rows before its first step.
-The cross-entropy, V_l, V_01 and V_d return their value and their gradient
-in closed form, on the logits (cross-entropy, V_l, V_d) or the triples
-(V_01), and build no graph; V_p and V_s are graphs over the embedding."""
+Each returns its value and its gradient in closed form, on the logits
+(cross-entropy, V_l, V_d), the triples (V_01) or the embedding (V_p,
+V_s)."""
 from __future__ import annotations
 
 import logging
@@ -17,8 +17,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .autodiff import (ContractError, Softmax, Tensor, add, mul, rows, rowsum,
-                       softmax_xent, xent)
+from .autodiff import ContractError, Softmax, xent
 from .datagen import LabeledSet
 from .models import Range, Ranged
 
@@ -275,23 +274,31 @@ def v_d(batch: StepBatch, omega: np.ndarray, logits: np.ndarray,
     return value, adjoint(scale)
 
 
-def v_p(batch: StepBatch, embedding: Tensor,
-        teacher_embedding: Tensor | np.ndarray) -> Tensor:
+def v_p(batch: StepBatch, embedding: np.ndarray, teacher_embedding: np.ndarray,
+        scale: float) -> tuple[float, np.ndarray]:
     """Past-embedding distillation from the student's and the frozen
     teacher's embeddings of the record's rows: over past domains, the sum of
     each domain's mean squared L2 distance between the two.  The current
-    rows have weight 0."""
+    rows have weight 0.  Returns the value and the embedding gradient of
+    `scale` * V_p, 2 * scale * w_r * (e_r - teacher_r) on row r of weight
+    w_r, taken as the two halves of d(diff * diff) are."""
     seg_w = np.r_[0.0, np.ones(len(batch.layout.ids))]
     batch.layout.check_weighted(seg_w, "v_p")
-    diff = add(embedding, mul(teacher_embedding, -1.0))
-    return rowsum(mul(rowsum(mul(diff, diff)), batch.layout.row_weights(seg_w)))
+    row_w = batch.layout.row_weights(seg_w)
+    diff = embedding + teacher_embedding * -1.0
+    value = float(((diff * diff).sum(axis=-1) * row_w).sum())
+    half = (scale * row_w)[:, None] * diff
+    return value, half + half
 
 
-def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
-        rng: np.random.Generator) -> Tensor:
+def v_s(embedding: np.ndarray, y: np.ndarray, n_negatives: int,
+        rng: np.random.Generator, scale: float
+        ) -> tuple[float, np.ndarray | None]:
     """Supervised contrastive loss over squared distances between rows of
     `embedding`, labelled `y`: same-class positives, different-class negatives
-    drawn from all rows; the draws read labels only, so the loss stays smooth."""
+    drawn from all rows; the draws read labels only, so the loss stays smooth.
+    Returns the value and the embedding gradient of `scale` * V_s, or
+    (0.0, None) when V_s is the constant 0."""
     n = len(y)
     anchors, positives = [], []
     for a in range(n):
@@ -302,25 +309,32 @@ def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
             positives.append(int(rng.choice(same)))
     if not anchors:
         log.warning("v_s: no same-class pair in batch, returning 0")
-        return Tensor(0.0)
+        return 0.0, None
     # one label throughout leaves every anchor without a negative: each term
     # is -log[exp(-s+)/exp(-s+)] = 0
     if (y == y[0]).all():
-        return Tensor(0.0)
+        return 0.0, None
     k = len(anchors)
     negatives = [rng.choice(np.flatnonzero(y != y[a]), size=n_negatives,
                             replace=True) for a in anchors]
     # entry (r, 0) pairs anchor r with its positive and (r, j) with its j-th
     # negative: two [k, n_negatives + 1] gathers give every difference
+    anchor = np.repeat(np.array(anchors)[:, None], n_negatives + 1, axis=1)
     partner = np.column_stack([positives, np.stack(negatives)])
-    diff = add(rows(embedding, np.repeat(np.array(anchors)[:, None],
-                                         n_negatives + 1, axis=1)),
-               mul(rows(embedding, partner), -1.0))
-    dist = rowsum(mul(diff, diff))
+    diff = embedding[anchor] + embedding[partner] * -1.0
     # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] is the cross-entropy of
     # the logits -[s+, s-_1, ...] toward column 0
     target = _one_hot(np.zeros(k, np.int64), n_negatives + 1, 1.0 / k)
-    return softmax_xent(mul(dist, -1.0), target)
+    value, adjoint = xent((diff * diff).sum(axis=-1) * -1.0, target, None)
+    half = (adjoint(scale) * -1.0)[..., None] * diff
+    g = half + half
+    # each gather's gradient scattered into zeros, the anchors' added last
+    grad = np.zeros_like(embedding)
+    np.add.at(grad, partner, g * -1.0)
+    at_anchors = np.zeros_like(embedding)
+    np.add.at(at_anchors, anchor, g)
+    grad += at_anchors
+    return value, grad
 
 
 def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
@@ -336,24 +350,25 @@ def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
     the frozen teacher's `teacher_embedding` (None when lambda_p = 0).
     Returns the value, its terms added in that order (-0.0, which adds no
     bit, when none is on), the gradient on `disc_logits` (None without a
-    V_d term) and the gradient of the V_p and V_s terms on the embedding,
-    backpropagated through their graph over a leaf copy of it (None without
-    either).  A V_d term with no beta mass is the constant 0: it is left
-    out, as adding its -0.0 changes no bit."""
+    V_d term) and the embedding gradient of the V_p and V_s terms, V_p's
+    added into V_s's (None without either, or with only a constant V_s).
+    A V_d term with no beta mass is the constant 0: it is left out, as
+    adding its -0.0 changes no bit."""
     values, disc_grad, emb_grad = [], None, None
     if hp.lambda_d > 0 and batch.layout.ids:
         vd = v_d(batch, omega, disc_logits, -hp.lambda_d, disc_parts)
         if vd is not None:
             values.append(vd[0] * -hp.lambda_d)
             disc_grad = vd[1]
-    with_p, with_s = hp.lambda_p > 0 and bool(batch.layout.ids), hp.lambda_s > 0
-    if with_p or with_s:
-        leaf = Tensor(embedding, requires_grad=True)
-        terms = [mul(v_p(batch, leaf, teacher_embedding), hp.lambda_p)] if with_p else []
-        if with_s:
-            terms.append(mul(v_s(leaf, batch.y, N_NEGATIVES, rng), hp.lambda_s))
-        values += [term.item() for term in terms]
-        reduce(add, terms).backward()
-        emb_grad = leaf.grad
-    # in order, as the graph added them (sum() compensates from Python 3.12)
+    vp = None
+    if hp.lambda_p > 0 and batch.layout.ids:
+        vp = v_p(batch, embedding, teacher_embedding, hp.lambda_p)
+        values.append(vp[0] * hp.lambda_p)
+    if hp.lambda_s > 0:
+        value, emb_grad = v_s(embedding, batch.y, N_NEGATIVES, rng,
+                              hp.lambda_s)
+        values.append(value * hp.lambda_s)
+    if vp is not None:
+        emb_grad = vp[1] if emb_grad is None else emb_grad + vp[1]
+    # in order, as a graph adds them (sum() compensates from Python 3.12)
     return reduce(float.__add__, values, -0.0), disc_grad, emb_grad

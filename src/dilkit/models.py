@@ -1,7 +1,7 @@
 """MLPs (ReLU hidden layers, linear last layer), SGD, and the
-encoder/predictor composite used by the training loop.  An Mlp runs as a
-graph node (`logits`) or, in the replay and ERM steps, as a plain forward
-that keeps each layer's input and a backward from its logits gradient;
+encoder/predictor composite used by the training loop.  An Mlp's `logits`
+is its output array; the replay and ERM steps run it as a forward that
+keeps each layer's input and a backward from its logits gradient, and
 while its `buffers` are set (for one domain's steps, at their row count)
 those two write into them instead of into fresh arrays."""
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (ContractError, LayerBuffers, Tensor, mlp, mlp_backward,
+from .autodiff import (ContractError, LayerBuffers, Tensor, mlp_backward,
                        mlp_forward)
 
 
@@ -92,12 +92,12 @@ class Mlp:
     def params(self) -> list[Tensor]:
         return [p for pair in self.layers for p in pair]
 
-    def logits(self, x) -> Tensor:
-        return mlp(x, self.layers)
+    def logits(self, x) -> np.ndarray:
+        return mlp_forward(x, self.layers)[-1]
 
     def forward(self, x) -> list[np.ndarray]:
-        """The logits as the last of each layer's input, with no graph node:
-        what `backward` reads.  With `buffers` set, the layers' outputs are
+        """The logits as the last of each layer's input: what `backward`
+        reads.  With `buffers` set, the layers' outputs are
         those buffers, valid until the next forward."""
         return mlp_forward(x, self.layers, self.buffers)
 
@@ -111,7 +111,8 @@ class Mlp:
         return mlp_backward(acts, self.layers, g, input_grad, self.buffers)
 
     def stopped(self) -> "Mlp":
-        """View of this net whose parameters cut the gradient graph."""
+        """View of this net sharing its weights, whose parameters take no
+        gradient."""
         layers = [(Tensor(w.data), Tensor(b.data)) for w, b in self.layers]
         return Mlp([], _layers=layers)
 
@@ -134,14 +135,14 @@ class Classifier:
     encoder: Mlp
     predictor: Mlp
 
-    def embed(self, x) -> Tensor:
+    def embed(self, x) -> np.ndarray:
         return self.encoder.logits(x)
 
-    def logits(self, x) -> Tensor:
+    def logits(self, x) -> np.ndarray:
         return self.predictor.logits(self.embed(x))
 
     def predict(self, x) -> np.ndarray:
-        return np.argmax(self.logits(x).data, axis=1)
+        return np.argmax(self.logits(x), axis=1)
 
     def params(self) -> list[Tensor]:
         return self.encoder.params() + self.predictor.params()

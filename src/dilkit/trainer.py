@@ -6,11 +6,11 @@ bound surrogate, and the model descends the weighted replay loss while the
 encoder ascends the confusion loss.  The teacher is the model as the
 previous domain left it: one pass at the start of each replay domain records
 its outputs, and each step's record shares one layout derived there too.
-A replay step takes every gradient in closed form but V_p's and V_s's, and
-each network backpropagates without a graph, writing its layer outputs and
-gradients into buffers built at the domain's start for the networks its
-steps run; the ERM steps (domain 1, FineTune, Joint) run the encoder and
-predictor the same way, from the cross-entropy's closed-form gradient.
+A replay step takes every gradient in closed form, and each network
+backpropagates its own, writing its layer outputs and gradients into
+buffers built at the domain's start for the networks its steps run; the
+ERM steps (domain 1, FineTune, Joint) run the encoder and predictor the
+same way, from the cross-entropy's closed-form gradient.
 After each domain the replay memory is rebalanced.
 """
 from __future__ import annotations
@@ -173,8 +173,8 @@ def snapshot_history(model: Classifier, pool: StepBatch
     first step.  One pass per segment keeps the logits those of a pass per set."""
     frozen = model.stopped()
     bounds = pool.layout.bounds
-    embedded = [frozen.embed(x).data for x in np.split(pool.x, bounds[1:-1])]
-    logits = np.concatenate([frozen.predictor.logits(e).data for e in embedded])
+    embedded = [frozen.embed(x) for x in np.split(pool.x, bounds[1:-1])]
+    logits = np.concatenate([frozen.predictor.logits(e) for e in embedded])
     pred = np.argmax(logits, axis=1)
     eps = np.add.reduceat(pred != pool.y, bounds[:-1], dtype=np.int64) / pool.layout.sizes
     return softmax(logits), pred, np.concatenate(embedded), eps[1:]
@@ -255,9 +255,9 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
     `pool_sizes` counts the domain's rows, then each bucket's, as the
     floats V_01's radical reads.
 
-    V_l, V_d and V_01 hand back their gradients in closed form and each
+    Every loss term hands back its gradient in closed form and each
     network backpropagates its own (`Mlp.backward`), into its `buffers`
-    when they are set; only V_p and V_s build a graph.  The stopped
+    when they are set; no step builds a Tensor.  The stopped
     discriminator's softmax is taken once (`softmax_parts`), for the
     divergence estimate and V_d's encoder side alike.  The embedding's
     gradient is summed as a graph over the whole step would sum it: V_p

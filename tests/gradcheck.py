@@ -2,26 +2,26 @@
 loss tests check every analytic gradient against central differences, of
 a graph's loss (`gradcheck`) or of a function of a plain array that returns
 its value and gradient (`gradcheck_array`).  `closed_form_node` puts a
-loss that returns its logits gradient in closed form (V_l, V_d) back into a
-graph, so its gradient reaches the networks' parameters through their
-nodes."""
+loss that returns its gradient in closed form (V_l, V_d on the logits, V_p,
+V_s on the embedding) back into a graph, so its gradient reaches the
+networks' parameters through their nodes."""
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
 
-from dilkit.autodiff import Tensor, _make
+from dilkit.autodiff import Tensor
+from reference_ops import _make
 
 
 def closed_form_node(fn, logits: Tensor) -> Tensor:
     """fn(logits.data), a closed-form loss's (value, gradient on the logits
-    at upstream 1) or None for the constant 0, as a node over `logits`
-    whose backward hands them g times that gradient."""
-    result = fn(logits.data)
-    if result is None:
-        return Tensor(0.0)
-    value, grad = result
+    at upstream 1), or None or (value, None) for a constant, as a node over
+    `logits` whose backward hands them g times that gradient."""
+    value, grad = fn(logits.data) or (0.0, None)
+    if grad is None:
+        return Tensor(value)
     out = _make(value, (logits,))
     if out.requires_grad:
         out._backward = lambda g: logits._accum(g * grad)
@@ -50,12 +50,15 @@ def gradcheck(fn, tensors: Sequence[Tensor], eps: float = 1e-5,
 def gradcheck_array(fn, x: np.ndarray, eps: float = 1e-5, rtol: float = 1e-4,
                     atol: float = 1e-7, max_coords: int | None = None,
                     rng: np.random.Generator | None = None) -> float:
-    """Compare the gradient fn(x) returns, as (value, gradient), against
-    central differences of its value, perturbing x in place.
+    """Compare the gradient fn(x) returns, as (value, gradient; None for a
+    constant), against central differences of its value, perturbing x in
+    place.
 
     Returns the worst relative error; raises AssertionError past tolerance.
     """
-    analytic = np.array(fn(x)[1], dtype=np.float64)
+    grad = fn(x)[1]
+    analytic = (np.zeros_like(x) if grad is None
+                else np.array(grad, dtype=np.float64))
     return _central_differences(lambda: float(fn(x)[0]), [x], [analytic],
                                 eps, rtol, atol, max_coords, rng)
 

@@ -1,9 +1,27 @@
-"""Test-only reference: the autodiff ops the library composed its networks
-and cross-entropies from before `mlp` and `softmax_xent` fused them (a
-`linear` node per layer and a `relu` node between layers; `linear` itself
-fused `matmul` and `add`), and the slicing ops V_01 and V_s were built
-from before V_01 became one weighted sum and V_s one cross-entropy over
-gathered differences.  `sqrt` is the op V_01's radical was built with, and
+"""Test-only reference: the graph the library built before every
+gradient took a closed form, and the forms earlier changes replaced.
+
+The graph ops: `add`, `mul`, `rowsum` (a sum over the last axis), `rows`
+(a gather of rows by an index of any shape), `mlp` (a network forward as
+one node over the library's `mlp_forward` and `mlp_backward`) and
+`softmax_xent` (the library's `xent` as a node), with the helpers `_wrap`,
+`_make` and `_unbroadcast`; each op builds a `Tensor` over the parameters,
+and `Tensor.backward` walks them.  A closure holds no reference to its
+output, so a dropped loss frees its graph without the cyclic garbage
+collector.  `logits_node` is a network's logits as `mlp` nodes, as
+Mlp.logits built them before it returned an array; a test that
+backpropagates into a network's parameters builds its logits with it.
+`v_p` and `v_s` are V_p and V_s as graphs over the embedding, and
+`encoder_aux_loss` is the library's as it summed them over a leaf copy of
+the embedding and backpropagated, before V_p and V_s returned their
+embedding gradient in closed form; test_closed_forms.py compares the
+library's against it bit for bit.
+
+The ops the library composed its networks and cross-entropies from before
+`mlp` and `softmax_xent` fused them (a `linear` node per layer and a
+`relu` node between layers; `linear` itself fused `matmul` and `add`),
+and the slicing ops V_01 and V_s were built from before V_01 became one
+weighted sum and V_s one cross-entropy over gathered differences.  `sqrt` is the op V_01's radical was built with, and
 `v_01_selection` is V_01 as it was composed before it became one node: an
 `mlp` used as an affine map over a selection matrix, then the weighted sum
 and the radical from generic ops.  The differential tests in
@@ -14,13 +32,15 @@ backward, before UDIL's coefficient update took V_01's gradient through it
 in closed form; `v_01_node` is V_01 as that one node on the triples, its
 backward in closed form; test_losses.py compares the library's value and
 logits gradient against `v_01_node(softmax(logits))`, and
-reference_step.py's `replay_step` descends through them.  `backward` is the graph walk `Tensor.backward` ran before it ordered
-nodes by creation: a two-phase depth-first search whose post-order,
-reversed, is the topological order.  `sgd_step` is the update as
+reference_step.py's `replay_step` descends through them.  `backward` is
+the graph walk `Tensor.backward` ran before it ordered nodes by creation:
+a two-phase depth-first search whose post-order, reversed, is the
+topological order.  `sgd_step` is the update as
 models.sgd_step wrote it before it scaled each gradient in place.  `tsum`
 and `reshape` are the whole-tensor sum and the reshape V_p and V_s were
 built with before `rowsum` summed the last axis and V_s gathered its pairs
-with one 2-D index; the frozen V_p, V_s and V_01 forms still use them.
+with one 2-D index; reference_step.py's per-domain V_p and V_s and the
+frozen V_01 forms still use them.
 `mlp_forward` and `mlp_backward` are the network's plain forward and
 backward as they were before they could write into buffers built once:
 every layer output, mask and gradient a fresh array; test_autodiff.py
@@ -38,12 +58,189 @@ a list of two miss rows).  test_closed_forms.py compares the library's
 forms against them bit for bit."""
 from __future__ import annotations
 
-from typing import Iterable
+import logging
+from functools import reduce
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from dilkit.autodiff import ContractError, Tensor, _make, _wrap, add, mlp, mul
-from dilkit.losses import CoeffStats
+from dilkit import autodiff
+from dilkit.autodiff import ContractError, Tensor
+from dilkit.losses import (N_NEGATIVES, CoeffStats, HyperParams, StepBatch,
+                           _one_hot, v_d)
+from dilkit.models import Classifier, Mlp
+
+log = logging.getLogger(__name__)
+
+
+# -- the graph ops the library built before every gradient took a closed form
+
+def _wrap(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reduce gradient g back to `shape` after numpy broadcasting."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g.reshape(shape)
+
+
+def _make(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
+    req = any(p.requires_grad for p in parents)
+    return Tensor(data, requires_grad=req, _prev=tuple(parents) if req else ())
+
+
+def add(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    out = _make(a.data + b.data, (a, b))
+    if out.requires_grad:
+        def _back(g):
+            a._accum(_unbroadcast(g, a.data.shape))
+            b._accum(_unbroadcast(g, b.data.shape))
+        out._backward = _back
+    return out
+
+
+def mul(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    out = _make(a.data * b.data, (a, b))
+    if out.requires_grad:
+        def _back(g):
+            a._accum(_unbroadcast(g * b.data, a.data.shape))
+            b._accum(_unbroadcast(g * a.data, b.data.shape))
+        out._backward = _back
+    return out
+
+
+def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """[n, i] through the (w, b) layers -> [n, o] as one node: the forward
+    is the library's `mlp_forward` and the backward its `mlp_backward`,
+    each writing into fresh arrays."""
+    x = _wrap(x)
+    hs = autodiff.mlp_forward(x.data, layers)
+    out = _make(hs[-1], [x] + [p for pair in layers for p in pair])
+    if out.requires_grad:
+        def _back(g):
+            g_in = autodiff.mlp_backward(hs, layers, g, x.requires_grad)
+            if g_in is not None:
+                x._accum(g_in, fresh=True)
+        out._backward = _back
+    return out
+
+
+def logits_node(net: Mlp | Classifier, x) -> Tensor:
+    """net.logits(x) as Mlp.logits built it before it returned an array: an
+    `mlp` node per network, a Classifier's encoder's, then its predictor's."""
+    if isinstance(net, Classifier):
+        return mlp(mlp(x, net.encoder.layers), net.predictor.layers)
+    return mlp(x, net.layers)
+
+
+def rowsum(a: Tensor) -> Tensor:
+    """[..., c] -> [...]: sum over the last axis."""
+    a = _wrap(a)
+    if a.data.ndim == 0:
+        raise ContractError("rowsum expects a tensor of at least one axis")
+    out = _make(a.data.sum(axis=-1), (a,))
+    if out.requires_grad:
+        def _back(g):
+            a._accum(np.repeat(g[..., None], a.data.shape[-1], axis=-1))
+        out._backward = _back
+    return out
+
+
+def rows(a: Tensor, idx) -> Tensor:
+    """[n, c], index of shape s -> [*s, c]: gather whole rows (duplicates
+    allowed)."""
+    a = _wrap(a)
+    idx = np.asarray(idx, dtype=np.int64)
+    out = _make(a.data[idx], (a,))
+    if out.requires_grad:
+        def _back(g):
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            a._accum(full)
+        out._backward = _back
+    return out
+
+
+def softmax_xent(a: Tensor, target) -> Tensor:
+    """[n, c], constant [n, c] -> scalar: the library's `xent` as a node."""
+    a = _wrap(a)
+    value, adjoint = autodiff.xent(a.data, target, None)
+    out = _make(value, (a,))
+    if out.requires_grad:
+        out._backward = lambda g: a._accum(adjoint(float(g)), fresh=True)
+    return out
+
+
+def v_p(batch: StepBatch, embedding: Tensor,
+        teacher_embedding: Tensor | np.ndarray) -> Tensor:
+    """Past-embedding distillation as a graph over the embedding."""
+    seg_w = np.r_[0.0, np.ones(len(batch.layout.ids))]
+    batch.layout.check_weighted(seg_w, "v_p")
+    diff = add(embedding, mul(teacher_embedding, -1.0))
+    return rowsum(mul(rowsum(mul(diff, diff)), batch.layout.row_weights(seg_w)))
+
+
+def v_s(embedding: Tensor, y: np.ndarray, n_negatives: int,
+        rng: np.random.Generator) -> Tensor:
+    """Supervised contrastive loss as a graph over the embedding: one
+    cross-entropy over the anchors' differences to their partners."""
+    n = len(y)
+    anchors, positives = [], []
+    for a in range(n):
+        same = np.flatnonzero(y == y[a])
+        same = same[same != a]
+        if len(same):
+            anchors.append(a)
+            positives.append(int(rng.choice(same)))
+    if not anchors:
+        log.warning("v_s: no same-class pair in batch, returning 0")
+        return Tensor(0.0)
+    if (y == y[0]).all():
+        return Tensor(0.0)
+    k = len(anchors)
+    negatives = [rng.choice(np.flatnonzero(y != y[a]), size=n_negatives,
+                            replace=True) for a in anchors]
+    partner = np.column_stack([positives, np.stack(negatives)])
+    diff = add(rows(embedding, np.repeat(np.array(anchors)[:, None],
+                                         n_negatives + 1, axis=1)),
+               mul(rows(embedding, partner), -1.0))
+    dist = rowsum(mul(diff, diff))
+    target = _one_hot(np.zeros(k, np.int64), n_negatives + 1, 1.0 / k)
+    return softmax_xent(mul(dist, -1.0), target)
+
+
+def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
+                     disc_parts, teacher_embedding: np.ndarray | None,
+                     omega: np.ndarray, batch: StepBatch, hp: HyperParams,
+                     rng: np.random.Generator):
+    """losses.encoder_aux_loss with V_p and V_s as the graphs above over a
+    leaf copy of the embedding, backpropagated by `Tensor.backward`."""
+    values, disc_grad, emb_grad = [], None, None
+    if hp.lambda_d > 0 and batch.layout.ids:
+        vd = v_d(batch, omega, disc_logits, -hp.lambda_d, disc_parts)
+        if vd is not None:
+            values.append(vd[0] * -hp.lambda_d)
+            disc_grad = vd[1]
+    with_p, with_s = hp.lambda_p > 0 and bool(batch.layout.ids), hp.lambda_s > 0
+    if with_p or with_s:
+        leaf = Tensor(embedding, requires_grad=True)
+        terms = [mul(v_p(batch, leaf, teacher_embedding), hp.lambda_p)] if with_p else []
+        if with_s:
+            terms.append(mul(v_s(leaf, batch.y, N_NEGATIVES, rng), hp.lambda_s))
+        values += [term.item() for term in terms]
+        reduce(add, terms).backward()
+        emb_grad = leaf.grad
+    return reduce(float.__add__, values, -0.0), disc_grad, emb_grad
+
+
+# -- the forms of earlier changes ------------------------------------------
 
 
 def tsum(a: Tensor) -> Tensor:

@@ -51,21 +51,20 @@ from functools import reduce
 
 import numpy as np
 
-from dilkit.autodiff import (
-    ContractError, Tensor, _make, _wrap, add, mul, rows, rowsum, softmax_xent,
-)
+import reference_ops
+from dilkit.autodiff import ContractError, Tensor
 from dilkit.datagen import LabeledSet
 from dilkit.losses import (
     N_NEGATIVES, CoeffStats, HyperParams, StepBatch,
     _check_omega, _one_hot, erm01,
 )
-from dilkit.losses import v_p as library_v_p, v_s as library_v_s
 from dilkit.membank import MemoryBank
 from dilkit.models import Classifier, Mlp, sgd_step
 from dilkit.trainer import StepRecord, _check_finite, _draw_rows
 
 from reference_ops import (
-    column, concat_cols, log_softmax, mlp_chain, pick, reshape, softmax, sqrt,
+    _make, _wrap, add, column, concat_cols, log_softmax, logits_node,
+    mlp_chain, mul, pick, reshape, rows, rowsum, softmax, softmax_xent, sqrt,
     tmean, tsum, v_01_node,
 )
 
@@ -94,8 +93,8 @@ def snapshot_history(model: Classifier, bank: MemoryBank) -> HistorySnapshot:
     """Freeze the trained model as the next domain's teacher, with its
     embedding and logits on every memory bucket and its 0-1 error on each."""
     frozen = frozen_copy(model)
-    embedded = {i: frozen.embed(b.x).data for i, b in bank.buckets.items()}
-    logits = {i: frozen.predictor.logits(e).data for i, e in embedded.items()}
+    embedded = {i: frozen.embed(b.x) for i, b in bank.buckets.items()}
+    logits = {i: frozen.predictor.logits(e) for i, e in embedded.items()}
     cached = {i: float(np.mean(np.argmax(logits[i], axis=1) != b.y))
               for i, b in bank.buckets.items()}
     return HistorySnapshot(frozen, cached, logits, embedded)
@@ -107,7 +106,7 @@ def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
     form."""
     if len(batch) == 0:
         raise ContractError("classification_loss: empty batch")
-    logits = h.logits(batch.x)
+    logits = logits_node(h, batch.x)
     return graph_softmax_xent(
         logits, _one_hot(batch.y, logits.data.shape[1], 1.0 / len(batch)))
 
@@ -115,7 +114,7 @@ def classification_loss(h: Classifier, batch: LabeledSet) -> Tensor:
 def distillation_loss(h: Classifier, teacher, inputs: np.ndarray) -> Tensor:
     """Soft cross-entropy toward the frozen teacher's output distribution."""
     target_vals = softmax(teacher.logits(inputs)).data
-    logp = log_softmax(h.logits(inputs))
+    logp = log_softmax(logits_node(h, inputs))
     if target_vals.shape[1] != logp.data.shape[1]:
         raise ContractError(
             f"distillation arity mismatch: teacher {target_vals.shape[1]} "
@@ -185,8 +184,7 @@ def pick_log(d: Mlp, encoder: Mlp, x: np.ndarray, class_idx: int) -> Tensor:
     """log [d(e(x))]_class for each row of x."""
     if x.shape[0] == 0:
         raise ContractError("v_d: empty batch")
-    logits = d.logits(encoder.logits(x))
-    logp = log_softmax(logits)
+    logp = log_softmax(logits_node(d, logits_node(encoder, x)))
     idx = np.full(x.shape[0], class_idx, dtype=np.int64)
     return pick(logp, idx)
 
@@ -200,7 +198,7 @@ def v_p(encoder: Mlp, prev_encoder: Mlp,
     total = None
     for i in sorted(memory_x):
         x = memory_x[i]
-        diff = add(encoder.logits(x), mul(prev_encoder.logits(x), -1.0))
+        diff = add(logits_node(encoder, x), mul(prev_encoder.logits(x), -1.0))
         term = mul(tsum(mul(diff, diff)), 1.0 / x.shape[0])
         total = term if total is None else add(total, term)
     return total
@@ -308,7 +306,7 @@ def v_s(encoder: Mlp, batch: LabeledSet | StepBatch, n_negatives: int,
     a_idx = np.array(anchors)[keep]
     p_idx = np.array(positives)[keep]
     neg = np.stack(negatives)
-    emb = encoder.logits(batch.x)
+    emb = logits_node(encoder, batch.x)
     d_pos = add(rows(emb, a_idx), mul(rows(emb, p_idx), -1.0))
     s_pos = rowsum(mul(d_pos, d_pos))
     d_neg = add(rows(emb, np.repeat(a_idx, n_negatives)),
@@ -580,11 +578,11 @@ def graph_encoder_aux_loss(embedding: Tensor, disc_logits: Tensor | None,
     if hp.lambda_d > 0 and batch.layout.ids:
         terms.append(mul(graph_v_d(batch, omega, disc_logits), -hp.lambda_d))
     if hp.lambda_p > 0 and batch.layout.ids:
-        terms.append(mul(library_v_p(batch, embedding, teacher_embedding),
+        terms.append(mul(reference_ops.v_p(batch, embedding, teacher_embedding),
                          hp.lambda_p))
     if hp.lambda_s > 0:
-        terms.append(mul(library_v_s(embedding, batch.y, N_NEGATIVES, rng),
-                         hp.lambda_s))
+        terms.append(mul(reference_ops.v_s(embedding, batch.y, N_NEGATIVES,
+                                           rng), hp.lambda_s))
     return reduce(add, terms) if terms else Tensor(0.0)
 
 

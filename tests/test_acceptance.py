@@ -32,6 +32,7 @@ from dilkit.seeding import substream
 from dilkit.trainer import TrainerConfig, descend_v01, run_sequence
 from finite_classes import threshold_class
 from gradcheck import closed_form_node, gradcheck, gradcheck_array
+from reference_ops import logits_node
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -174,28 +175,30 @@ def test_criterion_04_gradient_suite_100_trials_each():
         batch = StepBatch.stack(LabeledSet(cur.x, cur.y, 2), past)
         # V_l and V_d return their logits gradient in closed form; as nodes
         # over the logits, that gradient reaches the networks' parameters
-        probs = softmax(teacher.logits(batch.x).data)
+        probs = softmax(teacher.logits(batch.x))
         cases = {
             "v_l": (lambda: closed_form_node(
-                        lambda z: v_l(batch, omega, z, probs), h.logits(batch.x)),
+                        lambda z: v_l(batch, omega, z, probs),
+                        logits_node(h, batch.x)),
                     h.params()),
             # the logits gradient the trainer applies, through the softmax
             "v_01": (lambda z: _coefficient_step_gradient(z, stats),
                      coeff_logits),
             "v_d": (lambda: closed_form_node(
                         lambda z: v_d(batch, omega, z, 1.0, None),
-                        d.logits(enc.logits(batch.x))),
+                        logits_node(d, logits_node(enc, batch.x))),
                     enc.params() + d.params()),
-            "v_p": (lambda: v_p(batch, enc.logits(batch.x),
-                                prev.logits(batch.x)), enc.params()),
-            "v_s": (lambda: v_s(enc.logits(cur.x), cur.y, 3,
-                                np.random.default_rng(trial_seed)),
-                    enc.params()),
+            # V_p and V_s return their embedding gradient in closed form
+            "v_p": (lambda z: v_p(batch, z, prev.logits(batch.x), 1.0),
+                    enc.logits(batch.x)),
+            "v_s": (lambda z: v_s(z, cur.y, 3,
+                                  np.random.default_rng(trial_seed), 1.0),
+                    enc.logits(cur.x)),
         }
-        for name, (fn, params) in cases.items():
-            check = gradcheck_array if name == "v_01" else gradcheck
+        for name, (fn, inputs) in cases.items():
+            check = gradcheck if name in ("v_l", "v_d") else gradcheck_array
             try:
-                check(fn, params, rtol=1e-4, max_coords=3, rng=rng)
+                check(fn, inputs, rtol=1e-4, max_coords=3, rng=rng)
             except AssertionError as err:
                 failures.append(f"trial {trial} {name}: {err}")
     gate(4, not failures,
@@ -309,7 +312,7 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     batch = LabeledSet(pooled.reshape(-1, 1), [0] * n + [1] * n)
     for _ in range(400):
         loss = closed_form_node(lambda z: classification_loss(z, batch.y),
-                                disc.logits(batch.x))
+                                logits_node(disc, batch.x))
         loss.backward()
         sgd_step(disc.params(), 1.0)
         for p in disc.params():
@@ -330,7 +333,7 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     record = StepBatch(np.concatenate([cur, past]), np.zeros(600, np.int64),
                        StepLayout([300, 300], (1,), 2))
     for _ in range(200):
-        acts = disc4.forward(enc4.stopped().logits(record.x).data)
+        acts = disc4.forward(enc4.stopped().logits(record.x))
         disc4.backward(acts, v_d(record, omega, acts[-1], 1.0, None)[1], False)
         sgd_step(disc4.params(), 0.2)
         for p in disc4.params():

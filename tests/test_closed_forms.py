@@ -5,19 +5,23 @@ discriminator divergence estimate (from a softmax stored by class or by
 row), the coefficient statistics, and V_l and V_d against their graph
 nodes.  The inputs cover ties p_i = p_t and tied logits, one-label
 batches, triples without beta mass, t = 2..6, signed zeros and wide class
-axes (8 columns and more, where NumPy's own reductions are kept).  V_01's
-in-place gradient is checked against its one-node form in test_losses.py
-and the ERM steps against their graph form in test_trainer.py."""
+axes (8 columns and more, where NumPy's own reductions are kept).  The
+encoder terms (V_d, V_p and V_s) are checked against their graph form: the
+value, both gradients and the generator's state.  V_01's in-place
+gradient is checked against its one-node form in test_losses.py and the
+ERM steps against their graph form in test_trainer.py."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_ops
 import reference_step as ref
-from dilkit.autodiff import Tensor, mul, softmax, softmax_parts, xent
+from dilkit.autodiff import Tensor, softmax, softmax_parts, xent
 from dilkit.coeffs import from_preset
 from dilkit.divergence import discriminator_divergences
-from dilkit.losses import StepBatch, StepLayout, v_d, v_l
+from dilkit.losses import (HyperParams, StepBatch, StepLayout,
+                           encoder_aux_loss, v_d, v_l)
 from dilkit.trainer import coeff_stats_for_step
+from reference_ops import mul
 
 STATS = ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist")
 
@@ -191,3 +195,62 @@ def test_v_l_and_v_d_match_graph_nodes_bitwise(data, t, kind, mode, one_label,
     want = _at_leaf(lambda z: ref.graph_v_d(batch, omega, z), disc_logits, scale)
     for parts in (None, softmax_parts(disc_logits)):
         assert _closed(v_d(batch, omega, disc_logits, scale, parts)) == want
+
+
+def _labels(rng, n, kind):
+    """[n] labels: two or three classes at random, one label throughout, no
+    two rows alike (no same-class pair), or one row of class 1 among class
+    0 (every class-0 anchor draws all its negatives from that one row)."""
+    if kind == "mixed":
+        return rng.integers(0, rng.integers(2, 4), n)
+    if kind == "one-label":
+        return np.full(n, rng.integers(0, 3))
+    if kind == "no-pair":
+        return rng.permutation(n)
+    y = np.zeros(n, np.int64)
+    y[rng.integers(n)] = 1
+    return y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(2, 5), st.sampled_from(("p", "s", "ps")),
+       st.booleans(),
+       st.sampled_from(("mixed", "one-label", "no-pair", "one-negative")),
+       st.sampled_from((1, 3, 7, 8, 9, 16)),
+       st.sampled_from(("UDIL", "ER", "no-beta")), st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
+def test_encoder_aux_loss_matches_frozen_graph_bitwise(data, t, terms, with_d,
+                                                       labels, width, kind,
+                                                       given_parts, seed):
+    """encoder_aux_loss, V_p and V_s in closed form, against the frozen form
+    that backpropagates their graph over a leaf copy of the embedding: the
+    value, the embedding gradient (None alike), the discriminator-logits
+    gradient and the generator's state afterwards, byte for byte.  With
+    lambda_p, lambda_s or both on, each with lambda_d on or off; one-label
+    batches, batches without a same-class pair, partners repeated in V_s's
+    index, and embeddings of 8 columns and more, where NumPy's pairwise sum
+    groups a row's entries otherwise."""
+    layout = _layout(data, t)
+    rng = np.random.default_rng(seed)
+    n = len(layout.seg)
+    batch = StepBatch(np.zeros((n, 1)), _labels(rng, n, labels), layout)
+    scale = rng.choice([1e-3, 1.0, 30.0])
+    embedding = rng.normal(size=(n, width)) * scale
+    teacher_embedding = rng.normal(size=(n, width)) * scale
+    disc_logits = _logits(rng, n, t, "plain")
+    omega = _omega(rng, kind, layout)
+    lam = [float(v) for v in rng.choice([0.05, 0.1, 0.7, 1.0], size=3)]
+    hp = HyperParams(lambda_d=lam[0] if with_d else 0.0,
+                     lambda_p=lam[1] if "p" in terms else 0.0,
+                     lambda_s=lam[2] if "s" in terms else 0.0)
+    parts = softmax_parts(disc_logits) if given_parts else None
+    draws = [np.random.default_rng(seed + 1) for _ in range(2)]
+    got, want = (aux(embedding, disc_logits, parts, teacher_embedding, omega,
+                     batch, hp, draw)
+                 for aux, draw in zip((encoder_aux_loss,
+                                       reference_ops.encoder_aux_loss), draws))
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    for g, w in zip(got[1:], want[1:]):
+        assert (g is None) == (w is None)
+        assert g is None or g.tobytes() == w.tobytes()
+    assert draws[0].bit_generator.state == draws[1].bit_generator.state

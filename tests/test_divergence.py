@@ -17,6 +17,7 @@ from dilkit.models import Mlp, sgd_step
 from dilkit.seeding import substream
 from finite_classes import all_labelings, threshold_class
 from gradcheck import closed_form_node
+from reference_ops import logits_node
 
 
 def naive_hdh(labelings, sample_p, sample_q):
@@ -222,7 +223,7 @@ def test_trained_discriminator_tracks_exact_divergence():
     batch = LabeledSet(pooled.reshape(-1, 1), [0] * n + [1] * n)
     for _ in range(400):
         loss = closed_form_node(lambda z: classification_loss(z, batch.y),
-                                d.logits(batch.x))
+                                logits_node(d, batch.x))
         loss.backward()
         sgd_step(d.params(), 1.0)
         for p in d.params():

@@ -19,6 +19,7 @@ from dilkit.losses import (
 )
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
 from gradcheck import closed_form_node, gradcheck, gradcheck_array
+from reference_ops import logits_node
 from reference_step import distillation_loss, erm01_agreement
 
 
@@ -47,19 +48,19 @@ def np_logsoftmax(z):
 
 
 def np_ce(clf, batch):
-    lp = np_logsoftmax(clf.logits(batch.x).data)
+    lp = np_logsoftmax(clf.logits(batch.x))
     return -lp[np.arange(len(batch)), batch.y].mean()
 
 
 def np_distill(clf, teacher, x):
-    t = softmax(teacher.logits(x).data)
-    lp = np_logsoftmax(clf.logits(x).data)
+    t = softmax(teacher.logits(x))
+    lp = np_logsoftmax(clf.logits(x))
     return -(t * lp).sum(axis=1).mean()
 
 
 def _ce(clf, batch):
     """classification_loss's value on the classifier's logits for `batch`."""
-    return classification_loss(clf.logits(batch.x).data, batch.y)[0]
+    return classification_loss(clf.logits(batch.x), batch.y)[0]
 
 
 def test_classification_perfect_prediction():
@@ -95,7 +96,7 @@ def test_distillation_self_is_entropy_floor():
     clf = random_classifier(4, 3, seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4))
     teacher = clf.stopped()
-    p = softmax(teacher.logits(x).data)
+    p = softmax(teacher.logits(x))
     entropy = -(p * np.log(p)).sum(axis=1).mean()
     assert distillation_loss(clf, teacher, x).item() == pytest.approx(entropy)
 
@@ -150,7 +151,7 @@ def test_erm01_agreement_brute_force():
     a = random_classifier(4, 3, seed=10)
     b = random_classifier(4, 3, seed=11)
     x = np.random.default_rng(12).normal(size=(20, 4))
-    expect = np.mean(np.argmax(a.logits(x).data, 1) != np.argmax(b.logits(x).data, 1))
+    expect = np.mean(np.argmax(a.logits(x), 1) != np.argmax(b.logits(x), 1))
     assert erm01_agreement(a, b, x) == pytest.approx(expect)
     assert erm01_agreement(a, a, x) == 0.0
 
@@ -168,8 +169,9 @@ def _v_l(h, teacher, omega, cur, past):
     """V_l on the record of `cur` and `past`, from the student's logits and
     the teacher's probabilities on its rows, as a node over the logits."""
     b = StepBatch.stack(cur, past)
-    probs = softmax(teacher.logits(b.x).data)
-    return closed_form_node(lambda z: v_l(b, omega, z, probs), h.logits(b.x))
+    probs = softmax(teacher.logits(b.x))
+    return closed_form_node(lambda z: v_l(b, omega, z, probs),
+                            logits_node(h, b.x))
 
 
 def _x_record(cur_x, past_x, t):
@@ -186,26 +188,31 @@ def _v_d(d, enc, omega, cur_x, past_x, t):
     over the logits."""
     b = _x_record(cur_x, past_x, t)
     return closed_form_node(lambda z: v_d(b, omega, z, 1.0, None),
-                            d.logits(enc.logits(b.x)))
+                            logits_node(d, logits_node(enc, b.x)))
 
 
 def _v_p(enc, prev, memory_x):
     """V_p on the record of two current rows (weight 0) and `memory_x`,
-    from both encoders' embeddings of its rows."""
+    from both encoders' embeddings of its rows, as a node over the
+    student's."""
     cur_x = np.ones((2, next(iter(memory_x.values())).shape[1]))
     b = _x_record(cur_x, memory_x, len(memory_x) + 1)
-    return v_p(b, enc.logits(b.x), prev.logits(b.x))
+    return closed_form_node(lambda z: v_p(b, z, prev.logits(b.x), 1.0),
+                            logits_node(enc, b.x))
 
 
 def _v_s(enc, batch, n_negatives, rng):
-    """V_s on the encoder's embedding of the batch's rows."""
-    return v_s(enc.logits(batch.x), batch.y, n_negatives, rng)
+    """V_s on the encoder's embedding of the batch's rows, as a node over
+    it (a constant when V_s is)."""
+    return closed_form_node(
+        lambda z: v_s(z, batch.y, n_negatives, rng, 1.0),
+        logits_node(enc, batch.x))
 
 
 def test_v_l_t1_is_plain_ce():
     h, _, cur, _ = _two_domain_setup()
     b = StepBatch.stack(cur, {})
-    value, _ = v_l(b, np.zeros((0, 3)), h.logits(b.x).data, None)
+    value, _ = v_l(b, np.zeros((0, 3)), h.logits(b.x), None)
     assert value == pytest.approx(np_ce(h, cur))
 
 
@@ -392,7 +399,7 @@ def test_v_d_zero_betas():
     d = Mlp([3, 2], rng=np.random.default_rng(0))
     b = _x_record(np.zeros((4, 3)), {1: np.zeros((4, 3))}, 2)
     assert v_d(b, np.array([[0.5, 0.0, 0.5]]),
-               d.logits(enc.logits(b.x)).data, 1.0, None) is None
+               d.logits(enc.logits(b.x)), 1.0, None) is None
 
 
 def test_v_d_uniform_discriminator_4ln3():
@@ -446,7 +453,7 @@ def test_v_p_numpy_oracle():
     enc = Mlp([3, 4, 2], rng=rng)
     prev = Mlp([3, 4, 2], rng=rng)
     x = {1: rng.normal(size=(10, 3))}
-    diff = enc.logits(x[1]).data - prev.logits(x[1]).data
+    diff = enc.logits(x[1]) - prev.logits(x[1])
     assert _v_p(enc, prev, x).item() == pytest.approx((diff ** 2).sum() / 10)
 
 
@@ -454,7 +461,8 @@ def test_v_p_empty_past_returns_zero():
     b = _x_record(np.ones((3, 2)), {}, 1)
     shifted = identity_mlp(2)
     shifted.layers[0][1].data[...] = 1.0
-    assert v_p(b, shifted.logits(b.x), identity_mlp(2).logits(b.x)).item() == 0.0
+    value, _ = v_p(b, shifted.logits(b.x), identity_mlp(2).logits(b.x), 1.0)
+    assert value == 0.0
 
 
 def test_v_s_all_distances_equal():
@@ -567,9 +575,9 @@ def test_encoder_aux_reductions_and_composition():
     omega = np.array([[0.2, 0.5, 0.3]])
 
     def aux(hp, seed):
-        embedding = enc.logits(batch.x).data
-        return encoder_aux_loss(embedding, d.logits(embedding).data, None,
-                                prev.logits(batch.x).data, omega, batch, hp,
+        embedding = enc.logits(batch.x)
+        return encoder_aux_loss(embedding, d.logits(embedding), None,
+                                prev.logits(batch.x), omega, batch, hp,
                                 np.random.default_rng(seed))[0]
 
     hp0 = HyperParams(lambda_d=0.0, lambda_p=0.0, lambda_s=0.0)
@@ -603,7 +611,7 @@ def test_encoder_aux_gradient_reaches_encoder_only():
     hp = HyperParams(lambda_d=1.0)
     _, disc_grad, emb_grad = encoder_aux_loss(
         encoded[-1], disc_acts[-1], None,
-        Mlp([3, 4, 2], rng=rng).logits(batch.x).data,
+        Mlp([3, 4, 2], rng=rng).logits(batch.x),
         np.array([[0.0, 1.0, 0.0]]), batch, hp, np.random.default_rng(0))
     assert emb_grad is None
     enc.backward(encoded, stopped.backward(disc_acts, disc_grad, True), False)
@@ -641,17 +649,17 @@ ER, LWF = [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]
 # rows, None leaves every segment full
 LOSS_RAISES = [
     ("v_l: empty batch",
-     lambda b, w: v_l(b, w, _H.logits(b.x).data, _H.logits(b.x).data)[0],
+     lambda b, w: v_l(b, w, _H.logits(b.x), _H.logits(b.x))[0],
      (1, [ER, ER]), (1, [LWF, ER])),
     ("v_l: distillation arity mismatch",
-     lambda b, w: v_l(b, w, _H.logits(b.x).data, np.zeros((len(b.y), 3)))[0],
+     lambda b, w: v_l(b, w, _H.logits(b.x), np.zeros((len(b.y), 3)))[0],
      (None, [LWF, ER]), (None, [ER, ER])),
     ("v_d: empty batch",
-     lambda b, w: v_d(b, w, _D.logits(b.x).data, 1.0, None)[0],
+     lambda b, w: v_d(b, w, _D.logits(b.x), 1.0, None)[0],
      (2, [LWF, LWF]), (2, [LWF, ER])),
     ("v_p: empty batch",
      lambda b, w: v_p(b, _H.encoder.logits(b.x),
-                      np.zeros((len(b.y), 4))).item(),
+                      np.zeros((len(b.y), 4)), 1.0)[0],
      (1, [ER, ER]), (0, [ER, ER])),
 ]
 

@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import reference_step as ref
 from dilkit import losses, trainer
-from dilkit.autodiff import ContractError, Tensor, mul, softmax, softmax_parts
+from dilkit.autodiff import ContractError, Tensor, softmax, softmax_parts
 from dilkit.coeffs import TRIPLE_PRESETS, from_preset
 from dilkit.datagen import LabeledSet, gen_hd_balls
 from dilkit.losses import HyperParams, StepBatch, StepLayout, v_d, v_l
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
 from dilkit.trainer import TrainerConfig, TrainState, coeff_stats_for_step
+from reference_ops import mul
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
 STATS = ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist")
@@ -97,10 +98,10 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
     def teacher_pass(model, pool):
         # the teacher's logits on the pool, as the pass computes them
         frozen = teacher.stopped()
-        embedded = [frozen.embed(x).data
+        embedded = [frozen.embed(x)
                     for x in np.split(pool.x, pool.layout.bounds[1:-1])]
         seen["logits"] = np.concatenate(
-            [frozen.predictor.logits(e).data for e in embedded])
+            [frozen.predictor.logits(e) for e in embedded])
         seen["starts"] = pool.layout.bounds
         out = domain_start(teacher, pool)
         assert out[0].tobytes() == softmax(seen["logits"]).tobytes()

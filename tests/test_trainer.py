@@ -356,7 +356,7 @@ def test_trained_discriminator_near_chance_on_identical_distributions():
     record = StepBatch(np.concatenate([cur, past]), np.zeros(600, np.int64),
                        StepLayout([300, 300], (1,), 2))
     for _ in range(200):
-        acts = d.forward(enc.stopped().logits(record.x).data)
+        acts = d.forward(enc.stopped().logits(record.x))
         d.backward(acts, v_d(record, omega, acts[-1], 1.0, None)[1], False)
         sgd_step(d.params(), 0.2)
     est = hdh_discriminator_estimate(d, enc, cur_eval, past_eval, 1)
@@ -397,8 +397,8 @@ def test_update_isolation_checksums():
     m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
     embedding = model.encoder.logits(batch.x)
     stats = coeff_stats_for_step(
-        eps_hist, batch, model.predictor.logits(embedding).data,
-        softmax(disc.logits(embedding).data),
+        eps_hist, batch, model.predictor.logits(embedding),
+        softmax(disc.logits(embedding)),
         teacher.predict(batch.x))
     omega = softmax(coeff_logits.data)
     _, grad = v_01(omega, stats, 1.0, len(data),
@@ -413,11 +413,11 @@ def test_update_isolation_checksums():
     encoded = model.encoder.forward(batch.x)
     predicted = model.predictor.forward(encoded[-1])
     _, logits_grad = v_l(batch, frozen, predicted[-1],
-                         softmax(teacher.logits(batch.x).data))
+                         softmax(teacher.logits(batch.x)))
     stopped = disc.stopped()
     disc_acts = stopped.forward(encoded[-1])
     _, disc_grad, _ = encoder_aux_loss(encoded[-1], disc_acts[-1], None,
-                                       teacher.embed(batch.x).data,
+                                       teacher.embed(batch.x),
                                        frozen, batch, HyperParams(), rng)
     grad = stopped.backward(disc_acts, disc_grad, True)
     grad += model.predictor.backward(predicted, logits_grad, True)
