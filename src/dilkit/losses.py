@@ -1,14 +1,16 @@
 """Training losses: cross-entropy classification, 0-1 risks and the terms of
 the replay objective, one function each: the model loss V_l, the coefficient
 loss V_01, the domain discrimination loss V_d and the opt-in encoder losses
-V_p / V_s.  V_l, V_d, V_p and V_s read a replay step's record (`StepBatch`)
-and the passes the step ran once over its rows; none runs a network, and
-none re-derives what a domain's records share (`StepLayout`).  The teacher
-whose probabilities and embedding they read is the model as the previous
-domain left it, run once over the domain's rows before its first step.
-Each returns its value and its gradient in closed form, on the logits
-(cross-entropy, V_l, V_d), the triples (V_01) or the embedding (V_p,
-V_s)."""
+V_p / V_s.  V_l, V_d, V_p and V_s read a step's record (`StepBatch`) and
+the passes the step ran once over its rows; none runs a network, and none
+re-derives what a domain's records share (`StepLayout`).  The teacher whose
+probabilities and embedding they read is the model as the previous domain
+left it, run once over the domain's rows before its first step.  Each
+returns its value and its gradient in closed form, on the logits
+(cross-entropy, V_l, V_d), the triples (V_01) or the embedding (V_p, V_s).
+On a record of one segment, with no past domain, V_l is the mean
+cross-entropy `classification_loss`, bit for bit: no training step calls
+the latter, which the acceptance gates, the tests and perfbench keep."""
 from __future__ import annotations
 
 import logging
@@ -60,7 +62,7 @@ def _check_omega(omega: np.ndarray, ids) -> np.ndarray:
 
 
 class StepLayout:
-    """The segments every step record of a replay domain shares, derived and
+    """The segments every step record of a domain shares, derived and
     checked once: segment k holds sizes[k] rows, from domain t for k = 0 and
     from domain ids[k - 1] after; `seg` maps each row to its segment and
     `domain_class` to the class V_d asks of it (t - 1, or i - 1 on domain
@@ -111,8 +113,8 @@ class StepLayout:
 
 @dataclass(frozen=True)
 class StepBatch:
-    """A replay step's rows, laid out as `layout` says: domain t's batch,
-    then each past domain's in sorted order.  Every step of a domain shares
+    """A step's rows, laid out as `layout` says: domain t's batch, then
+    each past domain's in sorted order.  Every step of a domain shares
     one layout; only x and y are gathered per step."""
     x: np.ndarray
     y: np.ndarray
@@ -349,19 +351,22 @@ def encoder_aux_loss(embedding: np.ndarray, disc_logits: np.ndarray | None,
     and their `softmax_parts` (`disc_parts`; None leaves V_d to take it), and
     the frozen teacher's `teacher_embedding` (None when lambda_p = 0).
     Returns the value, its terms added in that order (-0.0, which adds no
-    bit, when none is on), the gradient on `disc_logits` (None without a
-    V_d term) and the embedding gradient of the V_p and V_s terms, V_p's
-    added into V_s's (None without either, or with only a constant V_s).
+    bit, when none is on or the record has no past segment, which each term
+    needs), the gradient on `disc_logits` (None without a V_d term) and the
+    embedding gradient of the V_p and V_s terms, V_p's added into V_s's
+    (None without either, or with only a constant V_s).
     A V_d term with no beta mass is the constant 0: it is left out, as
     adding its -0.0 changes no bit."""
+    if not batch.layout.ids:  # every term needs a past segment
+        return -0.0, None, None
     values, disc_grad, emb_grad = [], None, None
-    if hp.lambda_d > 0 and batch.layout.ids:
+    if hp.lambda_d > 0:
         vd = v_d(batch, omega, disc_logits, -hp.lambda_d, disc_parts)
         if vd is not None:
             values.append(vd[0] * -hp.lambda_d)
             disc_grad = vd[1]
     vp = None
-    if hp.lambda_p > 0 and batch.layout.ids:
+    if hp.lambda_p > 0:
         vp = v_p(batch, embedding, teacher_embedding, hp.lambda_p)
         values.append(vp[0] * hp.lambda_p)
     if hp.lambda_s > 0:

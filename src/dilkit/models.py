@@ -1,6 +1,6 @@
 """MLPs (ReLU hidden layers, linear last layer), SGD, and the
 encoder/predictor composite used by the training loop.  An Mlp's `logits`
-is its output array; the replay and ERM steps run it as a forward that
+is its output array; the training steps run it as a forward that
 keeps each layer's input and a backward from its logits gradient, and
 while its `buffers` are set (for one domain's steps, at their row count)
 those two write into them instead of into fresh arrays."""

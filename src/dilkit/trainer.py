@@ -1,17 +1,17 @@
 """Per-domain training orchestration.
 
-Each domain runs the three-way alternating update: the discriminator
-descends the domain-confusion loss, the replay coefficients descend the
-bound surrogate, and the model descends the weighted replay loss while the
-encoder ascends the confusion loss.  The teacher is the model as the
-previous domain left it: one pass at the start of each replay domain records
-its outputs, and each step's record shares one layout derived there too.
-A replay step takes every gradient in closed form, and each network
-backpropagates its own, writing its layer outputs and gradients into
-buffers built at the domain's start for the networks its steps run; the
-ERM steps (domain 1, FineTune, Joint) run the encoder and predictor the
-same way, from the cross-entropy's closed-form gradient.
-After each domain the replay memory is rebalanced.
+Every step of every domain is one `replay_step`, the three-way alternating
+update: the discriminator descends the domain-confusion loss, the replay
+coefficients descend the bound surrogate, and the model descends the
+weighted replay loss while the encoder ascends the confusion loss.  With no
+past to replay (domain 1, FineTune, Joint) the step's record has one
+segment and the step is the model update on the cross-entropy alone.  The
+teacher is the model as the previous domain left it: one pass at the start
+of each replay domain records its outputs, and each step's record shares
+one layout derived at the domain's start.  A step takes every gradient in
+closed form, and each network backpropagates its own, writing its layer
+outputs and gradients into buffers built at the domain's start for the
+networks its steps run.  After each domain the replay memory is rebalanced.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .coeffs import check_method, from_preset, init_uniform, logit_gradient
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
 from .divergence import discriminator_divergences, hdh_discriminator_estimate
+# classification_loss has no caller here; perfbench wraps it by this name
 from .losses import (
     CoeffStats, HyperParams, StepBatch, StepLayout, classification_loss,
     encoder_aux_loss, v_01, v_d, v_l,
@@ -104,29 +105,6 @@ def _check_finite(value: float, name: str, method: str, t: int,
             f"{method}: {name} loss is {value!r} at domain {t}, step {step}")
 
 
-def _erm_steps(model: Classifier, data: LabeledSet, sgd: SgdConfig,
-               rng: np.random.Generator, method: str, t: int) -> None:
-    """Plain SGD on the cross-entropy of batches drawn from `data`, each
-    network running forward and backward once per step, into buffers at
-    the steps' row count."""
-    encoder, predictor = model.encoder, model.predictor
-    for net in (encoder, predictor):
-        net.buffers = mlp_buffers(net.layers, min(sgd.batch_size, len(data)))
-    try:
-        for step in range(1, sgd.step_count + 1):
-            idx = _draw_rows(len(data), sgd.batch_size, rng)
-            encoded = encoder.forward(data.x.take(idx, axis=0))
-            predicted = predictor.forward(encoded[-1])
-            value, logits_grad = classification_loss(predicted[-1], data.y.take(idx))
-            _check_finite(value, "classification", method, t, step)
-            encoder.backward(encoded, predictor.backward(predicted, logits_grad, True),
-                             False)
-            sgd_step(model.params(), sgd.learning_rate)
-    finally:  # so that no model a result keeps holds buffers
-        for net in (encoder, predictor):
-            net.buffers = None
-
-
 def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
                          logits: np.ndarray, disc_probs: np.ndarray,
                          teacher_pred: np.ndarray) -> CoeffStats:
@@ -184,13 +162,13 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
                  pooled: LabeledSet | None = None) -> TrainState:
     """Train one domain and return the state advanced to the next domain.
 
-    Domain 1 and the FineTune preset reduce to plain SGD on the current
-    data; Joint runs plain SGD on `pooled`, the union of domains 1..t,
-    which it alone must pass.  Otherwise each step samples one current
-    batch plus one batch per memory bucket and applies, in order: the
-    discriminator update, the coefficient update (UDIL only), and
-    the model update.  Every method fills memory bucket t from
-    `domain_data`.
+    Every step is a `replay_step` on a batch of the domain's rows and, on a
+    replay domain, a batch per memory bucket: the discriminator update, the
+    coefficient update (UDIL only) and the model update, in that order.
+    Domain 1 has no bucket yet, and FineTune and Joint replay none; Joint
+    draws its rows from `pooled`, the union of domains 1..t, which it alone
+    must pass.  Their steps run on one segment, as plain SGD on the
+    cross-entropy.  Every method fills memory bucket t from `domain_data`.
     """
     config = state.config
     if domain_data.domain_id != state.t:
@@ -204,20 +182,17 @@ def train_domain(state: TrainState, domain_data: LabeledSet,
     if state.bank.capacity < t:  # a memory bucket would be left empty
         raise ContractError(f"domain {t} needs memory capacity >= {t}, "
                             f"got {state.bank.capacity}")
-    rng = substream(config.seed, "batches", t)
-
-    if pooled is not None:
-        _erm_steps(state.model, pooled, config.sgd, rng, config.method, t)
-    elif t == 1 or config.method == "FineTune":
-        if t >= 2:
-            state.omega_log[t] = from_preset(config.method, t)  # zeros
-        _erm_steps(state.model, domain_data, config.sgd, rng, config.method, t)
-    else:
-        coeff_logits = init_uniform(t) if config.method == ADAPTIVE_METHOD else None
-        disc = config.arch.build_discriminator(
-            t, substream(config.seed, "disc", t))
-        state.omega_log[t] = _train_domain_replay(
-            state, domain_data, rng, disc, coeff_logits)
+    past = ({} if pooled is not None or config.method == "FineTune"
+            else state.bank.buckets)
+    coeff_logits = disc = None
+    if past:
+        if config.method == ADAPTIVE_METHOD:
+            coeff_logits = init_uniform(t)
+        disc = config.arch.build_discriminator(t, substream(config.seed, "disc", t))
+    omega = _train_steps(state, domain_data if pooled is None else pooled, past,
+                         substream(config.seed, "batches", t), disc, coeff_logits)
+    if t >= 2 and pooled is None:  # FineTune logs its preset's zeros
+        state.omega_log[t] = omega if past else from_preset(config.method, t)
 
     state.bank.update_after_domain(domain_data, t, config.seed)
     state.t = t + 1
@@ -232,7 +207,7 @@ def _trains_disc(hp: HyperParams, omega: np.ndarray, adaptive: bool) -> bool:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What a replay step computed: the triples after it, UDIL's coefficient
+    """What a step computed: the triples after it, UDIL's coefficient
     statistics, and the discriminator, coefficient and model loss values,
     each checked finite before its update (None where a phase did not run)."""
     omega: np.ndarray
@@ -242,18 +217,22 @@ class StepRecord:
     model_loss: float
 
 
-def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
-                eps_hist: np.ndarray, pool_sizes: np.ndarray,
+def replay_step(state: TrainState, disc: Mlp | None, stopped_disc: Mlp | None,
+                eps_hist: np.ndarray | None, pool_sizes: np.ndarray,
                 rng: np.random.Generator, step: int, batch: StepBatch,
                 teacher: tuple, omega: np.ndarray,
                 param: Tensor | None) -> StepRecord:
-    """Step `step` of replay domain state.t on the record `batch` from the
-    triples `omega`: the discriminator update, the coefficient update (UDIL's
+    """Step `step` of domain state.t on the record `batch` from the triples
+    `omega`: the discriminator update, the coefficient update (UDIL's
     `param` over its logits, in place) and the model update, each network
     running once on the rows for every loss term.  `teacher` is the teacher's
     softmax, argmax and embedding (None when lambda_p = 0) on the rows, and
     `pool_sizes` counts the domain's rows, then each bucket's, as the
-    floats V_01's radical reads.
+    floats V_01's radical reads; `disc` and `stopped_disc` are None where
+    no phase runs them.  On a one-segment record (domain 1, FineTune,
+    Joint) `omega` is [0, 3], the teacher's outputs, `eps_hist` and `param`
+    are None, and the step is the model update alone: V_l is then the mean
+    cross-entropy, bit for bit, and the encoder terms are off.
 
     Every loss term hands back its gradient in closed form and each
     network backpropagates its own (`Mlp.backward`), into its `buffers`
@@ -302,7 +281,9 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
         encoded[-1], None if stopped is None else stopped[-1], disc_soft,
         teacher_embedding, omega, batch, hp, rng)
     model_value += aux_value
-    _check_finite(model_value, "model", config.method, t, step)
+    # a one-segment step's model loss is the cross-entropy alone
+    _check_finite(model_value, "model" if batch.layout.ids else "classification",
+                  config.method, t, step)
     into_embedding = [] if emb_grad is None else [emb_grad]
     if disc_grad is not None:
         into_embedding.append(stopped_disc.backward(stopped, disc_grad, True))
@@ -312,19 +293,21 @@ def replay_step(state: TrainState, disc: Mlp, stopped_disc: Mlp,
     return StepRecord(omega, stats, disc_value, coeff_value, model_value)
 
 
-def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
-                         rng: np.random.Generator, disc: Mlp,
-                         coeff_logits: np.ndarray | None) -> np.ndarray:
-    """[domain_data; bucket 1; ...; bucket t-1] is stacked once, with the
-    teacher's outputs on it from the model before its first step, and so is
-    the layout of every step's record (a current batch, then a memory batch
-    per bucket); each step gathers its rows and the teacher's by drawn index
-    for `replay_step`.  The triples are the method's preset, or with UDIL's
-    [t-1, 3] `coeff_logits` their softmax, descended in place once per step;
-    returns the domain's final triples.  The networks the steps run (the
-    encoder and predictor; the discriminator and its stopped view when
-    they train or the coefficients need it) write into buffers at the
-    steps' row count while the domain trains."""
+def _train_steps(state: TrainState, current: LabeledSet,
+                 past: dict[int, LabeledSet], rng: np.random.Generator,
+                 disc: Mlp | None, coeff_logits: np.ndarray | None) -> np.ndarray:
+    """Run the domain's steps on [current; bucket 1; ...; bucket t-1], the
+    sets of `past` after `current` (none on a one-segment domain), stacked
+    once, as is the layout of every step's record (a current batch, then a
+    memory batch per bucket) and, with a past segment, the teacher's
+    outputs on it from the model before its first step.  Each step gathers
+    its rows and the teacher's by drawn index for `replay_step`.  The
+    triples are the method's preset, or with UDIL's [t-1, 3] `coeff_logits`
+    their softmax, descended in place once per step, and [0, 3] with no
+    past segment; returns the domain's final triples.  The networks the
+    steps run (the encoder and predictor; the discriminator `disc` and its
+    stopped view when they train or the coefficients need it) write into
+    buffers at the steps' row count while the domain trains."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = coeff_logits is not None
@@ -332,32 +315,36 @@ def _train_domain_replay(state: TrainState, domain_data: LabeledSet,
     # once per domain so that no update builds a Tensor; each update's
     # softmax is the next V_01 input
     param = Tensor(coeff_logits) if adaptive else None
-    omega = softmax(coeff_logits) if adaptive else from_preset(config.method, t)
+    omega = (softmax(coeff_logits) if adaptive
+             else from_preset(config.method, t) if past else np.zeros((0, 3)))
     mem_batch = config.memory_batch if config.memory_batch is not None else sgd.batch_size
-    if config.split_memory_batch:
+    if config.split_memory_batch and past:
         mem_batch = max(1, mem_batch // (t - 1))
-    pool = StepBatch.stack(domain_data, state.bank.buckets)
+    pool = StepBatch.stack(current, past)
     counts = pool.layout.sizes.astype(np.float64)  # as V_01's radical reads them
     n_memory = pool.layout.sizes[1:]
-    layout = StepLayout([min(sgd.batch_size, len(domain_data))]
+    layout = StepLayout([min(sgd.batch_size, len(current))]
                         + [min(mem_batch, n) for n in n_memory], pool.layout.ids, t)
     offsets = pool.layout.bounds[layout.seg]  # where each row's segment starts
-    stopped_disc = disc.stopped()  # shares the weights sgd_step updates in place
-    teacher_probs, teacher_pred, teacher_emb, eps_hist = snapshot_history(model, pool)
+    probs, pred, emb, eps_hist = snapshot_history(model, pool) if past else (None,) * 4
+    teacher_outputs = (probs, pred, emb if hp.lambda_p > 0 else None)
 
     disc_on = _trains_disc(hp, omega, adaptive)
+    # sharing the weights sgd_step updates in place
+    stopped_disc = disc.stopped() if adaptive or disc_on else None
     nets = ([model.encoder, model.predictor] + ([disc] if disc_on else [])
-            + ([stopped_disc] if adaptive or disc_on else []))
+            + ([stopped_disc] if stopped_disc is not None else []))
     for net in nets:
         net.buffers = mlp_buffers(net.layers, len(layout.seg))
     try:
         for step in range(1, sgd.step_count + 1):
-            rows = [_draw_rows(len(domain_data), sgd.batch_size, rng)]
-            rows += state.bank.sample_past(mem_batch, rng).values()  # in layout.ids order
+            rows = [_draw_rows(len(current), sgd.batch_size, rng)]
+            if past:  # in layout.ids order
+                rows += state.bank.sample_past(mem_batch, rng).values()
             idx = np.concatenate(rows) + offsets
             batch = StepBatch(pool.x.take(idx, axis=0), pool.y.take(idx), layout)
-            teacher = (teacher_probs.take(idx, axis=0), teacher_pred.take(idx),
-                       teacher_emb.take(idx, axis=0) if hp.lambda_p > 0 else None)
+            teacher = tuple(None if a is None else a.take(idx, axis=0)
+                            for a in teacher_outputs)
             omega = replay_step(state, disc, stopped_disc, eps_hist, counts,
                                 rng, step, batch, teacher, omega, param).omega
     finally:  # so that no model a result keeps holds buffers

@@ -40,9 +40,10 @@ for bit, and test_step_layout.py the closed forms against its nodes.
 `classification_loss` is the mean cross-entropy as a node over a
 classifier's logits, as the library built it before it returned its logits
 gradient in closed form; the per-domain V_l here is built from it.
-`graph_erm_steps` is `trainer._erm_steps` (domain 1, FineTune, Joint) as
-one such graph per step; test_trainer.py compares the trainer's ERM steps
-against it bit for bit."""
+`graph_erm_steps` is the ERM steps (domain 1, FineTune, Joint) as the
+trainer ran them in a loop of their own, before they became one-segment
+`trainer.replay_step`s, one such graph per step; test_trainer.py compares
+the trainer's ERM domains against it bit for bit."""
 from __future__ import annotations
 
 import logging
@@ -661,7 +662,7 @@ def graph_replay_step(state, disc: Mlp, stopped_disc: Mlp,
 
 def graph_erm_steps(model: Classifier, data: LabeledSet, sgd, rng: np.random.Generator,
                     method: str, t: int) -> None:
-    """trainer._erm_steps as it ran before the ERM steps ran each network's
+    """The ERM steps as the trainer ran them before each network ran its
     closed-form forward and backward: each step one autodiff graph, its
     batch a `LabeledSet.subset`, its networks chains of linear and relu
     nodes and its loss the cross-entropy node `graph_softmax_xent`."""

@@ -371,7 +371,8 @@ def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
 def test_coefficient_update_builds_no_tensor(monkeypatch):
     """A UDIL step's coefficient update, from V_01 through the logits'
     sgd_step to the next triples, builds no Tensor: between entering V_01
-    and entering V_l the creation counter moves only for the probe."""
+    and entering V_l the creation counter moves only for the probe.  Domain
+    1's steps, V_l's alone, build none from one V_l to the next either."""
     seen = []
 
     def probe(fn, name):
@@ -388,8 +389,10 @@ def test_coefficient_update_builds_no_tensor(monkeypatch):
         "UDIL", 0, arch=ArchConfig([8], 4, [], [8]), sgd=SgdConfig(0.2, 3, 8),
         memory_capacity=20)
     trainer.run_sequence(stream, config)
-    assert [name for name, _ in seen] == ["v_01", "v_l"] * 6
-    for (_, start), (_, end) in zip(seen[::2], seen[1::2]):
+    assert [name for name, _ in seen] == ["v_l"] * 3 + ["v_01", "v_l"] * 6
+    for (_, start), (_, end) in zip(seen[:2], seen[1:3]):
+        assert end - start == 1
+    for (_, start), (_, end) in zip(seen[3::2], seen[4::2]):
         assert end - start == 1
 
 
@@ -617,6 +620,26 @@ def test_encoder_aux_gradient_reaches_encoder_only():
     enc.backward(encoded, stopped.backward(disc_acts, disc_grad, True), False)
     assert any(p.grad is not None for p in enc.params())
     assert all(p.grad is None for p in d.params())
+
+
+def test_encoder_aux_loss_needs_a_past_segment():
+    """On a one-segment record (domain 1, FineTune, Joint) with every
+    weight on, no term runs: V_d and V_p have no past row to read, and V_s,
+    drawing pairs from the rows, is left out with them.  The value is -0.0,
+    which adds no bit to V_l's, there is no gradient, and the generator
+    is not drawn from."""
+    rng = np.random.default_rng(52)
+    batch = StepBatch.stack(
+        LabeledSet(rng.normal(size=(6, 3)), np.array([0, 1] * 3), 1), {})
+    embedding = Mlp([3, 4, 2], rng=rng).logits(batch.x)
+    draws = np.random.default_rng(0)
+    before = draws.bit_generator.state
+    hp = HyperParams(lambda_d=0.1, lambda_p=0.1, lambda_s=0.1)
+    value, disc_grad, emb_grad = encoder_aux_loss(
+        embedding, None, None, None, np.zeros((0, 3)), batch, hp, draws)
+    assert (value, disc_grad, emb_grad) == (0.0, None, None)
+    assert math.copysign(1.0, value) == -1.0
+    assert draws.bit_generator.state == before
 
 
 @pytest.mark.parametrize("seed", range(5))

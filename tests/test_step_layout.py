@@ -168,8 +168,8 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
     monkeypatch.setattr(losses, "v_d", checked("v_d_enc", v_d, check_v_d))
     monkeypatch.setattr(trainer, "coeff_stats_for_step",
                         checked("stats", coeff_stats_for_step, check_stats))
-    trainer._train_domain_replay(state, _set(rng, 30, t),
-                                 np.random.default_rng(t), disc, coeff_logits)
+    trainer._train_steps(state, _set(rng, 30, t), bank.buckets,
+                         np.random.default_rng(t), disc, coeff_logits)
     beta = method in ("UDIL", "LwF", "BiC")
     want = {"v_l": 3, "v_d_enc": 3, **({"v_d": 3} if beta else {}),
             **({"stats": 3} if method == "UDIL" else {})}
@@ -292,11 +292,11 @@ def test_rowwise_softmax_and_argmax_commute_with_gathers(n, k, ties, seed):
 
 
 def test_step_layout_built_once_per_replay_domain(monkeypatch):
-    """Over a 3-domain UDIL run, every step of a replay domain reads one
+    """Over a 3-domain UDIL run, every step of a domain reads one
     StepLayout of sizes (min(batch, n_t), min(memory batch, |bucket|)...),
     and the StepLayouts a domain constructs (its pool of rows and that
     one) do not grow with its step count: none is built per step.  Domain
-    1 builds none."""
+    1, with no bucket, builds the same two, of one segment each."""
     stream = gen_hd_balls(seed=3, n_domains=3, n_per_domain=60, dim=4,
                           sigma=0.4)
     built, read = [], []
@@ -324,16 +324,16 @@ def test_step_layout_built_once_per_replay_domain(monkeypatch):
             del built[:], read[:]
             state = trainer.train_domain(state, stream.train(t))
             counts[t] = len(built)
-            if t >= 2:
-                layout = read[0]
-                assert len(read) == steps and all(r is layout for r in read)
-                assert layout in built
-                assert layout.sizes.tolist() == [16] + [min(8, n)
-                                                        for n in buckets]
+            layout = read[0]
+            assert len(read) == steps and all(r is layout for r in read)
+            assert layout in built
+            assert layout.ids == tuple(range(1, t)) and layout.t == t
+            assert layout.sizes.tolist() == [16] + [min(8, n)
+                                                    for n in buckets]
         return counts
 
     one, four = per_domain(1), per_domain(4)
-    assert one == four == {1: 0, 2: 2, 3: 2}
+    assert one == four == {1: 2, 2: 2, 3: 2}
 
 
 @pytest.mark.parametrize("sizes", [[-1, 3], [2.5, 3], [2, -4]])

@@ -1,4 +1,5 @@
 import copy
+import math
 import dataclasses
 import tracemalloc
 
@@ -98,25 +99,38 @@ def _ten_class_stream(seed=4):
 def test_erm_steps_match_frozen_graph_steps_bitwise(monkeypatch, method,
                                                     classes):
     """Every ERM domain of a three-domain run (domain 1 for UDIL, each
-    domain for FineTune and Joint) against reference_step.graph_erm_steps,
-    the steps as one autodiff graph each, run from copies of the same model
-    and rng: every parameter and the rng's state after the domain, bit for
-    bit, with two classes and with ten."""
+    domain for FineTune and Joint), driven through train_domain, against
+    reference_step.graph_erm_steps, the steps as one autodiff graph each,
+    run from a copy of the same model and an equal rng: every parameter and
+    the rng's state after the domain, bit for bit, with two classes and
+    with ten, and no network left holding buffers."""
     stream = small_stream() if classes == 2 else _ten_class_stream()
-    library, seen = trainer._erm_steps, []
+    library, seen, made = trainer.train_domain, [], {}
 
-    def both(model, data, sgd, rng, method, t):
-        want, ref_rng = copy.deepcopy(model), copy.deepcopy(rng)
-        ref.graph_erm_steps(want, data, sgd, ref_rng, method, t)
-        library(model, data, sgd, rng, method, t)
-        for k, (p, r) in enumerate(zip(model.params(), want.params())):
+    def recording_substream(seed, *names):
+        made[names] = substream(seed, *names)
+        return made[names]
+
+    def both(state, domain_data, pooled=None):
+        t, config = state.t, state.config
+        if method == "UDIL" and t > 1:
+            return library(state, domain_data)
+        want = copy.deepcopy(state.model)
+        ref_rng = substream(config.seed, "batches", t)
+        ref.graph_erm_steps(want, domain_data if pooled is None else pooled,
+                            config.sgd, ref_rng, method, t)
+        state = library(state, domain_data, pooled)
+        for k, (p, r) in enumerate(zip(state.model.params(), want.params())):
             assert p.data.tobytes() == r.data.tobytes(), (method, t, k)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (made["batches", t].bit_generator.state
+                == ref_rng.bit_generator.state)
         assert all(net.buffers is None
-                   for net in (model.encoder, model.predictor))
+                   for net in (state.model.encoder, state.model.predictor))
         seen.append(t)
+        return state
 
-    monkeypatch.setattr(trainer, "_erm_steps", both)
+    monkeypatch.setattr(trainer, "substream", recording_substream)
+    monkeypatch.setattr(trainer, "train_domain", both)
     run_sequence(stream, small_config(method, steps=12))
     assert seen == ([1] if method == "UDIL" else [1, 2, 3])
 
@@ -171,6 +185,33 @@ def test_erm_step_runs_each_network_once_and_builds_no_tensor(monkeypatch,
     one, three = per_domain(1), per_domain(3)
     assert {t: tuple((b - a) / 2 for a, b in zip(one[t], three[t]))
             for t in domains} == {t: (2, 2, 0, 0, 0, 0) for t in domains}
+
+
+@pytest.mark.parametrize("method", ["UDIL", "ER", "FineTune", "Joint"])
+def test_every_step_is_a_replay_step(monkeypatch, method):
+    """Every step of a three-domain run goes through replay_step, in order:
+    step_count of them per domain.  A one-segment step (domain 1, and every
+    FineTune and Joint domain) is the model update alone: its record holds
+    [0, 3] triples, no coefficient statistics, no discriminator or
+    coefficient loss, and a finite model loss."""
+    library, steps = trainer.replay_step, []
+
+    def recording_step(state, *args):
+        record = library(state, *args)
+        steps.append((state.t, args[5], args[6].layout.ids, record))
+        return record
+
+    monkeypatch.setattr(trainer, "replay_step", recording_step)
+    run_sequence(small_stream(), small_config(method, steps=5))
+    assert ([(t, step) for t, step, _, _ in steps]
+            == [(t, step) for t in (1, 2, 3) for step in range(1, 6)])
+    for t, _, ids, record in steps:
+        one_segment = t == 1 or method in ("FineTune", "Joint")
+        assert ids == (() if one_segment else tuple(range(1, t)))
+        if one_segment:
+            assert record.omega.shape == (0, 3)
+            assert record.stats is record.disc_loss is record.coeff_loss is None
+            assert math.isfinite(record.model_loss)
 
 
 def test_model_starts_from_history(monkeypatch):
