@@ -1,26 +1,18 @@
 """Closed-form network passes, softmax and cross-entropy over numpy
-float64 arrays, and `Tensor`, the parameter holder they read.
+float64 arrays, and `Tensor`, the node of the test-side graph.
 
-A Tensor holds a parameter's value (`data`), its gradient (`grad`, None
-until a backward sets it; the optimizer step clears it) and whether it
-takes one.  The library builds no graph of Tensors.  The test-side graph
-does, over the parameters: each of its nodes is a Tensor with a
-`_backward` closure and a creation number, `backward()` runs the closures
-of the nodes a scalar loss reaches in reverse creation order, and
-`_accum` adds a closure's gradient into an input's (a first one copied
-unless fresh, later ones added with +=).  perfbench wraps `backward` and
-counts Tensor constructions by name.
+`mlp_forward` runs a network over its (w, b) arrays and keeps each layer's
+input; `mlp_backward` writes each parameter's gradient into its view of a
+gradient array and returns the input's; `mlp_buffers` builds the arrays the
+two write the rest into, once for a row count.  `softmax_parts`, `softmax`,
+`xent` and `row_sum` are the row-wise reductions the losses share.
 
-`mlp_forward` runs a network (x @ w + b per layer, relu between layers)
-and keeps each layer's input; `mlp_backward` takes the output gradient,
-accumulates the parameters' gradients and returns the input's;
-`mlp_buffers` builds, once for a row count, the arrays the two write into
-instead of fresh ones.  A buffered `mlp_backward` hands a parameter its
-buffer only while the parameter holds no gradient; one still held gets a
-fresh gradient added to it.  `softmax_parts` is a row-wise softmax stored
-by column, with the row max and row sum it took; `softmax` is the softmax
-itself, `xent` the cross-entropy's value and its adjoint for an upstream
-scalar, and `row_sum` NumPy's last-axis sum, bitwise.
+No other module of the library builds a Tensor.  Each node of the
+test-side graph is one, with a value (`data`), a gradient (`grad`), a
+`_backward` closure and a creation number; `backward()` runs the closures
+of the nodes a scalar loss reaches in reverse creation order, and `_accum`
+adds a closure's gradient into an input's (copied unless fresh, then +=).
+perfbench wraps `backward` and counts Tensor constructions by name.
 """
 from __future__ import annotations
 
@@ -81,40 +73,33 @@ class Tensor:
 
 
 class LayerBuffers(NamedTuple):
-    """Where one layer's buffered forward and backward write: its output,
-    its input's gradient, its input's relu mask (None on the first layer)
-    and its weight's and bias's gradients (None for a parameter that takes
-    none)."""
+    """Where one layer's buffered passes write: its output, its input's
+    gradient and its input's relu mask (None on the first layer)."""
     out: np.ndarray | None
     grad_in: np.ndarray | None
     mask: np.ndarray | None
-    w_grad: np.ndarray | None
-    b_grad: np.ndarray | None
 
 
-_FRESH = LayerBuffers(None, None, None, None, None)  # every result a new array
+_FRESH = LayerBuffers(None, None, None)  # every result a new array
+
+Layers = Sequence[tuple[np.ndarray, np.ndarray]]  # (w, b) per layer
 
 
-def mlp_buffers(layers: Sequence[tuple[Tensor, Tensor]],
-                rows: int) -> list[LayerBuffers]:
+def mlp_buffers(layers: Layers, rows: int) -> list[LayerBuffers]:
     """The buffers `mlp_forward` and `mlp_backward` write into for the
-    (w, b) layers at `rows` rows, built once; builds no node.  What a
-    buffered call returns stays valid until the next call on them."""
-    return [LayerBuffers(np.empty((rows, w.data.shape[1])),
-                         np.empty((rows, w.data.shape[0])),
-                         np.empty((rows, w.data.shape[0]), dtype=bool) if k else None,
-                         np.empty_like(w.data) if w.requires_grad else None,
-                         np.empty_like(b.data) if b.requires_grad else None)
+    (w, b) layers at `rows` rows, built once.  What a buffered call returns
+    stays valid until the next call on them."""
+    return [LayerBuffers(np.empty((rows, w.shape[1])), np.empty((rows, w.shape[0])),
+                         np.empty((rows, w.shape[0]), dtype=bool) if k else None)
             for k, (w, b) in enumerate(layers)]
 
 
-def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]],
+def mlp_forward(x, layers: Layers,
                 buffers: Sequence[LayerBuffers] | None = None) -> list[np.ndarray]:
     """[n, i] through the (w, b) layers: h @ w + b per layer, relu between
     layers.  Returns the input of each layer, then the [n, o] output, as
     `mlp_backward` reads them; each layer's output is written into its
-    `buffers` (from `mlp_buffers` at n rows) or, without, a fresh array.
-    Builds no node."""
+    `buffers` (from `mlp_buffers` at n rows) or, without, a fresh array."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ContractError("Mlp input must be [batch, features]")
@@ -125,41 +110,33 @@ def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]],
                             f"got {len(h)}")
     hs, last = [h], len(layers) - 1
     for k, ((w, b), buf) in enumerate(zip(layers, buffers, strict=True)):
-        if h.shape[1] != w.data.shape[0]:
+        if h.shape[1] != w.shape[0]:
             raise ContractError(f"layer {k}: input has {h.shape[1]} "
-                                f"features, expected {w.data.shape[0]}")
-        h = np.matmul(h, w.data, out=buf.out)
-        h += b.data
+                                f"features, expected {w.shape[0]}")
+        h = np.matmul(h, w, out=buf.out)
+        h += b
         if k < last:
             np.maximum(h, 0.0, out=h)
         hs.append(h)
     return hs
 
 
-def mlp_backward(hs: list[np.ndarray], layers: Sequence[tuple[Tensor, Tensor]],
-                 g: np.ndarray, input_grad: bool,
+def mlp_backward(hs: list[np.ndarray], layers: Layers, g: np.ndarray,
+                 input_grad: bool, grads: Layers | None = None,
                  buffers: Sequence[LayerBuffers] | None = None) -> np.ndarray | None:
     """Backpropagate the output gradient g through the layers `hs` came
-    from: accumulate each parameter's gradient (if it requires one) and
-    return the input's gradient when `input_grad` is set, else None.  Each
-    gradient is the one a chain of one node per layer and per relu
-    accumulates, bitwise, and is written into its `buffers` (those of the
-    forward) or, without, a fresh array.  A parameter that still holds a
-    gradient (maybe its very buffer) gets a fresh one added to it."""
+    from: write each parameter's gradient into its view in `grads` (None
+    for a network that takes none) and return the input's gradient when
+    `input_grad` is set, else None; each is bitwise what a chain of one
+    node per layer and per relu accumulates.  The input's gradient and the
+    relu masks go into `buffers` (the forward's) or fresh arrays."""
     g_in, buffers = None, buffers or [_FRESH] * len(layers)
     for k in reversed(range(len(layers))):
-        (w, b), buf = layers[k], buffers[k]
-        if b.requires_grad:
-            if b.grad is None:
-                b.grad = np.add.reduce(g, axis=0, out=buf.b_grad)
-            else:
-                b.grad += np.add.reduce(g, axis=0)
-        g_in = np.matmul(g, w.data.T, out=buf.grad_in) if k or input_grad else None
-        if w.requires_grad:
-            if w.grad is None:
-                w.grad = np.matmul(hs[k].T, g, out=buf.w_grad)
-            else:
-                w.grad += np.matmul(hs[k].T, g)
+        w, buf = layers[k][0], buffers[k]
+        if grads is not None:
+            np.add.reduce(g, axis=0, out=grads[k][1])
+            np.matmul(hs[k].T, g, out=grads[k][0])
+        g_in = np.matmul(g, w.T, out=buf.grad_in) if k or input_grad else None
         if k:
             g = np.multiply(g_in, np.greater(hs[k], 0.0, out=buf.mask), out=g_in)
     return g_in

@@ -218,6 +218,12 @@ class BoundInstance:
         return _read_only(np.array(out))
 
     @cached_property
+    def intra_tallies(self) -> tuple[tuple[float, int], ...]:
+        """Each domain's intra check over its classes (largest gap,
+        violating pairs); the current domain's is the cross check's too."""
+        return tuple(_class_tally(self, d, m) for d, m in enumerate(self.disagreements))
+
+    @cached_property
     def coeff_stats(self) -> CoeffStats:
         """The exact terms of the chosen (h, H_prev) as the statistics
         V_01 weighs the coefficients by."""
@@ -299,18 +305,18 @@ def _cross_tally(inst: BoundInstance, d: int, offset) -> tuple[float, int]:
 def check_intra_bound(inst: BoundInstance) -> CheckReport:
     """risk_i(h) <= disagreement_i(h, H') + risk_i(H'), over domain i's
     classes, on which the risk is constant."""
-    return _report("intra_bound", inst, [
-        _class_tally(inst, d, dis) for d, dis in enumerate(inst.disagreements)])
+    return _report("intra_bound", inst, inst.intra_tallies)
 
 
 def check_cross_bound(inst: BoundInstance) -> CheckReport:
     """risk_i(h) <= disagreement_cur(h, H') + half-divergence + risk_i(H');
     on the current domain, over its own classes, its divergence to itself
-    being exactly 0."""
+    being exactly 0: the intra check's term there (no disagreement is -0.0,
+    so adding 0.0 would change no bit)."""
     return _report("cross_bound", inst, [
         *(_cross_tally(inst, d, 0.5 * div)
           for d, div in enumerate(inst.divergences)),
-        _class_tally(inst, inst.n_domains - 1, inst.disagreements[-1], 0.0)])
+        inst.intra_tallies[-1]])
 
 
 def deterministic_bound(inst: BoundInstance,
@@ -395,10 +401,16 @@ def radical_argument(omega: np.ndarray, n_current: int,
     return float((v * v * w).sum())
 
 
-@lru_cache(maxsize=64)
-def _preset_rows(method: str, t: int) -> np.ndarray:
-    """A preset's [t-1, 3] triples (read-only, built once per (method, t))."""
-    return _read_only(from_preset(method, t))
+@lru_cache(maxsize=256)
+def _erm_shape_gaps(t: int, n_cur: int,
+                    n_mem: tuple[int, ...]) -> tuple[float, int, float]:
+    """`check_erm_bound_shape`'s larger gap and violations at c_gen = 1 and
+    its replay form, which read only the sample sizes."""
+    plain = 1.0 / n_cur + float(np.sum(1.0 / np.asarray(n_mem, dtype=float)))
+    gap_er = abs(radical_argument(from_preset("ER", t), n_cur, n_mem) - plain)
+    gap_lwf = abs(radical_argument(from_preset("LwF", t), n_cur, n_mem)
+                  - t ** 2 / n_cur)
+    return max(gap_er, gap_lwf), int(gap_er > TOL) + int(gap_lwf > TOL), plain
 
 
 def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckReport:
@@ -408,18 +420,9 @@ def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckRepor
     vanish leaving t^2/N_t.  Probabilistic content is out of scope."""
     t = inst.n_domains
     n_cur = int(inst.domain_samples[t - 1].size)
-    n_mem = [int(s.size) for s in inst.domain_samples[:-1]]
-
-    er = _preset_rows("ER", t)
-    plain = 1.0 / n_cur + float(np.sum(1.0 / np.asarray(n_mem, dtype=float)))
-    gap_er = abs(radical_argument(er, n_cur, n_mem) - plain)
-
-    lwf = _preset_rows("LwF", t)
-    gap_lwf = abs(radical_argument(lwf, n_cur, n_mem) - t ** 2 / n_cur)
-
-    worst = max(gap_er, gap_lwf) * c_gen
-    violations = int(gap_er > TOL) + int(gap_lwf > TOL)
-    return CheckReport("erm_bound_shape", 2, violations, float(worst),
+    gap, violations, plain = _erm_shape_gaps(
+        t, n_cur, tuple(int(s.size) for s in inst.domain_samples[:-1]))
+    return CheckReport("erm_bound_shape", 2, violations, float(gap * c_gen),
                        details={"replay_form": plain,
                                 "distill_form": t ** 2 / n_cur})
 

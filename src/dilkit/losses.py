@@ -122,12 +122,12 @@ class StepBatch:
 
     @classmethod
     def stack(cls, current: LabeledSet, past: dict[int, LabeledSet]) -> StepBatch:
-        """`current` (from domain t, its domain_id), then each set of `past`."""
+        """`current` (from domain t, its domain_id), then each set of `past`;
+        with no past set, `current`'s own arrays, which no step writes to."""
         sets = [current] + [past[i] for i in sorted(past)]
-        return cls(np.concatenate([s.x for s in sets]),
-                   np.concatenate([s.y for s in sets]),
-                   StepLayout([len(s) for s in sets], sorted(past),
-                              current.domain_id))
+        join = np.concatenate if past else (lambda arrays: arrays[0])
+        return cls(join([s.x for s in sets]), join([s.y for s in sets]),
+                   StepLayout([len(s) for s in sets], sorted(past), current.domain_id))
 
 
 def _one_hot(y: np.ndarray, k: int, row_w) -> np.ndarray:

@@ -1,19 +1,18 @@
 """MLPs (ReLU hidden layers, linear last layer), SGD, and the
 encoder/predictor composite used by the training loop.  An Mlp's `logits`
-is its output array; the training steps run it as a forward that
-keeps each layer's input and a backward from its logits gradient, and
-while its `buffers` are set (for one domain's steps, at their row count)
-those two write into them instead of into fresh arrays."""
+is its output array; the training steps run it as a forward that keeps
+each layer's input and a backward from its logits gradient, which write
+into buffers while they are set (for one domain's steps)."""
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (ContractError, LayerBuffers, Tensor, mlp_backward,
-                       mlp_forward)
+from .autodiff import ContractError, mlp_backward, mlp_buffers, mlp_forward
 
 
 @dataclass(frozen=True)
@@ -65,68 +64,96 @@ class SgdConfig(Ranged):
     batch_size: int = Range(1).field(32)
 
 
-def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    # uniform +-sqrt(6/(fan_in+fan_out)), zero bias
-    lim = np.sqrt(6.0 / (fan_in + fan_out))
-    w = rng.uniform(-lim, lim, size=(fan_in, fan_out))
-    return (Tensor(w, requires_grad=True),
-            Tensor(np.zeros(fan_out), requires_grad=True))
-
-
 class Mlp:
-    """Fully connected net: ReLU on hidden layers, logits out of the last."""
+    """Fully connected net: ReLU on hidden layers, logits out of the last.
+    Every weight and bias is a view of one float64 array, `flat` (layer by
+    layer, the [i, o] weight, then the [o] bias).  A backward writes the
+    gradient into `grad`, one array of that layout, which the next
+    `sgd_step` applies and drops; until then the network refuses another
+    backward.  A stopped view takes no gradient."""
 
-    def __init__(self, sizes: Sequence[int],
-                 rng: np.random.Generator | None = None, _layers=None):
-        if _layers is not None:
-            self.layers = _layers
-        else:
-            if len(sizes) < 2:
-                raise ContractError("Mlp needs at least input and output sizes")
-            if rng is None:
-                raise ContractError("Mlp init requires a seeded rng")
-            self.layers = [_init_layer(a, b, rng) for a, b in zip(sizes, sizes[1:])]
-        # what forward and backward write into, from autodiff.mlp_buffers
-        self.buffers: list[LayerBuffers] | None = None
+    def __init__(self, sizes: Sequence[int], rng: np.random.Generator | None = None,
+                 _flat=None, _stopped=False):
+        if len(sizes) < 2:
+            raise ContractError("Mlp needs at least input and output sizes")
+        if _flat is None and rng is None:
+            raise ContractError("Mlp init requires a seeded rng")
+        self.sizes, self.takes_grad = list(sizes), not _stopped
+        self.flat = (np.zeros(sum(a * b + b for a, b in zip(sizes, sizes[1:])))
+                     if _flat is None else _flat)
+        self.layers = self.views(self.flat)
+        if _flat is None:  # uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases
+            for w, _ in self.layers:
+                lim = np.sqrt(6.0 / sum(w.shape))
+                w[...] = rng.uniform(-lim, lim, size=w.shape)
+        self.grad = self.buffers = self._grad_buffer = None  # see set_buffers
 
-    def params(self) -> list[Tensor]:
-        return [p for pair in self.layers for p in pair]
+    def __repr__(self) -> str:
+        return f"Mlp({self.sizes})"
+
+    def __deepcopy__(self, memo) -> "Mlp":  # a copy's layers view its own array
+        return Mlp(self.sizes, _flat=deepcopy(self.flat, memo), _stopped=not self.takes_grad)
+
+    def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (w, b) views of `flat`, an array in this network's layout."""
+        ends = np.cumsum([n for a, b in zip(self.sizes, self.sizes[1:]) for n in (a * b, b)])
+        parts = np.split(flat, ends[:-1])
+        return [(w.reshape(a, -1), b) for a, w, b in zip(self.sizes, parts[::2], parts[1::2])]
+
+    def _gradient(self) -> tuple[np.ndarray, list]:
+        return (grad := np.empty_like(self.flat)), self.views(grad)
+
+    def set_buffers(self, rows: int | None) -> None:
+        """Have forward and backward write into arrays built once for
+        `rows` rows, the gradient into one; None drops them and any
+        gradient not yet applied."""
+        on = rows is not None
+        self.buffers = mlp_buffers(self.layers, rows) if on else None
+        self._grad_buffer = self._gradient() if on and self.takes_grad else None
+        self.grad = None
 
     def logits(self, x) -> np.ndarray:
         return mlp_forward(x, self.layers)[-1]
 
     def forward(self, x) -> list[np.ndarray]:
         """The logits as the last of each layer's input: what `backward`
-        reads.  With `buffers` set, the layers' outputs are
-        those buffers, valid until the next forward."""
+        reads; buffers, when set, valid until the next forward."""
         return mlp_forward(x, self.layers, self.buffers)
 
     def backward(self, acts: list[np.ndarray], g: np.ndarray,
                  input_grad: bool) -> np.ndarray | None:
-        """Set each parameter's gradient from the gradient g on the logits
-        of `forward`'s `acts`; returns the input's when `input_grad` is set.
-        With `buffers` set, a parameter holding no gradient is handed its
-        buffer, and the input's gradient is a buffer too, valid until the
-        next backward."""
-        return mlp_backward(acts, self.layers, g, input_grad, self.buffers)
+        """Set `grad` from the gradient g on the logits of `forward`'s
+        `acts` (a stopped view sets none); returns the input's when
+        `input_grad` is set, a buffer when set, valid until the next one."""
+        if self.grad is not None:
+            raise ContractError(f"{self}: backward again before sgd_step "
+                                "applied its gradient")
+        grad, views = self._grad_buffer or (
+            self._gradient() if self.takes_grad else (None, None))
+        g_in = mlp_backward(acts, self.layers, g, input_grad, views, self.buffers)
+        self.grad = grad
+        return g_in
 
     def stopped(self) -> "Mlp":
-        """View of this net sharing its weights, whose parameters take no
-        gradient."""
-        layers = [(Tensor(w.data), Tensor(b.data)) for w, b in self.layers]
-        return Mlp([], _layers=layers)
+        """View of this net sharing its weights, taking no gradient."""
+        return Mlp(self.sizes, _flat=self.flat, _stopped=True)
 
 
-def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:
-    """p <- p - lr * grad for every param, scaling each grad in place (the
-    param owns it); grads cleared afterwards."""
-    for p in params:
-        if p.grad is None:
-            raise ContractError("sgd_step: parameter has no gradient")
-    for p in params:
-        p.grad *= learning_rate
-        p.data -= p.grad
-        p.grad = None
+def sgd_step(params: Sequence[Mlp | tuple[np.ndarray, np.ndarray]],
+             learning_rate: float) -> None:
+    """values <- values - lr * grad for each network (its `flat` and the
+    `grad` of its last backward, then dropped) and (values, grad) pair, as
+    grad *= lr, values -= grad: elementwise, so bitwise per parameter."""
+    pairs = [p if isinstance(p, tuple) else (p.flat, p.grad) for p in params]
+    for p, (_, grad) in zip(params, pairs):
+        if grad is None:
+            raise ContractError(f"sgd_step: {p if isinstance(p, Mlp) else 'an array'} "
+                                "has no gradient")
+    for p, (values, grad) in zip(params, pairs):
+        grad *= learning_rate
+        values -= grad
+        if not isinstance(p, tuple):
+            p.grad = None
 
 
 @dataclass
@@ -144,8 +171,9 @@ class Classifier:
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.logits(x), axis=1)
 
-    def params(self) -> list[Tensor]:
-        return self.encoder.params() + self.predictor.params()
+    def params(self) -> list[Mlp]:
+        """The networks, as `sgd_step` takes them."""
+        return [self.encoder, self.predictor]
 
     def stopped(self) -> "Classifier":
         return Classifier(self.encoder.stopped(), self.predictor.stopped())

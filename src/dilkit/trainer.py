@@ -9,9 +9,8 @@ segment and the step is the model update on the cross-entropy alone.  The
 teacher is the model as the previous domain left it: one pass at the start
 of each replay domain records its outputs, and each step's record shares
 one layout derived at the domain's start.  A step takes every gradient in
-closed form, and each network backpropagates its own, writing its layer
-outputs and gradients into buffers built at the domain's start for the
-networks its steps run.  After each domain the replay memory is rebalanced.
+closed form, and each network backpropagates its own into buffers built at
+the domain's start.  After each domain the replay memory is rebalanced.
 """
 from __future__ import annotations
 
@@ -22,8 +21,7 @@ from operator import iadd
 
 import numpy as np
 
-from .autodiff import (ContractError, Tensor, mlp_buffers, softmax,
-                       softmax_parts)
+from .autodiff import ContractError, softmax, softmax_parts
 from .coeffs import check_method, from_preset, init_uniform, logit_gradient
 from .datagen import ConfigError, DomainStream, LabeledSet
 # no caller here; perfbench wraps hdh_discriminator_estimate by this name
@@ -133,12 +131,11 @@ def descend_v01(coeff_logits: np.ndarray, stats: CoeffStats, c_gen: float,
     `replay_step`'s coefficient update, without its finiteness check."""
     if steps < 1:
         raise ContractError(f"descend_v01 needs at least one step, got {steps}")
-    param, omega = Tensor(coeff_logits), softmax(coeff_logits)
+    omega = softmax(coeff_logits)
     for _ in range(steps):
         value, grad = v_01(omega, stats, c_gen, n_current, n_memory)
-        param.grad = logit_gradient(omega, grad)
-        sgd_step([param], learning_rate)
-        omega = softmax(param.data)
+        sgd_step([(coeff_logits, logit_gradient(omega, grad))], learning_rate)
+        omega = softmax(coeff_logits)
     return value
 
 
@@ -147,12 +144,11 @@ def snapshot_history(model: Classifier, pool: StepBatch
     """The teacher's pass over a replay domain's rows: its softmax, argmax
     and embedding on every row (row-wise, so gathering a step's rows gives
     what the step would compute on them) and its 0-1 error on each bucket.
-    Runs on a view of `model` sharing its weights, so call it before the
-    first step.  One pass per segment keeps the logits those of a pass per set."""
-    frozen = model.stopped()
+    Call it before the first step.  One pass per segment keeps the logits
+    those of a pass per set."""
     bounds = pool.layout.bounds
-    embedded = [frozen.embed(x) for x in np.split(pool.x, bounds[1:-1])]
-    logits = np.concatenate([frozen.predictor.logits(e) for e in embedded])
+    embedded = [model.embed(x) for x in np.split(pool.x, bounds[1:-1])]
+    logits = np.concatenate([model.predictor.logits(e) for e in embedded])
     pred = np.argmax(logits, axis=1)
     eps = np.add.reduceat(pred != pool.y, bounds[:-1], dtype=np.int64) / pool.layout.sizes
     return softmax(logits), pred, np.concatenate(embedded), eps[1:]
@@ -221,22 +217,24 @@ def replay_step(state: TrainState, disc: Mlp | None, stopped_disc: Mlp | None,
                 eps_hist: np.ndarray | None, pool_sizes: np.ndarray,
                 rng: np.random.Generator, step: int, batch: StepBatch,
                 teacher: tuple, omega: np.ndarray,
-                param: Tensor | None) -> StepRecord:
+                coeff_logits: np.ndarray | None) -> StepRecord:
     """Step `step` of domain state.t on the record `batch` from the triples
     `omega`: the discriminator update, the coefficient update (UDIL's
-    `param` over its logits, in place) and the model update, each network
-    running once on the rows for every loss term.  `teacher` is the teacher's
+    `coeff_logits`, in place) and the model update, each network running
+    once on the rows for every loss term.  `teacher` is the teacher's
     softmax, argmax and embedding (None when lambda_p = 0) on the rows, and
     `pool_sizes` counts the domain's rows, then each bucket's, as the
     floats V_01's radical reads; `disc` and `stopped_disc` are None where
     no phase runs them.  On a one-segment record (domain 1, FineTune,
-    Joint) `omega` is [0, 3], the teacher's outputs, `eps_hist` and `param`
-    are None, and the step is the model update alone: V_l is then the mean
-    cross-entropy, bit for bit, and the encoder terms are off.
+    Joint) `omega` is [0, 3], the teacher's outputs, `eps_hist` and
+    `coeff_logits` are None, and the step is the model update alone: V_l
+    is then the mean cross-entropy, bit for bit, and the encoder terms are
+    off.
 
     Every loss term hands back its gradient in closed form and each
-    network backpropagates its own (`Mlp.backward`), into its `buffers`
-    when they are set; no step builds a Tensor.  The stopped
+    network backpropagates its own (`Mlp.backward`) into its one gradient
+    array, which `sgd_step` applies with two in-place calls, as it does the
+    logits' gradient.  The stopped
     discriminator's softmax is taken once (`softmax_parts`), for the
     divergence estimate and V_d's encoder side alike.  The embedding's
     gradient is summed as a graph over the whole step would sum it: V_p
@@ -244,7 +242,7 @@ def replay_step(state: TrainState, disc: Mlp | None, stopped_disc: Mlp | None,
     every update is bitwise that graph's."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
-    adaptive = param is not None
+    adaptive = coeff_logits is not None
     omega_lr = config.omega_lr if config.omega_lr is not None else sgd.learning_rate
     disc_lr = config.disc_lr if config.disc_lr is not None else sgd.learning_rate
     disc_on = _trains_disc(hp, omega, adaptive)
@@ -261,7 +259,7 @@ def replay_step(state: TrainState, disc: Mlp | None, stopped_disc: Mlp | None,
         _check_finite(disc_value, "discriminator", config.method, t, step)
         if vd is not None:
             disc.backward(acts, vd[1], False)
-            sgd_step(disc.params(), disc_lr)
+            sgd_step([disc], disc_lr)
     stopped = disc_soft = None
     if adaptive or disc_on:
         stopped = stopped_disc.forward(encoded[-1])
@@ -272,9 +270,8 @@ def replay_step(state: TrainState, disc: Mlp | None, stopped_disc: Mlp | None,
                                      disc_soft.pt.T, teacher_pred)
         coeff_value, grad = v_01(omega, stats, hp.c_gen, pool_sizes[0], pool_sizes[1:])
         _check_finite(coeff_value, "coefficient", config.method, t, step)
-        param.grad = logit_gradient(omega, grad)
-        sgd_step([param], omega_lr)
-        omega = softmax(param.data)
+        sgd_step([(coeff_logits, logit_gradient(omega, grad))], omega_lr)
+        omega = softmax(coeff_logits)
 
     model_value, logits_grad = v_l(batch, omega, predicted[-1], teacher_probs)
     aux_value, disc_grad, emb_grad = encoder_aux_loss(
@@ -305,16 +302,11 @@ def _train_steps(state: TrainState, current: LabeledSet,
     triples are the method's preset, or with UDIL's [t-1, 3] `coeff_logits`
     their softmax, descended in place once per step, and [0, 3] with no
     past segment; returns the domain's final triples.  The networks the
-    steps run (the encoder and predictor; the discriminator `disc` and its
-    stopped view when they train or the coefficients need it) write into
-    buffers at the steps' row count while the domain trains."""
+    steps run write into buffers and gradient arrays that live while the
+    domain trains."""
     config = state.config
     t, hp, sgd, model = state.t, config.hp, config.sgd, state.model
     adaptive = coeff_logits is not None
-    # UDIL's logit array as sgd_step's parameter (sharing its memory), built
-    # once per domain so that no update builds a Tensor; each update's
-    # softmax is the next V_01 input
-    param = Tensor(coeff_logits) if adaptive else None
     omega = (softmax(coeff_logits) if adaptive
              else from_preset(config.method, t) if past else np.zeros((0, 3)))
     mem_batch = config.memory_batch if config.memory_batch is not None else sgd.batch_size
@@ -330,12 +322,11 @@ def _train_steps(state: TrainState, current: LabeledSet,
     teacher_outputs = (probs, pred, emb if hp.lambda_p > 0 else None)
 
     disc_on = _trains_disc(hp, omega, adaptive)
-    # sharing the weights sgd_step updates in place
-    stopped_disc = disc.stopped() if adaptive or disc_on else None
-    nets = ([model.encoder, model.predictor] + ([disc] if disc_on else [])
-            + ([stopped_disc] if stopped_disc is not None else []))
+    stopped_disc = disc.stopped() if adaptive or disc_on else None  # shares disc's array
+    nets = [net for net in (model.encoder, model.predictor, disc if disc_on else None,
+                            stopped_disc) if net is not None]
     for net in nets:
-        net.buffers = mlp_buffers(net.layers, len(layout.seg))
+        net.set_buffers(len(layout.seg))
     try:
         for step in range(1, sgd.step_count + 1):
             rows = [_draw_rows(len(current), sgd.batch_size, rng)]
@@ -346,10 +337,10 @@ def _train_steps(state: TrainState, current: LabeledSet,
             teacher = tuple(None if a is None else a.take(idx, axis=0)
                             for a in teacher_outputs)
             omega = replay_step(state, disc, stopped_disc, eps_hist, counts,
-                                rng, step, batch, teacher, omega, param).omega
-    finally:  # so that no model a result keeps holds buffers
+                                rng, step, batch, teacher, omega, coeff_logits).omega
+    finally:  # so that no model a result keeps holds buffers or a gradient
         for net in nets:
-            net.buffers = None
+            net.set_buffers(None)
     return omega
 
 

@@ -1,6 +1,12 @@
 """Test-only reference: the graph the library built before every
 gradient took a closed form, and the forms earlier changes replaced.
 
+A network's parameters enter the graph as leaves: `leaf_layers` wraps
+each weight and bias view of a network's one array as a Tensor, once per
+network, `leaves` lists them as Mlp.params() did when every parameter was
+a Tensor, and `grads` lists the views of the gradient a network's own
+backward wrote, in the same order.
+
 The graph ops: `add`, `mul`, `rowsum` (a sum over the last axis), `rows`
 (a gather of rows by an index of any shape), `mlp` (a network forward as
 one node over the library's `mlp_forward` and `mlp_backward`) and
@@ -36,7 +42,8 @@ reference_step.py's `replay_step` descends through them.  `backward` is
 the graph walk `Tensor.backward` ran before it ordered nodes by creation:
 a two-phase depth-first search whose post-order, reversed, is the
 topological order.  `sgd_step` is the update as
-models.sgd_step wrote it before it scaled each gradient in place.  `tsum`
+models.sgd_step wrote it before it scaled each gradient in place, one
+parameter at a time; graph-side code applies it to `leaves`.  `tsum`
 and `reshape` are the whole-tensor sum and the reshape V_p and V_s were
 built with before `rowsum` summed the last axis and V_s gathered its pairs
 with one 2-D index; reference_step.py's per-domain V_p and V_s and the
@@ -61,6 +68,7 @@ from __future__ import annotations
 import logging
 from functools import reduce
 from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -116,16 +124,55 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """[n, i] through the (w, b) layers -> [n, o] as one node: the forward
-    is the library's `mlp_forward` and the backward its `mlp_backward`,
-    each writing into fresh arrays."""
+def leaf_layers(net: Mlp) -> list[tuple[Tensor, Tensor]]:
+    """The (w, b) layers of `net` as graph leaves, built once per network:
+    each leaf a Tensor over its view of the network's one array, so that an
+    in-place update of either shows in the other, and taking a gradient
+    unless the network is a stopped view.  A graph's gradients live on the
+    leaves; the network's own backward writes its `grad`, as ever."""
+    if net not in _LEAVES:
+        _LEAVES[net] = [(Tensor(w, requires_grad=net.takes_grad),
+                         Tensor(b, requires_grad=net.takes_grad))
+                        for w, b in net.layers]
+    return _LEAVES[net]
+
+
+_LEAVES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def leaves(net: Mlp | Classifier) -> list[Tensor]:
+    """The leaves of `leaf_layers`, each layer's w then b (a Classifier's
+    encoder's, then its predictor's): the parameter list Mlp.params()
+    returned when each parameter was a Tensor."""
+    nets = net.params() if isinstance(net, Classifier) else [net]
+    return [p for n in nets for pair in leaf_layers(n) for p in pair]
+
+
+def grads(net: Mlp) -> list[np.ndarray | None]:
+    """The views of the network's `grad` in the order of `leaves` (Nones
+    while it holds no gradient)."""
+    if net.grad is None:
+        return [None] * (2 * len(net.layers))
+    return [g for pair in net.views(net.grad) for g in pair]
+
+
+def mlp(x, layers: Mlp | Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """[n, i] through the (w, b) layers (a network's `leaf_layers`) ->
+    [n, o] as one node: the forward is the library's `mlp_forward` and the
+    backward its `mlp_backward`, each writing into fresh arrays."""
     x = _wrap(x)
-    hs = autodiff.mlp_forward(x.data, layers)
+    if isinstance(layers, Mlp):
+        layers = leaf_layers(layers)
+    arrays = [(w.data, b.data) for w, b in layers]
+    hs = autodiff.mlp_forward(x.data, arrays)
     out = _make(hs[-1], [x] + [p for pair in layers for p in pair])
     if out.requires_grad:
         def _back(g):
-            g_in = autodiff.mlp_backward(hs, layers, g, x.requires_grad)
+            fresh = [(np.empty_like(w), np.empty_like(b)) for w, b in arrays]
+            g_in = autodiff.mlp_backward(hs, arrays, g, x.requires_grad, fresh)
+            for (w, b), (gw, gb) in zip(layers, fresh):
+                b._accum(gb, fresh=True)
+                w._accum(gw, fresh=True)
             if g_in is not None:
                 x._accum(g_in, fresh=True)
         out._backward = _back
@@ -136,8 +183,8 @@ def logits_node(net: Mlp | Classifier, x) -> Tensor:
     """net.logits(x) as Mlp.logits built it before it returned an array: an
     `mlp` node per network, a Classifier's encoder's, then its predictor's."""
     if isinstance(net, Classifier):
-        return mlp(mlp(x, net.encoder.layers), net.predictor.layers)
-    return mlp(x, net.layers)
+        return mlp(mlp(x, net.encoder), net.predictor)
+    return mlp(x, net)
 
 
 def rowsum(a: Tensor) -> Tensor:
@@ -384,6 +431,8 @@ def mlp_chain(x, layers) -> Tensor:
     """A network forward as the composed chain of linear and relu nodes,
     the way Mlp.logits built it before `mlp` fused it."""
     h = _wrap(x)
+    if isinstance(layers, Mlp):
+        layers = leaf_layers(layers)
     for k, (w, b) in enumerate(layers):
         h = linear(h, w, b)
         if k < len(layers) - 1:

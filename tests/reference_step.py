@@ -60,13 +60,13 @@ from dilkit.losses import (
     _check_omega, _one_hot, erm01,
 )
 from dilkit.membank import MemoryBank
-from dilkit.models import Classifier, Mlp, sgd_step
+from dilkit.models import Classifier, Mlp
 from dilkit.trainer import StepRecord, _check_finite, _draw_rows
 
 from reference_ops import (
-    _make, _wrap, add, column, concat_cols, log_softmax, logits_node,
-    mlp_chain, mul, pick, reshape, rows, rowsum, softmax, softmax_xent, sqrt,
-    tmean, tsum, v_01_node,
+    _make, _wrap, add, column, concat_cols, leaves, log_softmax, logits_node,
+    mlp_chain, mul, pick, reshape, rows, rowsum, sgd_step, softmax,
+    softmax_xent, sqrt, tmean, tsum, v_01_node,
 )
 
 log = logging.getLogger(__name__)
@@ -85,8 +85,7 @@ class HistorySnapshot:
 def frozen_copy(model: Classifier) -> Classifier:
     """A deep copy of `model` whose parameters take no gradient."""
     def copy_net(net: Mlp) -> Mlp:
-        return Mlp([], _layers=[(Tensor(w.data.copy()), Tensor(b.data.copy()))
-                                for w, b in net.layers])
+        return Mlp(net.sizes, _flat=net.flat.copy()).stopped()
     return Classifier(copy_net(model.encoder), copy_net(model.predictor))
 
 
@@ -167,7 +166,7 @@ def v_d(d: Mlp, encoder: Mlp, omega: np.ndarray, current_x: np.ndarray,
     betas = omega[:, 1]
     if float(betas.sum()) == 0.0:
         return Tensor(0.0)
-    arity = d.layers[-1][0].data.shape[1]
+    arity = d.layers[-1][0].shape[1]
     if arity != t:
         raise ContractError(f"discriminator arity {arity} != t={t}")
     loss = mul(tmean(mul(pick_log(d, encoder, current_x, t - 1), -1.0)),
@@ -372,7 +371,7 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
                     hp.lambda_d)
     if disc_loss.requires_grad:
         disc_loss.backward()
-        sgd_step(disc.params(), disc_lr)
+        sgd_step(leaves(disc), disc_lr)
     stats = coeff_stats_for_step(model, history, disc, current, past)
     loss01 = v_01(softmax(coeff_logits), stats, hp.c_gen, n_current, n_memory)
     loss01.backward()
@@ -620,19 +619,19 @@ def graph_replay_step(state, disc: Mlp, stopped_disc: Mlp,
     disc_on = hp.lambda_d > 0 and (adaptive or float(omega[:, 1].sum()) > 0.0)
     teacher_probs, teacher_pred, teacher_embedding = teacher
     stats = disc_value = coeff_value = None
-    embedding = mlp_chain(batch.x, model.encoder.layers)
-    logits = mlp_chain(embedding, model.predictor.layers)
+    embedding = mlp_chain(batch.x, model.encoder)
+    logits = mlp_chain(embedding, model.predictor)
 
     if disc_on:
         disc_loss = mul(graph_v_d(batch, omega,
-                                  mlp_chain(embedding.data, disc.layers)),
+                                  mlp_chain(embedding.data, disc)),
                         hp.lambda_d)
         disc_value = disc_loss.item()
         _check_finite(disc_value, "discriminator", config.method, t, step)
         if disc_loss.requires_grad:
             disc_loss.backward()
-            sgd_step(disc.params(), disc_lr)
-    disc_logits = (mlp_chain(embedding, stopped_disc.layers)
+            sgd_step(leaves(disc), disc_lr)
+    disc_logits = (mlp_chain(embedding, stopped_disc)
                    if adaptive or disc_on else None)
 
     if adaptive:
@@ -656,7 +655,7 @@ def graph_replay_step(state, disc: Mlp, stopped_disc: Mlp,
     model_value = objective.item()
     _check_finite(model_value, "model", config.method, t, step)
     objective.backward()
-    sgd_step(model.params(), sgd.learning_rate)
+    sgd_step(leaves(model), sgd.learning_rate)
     return StepRecord(omega, stats, disc_value, coeff_value, model_value)
 
 
@@ -668,10 +667,10 @@ def graph_erm_steps(model: Classifier, data: LabeledSet, sgd, rng: np.random.Gen
     nodes and its loss the cross-entropy node `graph_softmax_xent`."""
     for step in range(1, sgd.step_count + 1):
         batch = data.subset(_draw_rows(len(data), sgd.batch_size, rng))
-        logits = mlp_chain(mlp_chain(batch.x, model.encoder.layers),
-                           model.predictor.layers)
+        logits = mlp_chain(mlp_chain(batch.x, model.encoder),
+                           model.predictor)
         loss = graph_softmax_xent(
             logits, _one_hot(batch.y, logits.data.shape[1], 1.0 / len(batch)))
         _check_finite(loss.item(), "classification", method, t, step)
         loss.backward()
-        sgd_step(model.params(), sgd.learning_rate)
+        sgd_step(leaves(model), sgd.learning_rate)

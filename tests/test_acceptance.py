@@ -32,7 +32,8 @@ from dilkit.seeding import substream
 from dilkit.trainer import TrainerConfig, descend_v01, run_sequence
 from finite_classes import threshold_class
 from gradcheck import closed_form_node, gradcheck, gradcheck_array
-from reference_ops import logits_node
+import reference_ops
+from reference_ops import leaves, logits_node
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -180,14 +181,14 @@ def test_criterion_04_gradient_suite_100_trials_each():
             "v_l": (lambda: closed_form_node(
                         lambda z: v_l(batch, omega, z, probs),
                         logits_node(h, batch.x)),
-                    h.params()),
+                    leaves(h)),
             # the logits gradient the trainer applies, through the softmax
             "v_01": (lambda z: _coefficient_step_gradient(z, stats),
                      coeff_logits),
             "v_d": (lambda: closed_form_node(
                         lambda z: v_d(batch, omega, z, 1.0, None),
                         logits_node(d, logits_node(enc, batch.x))),
-                    enc.params() + d.params()),
+                    leaves(enc) + leaves(d)),
             # V_p and V_s return their embedding gradient in closed form
             "v_p": (lambda z: v_p(batch, z, prev.logits(batch.x), 1.0),
                     enc.logits(batch.x)),
@@ -306,16 +307,16 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     exact = hdh_exact(threshold_class(pooled), np.arange(n),
                       np.arange(n, 2 * n))
     enc = Mlp([1, 1], rng=np.random.default_rng(0))
-    enc.layers[0][0].data[...] = np.eye(1)
-    enc.layers[0][1].data[...] = 0.0
+    enc.layers[0][0][...] = np.eye(1)
+    enc.layers[0][1][...] = 0.0
     disc = Mlp([1, 2], rng=substream(0xD1, "disc-init"))
     batch = LabeledSet(pooled.reshape(-1, 1), [0] * n + [1] * n)
     for _ in range(400):
         loss = closed_form_node(lambda z: classification_loss(z, batch.y),
                                 logits_node(disc, batch.x))
         loss.backward()
-        sgd_step(disc.params(), 1.0)
-        for p in disc.params():
+        reference_ops.sgd_step(leaves(disc), 1.0)
+        for p in leaves(disc):
             p.grad = None
     est = hdh_discriminator_estimate(disc, enc, cur_pts.reshape(-1, 1),
                                      past_pts.reshape(-1, 1), 1)
@@ -335,9 +336,7 @@ def test_criterion_07_divergence_estimate_tracks_exact():
     for _ in range(200):
         acts = disc4.forward(enc4.stopped().logits(record.x))
         disc4.backward(acts, v_d(record, omega, acts[-1], 1.0, None)[1], False)
-        sgd_step(disc4.params(), 0.2)
-        for p in disc4.params():
-            p.grad = None
+        sgd_step([disc4], 0.2)
     same = hdh_discriminator_estimate(disc4, enc4, cur_eval, past_eval, 1)
     gate(7, gap <= 0.15 and same <= 0.1,
          f"two-Gaussian benchmark |est - exact| = {gap:.3f} (<= 0.15); "

@@ -1,4 +1,5 @@
 import ast
+import copy
 import gc
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from dilkit.models import Classifier, Mlp, SgdConfig, sgd_step
 import reference_ops
 from gradcheck import gradcheck
 from reference_ops import (
-    add, column, concat_cols, linear, log_softmax, lse, matmul, mlp,
+    add, column, concat_cols, leaves, linear, log_softmax, lse, matmul, mlp,
     mlp_chain, mul, pick, relu, reshape, rows, rowsum, softmax_xent, sqrt,
     tmean, tsum,
 )
@@ -142,15 +143,15 @@ def test_gradcheck_composite_ops(trial):
 
 def test_mlp_identity_layer():
     m = Mlp([2, 2], rng=np.random.default_rng(0))
-    m.layers[0][0].data[...] = np.eye(2)
-    m.layers[0][1].data[...] = 0.0
+    m.layers[0][0][...] = np.eye(2)
+    m.layers[0][1][...] = 0.0
     out = m.logits(np.array([[1.0, 2.0]]))
     assert np.allclose(out, [[1.0, 2.0]])
 
 
 def test_mlp_softmax_head_uniform():
     m = Mlp([3, 3], rng=np.random.default_rng(0))
-    m.layers[0][0].data[...] = 0.0
+    m.layers[0][0][...] = 0.0
     out = softmax(m.logits(np.zeros((1, 3))))
     assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]])
 
@@ -160,10 +161,10 @@ def test_mlp_hand_forward_oracle():
     # h = relu([1,2] @ [[1,0],[1,1]] + [0,-3]) = relu([3,2]+[0,-3]) = [3,0]
     # out = [3,0] @ [[2],[7]] + [1] = 7
     m = Mlp([2, 2, 1], rng=np.random.default_rng(0))
-    m.layers[0][0].data[...] = [[1.0, 0.0], [1.0, 1.0]]
-    m.layers[0][1].data[...] = [0.0, -3.0]
-    m.layers[1][0].data[...] = [[2.0], [7.0]]
-    m.layers[1][1].data[...] = [1.0]
+    m.layers[0][0][...] = [[1.0, 0.0], [1.0, 1.0]]
+    m.layers[0][1][...] = [0.0, -3.0]
+    m.layers[1][0][...] = [[2.0], [7.0]]
+    m.layers[1][1][...] = [1.0]
     out = m.logits(np.array([[1.0, 2.0]]))
     assert np.allclose(out, [[7.0]])
 
@@ -178,8 +179,8 @@ def test_mlp_init_bounds_and_zero_bias():
     m = Mlp([10, 20], rng=np.random.default_rng(7))
     w, b = m.layers[0]
     lim = np.sqrt(6.0 / 30.0)
-    assert np.all(np.abs(w.data) <= lim)
-    assert np.all(b.data == 0.0)
+    assert np.all(np.abs(w) <= lim)
+    assert np.all(b == 0.0)
 
 
 def test_mlp_cross_entropy_gradcheck():
@@ -189,53 +190,68 @@ def test_mlp_cross_entropy_gradcheck():
     y = rng.integers(0, 3, size=5)
 
     def fn():
-        return _mean_xent(mlp(x, m.layers), y)
+        return _mean_xent(mlp(x, m), y)
 
-    gradcheck(fn, m.params(), rng=rng)
+    gradcheck(fn, leaves(m), rng=rng)
 
 
 def test_sgd_step_explicit():
-    p = Tensor([1.0], requires_grad=True)
-    p.grad = np.array([0.5])
-    sgd_step([p], 0.1)
-    assert np.allclose(p.data, [0.95])
-    assert p.grad is None
+    p, g = np.array([1.0]), np.array([0.5])
+    sgd_step([(p, g)], 0.1)
+    assert np.allclose(p, [0.95])
+    net = Mlp([1, 1], rng=np.random.default_rng(0))
+    before = net.flat.copy()
+    net.grad = np.array([0.5, -1.0])
+    sgd_step([net], 0.1)
+    assert np.allclose(net.flat, before - [0.05, -0.1])
+    assert net.grad is None
 
 
 def test_sgd_step_zero_grad_fixed_point():
-    p = Tensor([2.0], requires_grad=True)
-    p.grad = np.zeros(1)
-    sgd_step([p], 0.1)
-    assert np.allclose(p.data, [2.0])
+    p = np.array([2.0])
+    sgd_step([(p, np.zeros(1))], 0.1)
+    assert np.allclose(p, [2.0])
 
 
+def _wide(rng, n):
+    """n normal draws scaled by 10**[-310, 300): subnormal to huge."""
+    return rng.normal(size=n) * 10.0 ** rng.integers(-310, 300, size=n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sizes=st.lists(st.integers(1, 300), min_size=2, max_size=4),
+       seed=st.integers(0, 2 ** 31 - 1))
 @pytest.mark.parametrize("learning_rate", [0.1, 0.2, 0.7, 1e-3, 3.0])
-def test_sgd_step_matches_reference_bitwise(learning_rate):
-    """Scaling each gradient in place, then subtracting it, gives the bits
-    p - lr * grad gave through a temporary, over magnitudes from
-    subnormal to huge and with signed zeros."""
-    rng = np.random.default_rng(int(learning_rate * 1000))
-    shapes = [(7, 5), (5,), (1, 1), (3, 4)]
-    data = [rng.normal(size=s) * 10.0 ** rng.integers(-310, 300, size=s)
-            for s in shapes]
-    grads = [rng.normal(size=s) * 10.0 ** rng.integers(-310, 300, size=s)
-             for s in shapes]
-    data[2][...], grads[2][...] = -0.0, 0.0
-    got, want = ([Tensor(d.copy(), requires_grad=True) for d in data]
-                 for _ in range(2))
-    for step, params in ((sgd_step, got), (reference_ops.sgd_step, want)):
-        for p, g in zip(params, grads):
-            p.grad = g.copy()
-        step(params, learning_rate)
-    for p, r in zip(got, want):
-        assert p.grad is None and r.grad is None
+def test_sgd_step_matches_reference_bitwise(learning_rate, sizes, seed):
+    """Scaling a network's one gradient array in place, then subtracting
+    it from its one parameter array, gives each parameter the bits
+    p - lr * grad gave it through a temporary, over magnitudes from
+    subnormal to huge and with signed zeros, at layer sizes 1-300 (so most
+    views start at offsets no vector width divides); the network drops its
+    gradient, as the reference clears each parameter's."""
+    rng = np.random.default_rng(seed)
+    net = Mlp(sizes, rng=rng)
+    net.flat[...] = _wide(rng, net.flat.size)
+    grad = _wide(rng, net.flat.size)
+    zeros = rng.random(net.flat.size) < 0.05
+    net.flat[zeros], grad[zeros] = -0.0, 0.0
+    want = [Tensor(p.data.copy(), requires_grad=True) for p in leaves(net)]
+    for r, g in zip(want, [g for pair in net.views(grad) for g in pair]):
+        r.grad = g.copy()
+    net.grad = grad
+    sgd_step([net], learning_rate)
+    reference_ops.sgd_step(want, learning_rate)
+    assert net.grad is None and all(r.grad is None for r in want)
+    for p, r in zip(leaves(net), want):
         assert p.data.tobytes() == r.data.tobytes()
 
 
 def test_sgd_step_missing_grad_errors():
-    p = Tensor([1.0], requires_grad=True)
-    with pytest.raises(ContractError):
-        sgd_step([p], 0.1)
+    net = Mlp([2, 3], rng=np.random.default_rng(0))
+    with pytest.raises(ContractError, match=r"^sgd_step: Mlp\(\[2, 3\]\) has no gradient$"):
+        sgd_step([net], 0.1)
+    with pytest.raises(ContractError, match="no gradient"):
+        sgd_step([(np.ones(2), None)], 0.1)
 
 
 def test_sgd_descends_quadratic():
@@ -245,7 +261,8 @@ def test_sgd_descends_quadratic():
         loss = tsum(mul(p, p))
         losses.append(loss.item())
         loss.backward()
-        sgd_step([p], 0.1)
+        sgd_step([(p.data, p.grad)], 0.1)
+        p.grad = None
     assert losses[0] > losses[1] > losses[2]
 
 
@@ -259,17 +276,34 @@ def test_sgd_config_validation():
 def test_mlp_stopped_is_view():
     m = Mlp([2, 2], rng=np.random.default_rng(0))
     s = m.stopped()
-    m.layers[0][0].data[0, 0] += 10.0
-    assert s.layers[0][0].data[0, 0] == m.layers[0][0].data[0, 0]
+    m.layers[0][0][0, 0] += 10.0
+    assert s.layers[0][0][0, 0] == m.layers[0][0][0, 0]
+
+
+def test_deep_copy_keeps_views_of_its_own_array():
+    """A deep copy's layers are views of its own array, so an update of
+    the copy's array moves its forward and leaves the original's alone; a
+    network copied with its stopped view still shares its array with
+    it."""
+    m = Mlp([3, 4, 2], rng=np.random.default_rng(0))
+    net, view = copy.deepcopy((m, m.stopped()))
+    x = np.ones((2, 3))
+    before = m.logits(x)
+    net.flat += 1.0
+    assert all(np.shares_memory(w, net.flat) and np.shares_memory(b, net.flat)
+               for w, b in net.layers)
+    assert view.flat is net.flat and not view.takes_grad and net.takes_grad
+    assert not np.array_equal(net.logits(x), before)
+    np.testing.assert_array_equal(m.logits(x), before)
 
 
 def test_stopped_model_builds_no_graph():
     m = Mlp([3, 4, 2], rng=np.random.default_rng(1))
-    out = mlp(np.ones((2, 3)), m.stopped().layers)
+    out = mlp(np.ones((2, 3)), m.stopped())
     assert not out.requires_grad
     loss = tsum(out)
     loss.backward()  # harmless: nothing reachable
-    assert all(p.grad is None for p in m.params())
+    assert all(p.grad is None for p in leaves(m))
 
 
 def test_classifier_composition():
@@ -289,9 +323,9 @@ def test_determinism_forward_backward():
         m = Mlp([4, 8, 3], rng=rng)
         x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
-        loss = _mean_xent(mlp(x, m.layers), y)
+        loss = _mean_xent(mlp(x, m), y)
         loss.backward()
-        return loss.item(), [p.grad.copy() for p in m.params()]
+        return loss.item(), [p.grad.copy() for p in leaves(m)]
 
     l1, g1 = run()
     l2, g2 = run()
@@ -319,9 +353,9 @@ def test_dropped_graph_is_freed_without_cyclic_gc():
     gc.disable()
     try:
         for _ in range(3):
-            loss = _mean_xent(mlp(x, m.layers), y)
+            loss = _mean_xent(mlp(x, m), y)
             loss.backward()
-            sgd_step(m.params(), 0.1)
+            reference_ops.sgd_step(leaves(m), 0.1)
             del loss
         assert gc.collect() == 0
     finally:
@@ -602,10 +636,10 @@ def test_mlp_matches_composition(n, depth, x_grad, stopped_head, seed):
         assert g is None or np.array_equal(g, r)
 
 
-def _copy_net(net):
-    return [(Tensor(w.data.copy(), requires_grad=w.requires_grad),
-             Tensor(b.data.copy(), requires_grad=b.requires_grad))
-            for w, b in net]
+def _copy_net(net, requires_grad):
+    return [(Tensor(w.copy(), requires_grad=requires_grad),
+             Tensor(b.copy(), requires_grad=requires_grad))
+            for w, b in net.layers]
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,79 +652,99 @@ def test_buffered_mlp_matches_allocating_reference(rows, widths, input_grad,
     """mlp_forward and mlp_backward writing into buffers built once give
     the frozen allocating forms' layer outputs, parameter gradients and
     input gradient bit for bit, on two calls with different inputs
-    through the same buffers (filled with NaN first, so a value either
-    call leaves unwritten would show); each result is its buffer.  Some
-    layers take no gradient, and with `stopped` none does, as in a
-    stopped view."""
+    through the same buffers and gradient array (filled with NaN first, so
+    a value either call leaves unwritten would show); each result is its
+    buffer, and each parameter's gradient its view of the gradient array.
+    With `stopped` no parameter takes a gradient, as in a stopped view."""
     rng = np.random.default_rng(seed)
-    net = _net(rng, widths)
-    for w, b in net:
-        w.requires_grad = b.requires_grad = not stopped and rng.random() < 0.8
-    buffers = mlp_buffers(net, rows)
+    net = Mlp(widths, rng=rng)
+    net.flat[...] = rng.normal(size=net.flat.size)
+    buffers = mlp_buffers(net.layers, rows)
+    grad = np.full_like(net.flat, np.nan)
+    views = None if stopped else net.views(grad)
     for buf in buffers:
         for a in buf:
             if a is not None and a.dtype == np.float64:
                 a[...] = np.nan
-    params = [p for pair in net for p in pair]
     for _ in range(2):
         x = rng.normal(size=(rows, widths[0]))
         g = rng.normal(size=(rows, widths[-1]))
-        ref = _copy_net(net)
+        ref = _copy_net(net, not stopped)
         want_hs = reference_ops.mlp_forward(x, ref)
         want_in = reference_ops.mlp_backward(want_hs, ref, g.copy(),
                                              input_grad)
-        hs = mlp_forward(x, net, buffers)
-        got_in = mlp_backward(hs, net, g.copy(), input_grad, buffers)
+        hs = mlp_forward(x, net.layers, buffers)
+        got_in = mlp_backward(hs, net.layers, g.copy(), input_grad, views,
+                              buffers)
         for h, want, buf in zip(hs[1:], want_hs[1:], buffers):
             assert h is buf.out and h.tobytes() == want.tobytes()
         assert (got_in is None) == (want_in is None)
         if want_in is not None:
             assert np.shares_memory(got_in, buffers[0].grad_in)
             assert got_in.tobytes() == want_in.tobytes()
-        slots = [a for buf in buffers for a in (buf.w_grad, buf.b_grad)]
-        for p, r, slot in zip(params, [p for pair in ref for p in pair], slots):
-            assert (p.grad is None) == (r.grad is None) == (slot is None)
-            if p.grad is not None:
-                assert p.grad is slot and p.grad.tobytes() == r.grad.tobytes()
-            p.grad = None  # as sgd_step leaves them
+        for (gw, gb), (w, b) in zip(views or [], ref):
+            assert gw.tobytes() == w.grad.tobytes()
+            assert gb.tobytes() == b.grad.tobytes()
+        assert stopped == all(p.grad is None for pair in ref for p in pair)
 
 
-def test_buffered_backward_adds_to_a_gradient_still_held():
-    """A buffered backward that finds a parameter still holding a gradient
-    (its own buffer, from an earlier backward with no update between, or
-    any other array) adds the new gradient to it, as the graph path
-    accumulates, bitwise: it never overwrites the buffer and then doubles
-    it.  Once the gradients are cleared the buffers are handed over again."""
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 40),
+       widths=st.lists(st.integers(1, 300), min_size=2, max_size=4),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_network_views_match_contiguous_copies(rows, widths, seed):
+    """Mlp.forward and Mlp.backward on the views of one parameter array,
+    most at offsets no vector width divides, give the bits the same passes
+    give on contiguous copies of each weight and bias, gradients included
+    (x @ w, g @ w.T and h.T @ g alike)."""
+    rng = np.random.default_rng(seed)
+    net = Mlp(widths, rng=rng)
+    net.flat[...] = rng.normal(size=net.flat.size)
+    copies = [(w.copy(), b.copy()) for w, b in net.layers]
+    fresh = [(np.empty_like(w), np.empty_like(b)) for w, b in copies]
+    x = rng.normal(size=(rows, widths[0]))
+    g = rng.normal(size=(rows, widths[-1]))
+    acts = net.forward(x)
+    got_in = net.backward(acts, g.copy(), True)
+    want_acts = mlp_forward(x, copies)
+    want_in = mlp_backward(want_acts, copies, g.copy(), True, fresh)
+    for got, want in zip(acts, want_acts):
+        assert got.tobytes() == want.tobytes()
+    assert got_in.tobytes() == want_in.tobytes()
+    for (gw, gb), (w, b) in zip(net.views(net.grad), fresh):
+        assert gw.tobytes() == w.tobytes() and gb.tobytes() == b.tobytes()
+
+
+def test_second_backward_before_the_update_is_refused():
+    """A network whose gradient waits for its update refuses another
+    backward, naming itself, buffered or not, and leaves that gradient as
+    it was; once sgd_step has applied it, the next backward runs.  A
+    stopped view takes no gradient, so it backpropagates any number of
+    times."""
     rng = np.random.default_rng(7)
-    net = _net(rng, [5, 6, 3])
-    ref = _copy_net(net)
-    buffers = mlp_buffers(net, 4)
-    held = rng.normal(size=net[1][1].data.shape)
-    net[1][1].grad, ref[1][1].grad = held.copy(), held.copy()
-    for _ in range(2):
+    for rows in (None, 4):
+        net = Mlp([5, 6, 3], rng=rng)
+        net.set_buffers(rows)
         x, g = rng.normal(size=(4, 5)), rng.normal(size=(4, 3))
-        mlp_backward(mlp_forward(x, net, buffers), net, g.copy(), False, buffers)
-        reference_ops.mlp_backward(reference_ops.mlp_forward(x, ref), ref, g,
-                                   False)
-    params = [p for pair in net for p in pair]
-    slots = [a for buf in buffers for a in (buf.w_grad, buf.b_grad)]
-    for p, r in zip(params, [p for pair in ref for p in pair]):
-        assert p.grad.tobytes() == r.grad.tobytes()
-    # the first call handed over the buffers, and the sums live in them;
-    # the gradient held before it stays its own array
-    assert all(p.grad is slot for p, slot in zip(params, slots)
-               if p is not net[1][1])
-    assert not np.shares_memory(net[1][1].grad, buffers[1].b_grad)
-    for p in params:
-        p.grad = None
-    mlp_backward(mlp_forward(x, net, buffers), net, g, False, buffers)
-    assert all(p.grad is slot for p, slot in zip(params, slots))
+        net.backward(net.forward(x), g.copy(), False)
+        held = net.grad.copy()
+        with pytest.raises(ContractError,
+                           match=r"^Mlp\(\[5, 6, 3\]\): backward again before sgd_step"):
+            net.backward(net.forward(x), g.copy(), False)
+        assert net.grad.tobytes() == held.tobytes()
+        sgd_step([net], 0.1)
+        net.backward(net.forward(x), g.copy(), False)
+        assert net.grad is not None
+        stopped = net.stopped()
+        for _ in range(2):
+            stopped.backward(stopped.forward(x), g.copy(), True)
+        assert stopped.grad is None
 
 
 def test_buffered_forward_refuses_another_row_count():
-    net = _net(np.random.default_rng(0), [3, 2])
+    net = Mlp([3, 2], rng=np.random.default_rng(0))
     with pytest.raises(ContractError, match="^Mlp buffers hold 4 rows, got 5$"):
-        mlp_forward(np.zeros((5, 3)), net, mlp_buffers(net, 4))
+        mlp_forward(np.zeros((5, 3)), net.layers, mlp_buffers(net.layers, 4))
 
 
 def test_linear_rejects_mismatched_shapes():
@@ -737,6 +791,26 @@ def test_every_public_op_has_a_library_caller():
                if name.startswith("__") and name.endswith("__")
                and callable(value)}
     assert dunders == {"__init__", "__repr__"}, sorted(dunders)
+
+
+def test_no_library_module_but_autodiff_constructs_a_tensor():
+    """Tensor is the test-side graph's node and leaf: no module of the
+    package but dilkit.autodiff calls it, by name or as an attribute, and
+    none imports it."""
+    pkg = Path(dilkit.__file__).parent
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        if path == pkg / "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = (isinstance(node, ast.Call)
+                      and (getattr(node.func, "id", None) == "Tensor"
+                           or getattr(node.func, "attr", None) == "Tensor"))
+            imported = (isinstance(node, ast.ImportFrom)
+                        and any(a.name == "Tensor" for a in node.names))
+            if called or imported:
+                found.append(f"{path.relative_to(pkg)}:{node.lineno}")
+    assert found == [], found
 
 
 def test_logits_and_embed_are_arrays_built_without_a_tensor(monkeypatch):

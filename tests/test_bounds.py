@@ -200,12 +200,12 @@ def test_barycentric_grid():
 
 
 def test_barycentric_grid_built_once_per_resolution():
-    """So are the grid search's candidates per (resolution, t) and the
-    preset triples the radical's identities read per t."""
+    """So are the grid search's candidates per (resolution, t), and the
+    radical's identities are computed once per set of sample sizes."""
+    gaps = dilkit.bounds._erm_shape_gaps
+    assert gaps(4, 5, (3, 4, 2)) is gaps(4, 5, (3, 4, 2))
     for build, args in ((barycentric_grid, (6,)),
-                        (dilkit.bounds._grid_candidates, (6, 3)),
-                        (dilkit.bounds._preset_rows, ("ER", 4)),
-                        (dilkit.bounds._preset_rows, ("LwF", 4))):
+                        (dilkit.bounds._grid_candidates, (6, 3))):
         g = build(*args)
         assert build(*args) is g
         g = g[1] if isinstance(g, tuple) else g
@@ -271,6 +271,34 @@ def test_checks_match_reference_exactly(seed):
                             ref.tightest_bound_grid(inst), inst)
         assert abs(deterministic_bound(inst)
                    - ref.deterministic_bound(inst)) <= TOL
+
+
+def test_erm_bound_shape_matches_uncached_reference():
+    """check_erm_bound_shape, its identities cached per set of sample
+    sizes, reports what the uncached check reports, at two c_gen values."""
+    for inst in gate1_instances(11, 200):
+        for c_gen in (1.0, 0.3):
+            assert_same_report(check_erm_bound_shape(inst, c_gen),
+                               ref.check_erm_bound_shape(inst, c_gen))
+
+
+def test_intra_and_cross_checks_share_the_class_tallies(monkeypatch):
+    """The intra and cross checks of an instance run t class tallies
+    between them: the cross check reads the intra check's current-domain
+    term instead of recomputing it."""
+    calls = []
+    tally = dilkit.bounds._class_tally
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return tally(*args, **kwargs)
+
+    monkeypatch.setattr(dilkit.bounds, "_class_tally", counting)
+    for inst in gate1_instances(12, 20):
+        del calls[:]
+        assert_same_report(check_intra_bound(inst), ref.check_intra_bound(inst))
+        assert_same_report(check_cross_bound(inst), ref.check_cross_bound(inst))
+        assert len(calls) == inst.n_domains
 
 
 def expanded(dis: np.ndarray, classes) -> np.ndarray:

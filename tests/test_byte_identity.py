@@ -65,7 +65,7 @@ def _digest(stream, method: str, aux: float) -> str:
     h.update(dump_json(results_payload("", [result], {})).encode())
     h.update(format_csv(OMEGA_HEADER, omega_rows([result])).encode())
     for p in result.final_state.model.params():
-        h.update(np.ascontiguousarray(p.data).tobytes())
+        h.update(p.flat.tobytes())
     return h.hexdigest()
 
 

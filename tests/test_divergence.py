@@ -13,11 +13,11 @@ from dilkit.divergence import (
     hdh_discriminator_estimate,
 )
 from dilkit.losses import StepLayout, classification_loss
-from dilkit.models import Mlp, sgd_step
+from dilkit.models import Mlp
 from dilkit.seeding import substream
 from finite_classes import all_labelings, threshold_class
 from gradcheck import closed_form_node
-from reference_ops import logits_node
+from reference_ops import leaves, logits_node, sgd_step
 
 
 def naive_hdh(labelings, sample_p, sample_q):
@@ -33,8 +33,8 @@ def naive_hdh(labelings, sample_p, sample_q):
 
 def identity_encoder(dim):
     m = Mlp([dim, dim], rng=np.random.default_rng(0))
-    m.layers[0][0].data[...] = np.eye(dim)
-    m.layers[0][1].data[...] = 0.0
+    m.layers[0][0][...] = np.eye(dim)
+    m.layers[0][1][...] = 0.0
     return m
 
 
@@ -155,7 +155,7 @@ def test_discriminator_estimate_identical_sets_zero():
 def test_discriminator_estimate_perfect_separation():
     enc = identity_encoder(2)
     d = Mlp([2, 2], rng=np.random.default_rng(1))
-    d.layers[0][0].data[...] = np.array([[40.0, 0.0], [0.0, 40.0]])
+    d.layers[0][0][...] = np.array([[40.0, 0.0], [0.0, 40.0]])
     past = np.array([[1.0, 0.0]] * 5)
     cur = np.array([[0.0, 1.0]] * 7)
     assert hdh_discriminator_estimate(d, enc, cur, past, 1) == 2.0
@@ -165,7 +165,7 @@ def test_discriminator_estimate_clamped_at_zero():
     enc = identity_encoder(2)
     d = Mlp([2, 2], rng=np.random.default_rng(1))
     # anti-separating: claims current for past points and vice versa
-    d.layers[0][0].data[...] = np.array([[0.0, 40.0], [40.0, 0.0]])
+    d.layers[0][0][...] = np.array([[0.0, 40.0], [40.0, 0.0]])
     past = np.array([[1.0, 0.0]] * 5)
     cur = np.array([[0.0, 1.0]] * 7)
     assert hdh_discriminator_estimate(d, enc, cur, past, 1) == 0.0
@@ -225,8 +225,8 @@ def test_trained_discriminator_tracks_exact_divergence():
         loss = closed_form_node(lambda z: classification_loss(z, batch.y),
                                 logits_node(d, batch.x))
         loss.backward()
-        sgd_step(d.params(), 1.0)
-        for p in d.params():
+        sgd_step(leaves(d), 1.0)
+        for p in leaves(d):
             p.grad = None
 
     est = hdh_discriminator_estimate(d, enc, cur_pts.reshape(-1, 1),

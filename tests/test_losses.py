@@ -19,14 +19,14 @@ from dilkit.losses import (
 )
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
 from gradcheck import closed_form_node, gradcheck, gradcheck_array
-from reference_ops import logits_node
+from reference_ops import grads, leaves, logits_node
 from reference_step import distillation_loss, erm01_agreement
 
 
 def identity_mlp(dim):
     m = Mlp([dim, dim], rng=np.random.default_rng(0))
-    m.layers[0][0].data[...] = np.eye(dim)
-    m.layers[0][1].data[...] = 0.0
+    m.layers[0][0][...] = np.eye(dim)
+    m.layers[0][1][...] = 0.0
     return m
 
 
@@ -127,8 +127,8 @@ def test_distillation_no_gradient_into_teacher():
     x = np.random.default_rng(9).normal(size=(4, 3))
     loss = distillation_loss(clf, teacher, x)
     loss.backward()
-    assert all(p.grad is None for p in teacher.params())
-    assert any(p.grad is not None for p in clf.params())
+    assert all(p.grad is None for p in leaves(teacher))
+    assert any(p.grad is not None for p in leaves(clf))
 
 
 def test_distillation_arity_mismatch():
@@ -250,7 +250,7 @@ def test_v_l_moves_theta_not_omega():
     h, teacher, cur, past = _two_domain_setup(seed=23)
     loss = _v_l(h, teacher, softmax(init_uniform(2)), cur, past)
     loss.backward()  # the triples are a constant array
-    assert any(p.grad is not None and np.any(p.grad != 0) for p in h.params())
+    assert any(p.grad is not None and np.any(p.grad != 0) for p in leaves(h))
 
 
 def _stats(n, rng=None, zero=False):
@@ -408,7 +408,7 @@ def test_v_d_zero_betas():
 def test_v_d_uniform_discriminator_4ln3():
     enc = identity_mlp(3)
     d = Mlp([3, 3], rng=np.random.default_rng(0))
-    d.layers[0][0].data[...] = 0.0
+    d.layers[0][0][...] = 0.0
     omega = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     rng = np.random.default_rng(1)
     got = _v_d(d, enc, omega, rng.normal(size=(5, 3)),
@@ -419,7 +419,7 @@ def test_v_d_uniform_discriminator_4ln3():
 def test_v_d_perfect_discriminator_near_zero():
     enc = identity_mlp(2)
     d = Mlp([2, 3], rng=np.random.default_rng(0))
-    d.layers[0][0].data[...] = np.array([[60.0, 0.0, 0.0],
+    d.layers[0][0][...] = np.array([[60.0, 0.0, 0.0],
                                          [0.0, 0.0, 60.0]])
     cur = np.array([[0.0, 1.0]] * 3)     # class index 2
     past1 = np.array([[1.0, 0.0]] * 3)   # class index 0
@@ -445,7 +445,7 @@ def test_v_p_identical_and_shifted():
     x = {1: np.random.default_rng(0).normal(size=(4, 3))}
     assert _v_p(enc, prev, x).item() == 0.0
     shifted = identity_mlp(3)
-    shifted.layers[0][1].data[...] = [1.0, 2.0, 2.0]  # ||c||^2 = 9
+    shifted.layers[0][1][...] = [1.0, 2.0, 2.0]  # ||c||^2 = 9
     assert _v_p(shifted, prev, x).item() == pytest.approx(9.0)
     x2 = {1: x[1], 2: np.random.default_rng(1).normal(size=(6, 3))}
     assert _v_p(shifted, prev, x2).item() == pytest.approx(18.0)
@@ -463,7 +463,7 @@ def test_v_p_numpy_oracle():
 def test_v_p_empty_past_returns_zero():
     b = _x_record(np.ones((3, 2)), {}, 1)
     shifted = identity_mlp(2)
-    shifted.layers[0][1].data[...] = 1.0
+    shifted.layers[0][1][...] = 1.0
     value, _ = v_p(b, shifted.logits(b.x), identity_mlp(2).logits(b.x), 1.0)
     assert value == 0.0
 
@@ -548,13 +548,13 @@ def test_v_s_matches_per_row_reference(n, n_classes, n_negatives, seed):
                        rng.integers(0, n_classes, size=n))
     runs = []
     for build in (_v_s, reference_step.v_s):
-        for p in enc.params():
+        for p in leaves(enc):
             p.grad = None
         draws = np.random.default_rng(seed)
         loss = build(enc, batch, n_negatives, draws)
         if loss.requires_grad:
             loss.backward()
-        runs.append((loss.item(), [p.grad for p in enc.params()],
+        runs.append((loss.item(), [p.grad for p in leaves(enc)],
                      draws.bit_generator.state))
     (value, grads, state), (ref_value, ref_grads, ref_state) = runs
     assert state == ref_state
@@ -618,8 +618,8 @@ def test_encoder_aux_gradient_reaches_encoder_only():
         np.array([[0.0, 1.0, 0.0]]), batch, hp, np.random.default_rng(0))
     assert emb_grad is None
     enc.backward(encoded, stopped.backward(disc_acts, disc_grad, True), False)
-    assert any(p.grad is not None for p in enc.params())
-    assert all(p.grad is None for p in d.params())
+    assert any(p is not None for p in grads(enc))
+    assert all(p is None for p in grads(d))
 
 
 def test_encoder_aux_loss_needs_a_past_segment():
@@ -647,21 +647,21 @@ def test_loss_gradients_finite_difference(seed):
     rng = np.random.default_rng(100 + seed)
     h, teacher, cur, past = _two_domain_setup(seed=200 + seed)
     omega = np.array([[0.3, 0.3, 0.4]])
-    gradcheck(lambda: _v_l(h, teacher, omega, cur, past), h.params(),
+    gradcheck(lambda: _v_l(h, teacher, omega, cur, past), leaves(h),
               rng=rng, max_coords=4)
 
     d = Mlp([4, 2], rng=rng)
     enc = h.encoder
     gradcheck(lambda: _v_d(d, enc, omega, cur.x, {1: past[1].x}, 2),
-              enc.params() + d.params(), rng=rng, max_coords=4)
+              leaves(enc) + leaves(d), rng=rng, max_coords=4)
 
     prev = Mlp([3, 5, 4], rng=rng)
-    gradcheck(lambda: _v_p(enc, prev, {1: past[1].x}), enc.params(),
+    gradcheck(lambda: _v_p(enc, prev, {1: past[1].x}), leaves(enc),
               rng=rng, max_coords=4)
 
     def vs():
         return _v_s(enc, cur, 3, np.random.default_rng(seed))
-    gradcheck(vs, enc.params(), rng=rng, max_coords=4)
+    gradcheck(vs, leaves(enc), rng=rng, max_coords=4)
 
 
 _H = random_classifier(3, 2, seed=61)

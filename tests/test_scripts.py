@@ -63,3 +63,22 @@ def test_rotated_digits_removes_its_config_when_interrupted(tmp_path,
         script.main()
     assert len(configs) == 1 and os.path.dirname(configs[0]) == str(tmp_path)
     assert not os.path.exists(configs[0])
+
+
+def test_step_p10_reports_each_method_and_domain(tmp_path):
+    """step_p10.py on one tree given twice, at a tiny config: a p10 row per
+    (method, t) for UDIL and ER at t = 1..5, with both trees' figures and
+    their ratio."""
+    root = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "step_p10.py"), str(root),
+         str(root), "--seeds", "0", "--rounds", "1", "--steps", "2",
+         "--per-domain", "40"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        (m, str(t)) for m in ("UDIL", "ER") for t in range(1, 6)]
+    for row in rows:
+        a, b, ratio = map(float, row[2:])
+        assert a > 0 and b > 0 and ratio == pytest.approx(b / a, rel=0.01)

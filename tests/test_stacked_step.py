@@ -32,7 +32,7 @@ from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
 from dilkit.trainer import TrainerConfig, TrainState, coeff_stats_for_step
 from gradcheck import closed_form_node
-from reference_ops import add, logits_node, mul
+from reference_ops import add, grads, leaves, logits_node, mul
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
 KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
@@ -144,14 +144,14 @@ CASES = [(t, kind, seed) for t in (2, 3, 4, 5) for kind in KINDS
 def test_v_l_matches_reference(t, kind, seed):
     h, history, _, omega, current, past = _state(100 * t + seed, t, kind)
     _assert_same(_v_l(h, history.classifier, omega, current, past),
-                 ref.v_l(h, history, omega, current, past), h.params())
+                 ref.v_l(h, history, omega, current, past), leaves(h))
 
 
 @pytest.mark.parametrize("t,kind,seed", CASES)
 def test_v_d_matches_reference(t, kind, seed):
     h, _, disc, omega, current, past = _state(200 * t + seed, t, kind)
     past_x = {i: b.x for i, b in past.items()}
-    params = disc.params() + h.encoder.params()
+    params = leaves(disc) + leaves(h.encoder)
     _assert_same(_v_d(disc, h.encoder, omega, current, past),
                  ref.v_d(disc, h.encoder, omega, current.x, past_x, t), params)
 
@@ -165,7 +165,7 @@ def test_v_p_matches_reference(t, seed):
     batch = StepBatch.stack(current, past)
     new = closed_form_node(lambda z: v_p(batch, z, prev.logits(batch.x), 1.0),
                            logits_node(h.encoder, batch.x))
-    _assert_same(new, ref.v_p(h.encoder, prev, past_x), h.encoder.params())
+    _assert_same(new, ref.v_p(h.encoder, prev, past_x), leaves(h.encoder))
 
 
 @pytest.mark.parametrize("t,seed", [(t, seed) for t in (2, 3, 4, 5)
@@ -233,13 +233,13 @@ def test_divergence_estimate_matches_reference_exactly(data, arity, n_cur,
     enc = Mlp([IN_DIM, 6, EMBED], rng=rng)
     disc = Mlp([EMBED, 6, arity], rng=rng)
     w, b = disc.layers[-1]
-    b.data[...] = rng.normal(size=arity)
+    b[...] = rng.normal(size=arity)
     if mode == "tie":
-        w.data[:, past_index - 1] = w.data[:, arity - 1]
-        b.data[past_index - 1] = b.data[arity - 1]
+        w[:, past_index - 1] = w[:, arity - 1]
+        b[past_index - 1] = b[arity - 1]
     elif mode == "scaled":
-        w.data *= 1e3
-        b.data *= 1e3
+        w *= 1e3
+        b *= 1e3
     cur = rng.normal(size=(n_cur, IN_DIM)) * 2.0
     past_x = rng.normal(size=(n_past, IN_DIM)) * 2.0 + rng.normal(size=IN_DIM)
     got = hdh_discriminator_estimate(disc, enc, cur, past_x, past_index)
@@ -319,7 +319,7 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
     probs = softmax(teacher_logits)
     _assert_same(closed_form_node(lambda z: v_l(batch, omega, z, probs),
                                   logits_node(h, x)),
-                 ref.v_l(h, history, omega, current, past), h.params())
+                 ref.v_l(h, history, omega, current, past), leaves(h))
     d_stopped = disc.stopped()
 
     def v_d_at(z):
@@ -327,12 +327,12 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
     stopped_logits = logits_node(d_stopped, logits_node(h.encoder, x))
     _assert_same(closed_form_node(v_d_at, stopped_logits),
                  ref.v_d(d_stopped, h.encoder, omega, current.x, past_x, t),
-                 h.encoder.params())
+                 leaves(h.encoder))
     disc_logits = logits_node(disc, h.encoder.logits(x))
     _assert_same(closed_form_node(v_d_at, disc_logits),
                  ref.v_d(disc, h.encoder.stopped(), omega, current.x, past_x,
                          t),
-                 disc.params())
+                 leaves(disc))
     got = coeff_stats_for_step(
         _eps_hist(history), batch, h.logits(x),
         softmax(disc.logits(h.encoder.logits(x))),
@@ -369,8 +369,8 @@ def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
     into = [emb_grad] + ([] if disc_grad is None else
                          [d_stopped.backward(disc_acts, disc_grad, True)])
     enc.backward(encoded, reduce(iadd, into), False)
-    got_grads = [p.grad for p in enc.params()]
-    for p in enc.params():
+    got_grads = grads(enc)
+    for p in leaves(enc):
         p.grad = None
     vd = ref.v_d(d_stopped, enc, omega, current.x, past_x, t)
     vp = ref.v_p(enc, teacher, past_x)
@@ -378,7 +378,7 @@ def test_encoder_aux_loss_matches_its_terms_own_forwards(t, kind, seed):
     want = add(add(mul(vd, -AUX_HP.lambda_d), mul(vp, AUX_HP.lambda_p)),
                mul(vs, AUX_HP.lambda_s))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    want_val, want_grads = _value_and_grads(want, enc.params())
+    want_val, want_grads = _value_and_grads(want, leaves(enc))
     assert abs(got_val - want_val) <= 1e-12
     for g, w in zip(got_grads, want_grads):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
@@ -498,7 +498,7 @@ def test_replay_step_matches_reference_phase_order(t, hp_index, seed):
     ref_rng = copy.deepcopy(rng)  # the stream V_s draws from next
     record = trainer.replay_step(state, disc, disc.stopped(), eps_hist, sizes,
                                  rng, 1, batch, teacher_rows,
-                                 softmax(coeff_logits), Tensor(coeff_logits))
+                                 softmax(coeff_logits), coeff_logits)
 
     n_memory = [len(bank.buckets[i]) for i in sorted(bank.buckets)]
     ref_stats, ref_objective = ref.replay_step(
@@ -512,13 +512,13 @@ def test_replay_step_matches_reference_phase_order(t, hp_index, seed):
     np.testing.assert_allclose(coeff_logits, ref_logits.data,
                                rtol=0, atol=1e-10)
     np.testing.assert_array_equal(record.omega, softmax(coeff_logits))
-    for p, r in zip(disc.params(), ref_disc.params()):
+    for p, r in zip(leaves(disc), leaves(ref_disc)):
         np.testing.assert_allclose(p.data, r.data, rtol=0, atol=1e-10)
-    ref_value, ref_grads = _value_and_grads(ref_objective, ref_model.params())
+    ref_value, ref_grads = _value_and_grads(ref_objective, leaves(ref_model))
     assert abs(record.model_loss - ref_value) <= 1e-10
     lr = state.config.sgd.learning_rate
-    assert len(model.params()) == len(ref_grads)
-    for p, before, want in zip(model.params(), ref_model.params(), ref_grads):
+    assert len(leaves(model)) == len(ref_grads)
+    for p, before, want in zip(leaves(model), leaves(ref_model), ref_grads):
         np.testing.assert_allclose((before.data - p.data) / lr, want,
                                    rtol=0, atol=1e-10)
 
@@ -585,7 +585,7 @@ def test_replay_step_matches_frozen_graph_step_bitwise(monkeypatch, method,
                            rng, step, batch, teacher, omega, param)
         ref_state = dataclasses.replace(state, model=copy.deepcopy(state.model))
         ref_disc, ref_rng = copy.deepcopy(disc), copy.deepcopy(rng)
-        ref_param = None if param is None else Tensor(param.data.copy())
+        ref_param = None if param is None else Tensor(param.copy())
         want = ref.graph_replay_step(ref_state, ref_disc, ref_disc.stopped(),
                                      eps_hist, pool_sizes, ref_rng, step,
                                      batch, teacher, omega, ref_param)
@@ -599,10 +599,10 @@ def test_replay_step_matches_frozen_graph_step_bitwise(monkeypatch, method,
             if want.stats is not None:
                 _same_bits(getattr(got.stats, name), getattr(want.stats, name),
                            f"{name}, {where}")
-        pairs = list(zip(state.model.params() + disc.params(),
-                         ref_state.model.params() + ref_disc.params()))
+        pairs = list(zip(leaves(state.model) + leaves(disc),
+                         leaves(ref_state.model) + leaves(ref_disc)))
         if param is not None:
-            pairs.append((param, ref_param))
+            pairs.append((Tensor(param), ref_param))
         for k, (p, r) in enumerate(pairs):
             _same_bits(p.data, r.data, f"parameter {k}, {where}")
         assert rng.bit_generator.state == ref_rng.bit_generator.state, where

@@ -344,3 +344,18 @@ def test_step_layout_refuses_segment_sizes_that_are_not_counts(sizes):
     with pytest.raises(ContractError, match=r"segment sizes must be "
                        r"non-negative integers, got \[" + str(sizes[0])):
         StepLayout(sizes, [1], 2)
+
+
+def test_one_segment_stack_uses_the_current_set_as_it_is():
+    """With no past set, StepBatch.stack copies nothing: its x and y are
+    the current set's own arrays (a Joint domain's pooled set, just built,
+    is not copied again); with a past set it stacks copies."""
+    rng = np.random.default_rng(0)
+    current = LabeledSet(rng.normal(size=(7, 3)), rng.integers(0, 2, 7), 2)
+    alone = StepBatch.stack(current, {})
+    assert alone.x is current.x and alone.y is current.y
+    assert alone.layout.sizes.tolist() == [7] and not alone.layout.ids
+    past = {1: LabeledSet(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))}
+    both = StepBatch.stack(current, past)
+    assert not np.shares_memory(both.x, current.x)
+    np.testing.assert_array_equal(both.x[:7], current.x)

@@ -23,7 +23,9 @@ from dilkit.trainer import (
     TrainerConfig, coeff_stats_for_step, descend_v01,
     initial_state, run_sequence, snapshot_history, train_domain,
 )
+import reference_ops
 import reference_step as ref
+from reference_ops import leaves
 from reference_step import erm01_agreement, frozen_copy
 
 SMALL_ARCH = ArchConfig(encoder_hidden=[8], embed_dim=4,
@@ -79,8 +81,8 @@ def test_domain1_equals_plain_sgd():
         idx = np.sort(rng.choice(len(data), size=16, replace=False))
         loss = ref.classification_loss(manual, data.subset(idx))
         loss.backward()
-        sgd_step(manual.params(), 0.2)
-    for got, want in zip(state.model.params(), manual.params()):
+        reference_ops.sgd_step(leaves(manual), 0.2)
+    for got, want in zip(leaves(state.model), leaves(manual)):
         np.testing.assert_array_equal(got.data, want.data)
 
 
@@ -120,7 +122,7 @@ def test_erm_steps_match_frozen_graph_steps_bitwise(monkeypatch, method,
         ref.graph_erm_steps(want, domain_data if pooled is None else pooled,
                             config.sgd, ref_rng, method, t)
         state = library(state, domain_data, pooled)
-        for k, (p, r) in enumerate(zip(state.model.params(), want.params())):
+        for k, (p, r) in enumerate(zip(leaves(state.model), leaves(want))):
             assert p.data.tobytes() == r.data.tobytes(), (method, t, k)
         assert (made["batches", t].bit_generator.state
                 == ref_rng.bit_generator.state)
@@ -279,8 +281,8 @@ def test_seeded_repeat_bitwise_identical():
         assert a.matrix.to_lists() == b.matrix.to_lists()
         assert a.omega_by_domain == b.omega_by_domain
         assert a.baseline_acc == b.baseline_acc
-        assert ([p.data.tobytes() for p in a.final_state.model.params()]
-                == [p.data.tobytes() for p in b.final_state.model.params()])
+        assert ([p.data.tobytes() for p in leaves(a.final_state.model)]
+                == [p.data.tobytes() for p in leaves(b.final_state.model)])
 
 
 @pytest.mark.parametrize("method", ["LwF", "ER", "DER++", "iCaRL", "CLS-ER",
@@ -339,13 +341,13 @@ def test_train_domain_fails_fast_when_memory_is_too_small(method):
     config = dataclasses.replace(small_config(method, steps=3),
                                  memory_capacity=1)
     state = train_domain(initial_state(config, 4, 2), stream.train(1))
-    params = [p.data.copy() for p in state.model.params()]
+    params = [p.data.copy() for p in leaves(state.model)]
     buckets = dict(state.bank.buckets)
     with pytest.raises(ContractError,
                        match=r"^domain 2 needs memory capacity >= 2, got 1$"):
         train_domain(state, stream.train(2))
     assert state.t == 2 and state.bank.buckets == buckets
-    for p, before in zip(state.model.params(), params):
+    for p, before in zip(leaves(state.model), params):
         np.testing.assert_array_equal(p.data, before)
 
 
@@ -362,7 +364,7 @@ def test_snapshot_deep_copy_and_cache_coherence():
     outputs = snapshot_history(state.model, layout)
     saved = [a.copy() for a in outputs]
     eps = [erm01(state.model, b) for _, b in sorted(state.bank.buckets.items())]
-    for p in state.model.params():
+    for p in leaves(state.model):
         p.data += 10.0  # wreck the live model
     for got, want in zip(outputs, saved):
         np.testing.assert_array_equal(got, want)
@@ -399,7 +401,7 @@ def test_trained_discriminator_near_chance_on_identical_distributions():
     for _ in range(200):
         acts = d.forward(enc.stopped().logits(record.x))
         d.backward(acts, v_d(record, omega, acts[-1], 1.0, None)[1], False)
-        sgd_step(d.params(), 0.2)
+        sgd_step([d], 0.2)
     est = hdh_discriminator_estimate(d, enc, cur_eval, past_eval, 1)
     assert est <= 0.1
 
@@ -411,7 +413,7 @@ def test_update_isolation_checksums():
     teacher = frozen_copy(model)  # domain 2's teacher: the model at its start
     eps_hist = np.array([erm01(teacher, state.bank.buckets[1])])
     disc = SMALL_ARCH.build_discriminator(t, substream(1, "disc", t))
-    coeff_logits = Tensor(init_uniform(t))  # sgd_step's parameter, as in training
+    coeff_logits = Tensor(init_uniform(t))  # a leaf over the logits training updates
     rng = substream(1, "batches", t)
     data = stream.train(2)
     idx = np.sort(rng.choice(len(data), size=16, replace=False))
@@ -427,15 +429,15 @@ def test_update_isolation_checksums():
         return all(np.array_equal(p.data, b)
                    for p, b in zip(params, before))
 
-    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
+    m0, d0, o0 = dump(leaves(model)), dump(leaves(disc)), dump([coeff_logits])
     acts = disc.forward(model.encoder.forward(batch.x)[-1])
     disc.backward(acts, v_d(batch, softmax(coeff_logits.data), acts[-1], 1.0,
                             None)[1], False)
-    sgd_step(disc.params(), 0.2)
-    assert unchanged(model.params(), m0) and unchanged([coeff_logits], o0)
-    assert not unchanged(disc.params(), d0)
+    sgd_step([disc], 0.2)
+    assert unchanged(leaves(model), m0) and unchanged([coeff_logits], o0)
+    assert not unchanged(leaves(disc), d0)
 
-    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
+    m0, d0, o0 = dump(leaves(model)), dump(leaves(disc)), dump([coeff_logits])
     embedding = model.encoder.logits(batch.x)
     stats = coeff_stats_for_step(
         eps_hist, batch, model.predictor.logits(embedding),
@@ -444,12 +446,11 @@ def test_update_isolation_checksums():
     omega = softmax(coeff_logits.data)
     _, grad = v_01(omega, stats, 1.0, len(data),
                    [len(b) for b in past.values()])
-    coeff_logits.grad = logit_gradient(omega, grad)
-    sgd_step([coeff_logits], 0.2)
-    assert unchanged(model.params(), m0) and unchanged(disc.params(), d0)
+    sgd_step([(coeff_logits.data, logit_gradient(omega, grad))], 0.2)
+    assert unchanged(leaves(model), m0) and unchanged(leaves(disc), d0)
     assert not unchanged([coeff_logits], o0)
 
-    m0, d0, o0 = dump(model.params()), dump(disc.params()), dump([coeff_logits])
+    m0, d0, o0 = dump(leaves(model)), dump(leaves(disc)), dump([coeff_logits])
     frozen = softmax(coeff_logits.data)
     encoded = model.encoder.forward(batch.x)
     predicted = model.predictor.forward(encoded[-1])
@@ -464,8 +465,8 @@ def test_update_isolation_checksums():
     grad += model.predictor.backward(predicted, logits_grad, True)
     model.encoder.backward(encoded, grad, False)
     sgd_step(model.params(), 0.2)
-    assert unchanged(disc.params(), d0) and unchanged([coeff_logits], o0)
-    assert not unchanged(model.params(), m0)
+    assert unchanged(leaves(disc), d0) and unchanged([coeff_logits], o0)
+    assert not unchanged(leaves(model), m0)
 
 
 def _frozen_instance(seed, t):
@@ -554,24 +555,26 @@ def test_replay_step_gradients_own_their_memory(monkeypatch, method):
     """At every SGD update of a replay step (UDIL's discriminator,
     coefficient and model updates, ER's model update), with every loss term
     on: no two gradients share memory, and no gradient shares memory with
-    the data of any tensor built so far, so sgd_step may scale each
-    gradient in place."""
-    tensors, updates = [], []
-    init = Tensor.__init__
+    the parameter array of any network built so far, nor with the values
+    it updates, so sgd_step may scale each gradient in place."""
+    nets, updates = [], []
+    init = Mlp.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        tensors.append(self)
+        nets.append(self)
 
     def checking_sgd_step(params, learning_rate):
-        grads = [t.grad for t in tensors if t.grad is not None]
+        pairs = [p if isinstance(p, tuple) else (p.flat, p.grad) for p in params]
+        grads = [g for _, g in pairs]
+        arrays = [v for v, _ in pairs] + [net.flat for net in nets]
         for i, g in enumerate(grads):
             assert not any(np.shares_memory(g, o) for o in grads[i + 1:])
-            assert not any(np.shares_memory(g, t.data) for t in tensors)
+            assert not any(np.shares_memory(g, a) for a in arrays)
         updates.append(len(params))
         sgd_step(params, learning_rate)
 
-    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(Mlp, "__init__", recording_init)
     monkeypatch.setattr("dilkit.trainer.sgd_step", checking_sgd_step)
     stream = small_stream()
     hp = HyperParams(lambda_d=0.1, lambda_p=0.1, lambda_s=0.1)
@@ -625,7 +628,7 @@ def test_collapsed_beta_mass_skips_discriminator_step():
     res = run_sequence(stream, small_config("UDIL", omega_lr=1e6))
     assert res.omega_by_domain[2] == [[0.0, 0.0, 1.0]]
     assert all(np.isfinite(p.data).all()
-               for p in res.final_state.model.params())
+               for p in leaves(res.final_state.model))
 
 
 @pytest.mark.parametrize("name,value", [
@@ -681,3 +684,39 @@ def test_unknown_method_is_refused_whatever_the_domain_count(monkeypatch,
     with pytest.raises(ConfigError, match="^unknown method 'bogus'") as info:
         run_sequence(stream, small_config("bogus"))
     assert info.value.field == "method"
+
+
+def test_udil_replay_step_updates_four_arrays(monkeypatch):
+    """Every layer's weight and bias of each network a UDIL replay step
+    trains is a view of that network's one array, in layer order, and the
+    step's three sgd_step calls (discriminator, coefficients, model)
+    update four arrays, each with one pair of in-place calls: 8 where an
+    update per weight and bias made 22 at these depths."""
+    sizes = []
+
+    def counting_sgd_step(params, learning_rate):
+        nets = [p for p in params if isinstance(p, Mlp)]
+        for net in nets:
+            at = 0
+            for w, b in net.layers:
+                for view in (w, b):
+                    assert view.base is net.flat
+                    assert view.ctypes.data == net.flat.ctypes.data + 8 * at
+                    at += view.size
+            assert at == net.flat.size
+        sizes.append([2 * len(net.layers) for net in nets]
+                     + [1] * (len(params) - len(nets)))
+        sgd_step(params, learning_rate)
+
+    monkeypatch.setattr("dilkit.trainer.sgd_step", counting_sgd_step)
+    stream = small_stream()
+    state = train_domain(initial_state(small_config("UDIL", steps=2), 4, 2),
+                         stream.train(1))
+    del sizes[:]
+    train_domain(state, stream.train(2))
+    # per step: the discriminator (2 layers), the logits, the encoder (2
+    # layers) and the predictor (1 layer)
+    assert sizes == [[4], [1], [4, 2]] * 2
+    per_step = sizes[:3]
+    assert 2 * sum(map(len, per_step)) == 8
+    assert 2 * sum(sum(s) for s in per_step) == 22
