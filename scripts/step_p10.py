@@ -37,7 +37,7 @@ from dilkit.datagen import gen_hd_balls
 from dilkit.losses import HyperParams
 from dilkit.models import ArchConfig, SgdConfig
 
-seeds, steps, per_domain = json.loads(sys.argv[1])
+seeds = json.loads(sys.argv[1])
 times, step = {}, trainer.replay_step
 
 def timed(state, *args):
@@ -48,23 +48,23 @@ def timed(state, *args):
     return record
 
 trainer.replay_step = timed
-stream = gen_hd_balls(7, 5, per_domain, 20, 0.5)
+stream = gen_hd_balls(7, 5, 500, 20, 0.5)
 for method in %r:
     for seed in seeds:
         trainer.run_sequence(stream, trainer.TrainerConfig(
             method, seed, arch=ArchConfig([32], 16, [], [16]),
-            sgd=SgdConfig(0.2, steps, 32), hp=HyperParams(lambda_d=0.05),
+            sgd=SgdConfig(0.2, 200, 32), hp=HyperParams(lambda_d=0.05),
             memory_capacity=100))
 print(json.dumps(times))
 """ % (METHODS,)
 
 
-def run_tree(tree: Path, seeds, steps: int, per_domain: int) -> dict:
+def run_tree(tree: Path, seeds) -> dict:
     """Step times in ns by (method, t) from one fresh process on `tree`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update({var: "1" for var in BLAS_VARS})
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([seeds, steps, per_domain])],
+        [sys.executable, "-c", CHILD, json.dumps(seeds)],
         env=env, capture_output=True, text=True, check=True)
     return {tuple(k.split()): v for k, v in
             json.loads(proc.stdout.splitlines()[-1]).items()}
@@ -77,8 +77,6 @@ def main() -> int:
                     help="one or two source trees (each holding src/dilkit)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
     ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--steps", type=int, default=200)
-    ap.add_argument("--per-domain", type=int, default=500)
     args = ap.parse_args()
     if len(args.trees) > 2:
         ap.error("give one or two trees")
@@ -87,8 +85,7 @@ def main() -> int:
     for k in range(args.rounds):
         order = range(len(trees)) if k % 2 == 0 else reversed(range(len(trees)))
         for i in order:
-            for key, ns in run_tree(trees[i], args.seeds, args.steps,
-                                    args.per_domain).items():
+            for key, ns in run_tree(trees[i], args.seeds).items():
                 p10 = float(np.percentile(ns, 10))
                 best[i][key] = min(p10, best[i].get(key, p10))
             print(f"  round {k + 1}: {trees[i]}", file=sys.stderr)

@@ -401,18 +401,6 @@ def radical_argument(omega: np.ndarray, n_current: int,
     return float((v * v * w).sum())
 
 
-@lru_cache(maxsize=256)
-def _erm_shape_gaps(t: int, n_cur: int,
-                    n_mem: tuple[int, ...]) -> tuple[float, int, float]:
-    """`check_erm_bound_shape`'s larger gap and violations at c_gen = 1 and
-    its replay form, which read only the sample sizes."""
-    plain = 1.0 / n_cur + float(np.sum(1.0 / np.asarray(n_mem, dtype=float)))
-    gap_er = abs(radical_argument(from_preset("ER", t), n_cur, n_mem) - plain)
-    gap_lwf = abs(radical_argument(from_preset("LwF", t), n_cur, n_mem)
-                  - t ** 2 / n_cur)
-    return max(gap_er, gap_lwf), int(gap_er > TOL) + int(gap_lwf > TOL), plain
-
-
 def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckReport:
     """Bookkeeping identities of the concentration radical: at the
     pure-replay preset it reduces to the plain per-domain form
@@ -420,9 +408,16 @@ def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckRepor
     vanish leaving t^2/N_t.  Probabilistic content is out of scope."""
     t = inst.n_domains
     n_cur = int(inst.domain_samples[t - 1].size)
-    gap, violations, plain = _erm_shape_gaps(
-        t, n_cur, tuple(int(s.size) for s in inst.domain_samples[:-1]))
-    return CheckReport("erm_bound_shape", 2, violations, float(gap * c_gen),
+    n_mem = [int(s.size) for s in inst.domain_samples[:-1]]
+
+    plain = 1.0 / n_cur + float(np.sum(1.0 / np.asarray(n_mem, dtype=float)))
+    gap_er = abs(radical_argument(from_preset("ER", t), n_cur, n_mem) - plain)
+    gap_lwf = abs(radical_argument(from_preset("LwF", t), n_cur, n_mem)
+                  - t ** 2 / n_cur)
+
+    worst = max(gap_er, gap_lwf) * c_gen
+    violations = int(gap_er > TOL) + int(gap_lwf > TOL)
+    return CheckReport("erm_bound_shape", 2, violations, float(worst),
                        details={"replay_form": plain,
                                 "distill_form": t ** 2 / n_cur})
 

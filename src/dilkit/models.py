@@ -91,7 +91,9 @@ class Mlp:
     def __repr__(self) -> str:
         return f"Mlp({self.sizes})"
 
-    def __deepcopy__(self, memo) -> "Mlp":  # a copy's layers view its own array
+    # A plain deepcopy would give the copy layers of their own that no
+    # longer view its `flat`, which sgd_step updates: rebuild the views.
+    def __deepcopy__(self, memo) -> "Mlp":
         return Mlp(self.sizes, _flat=deepcopy(self.flat, memo), _stopped=not self.takes_grad)
 
     def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -174,9 +176,6 @@ class Classifier:
     def params(self) -> list[Mlp]:
         """The networks, as `sgd_step` takes them."""
         return [self.encoder, self.predictor]
-
-    def stopped(self) -> "Classifier":
-        return Classifier(self.encoder.stopped(), self.predictor.stopped())
 
 
 @dataclass

@@ -9,16 +9,14 @@ allocating kernels as they were before the library's wrote into arrays
 they own, and before it grouped the hypotheses by their labels on each
 sample: every matrix here is [m, m] over hypothesis pairs, so the library's
 class-level kernels are compared with these and not with themselves.
-`radical_argument` is the closed form the old library wrote, and
-`check_erm_bound_shape` the check as it was before its identities were
-computed once per set of sample sizes."""
+`check_erm_bound_shape` reads none of these terms and is not copied, and
+`radical_argument` is the closed form the old library wrote."""
 from __future__ import annotations
 
 import numpy as np
 
-from dilkit import bounds
 from dilkit.bounds import TOL, BoundInstance, CheckReport, barycentric_grid
-from dilkit.coeffs import TRIPLE_PRESETS, from_preset, preset_triple
+from dilkit.coeffs import TRIPLE_PRESETS, preset_triple
 
 
 def _pairwise_disagreement(labelings: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -161,22 +159,3 @@ def tightest_bound_grid(inst: BoundInstance, presets=None,
         details={"argmin_omega": argmin.tolist(),
                  "argmin_value": best_total,
                  "preset_values": preset_values})
-
-
-def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckReport:
-    t = inst.n_domains
-    n_cur = int(inst.domain_samples[t - 1].size)
-    n_mem = [int(s.size) for s in inst.domain_samples[:-1]]
-
-    er = from_preset("ER", t)
-    plain = 1.0 / n_cur + float(np.sum(1.0 / np.asarray(n_mem, dtype=float)))
-    gap_er = abs(bounds.radical_argument(er, n_cur, n_mem) - plain)
-
-    lwf = from_preset("LwF", t)
-    gap_lwf = abs(bounds.radical_argument(lwf, n_cur, n_mem) - t ** 2 / n_cur)
-
-    worst = max(gap_er, gap_lwf) * c_gen
-    violations = int(gap_er > TOL) + int(gap_lwf > TOL)
-    return CheckReport("erm_bound_shape", 2, violations, float(worst),
-                       details={"replay_form": plain,
-                                "distill_form": t ** 2 / n_cur})

@@ -148,6 +148,11 @@ def leaves(net: Mlp | Classifier) -> list[Tensor]:
     return [p for n in nets for pair in leaf_layers(n) for p in pair]
 
 
+def stopped(clf: Classifier) -> Classifier:
+    """A view of `clf` sharing its weights, taking no gradient."""
+    return Classifier(clf.encoder.stopped(), clf.predictor.stopped())
+
+
 def grads(net: Mlp) -> list[np.ndarray | None]:
     """The views of the network's `grad` in the order of `leaves` (Nones
     while it holds no gradient)."""

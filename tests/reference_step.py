@@ -366,7 +366,7 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
     lambda_p * V_p and lambda_s * V_s, each running its own encoder passes.
     Returns (stats, objective); the objective is not yet backpropagated."""
     past_x = {i: b.x for i, b in past.items()}
-    disc_loss = mul(v_d(disc, model.stopped().encoder,
+    disc_loss = mul(v_d(disc, model.encoder.stopped(),
                         softmax(coeff_logits).data, current.x, past_x, t),
                     hp.lambda_d)
     if disc_loss.requires_grad:

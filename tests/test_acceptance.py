@@ -144,8 +144,8 @@ def _grad_trial_setups(seed: int):
     rng = np.random.default_rng(seed)
     h = Classifier(Mlp([3, 5, 4], rng=rng),
                    Mlp([4, 2], rng=rng))
-    teacher = Classifier(Mlp([3, 5, 4], rng=rng),
-                         Mlp([4, 2], rng=rng)).stopped()
+    teacher = reference_ops.stopped(Classifier(Mlp([3, 5, 4], rng=rng),
+                                               Mlp([4, 2], rng=rng)))
     cur = LabeledSet(rng.normal(size=(6, 3)), rng.integers(0, 2, 6))
     past = {1: LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))}
     omega = rng.dirichlet((1.0, 1.0, 1.0), size=1)

@@ -200,10 +200,7 @@ def test_barycentric_grid():
 
 
 def test_barycentric_grid_built_once_per_resolution():
-    """So are the grid search's candidates per (resolution, t), and the
-    radical's identities are computed once per set of sample sizes."""
-    gaps = dilkit.bounds._erm_shape_gaps
-    assert gaps(4, 5, (3, 4, 2)) is gaps(4, 5, (3, 4, 2))
+    """So are the grid search's candidates per (resolution, t)."""
     for build, args in ((barycentric_grid, (6,)),
                         (dilkit.bounds._grid_candidates, (6, 3))):
         g = build(*args)
@@ -271,15 +268,6 @@ def test_checks_match_reference_exactly(seed):
                             ref.tightest_bound_grid(inst), inst)
         assert abs(deterministic_bound(inst)
                    - ref.deterministic_bound(inst)) <= TOL
-
-
-def test_erm_bound_shape_matches_uncached_reference():
-    """check_erm_bound_shape, its identities cached per set of sample
-    sizes, reports what the uncached check reports, at two c_gen values."""
-    for inst in gate1_instances(11, 200):
-        for c_gen in (1.0, 0.3):
-            assert_same_report(check_erm_bound_shape(inst, c_gen),
-                               ref.check_erm_bound_shape(inst, c_gen))
 
 
 def test_intra_and_cross_checks_share_the_class_tallies(monkeypatch):

@@ -95,7 +95,7 @@ def test_classification_empty_batch():
 def test_distillation_self_is_entropy_floor():
     clf = random_classifier(4, 3, seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4))
-    teacher = clf.stopped()
+    teacher = reference_ops.stopped(clf)
     p = softmax(teacher.logits(x))
     entropy = -(p * np.log(p)).sum(axis=1).mean()
     assert distillation_loss(clf, teacher, x).item() == pytest.approx(entropy)
@@ -115,7 +115,7 @@ def test_distillation_onehot_reduces_to_classification():
 
 def test_distillation_matches_numpy_oracle():
     clf = random_classifier(5, 4, seed=4)
-    teacher = random_classifier(5, 4, seed=5).stopped()
+    teacher = reference_ops.stopped(random_classifier(5, 4, seed=5))
     x = np.random.default_rng(6).normal(size=(5, 5))
     assert distillation_loss(clf, teacher, x).item() == pytest.approx(
         np_distill(clf, teacher, x))
@@ -159,7 +159,7 @@ def test_erm01_agreement_brute_force():
 def _two_domain_setup(seed=20):
     rng = np.random.default_rng(seed)
     h = random_classifier(3, 2, seed=seed)
-    teacher = random_classifier(3, 2, seed=seed + 1).stopped()
+    teacher = reference_ops.stopped(random_classifier(3, 2, seed=seed + 1))
     cur = LabeledSet(rng.normal(size=(6, 3)), rng.integers(0, 2, 6), 2)
     past = {1: LabeledSet(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))}
     return h, teacher, cur, past

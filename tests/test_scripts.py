@@ -66,14 +66,13 @@ def test_rotated_digits_removes_its_config_when_interrupted(tmp_path,
 
 
 def test_step_p10_reports_each_method_and_domain(tmp_path):
-    """step_p10.py on one tree given twice, at a tiny config: a p10 row per
-    (method, t) for UDIL and ER at t = 1..5, with both trees' figures and
-    their ratio."""
+    """step_p10.py on one tree given twice, one seed and one round: a p10
+    row per (method, t) for UDIL and ER at t = 1..5, with both trees'
+    figures and their ratio."""
     root = Path(__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "step_p10.py"), str(root),
-         str(root), "--seeds", "0", "--rounds", "1", "--steps", "2",
-         "--per-domain", "40"],
+         str(root), "--seeds", "0", "--rounds", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]

@@ -32,7 +32,7 @@ from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
 from dilkit.trainer import TrainerConfig, TrainState, coeff_stats_for_step
 from gradcheck import closed_form_node
-from reference_ops import add, grads, leaves, logits_node, mul
+from reference_ops import add, grads, leaves, logits_node, mul, stopped
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
 KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
@@ -41,7 +41,7 @@ KINDS = ("UDIL", "ER", "LwF", "FineTune", "mixed")
 def _classifier(rng, frozen=False):
     clf = Classifier(Mlp([IN_DIM, 6, EMBED], rng=rng),
                      Mlp([EMBED, N_CLASSES], rng=rng))
-    return clf.stopped() if frozen else clf
+    return stopped(clf) if frozen else clf
 
 
 def _batch(rng, n, domain):
@@ -91,9 +91,9 @@ def _outputs(h, teacher, disc, batch):
     """What a step hands coeff_stats_for_step on the record's rows: the
     student's logits, the stopped discriminator's softmax on the student's
     embedding, and the teacher's argmax."""
-    stopped = h.stopped()
-    embedding = stopped.encoder.logits(batch.x)
-    return (stopped.predictor.logits(embedding),
+    frozen = stopped(h)
+    embedding = frozen.encoder.logits(batch.x)
+    return (frozen.predictor.logits(embedding),
             softmax(disc.stopped().logits(embedding)),
             teacher.predict(batch.x))
 

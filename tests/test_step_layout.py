@@ -19,7 +19,7 @@ from dilkit.losses import HyperParams, StepBatch, StepLayout, v_d, v_l
 from dilkit.membank import MemoryBank
 from dilkit.models import ArchConfig, Classifier, Mlp, SgdConfig
 from dilkit.trainer import TrainerConfig, TrainState, coeff_stats_for_step
-from reference_ops import mul
+from reference_ops import mul, stopped
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
 STATS = ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist")
@@ -97,7 +97,7 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
 
     def teacher_pass(model, pool):
         # the teacher's logits on the pool, as the pass computes them
-        frozen = teacher.stopped()
+        frozen = stopped(teacher)
         embedded = [frozen.embed(x)
                     for x in np.split(pool.x, pool.layout.bounds[1:-1])]
         seen["logits"] = np.concatenate(
