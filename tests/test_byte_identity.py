@@ -1,4 +1,4 @@
-"""Byte identity of training outputs against pinned digests.
+"""Byte identity of training and audit outputs against pinned digests.
 
 Every method of `METHODS` runs one seed on a small ball stream, with the
 auxiliary encoder terms off and on (lambda_p = lambda_s in {0, 0.1}).  One
@@ -11,18 +11,29 @@ The digests were taken with NumPy 2.4.6 and single-threaded BLAS
 (OMP_NUM_THREADS = OPENBLAS_NUM_THREADS = MKL_NUM_THREADS = 1).  A change
 that alters outputs on purpose, or a different NumPy, re-pins them and
 says so in CHANGES.md.
+
+One more sha256 covers the bound audit: a fixed block of instances drawn
+as gate 1 draws them, each with its five reports (the intra, cross,
+unified, grid and erm-shape checks, the last at c_gen = 1).  Each report
+enters as its name, counts, `repr(max_violation)` and details, whose
+floats JSON writes by their repr, so every bit of every report counts.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from dilkit.bounds import (check_cross_bound, check_erm_bound_shape,
+                           check_intra_bound, check_unified_bound,
+                           random_instance, tightest_bound_grid)
 from dilkit.coeffs import METHODS
 from dilkit.datagen import ConfigError, gen_hd_balls
 from dilkit.expcli.runio import (OMEGA_HEADER, dump_json, format_csv,
                                  omega_rows, results_payload)
 from dilkit.losses import HyperParams
 from dilkit.models import ArchConfig, SgdConfig
+from dilkit.seeding import substream
 from dilkit.trainer import TrainerConfig, run_sequence
 
 PINNED_NUMPY = "2.4.6"
@@ -82,3 +93,26 @@ def test_outputs_match_pinned_digest(stream, method, aux):
         f"{method} at lambda_p = lambda_s = {aux}: outputs differ from the "
         f"pinned digest (pinned with NumPy {PINNED_NUMPY} and single-threaded "
         f"BLAS; this run has NumPy {np.__version__})")
+
+
+AUDIT_INSTANCES = 200
+AUDIT_DIGEST = "ea8b9e82ab7acb3876ad4254ccf8b48b4c75b802e0061ae458f82119390d2716"
+
+
+def test_audit_reports_match_pinned_digest():
+    rng = substream(2024, "byte-identity", "bounds")
+    block = []
+    for _ in range(AUDIT_INSTANCES):
+        inst = random_instance(
+            rng, n_domains=int(rng.integers(2, 5)),
+            points_per_domain=int(rng.integers(3, 9)),
+            class_size=int(rng.choice([16, 64, 256])))
+        for r in (check_intra_bound(inst), check_cross_bound(inst),
+                  check_unified_bound(inst), tightest_bound_grid(inst),
+                  check_erm_bound_shape(inst, 1.0)):
+            block.append([r.name, r.n_checks, r.n_violations,
+                          repr(r.max_violation), r.details])
+    got = hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest()
+    assert got == AUDIT_DIGEST, (
+        f"audit reports differ from the pinned digest (pinned with NumPy "
+        f"{PINNED_NUMPY}; this run has NumPy {np.__version__})")
