@@ -17,7 +17,7 @@ perfbench wraps `backward` and counts Tensor constructions by name.
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,13 +191,13 @@ def softmax(a: np.ndarray) -> np.ndarray:
     return softmax_parts(a).pt.T.copy()
 
 
-def xent(a: np.ndarray, target, parts: Softmax | None
-         ) -> tuple[float, Callable[[float], np.ndarray]]:
+def xent(a: np.ndarray, target, parts: Softmax | None,
+         g: float) -> tuple[float, np.ndarray]:
     """-sum(target * log_softmax(a)) over [n, c] logits `a` and a constant
     [n, c] target, in closed form, from `softmax_parts(a)` (`parts`, when
     the caller took it already).  Row weights live in the target (one-hot
-    rows times 1/n: the mean cross-entropy).  Returns the value and a
-    function of an upstream scalar g giving the adjoint on `a`,
+    rows times 1/n: the mean cross-entropy).  Returns the value and the
+    adjoint on `a` at the upstream scalar g,
     g * (softmax(a) * rowsum(target) - target), computed as
     d = target * -g, then d - softmax(a) * rowsum(d): the accumulation
     order of the composed log_softmax graph, so results stay bitwise
@@ -212,9 +212,6 @@ def xent(a: np.ndarray, target, parts: Softmax | None
     logp = np.subtract(a, lse[:, None])
     logp *= target
     value = -float(np.add.reduce(logp, axis=None))
-
-    def adjoint(g: float) -> np.ndarray:
-        d = target * -g
-        d -= (pt * _row_reduce(np.add, d)).T
-        return d
-    return value, adjoint
+    d = target * -g
+    d -= (pt * _row_reduce(np.add, d)).T
+    return value, d

@@ -226,13 +226,16 @@ class BoundInstance:
     @cached_property
     def coeff_stats(self) -> CoeffStats:
         """The exact terms of the chosen (h, H_prev) as the statistics
-        V_01 weighs the coefficients by."""
+        V_01 weighs the coefficients by, and the sample sizes (the current
+        domain's, then each past domain's) as the counts of its radical."""
         h, hp = self.h_idx, self.hprev_idx
         dis = _read_only(np.array([d[c.of[h], c.of[hp]] for d, c in
                                    zip(self.disagreements, self.classes)]))
+        *past, cur = (idx.size for idx in self.domain_samples)
+        counts = _read_only(np.array([cur, *past], dtype=np.float64))
         return CoeffStats(eps_replay=self.risks[h, :-1], eps_intra=dis[:-1],
                           eps_cross=dis[-1], dhat=self.divergences,
-                          eps_hist=self.risks[hp, :-1])
+                          eps_hist=self.risks[hp, :-1], counts=counts)
 
 
 @dataclass
@@ -390,30 +393,24 @@ def tightest_bound_grid(inst: BoundInstance,
                  "preset_values": preset_values})
 
 
-def radical_argument(omega: np.ndarray, n_current: int,
-                     n_memory) -> float:
-    """V_01's radical squared:
-    (1 + sum beta)^2 / N_t + sum (gamma_i + alpha_i)^2 / N_i."""
-    om = np.asarray(omega, dtype=np.float64)
-    if om.ndim != 2 or om.shape[1] != 3:
-        raise ContractError(f"omega must have shape (t-1, 3), got {om.shape}")
-    v, w = radical_terms(om, n_current, n_memory)
-    return float((v * v * w).sum())
-
-
 def check_erm_bound_shape(inst: BoundInstance, c_gen: float = 1.0) -> CheckReport:
-    """Bookkeeping identities of the concentration radical: at the
-    pure-replay preset it reduces to the plain per-domain form
-    1/N_t + sum 1/N_i, and at the pure-distillation preset all memory terms
-    vanish leaving t^2/N_t.  Probabilistic content is out of scope."""
-    t = inst.n_domains
-    n_cur = int(inst.domain_samples[t - 1].size)
-    n_mem = [int(s.size) for s in inst.domain_samples[:-1]]
+    """Bookkeeping identities of the concentration radical
+    (1 + sum beta)^2 / N_t + sum (gamma_i + alpha_i)^2 / N_i, read as V_01
+    reads it, from `radical_terms` and the counts of the instance's
+    `coeff_stats`: at the pure-replay preset it reduces to the plain
+    per-domain form 1/N_t + sum 1/N_i, and at the pure-distillation preset
+    all memory terms vanish leaving t^2/N_t.  Probabilistic content is out
+    of scope."""
+    t, counts = inst.n_domains, inst.coeff_stats.counts
+    n_cur = int(counts[0])
 
-    plain = 1.0 / n_cur + float(np.sum(1.0 / np.asarray(n_mem, dtype=float)))
-    gap_er = abs(radical_argument(from_preset("ER", t), n_cur, n_mem) - plain)
-    gap_lwf = abs(radical_argument(from_preset("LwF", t), n_cur, n_mem)
-                  - t ** 2 / n_cur)
+    def radicand(method: str) -> float:
+        v = radical_terms(from_preset(method, t))
+        return float(np.add.reduce(v * v * (1.0 / counts)))
+
+    plain = 1.0 / n_cur + float(np.sum(1.0 / counts[1:]))
+    gap_er = abs(radicand("ER") - plain)
+    gap_lwf = abs(radicand("LwF") - t ** 2 / n_cur)
 
     worst = max(gap_er, gap_lwf) * c_gen
     violations = int(gap_er > TOL) + int(gap_lwf > TOL)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -41,9 +41,7 @@ def classification_loss(logits: np.ndarray, y: np.ndarray
     the labels y: its value and its gradient on the logits."""
     if len(y) == 0:
         raise ContractError("classification_loss: empty batch")
-    value, adjoint = xent(logits, _one_hot(y, logits.shape[1], 1.0 / len(y)),
-                          None)
-    return value, adjoint(1.0)
+    return xent(logits, _one_hot(y, logits.shape[1], 1.0 / len(y)), None, 1.0)
 
 
 def erm01(h, labeled_set: LabeledSet) -> float:
@@ -164,25 +162,32 @@ def v_l(batch: StepBatch, omega: np.ndarray, logits: np.ndarray,
                                 f"{teacher_probs.shape[1]} vs student {k}")
         # a row of weight 0 adds 0 * p = +0.0 (p a finite probability): unchanged
         target += distill_w[:, None] * teacher_probs
-    value, adjoint = xent(logits, target, None)
-    return value, adjoint(1.0)
+    return xent(logits, target, None, 1.0)
 
 
 @dataclass
 class CoeffStats:
-    """0-1 statistics entering V_01, all constants w.r.t. the coefficients.
-    Arrays are indexed by past-domain position (domain i at index i-1)."""
+    """0-1 statistics entering V_01, all constants w.r.t. the coefficients,
+    and the sample counts its radical reads.  Arrays are indexed by
+    past-domain position (domain i at index i-1); `counts` holds N_t first,
+    then N_i per memory bucket."""
     eps_replay: np.ndarray   # eps_i(h) on memory batches
     eps_intra: np.ndarray    # eps_i(h, H) on memory batches
     eps_cross: float         # eps_t(h, H) on the current batch
     dhat: np.ndarray         # discriminator divergence estimates
     eps_hist: np.ndarray     # cached eps_i(H) on memory buckets
+    counts: np.ndarray       # N_t, then N_i per memory bucket
 
     def __post_init__(self):
         n = len(self.eps_replay)
         for name in ("eps_intra", "dhat", "eps_hist"):
             if len(getattr(self, name)) != n:
                 raise ContractError(f"CoeffStats.{name} length mismatch")
+        self.counts = np.asarray(self.counts, dtype=np.float64)
+        # negated, so that a NaN count, false in every comparison, fails it
+        if self.counts.shape != (n + 1,) or not self.counts.min() > 0:
+            raise ContractError(f"CoeffStats.counts must hold {n + 1} positive "
+                                f"sample counts, got {self.counts.tolist()}")
 
     def weights(self) -> np.ndarray:
         """[t-1, 3] weights of the bound's linear part: row i weighs
@@ -195,49 +200,31 @@ class CoeffStats:
         return w
 
 
-def radical_terms(omega: np.ndarray, n_current: int,
-                  n_memory) -> tuple[np.ndarray, np.ndarray]:
-    """V_01's radical is sqrt(sum(w * v**2)) over the [t-1, 3] triples omega
-    (row i is (alpha_i, beta_i, gamma_i)), with v = (1 + sum beta,
-    alpha_i + gamma_i) and w = (1 / n_current, 1 / n_i).  Returns (v, w);
-    w is read-only."""
-    n_memory = np.asarray(n_memory, dtype=np.float64)
-    if n_memory.shape != (len(omega),):
-        raise ContractError(
-            f"n_memory must have shape ({len(omega)},), got {n_memory.shape}")
+def radical_terms(omega: np.ndarray) -> np.ndarray:
+    """V_01's radical is sqrt(sum(v * v * (1 / counts))) over the [t-1, 3]
+    triples omega (row i is (alpha_i, beta_i, gamma_i)) and the stats'
+    counts (N_t, N_i); this builds v = (1 + sum beta, alpha_i + gamma_i)."""
     v = np.empty(len(omega) + 1)
     v[0] = 1.0 + np.add.reduce(omega[:, 1])
     np.add(omega[:, 0], omega[:, 2], out=v[1:])
-    return v, _radical_weights(n_current, tuple(n_memory.tolist()))
+    return v
 
 
-@lru_cache(maxsize=64)
-def _radical_weights(n_current: float,
-                     n_memory: tuple[float, ...]) -> np.ndarray:
-    """w = 1 / [n_current, n_memory], checked and built once per set of
-    counts: a replay domain's steps all share one."""
-    if n_current <= 0 or any(n <= 0 for n in n_memory):
-        raise ContractError("the radical requires positive sample counts")
-    w = 1.0 / np.array((n_current,) + n_memory, dtype=np.float64)
-    w.flags.writeable = False
-    return w
-
-
-def v_01(omega: np.ndarray, stats: CoeffStats, c_gen: float,
-         n_current: int, n_memory: np.ndarray) -> tuple[float, np.ndarray]:
+def v_01(omega: np.ndarray, stats: CoeffStats,
+         c_gen: float) -> tuple[float, np.ndarray]:
     """Coefficient loss: the 0-1 surrogate bound evaluated at the [t-1, 3]
     triples `omega`, UDIL's softmax(logits) or a preset's array.  With
-    W = stats.weights() and v, w as radical_terms builds them, it is
-    sum(omega * W) + c_gen * sqrt(R), R = sum(w * v**2).  Returns the value
-    and its [t-1, 3] gradient on omega, in closed form: row i of the
-    gradient is W_i + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i)."""
+    W = stats.weights(), v as radical_terms builds it and w = 1 / counts,
+    it is sum(omega * W) + c_gen * sqrt(R), R = sum(v * v * w).  Returns
+    the value and its [t-1, 3] gradient on omega, in closed form: row i of
+    the gradient is W_i + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i)."""
     n_past = omega.shape[0]
-    if np.shape(n_memory) != (n_past,) or len(stats.eps_replay) != n_past:
+    if len(stats.eps_replay) != n_past:
         raise ContractError(
             f"v_01: the simplex has {n_past} past domains, the stats "
-            f"{len(stats.eps_replay)} and n_memory {np.size(n_memory)}")
+            f"{len(stats.eps_replay)}")
     weights = stats.weights()
-    v, w = radical_terms(omega, n_current, n_memory)
+    v, w = radical_terms(omega), 1.0 / stats.counts
     rad = np.sqrt(np.add.reduce(v * v * w))
     value = float(np.add.reduce(omega * weights, axis=None) + rad * c_gen)
     # d(w * v * v)/dv in two halves, as the tests' selection-matrix
@@ -272,8 +259,7 @@ def v_d(batch: StepBatch, omega: np.ndarray, logits: np.ndarray,
     if arity != t:
         raise ContractError(f"discriminator arity {arity} != t={t}")
     seg_w[:-1] /= layout.denom
-    value, adjoint = xent(logits, seg_w.take(layout.class_slot), parts)
-    return value, adjoint(scale)
+    return xent(logits, seg_w.take(layout.class_slot), parts, scale)
 
 
 def v_p(batch: StepBatch, embedding: np.ndarray, teacher_embedding: np.ndarray,
@@ -327,8 +313,9 @@ def v_s(embedding: np.ndarray, y: np.ndarray, n_negatives: int,
     # -log[exp(-s+)/(exp(-s+) + sum exp(-s-))] is the cross-entropy of
     # the logits -[s+, s-_1, ...] toward column 0
     target = _one_hot(np.zeros(k, np.int64), n_negatives + 1, 1.0 / k)
-    value, adjoint = xent((diff * diff).sum(axis=-1) * -1.0, target, None)
-    half = (adjoint(scale) * -1.0)[..., None] * diff
+    value, d_logits = xent((diff * diff).sum(axis=-1) * -1.0, target, None,
+                           scale)
+    half = (d_logits * -1.0)[..., None] * diff
     g = half + half
     # each gather's gradient scattered into zeros, the anchors' added last
     grad = np.zeros_like(embedding)

@@ -103,14 +103,16 @@ def _check_finite(value: float, name: str, method: str, t: int,
             f"{method}: {name} loss is {value!r} at domain {t}, step {step}")
 
 
-def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
-                         logits: np.ndarray, disc_probs: np.ndarray,
+def coeff_stats_for_step(eps_hist: np.ndarray, counts: np.ndarray,
+                         batch: StepBatch, logits: np.ndarray,
+                         disc_probs: np.ndarray,
                          teacher_pred: np.ndarray) -> CoeffStats:
     """Assemble the per-step scalar statistics the bound surrogate needs from
     the student's logits, the stopped discriminator's softmax and the
-    teacher's argmax on the record's rows and the teacher's 0-1 error on
-    each memory bucket.  The 0-1 errors are counted per segment, the
-    divergence estimates read off them; an empty one raises."""
+    teacher's argmax on the record's rows, the teacher's 0-1 error on each
+    memory bucket and the domain's sample counts (its rows, then each
+    bucket's).  The 0-1 errors are counted per segment, the divergence
+    estimates read off them; an empty one raises."""
     layout = batch.layout
     dhat = discriminator_divergences(disc_probs, layout)
     pred = logits.argmax(axis=1)
@@ -119,24 +121,25 @@ def coeff_stats_for_step(eps_hist: np.ndarray, batch: StepBatch,
     np.not_equal(pred, teacher_pred, out=miss[1])
     wrong, differs = np.add.reduceat(miss, layout.starts, axis=1,
                                      dtype=np.int64) / layout.sizes
-    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
+    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist,
+                      counts)
 
 
 def descend_v01(coeff_logits: np.ndarray, stats: CoeffStats, c_gen: float,
-                n_current: int, n_memory: list[int], steps: int,
-                learning_rate: float) -> float:
+                steps: int, learning_rate: float) -> float:
     """Run plain gradient descent on the bound surrogate over the [t-1, 3]
-    `coeff_logits`, in place, and return the final value.  For the
-    frozen-instance comparisons against the fixed presets; each iteration is
-    `replay_step`'s coefficient update, without its finiteness check."""
+    `coeff_logits`, in place, and return its value at the logits the last
+    step leaves.  For the frozen-instance comparisons against the fixed
+    presets; each iteration is `replay_step`'s coefficient update, without
+    its finiteness check."""
     if steps < 1:
         raise ContractError(f"descend_v01 needs at least one step, got {steps}")
     omega = softmax(coeff_logits)
     for _ in range(steps):
-        value, grad = v_01(omega, stats, c_gen, n_current, n_memory)
+        grad = v_01(omega, stats, c_gen)[1]
         sgd_step([(coeff_logits, logit_gradient(omega, grad))], learning_rate)
         omega = softmax(coeff_logits)
-    return value
+    return v_01(omega, stats, c_gen)[0]
 
 
 def snapshot_history(model: Classifier, pool: StepBatch
@@ -214,7 +217,7 @@ class StepRecord:
 
 
 def replay_step(state: TrainState, disc: Mlp | None, stopped_disc: Mlp | None,
-                eps_hist: np.ndarray | None, pool_sizes: np.ndarray,
+                eps_hist: np.ndarray | None, counts: np.ndarray,
                 rng: np.random.Generator, step: int, batch: StepBatch,
                 teacher: tuple, omega: np.ndarray,
                 coeff_logits: np.ndarray | None) -> StepRecord:
@@ -223,8 +226,8 @@ def replay_step(state: TrainState, disc: Mlp | None, stopped_disc: Mlp | None,
     `coeff_logits`, in place) and the model update, each network running
     once on the rows for every loss term.  `teacher` is the teacher's
     softmax, argmax and embedding (None when lambda_p = 0) on the rows, and
-    `pool_sizes` counts the domain's rows, then each bucket's, as the
-    floats V_01's radical reads; `disc` and `stopped_disc` are None where
+    `counts` counts the domain's rows, then each bucket's, as the floats
+    V_01's radical reads; `disc` and `stopped_disc` are None where
     no phase runs them.  On a one-segment record (domain 1, FineTune,
     Joint) `omega` is [0, 3], the teacher's outputs, `eps_hist` and
     `coeff_logits` are None, and the step is the model update alone: V_l
@@ -266,9 +269,9 @@ def replay_step(state: TrainState, disc: Mlp | None, stopped_disc: Mlp | None,
         disc_soft = softmax_parts(stopped[-1])
 
     if adaptive:
-        stats = coeff_stats_for_step(eps_hist, batch, predicted[-1],
+        stats = coeff_stats_for_step(eps_hist, counts, batch, predicted[-1],
                                      disc_soft.pt.T, teacher_pred)
-        coeff_value, grad = v_01(omega, stats, hp.c_gen, pool_sizes[0], pool_sizes[1:])
+        coeff_value, grad = v_01(omega, stats, hp.c_gen)
         _check_finite(coeff_value, "coefficient", config.method, t, step)
         sgd_step([(coeff_logits, logit_gradient(omega, grad))], omega_lr)
         omega = softmax(coeff_logits)

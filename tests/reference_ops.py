@@ -223,10 +223,10 @@ def rows(a: Tensor, idx) -> Tensor:
 def softmax_xent(a: Tensor, target) -> Tensor:
     """[n, c], constant [n, c] -> scalar: the library's `xent` as a node."""
     a = _wrap(a)
-    value, adjoint = autodiff.xent(a.data, target, None)
-    out = _make(value, (a,))
+    out = _make(autodiff.xent(a.data, target, None, 1.0)[0], (a,))
     if out.requires_grad:
-        out._backward = lambda g: a._accum(adjoint(float(g)), fresh=True)
+        out._backward = lambda g: a._accum(
+            autodiff.xent(a.data, target, None, float(g))[1], fresh=True)
     return out
 
 
@@ -542,23 +542,20 @@ def softmax(a) -> Tensor:
     return out
 
 
-def v_01_node(omega, stats, c_gen: float, n_current: int,
-              n_memory) -> Tensor:
+def v_01_node(omega, stats, c_gen: float) -> Tensor:
     """sum(m * stats.weights()) + c_gen * sqrt(sum(w * v**2)) over the
-    [t-1, 3] triples m = omega as one node, whose backward adds
-    g * (W + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i)) to row i."""
+    [t-1, 3] triples m = omega as one node, w = 1 / stats.counts, whose
+    backward adds g * (W + c_gen / sqrt(R) * (w_i v_i, w_0 v_0, w_i v_i))
+    to row i."""
     m = _wrap(omega)
     n_past = m.data.shape[0]
-    if np.shape(n_memory) != (n_past,) or len(stats.eps_replay) != n_past:
+    if len(stats.eps_replay) != n_past:
         raise ContractError(
             f"v_01: the simplex has {n_past} past domains, the stats "
-            f"{len(stats.eps_replay)} and n_memory {np.size(n_memory)}")
-    n_memory = np.asarray(n_memory, dtype=np.float64)
-    if n_current <= 0 or (n_memory <= 0).any():
-        raise ContractError("the radical requires positive sample counts")
+            f"{len(stats.eps_replay)}")
     weights = stats.weights()
     v = np.concatenate(([1.0 + m.data[:, 1].sum()], m.data[:, 0] + m.data[:, 2]))
-    w = 1.0 / np.concatenate(([n_current], n_memory))
+    w = 1.0 / np.asarray(stats.counts, dtype=np.float64)
     rad = np.sqrt((v * v * w).sum())
     out = _make((m.data * weights).sum() + rad * c_gen, (m,))
     if out.requires_grad:
@@ -571,23 +568,21 @@ def v_01_node(omega, stats, c_gen: float, n_current: int,
     return out
 
 
-def v_01_selection(omega, stats, c_gen: float, n_current: int,
-                   n_memory) -> Tensor:
+def v_01_selection(omega, stats, c_gen: float) -> Tensor:
     """sum(m * stats.weights()) + c_gen * sqrt(sum(w * v**2)) over the
-    [t-1, 3] triples m = omega, with v = flat(m) @ select + offset, the
-    selection matrix picking (1 + sum beta, alpha_i + gamma_i)."""
-    n_memory = np.asarray(n_memory, dtype=np.float64)
+    [t-1, 3] triples m = omega, w = 1 / stats.counts, with
+    v = flat(m) @ select + offset, the selection matrix picking
+    (1 + sum beta, alpha_i + gamma_i)."""
+    counts = np.asarray(stats.counts, dtype=np.float64)
     m = _wrap(omega)
     n_past = m.data.shape[0]
-    if n_memory.shape != (n_past,) or len(stats.eps_replay) != n_past:
+    if len(stats.eps_replay) != n_past:
         raise ContractError("v_01: past-domain counts disagree")
-    if n_current <= 0 or np.any(n_memory <= 0):
-        raise ContractError("the radical requires positive sample counts")
     select = np.zeros((3 * n_past, n_past + 1))
     select[1::3, 0] = 1.0
     select[0::3, 1:] = select[2::3, 1:] = np.eye(n_past)
     offset = np.eye(1, n_past + 1)[0]
-    w = np.concatenate([[1.0 / n_current], 1.0 / n_memory])
+    w = np.concatenate([[1.0 / counts[0]], 1.0 / counts[1:]])
     v = mlp(reshape(m, (1, 3 * n_past)), [(Tensor(select), Tensor(offset))])
     rad = sqrt(tsum(mul(mul(v, v), w)))
     return add(tsum(mul(m, stats.weights())), mul(rad, c_gen))
@@ -632,11 +627,12 @@ def discriminator_divergences(probs: np.ndarray, layout) -> np.ndarray:
     return np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0)
 
 
-def coeff_stats_for_step(eps_hist: np.ndarray, batch, logits: np.ndarray,
-                         disc_logits: np.ndarray,
+def coeff_stats_for_step(eps_hist: np.ndarray, counts, batch,
+                         logits: np.ndarray, disc_logits: np.ndarray,
                          teacher_pred: np.ndarray) -> CoeffStats:
     """The coefficient statistics from the student's and the stopped
-    discriminator's logits and the teacher's argmax on a record's rows."""
+    discriminator's logits and the teacher's argmax on a record's rows,
+    with the radical's `counts`."""
     layout = batch.layout
     m = disc_logits.max(axis=-1, keepdims=True)
     e = np.exp(disc_logits - m)
@@ -645,4 +641,5 @@ def coeff_stats_for_step(eps_hist: np.ndarray, batch, logits: np.ndarray,
     wrong, differs = np.add.reduceat(
         [pred != batch.y, pred != teacher_pred], layout.bounds[:-1], axis=1,
         dtype=np.int64) / layout.sizes
-    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
+    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist,
+                      counts)

@@ -236,9 +236,11 @@ def hdh_discriminator_estimate(d: Mlp, encoder: Mlp, current_x: np.ndarray,
 
 def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
                          disc: Mlp, current_batch: LabeledSet,
-                         past_batches: dict[int, LabeledSet]) -> CoeffStats:
+                         past_batches: dict[int, LabeledSet],
+                         counts) -> CoeffStats:
     """Assemble the per-step scalar statistics the bound surrogate needs,
-    from the sampled batches and the frozen history constants."""
+    from the sampled batches, the frozen history constants and the
+    radical's sample counts."""
     ids = sorted(past_batches)
     teacher = history.classifier
     eps_replay = np.array([erm01(model, past_batches[i]) for i in ids])
@@ -249,16 +251,15 @@ def coeff_stats_for_step(model: Classifier, history: HistorySnapshot,
         hdh_discriminator_estimate(disc, model.encoder, current_batch.x,
                                    past_batches[i].x, i) for i in ids])
     eps_hist = np.array([history.cached_consts[i] for i in ids])
-    return CoeffStats(eps_replay, eps_intra, eps_cross, dhat, eps_hist)
+    return CoeffStats(eps_replay, eps_intra, eps_cross, dhat, eps_hist, counts)
 
 
-def v_01(omega: Tensor | np.ndarray, stats: CoeffStats, c_gen: float,
-         n_current: int, n_memory: np.ndarray) -> Tensor:
+def v_01(omega: Tensor | np.ndarray, stats: CoeffStats,
+         c_gen: float) -> Tensor:
     """Coefficient loss: the 0-1 surrogate bound evaluated at the [t-1, 3]
-    triples `omega`, differentiable through them when they are a Tensor."""
-    n_memory = np.asarray(n_memory, dtype=np.float64)
-    if n_current <= 0 or np.any(n_memory <= 0):
-        raise ContractError("v_01 requires positive sample counts")
+    triples `omega`, differentiable through them when they are a Tensor;
+    the radical reads the counts N_t, N_i of the stats."""
+    n_current, n_memory = stats.counts[0], stats.counts[1:]
     m = _wrap(omega)
     alpha, beta, gamma = column(m, 0), column(m, 1), column(m, 2)
     loss = tsum(mul(gamma, stats.eps_replay))
@@ -372,8 +373,9 @@ def replay_step(model: Classifier, history: HistorySnapshot, disc: Mlp,
     if disc_loss.requires_grad:
         disc_loss.backward()
         sgd_step(leaves(disc), disc_lr)
-    stats = coeff_stats_for_step(model, history, disc, current, past)
-    loss01 = v_01(softmax(coeff_logits), stats, hp.c_gen, n_current, n_memory)
+    stats = coeff_stats_for_step(model, history, disc, current, past,
+                                 [n_current, *n_memory])
+    loss01 = v_01(softmax(coeff_logits), stats, hp.c_gen)
     loss01.backward()
     sgd_step([coeff_logits], omega_lr)
     omega = softmax(coeff_logits).data
@@ -482,11 +484,12 @@ def per_step_divergences(probs: np.ndarray, bounds, past_ids) -> np.ndarray:
     return np.clip(2.0 * (2.0 * b - 1.0), 0.0, 2.0)
 
 
-def per_step_coeff_stats(eps_hist: np.ndarray, batch: Record,
+def per_step_coeff_stats(eps_hist: np.ndarray, counts, batch: Record,
                          logits: np.ndarray, disc_logits: np.ndarray,
                          teacher_logits: np.ndarray) -> CoeffStats:
     """The coefficient statistics from the step's three outputs on the
-    record's rows, the teacher's argmax taken on them."""
+    record's rows, the teacher's argmax taken on them, with the radical's
+    `counts`."""
     dhat = per_step_divergences(softmax(disc_logits).data, batch.bounds,
                                 batch.ids)
     pred = np.argmax(logits, axis=1)
@@ -494,7 +497,8 @@ def per_step_coeff_stats(eps_hist: np.ndarray, batch: Record,
         np.add.reduceat(miss, batch.bounds[:-1], dtype=np.int64)
         / np.diff(batch.bounds)
         for miss in (pred != batch.y, pred != np.argmax(teacher_logits, axis=1)))
-    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
+    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist,
+                      counts)
 
 
 # -- the replay step as one graph, before V_l and V_d took closed forms -----
@@ -586,11 +590,11 @@ def graph_encoder_aux_loss(embedding: Tensor, disc_logits: Tensor | None,
     return reduce(add, terms) if terms else Tensor(0.0)
 
 
-def graph_coeff_stats(eps_hist: np.ndarray, batch: StepBatch,
+def graph_coeff_stats(eps_hist: np.ndarray, counts, batch: StepBatch,
                       logits: np.ndarray, disc_logits: np.ndarray,
                       teacher_pred: np.ndarray) -> CoeffStats:
     """The coefficient statistics with NumPy's softmax, two reductions and
-    the per-step divergence estimate."""
+    the per-step divergence estimate, with the radical's `counts`."""
     layout = batch.layout
     dhat = per_step_divergences(_array_softmax(disc_logits), layout.bounds,
                                 layout.ids)
@@ -598,7 +602,8 @@ def graph_coeff_stats(eps_hist: np.ndarray, batch: StepBatch,
     wrong, differs = (
         np.add.reduceat(miss, layout.bounds[:-1], dtype=np.int64) / layout.sizes
         for miss in (pred != batch.y, pred != teacher_pred))
-    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist)
+    return CoeffStats(wrong[1:], differs[1:], float(differs[0]), dhat, eps_hist,
+                      counts)
 
 
 def graph_replay_step(state, disc: Mlp, stopped_disc: Mlp,
@@ -635,11 +640,10 @@ def graph_replay_step(state, disc: Mlp, stopped_disc: Mlp,
                    if adaptive or disc_on else None)
 
     if adaptive:
-        stats = graph_coeff_stats(eps_hist, batch, logits.data,
+        stats = graph_coeff_stats(eps_hist, pool_sizes, batch, logits.data,
                                   disc_logits.data, teacher_pred)
         simplex = Tensor(omega, requires_grad=True)
-        loss01 = v_01_node(simplex, stats, hp.c_gen, pool_sizes[0],
-                           pool_sizes[1:])
+        loss01 = v_01_node(simplex, stats, hp.c_gen)
         coeff_value = loss01.item()
         _check_finite(coeff_value, "coefficient", config.method, t, step)
         loss01.backward()

@@ -82,14 +82,16 @@ def test_criterion_02_grid_argmin_and_descent_beat_presets():
     # frozen instance: 500 coefficient-descent steps vs the preset minimum
     frozen = np.random.default_rng(0)
     t = 4
-    stats = CoeffStats(frozen.random(3) * 0.5, frozen.random(3) * 0.5,
-                       float(frozen.random() * 0.5), frozen.random(3) * 1.5,
-                       frozen.random(3) * 0.3)
-    n_cur, n_mem = int(frozen.integers(50, 200)), list(frozen.integers(10, 60, 3))
-    preset_min = min(v_01(from_preset(m, t), stats, 1.0, n_cur, n_mem)[0]
+    terms = (frozen.random(3) * 0.5, frozen.random(3) * 0.5,
+             float(frozen.random() * 0.5), frozen.random(3) * 1.5,
+             frozen.random(3) * 0.3)
+    # N_t, then N_i per past domain
+    stats = CoeffStats(*terms, [frozen.integers(50, 200),
+                                *frozen.integers(10, 60, 3)])
+    preset_min = min(v_01(from_preset(m, t), stats, 1.0)[0]
                      for m in TRIPLE_PRESETS)
-    descended = descend_v01(init_uniform(t), stats, 1.0, n_cur, n_mem,
-                            steps=500, learning_rate=10.0)
+    descended = descend_v01(init_uniform(t), stats, 1.0, steps=500,
+                            learning_rate=10.0)
     slack = descended - preset_min
     gate(2, grid_violations == 0 and slack <= 1e-3,
          f"grid argmin: {grid_violations} violations at 1e-9 over 100 "
@@ -156,7 +158,7 @@ def _coefficient_step_gradient(coeff_logits, stats):
     """V_01 at softmax(coeff_logits) and its gradient on the logits, as
     the trainer's coefficient update computes them."""
     omega = softmax(coeff_logits)
-    value, grad = v_01(omega, stats, 1.3, 60, [8, 6])
+    value, grad = v_01(omega, stats, 1.3)
     return value, logit_gradient(omega, grad)
 
 
@@ -169,7 +171,7 @@ def test_criterion_04_gradient_suite_100_trials_each():
         prev = Mlp([3, 5, 4], rng=rng)
         stats = CoeffStats(rng.random(2) * 0.5, rng.random(2) * 0.5,
                            float(rng.random() * 0.5), rng.random(2) * 1.5,
-                           rng.random(2) * 0.3)
+                           rng.random(2) * 0.3, [60, 8, 6])
         coeff_logits = rng.normal(size=(2, 3))
         trial_seed = 4000 + trial
         # the record of the trial's batches, cur as domain 2's

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +10,13 @@ from dilkit.autodiff import ContractError
 from dilkit.bounds import (
     TOL, BoundInstance, barycentric_grid, check_cross_bound,
     check_erm_bound_shape, check_intra_bound, check_unified_bound,
-    deterministic_bound, radical_argument, random_instance,
-    tightest_bound_grid, total_risk,
+    deterministic_bound, random_instance, tightest_bound_grid, total_risk,
 )
 from dilkit.coeffs import TRIPLE_PRESETS, preset_triple
 from dilkit.divergence import (
     FiniteHypothesisClass, _pairwise_disagreement, hdh_exact,
 )
-from dilkit.losses import v_01
+from dilkit.losses import radical_terms, v_01
 from finite_classes import all_labelings
 
 
@@ -143,12 +141,19 @@ def test_tightest_grid_monotone_in_resolution():
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def radicand(omega, counts) -> float:
+    """V_01's radical squared at the triples and counts (N_t, then N_i),
+    as V_01 and check_erm_bound_shape read it off `radical_terms`."""
+    v = radical_terms(np.asarray(omega, dtype=np.float64))
+    return float(np.add.reduce(v * v * (1.0 / np.asarray(counts, dtype=float))))
+
+
 def test_erm_bound_shape_substitutions():
     # radical bookkeeping at the stated sizes
     er = np.array([preset_triple("ER", 3)] * 2)
-    assert radical_argument(er, 100, [10, 10]) == pytest.approx(0.21)
+    assert radicand(er, [100, 10, 10]) == pytest.approx(0.21)
     lwf = np.array([preset_triple("LwF", 3)] * 2)
-    assert radical_argument(lwf, 100, [10, 10]) == pytest.approx(9 / 100)
+    assert radicand(lwf, [100, 10, 10]) == pytest.approx(9 / 100)
 
     rng = np.random.default_rng(3)
     inst = random_instance(rng, n_domains=3)
@@ -495,7 +500,8 @@ def test_cached_terms_and_inputs_are_read_only():
               inst.omega,
               inst.risks, *inst.disagreements, inst.divergences,
               *(a for c in inst.classes for a in c),
-              stats.eps_replay, stats.eps_intra, stats.dhat, stats.eps_hist):
+              stats.eps_replay, stats.eps_intra, stats.dhat, stats.eps_hist,
+              stats.counts):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
 
@@ -537,11 +543,6 @@ def test_single_point_domains():
 
 # -- the audited bound is the objective UDIL descends ---------------------------
 
-def sample_sizes(inst: BoundInstance) -> tuple[int, list[int]]:
-    return (int(inst.domain_samples[-1].size),
-            [int(s.size) for s in inst.domain_samples[:-1]])
-
-
 def test_coeff_stats_are_the_instance_terms():
     for inst in gate1_instances(40, 10):
         risk_h, risk_hp, dis = ref._unified_terms(inst)
@@ -551,6 +552,8 @@ def test_coeff_stats_are_the_instance_terms():
         assert stats.eps_cross == dis[-1]
         assert (stats.dhat == ref._divergences_to_current(inst)).all()
         assert (stats.eps_hist == risk_hp[:-1]).all()
+        sizes = [s.size for s in inst.domain_samples]
+        assert stats.counts.tolist() == [sizes[-1]] + sizes[:-1]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -560,10 +563,9 @@ def test_deterministic_bound_is_v_01_at_zero_c_gen(seed):
     rng = np.random.default_rng(300 + seed)
     for inst in gate1_instances(300 + seed, 15):
         t = inst.n_domains
-        n_cur, n_mem = sample_sizes(inst)
         for om in (inst.omega, rng.dirichlet((1.0, 1.0, 1.0), size=t - 1),
                    rng.dirichlet((0.2, 0.2, 0.2), size=t - 1)):
-            surrogate = v_01(om, inst.coeff_stats, 0.0, n_cur, n_mem)[0]
+            surrogate = v_01(om, inst.coeff_stats, 0.0)[0]
             assert deterministic_bound(inst, om) == (
                 inst.risks[inst.h_idx, -1] + surrogate)
 
@@ -573,12 +575,11 @@ def test_v_01_radical_is_radical_argument(seed):
     rng = np.random.default_rng(400 + seed)
     for inst in gate1_instances(400 + seed, 15):
         t = inst.n_domains
-        n_cur, n_mem = sample_sizes(inst)
         om = rng.dirichlet((1.0, 1.0, 1.0), size=t - 1)
-        base = v_01(om, inst.coeff_stats, 0.0, n_cur, n_mem)[0]
-        rad = math.sqrt(radical_argument(om, n_cur, n_mem))
+        base = v_01(om, inst.coeff_stats, 0.0)[0]
+        rad = math.sqrt(radicand(om, inst.coeff_stats.counts))
         for c in (0.3, 1.0, 2.5):
-            got = v_01(om, inst.coeff_stats, c, n_cur, n_mem)[0]
+            got = v_01(om, inst.coeff_stats, c)[0]
             assert abs(got - (base + c * rad)) <= 1e-12 * abs(got)
 
 
@@ -590,7 +591,7 @@ def test_radical_argument_matches_reference():
         n_cur = int(rng.integers(1, 500))
         n_mem = list(rng.integers(1, 200, size=t - 1))
         want = ref.radical_argument(om, n_cur, n_mem)
-        assert abs(radical_argument(om, n_cur, n_mem) - want) <= 1e-12 * want
+        assert abs(radicand(om, [n_cur, *n_mem]) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -608,16 +609,3 @@ def test_bound_api_rejects_misshapen_inputs():
         with pytest.raises(ContractError, match=r"shape \(3, 3\)"):
             deterministic_bound(inst, np.full(shape, 1 / 3))
 
-
-def test_radical_argument_rejects_bad_counts():
-    om = np.ones((3, 3)) / 3
-    with pytest.raises(ContractError, match=r"shape \(3,\)"):
-        radical_argument(om, 10, [5])
-    with pytest.raises(ContractError, match="shape"):
-        radical_argument(np.ones(3) / 3, 10, [5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for n_cur, n_mem in ((10, [5, 0, 5]), (0, [5, 5, 5]),
-                             (10, [5, -1, 5])):
-            with pytest.raises(ContractError, match="positive sample counts"):
-                radical_argument(om, n_cur, n_mem)

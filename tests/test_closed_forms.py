@@ -23,7 +23,7 @@ from dilkit.losses import (HyperParams, StepBatch, StepLayout,
 from dilkit.trainer import coeff_stats_for_step
 from reference_ops import mul
 
-STATS = ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist")
+STATS = ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist", "counts")
 
 
 def _logits(rng, n, c, mode):
@@ -70,10 +70,10 @@ def test_xent_matches_frozen_form_bitwise(n, c, mode, kind, g, given_parts,
     rng = np.random.default_rng(seed)
     a, target = _logits(rng, n, c, mode), _target(rng, n, c, kind)
     parts = softmax_parts(a) if given_parts else None
-    value, adjoint = xent(a, target, parts)
+    value, got = xent(a, target, parts, g)
     want_value, want_adjoint = reference_ops.xent(a, target)
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
-    got, want = adjoint(g), want_adjoint(g)
+    want = want_adjoint(g)
     assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
     m = a.max(axis=-1, keepdims=True)
     e = np.exp(a - m)
@@ -129,15 +129,16 @@ def test_coeff_stats_match_frozen_form_bitwise(data, t, mode, k, one_label,
     rng = np.random.default_rng(seed)
     n = len(layout.seg)
     eps_hist = rng.random(len(layout.ids))
+    counts = layout.sizes + 1.0
     for _ in range(2):
         y = np.full(n, rng.integers(0, k)) if one_label else rng.integers(0, k, n)
         batch = StepBatch(np.zeros((n, 1)), y, layout)
         logits = _logits(rng, n, k, mode)
         disc_logits = _logits(rng, n, t, mode)
         teacher_pred = rng.integers(0, k, n)
-        got = coeff_stats_for_step(eps_hist, batch, logits,
+        got = coeff_stats_for_step(eps_hist, counts, batch, logits,
                                    softmax_parts(disc_logits).pt.T, teacher_pred)
-        want = reference_ops.coeff_stats_for_step(eps_hist, batch, logits,
+        want = reference_ops.coeff_stats_for_step(eps_hist, counts, batch, logits,
                                                   disc_logits, teacher_pred)
         for name in STATS:
             assert np.asarray(getattr(got, name)).tobytes() \

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,33 +254,37 @@ def test_v_l_moves_theta_not_omega():
     assert any(p.grad is not None and np.any(p.grad != 0) for p in leaves(h))
 
 
-def _stats(n, rng=None, zero=False):
+def _stats(n, rng=None, zero=False, counts=None):
+    """CoeffStats over n past domains: zeros, or drawn from rng; `counts`
+    (N_t, then N_i) defaults to 50, then 10 per past domain."""
+    counts = [50] + [10] * n if counts is None else counts
     if zero:
         z = np.zeros(n)
-        return CoeffStats(z, z.copy(), 0.0, z.copy(), z.copy())
+        return CoeffStats(z, z.copy(), 0.0, z.copy(), z.copy(), counts)
     return CoeffStats(rng.random(n), rng.random(n), float(rng.random()),
-                      rng.random(n) * 2, rng.random(n))
+                      rng.random(n) * 2, rng.random(n), counts)
 
 
 def test_v_01_generalization_term_substitution():
-    stats = _stats(1, zero=True)
+    stats = _stats(1, zero=True, counts=[100, 10])
     er = from_preset("ER", 2)     # beta = 0, gamma + alpha = 1
     lwf = from_preset("LwF", 2)   # beta = 1, gamma + alpha = 0
-    got_er = v_01(er, stats, c_gen=1.0, n_current=100, n_memory=[10])
-    got_lwf = v_01(lwf, stats, c_gen=1.0, n_current=100, n_memory=[10])
+    got_er = v_01(er, stats, c_gen=1.0)
+    got_lwf = v_01(lwf, stats, c_gen=1.0)
     assert got_er[0] == pytest.approx(math.sqrt(1 / 100 + 1 / 10))
     assert got_lwf[0] == pytest.approx(math.sqrt(4 / 100))
 
 
 def test_v_01_zero_stats_zero_c():
     logits = np.random.default_rng(0).normal(size=(3, 3))
-    got = v_01(softmax(logits), _stats(3, zero=True), 0.0, 50, [5, 5, 5])
+    got = v_01(softmax(logits), _stats(3, zero=True, counts=[50, 5, 5, 5]),
+               0.0)
     assert got[0] == 0.0
 
 
 def test_v_01_numpy_oracle_and_monotone_beta_slope():
     rng = np.random.default_rng(30)
-    stats = _stats(2, rng)
+    stats = _stats(2, rng, counts=[40, 7, 9])
     logits = rng.normal(size=(2, 3))
     tr = softmax(logits)
     a, b, g = tr[:, 0], tr[:, 1], tr[:, 2]
@@ -288,40 +293,48 @@ def test_v_01_numpy_oracle_and_monotone_beta_slope():
               + np.sum((a + b) * stats.eps_hist)
               + 2.0 * math.sqrt((1 + b.sum()) ** 2 / 40
                                 + np.sum((g + a) ** 2 / np.array([7.0, 9.0]))))
-    got = v_01(softmax(logits), stats, 2.0, 40, [7, 9])
+    got = v_01(softmax(logits), stats, 2.0)
     assert got[0] == pytest.approx(expect)
 
 
-def _coefficient_step_gradient(logits, stats, c_gen, n_current, n_memory):
+def _coefficient_step_gradient(logits, stats, c_gen):
     """V_01 at softmax(logits) and its gradient on the logits, as the
     trainer's coefficient update takes them."""
     omega = softmax(logits)
-    value, grad = v_01(omega, stats, c_gen, n_current, n_memory)
+    value, grad = v_01(omega, stats, c_gen)
     return value, logit_gradient(omega, grad)
 
 
 def test_v_01_gradient_fd():
     rng = np.random.default_rng(31)
-    stats = _stats(3, rng)
+    stats = _stats(3, rng, counts=[60, 8, 6, 9])
     logits = rng.normal(size=(3, 3))
-    gradcheck_array(lambda z: _coefficient_step_gradient(
-        z, stats, 1.3, 60, [8, 6, 9]), logits, rng=rng)
+    gradcheck_array(lambda z: _coefficient_step_gradient(z, stats, 1.3),
+                    logits, rng=rng)
 
 
-def test_v_01_contract_positive_counts():
-    with pytest.raises(ContractError):
-        v_01(softmax(init_uniform(2)), _stats(1, zero=True), 1.0, 0, [5])
+def test_coeff_stats_refuse_bad_counts():
+    """CoeffStats holds N_t, then one count per past domain, each positive;
+    any other counts are refused by name before V_01 could read them."""
+    rng = np.random.default_rng(33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, counts in ((1, [0, 5]), (3, [10, 5, 0, 5]), (3, [0, 5, 5, 5]),
+                          (3, [10, 5, -1, 5]), (2, [10.0, np.nan, 5.0]),
+                          (3, [50, 10]), (3, [50, 10, 10, 10, 10]),
+                          (1, [50]), (1, 50), (2, [[50, 10, 10]])):
+            with pytest.raises(ContractError, match="CoeffStats.counts"):
+                _stats(n, rng, counts=counts)
+            with pytest.raises(ContractError, match="CoeffStats.counts"):
+                _stats(n, zero=True, counts=counts)
 
 
 def test_v_01_contract_past_domain_counts_agree():
     rng = np.random.default_rng(32)
-    with pytest.raises(ContractError, match="simplex has 4 .* stats 4 and n_memory 1"):
-        v_01(softmax(init_uniform(5)), _stats(4, rng), 1.0, 50, [10])
-    with pytest.raises(ContractError, match="simplex has 4 .* stats 3 and n_memory 4"):
-        v_01(softmax(init_uniform(5)), _stats(3, rng), 1.0, 50,
-             [10, 10, 10, 10])
-    with pytest.raises(ContractError, match="simplex has 1 .* stats 2 and n_memory 2"):
-        v_01(from_preset("ER", 2), _stats(2, rng), 1.0, 50, [10, 10])
+    with pytest.raises(ContractError, match="simplex has 4 .* stats 3"):
+        v_01(softmax(init_uniform(5)), _stats(3, rng), 1.0)
+    with pytest.raises(ContractError, match="simplex has 1 .* stats 2"):
+        v_01(from_preset("ER", 2), _stats(2, rng), 1.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -337,11 +350,10 @@ def test_v_01_matches_per_column_reference(t, c_gen, scale, zero, seed):
     within 1e-15): on the logits, through reference_ops' graph softmax, at
     random logits, and on the triples at every preset."""
     rng = np.random.default_rng(seed)
-    stats = _stats(t - 1, rng, zero=zero)
-    n_current = int(rng.integers(1, 500))
-    n_memory = list(rng.integers(1, 200, size=t - 1))
+    counts = [rng.integers(1, 500), *rng.integers(1, 200, size=t - 1)]
+    stats = _stats(t - 1, rng, zero=zero, counts=counts)
     logits = rng.normal(size=(t - 1, 3)) * scale
-    args = (stats, c_gen, n_current, n_memory)
+    args = (stats, c_gen)
     methods = [m for m in TRIPLE_PRESETS + ("FineTune",)
                if not (m == "ESM-ER" and t == 2)]
     for method in methods + ["UDIL"]:

@@ -87,6 +87,12 @@ def _eps_hist(history):
                      for i in sorted(history.cached_consts)])
 
 
+def _counts(batch):
+    """Positive sample counts for V_01's radical, one per segment of the
+    record: the statistics only carry them."""
+    return batch.layout.sizes + 10.0
+
+
 def _outputs(h, teacher, disc, batch):
     """What a step hands coeff_stats_for_step on the record's rows: the
     student's logits, the stopped discriminator's softmax on the student's
@@ -173,10 +179,11 @@ def test_v_p_matches_reference(t, seed):
 def test_coeff_stats_match_reference_exactly(t, seed):
     h, history, disc, _, current, past = _state(400 * t + seed, t, "UDIL")
     batch = StepBatch.stack(current, past)
-    got = coeff_stats_for_step(_eps_hist(history), batch,
+    got = coeff_stats_for_step(_eps_hist(history), _counts(batch), batch,
                                *_outputs(h, history.classifier, disc, batch))
-    want = ref.coeff_stats_for_step(h, history, disc, current, past)
-    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
+    want = ref.coeff_stats_for_step(h, history, disc, current, past,
+                                    _counts(batch))
+    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist", "counts"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.eps_cross == want.eps_cross
 
@@ -196,7 +203,7 @@ def test_coeff_stats_build_no_gradient_graph(monkeypatch, t):
         init(self, data, requires_grad, _prev)
 
     monkeypatch.setattr(Tensor, "__init__", recording_init)
-    coeff_stats_for_step(_eps_hist(history), batch, *outputs)
+    coeff_stats_for_step(_eps_hist(history), _counts(batch), batch, *outputs)
     assert tracked == []
 
 
@@ -215,7 +222,7 @@ def test_coeff_stats_runs_each_network_once(monkeypatch, t):
         return logits(self, x)
 
     monkeypatch.setattr(Mlp, "logits", counting_logits)
-    coeff_stats_for_step(_eps_hist(history), batch, *outputs)
+    coeff_stats_for_step(_eps_hist(history), _counts(batch), batch, *outputs)
     assert calls == []
 
 
@@ -280,10 +287,11 @@ def test_empty_segment_contracts_match_reference(kind, empty):
             assert got == pytest.approx(want, abs=1e-10)
     batch = StepBatch.stack(current, past)
     with pytest.raises(ContractError):
-        coeff_stats_for_step(_eps_hist(history), batch,
+        coeff_stats_for_step(_eps_hist(history), _counts(batch), batch,
                              *_outputs(h, history.classifier, disc, batch))
     with pytest.raises(ContractError):
-        ref.coeff_stats_for_step(h, history, disc, current, past)
+        ref.coeff_stats_for_step(h, history, disc, current, past,
+                                 _counts(batch))
 
 
 def test_v_l_teacher_arity_contract_kept():
@@ -334,11 +342,12 @@ def test_losses_fed_shared_passes_match_their_own_forwards(t, kind, seed):
                          t),
                  leaves(disc))
     got = coeff_stats_for_step(
-        _eps_hist(history), batch, h.logits(x),
+        _eps_hist(history), _counts(batch), batch, h.logits(x),
         softmax(disc.logits(h.encoder.logits(x))),
         np.argmax(teacher_logits, axis=1))
-    want = ref.coeff_stats_for_step(h, history, disc, current, past)
-    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
+    want = ref.coeff_stats_for_step(h, history, disc, current, past,
+                                    _counts(batch))
+    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist", "counts"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.eps_cross == want.eps_cross
 
@@ -504,7 +513,7 @@ def test_replay_step_matches_reference_phase_order(t, hp_index, seed):
     ref_stats, ref_objective = ref.replay_step(
         ref_model, history, ref_disc, ref_logits, current, past, t, hp,
         len(domain), n_memory, ref_rng, 0.4, 0.7)
-    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist"):
+    for name in ("eps_replay", "eps_intra", "dhat", "eps_hist", "counts"):
         np.testing.assert_array_equal(getattr(record.stats, name),
                                       getattr(ref_stats, name))
     assert record.stats.eps_cross == ref_stats.eps_cross
@@ -595,7 +604,8 @@ def test_replay_step_matches_frozen_graph_step_bitwise(monkeypatch, method,
         for name in ("omega", "disc_loss", "coeff_loss", "model_loss"):
             _same_bits(getattr(got, name), getattr(want, name), f"{name}, {where}")
         assert (got.stats is None) == (want.stats is None), where
-        for name in ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist"):
+        for name in ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist",
+                     "counts"):
             if want.stats is not None:
                 _same_bits(getattr(got.stats, name), getattr(want.stats, name),
                            f"{name}, {where}")

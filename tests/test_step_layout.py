@@ -22,7 +22,7 @@ from dilkit.trainer import TrainerConfig, TrainState, coeff_stats_for_step
 from reference_ops import mul, stopped
 
 IN_DIM, EMBED, N_CLASSES = 4, 5, 3
-STATS = ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist")
+STATS = ("eps_replay", "eps_intra", "eps_cross", "dhat", "eps_hist", "counts")
 
 
 def _classifier(rng):
@@ -150,14 +150,14 @@ def test_layout_forms_match_per_step_forms_bytewise(monkeypatch, t, method,
         seen["disc_logits"] = a
         return softmax_parts(a)
 
-    def check_stats(eps_hist, batch, logits, disc_probs, teacher_pred):
+    def check_stats(eps_hist, counts, batch, logits, disc_probs, teacher_pred):
         disc_logits = seen["disc_logits"]
         assert disc_probs.tobytes() == softmax(disc_logits).tobytes()
-        _same_stats(coeff_stats_for_step(eps_hist, batch, logits, disc_probs,
-                                         teacher_pred),
-                    ref.per_step_coeff_stats(eps_hist, ref.Record.of(batch),
-                                             logits, disc_logits,
-                                             teacher_logits()))
+        _same_stats(coeff_stats_for_step(eps_hist, counts, batch, logits,
+                                         disc_probs, teacher_pred),
+                    ref.per_step_coeff_stats(eps_hist, counts,
+                                             ref.Record.of(batch), logits,
+                                             disc_logits, teacher_logits()))
 
     monkeypatch.setattr(trainer, "snapshot_history", teacher_pass)
     monkeypatch.setattr(trainer, "_draw_rows", recording_draw_rows)
@@ -223,12 +223,12 @@ def test_empty_segments_match_per_step_forms_bytewise(kind, empty):
     ]
     for new, old in pairs:
         assert _outcome(new) == _outcome(old)
-    eps_hist = rng.random(2)
+    eps_hist, counts = rng.random(2), [30.0, 20.0, 20.0]
     assert _outcome(lambda: coeff_stats_for_step(
-        eps_hist, batch, logits, softmax(disc_logits),
+        eps_hist, counts, batch, logits, softmax(disc_logits),
         np.argmax(teacher_logits, axis=1))) \
         == _outcome(lambda: ref.per_step_coeff_stats(
-            eps_hist, record, logits, disc_logits, teacher_logits)) \
+            eps_hist, counts, record, logits, disc_logits, teacher_logits)) \
         == "every segment must be nonempty"
 
 
@@ -253,7 +253,7 @@ CONTRACTS = [
     ("every segment must be nonempty", [ER, ER], 0,
      lambda new, b, w, x: (coeff_stats_for_step if new
                            else ref.per_step_coeff_stats)(
-         np.zeros(2), b, x, softmax(x) if new else x,
+         np.zeros(2), [30.0, 20.0, 20.0], b, x, softmax(x) if new else x,
          np.argmax(x, axis=1) if new else x)),
 ]
 

@@ -440,12 +440,11 @@ def test_update_isolation_checksums():
     m0, d0, o0 = dump(leaves(model)), dump(leaves(disc)), dump([coeff_logits])
     embedding = model.encoder.logits(batch.x)
     stats = coeff_stats_for_step(
-        eps_hist, batch, model.predictor.logits(embedding),
-        softmax(disc.logits(embedding)),
+        eps_hist, [len(data)] + [len(b) for b in past.values()], batch,
+        model.predictor.logits(embedding), softmax(disc.logits(embedding)),
         teacher.predict(batch.x))
     omega = softmax(coeff_logits.data)
-    _, grad = v_01(omega, stats, 1.0, len(data),
-                   [len(b) for b in past.values()])
+    _, grad = v_01(omega, stats, 1.0)
     sgd_step([(coeff_logits.data, logit_gradient(omega, grad))], 0.2)
     assert unchanged(leaves(model), m0) and unchanged(leaves(disc), d0)
     assert not unchanged([coeff_logits], o0)
@@ -472,34 +471,46 @@ def test_update_isolation_checksums():
 def _frozen_instance(seed, t):
     rng = np.random.default_rng(seed)
     n = t - 1
-    stats = CoeffStats(rng.random(n) * 0.5, rng.random(n) * 0.5,
-                       float(rng.random() * 0.5), rng.random(n) * 1.5,
-                       rng.random(n) * 0.3)
-    return stats, int(rng.integers(50, 200)), list(rng.integers(10, 60, n))
+    terms = (rng.random(n) * 0.5, rng.random(n) * 0.5,
+             float(rng.random() * 0.5), rng.random(n) * 1.5,
+             rng.random(n) * 0.3)
+    return CoeffStats(*terms, [rng.integers(50, 200), *rng.integers(10, 60, n)])
 
 
 @pytest.mark.parametrize("seed,t", [(0, 2), (0, 5), (1, 3), (2, 4), (3, 3)])
 def test_descent_matches_or_beats_presets(seed, t):
-    stats, n_cur, n_mem = _frozen_instance(seed, t)
+    stats = _frozen_instance(seed, t)
     preset_vals = []
     for m in TRIPLE_PRESETS:
         try:
-            preset_vals.append(v_01(from_preset(m, t), stats, 1.0,
-                                    n_cur, n_mem)[0])
+            preset_vals.append(v_01(from_preset(m, t), stats, 1.0)[0])
         except ConfigError:
             continue  # ESM-ER is undefined at t=2
-    final = descend_v01(init_uniform(t), stats, 1.0, n_cur, n_mem,
-                        steps=500, learning_rate=10.0)
+    final = descend_v01(init_uniform(t), stats, 1.0, steps=500,
+                        learning_rate=10.0)
     assert final <= min(preset_vals) + 1e-3
 
 
 @pytest.mark.parametrize("steps", [0, -3])
 def test_descend_v01_refuses_fewer_than_one_step(steps):
     """With no step there is no value to return: refused, not None."""
-    stats, n_cur, n_mem = _frozen_instance(0, 3)
     with pytest.raises(ContractError, match="at least one step"):
-        descend_v01(init_uniform(3), stats, 1.0, n_cur, n_mem,
+        descend_v01(init_uniform(3), _frozen_instance(0, 3), 1.0,
                     steps=steps, learning_rate=1.0)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_descend_v01_returns_the_value_at_the_logits_it_leaves(steps):
+    """The value returned is V_01 at the softmax of the logits after the
+    last step, not the one computed before it: with one step it already
+    differs from the starting value."""
+    stats = _frozen_instance(4, 4)
+    start = init_uniform(4)
+    before = v_01(softmax(start), stats, 1.0)[0]
+    logits = start.copy()
+    got = descend_v01(logits, stats, 1.0, steps=steps, learning_rate=1.0)
+    assert got == v_01(softmax(logits), stats, 1.0)[0]
+    assert got < before
 
 
 @pytest.mark.parametrize("method", ["ER", "UDIL"])
