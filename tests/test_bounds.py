@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -609,3 +611,15 @@ def test_bound_api_rejects_misshapen_inputs():
         with pytest.raises(ContractError, match=r"shape \(3, 3\)"):
             deterministic_bound(inst, np.full(shape, 1 / 3))
 
+
+def test_radical_argument_rejects_bad_counts():
+    """The radical's counts ride in the bound's CoeffStats: one for the
+    current domain, one per past domain, each positive, or they are refused."""
+    stats = next(i for i in gate1_instances(7, 40) if i.n_domains == 4).coeff_stats
+    with pytest.raises(ContractError, match=r"hold 4 positive"):
+        dataclasses.replace(stats, counts=[10, 5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for counts in ([10, 5, 0, 5], [0, 5, 5, 5], [10, 5, -1, 5]):
+            with pytest.raises(ContractError, match="positive sample counts"):
+                dataclasses.replace(stats, counts=counts)

@@ -313,6 +313,11 @@ def test_v_01_gradient_fd():
                     logits, rng=rng)
 
 
+def test_v_01_contract_positive_counts():
+    with pytest.raises(ContractError):
+        v_01(softmax(init_uniform(2)), _stats(1, zero=True, counts=[0, 5]), 1.0)
+
+
 def test_coeff_stats_refuse_bad_counts():
     """CoeffStats holds N_t, then one count per past domain, each positive;
     any other counts are refused by name before V_01 could read them."""
